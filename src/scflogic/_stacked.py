@@ -15,8 +15,9 @@ modalities vectorize as well:
   block decides that block's result, a precomputed at-or-below-rank mask.
 
 Used by the axiom soundness sweep, where tens of thousands of instances
-meet thousands of models; agreement with the per-model evaluator is
-enforced by property tests.
+meet thousands of models, and by per-SCF property checks, which stack the
+(|K|!)^n models that differ only in their true profile; agreement with
+the per-model evaluator is enforced by property tests.
 """
 
 from __future__ import annotations
@@ -88,34 +89,39 @@ class StackedEvaluator:
                     plane_small |= 1 << v
             comb = sum(1 << (d * stride) for d in range(radix))
             self._axis.append((stride, plane_small * self.tile, comb))
-        # stacked outcome masks
-        self._out_masks: dict[str, int] = {}
-        for name in first.outcomes:
-            smalls = []
-            for model in self.models:
-                mask = 0
+        # per distinct outcome function, the states choosing each outcome;
+        # stacked, the states of each model choosing it
+        by_values: dict[tuple[str, ...], dict[str, int]] = {}
+        small_out: list[dict[str, int]] = []
+        for model in self.models:
+            masks = by_values.get(model.table.values)
+            if masks is None:
+                masks = dict.fromkeys(first.outcomes, 0)
                 for v, value in enumerate(model.table.values):
-                    if value == name:
-                        mask |= 1 << v
-                smalls.append(mask)
-            self._out_masks[name] = _stack(smalls, self.block)
+                    masks[value] |= 1 << v
+                by_values[model.table.values] = masks
+            small_out.append(masks)
+        self._out_masks = {
+            name: _stack([masks[name] for masks in small_out], self.block)
+            for name in first.outcomes
+        }
         # per agent, per rank: states whose outcome sits exactly at / at or
         # below that rank of the model's true order for the agent
         k_size = len(first.outcomes)
         self._exact: list[list[int]] = []
         self._at_or_below: list[list[int]] = []
         for agent in range(1, first.n + 1):
-            exact_smalls = [[0] * self.count for _ in range(k_size)]
-            for m, model in enumerate(self.models):
-                order = model.true_order(agent)
-                for v, value in enumerate(model.table.values):
-                    exact_smalls[order.rank(value)][m] |= 1 << v
+            exact_smalls: list[list[int]] = [[] for _ in range(k_size)]
+            for model, masks in zip(self.models, small_out):
+                for r, name in enumerate(model.true_order(agent).ranking):
+                    exact_smalls[r].append(masks[name])
             exact = [_stack(per_model, self.block) for per_model in exact_smalls]
             below = [0] * (k_size + 1)
             for r in range(k_size - 1, -1, -1):
                 below[r] = below[r + 1] | exact[r]
             self._exact.append(exact)
             self._at_or_below.append(below)
+        self._agents = frozenset(range(1, first.n + 1))
         self._memo: dict[Formula, int] = {}
 
     # --- vector primitives -------------------------------------------------
@@ -140,16 +146,75 @@ class StackedEvaluator:
     # --- evaluation ----------------------------------------------------------
 
     def truth_mask(self, formula: Formula) -> int:
-        mask = self._memo.get(formula)
-        if mask is None:
-            mask = self._compute(formula)
-            self._memo[formula] = mask
-        return mask
+        """Truth mask of `formula` across the batch.
+
+        Walks the formula DAG in post-order on an explicit stack, so depth
+        is limited by memory only.  The stack holds one path from the root,
+        each entry a child of the one below it, so no node waits twice: a
+        node whose child has no mask yet pushes that child, and a node
+        whose children have masks computes its own, once, from theirs.
+        The mask just computed is passed up without a memo lookup."""
+        memo = self._memo
+        get = memo.get
+        mask = get(formula)
+        if mask is not None:
+            return mask
+        full = self.full
+        stack = [formula]
+        push = stack.append
+        last = None
+        node = formula
+        while True:
+            kind = type(node)
+            if kind is Or:
+                child = node.left
+                if child is last:
+                    x = mask
+                else:
+                    x = get(child)
+                    if x is None:
+                        push(child)
+                        node = child
+                        continue
+                child = node.right
+                if child is last:
+                    y = mask
+                else:
+                    y = get(child)
+                    if y is None:
+                        push(child)
+                        node = child
+                        continue
+                mask = x | y
+            elif kind is Not or kind is Diamond or kind is Pref:
+                child = node.child
+                if child is last:
+                    x = mask
+                else:
+                    x = get(child)
+                    if x is None:
+                        push(child)
+                        node = child
+                        continue
+                if kind is Not:
+                    mask = full ^ x
+                elif kind is Diamond:
+                    mask = self._diamond(node.coalition, x)
+                else:
+                    mask = self._pref(node.agent, x)
+            else:
+                mask = self._atom(node)
+            stack.pop()
+            memo[node] = mask
+            if not stack:
+                return mask
+            last = node
+            node = stack[-1]
 
     def clear_memo(self) -> None:
         self._memo.clear()
 
-    def _compute(self, formula: Formula) -> int:
+    def _atom(self, formula: Formula) -> int:
         if type(formula) is Top:
             return self.full
         if type(formula) is Rep:
@@ -161,34 +226,29 @@ class StackedEvaluator:
                     f"outcome atom {formula.name!r} outside {self.space.outcomes}"
                 )
             return self._out_masks[formula.name]
-        if type(formula) is Not:
-            return self.full ^ self.truth_mask(formula.child)
-        if type(formula) is Or:
-            return self.truth_mask(formula.left) | self.truth_mask(formula.right)
-        if type(formula) is Diamond:
-            if not formula.coalition <= frozenset(range(1, self.space.n + 1)):
-                raise FormulaDomainMismatch(
-                    f"coalition {sorted(formula.coalition)} not within agents 1..{self.space.n}"
-                )
-            x = self.truth_mask(formula.child)
-            for agent in sorted(formula.coalition):
-                x = self._spread_axis(self._collapse_axis(x, agent), agent)
-            return x
-        if type(formula) is Pref:
-            agent = formula.agent
-            if not 1 <= agent <= self.space.n:
-                raise FormulaDomainMismatch(f"agent {agent} out of range 1..{self.space.n}")
-            child = self.truth_mask(formula.child)
-            result = 0
-            assigned = 0
-            for r in range(len(self.space.outcomes)):
-                hits = self._block_any(child & self._exact[agent - 1][r])
-                fresh = hits & ~assigned
-                if fresh:
-                    assigned |= fresh
-                    result |= self._at_or_below[agent - 1][r] & (fresh * self.block_ones)
-            return result
         raise TypeError(f"not a formula node: {formula!r}")
+
+    def _diamond(self, coalition: frozenset[int], x: int) -> int:
+        if not coalition <= self._agents:
+            raise FormulaDomainMismatch(
+                f"coalition {sorted(coalition)} not within agents 1..{self.space.n}"
+            )
+        for agent in sorted(coalition):
+            x = self._spread_axis(self._collapse_axis(x, agent), agent)
+        return x
+
+    def _pref(self, agent: int, child: int) -> int:
+        if not 1 <= agent <= self.space.n:
+            raise FormulaDomainMismatch(f"agent {agent} out of range 1..{self.space.n}")
+        result = 0
+        assigned = 0
+        for r in range(len(self.space.outcomes)):
+            hits = self._block_any(child & self._exact[agent - 1][r])
+            fresh = hits & ~assigned
+            if fresh:
+                assigned |= fresh
+                result |= self._at_or_below[agent - 1][r] & (fresh * self.block_ones)
+        return result
 
     def first_failure(self, formula: Formula) -> tuple[int, int] | None:
         """(model index, state index) of the lowest falsified bit, if any."""

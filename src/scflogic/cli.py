@@ -4,7 +4,7 @@ Subcommands: check, property, sat, valid, encode, equilibria, audit,
 axioms.  All output is line-oriented plain text; --json switches every
 subcommand to a machine-readable verdict object.  Exit codes: 0 when the
 queried property holds (valid / satisfiable / PASS), 1 when it does not,
-2 on usage or input errors.
+2 on usage or input errors and on any unexpected error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import axioms as axioms_mod
 from . import decision, encodings, files, game
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, all_profiles, scf_as_game_form
-from .logic import Evaluator, Formula
+from .logic import Evaluator
 from .parser import Context, ParseError, format_formula, parse
 
 __all__ = ["main"]
@@ -190,8 +190,8 @@ def _verdict_payload(verdict: decision.Verdict) -> dict:
     return payload
 
 
-def _verdict_lines(verdict: decision.Verdict, kind: str) -> list[str]:
-    lines = [verdict.status.upper() if kind == "sat" else verdict.status.upper()]
+def _verdict_lines(verdict: decision.Verdict, headline: str) -> list[str]:
+    lines = [headline]
     pair = verdict.witness or verdict.counterexample
     if pair is not None:
         model, state = pair
@@ -206,8 +206,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
     ctx = _context(args.agents, outcomes)
     formula = parse(_formula_arg(args), ctx)
     verdict = decision.satisfiable(args.agents, outcomes, formula, _budget(args))
-    lines = _verdict_lines(verdict, "sat")
-    lines[0] = "SAT" if verdict.status == "satisfiable" else "UNSAT"
+    lines = _verdict_lines(verdict, "SAT" if verdict.status == "satisfiable" else "UNSAT")
     _emit(args, {"command": "sat", **_verdict_payload(verdict)}, lines)
     return 0 if verdict.status == "satisfiable" else 1
 
@@ -217,8 +216,7 @@ def cmd_valid(args: argparse.Namespace) -> int:
     ctx = _context(args.agents, outcomes)
     formula = parse(_formula_arg(args), ctx)
     verdict = decision.valid(args.agents, outcomes, formula, _budget(args))
-    lines = _verdict_lines(verdict, "valid")
-    lines[0] = "VALID" if verdict.status == "valid" else "INVALID"
+    lines = _verdict_lines(verdict, "VALID" if verdict.status == "valid" else "INVALID")
     _emit(args, {"command": "valid", **_verdict_payload(verdict)}, lines)
     return 0 if verdict.status == "valid" else 1
 
@@ -383,6 +381,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (files.FileFormatError, InvalidDomain, decision.BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash is never "does not hold": report it on one line, exit 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

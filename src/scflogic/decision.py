@@ -8,14 +8,16 @@ silent truncation, since a truncated "valid" would be unsound.
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
 F, so `check_scf_property` quantifies over the (|K|!)^n true profiles
-only.  That restriction is itself tested against full enumeration at the
-small scales where both are feasible.
+only.  It builds the property formula once per (property, n, K) (the
+encodings builders are memoized) and evaluates it on all those models at
+once with the stacked bitmask evaluator.  The restriction is itself
+tested against full enumeration at the small scales where both are
+feasible.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -25,12 +27,11 @@ from .core import (
     Profile,
     ScfModel,
     ScfTable,
-    all_linear_orders,
     all_profiles,
     num_states,
 )
 from .encodings import PropertyId, property_formula
-from .logic import Evaluator, Formula, Not
+from .logic import Evaluator, Formula
 
 __all__ = [
     "EnumerationBudget",
@@ -209,14 +210,17 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     quantifies only over the models whose outcome function realizes F —
     sound because rho(F) holds in a model exactly when its outcome function
     corresponds to F, and never budget-limited since only the (|K|!)^n true
-    profiles vary."""
+    profiles vary.  Those models are evaluated as one stacked batch, in
+    true-profile order, against the memoized property formula; the lowest
+    falsified bit is the first failing true profile and its lowest state,
+    the same counterexample a model-by-model scan would report."""
+    from ._stacked import StackedEvaluator
+
     formula = property_formula(prop, table.agents, table.outcomes)
-    for truth in table.profiles:
-        model = ScfModel(table, truth)
-        ev = Evaluator(model)
-        bad = ev.space.full_mask ^ ev.truth_mask(formula)
-        if bad:
-            low = bad & -bad
-            state = ev.space.profiles[low.bit_length() - 1]
-            return Verdict("invalid", counterexample=(model, state))
-    return Verdict("valid")
+    models = [ScfModel(table, truth) for truth in table.profiles]
+    ev = StackedEvaluator(models)
+    where = ev.first_failure(formula)
+    if where is None:
+        return Verdict("valid")
+    model_idx, state_idx = where
+    return Verdict("invalid", counterexample=(models[model_idx], ev.space.profiles[state_idx]))

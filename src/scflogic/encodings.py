@@ -6,11 +6,17 @@ model.  The two exceptions are the *fast paths* `better_holds` and
 `trueprofile_holds`, direct semantic routines whose agreement with the
 corresponding macro expansions is enforced by property tests — the
 expansions stay the ground truth.
+
+`ballot_profile`, `better` and `property_formula` are memoized: equal
+arguments return the same node, so the formulas built from them are DAGs
+sharing those nodes and an evaluator's memo hits them by identity.  The
+shape of every formula is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -76,6 +82,7 @@ def ballot_agent(agent: int, order: LinearOrder) -> Formula:
     return conj(pairs)
 
 
+@lru_cache(maxsize=None)
 def ballot_profile(profile: Profile) -> Formula:
     """Reification of a whole reported profile; true at exactly one state."""
     return conj(
@@ -91,8 +98,18 @@ def better(
     good for the agent as the current one.
 
     Expands over all profiles, so its size grows with (|K|!)^n; see
-    `better_holds` for the validated fast path on outcome atoms.
+    `better_holds` for the validated fast path on outcome atoms.  Memoized
+    on (n, outcome tuple, agent, lo, hi): equal arguments return the same
+    node, so `trueprofile` and `strproof` share n*|K|*(|K|-1) expansions
+    instead of rebuilding one per link.  The cache keeps every distinct
+    argument tuple, parser-supplied `lo`/`hi` included, for the life of the
+    process.
     """
+    return _better(n, tuple(outcomes), agent, lo, hi)
+
+
+@lru_cache(maxsize=None)
+def _better(n: int, outcomes: tuple[str, ...], agent: int, lo: Formula, hi: Formula) -> Formula:
     if not 1 <= agent <= n:
         raise InvalidDomain(f"agent {agent} out of range 1..{n}")
     grand = _grand(n)
@@ -107,7 +124,11 @@ def better(
 
 def trueprofile(profile: Profile, outcomes: Optional[Sequence[str]] = None) -> Formula:
     """Reification of a true preference profile: for every agent, each
-    outcome is globally better than the one ranked just below it.
+    outcome is globally better than every outcome ranked below it.
+
+    Every ordered pair is linked, not only adjacent ones: `better` is
+    vacuous when either outcome is infeasible, so adjacent links alone
+    would not order two feasible outcomes ranked around an infeasible one.
 
     `outcomes` fixes the canonical outcome order used by the expansion;
     it defaults to the sorted outcome names.
@@ -118,9 +139,10 @@ def trueprofile(profile: Profile, outcomes: Optional[Sequence[str]] = None) -> F
     for agent, order in enumerate(profile.orders, start=1):
         ranking = order.ranking
         for k in range(len(ranking) - 1, 0, -1):
-            parts.append(
-                better(profile.n, outcomes, agent, Out(ranking[k]), Out(ranking[k - 1]))
-            )
+            for j in range(k - 1, -1, -1):
+                parts.append(
+                    better(profile.n, outcomes, agent, Out(ranking[k]), Out(ranking[j]))
+                )
     return conj(parts)
 
 
@@ -259,6 +281,13 @@ def BR(agent: int) -> PropertyId:
 
 
 def property_formula(prop: PropertyId, n: int, outcomes: Sequence[str]) -> Formula:
+    """The property's encoding over (n, K), built once per (property, n,
+    outcome tuple) and shared by every later call."""
+    return _property_formula(prop, n, tuple(outcomes))
+
+
+@lru_cache(maxsize=None)
+def _property_formula(prop: PropertyId, n: int, outcomes: tuple[str, ...]) -> Formula:
     if prop.kind == "citsov":
         return citsov(n, outcomes)
     if prop.kind == "nodict":
@@ -290,13 +319,14 @@ def better_holds(model: ScfModel, agent: int, lo: str, hi: str) -> bool:
 
 
 def trueprofile_holds(model: ScfModel, profile: Profile) -> bool:
-    """Fast path for the trueprofile reification: all adjacent global
-    preference links hold in the model."""
+    """Fast path for the trueprofile reification: every global preference
+    link, from each outcome to each one ranked below it, holds in the model."""
     if profile.n != model.n:
         raise InvalidDomain(f"profile has {profile.n} agents, model has {model.n}")
     for agent, order in enumerate(profile.orders, start=1):
         ranking = order.ranking
-        for k in range(len(ranking) - 1):
-            if not better_holds(model, agent, ranking[k + 1], ranking[k]):
-                return False
+        for k in range(1, len(ranking)):
+            for j in range(k):
+                if not better_holds(model, agent, ranking[k], ranking[j]):
+                    return False
     return True

@@ -5,6 +5,7 @@ import pytest
 from scflogic import (
     Evaluator,
     ScfModel,
+    ScfTable,
     all_profiles,
     dom_equilibria,
     scf_as_game_form,
@@ -196,6 +197,29 @@ def test_formula_flag_alternative(capsys):
     capsys.readouterr()
     assert main(["valid", "--agents", "2", "--outcomes", "a,b"]) == 2  # no formula at all
     capsys.readouterr()
+
+
+def test_crash_is_exit_2_not_1(capsys):
+    # 3000 leading negations exceed the parser's recursion limit
+    code = main(["sat", "--agents", "1", "--outcomes", "a,b", "~" * 3000 + "a"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: RecursionError: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_property_at_2_3_agrees_with_oracle(capsys, tmp_path):
+    table = ScfTable.from_function(2, ("a", "b", "c"), lambda p: p.order(2).top)
+    path = tmp_path / "dict.json"
+    save_scf(table, path)
+    for prop in ("citsov", "nodict", "dom", "br(1)", "br(2)", "mon", "strproof"):
+        code = main(["property", "--scf", str(path), prop, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["agrees"], prop
+        assert code == (0 if payload["verdict"] == "PASS" else 1)
+        failing = ("nodict", "dom", "br(2)")  # state properties fail off the truth
+        assert payload["verdict"] == ("FAIL" if prop in failing else "PASS"), prop
 
 
 def test_usage_error_is_exit_2():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from scflogic import (
     EnumerationBudget,
     Evaluator,
     InvalidDomain,
+    ScfModel,
     ScfTable,
     Verdict,
     all_profiles,
@@ -205,3 +207,75 @@ def test_representative_model_shape():
     model = representative_model(2, K3)
     assert model.table.values == ("a",) * 36
     assert model.truth == all_profiles(2, K3)[0]
+
+
+def _per_model_scan(table, prop):
+    """The model-by-model scan that check_scf_property stands for: true
+    profiles in canonical order, the lowest falsified state of the first
+    model that falsifies the property."""
+    formula = property_formula(prop, table.agents, table.outcomes)
+    for truth in table.profiles:
+        bad = Evaluator(ScfModel(table, truth)).falsifying_states(formula)
+        if bad:
+            return truth, bad[0]
+    return None
+
+
+def _checked(table, prop):
+    verdict = check_scf_property(table, prop)
+    if verdict.status == "valid":
+        return None
+    model, state = verdict.counterexample
+    assert model.table == table
+    return model.truth, state
+
+
+def _seeded_tables(n, outcomes, count, seed):
+    rng = random.Random(seed)
+    size = len(all_profiles(n, outcomes))
+    tables = [
+        ScfTable.from_function(n, outcomes, lambda p: p.order(n).top),
+        ScfTable(n, outcomes, (outcomes[-1],) * size),
+    ]
+    for _ in range(count):
+        feasible = rng.sample(outcomes, rng.randint(1, len(outcomes)))
+        tables.append(ScfTable(n, outcomes, [rng.choice(feasible) for _ in range(size)]))
+    return tables
+
+
+def _props(n, with_mon=True):
+    base = (CITSOV, NODICT, DOM, MON, STRPROOF) if with_mon else (CITSOV, NODICT, DOM, STRPROOF)
+    return base + tuple(BR(i) for i in range(1, n + 1))
+
+
+def test_check_scf_property_counterexample_is_canonical():
+    cases = [(2, K2, [ScfTable(2, K2, v) for v in itertools.product(K2, repeat=4)])]
+    cases.append((3, K2, _seeded_tables(3, K2, 30, seed=5)))
+    cases.append((1, K3, _seeded_tables(1, K3, 30, seed=6)))
+    verdicts = set()
+    for n, outcomes, tables in cases:
+        for table in tables:
+            for prop in _props(n):
+                expected = _per_model_scan(table, prop)
+                assert _checked(table, prop) == expected, (table.values, prop)
+                verdicts.add((prop, expected is None))
+    # both verdicts occur for every property
+    assert len(verdicts) == 2 * len(_props(3))
+
+
+def test_check_scf_property_counterexample_is_canonical_k3():
+    for table in _seeded_tables(2, K3, 3, seed=8):
+        for prop in _props(2, with_mon=False):
+            assert _checked(table, prop) == _per_model_scan(table, prop), (table.values, prop)
+
+
+def test_mon_at_2_3_agrees_with_oracle():
+    """The mon formula at (2,3) is about 11,700 nodes deep; the stacked
+    evaluator walks it without recursion."""
+    tables = [ScfTable.from_function(2, K3, lambda p: p.order(1).top)]
+    rng = random.Random(12)
+    for _ in range(2):
+        tables.append(ScfTable(2, K3, [rng.choice(K3) for _ in all_profiles(2, K3)]))
+    verdicts = [check_scf_property(table, MON).status == "valid" for table in tables]
+    assert verdicts == [is_monotonic(table).ok for table in tables]
+    assert verdicts[0]  # the dictatorship is monotonic

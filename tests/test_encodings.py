@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from scflogic import (
@@ -8,7 +11,9 @@ from scflogic import (
     ScfModel,
     ScfTable,
     all_profiles,
+    check_scf_property,
     enumerate_models,
+    is_strategy_proof,
     representative_model,
     sample_models,
     valid_in_model,
@@ -176,7 +181,79 @@ def test_trueprofile_blind_to_infeasible_outcomes():
     model = ScfModel(table, truth)
     holding = [p for p in all_profiles(2, K3) if trueprofile_holds(model, p)]
     assert truth in holding
-    assert len(holding) == 16  # profiles differing from truth only around c
+    # c is infeasible, so only a above b is pinned: 3 such orders per agent
+    assert len(holding) == 9
+    assert all(p.order(i).at_least_as_good("a", "b") for p in holding for i in (1, 2))
+
+
+def test_trueprofile_links_every_ordered_pair():
+    p = Profile((LinearOrder(("a", "c", "b")),))
+    assert _conjuncts(trueprofile(p, K3)) == [
+        better(1, K3, 1, Out("b"), Out("c")),
+        better(1, K3, 1, Out("b"), Out("a")),
+        better(1, K3, 1, Out("c"), Out("a")),
+    ]
+
+
+def test_trueprofile_orders_feasible_outcomes_around_an_infeasible_one():
+    # b exactly when every agent reports b above a: strategy-proof, range {a, b}
+    table = ScfTable.from_function(
+        2, K3, lambda p: "b" if all(o.at_least_as_good("b", "a") for o in p.orders) else "a"
+    )
+    assert table.feasible_outcomes() == {"a", "b"}
+    assert is_strategy_proof(table)
+    assert check_scf_property(table, STRPROOF).status == "valid"
+    for truth in all_profiles(2, K3):
+        model = ScfModel(table, truth)
+        ev = Evaluator(model)
+        for p in all_profiles(2, K3):
+            agrees = all(
+                p.order(i).at_least_as_good("a", "b") == truth.order(i).at_least_as_good("a", "b")
+                for i in (1, 2)
+            )
+            assert trueprofile_holds(model, p) == agrees
+            assert ev.valid(trueprofile(p, K3)) == agrees
+
+
+def _partial_range_tables(n, outcomes, rng):
+    """Strategy-proof tables of every range (each agent's favourite within
+    a subset, unanimity against a default) and seeded random ones."""
+    tables = []
+    for size in range(1, len(outcomes) + 1):
+        for subset in itertools.combinations(outcomes, size):
+            for agent in range(1, n + 1):
+                tables.append(
+                    ScfTable.from_function(
+                        n,
+                        outcomes,
+                        lambda p, s=subset, i=agent: min(s, key=p.order(i).rank),
+                    )
+                )
+    for x, y in itertools.permutations(outcomes, 2):
+        tables.append(
+            ScfTable.from_function(
+                n,
+                outcomes,
+                lambda p, x=x, y=y: x if all(o.at_least_as_good(x, y) for o in p.orders) else y,
+            )
+        )
+    for _ in range(10):
+        feasible = rng.sample(outcomes, rng.randint(1, len(outcomes)))
+        tables.append(
+            ScfTable(n, outcomes, [rng.choice(feasible) for _ in all_profiles(n, outcomes)])
+        )
+    return tables
+
+
+def test_strproof_matches_oracle_on_partial_range_tables():
+    rng = random.Random(41)
+    for n, outcomes in ((2, K3), (1, K3), (1, ("a", "b", "c", "d"))):
+        verdicts = set()
+        for table in _partial_range_tables(n, outcomes, rng):
+            encoded = check_scf_property(table, STRPROOF).status == "valid"
+            assert encoded == is_strategy_proof(table), (n, table.values)
+            verdicts.add(encoded)
+        assert verdicts == {True, False}
 
 
 def test_fast_paths_match_expansions():
@@ -252,6 +329,24 @@ def test_mon_outer_instance_count():
     assert len(_conjuncts(mon(2, K2))) == 4 * 4 * 2
     assert len(_conjuncts(strproof(2, K2))) == 4
     assert len(_conjuncts(nodict(2, K2))) == 2
+
+
+def test_builders_return_shared_nodes():
+    p = all_profiles(2, K3)[7]
+    assert ballot_profile(p) is ballot_profile(p)
+    assert better(2, K3, 1, Out("a"), Out("b")) is better(2, list(K3), 1, Out("a"), Out("b"))
+    assert property_formula(STRPROOF, 2, list(K3)) is property_formula(STRPROOF, 2, K3)
+    # every trueprofile link at (2,3) is one of n*|K|*(|K|-1) = 12 shared nodes
+    links = {
+        id(better(2, K3, agent, Out(lo), Out(hi)))
+        for agent in (1, 2)
+        for lo in K3
+        for hi in K3
+        if lo != hi
+    }
+    assert len(links) == 12
+    for q in all_profiles(2, K3):
+        assert {id(part) for part in _conjuncts(trueprofile(q, K3))} <= links
 
 
 def test_property_formula_dispatch():

@@ -207,6 +207,20 @@ def test_stacked_evaluator_matches_per_model():
                 assert small == Evaluator(model).truth_mask(f)
 
 
+def test_stacked_evaluator_handles_deep_formulas():
+    models = sample_models(2, K2, 6, seed=3)
+    stacked = StackedEvaluator(models)
+    chain = Out("a")
+    for _ in range(20001):
+        chain = Not(chain)
+    assert stacked.truth_mask(chain) == stacked.full ^ stacked.truth_mask(Out("a"))
+    wide = conj([Diamond({1}, Rep(1, "a", "b"))] * 5000 + [Pref(2, Out("b"))])
+    expected = stacked.truth_mask(Diamond({1}, Rep(1, "a", "b"))) & stacked.truth_mask(
+        Pref(2, Out("b"))
+    )
+    assert stacked.truth_mask(wide) == expected
+
+
 def test_evaluate_rejects_foreign_state(h_model):
     with pytest.raises(Exception):
         evaluate(h_model, profile(("a", "b"), ("a", "c")), TRUE)
