@@ -14,10 +14,12 @@ modalities vectorize as well:
   order for i) of each state's outcome: the lowest rank present in a
   block decides that block's result, a precomputed at-or-below-rank mask.
 
-Used by the axiom soundness sweep, where tens of thousands of instances
-meet thousands of models, and by per-SCF property checks, which stack the
-(|K|!)^n models that differ only in their true profile; agreement with
-the per-model evaluator is enforced by property tests.
+This is the only evaluator: the axiom soundness sweep stacks thousands
+of models, per-SCF property checks stack the (|K|!)^n models that differ
+only in their true profile, satisfiability and validity stack chunks of
+the enumerated model class, and `logic.Evaluator` is a one-model view.
+Agreement with the relational semantics (`logic.eval_kripke`) is
+enforced by property tests.
 """
 
 from __future__ import annotations
@@ -75,20 +77,11 @@ class StackedEvaluator:
         self.full = (1 << total) - 1
         self.block_ones = (1 << self.block) - 1
         self.tile = self.full // self.block_ones  # one bit per block, at the block base
-        radix = 1
-        for k in range(2, len(first.outcomes) + 1):
-            radix *= k
-        self._radix = radix
+        self._radix = self.space.radix
         # per agent axis: stride, tiled digit-0 plane, spread comb
-        self._axis: list[tuple[int, int, int]] = []
-        for agent in range(1, first.n + 1):
-            stride = radix ** (first.n - agent)
-            plane_small = 0
-            for v in range(self.block):
-                if self.space.digits[v][agent - 1] == 0:
-                    plane_small |= 1 << v
-            comb = sum(1 << (d * stride) for d in range(radix))
-            self._axis.append((stride, plane_small * self.tile, comb))
+        self._axis = [
+            (stride, plane * self.tile, comb) for stride, plane, comb in self.space.axes
+        ]
         # per distinct outcome function, the states choosing each outcome;
         # stacked, the states of each model choosing it
         by_values: dict[tuple[str, ...], dict[str, int]] = {}
@@ -249,6 +242,11 @@ class StackedEvaluator:
                 assigned |= fresh
                 result |= self._at_or_below[agent - 1][r] & (fresh * self.block_ones)
         return result
+
+    def falsified_blocks(self, formula: Formula) -> int:
+        """One bit per model, at the base of its block, set iff `formula`
+        fails at some state of that model."""
+        return self._block_any(self.full ^ self.truth_mask(formula))
 
     def first_failure(self, formula: Formula) -> tuple[int, int] | None:
         """(model index, state index) of the lowest falsified bit, if any."""

@@ -37,7 +37,6 @@ from .logic import (
     And,
     Box,
     Diamond,
-    Evaluator,
     Formula,
     Iff,
     Implies,
@@ -465,14 +464,20 @@ def pref_necessitation_holds(
     models: Iterable[ScfModel], pool: Iterable[Formula]
 ) -> bool:
     """Derived rule: whenever a pool formula is valid in a model, so is its
-    pref-box, for every agent."""
-    pool = list(pool)
-    for model in models:
-        ev = Evaluator(model)
-        full = ev.space.full_mask
-        for phi in pool:
-            if ev.truth_mask(phi) == full:
-                for agent in range(1, model.n + 1):
-                    if ev.truth_mask(PrefBox(agent, phi)) != full:
-                        return False
+    pref-box, for every agent.
+
+    Evaluated on one stacked batch over the models: for each pool formula,
+    every model falsifying one of its pref-boxes must falsify the formula
+    itself."""
+    from ._stacked import StackedEvaluator
+
+    models = list(models)
+    if not models:
+        return True
+    ev = StackedEvaluator(models)
+    for phi in pool:
+        invalid = ev.falsified_blocks(phi)
+        for agent in range(1, ev.space.n + 1):
+            if ev.falsified_blocks(PrefBox(agent, phi)) & ~invalid:
+                return False
     return True

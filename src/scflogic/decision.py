@@ -3,7 +3,11 @@
 The model class over (n, K) is finite: |K|^((|K|!)^n) outcome functions
 times (|K|!)^n true profiles.  Satisfiability and validity enumerate it
 under an explicit budget — exceeding the budget is an error, never a
-silent truncation, since a truncated "valid" would be unsound.
+silent truncation, since a truncated "valid" would be unsound.  The
+enumeration is evaluated in chunks of consecutive models, each one
+stacked bitmask batch (see `_stacked`); the lowest hit bit of the first
+chunk with a hit is the first model in enumeration order and its lowest
+state, so witnesses and counterexamples stay canonical.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
@@ -31,7 +35,7 @@ from .core import (
     num_states,
 )
 from .encodings import PropertyId, property_formula
-from .logic import Evaluator, Formula
+from .logic import Evaluator, Formula, Not
 
 __all__ = [
     "EnumerationBudget",
@@ -148,6 +152,38 @@ def representative_model(n: int, outcomes: Sequence[str]) -> ScfModel:
     return ScfModel(table, profiles[0])
 
 
+# widest stacked mask, in bits, that one chunk of an enumeration may use
+_CHUNK_BITS = 1 << 15
+
+
+def _first_failure(
+    n: int, outcomes: Sequence[str], formula: Formula, budget: EnumerationBudget
+) -> Optional[tuple[ScfModel, Profile]]:
+    """First model in enumeration order falsifying `formula`, with its
+    lowest falsified state, or None.
+
+    Walks `enumerate_models` in chunks, each evaluated as one stacked
+    batch: the first chunk holds one outcome function's (|K|!)^n true
+    profiles, and each next chunk twice as many outcome functions, up to
+    `_CHUNK_BITS` bits, so an early hit stays cheap and a full sweep takes
+    few wide batches."""
+    from ._stacked import StackedEvaluator
+
+    models = enumerate_models(n, outcomes, budget)
+    states = num_states(n, outcomes)
+    tables, most = 1, max(1, _CHUNK_BITS // (states * states))
+    while True:
+        chunk = list(itertools.islice(models, tables * states))
+        if not chunk:
+            return None
+        ev = StackedEvaluator(chunk)
+        where = ev.first_failure(formula)
+        if where is not None:
+            model_idx, state_idx = where
+            return chunk[model_idx], ev.space.profiles[state_idx]
+        tables = min(2 * tables, most)
+
+
 def satisfiable(
     n: int,
     outcomes: Sequence[str],
@@ -155,14 +191,10 @@ def satisfiable(
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """First (model, state) satisfying the formula, or unsatisfiable."""
-    for model in enumerate_models(n, outcomes, budget):
-        ev = Evaluator(model)
-        mask = ev.truth_mask(formula)
-        if mask:
-            low = mask & -mask
-            state = ev.space.profiles[low.bit_length() - 1]
-            return Verdict("satisfiable", witness=(model, state))
-    return Verdict("unsatisfiable")
+    hit = _first_failure(n, outcomes, Not(formula), budget)
+    if hit is None:
+        return Verdict("unsatisfiable")
+    return Verdict("satisfiable", witness=hit)
 
 
 def valid(
@@ -172,14 +204,10 @@ def valid(
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Truth at every state of every model, or the first counterexample."""
-    for model in enumerate_models(n, outcomes, budget):
-        ev = Evaluator(model)
-        bad = ev.space.full_mask ^ ev.truth_mask(formula)
-        if bad:
-            low = bad & -bad
-            state = ev.space.profiles[low.bit_length() - 1]
-            return Verdict("invalid", counterexample=(model, state))
-    return Verdict("valid")
+    hit = _first_failure(n, outcomes, formula, budget)
+    if hit is None:
+        return Verdict("valid")
+    return Verdict("invalid", counterexample=hit)
 
 
 def valid_state_formula(n: int, outcomes: Sequence[str], formula: Formula) -> Verdict:
@@ -193,12 +221,9 @@ def valid_state_formula(n: int, outcomes: Sequence[str], formula: Formula) -> Ve
             " outcome atoms or pref modalities"
         )
     model = representative_model(n, outcomes)
-    ev = Evaluator(model)
-    bad = ev.space.full_mask ^ ev.truth_mask(formula)
+    bad = Evaluator(model).falsifying_states(formula)
     if bad:
-        low = bad & -bad
-        state = ev.space.profiles[low.bit_length() - 1]
-        return Verdict("invalid", counterexample=(model, state))
+        return Verdict("invalid", counterexample=(model, bad[0]))
     return Verdict("valid")
 
 

@@ -15,11 +15,12 @@ Truth at a state:
   * pref(i) phi holds iff some state whose outcome agent i truly considers
     at least as good satisfies phi (reflexive).
 
-The evaluator computes, per model, one bitmask over the canonical state
-ordering for every distinct subformula, with memoization.  Subformulas that
-mention neither outcome atoms nor pref modalities have the same truth mask
-in every model over the same (n, K); those masks are cached once per domain
-and shared.
+Evaluation is by truth masks: one bit per state in the canonical state
+ordering, computed once per distinct subformula.  The primary evaluator is
+the stacked bitmask one (`_stacked.StackedEvaluator`), which lays the
+masks of many models over one (n, K) side by side in a single integer;
+`Evaluator` is its one-model view.  The per-(n, K) state data both share
+(profiles, grid axes, reported-atom masks) is built once per domain.
 
 A second, independent semantics (`KripkeScf`, `eval_kripke`) evaluates
 formulas relationally over explicit accessibility relations; it exists to
@@ -29,20 +30,17 @@ terms of it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import (
     InvalidDomain,
-    LinearOrder,
     Profile,
     RepAtom,
     ScfModel,
     all_linear_orders,
     all_profiles,
-    profile_index,
     state_atoms,
 )
 
@@ -307,9 +305,8 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 class _StateSpace:
-    """Per-(n, K) canonical state data shared by every model evaluator:
-    profiles, digit vectors, coalition groupings, atom masks, and the cache
-    of truth masks for state-determined formulas."""
+    """Per-(n, K) canonical state data shared by every evaluator: profiles,
+    digit vectors, the axes of the state grid and reported-atom masks."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
@@ -318,8 +315,8 @@ class _StateSpace:
         self.size = len(self.profiles)
         self.full_mask = (1 << self.size) - 1
         self.index = {p: i for i, p in enumerate(self.profiles)}
-        orders = all_linear_orders(outcomes)
-        radix = len(orders)
+        radix = len(all_linear_orders(outcomes))
+        self.radix = radix
         # per-state per-agent ranking index (the mixed-radix digits)
         self.digits: list[tuple[int, ...]] = []
         for idx in range(self.size):
@@ -329,9 +326,18 @@ class _StateSpace:
                 digs.append(rest % radix)
                 rest //= radix
             self.digits.append(tuple(reversed(digs)))
+        # per agent: the digit stride of its axis, the states whose digit on
+        # it is 0, and the comb spreading one state along it
+        self.axes: list[tuple[int, int, int]] = []
+        for agent in range(n):
+            stride = radix ** (n - 1 - agent)
+            plane = 0
+            for v in range(self.size):
+                if self.digits[v][agent] == 0:
+                    plane |= 1 << v
+            comb = sum(1 << (d * stride) for d in range(radix))
+            self.axes.append((stride, plane, comb))
         self._rep_masks: dict[tuple[int, str, str], int] = {}
-        self._groups: dict[frozenset[int], tuple[int, ...]] = {}
-        self.pure_masks: dict[Formula, int] = {}
 
     def rep_mask(self, agent: int, left: str, right: str) -> int:
         key = (agent, left, right)
@@ -350,26 +356,6 @@ class _StateSpace:
             self._rep_masks[key] = mask
         return mask
 
-    def groups(self, coalition: frozenset[int]) -> tuple[int, ...]:
-        """Masks of the equivalence classes of "agrees outside the coalition".
-
-        Within one class, exactly the coalition members' rankings vary.
-        """
-        cached = self._groups.get(coalition)
-        if cached is None:
-            if not coalition <= frozenset(range(1, self.n + 1)):
-                raise FormulaDomainMismatch(
-                    f"coalition {sorted(coalition)} not within agents 1..{self.n}"
-                )
-            outside = [i - 1 for i in range(1, self.n + 1) if i not in coalition]
-            buckets: dict[tuple[int, ...], int] = {}
-            for idx in range(self.size):
-                key = tuple(self.digits[idx][j] for j in outside)
-                buckets[key] = buckets.get(key, 0) | (1 << idx)
-            cached = tuple(buckets.values())
-            self._groups[coalition] = cached
-        return cached
-
 
 @lru_cache(maxsize=None)
 def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
@@ -377,76 +363,21 @@ def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
 
 
 class Evaluator:
-    """Model checker for one model: memoized truth masks per subformula."""
+    """Truth masks in one model: a view of a one-model stacked evaluator
+    (see `_stacked`), whose single block is the model's mask.  To evaluate
+    many models over one (n, K), stack them instead of building one view
+    per model."""
 
     def __init__(self, model: ScfModel):
+        from ._stacked import StackedEvaluator
+
         self.model = model
-        self.space = _space(model.n, model.outcomes)
-        self.out_names = tuple(model.table.values)
-        self._out_masks: dict[str, int] = {}
-        for i, name in enumerate(self.out_names):
-            self._out_masks[name] = self._out_masks.get(name, 0) | (1 << i)
-        # per agent: rank (under the true order) of each state's outcome,
-        # and the mask of states at or below each rank
-        self._rank_vec: list[list[int]] = []
-        self._at_or_below: list[list[int]] = []
-        for agent in range(1, model.n + 1):
-            order = model.true_order(agent)
-            ranks = [order.rank(name) for name in self.out_names]
-            self._rank_vec.append(ranks)
-            per_rank = [0] * (len(model.outcomes) + 1)
-            for idx, r in enumerate(ranks):
-                per_rank[r] |= 1 << idx
-            suffix = [0] * (len(model.outcomes) + 1)
-            for r in range(len(model.outcomes) - 1, -1, -1):
-                suffix[r] = suffix[r + 1] | per_rank[r]
-            self._at_or_below.append(suffix)
-        self._memo: dict[Formula, int] = {}
+        self._stacked = StackedEvaluator([model])
+        self.space = self._stacked.space
 
     def truth_mask(self, formula: Formula) -> int:
         """Bitmask of the states satisfying `formula` (canonical order)."""
-        pure = not (formula.uses_outcome or formula.uses_pref)
-        cache = self.space.pure_masks if pure else self._memo
-        mask = cache.get(formula)
-        if mask is None:
-            mask = self._compute(formula)
-            cache[formula] = mask
-        return mask
-
-    def _compute(self, formula: Formula) -> int:
-        space = self.space
-        if type(formula) is Top:
-            return space.full_mask
-        if type(formula) is Rep:
-            return space.rep_mask(formula.agent, formula.left, formula.right)
-        if type(formula) is Out:
-            if formula.name not in space.outcomes:
-                raise FormulaDomainMismatch(
-                    f"outcome atom {formula.name!r} outside {space.outcomes}"
-                )
-            return self._out_masks.get(formula.name, 0)
-        if type(formula) is Not:
-            return space.full_mask ^ self.truth_mask(formula.child)
-        if type(formula) is Or:
-            return self.truth_mask(formula.left) | self.truth_mask(formula.right)
-        if type(formula) is Diamond:
-            child = self.truth_mask(formula.child)
-            result = 0
-            for group in space.groups(formula.coalition):
-                if child & group:
-                    result |= group
-            return result
-        if type(formula) is Pref:
-            agent = formula.agent
-            if not 1 <= agent <= space.n:
-                raise FormulaDomainMismatch(f"agent {agent} out of range 1..{space.n}")
-            child = self.truth_mask(formula.child)
-            if not child:
-                return 0
-            ranks = self._rank_vec[agent - 1]
-            best = min(ranks[i] for i in _iter_bits(child))
-            return self._at_or_below[agent - 1][best]
-        raise TypeError(f"not a formula node: {formula!r}")
+        return self._stacked.truth_mask(formula)
 
     def holds(self, state: Profile, formula: Formula) -> bool:
         idx = self.space.index.get(state)
@@ -459,14 +390,7 @@ class Evaluator:
 
     def falsifying_states(self, formula: Formula) -> list[Profile]:
         missing = self.space.full_mask ^ self.truth_mask(formula)
-        return [self.space.profiles[i] for i in _iter_bits(missing)]
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return [state for i, state in enumerate(self.space.profiles) if missing >> i & 1]
 
 
 def evaluate(model: ScfModel, state: Profile, formula: Formula) -> bool:
@@ -477,8 +401,7 @@ def evaluate(model: ScfModel, state: Profile, formula: Formula) -> bool:
 def valid_in_model(model: ScfModel, formula: Formula) -> tuple[bool, list[Profile]]:
     """Whether `formula` holds at every state; falsifying states in
     canonical order otherwise."""
-    ev = Evaluator(model)
-    bad = ev.falsifying_states(formula)
+    bad = Evaluator(model).falsifying_states(formula)
     return (not bad, bad)
 
 

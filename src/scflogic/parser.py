@@ -2,13 +2,12 @@
 
 Grammar (ASCII only, whitespace-insensitive outside tokens):
 
-    formula  := imp ("<->" formula)?                  right-associative
-    imp      := or ("->" imp)?                        right-associative
+    formula  := imp ("<->" imp)*                      right-associative
+    imp      := or ("->" or)*                         right-associative
     or       := and ("|" and)*                        left-associative
     and      := unary ("&" unary)*                    left-associative
-    unary    := "~" unary | "<" coalition ">" unary | "[" coalition "]" unary
-              | "pref" "(" AGENT ")" unary | "Pref" "(" AGENT ")" unary
-              | primary
+    unary    := ("~" | "<" coalition ">" | "[" coalition "]"
+              | "pref" "(" AGENT ")" | "Pref" "(" AGENT ")")* primary
     primary  := "true" | "false" | "(" formula ")"
               | "rep" "(" AGENT "," OUTCOME "," OUTCOME ")"
               | macro | OUTCOME
@@ -17,7 +16,9 @@ Grammar (ASCII only, whitespace-insensitive outside tokens):
 Macros — ballot(i,[...]), ballotAll([[...],...]), better(i,f,g),
 trueprofile([[...],...]), citsov, nodict, br(i), dom, mon, strproof,
 scf("path") — are expanded at parse time by the encoding builders, so the
-evaluator only ever sees the core grammar.
+evaluator only ever sees the core grammar.  Formulas are parsed on
+explicit stacks (operator precedence), so long operator chains and deep
+nesting are limited by memory only.
 
 `format_formula` prints the canonical minimally-parenthesized core form;
 parsing it back yields a structurally equal tree.
@@ -26,7 +27,8 @@ parsing it back yields a structurally equal tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from . import encodings
@@ -170,6 +172,37 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# binary operators: precedence (tighter binds higher), builder
+_BINARY: dict[str, tuple[int, Callable[[Formula, Formula], Formula]]] = {
+    "&": (4, And),
+    "|": (3, Or),
+    "->": (2, Implies),
+    "<->": (1, Iff),
+}
+_RIGHT_ASSOCIATIVE = frozenset({"->", "<->"})
+
+
+@dataclass
+class _Level:
+    """One parenthesized level of a formula being parsed."""
+
+    prefixes: list[Callable[[Formula], Formula]] = field(default_factory=list)
+    operands: list[Formula] = field(default_factory=list)
+    operators: list[str] = field(default_factory=list)
+
+    def reduce(self, incoming: Optional[str]) -> None:
+        """Apply the pending binary operators that bind at least as tightly
+        as `incoming` (all of them for None), rightmost first."""
+        floor = _BINARY[incoming][0] if incoming is not None else 0
+        while self.operators:
+            prec = _BINARY[self.operators[-1]][0]
+            if prec < floor or (prec == floor and incoming in _RIGHT_ASSOCIATIVE):
+                return
+            right = self.operands.pop()
+            left = self.operands.pop()
+            self.operands.append(_BINARY[self.operators.pop()][1](left, right))
+
+
 class _Parser:
     def __init__(self, text: str, ctx: Context):
         self.text = text
@@ -199,56 +232,60 @@ class _Parser:
     # --- grammar ---------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.imp()
-        if self.at_symbol("<->"):
-            self.advance()
-            return Iff(left, self.formula())
-        return left
+        """Operator-precedence parse on explicit stacks: prefix operators
+        wait for their operand, binary operators for the end of their right
+        operand, and each "(" opens a level of its own, so neither long
+        chains nor deep nesting recurse."""
+        outer: list[_Level] = []
+        level = _Level()
+        while True:
+            level.prefixes = self.prefix_operators()
+            if self.at_symbol("("):
+                self.advance()
+                outer.append(level)
+                level = _Level()
+                continue
+            node = self.primary()
+            while True:
+                for apply in reversed(level.prefixes):
+                    node = apply(node)
+                level.prefixes = []
+                level.operands.append(node)
+                token = self.peek()
+                if token.kind == "symbol" and token.text in _BINARY:
+                    level.reduce(token.text)
+                    level.operators.append(token.text)
+                    self.advance()
+                    break
+                level.reduce(None)
+                node = level.operands.pop()
+                if not outer:
+                    return node
+                self.expect(")")
+                level = outer.pop()
 
-    def imp(self) -> Formula:
-        left = self.or_()
-        if self.at_symbol("->"):
-            self.advance()
-            return Implies(left, self.imp())
-        return left
-
-    def or_(self) -> Formula:
-        node = self.and_()
-        while self.at_symbol("|"):
-            self.advance()
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self) -> Formula:
-        node = self.unary()
-        while self.at_symbol("&"):
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        token = self.peek()
-        if self.at_symbol("~"):
-            self.advance()
-            return Not(self.unary())
-        if self.at_symbol("<"):
-            self.advance()
-            coalition = self.coalition()
-            self.expect(">")
-            return Diamond(coalition, self.unary())
-        if self.at_symbol("["):
-            self.advance()
-            coalition = self.coalition()
-            self.expect("]")
-            return Box(coalition, self.unary())
-        if token.kind == "word" and token.text in ("pref", "Pref"):
-            self.advance()
-            self.expect("(")
-            agent = self.agent()
-            self.expect(")")
-            child = self.unary()
-            return Pref(agent, child) if token.text == "pref" else PrefBox(agent, child)
-        return self.primary()
+    def prefix_operators(self) -> list[Callable[[Formula], Formula]]:
+        """The prefix operators before an operand, outermost first."""
+        prefixes: list[Callable[[Formula], Formula]] = []
+        while True:
+            token = self.peek()
+            if self.at_symbol("~"):
+                self.advance()
+                prefixes.append(Not)
+            elif self.at_symbol("<") or self.at_symbol("["):
+                close = ">" if token.text == "<" else "]"
+                self.advance()
+                coalition = self.coalition()
+                self.expect(close)
+                prefixes.append(partial(Diamond if close == ">" else Box, coalition))
+            elif token.kind == "word" and token.text in ("pref", "Pref"):
+                self.advance()
+                self.expect("(")
+                agent = self.agent()
+                self.expect(")")
+                prefixes.append(partial(Pref if token.text == "pref" else PrefBox, agent))
+            else:
+                return prefixes
 
     def coalition(self) -> frozenset[int]:
         token = self.peek()
@@ -323,11 +360,6 @@ class _Parser:
 
     def primary(self) -> Formula:
         token = self.peek()
-        if self.at_symbol("("):
-            self.advance()
-            inner = self.formula()
-            self.expect(")")
-            return inner
         if token.kind == "string":
             raise ParseError("string literal outside scf(...)", token.span)
         if token.kind in ("word", "number"):
@@ -448,41 +480,45 @@ def _coalition_str(coalition: frozenset[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(coalition)) + "}"
 
 
-def _needs_parens_under_prefix(child: Formula) -> bool:
-    return type(child) is Or
-
-
 def format_formula(formula: Formula) -> str:
     """Canonical minimally-parenthesized rendering of a core-grammar tree;
-    `parse(format_formula(f))` is structurally equal to `f`."""
-    kind = type(formula)
-    if kind is Top:
-        return "true"
-    if kind is Rep:
-        return f"rep({formula.agent},{formula.left},{formula.right})"
-    if kind is Out:
-        return formula.name
-    if kind is Not:
-        if type(formula.child) is Top:
-            return "false"
-        child = format_formula(formula.child)
-        if _needs_parens_under_prefix(formula.child):
-            return f"~({child})"
-        return f"~{child}"
-    if kind is Or:
-        left = format_formula(formula.left)
-        right = format_formula(formula.right)
-        if type(formula.right) is Or:
-            right = f"({right})"
-        return f"{left} | {right}"
-    if kind is Diamond:
-        child = format_formula(formula.child)
-        if _needs_parens_under_prefix(formula.child):
-            child = f"({child})"
-        return f"<{_coalition_str(formula.coalition)}> {child}"
-    if kind is Pref:
-        child = format_formula(formula.child)
-        if _needs_parens_under_prefix(formula.child):
-            child = f"({child})"
-        return f"pref({formula.agent}) {child}"
-    raise TypeError(f"not a formula node: {formula!r}")
+    `parse(format_formula(f))` is structurally equal to `f`.
+
+    Written left to right from an explicit stack of pending nodes and
+    literal text, so depth is limited by memory only."""
+    out: list[str] = []
+    stack: list[Union[Formula, str]] = [formula]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        kind = type(item)
+        if kind is Top:
+            out.append("true")
+        elif kind is Rep:
+            out.append(f"rep({item.agent},{item.left},{item.right})")
+        elif kind is Out:
+            out.append(item.name)
+        elif kind is Or:
+            if type(item.right) is Or:
+                stack += [")", item.right, " | (", item.left]
+            else:
+                stack += [item.right, " | ", item.left]
+        elif kind is Not and type(item.child) is Top:
+            out.append("false")
+        elif kind is Not or kind is Diamond or kind is Pref:
+            if kind is Not:
+                head = "~"
+            elif kind is Diamond:
+                head = f"<{_coalition_str(item.coalition)}> "
+            else:
+                head = f"pref({item.agent}) "
+            # a disjunction under a prefix operator needs parentheses
+            if type(item.child) is Or:
+                stack += [")", item.child, head + "("]
+            else:
+                stack += [item.child, head]
+        else:
+            raise TypeError(f"not a formula node: {item!r}")
+    return "".join(out)

@@ -19,7 +19,7 @@ from scflogic.axioms import (
     pref_necessitation_holds,
     soundness_check,
 )
-from scflogic.logic import And, Box, Diamond, Iff, Not, Or, Out, Pref, Rep, TRUE
+from scflogic.logic import And, Box, Diamond, Iff, Not, Or, Out, Pref, PrefBox, Rep, TRUE
 from scflogic.axioms import AxiomInstance
 
 from conftest import K2, K3
@@ -145,3 +145,40 @@ def test_soundness_sampled_k3_small():
 def test_unknown_schema_rejected():
     with pytest.raises(ValueError):
         instantiate("modus-ponens", 2, K2, SMALL_POOL)
+
+
+def _necessitation_scan(models, pool, box):
+    """Per-model relational reading of the rule: (holds, number of
+    premises met, i.e. (model, pool formula) pairs with the formula valid)."""
+    premises = 0
+    for model in models:
+        km = kripke_view(model)
+        states = range(len(km.states))
+        for phi in pool:
+            if all(eval_kripke(km, v, phi) for v in states):
+                premises += 1
+                for agent in range(1, model.n + 1):
+                    if not all(eval_kripke(km, v, box(agent, phi)) for v in states):
+                        return False, premises
+    return True, premises
+
+
+def test_pref_necessitation_holds_on_whole_classes(monkeypatch):
+    """The rule is sound: it holds on every (2,2) and (1,3) model with the
+    default pool, as a per-model scan confirms, and the scan and the
+    batched check also agree on a broken box that makes the rule fail."""
+    from scflogic import axioms
+
+    def broken_box(agent, phi):
+        return Pref(agent, Not(phi))
+
+    for n, outcomes in ((2, K2), (1, K3)):
+        models = list(enumerate_models(n, outcomes))
+        pool = default_pool(n, outcomes)
+        holds, premises = _necessitation_scan(models, pool, PrefBox)
+        assert holds and premises > 0
+        assert pref_necessitation_holds(models, pool)
+        assert not _necessitation_scan(models, pool, broken_box)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(axioms, "PrefBox", broken_box)
+            assert not pref_necessitation_holds(models, pool)

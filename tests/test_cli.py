@@ -11,13 +11,15 @@ from scflogic import (
     scf_as_game_form,
     valid_in_model,
 )
+from scflogic import cli
+from scflogic._stacked import StackedEvaluator
 from scflogic.cli import main
-from scflogic.encodings import dom
+from scflogic.encodings import MON, dom, property_formula
 from scflogic.files import save_model, save_scf
 from scflogic.logic import Iff, Out
 from scflogic.parser import Context, parse
 
-from conftest import K2, profile
+from conftest import K2, K3, profile
 
 
 @pytest.fixture()
@@ -199,14 +201,42 @@ def test_formula_flag_alternative(capsys):
     capsys.readouterr()
 
 
-def test_crash_is_exit_2_not_1(capsys):
-    # 3000 leading negations exceed the parser's recursion limit
-    code = main(["sat", "--agents", "1", "--outcomes", "a,b", "~" * 3000 + "a"])
+def test_crash_is_exit_2_not_1(capsys, monkeypatch):
+    # 3000 leading negations parse and decide without recursion
+    argv = ["sat", "--agents", "1", "--outcomes", "a,b", "~" * 3000 + "a"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("SAT\n")
+
+    # any other exception in a handler is one error line and exit 2
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "sat", broken)
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: RecursionError: ")
-    assert len(err.strip().splitlines()) == 1
+    assert err == "error: ZeroDivisionError: boom\n"
     assert "Traceback" not in err
+
+
+def test_check_mon_at_2_3_prints_every_state(capsys, tmp_path):
+    """The mon formula at (2,3) is about 11,700 nodes deep; `check` walks it
+    without recursion and prints one row per state in canonical order."""
+    table = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
+    model = ScfModel(table, all_profiles(2, K3)[0])
+    path = tmp_path / "dict_model.json"
+    save_model(model, path)
+    code = main(["check", "--model", str(path), "mon", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    mask = StackedEvaluator([model]).truth_mask(property_formula(MON, 2, K3))
+    rows = payload["states"]
+    assert len(rows) == 36
+    assert [row["state"] for row in rows] == [
+        [list(order.ranking) for order in state.orders] for state in model.states
+    ]
+    assert [row["holds"] for row in rows] == [bool(mask >> i & 1) for i in range(36)]
+    assert code == (0 if payload["valid"] else 1)
+    assert payload["valid"] == (mask == (1 << 36) - 1)
 
 
 def test_property_at_2_3_agrees_with_oracle(capsys, tmp_path):

@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 
+from scflogic import decision
 from scflogic import (
     BudgetExceeded,
     EnumerationBudget,
@@ -14,10 +16,12 @@ from scflogic import (
     all_profiles,
     check_scf_property,
     enumerate_models,
+    eval_kripke,
     has_citsov,
     is_dictatorial,
     is_monotonic,
     is_strategy_proof,
+    kripke_view,
     model_class_size,
     representative_model,
     sample_models,
@@ -39,6 +43,7 @@ from scflogic.encodings import (
     rho,
     strproof,
 )
+from scflogic.decision import _CHUNK_BITS
 from scflogic.logic import And, Box, Iff, Implies, Not, Or, Out, Pref, Rep, TRUE
 
 from conftest import K2, K3, make_formula_sampler, profile
@@ -279,3 +284,87 @@ def test_mon_at_2_3_agrees_with_oracle():
     verdicts = [check_scf_property(table, MON).status == "valid" for table in tables]
     assert verdicts == [is_monotonic(table).ok for table in tables]
     assert verdicts[0]  # the dictatorship is monotonic
+
+
+@functools.lru_cache(maxsize=None)
+def _relational_class(n, outcomes):
+    return [(model, kripke_view(model)) for model in enumerate_models(n, outcomes)]
+
+
+def _relational_scan(n, outcomes, formula, want):
+    """The per-model scan that satisfiable (want=True) and valid
+    (want=False) stand for: models in enumeration order, states in
+    canonical order, each evaluated by the relational semantics."""
+    for model, km in _relational_class(n, outcomes):
+        for idx, state in enumerate(km.states):
+            if eval_kripke(km, idx, formula) == want:
+                return model, state
+    return None
+
+
+def _chunk_starts(n, outcomes):
+    """Indices of the outcome functions that open each chunk of the
+    stacked enumeration, and whether the last chunk is partial."""
+    states = len(all_profiles(n, outcomes))
+    tables = len(outcomes) ** states
+    most = max(1, _CHUNK_BITS // (states * states))
+    starts, start, size = [], 0, 1
+    while start < tables:
+        starts.append(start)
+        start += size
+        size = min(2 * size, most)
+    return starts, start > tables
+
+
+def _first_hit_formula(n, outcomes, table_index):
+    """A formula satisfiable exactly in the models whose outcome function
+    is the `table_index`-th one in enumeration order, and the first of
+    those models."""
+    states = len(all_profiles(n, outcomes))
+    values = itertools.product(outcomes, repeat=states)
+    table = ScfTable(n, outcomes, next(itertools.islice(values, table_index, None)))
+    first = next(itertools.islice(enumerate_models(n, outcomes), table_index * states, None))
+    assert first.table == table
+    return rho(table, "diamond"), first
+
+
+def test_sat_and_valid_return_the_canonical_first_hit():
+    """Witnesses and counterexamples are the first model in enumeration
+    order and its lowest state, whatever the chunking of the enumeration."""
+    cases = []
+    for n, outcomes, seed in ((1, K2, 41), (2, K2, 42), (1, K3, 43)):
+        draw = make_formula_sampler(n, outcomes, seed=seed)
+        cases += [(n, outcomes, f) for f in draw(12, max_depth=4)]
+        starts, partial = _chunk_starts(n, outcomes)
+        assert len(starts) >= 3 and partial
+        # first hits on the first model of the second and of the last chunk
+        for t in (starts[1], starts[-1]):
+            formula, first = _first_hit_formula(n, outcomes, t)
+            assert satisfiable(n, outcomes, formula).witness[0] == first
+            assert valid(n, outcomes, Not(formula)).counterexample[0] == first
+            cases.append((n, outcomes, formula))
+    # a full sweep of every chunk at (1,3): unsatisfiable and valid
+    cases.append((1, K3, And(Out("a"), Out("b"))))
+    cases.append((1, K3, Implies(Out("c"), Pref(1, Out("c")))))
+    statuses = set()
+    for n, outcomes, formula in cases:
+        sat = satisfiable(n, outcomes, formula)
+        assert sat.witness == _relational_scan(n, outcomes, formula, True), formula
+        val = valid(n, outcomes, formula)
+        assert val.counterexample == _relational_scan(n, outcomes, formula, False), formula
+        statuses.add((sat.status, val.status))
+    assert {("unsatisfiable", "invalid"), ("satisfiable", "valid")} <= statuses
+
+
+def test_budget_exceeded_before_any_model_is_built(monkeypatch):
+    def no_models(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(decision, "ScfModel", no_models)
+    monkeypatch.setattr(decision, "ScfTable", no_models)
+    small = EnumerationBudget(max_models=63)
+    for query in (satisfiable, valid):
+        with pytest.raises(BudgetExceeded):
+            query(2, K2, TRUE, small)
+        with pytest.raises(BudgetExceeded):
+            query(2, K3, TRUE)

@@ -216,3 +216,28 @@ def test_roundtrip_preserves_or_shape():
     assert parse(format_formula(right), ctx) == right
     assert format_formula(left) == "a | b | a"
     assert format_formula(right) == "a | (b | a)"
+
+
+def test_long_chains_parse_and_round_trip():
+    """Prefix chains, right-associative chains and the deep nesting that
+    prints them are parsed and printed without recursion."""
+    negations = "~" * 10000 + "a"
+    formula = parse(negations, CTX2)
+    assert format_formula(formula) == negations
+    node, depth = formula, 0
+    while type(node) is Not:
+        node, depth = node.child, depth + 1
+    assert depth == 10000 and node == Out("a")
+
+    implications = " -> ".join(["a"] * 10000)
+    formula = parse(implications, CTX2)
+    text = format_formula(formula)
+    assert text == "~a | " + "(~a | " * 9998 + "a" + ")" * 9998
+    again = parse(text, CTX2)
+    assert format_formula(again) == text and hash(again) == hash(formula)
+    node, links = formula, 0
+    while type(node) is Or:
+        assert node.left == Not(Out("a"))
+        node, links = node.right, links + 1
+    assert links == 9999 and node == Out("a")
+    assert parse("(" * 10000 + "a" + ")" * 10000, CTX2) == Out("a")
