@@ -13,11 +13,12 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import axioms as axioms_mod
 from . import decision, encodings, files, game
-from .core import InvalidDomain, Profile, ScfModel, ScfTable, all_profiles, scf_as_game_form
+from .core import InvalidDomain, Profile, ScfModel, scf_as_game_form
 from .logic import Evaluator
 from .parser import Context, ParseError, format_formula, parse
 
@@ -104,58 +105,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if valid else 1
 
 
-def _oracle_verdict(table: ScfTable, prop: encodings.PropertyId) -> tuple[bool, str]:
-    """Independent game-theoretic verdict plus a failure explanation."""
-    if prop.kind == "citsov":
-        missing = sorted(set(table.outcomes) - table.feasible_outcomes())
-        return not missing, f"outcome {', '.join(missing)} unreachable" if missing else ""
-    if prop.kind == "nodict":
-        dictatorial, agent = game.is_dictatorial(table)
-        return not dictatorial, f"dictator {agent}" if dictatorial else ""
-    if prop.kind == "mon":
-        report = game.is_monotonic(table)
-        if report.ok:
-            return True, ""
-        return False, (
-            f"outcome {report.outcome} chosen at {report.profile} but dropped at"
-            f" {report.profile_after}"
-        )
-    if prop.kind == "strproof":
-        if game.is_strategy_proof(table):
-            return True, ""
-        failure = game.truthfully_implements(
-            scf_as_game_form(table), table, game.SolutionConcept.DOMEQ
-        )
-        return False, f"truth-telling not dominant at true profile {failure.profile}"
-    if prop.kind == "dom":
-        direct = scf_as_game_form(table)
-        for truth in table.profiles:
-            winners = set(game.dom_equilibria(direct, truth))
-            for state in table.profiles:
-                if state.orders not in winners:
-                    return False, f"state {state} not dominant under truth {truth}"
-        return True, ""
-    if prop.kind == "br":
-        agent = prop.agent
-        assert agent is not None
-        for truth in table.profiles:
-            order = truth.order(agent)
-            for state in table.profiles:
-                current = table(state)
-                for move in all_profiles(1, table.outcomes):
-                    deviated = state.replace(agent, move.orders[0])
-                    if order.strictly_better(table(deviated), current):
-                        return False, f"agent {agent} improves by deviating at {state}"
-        return True, ""
-    raise InvalidDomain(f"no oracle for property {prop}")
-
-
 def cmd_property(args: argparse.Namespace) -> int:
     table = files.load_scf(args.scf)
     prop = _parse_property(args.property)
     verdict = decision.check_scf_property(table, prop)
     holds = verdict.status == "valid"
-    oracle, detail = _oracle_verdict(table, prop)
+    oracle, detail = game.property_oracle(table, prop)
     lines = [f"property {prop}: {'PASS' if holds else 'FAIL'}"]
     if not holds:
         if detail:
@@ -310,7 +265,10 @@ def _add_formula_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--formula", help="formula text (alternative to the positional)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every `main` call reuses it."""
     top = argparse.ArgumentParser(
         prog="scflogic",
         description="Model checking and property verification for social choice functions.",

@@ -7,10 +7,12 @@ model.  The two exceptions are the *fast paths* `better_holds` and
 corresponding macro expansions is enforced by property tests — the
 expansions stay the ground truth.
 
-`ballot_profile`, `better` and `property_formula` are memoized: equal
-arguments return the same node, so the formulas built from them are DAGs
-sharing those nodes and an evaluator's memo hits them by identity.  The
-shape of every formula is unchanged.
+Formula nodes are interned when they are built (see `logic.Formula`), so
+the formulas built here are DAGs in which equal subformulas, such as the
+ballot labels and `better` expansions, are one shared node, and an
+evaluator's memo hits them by identity.  `ballot_profile`, `better` and
+`property_formula` are memoized with `lru_cache` only to skip rebuilding
+what interning would return anyway.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ def better(
     good for the agent as the current one.
 
     Expands over all profiles, so its size grows with (|K|!)^n; see
-    `better_holds` for the validated fast path on outcome atoms.  Memoized
-    on (n, outcome tuple, agent, lo, hi): equal arguments return the same
-    node, so `trueprofile` and `strproof` share n*|K|*(|K|-1) expansions
-    instead of rebuilding one per link.  The cache keeps every distinct
+    `better_holds` for the validated fast path on outcome atoms.  Equal
+    arguments give the same interned node, so `trueprofile` and `strproof`
+    share n*|K|*(|K|-1) expansions; the memo on (n, outcome tuple, agent,
+    lo, hi) only saves rebuilding them per link.  It keeps every distinct
     argument tuple, parser-supplied `lo`/`hi` included, for the life of the
     process.
     """

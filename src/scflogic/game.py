@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     GameForm,
@@ -25,6 +25,9 @@ from .core import (
     all_profiles,
     scf_as_game_form,
 )
+
+if TYPE_CHECKING:
+    from .encodings import PropertyId
 
 __all__ = [
     "SolutionConcept",
@@ -40,6 +43,7 @@ __all__ = [
     "is_monotonic",
     "has_citsov",
     "is_dictatorial",
+    "property_oracle",
     "AuditReport",
     "equivalence_audit",
 ]
@@ -229,6 +233,53 @@ def is_dictatorial(table: ScfTable) -> tuple[bool, Optional[int]]:
         if all(table(p) == p.order(agent).top for p in table.profiles):
             return True, agent
     return False, None
+
+
+def property_oracle(table: ScfTable, prop: PropertyId) -> tuple[bool, str]:
+    """Game-theoretic verdict on a named SCF property, straight from its
+    definition, plus a failure explanation ("" when it holds)."""
+    if prop.kind == "citsov":
+        if has_citsov(table):
+            return True, ""
+        missing = sorted(set(table.outcomes) - table.feasible_outcomes())
+        return False, f"outcome {', '.join(missing)} unreachable"
+    if prop.kind == "nodict":
+        dictatorial, agent = is_dictatorial(table)
+        return not dictatorial, f"dictator {agent}" if dictatorial else ""
+    if prop.kind == "mon":
+        report = is_monotonic(table)
+        if report.ok:
+            return True, ""
+        return False, (
+            f"outcome {report.outcome} chosen at {report.profile} but dropped at"
+            f" {report.profile_after}"
+        )
+    if prop.kind == "strproof":
+        report = truthfully_implements(scf_as_game_form(table), table, SolutionConcept.DOMEQ)
+        if report.ok:
+            return True, ""
+        return False, f"truth-telling not dominant at true profile {report.profile}"
+    if prop.kind == "dom":
+        direct = scf_as_game_form(table)
+        for truth in table.profiles:
+            winners = set(dom_equilibria(direct, truth))
+            for state in table.profiles:
+                if state.orders not in winners:
+                    return False, f"state {state} not dominant under truth {truth}"
+        return True, ""
+    if prop.kind == "br":
+        agent = prop.agent
+        assert agent is not None
+        for truth in table.profiles:
+            order = truth.order(agent)
+            for state in table.profiles:
+                current = table(state)
+                for move in all_profiles(1, table.outcomes):
+                    deviated = state.replace(agent, move.orders[0])
+                    if order.strictly_better(table(deviated), current):
+                        return False, f"agent {agent} improves by deviating at {state}"
+        return True, ""
+    raise InvalidDomain(f"no oracle for property {prop}")
 
 
 @dataclass(frozen=True)

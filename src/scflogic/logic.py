@@ -15,8 +15,12 @@ Truth at a state:
   * pref(i) phi holds iff some state whose outcome agent i truly considers
     at least as good satisfies phi (reflexive).
 
+Nodes are hash-consed when they are built (see `Formula`): equal formulas
+are one object, so a formula that repeats a subformula is a DAG sharing
+one node for it, and every memo keyed by node identity computes it once.
+
 Evaluation is by truth masks: one bit per state in the canonical state
-ordering, computed once per distinct subformula.  The primary evaluator is
+ordering, computed once per node.  The primary evaluator is
 the stacked bitmask one (`_stacked.StackedEvaluator`), which lays the
 masks of many models over one (n, K) side by side in a single integer;
 `Evaluator` is its one-model view.  The per-(n, K) state data both share
@@ -30,9 +34,10 @@ terms of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .core import (
     InvalidDomain,
@@ -80,31 +85,26 @@ class FormulaDomainMismatch(ValueError):
 class Formula:
     """Base class for core-grammar nodes.
 
-    Nodes are immutable, structurally comparable, and carry two flags used
-    by the evaluator: whether any outcome atom occurs (`uses_outcome`) and
-    whether any pref modality occurs (`uses_pref`).  A formula with neither
-    has a state-determined truth value, independent of the model's outcome
-    function and true preferences.
+    Nodes are hash-consed: every constructor returns the live node of the
+    same kind with the same fields and the same child objects, if there is
+    one, so equal formulas are one object, and `==` and `hash` are
+    Python's identity defaults.  The intern table holds nodes weakly, so a
+    node lives only while something else references it.
+
+    Nodes are immutable and carry two flags used by the evaluator: whether
+    any outcome atom occurs (`uses_outcome`) and whether any pref modality
+    occurs (`uses_pref`).  A formula with neither has a state-determined
+    truth value, independent of the model's outcome function and true
+    preferences.
     """
 
-    __slots__ = ("_hash", "uses_outcome", "uses_pref")
+    __slots__ = ("uses_outcome", "uses_pref", "__weakref__")
 
-    _hash: int
     uses_outcome: bool
     uses_pref: bool
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:  # type: ignore[attr-defined]
-            return False
-        return self._key() == other._key()  # type: ignore[attr-defined]
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("formulas are immutable")
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -123,19 +123,30 @@ class Formula:
         return f"Formula({format_formula(self)!r})"
 
 
+_interned: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
+
+
+def _node(cls: type, fields: tuple, uses_outcome: bool, uses_pref: bool) -> Any:
+    """The live `cls` node whose slots, in `cls.__slots__` order, hold
+    `fields` (children compared by identity), built and interned if there
+    is none."""
+    key = (cls, *fields)
+    node = _interned.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "uses_outcome", uses_outcome)
+        object.__setattr__(node, "uses_pref", uses_pref)
+        _interned[key] = node
+    return node
+
+
 class Top(Formula):
     __slots__ = ()
 
-    def __init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("top",)))
-        object.__setattr__(self, "uses_outcome", False)
-        object.__setattr__(self, "uses_pref", False)
-
-    def _key(self) -> tuple:
-        return ("top",)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
+    def __new__(cls) -> "Top":
+        return _node(cls, (), False, False)
 
 
 class Rep(Formula):
@@ -143,22 +154,11 @@ class Rep(Formula):
 
     __slots__ = ("agent", "left", "right")
 
-    def __init__(self, agent: int, left: str, right: str) -> None:
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash(("rep", agent, left, right)))
-        object.__setattr__(self, "uses_outcome", False)
-        object.__setattr__(self, "uses_pref", False)
-
-    def _key(self) -> tuple:
-        return ("rep", self.agent, self.left, self.right)
+    def __new__(cls, agent: int, left: str, right: str) -> "Rep":
+        return _node(cls, (agent, left, right), False, False)
 
     def atom(self) -> RepAtom:
         return RepAtom(self.agent, self.left, self.right)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
 
 
 class Out(Formula):
@@ -166,56 +166,33 @@ class Out(Formula):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("out", name)))
-        object.__setattr__(self, "uses_outcome", True)
-        object.__setattr__(self, "uses_pref", False)
-
-    def _key(self) -> tuple:
-        return ("out", self.name)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
+    def __new__(cls, name: str) -> "Out":
+        return _node(cls, (name,), True, False)
 
 
 class Not(Formula):
     __slots__ = ("child",)
 
-    def __init__(self, child: Formula) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "_hash", hash(("not", child._hash)))
-        object.__setattr__(self, "uses_outcome", child.uses_outcome)
-        object.__setattr__(self, "uses_pref", child.uses_pref)
-
-    def _key(self) -> tuple:
-        return ("not", self.child)
+    def __new__(cls, child: Formula) -> "Not":
+        return _node(cls, (child,), child.uses_outcome, child.uses_pref)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
 
 
 class Or(Formula):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash(("or", left._hash, right._hash)))
-        object.__setattr__(self, "uses_outcome", left.uses_outcome or right.uses_outcome)
-        object.__setattr__(self, "uses_pref", left.uses_pref or right.uses_pref)
-
-    def _key(self) -> tuple:
-        return ("or", self.left, self.right)
+    def __new__(cls, left: Formula, right: Formula) -> "Or":
+        return _node(
+            cls,
+            (left, right),
+            left.uses_outcome or right.uses_outcome,
+            left.uses_pref or right.uses_pref,
+        )
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
 
 
 class Diamond(Formula):
@@ -223,22 +200,13 @@ class Diamond(Formula):
 
     __slots__ = ("coalition", "child")
 
-    def __init__(self, coalition: Iterable[int], child: Formula) -> None:
-        frozen = frozenset(coalition)
-        object.__setattr__(self, "coalition", frozen)
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "_hash", hash(("diamond", frozen, child._hash)))
-        object.__setattr__(self, "uses_outcome", child.uses_outcome)
-        object.__setattr__(self, "uses_pref", child.uses_pref)
-
-    def _key(self) -> tuple:
-        return ("diamond", self.coalition, self.child)
+    def __new__(cls, coalition: Iterable[int], child: Formula) -> "Diamond":
+        return _node(
+            cls, (frozenset(coalition), child), child.uses_outcome, child.uses_pref
+        )
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
 
 
 class Pref(Formula):
@@ -247,21 +215,11 @@ class Pref(Formula):
 
     __slots__ = ("agent", "child")
 
-    def __init__(self, agent: int, child: Formula) -> None:
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "_hash", hash(("pref", agent, child._hash)))
-        object.__setattr__(self, "uses_outcome", child.uses_outcome)
-        object.__setattr__(self, "uses_pref", True)
-
-    def _key(self) -> tuple:
-        return ("pref", self.agent, self.child)
+    def __new__(cls, agent: int, child: Formula) -> "Pref":
+        return _node(cls, (agent, child), child.uses_outcome, True)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("formulas are immutable")
 
 
 TRUE = Top()
@@ -422,6 +380,8 @@ class KripkeScf:
     p_edges: tuple[tuple[tuple[int, ...], ...], ...]
     atoms: tuple[frozenset[RepAtom], ...]
     outcome_labels: tuple[frozenset[str], ...]
+    # memo of eval_kripke: formula -> the states where it holds
+    _extensions: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -478,61 +438,80 @@ def kripke_view(model: ScfModel) -> KripkeScf:
     )
 
 
-def _join_reachable(km: KripkeScf, start: int, coalition: frozenset[int]) -> list[int]:
-    """States reachable from `start` by composing the R_i for i in the
-    coalition (the join relation; for the empty coalition just `start`)."""
-    for agent in coalition:
-        if not 1 <= agent <= km.n:
-            raise FormulaDomainMismatch(f"coalition agent {agent} out of range 1..{km.n}")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        here = frontier.pop()
-        for agent in coalition:
-            for nxt in km.r_edges[agent - 1][here]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return sorted(seen)
-
-
 def eval_kripke(km: KripkeScf, state: Profile | int, formula: Formula) -> bool:
     """Relational satisfaction in a Kripke model; the cross-check semantics."""
     idx = state if isinstance(state, int) else km.state_index(state)
     if not 0 <= idx < len(km.states):
         raise InvalidDomain(f"state index {idx} out of range")
-    return _eval_kripke_at(km, idx, formula)
+    return idx in _kripke_extension(km, formula)
 
 
-def _eval_kripke_at(km: KripkeScf, idx: int, formula: Formula) -> bool:
+def _kripke_extension(km: KripkeScf, formula: Formula) -> frozenset[int]:
+    """The states of `km` where `formula` holds.
+
+    Walks the formula in post-order on an explicit stack, so depth is
+    limited by memory only, and memoizes each node's state set on the
+    view, so later calls at other states reuse it."""
+    memo = km._extensions
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        missing = [child for child in node.children() if child not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        memo[node] = _kripke_step(km, node)
+    return memo[formula]
+
+
+def _kripke_step(km: KripkeScf, formula: Formula) -> frozenset[int]:
+    """The state set of one node, from its children's memoized sets."""
+    memo = km._extensions
+    states = range(len(km.states))
     if type(formula) is Top:
-        return True
+        return frozenset(states)
     if type(formula) is Rep:
         if formula.left not in km.outcomes or formula.right not in km.outcomes:
             raise FormulaDomainMismatch(
-                f"rep atom mentions outcome outside {km.outcomes}: {formula._key()}"
+                f"rep atom mentions outcome outside {km.outcomes}: {formula!r}"
             )
         if not 1 <= formula.agent <= km.n:
             raise FormulaDomainMismatch(f"agent {formula.agent} out of range 1..{km.n}")
-        return formula.atom() in km.atoms[idx]
+        atom = formula.atom()
+        return frozenset(v for v in states if atom in km.atoms[v])
     if type(formula) is Out:
         if formula.name not in km.outcomes:
             raise FormulaDomainMismatch(f"outcome atom {formula.name!r} outside {km.outcomes}")
-        return formula.name in km.outcome_labels[idx]
+        return frozenset(v for v in states if formula.name in km.outcome_labels[v])
     if type(formula) is Not:
-        return not _eval_kripke_at(km, idx, formula.child)
+        return frozenset(states) - memo[formula.child]
     if type(formula) is Or:
-        return _eval_kripke_at(km, idx, formula.left) or _eval_kripke_at(km, idx, formula.right)
+        return memo[formula.left] | memo[formula.right]
     if type(formula) is Diamond:
-        return any(
-            _eval_kripke_at(km, u, formula.child)
-            for u in _join_reachable(km, idx, formula.coalition)
-        )
+        # the states from which the join of the coalition's relations
+        # reaches a child state: the child set, closed backwards
+        for agent in formula.coalition:
+            if not 1 <= agent <= km.n:
+                raise FormulaDomainMismatch(f"coalition agent {agent} out of range 1..{km.n}")
+        rows = [km.r_edges[agent - 1] for agent in formula.coalition]
+        reach = set(memo[formula.child])
+        fresh = True
+        while fresh:
+            fresh = [
+                v
+                for v in states
+                if v not in reach and any(not reach.isdisjoint(row[v]) for row in rows)
+            ]
+            reach.update(fresh)
+        return frozenset(reach)
     if type(formula) is Pref:
         if not 1 <= formula.agent <= km.n:
             raise FormulaDomainMismatch(f"agent {formula.agent} out of range 1..{km.n}")
-        return any(
-            _eval_kripke_at(km, u, formula.child)
-            for u in km.p_edges[formula.agent - 1][idx]
-        )
+        edges = km.p_edges[formula.agent - 1]
+        child = memo[formula.child]
+        return frozenset(v for v in states if not child.isdisjoint(edges[v]))
     raise TypeError(f"not a formula node: {formula!r}")

@@ -21,7 +21,7 @@ explicit stacks (operator precedence), so long operator chains and deep
 nesting are limited by memory only.
 
 `format_formula` prints the canonical minimally-parenthesized core form;
-parsing it back yields a structurally equal tree.
+parsing it back yields the same (interned) node.
 """
 
 from __future__ import annotations
@@ -482,7 +482,7 @@ def _coalition_str(coalition: frozenset[int]) -> str:
 
 def format_formula(formula: Formula) -> str:
     """Canonical minimally-parenthesized rendering of a core-grammar tree;
-    `parse(format_formula(f))` is structurally equal to `f`.
+    `parse(format_formula(f))` is `f` itself, as nodes are interned.
 
     Written left to right from an explicit stack of pending nodes and
     literal text, so depth is limited by memory only."""

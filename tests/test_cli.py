@@ -252,7 +252,19 @@ def test_property_at_2_3_agrees_with_oracle(capsys, tmp_path):
         assert payload["verdict"] == ("FAIL" if prop in failing else "PASS"), prop
 
 
-def test_usage_error_is_exit_2():
+def test_usage_error_is_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+    # the parser is built once per process and a failed parse leaves it usable
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["sat", "--agents", "1", "--outcomes", "a,b", "a & ~a"]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
+
+
+def test_equal_deep_disjuncts_are_one_node(capsys):
+    """Both sides of `~...~a | ~...~a` parse to one object, so no memo
+    lookup compares two deep trees."""
+    side = "~" * 3000 + "a"
+    assert main(["sat", "--agents", "1", "--outcomes", "a,b", f"{side} | {side}"]) == 0
+    assert capsys.readouterr().out.startswith("SAT\n")

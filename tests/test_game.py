@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,11 +20,15 @@ from scflogic import (
     is_monotonic,
     is_strategy_proof,
     nash_equilibria,
+    property_oracle,
     scf_as_game_form,
     truthfully_implements,
 )
 
-from conftest import AB, BA, K2, profile
+from scflogic.decision import check_scf_property
+from scflogic.encodings import BR, CITSOV, DOM, MON, NODICT, STRPROOF
+
+from conftest import AB, BA, K2, K3, profile
 
 
 def test_nash_equilibria_h(h_table):
@@ -162,3 +167,24 @@ def test_equivalences_on_all_two_agent_scfs():
         implement = implements(direct, table, SolutionConcept.DOMEQ).ok
         assert truthful == implement
         assert is_monotonic(table).ok == is_strategy_proof(table)
+
+
+def _property_tables():
+    """Every SCF at n = 1..3 over {a,b}, then seeded tables at (2,3)."""
+    for n in (1, 2, 3):
+        count = len(all_profiles(n, K2))
+        for values in itertools.product(K2, repeat=count):
+            yield ScfTable(n, K2, values)
+    rng = random.Random(41)
+    for _ in range(3):
+        yield ScfTable(2, K3, tuple(rng.choice(K3) for _ in range(36)))
+
+
+def test_property_oracle_agrees_with_the_encodings():
+    for table in _property_tables():
+        props = [CITSOV, NODICT, DOM, MON, STRPROOF]
+        props += [BR(agent) for agent in range(1, table.agents + 1)]
+        for prop in props:
+            holds, detail = property_oracle(table, prop)
+            assert holds == (check_scf_property(table, prop).status == "valid"), (table, prop)
+            assert (detail == "") == holds, (table, prop, detail)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from scflogic import (
@@ -33,7 +36,9 @@ from scflogic.logic import (
     disj,
 )
 from scflogic._stacked import StackedEvaluator
-from scflogic.encodings import dom, rho
+from scflogic import encodings
+from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
+from scflogic.parser import Context, parse
 
 from conftest import AB, BA, K2, K3, make_formula_sampler, profile
 
@@ -228,3 +233,41 @@ def test_stacked_evaluator_handles_deep_formulas():
 def test_evaluate_rejects_foreign_state(h_model):
     with pytest.raises(Exception):
         evaluate(h_model, profile(("a", "b"), ("a", "c")), TRUE)
+
+
+def test_equal_formulas_are_one_object():
+    ctx = Context(2, K2)
+    assert parse("<{1}> (a | ~rep(2,a,b))", ctx) is Diamond({1}, Or(Out("a"), Not(Rep(2, "a", "b"))))
+    assert parse("[N] pref(1) b", ctx) is Box([2, 1], Pref(1, Out("b")))
+    built = better(2, K2, 1, Out("a"), Out("b"))
+    assert better(2, K2, 1, Out("a"), Out("b")) is built
+    # rebuilding the whole expansion, past the builder's cache, meets it too
+    assert encodings._better.__wrapped__(2, K2, 1, Out("a"), Out("b")) is built
+
+
+def test_unreferenced_nodes_are_collected():
+    def build():
+        node = Pref(2, Diamond({1}, Rep(1, "b", "a")))
+        return weakref.ref(node), weakref.ref(node.child)
+
+    refs = build()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # a rebuilt node is fresh and still canonical
+    assert Pref(2, Diamond({1}, Rep(1, "b", "a"))) is Pref(2, Diamond([1], Rep(1, "b", "a")))
+
+
+def test_eval_kripke_walks_deep_and_shared_formulas():
+    """The relational semantics evaluates a 20,000-deep chain and the
+    strproof encoding at (2,3) without recursion, in agreement with the
+    stacked evaluator at every state."""
+    model = sample_models(2, K3, 1, seed=17)[0]
+    km = kripke_view(model)
+    stacked = StackedEvaluator([model])
+    chain = Out("a")
+    for _ in range(20000):
+        chain = Not(chain)
+    for formula in (chain, property_formula(STRPROOF, 2, K3)):
+        mask = stacked.truth_mask(formula)
+        for v in range(stacked.block):
+            assert eval_kripke(km, v, formula) == bool(mask >> v & 1)
