@@ -17,16 +17,19 @@ modalities vectorize as well:
 This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
 only in their true profile, satisfiability and validity stack chunks of
-the enumerated model class, and `logic.Evaluator` is a one-model view.
-Agreement with the relational semantics (`logic.eval_kripke`) is
-enforced by property tests.
+the enumerated model class, and `Evaluator` is a stack of one model.
+The per-(n, K) state data every stack shares (profiles, grid axes,
+reported-atom masks) is built once per domain (`_space`).  Agreement with
+the relational semantics (`logic.eval_kripke`), which shares none of this
+state data, is enforced by property tests.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
-from .core import ScfModel
+from .core import InvalidDomain, Profile, ScfModel, all_linear_orders, all_profiles
 from .logic import (
     Diamond,
     Formula,
@@ -37,10 +40,58 @@ from .logic import (
     Pref,
     Rep,
     Top,
-    _space,
 )
 
-__all__ = ["StackedEvaluator"]
+__all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
+
+
+class _StateSpace:
+    """Per-(n, K) canonical state data shared by every evaluator: profiles,
+    the axes of the state grid and reported-atom masks."""
+
+    def __init__(self, n: int, outcomes: tuple[str, ...]):
+        self.n = n
+        self.outcomes = outcomes
+        self.profiles = all_profiles(n, outcomes)
+        self.size = len(self.profiles)
+        self.index = {p: i for i, p in enumerate(self.profiles)}
+        radix = len(all_linear_orders(outcomes))
+        self.radix = radix
+        # per agent: the digit stride of its axis (state v's digit on it is
+        # v // stride % radix), the states whose digit on it is 0, and the
+        # comb spreading one state along it
+        self.axes: list[tuple[int, int, int]] = []
+        for agent in range(n):
+            stride = radix ** (n - 1 - agent)
+            plane = 0
+            for v in range(self.size):
+                if v // stride % radix == 0:
+                    plane |= 1 << v
+            comb = sum(1 << (d * stride) for d in range(radix))
+            self.axes.append((stride, plane, comb))
+        self._rep_masks: dict[tuple[int, str, str], int] = {}
+
+    def rep_mask(self, agent: int, left: str, right: str) -> int:
+        key = (agent, left, right)
+        mask = self._rep_masks.get(key)
+        if mask is None:
+            if not 1 <= agent <= self.n:
+                raise FormulaDomainMismatch(f"agent {agent} out of range 1..{self.n}")
+            if left not in self.outcomes or right not in self.outcomes:
+                raise FormulaDomainMismatch(
+                    f"rep({agent},{left},{right}) mentions an outcome outside {self.outcomes}"
+                )
+            mask = 0
+            for i, p in enumerate(self.profiles):
+                if p.orders[agent - 1].at_least_as_good(left, right):
+                    mask |= 1 << i
+            self._rep_masks[key] = mask
+        return mask
+
+
+@lru_cache(maxsize=None)
+def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
+    return _StateSpace(n, outcomes)
 
 
 def _stack(small_masks: Sequence[int], block_bits: int) -> int:
@@ -255,3 +306,38 @@ class StackedEvaluator:
             return None
         pos = (bad & -bad).bit_length() - 1
         return divmod(pos, self.block)
+
+
+class Evaluator(StackedEvaluator):
+    """Truth masks in one model: a stack of one, whose single block is the
+    model's mask.  To evaluate many models over one (n, K), stack them
+    instead of building one evaluator per model."""
+
+    def __init__(self, model: ScfModel):
+        super().__init__([model])
+        self.model = model
+
+    def holds(self, state: Profile, formula: Formula) -> bool:
+        idx = self.space.index.get(state)
+        if idx is None:
+            raise InvalidDomain(f"{state} is not a state of this model")
+        return bool(self.truth_mask(formula) >> idx & 1)
+
+    def valid(self, formula: Formula) -> bool:
+        return self.truth_mask(formula) == self.full
+
+    def falsifying_states(self, formula: Formula) -> list[Profile]:
+        missing = self.full ^ self.truth_mask(formula)
+        return [state for i, state in enumerate(self.space.profiles) if missing >> i & 1]
+
+
+def evaluate(model: ScfModel, state: Profile, formula: Formula) -> bool:
+    """Truth of `formula` at `state` in `model`."""
+    return Evaluator(model).holds(state, formula)
+
+
+def valid_in_model(model: ScfModel, formula: Formula) -> tuple[bool, list[Profile]]:
+    """Whether `formula` holds at every state; falsifying states in
+    canonical order otherwise."""
+    bad = Evaluator(model).falsifying_states(formula)
+    return (not bad, bad)

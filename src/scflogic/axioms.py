@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from . import _stacked
 from .core import LinearOrder, Profile, ScfModel, all_linear_orders, all_profiles
 from .encodings import ballot_agent, ballot_profile, better
 from .logic import (
@@ -120,9 +121,7 @@ def _default_cap(n: int, outcomes: tuple[str, ...]) -> int:
     return 32
 
 
-def default_pool(
-    n: int, outcomes: Sequence[str], cap: Optional[int] = None
-) -> tuple[Formula, ...]:
+def default_pool(n: int, outcomes: Sequence[str]) -> tuple[Formula, ...]:
     """Metavariable pool: outcome atoms, reported atoms, their negations,
     single-agent ballots, pairwise disjunctions of atoms — capped.
 
@@ -130,8 +129,7 @@ def default_pool(
     subset of it fills the remaining room.
     """
     names = tuple(outcomes)
-    if cap is None:
-        cap = _default_cap(n, names)
+    cap = _default_cap(n, names)
     atoms: list[Formula] = [Out(x) for x in names]
     atoms += [
         Rep(agent, x, y)
@@ -424,13 +422,11 @@ def soundness_check(
     failing instance in instantiation order, at its lowest (model, state)
     pair.  The memo is dropped between schemas to bound memory.
     """
-    from ._stacked import StackedEvaluator
-
     instances = list(instances)
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    ev = StackedEvaluator(models)
+    ev = _stacked.StackedEvaluator(models)
     by_schema: dict[str, list[AxiomInstance]] = {}
     for inst in instances:
         by_schema.setdefault(inst.schema, []).append(inst)
@@ -469,12 +465,10 @@ def pref_necessitation_holds(
     Evaluated on one stacked batch over the models: for each pool formula,
     every model falsifying one of its pref-boxes must falsify the formula
     itself."""
-    from ._stacked import StackedEvaluator
-
     models = list(models)
     if not models:
         return True
-    ev = StackedEvaluator(models)
+    ev = _stacked.StackedEvaluator(models)
     for phi in pool:
         invalid = ev.falsified_blocks(phi)
         for agent in range(1, ev.space.n + 1):

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 from . import axioms as axioms_mod
 from . import decision, encodings, files, game
+from ._stacked import Evaluator
 from .core import InvalidDomain, Profile, ScfModel, scf_as_game_form
-from .logic import Evaluator
 from .parser import Context, ParseError, format_formula, parse
 
 __all__ = ["main"]
@@ -34,10 +34,6 @@ def _model_lines(model: ScfModel) -> list[str]:
     for state in model.states:
         lines.append(f"  out {state} -> {model.out(state)}")
     return lines
-
-
-def _model_json(model: ScfModel) -> dict:
-    return files.model_to_dict(model)
 
 
 def _parse_outcomes(text: str) -> tuple[str, ...]:
@@ -89,7 +85,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     rows = []
     for idx, state in enumerate(model.states):
         rows.append((idx, state, bool(mask >> idx & 1)))
-    valid = mask == ev.space.full_mask
+    valid = mask == ev.full
     lines = [f"{'state':<6} {'profile':<24} holds"]
     lines += [f"{idx:<6} {str(state):<24} {str(holds).lower()}" for idx, state, holds in rows]
     lines.append(f"valid in model: {'yes' if valid else 'no'}")
@@ -141,7 +137,7 @@ def _verdict_payload(verdict: decision.Verdict) -> dict:
     if pair is not None:
         model, state = pair
         key = "witness" if verdict.witness else "counterexample"
-        payload[key] = {"model": _model_json(model), "state": _profile_json(state)}
+        payload[key] = {"model": files.model_to_dict(model), "state": _profile_json(state)}
     return payload
 
 
@@ -156,24 +152,24 @@ def _verdict_lines(verdict: decision.Verdict, headline: str) -> list[str]:
     return lines
 
 
-def cmd_sat(args: argparse.Namespace) -> int:
+_HEADLINES = {
+    "satisfiable": "SAT",
+    "unsatisfiable": "UNSAT",
+    "valid": "VALID",
+    "invalid": "INVALID",
+}
+
+
+def cmd_decide(args: argparse.Namespace) -> int:
+    """sat and valid: decide the formula over the whole model class."""
     outcomes = _parse_outcomes(args.outcomes)
     ctx = _context(args.agents, outcomes)
     formula = parse(_formula_arg(args), ctx)
-    verdict = decision.satisfiable(args.agents, outcomes, formula, _budget(args))
-    lines = _verdict_lines(verdict, "SAT" if verdict.status == "satisfiable" else "UNSAT")
-    _emit(args, {"command": "sat", **_verdict_payload(verdict)}, lines)
-    return 0 if verdict.status == "satisfiable" else 1
-
-
-def cmd_valid(args: argparse.Namespace) -> int:
-    outcomes = _parse_outcomes(args.outcomes)
-    ctx = _context(args.agents, outcomes)
-    formula = parse(_formula_arg(args), ctx)
-    verdict = decision.valid(args.agents, outcomes, formula, _budget(args))
-    lines = _verdict_lines(verdict, "VALID" if verdict.status == "valid" else "INVALID")
-    _emit(args, {"command": "valid", **_verdict_payload(verdict)}, lines)
-    return 0 if verdict.status == "valid" else 1
+    decide = decision.satisfiable if args.command == "sat" else decision.valid
+    verdict = decide(args.agents, outcomes, formula, _budget(args))
+    lines = _verdict_lines(verdict, _HEADLINES[verdict.status])
+    _emit(args, {"command": args.command, **_verdict_payload(verdict)}, lines)
+    return 0 if verdict else 1
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -321,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "check": cmd_check,
     "property": cmd_property,
-    "sat": cmd_sat,
-    "valid": cmd_valid,
+    "sat": cmd_decide,
+    "valid": cmd_decide,
     "encode": cmd_encode,
     "equilibria": cmd_equilibria,
     "audit": cmd_audit,
@@ -334,10 +330,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (files.FileFormatError, InvalidDomain, decision.BudgetExceeded, OSError) as exc:
+    except (
+        ParseError,
+        files.FileFormatError,
+        InvalidDomain,
+        decision.BudgetExceeded,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from . import _stacked
+from ._stacked import Evaluator
 from .core import (
     InvalidDomain,
     Profile,
@@ -35,7 +37,7 @@ from .core import (
     num_states,
 )
 from .encodings import PropertyId, property_formula
-from .logic import Evaluator, Formula, Not
+from .logic import Formula, Not
 
 __all__ = [
     "EnumerationBudget",
@@ -167,8 +169,6 @@ def _first_failure(
     profiles, and each next chunk twice as many outcome functions, up to
     `_CHUNK_BITS` bits, so an early hit stays cheap and a full sweep takes
     few wide batches."""
-    from ._stacked import StackedEvaluator
-
     models = enumerate_models(n, outcomes, budget)
     states = num_states(n, outcomes)
     tables, most = 1, max(1, _CHUNK_BITS // (states * states))
@@ -176,7 +176,7 @@ def _first_failure(
         chunk = list(itertools.islice(models, tables * states))
         if not chunk:
             return None
-        ev = StackedEvaluator(chunk)
+        ev = _stacked.StackedEvaluator(chunk)
         where = ev.first_failure(formula)
         if where is not None:
             model_idx, state_idx = where
@@ -239,11 +239,9 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     true-profile order, against the memoized property formula; the lowest
     falsified bit is the first failing true profile and its lowest state,
     the same counterexample a model-by-model scan would report."""
-    from ._stacked import StackedEvaluator
-
     formula = property_formula(prop, table.agents, table.outcomes)
     models = [ScfModel(table, truth) for truth in table.profiles]
-    ev = StackedEvaluator(models)
+    ev = _stacked.StackedEvaluator(models)
     where = ev.first_failure(formula)
     if where is None:
         return Verdict("valid")

@@ -2,10 +2,7 @@
 characteristic formula of an SCF, and the named property encodings.
 
 Every builder returns a plain core-grammar AST; nothing here consults a
-model.  The two exceptions are the *fast paths* `better_holds` and
-`trueprofile_holds`, direct semantic routines whose agreement with the
-corresponding macro expansions is enforced by property tests — the
-expansions stay the ground truth.
+model or evaluates a formula.
 
 Formula nodes are interned when they are built (see `logic.Formula`), so
 the formulas built here are DAGs in which equal subformulas, such as the
@@ -25,7 +22,6 @@ from .core import (
     InvalidDomain,
     LinearOrder,
     Profile,
-    ScfModel,
     ScfTable,
     all_profiles,
 )
@@ -63,8 +59,6 @@ __all__ = [
     "mon",
     "strproof",
     "property_formula",
-    "better_holds",
-    "trueprofile_holds",
 ]
 
 
@@ -99,8 +93,7 @@ def better(
     `hi` holds there then every `lo`-state's outcome is truly at most as
     good for the agent as the current one.
 
-    Expands over all profiles, so its size grows with (|K|!)^n; see
-    `better_holds` for the validated fast path on outcome atoms.  Equal
+    Expands over all profiles, so its size grows with (|K|!)^n.  Equal
     arguments give the same interned node, so `trueprofile` and `strproof`
     share n*|K|*(|K|-1) expansions; the memo on (n, outcome tuple, agent,
     lo, hi) only saves rebuilding them per link.  It keeps every distinct
@@ -124,7 +117,7 @@ def _better(n: int, outcomes: tuple[str, ...], agent: int, lo: Formula, hi: Form
     return Box(grand, disj(disjuncts))
 
 
-def trueprofile(profile: Profile, outcomes: Optional[Sequence[str]] = None) -> Formula:
+def trueprofile(profile: Profile, outcomes: Sequence[str]) -> Formula:
     """Reification of a true preference profile: for every agent, each
     outcome is globally better than every outcome ranked below it.
 
@@ -132,11 +125,8 @@ def trueprofile(profile: Profile, outcomes: Optional[Sequence[str]] = None) -> F
     vacuous when either outcome is infeasible, so adjacent links alone
     would not order two feasible outcomes ranked around an infeasible one.
 
-    `outcomes` fixes the canonical outcome order used by the expansion;
-    it defaults to the sorted outcome names.
+    `outcomes` fixes the canonical outcome order used by the expansion.
     """
-    if outcomes is None:
-        outcomes = tuple(sorted(profile.orders[0].ranking))
     parts = []
     for agent, order in enumerate(profile.orders, start=1):
         ranking = order.ranking
@@ -305,30 +295,3 @@ def _property_formula(prop: PropertyId, n: int, outcomes: tuple[str, ...]) -> Fo
         return strproof(n, outcomes)
     raise ValueError(f"unknown property {prop}")
 
-
-def better_holds(model: ScfModel, agent: int, lo: str, hi: str) -> bool:
-    """Fast path for better(i, Out(lo), Out(hi)): vacuously true when either
-    outcome is infeasible in the model, otherwise decided by the agent's
-    true order.  Validated against the macro expansion by property test."""
-    if lo not in model.outcomes or hi not in model.outcomes:
-        raise InvalidDomain(f"outcomes ({lo!r}, {hi!r}) not within {model.outcomes}")
-    if not 1 <= agent <= model.n:
-        raise InvalidDomain(f"agent {agent} out of range 1..{model.n}")
-    feasible = model.table.feasible_outcomes()
-    if lo not in feasible or hi not in feasible:
-        return True
-    return model.true_order(agent).at_least_as_good(hi, lo)
-
-
-def trueprofile_holds(model: ScfModel, profile: Profile) -> bool:
-    """Fast path for the trueprofile reification: every global preference
-    link, from each outcome to each one ranked below it, holds in the model."""
-    if profile.n != model.n:
-        raise InvalidDomain(f"profile has {profile.n} agents, model has {model.n}")
-    for agent, order in enumerate(profile.orders, start=1):
-        ranking = order.ranking
-        for k in range(1, len(ranking)):
-            for j in range(k):
-                if not better_holds(model, agent, ranking[k], ranking[j]):
-                    return False
-    return True

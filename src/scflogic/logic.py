@@ -19,35 +19,25 @@ Nodes are hash-consed when they are built (see `Formula`): equal formulas
 are one object, so a formula that repeats a subformula is a DAG sharing
 one node for it, and every memo keyed by node identity computes it once.
 
-Evaluation is by truth masks: one bit per state in the canonical state
-ordering, computed once per node.  The primary evaluator is
-the stacked bitmask one (`_stacked.StackedEvaluator`), which lays the
-masks of many models over one (n, K) side by side in a single integer;
-`Evaluator` is its one-model view.  The per-(n, K) state data both share
-(profiles, grid axes, reported-atom masks) is built once per domain.
+This module holds the language and the relational semantics only.  The
+primary evaluator, by truth masks over many models at once, and its
+one-model `Evaluator` live in `_stacked`, which builds on this module and
+never the other way round.
 
-A second, independent semantics (`KripkeScf`, `eval_kripke`) evaluates
-formulas relationally over explicit accessibility relations; it exists to
-cross-check the primary evaluator and is deliberately not implemented in
-terms of it.
+The relational semantics (`KripkeScf`, `kripke_view`, `eval_kripke`)
+evaluates formulas over explicit accessibility relations built from the
+model's states and true profile alone; it exists to cross-check the
+primary evaluator and shares none of its state data.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Any, Iterable, Iterator
 
-from .core import (
-    InvalidDomain,
-    Profile,
-    RepAtom,
-    ScfModel,
-    all_linear_orders,
-    all_profiles,
-    state_atoms,
-)
+from .core import InvalidDomain, Profile, RepAtom, ScfModel, state_atoms
 
 __all__ = [
     "Formula",
@@ -68,9 +58,6 @@ __all__ = [
     "conj",
     "disj",
     "FormulaDomainMismatch",
-    "Evaluator",
-    "evaluate",
-    "valid_in_model",
     "KripkeScf",
     "kripke_view",
     "eval_kripke",
@@ -262,107 +249,6 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return reduce(Or, items)
 
 
-class _StateSpace:
-    """Per-(n, K) canonical state data shared by every evaluator: profiles,
-    digit vectors, the axes of the state grid and reported-atom masks."""
-
-    def __init__(self, n: int, outcomes: tuple[str, ...]):
-        self.n = n
-        self.outcomes = outcomes
-        self.profiles = all_profiles(n, outcomes)
-        self.size = len(self.profiles)
-        self.full_mask = (1 << self.size) - 1
-        self.index = {p: i for i, p in enumerate(self.profiles)}
-        radix = len(all_linear_orders(outcomes))
-        self.radix = radix
-        # per-state per-agent ranking index (the mixed-radix digits)
-        self.digits: list[tuple[int, ...]] = []
-        for idx in range(self.size):
-            digs = []
-            rest = idx
-            for _ in range(n):
-                digs.append(rest % radix)
-                rest //= radix
-            self.digits.append(tuple(reversed(digs)))
-        # per agent: the digit stride of its axis, the states whose digit on
-        # it is 0, and the comb spreading one state along it
-        self.axes: list[tuple[int, int, int]] = []
-        for agent in range(n):
-            stride = radix ** (n - 1 - agent)
-            plane = 0
-            for v in range(self.size):
-                if self.digits[v][agent] == 0:
-                    plane |= 1 << v
-            comb = sum(1 << (d * stride) for d in range(radix))
-            self.axes.append((stride, plane, comb))
-        self._rep_masks: dict[tuple[int, str, str], int] = {}
-
-    def rep_mask(self, agent: int, left: str, right: str) -> int:
-        key = (agent, left, right)
-        mask = self._rep_masks.get(key)
-        if mask is None:
-            if not 1 <= agent <= self.n:
-                raise FormulaDomainMismatch(f"agent {agent} out of range 1..{self.n}")
-            if left not in self.outcomes or right not in self.outcomes:
-                raise FormulaDomainMismatch(
-                    f"rep({agent},{left},{right}) mentions an outcome outside {self.outcomes}"
-                )
-            mask = 0
-            for i, p in enumerate(self.profiles):
-                if p.orders[agent - 1].at_least_as_good(left, right):
-                    mask |= 1 << i
-            self._rep_masks[key] = mask
-        return mask
-
-
-@lru_cache(maxsize=None)
-def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
-    return _StateSpace(n, outcomes)
-
-
-class Evaluator:
-    """Truth masks in one model: a view of a one-model stacked evaluator
-    (see `_stacked`), whose single block is the model's mask.  To evaluate
-    many models over one (n, K), stack them instead of building one view
-    per model."""
-
-    def __init__(self, model: ScfModel):
-        from ._stacked import StackedEvaluator
-
-        self.model = model
-        self._stacked = StackedEvaluator([model])
-        self.space = self._stacked.space
-
-    def truth_mask(self, formula: Formula) -> int:
-        """Bitmask of the states satisfying `formula` (canonical order)."""
-        return self._stacked.truth_mask(formula)
-
-    def holds(self, state: Profile, formula: Formula) -> bool:
-        idx = self.space.index.get(state)
-        if idx is None:
-            raise InvalidDomain(f"{state} is not a state of this model")
-        return bool(self.truth_mask(formula) >> idx & 1)
-
-    def valid(self, formula: Formula) -> bool:
-        return self.truth_mask(formula) == self.space.full_mask
-
-    def falsifying_states(self, formula: Formula) -> list[Profile]:
-        missing = self.space.full_mask ^ self.truth_mask(formula)
-        return [state for i, state in enumerate(self.space.profiles) if missing >> i & 1]
-
-
-def evaluate(model: ScfModel, state: Profile, formula: Formula) -> bool:
-    """Truth of `formula` at `state` in `model`."""
-    return Evaluator(model).holds(state, formula)
-
-
-def valid_in_model(model: ScfModel, formula: Formula) -> tuple[bool, list[Profile]]:
-    """Whether `formula` holds at every state; falsifying states in
-    canonical order otherwise."""
-    bad = Evaluator(model).falsifying_states(formula)
-    return (not bad, bad)
-
-
 @dataclass(frozen=True, eq=False)
 class KripkeScf:
     """Relational presentation of a model: states, one equivalence relation
@@ -398,36 +284,25 @@ def kripke_view(model: ScfModel) -> KripkeScf:
     """Build the equivalent Kripke model: R_i links states agreeing outside
     agent i; P_i links v to u iff i truly finds u's outcome at least as good
     as v's."""
-    space = _space(model.n, model.outcomes)
-    states = space.profiles
-    outs = tuple(model.table.values)
+    states = model.states
+    outs = tuple(model.out(state) for state in states)
     r_edges = []
     p_edges = []
     for agent in range(1, model.n + 1):
-        r_rows = []
-        p_rows = []
+        # each state's orders for every agent but this one, and the states
+        # sharing them
+        others = [state.orders[: agent - 1] + state.orders[agent:] for state in states]
+        groups: dict[tuple, list[int]] = {}
+        for v, key in enumerate(others):
+            groups.setdefault(key, []).append(v)
+        r_edges.append(tuple(tuple(groups[key]) for key in others))
         order = model.true_order(agent)
-        for v in range(space.size):
-            r_rows.append(
-                tuple(
-                    u
-                    for u in range(space.size)
-                    if all(
-                        space.digits[v][j] == space.digits[u][j]
-                        for j in range(model.n)
-                        if j != agent - 1
-                    )
-                )
+        p_edges.append(
+            tuple(
+                tuple(u for u, high in enumerate(outs) if order.at_least_as_good(high, low))
+                for low in outs
             )
-            p_rows.append(
-                tuple(
-                    u
-                    for u in range(space.size)
-                    if order.at_least_as_good(outs[u], outs[v])
-                )
-            )
-        r_edges.append(tuple(r_rows))
-        p_edges.append(tuple(p_rows))
+        )
     return KripkeScf(
         outcomes=model.outcomes,
         states=states,

@@ -100,6 +100,51 @@ def test_valid_and_sat_commands(capsys):
     capsys.readouterr()
 
 
+def test_sat_witness_and_valid_counterexample_output(capsys):
+    """The exact text and --json output of a sat with a witness and a
+    valid with a counterexample, on the same first model of (2,2)."""
+    model = {
+        "agents": 2,
+        "outcomes": ["a", "b"],
+        "map": [
+            {"profile": [["a", "b"], ["a", "b"]], "outcome": "a"},
+            {"profile": [["a", "b"], ["b", "a"]], "outcome": "a"},
+            {"profile": [["b", "a"], ["a", "b"]], "outcome": "a"},
+            {"profile": [["b", "a"], ["b", "a"]], "outcome": "b"},
+        ],
+        "true_preferences": [["a", "b"], ["a", "b"]],
+    }
+    model_lines = (
+        "{0} truth: ([a,b],[a,b])\n"
+        "{0}   out ([a,b],[a,b]) -> a\n"
+        "{0}   out ([a,b],[b,a]) -> a\n"
+        "{0}   out ([b,a],[a,b]) -> a\n"
+        "{0}   out ([b,a],[b,a]) -> b\n"
+    )
+    sat = ["sat", "--agents", "2", "--outcomes", "a,b", "b & <{1}>a"]
+    assert main(sat) == 0
+    assert capsys.readouterr().out == (
+        "SAT\nwitness state: ([b,a],[b,a])\n" + model_lines.format("witness")
+    )
+    assert main(sat + ["--json"]) == 0
+    witness = {"model": model, "state": [["b", "a"], ["b", "a"]]}
+    assert capsys.readouterr().out == json.dumps(
+        {"command": "sat", "status": "satisfiable", "witness": witness}, indent=2
+    ) + "\n"
+
+    valid = ["valid", "--agents", "2", "--outcomes", "a,b", "<{1}>b -> pref(2) b"]
+    assert main(valid) == 1
+    assert capsys.readouterr().out == (
+        "INVALID\ncounterexample state: ([a,b],[b,a])\n"
+        + model_lines.format("counterexample")
+    )
+    assert main(valid + ["--json"]) == 1
+    counterexample = {"model": model, "state": [["a", "b"], ["b", "a"]]}
+    assert capsys.readouterr().out == json.dumps(
+        {"command": "valid", "status": "invalid", "counterexample": counterexample}, indent=2
+    ) + "\n"
+
+
 def test_sat_with_scf_macro(capsys, h_files):
     scf_path, _ = h_files
     code = main(["sat", "--agents", "2", "--outcomes", "a,b", f"scf('{scf_path}') & citsov"])

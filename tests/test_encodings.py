@@ -31,7 +31,6 @@ from scflogic.encodings import (
     ballot_profile,
     best_response,
     better,
-    better_holds,
     citsov,
     dom,
     mon,
@@ -40,7 +39,6 @@ from scflogic.encodings import (
     rho,
     strproof,
     trueprofile,
-    trueprofile_holds,
 )
 from scflogic.logic import (
     FALSE,
@@ -178,8 +176,8 @@ def test_trueprofile_identifies_truth_when_all_feasible(h_table):
 def test_trueprofile_blind_to_infeasible_outcomes():
     table = ScfTable.from_function(2, K3, lambda p: "a" if p.order(1).top == "a" else "b")
     truth = all_profiles(2, K3)[0]  # ([a,b,c],[a,b,c])
-    model = ScfModel(table, truth)
-    holding = [p for p in all_profiles(2, K3) if trueprofile_holds(model, p)]
+    ev = Evaluator(ScfModel(table, truth))
+    holding = [p for p in all_profiles(2, K3) if ev.valid(trueprofile(p, K3))]
     assert truth in holding
     # c is infeasible, so only a above b is pinned: 3 such orders per agent
     assert len(holding) == 9
@@ -211,7 +209,6 @@ def test_trueprofile_orders_feasible_outcomes_around_an_infeasible_one():
                 p.order(i).at_least_as_good("a", "b") == truth.order(i).at_least_as_good("a", "b")
                 for i in (1, 2)
             )
-            assert trueprofile_holds(model, p) == agrees
             assert ev.valid(trueprofile(p, K3)) == agrees
 
 
@@ -256,25 +253,42 @@ def test_strproof_matches_oracle_on_partial_range_tables():
         assert verdicts == {True, False}
 
 
+def _better_by_definition(model, agent, lo, hi):
+    """better(agent, lo, hi) read off its definition: true when lo or hi is
+    infeasible, otherwise whether the true order ranks hi at least as high
+    as lo."""
+    feasible = model.table.feasible_outcomes()
+    if lo not in feasible or hi not in feasible:
+        return True
+    return model.true_order(agent).at_least_as_good(hi, lo)
+
+
 def test_fast_paths_match_expansions():
     for model in enumerate_models(2, K2):
         ev = Evaluator(model)
         for agent in (1, 2):
             for lo in K2:
                 for hi in K2:
-                    assert ev.valid(better(2, K2, agent, Out(lo), Out(hi))) == better_holds(
-                        model, agent, lo, hi
-                    )
+                    assert ev.valid(
+                        better(2, K2, agent, Out(lo), Out(hi))
+                    ) == _better_by_definition(model, agent, lo, hi)
         for p in model.states:
-            assert ev.valid(trueprofile(p, K2)) == trueprofile_holds(model, p)
+            # every outcome globally better than each one ranked below it
+            links = all(
+                _better_by_definition(model, agent, order.ranking[k], order.ranking[j])
+                for agent, order in enumerate(p.orders, start=1)
+                for k in range(len(order.ranking))
+                for j in range(k)
+            )
+            assert ev.valid(trueprofile(p, K2)) == links
     for model in sample_models(2, K3, 4, seed=9):
         ev = Evaluator(model)
         for agent in (1, 2):
             for lo in K3:
                 for hi in K3:
-                    assert ev.valid(better(2, K3, agent, Out(lo), Out(hi))) == better_holds(
-                        model, agent, lo, hi
-                    )
+                    assert ev.valid(
+                        better(2, K3, agent, Out(lo), Out(hi))
+                    ) == _better_by_definition(model, agent, lo, hi)
 
 
 def test_rho_valid_exactly_on_matching_models(h_table, j_table, p_table):
@@ -369,11 +383,6 @@ def test_property_id_validation():
     assert str(MON) == "mon"
 
 
-def test_better_validates_domain(h_table):
-    model = ScfModel(h_table, profile(("a", "b"), ("a", "b")))
-    with pytest.raises(InvalidDomain):
-        better_holds(model, 5, "a", "b")
-    with pytest.raises(InvalidDomain):
-        better_holds(model, 1, "z", "b")
+def test_better_validates_domain():
     with pytest.raises(InvalidDomain):
         better(2, K2, 3, Out("a"), Out("b"))

@@ -1,5 +1,7 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,7 @@ from scflogic.logic import (
     disj,
 )
 from scflogic._stacked import StackedEvaluator
-from scflogic import encodings
+from scflogic import encodings, logic
 from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
 from scflogic.parser import Context, parse
 
@@ -146,6 +148,46 @@ def test_kripke_view_p1_for_h(h_table):
         assert a_states <= reach
     b_state = next(u for u in range(4) if outs[u] == "b")
     assert b_state in km.p_edges[0][b_state]
+
+
+def test_kripke_view_relations_follow_the_definitions():
+    """R_i(v,u) iff v and u agree on every order but agent i's; P_i(v,u)
+    iff the true order ranks out(u) at least as high as out(v).  Both are
+    computed here from the `Profile` objects alone."""
+    models = [*enumerate_models(1, K3), *enumerate_models(2, K2)]
+    models += sample_models(2, K3, 6, seed=17) + sample_models(3, K2, 12, seed=17)
+    for model in models:
+        km = kripke_view(model)
+        states = all_profiles(model.n, model.outcomes)
+        assert km.states == states
+        outs = [model.out(state) for state in states]
+        for agent in range(1, model.n + 1):
+            order = model.truth.order(agent)
+            for v, low in enumerate(states):
+                r_row = set(km.r_edges[agent - 1][v])
+                p_row = set(km.p_edges[agent - 1][v])
+                for u, high in enumerate(states):
+                    agree = all(
+                        low.order(j) == high.order(j)
+                        for j in range(1, model.n + 1)
+                        if j != agent
+                    )
+                    assert (u in r_row) == agree
+                    assert (u in p_row) == order.at_least_as_good(outs[u], outs[v])
+
+
+def test_logic_imports_nothing_from_the_stacked_evaluator():
+    """The relational cross-check must not share code or state data with
+    the evaluator it checks."""
+    tree = ast.parse(Path(logic.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "_stacked" in name]
 
 
 def test_kripke_view_single_state():
