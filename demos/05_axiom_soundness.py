@@ -3,13 +3,21 @@
 Every schema is instantiated over (n=2, K={a,b}) with the default
 metavariable pool and checked in all 64 models of that domain; the same
 machinery handles thousands of models by stacking their state blocks into
-single integers.
+single integers.  The derived pref-necessitation rule is checked on the
+same models, and a schema without outcome atoms or pref modalities is
+certified over a class far too large to enumerate from one model.
 """
 
 import time
 
-from scflogic import enumerate_models, sample_models
-from scflogic.axioms import default_pool, instantiate_all, soundness_check
+from scflogic import enumerate_models, sample_models, valid_state_formula
+from scflogic.axioms import (
+    default_pool,
+    instantiate,
+    instantiate_all,
+    pref_necessitation_holds,
+    soundness_check,
+)
 
 K = ("a", "b")
 pool = default_pool(2, K)
@@ -19,12 +27,23 @@ instances = instantiate_all(2, K)
 print(f"instances over (n=2, K={{a,b}}): {len(instances)}")
 
 start = time.perf_counter()
-report = soundness_check(instances, list(enumerate_models(2, K)))
+models = list(enumerate_models(2, K))
+report = soundness_check(instances, models)
 print(f"\nchecked against all 64 models in {time.perf_counter() - start:.2f}s:\n")
 print(report.render())
+
+rule = pref_necessitation_holds(models, pool)
+print(f"\npref-necessitation (phi valid => [pref(i)] phi valid) on the pool: {rule}")
 
 start = time.perf_counter()
 sampled = sample_models(2, ("a", "b", "c"), 200, seed=0)
 report3 = soundness_check(instantiate_all(2, ("a", "b", "c")), sampled)
 print(f"\nthree outcomes, 200 sampled models, {time.perf_counter() - start:.2f}s:"
       f" {'all sound' if report3.ok else 'FAILURE'}")
+
+# (ballot) has neither outcome atoms nor pref modalities, so one model
+# decides each instance over the whole class of (3, {a,b,c}): 3^216 * 216 models
+K3 = ("a", "b", "c")
+ballot = instantiate("ballot", 3, K3, ())
+verdicts = {valid_state_formula(3, K3, inst.formula).status for inst in ballot}
+print(f"\n{len(ballot)} (ballot) instances over (3, {{a,b,c}}): {', '.join(sorted(verdicts))}")

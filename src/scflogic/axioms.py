@@ -6,10 +6,17 @@ formulas (instances), quantified over agents, coalitions, outcomes,
 profiles and a pool of metavariable formulas.  `soundness_check` verifies
 every instance in every supplied model.
 
+Each schema is one row of a table: its binder names and a builder of the
+instance formula for one binding.  A binder ranges over agents, outcomes,
+the pool, coalitions, reported atoms, rankings, profiles or, for comp-At,
+the pool's reported-atom fragment; `instantiate` is one loop over the
+product of the binders' domains, and a builder returns None where a side
+condition (x != y, i != j, disjoint agent sets) excludes the binding.
+
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
-the same (n, K); the checker evaluates those once and reports them as
-model-independent.
+the same (n, K); the checker counts those per schema and reports the
+count, but evaluates them in every model like the rest.
 
 Two schema subtleties worth knowing:
 
@@ -29,10 +36,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _stacked
-from .core import LinearOrder, Profile, ScfModel, all_linear_orders, all_profiles
+from .core import Profile, ScfModel, all_linear_orders, all_profiles
 from .encodings import ballot_agent, ballot_profile, better
 from .logic import (
     And,
@@ -63,29 +71,6 @@ __all__ = [
     "pref_necessitation_holds",
 ]
 
-SCHEMAS = (
-    "refl",
-    "antisym-total",
-    "trans",
-    "K(i)",
-    "T(i)",
-    "B(i)",
-    "comp-union",
-    "confl",
-    "empty",
-    "exclu",
-    "ballot",
-    "comp-At",
-    "func1",
-    "func2",
-    "incl",
-    "K(pref)",
-    "4(pref)",
-    "antisym'",
-    "total'",
-    "unifPref",
-)
-
 
 @dataclass(frozen=True)
 class AxiomInstance:
@@ -100,14 +85,6 @@ class AxiomInstance:
                 value = "{" + ",".join(map(str, sorted(value))) + "}"
             parts.append(f"{key}={value}")
         return f"{self.schema}[{', '.join(parts)}]"
-
-
-def _coalitions(n: int) -> list[frozenset[int]]:
-    subsets = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            subsets.append(frozenset(combo))
-    return subsets
 
 
 def _default_cap(n: int, outcomes: tuple[str, ...]) -> int:
@@ -163,13 +140,154 @@ def default_pool(n: int, outcomes: Sequence[str]) -> tuple[Formula, ...]:
 def _at_agent_set(formula: Formula) -> Optional[frozenset[int]]:
     """Agents controlling atoms of a modality-free reported-atom formula,
     or None when the formula falls outside that fragment."""
-    agents = set()
-    for node in formula.subformulas():
-        if type(node) in (Diamond, Pref) or type(node) is Out:
-            return None
-        if type(node) is Rep:
-            agents.add(node.agent)
-    return frozenset(agents)
+    nodes = list(formula.subformulas())
+    if any(type(node) in (Diamond, Pref, Out) for node in nodes):
+        return None
+    return frozenset(node.agent for node in nodes if type(node) is Rep)
+
+
+class _Scope:
+    """What one instantiation ranges over: the binder domains over (n, K)
+    and the pool, the reported atoms and the pool-derived ones computed on
+    first use, and the constants the builders read."""
+
+    def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula]):
+        self.n = n
+        self.outcomes = tuple(outcomes)
+        self.pool = pool
+        self.agents = range(1, n + 1)
+        self.grand = frozenset(self.agents)
+        self.coalitions = [
+            frozenset(c) for size in range(n + 1) for c in itertools.combinations(self.agents, size)
+        ]
+        self.rankings = all_linear_orders(self.outcomes)
+        self.profiles = all_profiles(n, self.outcomes)
+
+    @cached_property
+    def reps(self) -> list[Formula]:
+        return [Rep(i, x, y) for i in self.agents for x in self.outcomes for y in self.outcomes]
+
+    @cached_property
+    def atom_agents(self) -> dict[Formula, Optional[frozenset[int]]]:
+        """`_at_agent_set` of each pool formula, computed once per formula."""
+        return {f: _at_agent_set(f) for f in self.pool}
+
+    @cached_property
+    def fragment(self) -> list[Formula]:
+        """The pool's modality-free reported-atom formulas, for comp-At."""
+        return [f for f in self.pool if self.atom_agents[f] is not None]
+
+
+# binder name -> the `_Scope` attribute holding its domain
+_DOMAINS = {
+    **dict.fromkeys(("i", "j"), "agents"),
+    **dict.fromkeys(("x", "y", "z"), "outcomes"),
+    **dict.fromkeys(("phi", "psi"), "pool"),
+    **dict.fromkeys(("C1", "C2"), "coalitions"),
+    **dict.fromkeys(("profile", "profile1", "profile2"), "profiles"),
+    **dict.fromkeys(("delta1", "delta2"), "fragment"),
+    "p": "reps",
+    "order": "rankings",
+}
+
+
+def _antisym(s: _Scope, i: int, p1: Profile, p2: Profile) -> Formula:
+    b1, b2 = ballot_profile(p1), ballot_profile(p2)
+    same_outcome = disj(
+        And(Diamond(s.grand, And(b1, Out(x))), Diamond(s.grand, And(b2, Out(x))))
+        for x in s.outcomes
+    )
+    return Implies(
+        Diamond(s.grand, And(b1, Pref(i, b2))),
+        Or(Box(s.grand, Implies(b2, PrefBox(i, Not(b1)))), same_outcome),
+    )
+
+
+def _total(s: _Scope, i: int, p1: Profile, p2: Profile) -> Formula:
+    b1, b2 = ballot_profile(p1), ballot_profile(p2)
+    return Or(Diamond(s.grand, And(b1, Pref(i, b2))), Box(s.grand, Implies(b2, Pref(i, b1))))
+
+
+# Each schema: its binder names, bound in this order (the last one varies
+# fastest), and the builder of the instance for one binding, called with
+# the scope and the bound values, which returns None where a side
+# condition excludes the binding.  Table order is `SCHEMAS` order.
+_TABLE: dict[str, tuple[str, Callable[..., Optional[Formula]]]] = {
+    "refl": ("i x", lambda s, i, x: Rep(i, x, x)),
+    "antisym-total": (
+        "i x y",
+        lambda s, i, x, y: Iff(Rep(i, x, y), Not(Rep(i, y, x))) if x != y else None,
+    ),
+    "trans": (
+        "i x y z",
+        lambda s, i, x, y, z: Implies(And(Rep(i, x, y), Rep(i, y, z)), Rep(i, x, z)),
+    ),
+    "K(i)": (
+        "i phi psi",
+        lambda s, i, phi, psi: Implies(
+            Box({i}, Implies(phi, psi)), Implies(Box({i}, phi), Box({i}, psi))
+        ),
+    ),
+    "T(i)": ("i phi", lambda s, i, phi: Implies(Box({i}, phi), phi)),
+    "B(i)": ("i phi", lambda s, i, phi: Implies(phi, Box({i}, Diamond({i}, phi)))),
+    "comp-union": (
+        "C1 C2 phi",
+        lambda s, c1, c2, phi: Iff(Box(c1, Box(c2, phi)), Box(c1 | c2, phi)),
+    ),
+    # stated for independence between distinct agents; i = j not instantiated
+    "confl": (
+        "i j phi",
+        lambda s, i, j, phi: Implies(Diamond({i}, Box({j}, phi)), Box({j}, Diamond({i}, phi)))
+        if i != j
+        else None,
+    ),
+    "empty": ("phi", lambda s, phi: Iff(Box((), phi), phi)),
+    "exclu": (
+        "i j p",
+        lambda s, i, j, p: Implies(
+            And(Diamond({i}, p), Diamond({i}, Not(p))), Or(Box({j}, p), Box({j}, Not(p)))
+        )
+        if i != j
+        else None,
+    ),
+    "ballot": ("i order", lambda s, i, order: Diamond({i}, ballot_agent(i, order))),
+    "comp-At": (
+        "C1 C2 delta1 delta2",
+        lambda s, c1, c2, d1, d2: None
+        if s.atom_agents[d1] & s.atom_agents[d2]
+        else Implies(And(Diamond(c1, d1), Diamond(c2, d2)), Diamond(c1 | c2, And(d1, d2))),
+    ),
+    "func1": (
+        "",
+        lambda s: disj(
+            conj([Out(x)] + [Not(Out(y)) for y in s.outcomes if y != x]) for x in s.outcomes
+        ),
+    ),
+    "func2": (
+        "profile phi",
+        lambda s, q, phi: Implies(
+            And(ballot_profile(q), phi), Box(s.grand, Implies(ballot_profile(q), phi))
+        ),
+    ),
+    "incl": ("i phi", lambda s, i, phi: Implies(Box(s.grand, phi), PrefBox(i, phi))),
+    "K(pref)": (
+        "i phi psi",
+        lambda s, i, phi, psi: Implies(
+            PrefBox(i, Implies(phi, psi)), Implies(PrefBox(i, phi), PrefBox(i, psi))
+        ),
+    ),
+    "4(pref)": ("i phi", lambda s, i, phi: Implies(Pref(i, Pref(i, phi)), Pref(i, phi))),
+    "antisym'": ("i profile1 profile2", _antisym),
+    "total'": ("i profile1 profile2", _total),
+    "unifPref": (
+        "i x y",
+        lambda s, i, x, y: Implies(
+            And(Out(x), Pref(i, Out(y))), better(s.n, s.outcomes, i, Out(x), Out(y))
+        ),
+    ),
+}
+
+SCHEMAS = tuple(_TABLE)
 
 
 def instantiate(
@@ -177,191 +295,16 @@ def instantiate(
 ) -> list[AxiomInstance]:
     """All instances of one schema over every binding of its agents,
     coalitions, outcomes and profiles, metavariables drawn from the pool."""
-    names = tuple(outcomes)
-    agents = range(1, n + 1)
-    grand = frozenset(agents)
-    profiles = all_profiles(n, names)
-    out: list[AxiomInstance] = []
-
-    def add(bindings: dict, formula: Formula) -> None:
-        out.append(AxiomInstance(schema, bindings, formula))
-
-    if schema == "refl":
-        for i in agents:
-            for x in names:
-                add({"i": i, "x": x}, Rep(i, x, x))
-    elif schema == "antisym-total":
-        for i in agents:
-            for x in names:
-                for y in names:
-                    if x != y:
-                        add({"i": i, "x": x, "y": y}, Iff(Rep(i, x, y), Not(Rep(i, y, x))))
-    elif schema == "trans":
-        for i in agents:
-            for x in names:
-                for y in names:
-                    for z in names:
-                        add(
-                            {"i": i, "x": x, "y": y, "z": z},
-                            Implies(And(Rep(i, x, y), Rep(i, y, z)), Rep(i, x, z)),
-                        )
-    elif schema == "K(i)":
-        for i in agents:
-            box = frozenset({i})
-            for phi in pool:
-                for psi in pool:
-                    add(
-                        {"i": i, "phi": phi, "psi": psi},
-                        Implies(Box(box, Implies(phi, psi)), Implies(Box(box, phi), Box(box, psi))),
-                    )
-    elif schema == "T(i)":
-        for i in agents:
-            for phi in pool:
-                add({"i": i, "phi": phi}, Implies(Box(frozenset({i}), phi), phi))
-    elif schema == "B(i)":
-        for i in agents:
-            box = frozenset({i})
-            for phi in pool:
-                add({"i": i, "phi": phi}, Implies(phi, Box(box, Diamond(box, phi))))
-    elif schema == "comp-union":
-        for c1 in _coalitions(n):
-            for c2 in _coalitions(n):
-                for phi in pool:
-                    add(
-                        {"C1": c1, "C2": c2, "phi": phi},
-                        Iff(Box(c1, Box(c2, phi)), Box(c1 | c2, phi)),
-                    )
-    elif schema == "confl":
-        # stated for independence between distinct agents; i = j not instantiated
-        for i in agents:
-            for j in agents:
-                if i == j:
-                    continue
-                for phi in pool:
-                    add(
-                        {"i": i, "j": j, "phi": phi},
-                        Implies(
-                            Diamond(frozenset({i}), Box(frozenset({j}), phi)),
-                            Box(frozenset({j}), Diamond(frozenset({i}), phi)),
-                        ),
-                    )
-    elif schema == "empty":
-        empty = frozenset()
-        for phi in pool:
-            add({"phi": phi}, Iff(Box(empty, phi), phi))
-    elif schema == "exclu":
-        reps = [Rep(i, x, y) for i in agents for x in names for y in names]
-        for i in agents:
-            di = frozenset({i})
-            for j in agents:
-                if j == i:
-                    continue
-                dj = frozenset({j})
-                for p in reps:
-                    add(
-                        {"i": i, "j": j, "p": p},
-                        Implies(
-                            And(Diamond(di, p), Diamond(di, Not(p))),
-                            Or(Box(dj, p), Box(dj, Not(p))),
-                        ),
-                    )
-    elif schema == "ballot":
-        for i in agents:
-            for order in all_linear_orders(names):
-                add({"i": i, "order": order}, Diamond(frozenset({i}), ballot_agent(i, order)))
-    elif schema == "comp-At":
-        deltas = [(f, _at_agent_set(f)) for f in pool]
-        deltas = [(f, a) for f, a in deltas if a is not None]
-        for c1 in _coalitions(n):
-            for c2 in _coalitions(n):
-                union = c1 | c2
-                for d1, a1 in deltas:
-                    for d2, a2 in deltas:
-                        if a1 & a2:
-                            continue
-                        add(
-                            {"C1": c1, "C2": c2, "delta1": d1, "delta2": d2},
-                            Implies(
-                                And(Diamond(c1, d1), Diamond(c2, d2)),
-                                Diamond(union, And(d1, d2)),
-                            ),
-                        )
-    elif schema == "func1":
-        add(
-            {},
-            disj(
-                conj([Out(x)] + [Not(Out(y)) for y in names if y != x])
-                for x in names
-            ),
-        )
-    elif schema == "func2":
-        for profile in profiles:
-            label = ballot_profile(profile)
-            for phi in pool:
-                add(
-                    {"profile": profile, "phi": phi},
-                    Implies(And(label, phi), Box(grand, Implies(label, phi))),
-                )
-    elif schema == "incl":
-        for i in agents:
-            for phi in pool:
-                add({"i": i, "phi": phi}, Implies(Box(grand, phi), PrefBox(i, phi)))
-    elif schema == "K(pref)":
-        for i in agents:
-            for phi in pool:
-                for psi in pool:
-                    add(
-                        {"i": i, "phi": phi, "psi": psi},
-                        Implies(
-                            PrefBox(i, Implies(phi, psi)),
-                            Implies(PrefBox(i, phi), PrefBox(i, psi)),
-                        ),
-                    )
-    elif schema == "4(pref)":
-        for i in agents:
-            for phi in pool:
-                add({"i": i, "phi": phi}, Implies(Pref(i, Pref(i, phi)), Pref(i, phi)))
-    elif schema == "antisym'":
-        for i in agents:
-            for p1 in profiles:
-                for p2 in profiles:
-                    b1, b2 = ballot_profile(p1), ballot_profile(p2)
-                    same_outcome = disj(
-                        And(Diamond(grand, And(b1, Out(x))), Diamond(grand, And(b2, Out(x))))
-                        for x in names
-                    )
-                    add(
-                        {"i": i, "profile1": p1, "profile2": p2},
-                        Implies(
-                            Diamond(grand, And(b1, Pref(i, b2))),
-                            Or(Box(grand, Implies(b2, PrefBox(i, Not(b1)))), same_outcome),
-                        ),
-                    )
-    elif schema == "total'":
-        for i in agents:
-            for p1 in profiles:
-                for p2 in profiles:
-                    b1, b2 = ballot_profile(p1), ballot_profile(p2)
-                    add(
-                        {"i": i, "profile1": p1, "profile2": p2},
-                        Or(
-                            Diamond(grand, And(b1, Pref(i, b2))),
-                            Box(grand, Implies(b2, Pref(i, b1))),
-                        ),
-                    )
-    elif schema == "unifPref":
-        for i in agents:
-            for x in names:
-                for y in names:
-                    add(
-                        {"i": i, "x": x, "y": y},
-                        Implies(
-                            And(Out(x), Pref(i, Out(y))),
-                            better(n, names, i, Out(x), Out(y)),
-                        ),
-                    )
-    else:
+    if schema not in _TABLE:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
+    binders, build = _TABLE[schema]
+    names = binders.split()
+    scope = _Scope(n, outcomes, pool)
+    out: list[AxiomInstance] = []
+    for values in itertools.product(*(getattr(scope, _DOMAINS[b]) for b in names)):
+        formula = build(scope, *values)
+        if formula is not None:
+            out.append(AxiomInstance(schema, dict(zip(names, values)), formula))
     return out
 
 
@@ -370,10 +313,7 @@ def instantiate_all(
 ) -> list[AxiomInstance]:
     if pool is None:
         pool = default_pool(n, outcomes)
-    instances: list[AxiomInstance] = []
-    for schema in SCHEMAS:
-        instances.extend(instantiate(schema, n, outcomes, pool))
-    return instances
+    return [inst for schema in SCHEMAS for inst in instantiate(schema, n, outcomes, pool)]
 
 
 @dataclass

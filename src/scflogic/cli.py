@@ -228,8 +228,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_axioms(args: argparse.Namespace) -> int:
     outcomes = _parse_outcomes(args.outcomes)
     budget = _budget(args)
-    count, states = decision.model_class_size(args.agents, outcomes)
-    if count <= budget.max_models and states <= budget.max_states:
+    count, _ = decision.model_class_size(args.agents, outcomes)
+    if count <= budget.max_models:
         models = list(decision.enumerate_models(args.agents, outcomes, budget))
         source = f"all {count} models"
     else:

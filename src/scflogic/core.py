@@ -26,7 +26,6 @@ __all__ = [
     "all_linear_orders",
     "all_profiles",
     "profile_index",
-    "profile_from_index",
     "num_states",
     "state_atoms",
     "scf_as_game_form",
@@ -189,19 +188,6 @@ def profile_index(profile: Profile, outcomes: Sequence[str]) -> int:
             raise InvalidDomain(f"order {order} is not a permutation of {tuple(outcomes)}") from None
         idx = idx * radix + digit
     return idx
-
-
-def profile_from_index(idx: int, n: int, outcomes: Sequence[str]) -> Profile:
-    orders = all_linear_orders(outcomes)
-    radix = len(orders)
-    total = radix**n
-    if not 0 <= idx < total:
-        raise InvalidDomain(f"profile index {idx} out of range 0..{total - 1}")
-    digits = []
-    for _ in range(n):
-        digits.append(idx % radix)
-        idx //= radix
-    return Profile(tuple(orders[d] for d in reversed(digits)))
 
 
 def state_atoms(state: Profile) -> frozenset[RepAtom]:

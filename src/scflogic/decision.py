@@ -57,11 +57,10 @@ __all__ = [
 @dataclass(frozen=True)
 class EnumerationBudget:
     max_models: int = 10**6
-    max_states: int = 10**4
 
     def __post_init__(self) -> None:
-        if self.max_models < 1 or self.max_states < 1:
-            raise InvalidDomain("budget limits must be positive")
+        if self.max_models < 1:
+            raise InvalidDomain("the model budget must be positive")
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -76,7 +75,7 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
         super().__init__(
             f"enumeration needs {required_models} models over {required_states} states,"
-            f" budget allows {budget.max_models} models / {budget.max_states} states"
+            f" budget allows {budget.max_models} models"
         )
 
 
@@ -112,7 +111,7 @@ def model_class_size(n: int, outcomes: Sequence[str]) -> tuple[int, int]:
 
 def _check_budget(n: int, outcomes: Sequence[str], budget: EnumerationBudget) -> None:
     models, states = model_class_size(n, outcomes)
-    if models > budget.max_models or states > budget.max_states:
+    if models > budget.max_models:
         raise BudgetExceeded(models, states, budget)
 
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional
 from .core import (
     GameForm,
     InvalidDomain,
-    LinearOrder,
     Profile,
     ScfTable,
     all_linear_orders,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from . import encodings
 from .core import InvalidDomain, LinearOrder, Profile, ScfTable
@@ -184,8 +184,11 @@ _RIGHT_ASSOCIATIVE = frozenset({"->", "<->"})
 
 @dataclass
 class _Level:
-    """One parenthesized level of a formula being parsed."""
+    """One parenthesized level of a formula being parsed, or one argument
+    list of `better(i, f, g)` (with `agent` set and `args` filling up)."""
 
+    agent: Optional[int] = None
+    args: list[Formula] = field(default_factory=list)
     prefixes: list[Callable[[Formula], Formula]] = field(default_factory=list)
     operands: list[Formula] = field(default_factory=list)
     operators: list[str] = field(default_factory=list)
@@ -234,16 +237,23 @@ class _Parser:
     def formula(self) -> Formula:
         """Operator-precedence parse on explicit stacks: prefix operators
         wait for their operand, binary operators for the end of their right
-        operand, and each "(" opens a level of its own, so neither long
-        chains nor deep nesting recurse."""
+        operand, and each "(" or "better(i," opens a level of its own, so
+        neither long chains nor deep nesting recurse.  In a `better` level
+        a "," ends the first argument and the ")" after the second builds
+        the macro, which the outer level takes as an operand."""
         outer: list[_Level] = []
         level = _Level()
         while True:
             level.prefixes = self.prefix_operators()
-            if self.at_symbol("("):
+            token = self.peek()
+            if (token.kind, token.text) in (("symbol", "("), ("word", "better")):
                 self.advance()
                 outer.append(level)
                 level = _Level()
+                if token.text == "better":
+                    self.expect("(")
+                    level.agent = self.agent()
+                    self.expect(",")
                 continue
             node = self.primary()
             while True:
@@ -261,6 +271,12 @@ class _Parser:
                 node = level.operands.pop()
                 if not outer:
                     return node
+                if level.agent is not None:
+                    level.args.append(node)
+                    if len(level.args) == 1:
+                        self.expect(",")
+                        break
+                    node = encodings.better(self.ctx.n, self.ctx.outcomes, level.agent, *level.args)
                 self.expect(")")
                 level = outer.pop()
 
@@ -380,23 +396,12 @@ class _Parser:
                 right = self.outcome()
                 self.expect(")")
                 return Rep(agent, left, right)
-            if text in ("ballot", "ballotAll", "better", "trueprofile", "br", "scf"):
+            if text in ("ballot", "ballotAll", "trueprofile", "br", "scf"):
                 return self.macro_call(token)
-            if text == "citsov":
+            if text in ("citsov", "nodict", "dom", "mon", "strproof"):
                 self.advance()
-                return encodings.citsov(self.ctx.n, self.ctx.outcomes)
-            if text == "nodict":
-                self.advance()
-                return encodings.nodict(self.ctx.n, self.ctx.outcomes)
-            if text == "dom":
-                self.advance()
-                return encodings.dom(self.ctx.n, self.ctx.outcomes)
-            if text == "mon":
-                self.advance()
-                return encodings.mon(self.ctx.n, self.ctx.outcomes)
-            if text == "strproof":
-                self.advance()
-                return encodings.strproof(self.ctx.n, self.ctx.outcomes)
+                prop = encodings.PropertyId(text)
+                return encodings.property_formula(prop, self.ctx.n, self.ctx.outcomes)
             return Out(self.outcome())
         raise ParseError(
             f"expected a formula, found {token.text or 'end of input'!r}", token.span
@@ -416,14 +421,6 @@ class _Parser:
             profile = self.profile_literal()
             self.expect(")")
             return encodings.ballot_profile(profile)
-        if name == "better":
-            agent = self.agent()
-            self.expect(",")
-            lo = self.formula()
-            self.expect(",")
-            hi = self.formula()
-            self.expect(")")
-            return encodings.better(self.ctx.n, self.ctx.outcomes, agent, lo, hi)
         if name == "trueprofile":
             profile = self.profile_literal()
             self.expect(")")
@@ -431,7 +428,7 @@ class _Parser:
         if name == "br":
             agent = self.agent()
             self.expect(")")
-            return encodings.best_response(agent, self.ctx.n, self.ctx.outcomes)
+            return encodings.property_formula(encodings.BR(agent), self.ctx.n, self.ctx.outcomes)
         if name == "scf":
             token = self.peek()
             if token.kind != "string":

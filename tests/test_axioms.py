@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scflogic import (
@@ -21,6 +23,7 @@ from scflogic.axioms import (
 )
 from scflogic.logic import And, Box, Diamond, Iff, Not, Or, Out, Pref, PrefBox, Rep, TRUE
 from scflogic.axioms import AxiomInstance
+from scflogic.parser import format_formula, parse
 
 from conftest import K2, K3
 
@@ -182,3 +185,88 @@ def test_pref_necessitation_holds_on_whole_classes(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(axioms, "PrefBox", broken_box)
             assert not pref_necessitation_holds(models, pool)
+
+
+# (n, outcomes, schema) -> (instance count, first 16 hex digits of the
+# sha256 of the lines "<describe()>\t<format_formula(formula)>\n" in
+# instantiation order); pools: the default ones at (2,2) and (1,3),
+# DIGEST_POOL_23 at (2,3)
+DIGEST_POOL_23 = ("a", "rep(1,a,b)", "~rep(2,b,c)", "rep(1,c,a) | rep(2,a,b)")
+INSTANCE_DIGESTS = {
+    (2, "ab", "refl"): (4, "fda3ac131103df57"),
+    (2, "ab", "antisym-total"): (4, "ab180be121c1ac8e"),
+    (2, "ab", "trans"): (16, "22ce430175d67e96"),
+    (2, "ab", "K(i)"): (8192, "bb34f543ced48cc3"),
+    (2, "ab", "T(i)"): (128, "efd8034eeaba59fe"),
+    (2, "ab", "B(i)"): (128, "69ffdc05ee7b8be3"),
+    (2, "ab", "comp-union"): (1024, "6ebc926f5e156e77"),
+    (2, "ab", "confl"): (128, "36d80e1b98f48874"),
+    (2, "ab", "empty"): (64, "90c579e4f2d105b0"),
+    (2, "ab", "exclu"): (16, "f19ef45a37af859b"),
+    (2, "ab", "ballot"): (4, "a6f89f0ae8125840"),
+    (2, "ab", "comp-At"): (7200, "07702e506dea6436"),
+    (2, "ab", "func1"): (1, "5082495abb662213"),
+    (2, "ab", "func2"): (256, "492e95c0da16ffb6"),
+    (2, "ab", "incl"): (128, "8593d8cb718c8db1"),
+    (2, "ab", "K(pref)"): (8192, "6a2ad4be9792ffce"),
+    (2, "ab", "4(pref)"): (128, "e288a58104208662"),
+    (2, "ab", "antisym'"): (32, "23a96b6297087d0b"),
+    (2, "ab", "total'"): (32, "ce6cd9218b7670a4"),
+    (2, "ab", "unifPref"): (8, "e6d4c180b8fe8db7"),
+    (1, "abc", "refl"): (3, "ad38867921c0d15d"),
+    (1, "abc", "antisym-total"): (6, "516788015f2435b7"),
+    (1, "abc", "trans"): (27, "3483a3eb5f60f245"),
+    (1, "abc", "K(i)"): (1024, "913767a4ac8936d3"),
+    (1, "abc", "T(i)"): (32, "9690649509d577c5"),
+    (1, "abc", "B(i)"): (32, "6c3b28114b70d57b"),
+    (1, "abc", "comp-union"): (128, "db1bf5dd9c8ad505"),
+    (1, "abc", "confl"): (0, "e3b0c44298fc1c14"),
+    (1, "abc", "empty"): (32, "5482e77bc4c5428d"),
+    (1, "abc", "exclu"): (0, "e3b0c44298fc1c14"),
+    (1, "abc", "ballot"): (6, "2136cda57ed9cb11"),
+    (1, "abc", "comp-At"): (0, "e3b0c44298fc1c14"),
+    (1, "abc", "func1"): (1, "4293d05089a093d8"),
+    (1, "abc", "func2"): (192, "220560f89384cb9e"),
+    (1, "abc", "incl"): (32, "659ebda4968d409d"),
+    (1, "abc", "K(pref)"): (1024, "e7046ff76c80a14c"),
+    (1, "abc", "4(pref)"): (32, "009cc86db2835ebf"),
+    (1, "abc", "antisym'"): (36, "6f01295991897768"),
+    (1, "abc", "total'"): (36, "9da3758ce37de9d0"),
+    (1, "abc", "unifPref"): (9, "5cfeb7f642f64202"),
+    (2, "abc", "refl"): (6, "d77687dc0365f19d"),
+    (2, "abc", "antisym-total"): (12, "8175fcb49ecb20db"),
+    (2, "abc", "trans"): (54, "49ce5b5c6a67d543"),
+    (2, "abc", "K(i)"): (32, "ee5de6d413930abb"),
+    (2, "abc", "T(i)"): (8, "9c717ec95aa5676b"),
+    (2, "abc", "B(i)"): (8, "4991ac39ce0eaa37"),
+    (2, "abc", "comp-union"): (64, "0a07c99eed4c2dfa"),
+    (2, "abc", "confl"): (8, "ca850e6fbc6fb10b"),
+    (2, "abc", "empty"): (4, "900abef53c0f593a"),
+    (2, "abc", "exclu"): (36, "5a7561a64497edd3"),
+    (2, "abc", "ballot"): (12, "6391908fd3607be0"),
+    (2, "abc", "comp-At"): (32, "2fc96f9c08754bde"),
+    (2, "abc", "func1"): (1, "4293d05089a093d8"),
+    (2, "abc", "func2"): (144, "234c8b8321b8ca91"),
+    (2, "abc", "incl"): (8, "3533c3f72e1d4f0e"),
+    (2, "abc", "K(pref)"): (32, "95d00d2096c92e4c"),
+    (2, "abc", "4(pref)"): (8, "1af5a7a91d5a2bd9"),
+    (2, "abc", "antisym'"): (2592, "87685b4a6a70191c"),
+    (2, "abc", "total'"): (2592, "47d3c08cf98ee64d"),
+    (2, "abc", "unifPref"): (18, "ce53133107b2a9b4"),
+}
+
+
+def test_instances_match_pinned_digests():
+    """Every schema yields the same instances, bindings and formulas, in
+    the same order, as pinned here."""
+    pool_23 = tuple(parse(text, (2, K3)) for text in DIGEST_POOL_23)
+    pools = {(2, "ab"): default_pool(2, K2), (1, "abc"): default_pool(1, K3), (2, "abc"): pool_23}
+    seen = {}
+    for (n, names), pool in pools.items():
+        for schema in SCHEMAS:
+            digest = hashlib.sha256()
+            instances = instantiate(schema, n, tuple(names), pool)
+            for inst in instances:
+                digest.update(f"{inst.describe()}\t{format_formula(inst.formula)}\n".encode())
+            seen[n, names, schema] = (len(instances), digest.hexdigest()[:16])
+    assert seen == INSTANCE_DIGESTS

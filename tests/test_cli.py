@@ -313,3 +313,11 @@ def test_equal_deep_disjuncts_are_one_node(capsys):
     side = "~" * 3000 + "a"
     assert main(["sat", "--agents", "1", "--outcomes", "a,b", f"{side} | {side}"]) == 0
     assert capsys.readouterr().out.startswith("SAT\n")
+
+
+def test_deeply_nested_better_is_decided(capsys):
+    """`better` arguments nested 5,000 deep are parsed on the parser's
+    explicit level stack, without recursion, and decided."""
+    text = "better(1," * 5000 + "a" + ",b)" * 5000
+    assert main(["sat", "--agents", "1", "--outcomes", "a,b", text]) == 0
+    assert capsys.readouterr().out.startswith("SAT\n")

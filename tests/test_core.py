@@ -12,7 +12,6 @@ from scflogic import (
     all_linear_orders,
     all_profiles,
     num_states,
-    profile_from_index,
     profile_index,
     scf_as_game_form,
     state_atoms,
@@ -67,9 +66,6 @@ def test_profile_index_roundtrip():
     profiles = all_profiles(2, K3)
     for i, p in enumerate(profiles):
         assert profile_index(p, K3) == i
-        assert profile_from_index(i, 2, K3) == p
-    with pytest.raises(InvalidDomain):
-        profile_from_index(36, 2, K3)
 
 
 def test_profile_index_is_mixed_radix():

@@ -40,7 +40,7 @@ from scflogic.logic import (
     PrefBox,
     Rep,
 )
-from scflogic.parser import Context, ParseError, format_formula, parse
+from scflogic.parser import Context, ParseError, SourceSpan, format_formula, parse
 
 from conftest import K2, K3
 
@@ -240,3 +240,49 @@ def test_long_chains_parse_and_round_trip():
         node, links = node.right, links + 1
     assert links == 9999 and node == Out("a")
     assert parse("(" * 10000 + "a" + ")" * 10000, CTX2) == Out("a")
+
+
+@pytest.mark.parametrize(
+    "text, message, start, end",
+    [
+        ("better(1,a,b", "expected ')', found 'end of input'", 12, 12),
+        ("better(1,a b)", "expected ',', found 'b'", 11, 12),
+        ("better(1 a,b)", "expected ',', found 'a'", 9, 10),
+        ("better(3,a,b)", "unknown agent token '3' (agents are 1..2)", 7, 8),
+        ("better(1,,b)", "expected a formula, found ','", 9, 10),
+        ("better(1,a,)", "expected a formula, found ')'", 11, 12),
+        ("better(1,a,b,c)", "expected ')', found ','", 12, 13),
+        ("better a", "expected '(', found 'a'", 7, 8),
+        ("better(", "expected an agent number, found 'end of input'", 7, 7),
+        ("better(1", "expected ',', found 'end of input'", 8, 8),
+        ("(better(1,a,b)", "expected ')', found 'end of input'", 14, 14),
+        ("better(1,a & (b,b)", "expected ')', found ','", 15, 16),
+        ("better(1,(a,b))", "expected ')', found ','", 11, 12),
+    ],
+)
+def test_better_argument_errors(text, message, start, end):
+    """Malformed `better(i, f, g)` calls: the message and span of each
+    error, as the recursive-descent parser of the arguments reported them."""
+    with pytest.raises(ParseError) as err:
+        parse(text, CTX2)
+    assert (err.value.message, err.value.span) == (message, SourceSpan(start, end))
+
+
+def test_keyword_properties_are_built_once(monkeypatch):
+    """The parser builds the property keywords through the memoized
+    `property_formula`, so a repeated keyword is not rebuilt."""
+    from scflogic import encodings
+
+    calls = []
+    real = encodings.strproof
+
+    def counting(n, outcomes):
+        calls.append((n, outcomes))
+        return real(n, outcomes)
+
+    monkeypatch.setattr(encodings, "strproof", counting)
+    encodings._property_formula.cache_clear()
+    first = parse("strproof", CTX2)
+    assert parse("strproof", CTX2) is first
+    assert len(calls) <= 1
+    encodings._property_formula.cache_clear()
