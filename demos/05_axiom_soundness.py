@@ -10,7 +10,7 @@ certified over a class far too large to enumerate from one model.
 
 import time
 
-from scflogic import enumerate_models, sample_models, valid_state_formula
+from scflogic import enumerate_models, sample_models, valid
 from scflogic.axioms import (
     default_pool,
     instantiate,
@@ -41,9 +41,10 @@ report3 = soundness_check(instantiate_all(2, ("a", "b", "c")), sampled)
 print(f"\nthree outcomes, 200 sampled models, {time.perf_counter() - start:.2f}s:"
       f" {'all sound' if report3.ok else 'FAILURE'}")
 
-# (ballot) has neither outcome atoms nor pref modalities, so one model
-# decides each instance over the whole class of (3, {a,b,c}): 3^216 * 216 models
+# (ballot) has neither outcome atoms nor pref modalities, so `valid` decides
+# each instance over the whole class of (3, {a,b,c}), 3^216 * 216 models,
+# on one model
 K3 = ("a", "b", "c")
 ballot = instantiate("ballot", 3, K3, ())
-verdicts = {valid_state_formula(3, K3, inst.formula).status for inst in ballot}
+verdicts = {valid(3, K3, inst.formula).status for inst in ballot}
 print(f"\n{len(ballot)} (ballot) instances over (3, {{a,b,c}}): {', '.join(sorted(verdicts))}")

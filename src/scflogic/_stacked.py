@@ -299,13 +299,14 @@ class StackedEvaluator:
         fails at some state of that model."""
         return self._block_any(self.full ^ self.truth_mask(formula))
 
-    def first_failure(self, formula: Formula) -> tuple[int, int] | None:
-        """(model index, state index) of the lowest falsified bit, if any."""
+    def first_failure(self, formula: Formula) -> tuple[ScfModel, Profile] | None:
+        """(model, state) of the lowest falsified bit, if any: the first
+        model of the batch that falsifies `formula`, at its lowest state."""
         bad = self.full ^ self.truth_mask(formula)
         if not bad:
             return None
-        pos = (bad & -bad).bit_length() - 1
-        return divmod(pos, self.block)
+        model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
+        return self.models[model_idx], self.space.profiles[state_idx]
 
 
 class Evaluator(StackedEvaluator):

@@ -376,8 +376,7 @@ def soundness_check(
         for inst in group:
             where = ev.first_failure(inst.formula)
             if where is not None:
-                model_idx, state_idx = where
-                failure = (inst, models[model_idx], ev.space.profiles[state_idx])
+                failure = (inst, *where)
                 break
         independent = sum(
             1 for inst in group if not (inst.formula.uses_outcome or inst.formula.uses_pref)

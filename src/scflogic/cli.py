@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import axioms as axioms_mod
 from . import decision, encodings, files, game
@@ -68,11 +68,16 @@ def _budget(args: argparse.Namespace) -> decision.EnumerationBudget:
     return decision.EnumerationBudget(max_models=args.budget)
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+def _emit(
+    args: argparse.Namespace,
+    payload: Callable[[], dict],
+    lines: Callable[[], list[str]],
+) -> None:
+    """Print the JSON payload or the text lines; only the one printed is built."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -82,22 +87,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     formula = parse(_formula_arg(args), ctx)
     ev = Evaluator(model)
     mask = ev.truth_mask(formula)
-    rows = []
-    for idx, state in enumerate(model.states):
-        rows.append((idx, state, bool(mask >> idx & 1)))
+    rows = [(idx, state, bool(mask >> idx & 1)) for idx, state in enumerate(model.states)]
     valid = mask == ev.full
-    lines = [f"{'state':<6} {'profile':<24} holds"]
-    lines += [f"{idx:<6} {str(state):<24} {str(holds).lower()}" for idx, state, holds in rows]
-    lines.append(f"valid in model: {'yes' if valid else 'no'}")
-    payload = {
-        "command": "check",
-        "formula": format_formula(formula),
-        "states": [
-            {"state": _profile_json(state), "holds": holds} for _, state, holds in rows
-        ],
-        "valid": valid,
-    }
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {
+            "command": "check",
+            "formula": format_formula(formula),
+            "states": [
+                {"state": _profile_json(state), "holds": holds} for _, state, holds in rows
+            ],
+            "valid": valid,
+        },
+        lambda: [f"{'state':<6} {'profile':<24} holds"]
+        + [f"{idx:<6} {str(state):<24} {str(holds).lower()}" for idx, state, holds in rows]
+        + [f"valid in model: {'yes' if valid else 'no'}"],
+    )
     return 0 if valid else 1
 
 
@@ -107,27 +112,34 @@ def cmd_property(args: argparse.Namespace) -> int:
     verdict = decision.check_scf_property(table, prop)
     holds = verdict.status == "valid"
     oracle, detail = game.property_oracle(table, prop)
-    lines = [f"property {prop}: {'PASS' if holds else 'FAIL'}"]
-    if not holds:
-        if detail:
-            lines.append(f"  {detail}")
-        assert verdict.counterexample is not None
-        model, state = verdict.counterexample
-        lines.append(f"  encoding fails at state {state} with truth {model.truth}")
-    if oracle != holds:
-        lines.append(
-            "  DISAGREEMENT: game-theoretic oracle says"
-            f" {'PASS' if oracle else 'FAIL'} (reported, not reconciled)"
-        )
-    payload = {
-        "command": "property",
-        "property": str(prop),
-        "verdict": "PASS" if holds else "FAIL",
-        "oracle": oracle,
-        "agrees": oracle == holds,
-        "detail": detail or None,
-    }
-    _emit(args, payload, lines)
+
+    def lines() -> list[str]:
+        text = [f"property {prop}: {'PASS' if holds else 'FAIL'}"]
+        if not holds:
+            if detail:
+                text.append(f"  {detail}")
+            assert verdict.counterexample is not None
+            model, state = verdict.counterexample
+            text.append(f"  encoding fails at state {state} with truth {model.truth}")
+        if oracle != holds:
+            text.append(
+                "  DISAGREEMENT: game-theoretic oracle says"
+                f" {'PASS' if oracle else 'FAIL'} (reported, not reconciled)"
+            )
+        return text
+
+    _emit(
+        args,
+        lambda: {
+            "command": "property",
+            "property": str(prop),
+            "verdict": "PASS" if holds else "FAIL",
+            "oracle": oracle,
+            "agrees": oracle == holds,
+            "detail": detail or None,
+        },
+        lines,
+    )
     return 0 if holds else 1
 
 
@@ -167,15 +179,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
     formula = parse(_formula_arg(args), ctx)
     decide = decision.satisfiable if args.command == "sat" else decision.valid
     verdict = decide(args.agents, outcomes, formula, _budget(args))
-    lines = _verdict_lines(verdict, _HEADLINES[verdict.status])
-    _emit(args, {"command": args.command, **_verdict_payload(verdict)}, lines)
+    _emit(
+        args,
+        lambda: {"command": args.command, **_verdict_payload(verdict)},
+        lambda: _verdict_lines(verdict, _HEADLINES[verdict.status]),
+    )
     return 0 if verdict else 1
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
     table = files.load_scf(args.scf)
     text = format_formula(encodings.rho(table, args.form))
-    _emit(args, {"command": "encode", "form": args.form, "formula": text}, [text])
+    _emit(args, lambda: {"command": "encode", "form": args.form, "formula": text}, lambda: [text])
     return 0
 
 
@@ -184,44 +199,46 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     concept = game.SolutionConcept.NE if args.concept == "ne" else game.SolutionConcept.DOMEQ
     direct = scf_as_game_form(model.table)
     found = game.solution_set(direct, model.truth, concept)
-    lines = [f"{concept.name} equilibria under truth {model.truth}: {len(found)}"]
-    for combo in found:
-        profile = Profile(combo)
-        lines.append(f"  {profile} -> {direct.outcome(combo)}")
-    payload = {
-        "command": "equilibria",
-        "concept": concept.name,
-        "equilibria": [
-            {"profile": _profile_json(Profile(combo)), "outcome": direct.outcome(combo)}
-            for combo in found
-        ],
-    }
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {
+            "command": "equilibria",
+            "concept": concept.name,
+            "equilibria": [
+                {"profile": _profile_json(Profile(combo)), "outcome": direct.outcome(combo)}
+                for combo in found
+            ],
+        },
+        lambda: [f"{concept.name} equilibria under truth {model.truth}: {len(found)}"]
+        + [f"  {Profile(combo)} -> {direct.outcome(combo)}" for combo in found],
+    )
     return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     table = files.load_scf(args.scf)
     report = game.equivalence_audit(table)
-    lines = [
-        f"truthful DOM-implementation : {report.truthful_dom}",
-        f"DOM-implementation          : {report.dom_implement}",
-        f"monotonic                   : {report.monotonic}",
-        f"strategy-proofness encoding : {report.strproof_encoding}",
-        f"truthful = implement        : {report.truthful_vs_implement}",
-        f"monotonic = truthful        : {report.monotonic_vs_truthful}",
-        f"encoding = truthful         : {report.encoding_vs_truthful}",
-        f"all agree                   : {report.all_agree}",
-    ]
-    payload = {
-        "command": "audit",
-        "truthful_dom": report.truthful_dom,
-        "dom_implement": report.dom_implement,
-        "monotonic": report.monotonic,
-        "strproof_encoding": report.strproof_encoding,
-        "all_agree": report.all_agree,
-    }
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {
+            "command": "audit",
+            "truthful_dom": report.truthful_dom,
+            "dom_implement": report.dom_implement,
+            "monotonic": report.monotonic,
+            "strproof_encoding": report.strproof_encoding,
+            "all_agree": report.all_agree,
+        },
+        lambda: [
+            f"truthful DOM-implementation : {report.truthful_dom}",
+            f"DOM-implementation          : {report.dom_implement}",
+            f"monotonic                   : {report.monotonic}",
+            f"strategy-proofness encoding : {report.strproof_encoding}",
+            f"truthful = implement        : {report.truthful_vs_implement}",
+            f"monotonic = truthful        : {report.monotonic_vs_truthful}",
+            f"encoding = truthful         : {report.encoding_vs_truthful}",
+            f"all agree                   : {report.all_agree}",
+        ],
+    )
     return 0 if report.all_agree else 1
 
 
@@ -237,22 +254,24 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         source = f"1000 sampled models (seed {args.seed}; class has {count})"
     instances = axioms_mod.instantiate_all(args.agents, outcomes)
     report = axioms_mod.soundness_check(instances, models)
-    lines = [f"checking {len(instances)} instances against {source}", report.render()]
-    payload = {
-        "command": "axioms",
-        "models": source,
-        "ok": report.ok,
-        "schemas": [
-            {
-                "schema": r.schema,
-                "instances": r.instances,
-                "models": r.models,
-                "ok": r.ok,
-            }
-            for r in report.results
-        ],
-    }
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {
+            "command": "axioms",
+            "models": source,
+            "ok": report.ok,
+            "schemas": [
+                {
+                    "schema": r.schema,
+                    "instances": r.instances,
+                    "models": r.models,
+                    "ok": r.ok,
+                }
+                for r in report.results
+            ],
+        },
+        lambda: [f"checking {len(instances)} instances against {source}", report.render()],
+    )
     return 0 if report.ok else 1
 
 

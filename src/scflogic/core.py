@@ -251,20 +251,6 @@ class ScfTable:
         names = _check_outcomes(outcomes)
         return cls(agents, names, _freeze_values(agents, names, fn))
 
-    @classmethod
-    def from_mapping(
-        cls, agents: int, outcomes: Sequence[str], mapping: Mapping[Profile, str]
-    ) -> "ScfTable":
-        names = _check_outcomes(outcomes)
-        profiles = all_profiles(agents, names)
-        missing = [p for p in profiles if p not in mapping]
-        if missing:
-            raise InvalidDomain(f"SCF mapping is missing profile {missing[0]}")
-        if len(mapping) != len(profiles):
-            extra = set(mapping) - set(profiles)
-            raise InvalidDomain(f"SCF mapping has {len(extra)} entries outside the profile space")
-        return cls(agents, names, _freeze_values(agents, names, mapping.__getitem__))
-
     def __call__(self, profile: Profile) -> str:
         return self.values[profile_index(profile, self.outcomes)]
 

@@ -1,4 +1,4 @@
-"""Bounded decision procedures by exhaustive model enumeration.
+"""Decision procedures by model enumeration.
 
 The model class over (n, K) is finite: |K|^((|K|!)^n) outcome functions
 times (|K|!)^n true profiles.  Satisfiability and validity enumerate it
@@ -8,6 +8,12 @@ enumeration is evaluated in chunks of consecutive models, each one
 stacked bitmask batch (see `_stacked`); the lowest hit bit of the first
 chunk with a hit is the first model in enumeration order and its lowest
 state, so witnesses and counterexamples stay canonical.
+
+A formula without outcome atoms or pref modalities is state-determined:
+its truth at a state is the same in every model.  Such a formula is
+decided on the first model in enumeration order alone, at any (n, K) and
+without the budget; its lowest hit state there is the witness or
+counterexample the enumeration would return.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
@@ -49,7 +55,6 @@ __all__ = [
     "representative_model",
     "satisfiable",
     "valid",
-    "valid_state_formula",
     "check_scf_property",
 ]
 
@@ -145,8 +150,8 @@ def sample_models(
 
 
 def representative_model(n: int, outcomes: Sequence[str]) -> ScfModel:
-    """The canonically-first model over (n, K); enough to decide any
-    formula whose truth is state-determined."""
+    """The first model in enumeration order over (n, K); enough to decide
+    any formula whose truth is state-determined."""
     names = tuple(outcomes)
     profiles = all_profiles(n, names)
     table = ScfTable(n, names, tuple(names[0] for _ in profiles))
@@ -163,11 +168,15 @@ def _first_failure(
     """First model in enumeration order falsifying `formula`, with its
     lowest falsified state, or None.
 
-    Walks `enumerate_models` in chunks, each evaluated as one stacked
-    batch: the first chunk holds one outcome function's (|K|!)^n true
-    profiles, and each next chunk twice as many outcome functions, up to
-    `_CHUNK_BITS` bits, so an early hit stays cheap and a full sweep takes
-    few wide batches."""
+    A state-determined formula is evaluated on `representative_model`
+    alone, the first model in enumeration order.  Any other formula walks
+    `enumerate_models` in chunks, each evaluated as one stacked batch: the
+    first chunk holds one outcome function's (|K|!)^n true profiles, and
+    each next chunk twice as many outcome functions, up to `_CHUNK_BITS`
+    bits, so an early hit stays cheap and a full sweep takes few wide
+    batches."""
+    if not (formula.uses_outcome or formula.uses_pref):
+        return Evaluator(representative_model(n, outcomes)).first_failure(formula)
     models = enumerate_models(n, outcomes, budget)
     states = num_states(n, outcomes)
     tables, most = 1, max(1, _CHUNK_BITS // (states * states))
@@ -175,11 +184,9 @@ def _first_failure(
         chunk = list(itertools.islice(models, tables * states))
         if not chunk:
             return None
-        ev = _stacked.StackedEvaluator(chunk)
-        where = ev.first_failure(formula)
+        where = _stacked.StackedEvaluator(chunk).first_failure(formula)
         if where is not None:
-            model_idx, state_idx = where
-            return chunk[model_idx], ev.space.profiles[state_idx]
+            return where
         tables = min(2 * tables, most)
 
 
@@ -189,7 +196,10 @@ def satisfiable(
     formula: Formula,
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
-    """First (model, state) satisfying the formula, or unsatisfiable."""
+    """First (model, state) satisfying the formula, or unsatisfiable.
+
+    Raises `BudgetExceeded` before building any model when the formula is
+    not state-determined and the class exceeds the budget."""
     hit = _first_failure(n, outcomes, Not(formula), budget)
     if hit is None:
         return Verdict("unsatisfiable")
@@ -202,28 +212,14 @@ def valid(
     formula: Formula,
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Truth at every state of every model, or the first counterexample."""
+    """Truth at every state of every model, or the first counterexample.
+
+    Raises `BudgetExceeded` before building any model when the formula is
+    not state-determined and the class exceeds the budget."""
     hit = _first_failure(n, outcomes, formula, budget)
     if hit is None:
         return Verdict("valid")
     return Verdict("invalid", counterexample=hit)
-
-
-def valid_state_formula(n: int, outcomes: Sequence[str], formula: Formula) -> Verdict:
-    """Validity over the whole class for a formula without outcome atoms or
-    pref modalities, certified on a single representative model.  Such a
-    formula's truth depends only on the state, so one model decides the
-    class regardless of its size."""
-    if formula.uses_outcome or formula.uses_pref:
-        raise InvalidDomain(
-            "representative-model certification needs a formula without"
-            " outcome atoms or pref modalities"
-        )
-    model = representative_model(n, outcomes)
-    bad = Evaluator(model).falsifying_states(formula)
-    if bad:
-        return Verdict("invalid", counterexample=(model, bad[0]))
-    return Verdict("valid")
 
 
 def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
@@ -240,9 +236,7 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     the same counterexample a model-by-model scan would report."""
     formula = property_formula(prop, table.agents, table.outcomes)
     models = [ScfModel(table, truth) for truth in table.profiles]
-    ev = _stacked.StackedEvaluator(models)
-    where = ev.first_failure(formula)
+    where = _stacked.StackedEvaluator(models).first_failure(formula)
     if where is None:
         return Verdict("valid")
-    model_idx, state_idx = where
-    return Verdict("invalid", counterexample=(models[model_idx], ev.space.profiles[state_idx]))
+    return Verdict("invalid", counterexample=where)

@@ -97,10 +97,12 @@ def scf_from_dict(data: object) -> ScfTable:
         if profile in mapping:
             raise FileFormatError(f"{what}: duplicate profile {profile}")
         mapping[profile] = outcome
+    values = []
     for profile in all_profiles(agents, outcomes):
         if profile not in mapping:
             raise FileFormatError(f"missing profile {profile} in map")
-    return ScfTable.from_mapping(agents, outcomes, mapping)
+        values.append(mapping[profile])
+    return ScfTable(agents, outcomes, tuple(values))
 
 
 def model_from_dict(data: object) -> ScfModel:

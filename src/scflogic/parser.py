@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, Optional, Union
 
 from . import encodings
-from .core import InvalidDomain, LinearOrder, Profile, ScfTable
+from .core import InvalidDomain, LinearOrder, Profile, ScfTable, _check_outcomes
 from .logic import (
     And,
     Box,
@@ -115,18 +115,12 @@ class Context:
     scf_loader: Optional[Callable[[str], ScfTable]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if self.n < 1:
             raise InvalidDomain(f"need at least one agent, got n={self.n}")
-        if not self.outcomes:
-            raise InvalidDomain("outcome set must be non-empty")
+        object.__setattr__(self, "outcomes", _check_outcomes(self.outcomes))
         for name in self.outcomes:
-            if not _WORD_RE.fullmatch(name):
-                raise InvalidDomain(f"invalid outcome name: {name!r}")
             if name in KEYWORDS:
                 raise InvalidDomain(f"outcome name {name!r} collides with a keyword")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise InvalidDomain(f"duplicate outcome names in {self.outcomes}")
 
 
 @dataclass(frozen=True)

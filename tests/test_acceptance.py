@@ -31,8 +31,8 @@ from scflogic import (
     sample_models,
     scf_as_game_form,
     truthfully_implements,
+    valid,
     valid_in_model,
-    valid_state_formula,
 )
 from scflogic.axioms import instantiate_all, soundness_check
 from scflogic.cli import main as cli_main
@@ -101,7 +101,7 @@ def test_criterion_2_ballot_characterization():
             " & ~rep(2,a,c) & ~rep(2,b,a) & ~rep(2,b,c)",
             ctx,
         )
-        assert valid_state_formula(2, K3, Iff(lhs, rhs)).status == "valid"
+        assert valid(2, K3, Iff(lhs, rhs)).status == "valid"
 
 
 def test_criterion_3_rho_forms():

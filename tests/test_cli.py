@@ -155,7 +155,7 @@ def test_sat_with_scf_macro(capsys, h_files):
 
 
 def test_budget_flag(capsys):
-    code = main(["valid", "--agents", "2", "--outcomes", "a,b", "--budget", "10", "true"])
+    code = main(["valid", "--agents", "2", "--outcomes", "a,b", "--budget", "10", "a | ~a"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
 
@@ -235,6 +235,10 @@ def test_error_exits(capsys, tmp_path):
     bad.write_text('{"agents": 2}', encoding="utf-8")
     assert main(["property", "--scf", str(bad), "citsov"]) == 2
     assert "missing field" in capsys.readouterr().err
+    good = tmp_path / "good.json"
+    save_scf(ScfTable(1, K2, ("a", "b")), good)
+    assert main(["property", "--scf", str(good), "frobnicate"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown property 'frobnicate'")
     assert main(["valid", "--agents", "2", "--outcomes", "a,b", "rep(9,a,b)"]) == 2
     assert "unknown agent token" in capsys.readouterr().err
 
@@ -321,3 +325,55 @@ def test_deeply_nested_better_is_decided(capsys):
     text = "better(1," * 5000 + "a" + ",b)" * 5000
     assert main(["sat", "--agents", "1", "--outcomes", "a,b", text]) == 0
     assert capsys.readouterr().out.startswith("SAT\n")
+
+
+def test_state_determined_valid_beyond_the_budget(capsys):
+    """(2,3) has about 5.4e18 models, but a formula without outcome atoms or
+    pref modalities is decided on one of them."""
+    argv = ["valid", "--agents", "2", "--outcomes", "a,b,c", "rep(1,a,b) | rep(1,b,a)"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
+def test_check_text_mode_does_not_format_the_formula(capsys, monkeypatch, h_files):
+    """Only the printed output is built: text mode never formats the
+    formula, whose printed form can be exponentially larger than its DAG."""
+    _, model_path = h_files
+
+    def no_format(formula):
+        raise AssertionError("formatted in text mode")
+
+    monkeypatch.setattr(cli, "format_formula", no_format)
+    assert main(["check", "--model", str(model_path), "dom"]) == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 6 and "valid in model: no" in out
+    # the JSON payload does format it
+    assert main(["check", "--model", str(model_path), "dom", "--json"]) == 2
+    assert "formatted in text mode" in capsys.readouterr().err
+
+
+def test_axioms_samples_beyond_the_budget(capsys):
+    argv = ["axioms", "--agents", "1", "--outcomes", "a,b", "--budget", "4"]
+    source = "1000 sampled models (seed 0; class has 8)"
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("checking 2028 instances against " + source + "\n")
+    assert "all schemas sound" in out
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["models"] == source and payload["ok"] is True
+
+
+def test_property_reports_oracle_disagreement(capsys, monkeypatch, tmp_path, j_table):
+    """A disagreeing oracle is reported; the exit code follows the encoding."""
+    path = tmp_path / "j.json"
+    save_scf(j_table, path)
+    monkeypatch.setattr(cli.game, "property_oracle", lambda table, prop: (True, ""))
+    assert main(["property", "--scf", str(path), "nodict"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("property nodict: FAIL\n")
+    assert "DISAGREEMENT: game-theoretic oracle says PASS (reported, not reconciled)" in out
+    assert main(["property", "--scf", str(path), "nodict", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "FAIL" and payload["oracle"] is True
+    assert payload["agrees"] is False

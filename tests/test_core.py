@@ -149,8 +149,6 @@ def test_scf_table_validation():
         ScfTable(2, K2, ("a", "a", "a"))  # wrong arity
     with pytest.raises(InvalidDomain):
         ScfTable(2, K2, ("a", "a", "a", "z"))  # image outside K
-    with pytest.raises(InvalidDomain):
-        ScfTable.from_mapping(1, K2, {all_profiles(1, K2)[0]: "a"})  # missing profile
 
 
 def test_profile_validation():

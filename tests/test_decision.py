@@ -9,7 +9,6 @@ from scflogic import (
     BudgetExceeded,
     EnumerationBudget,
     Evaluator,
-    InvalidDomain,
     ScfModel,
     ScfTable,
     Verdict,
@@ -27,7 +26,6 @@ from scflogic import (
     sample_models,
     satisfiable,
     valid,
-    valid_state_formula,
 )
 from scflogic.encodings import (
     BR,
@@ -44,7 +42,7 @@ from scflogic.encodings import (
     strproof,
 )
 from scflogic.decision import _CHUNK_BITS
-from scflogic.logic import And, Box, Iff, Implies, Not, Or, Out, Pref, Rep, TRUE
+from scflogic.logic import And, Box, Iff, Implies, Not, Or, Out, Pref, Rep
 
 from conftest import K2, K3, make_formula_sampler, profile
 
@@ -172,21 +170,25 @@ def test_duality_on_random_pool():
         assert sat != refutable
 
 
-def test_valid_state_formula_matches_full_enumeration():
-    draw = make_formula_sampler(2, K2, seed=31)
-    pool = [f for f in draw(60, max_depth=5) if not (f.uses_outcome or f.uses_pref)]
+def _state_determined(n, outcomes, seed, count):
+    draw = make_formula_sampler(n, outcomes, seed=seed)
+    pool = [f for f in draw(count, max_depth=5) if not (f.uses_outcome or f.uses_pref)]
     assert pool, "sampler must produce some reported-atom formulas"
-    for formula in pool:
-        fast = valid_state_formula(2, K2, formula).status
-        slow = valid(2, K2, formula).status
-        assert fast == slow
+    return pool
 
 
-def test_valid_state_formula_rejects_model_dependent():
-    with pytest.raises(InvalidDomain):
-        valid_state_formula(2, K2, Out("a"))
-    with pytest.raises(InvalidDomain):
-        valid_state_formula(2, K2, Pref(1, TRUE))
+def test_state_determined_formulas_beyond_the_budget():
+    assert model_class_size(2, K3)[0] > EnumerationBudget().max_models
+    assert valid(2, K3, Or(Rep(1, "a", "b"), Rep(1, "b", "a"))).status == "valid"
+    rep_ab = Rep(1, "a", "b")
+    assert satisfiable(2, K3, And(rep_ab, Not(rep_ab))).status == "unsatisfiable"
+    verdict = valid(3, K3, rep_ab)
+    assert verdict.status == "invalid"
+    model, state = verdict.counterexample
+    assert model == representative_model(3, K3)
+    km = kripke_view(model)
+    falsified = [i for i in range(len(km.states)) if not eval_kripke(km, i, rep_ab)]
+    assert state == km.states[falsified[0]]
 
 
 def test_verdict_invariants():
@@ -343,6 +345,9 @@ def test_sat_and_valid_return_the_canonical_first_hit():
             assert satisfiable(n, outcomes, formula).witness[0] == first
             assert valid(n, outcomes, Not(formula)).counterexample[0] == first
             cases.append((n, outcomes, formula))
+    # state-determined formulas, decided on the first model alone
+    for n, outcomes, seed in ((1, K2, 44), (2, K2, 45), (1, K3, 46)):
+        cases += [(n, outcomes, f) for f in _state_determined(n, outcomes, seed, 30)]
     # a full sweep of every chunk at (1,3): unsatisfiable and valid
     cases.append((1, K3, And(Out("a"), Out("b"))))
     cases.append((1, K3, Implies(Out("c"), Pref(1, Out("c")))))
@@ -363,8 +368,9 @@ def test_budget_exceeded_before_any_model_is_built(monkeypatch):
     monkeypatch.setattr(decision, "ScfModel", no_models)
     monkeypatch.setattr(decision, "ScfTable", no_models)
     small = EnumerationBudget(max_models=63)
+    excluded_middle = Or(Out("a"), Not(Out("a")))
     for query in (satisfiable, valid):
         with pytest.raises(BudgetExceeded):
-            query(2, K2, TRUE, small)
+            query(2, K2, excluded_middle, small)
         with pytest.raises(BudgetExceeded):
-            query(2, K3, TRUE)
+            query(2, K3, excluded_middle)

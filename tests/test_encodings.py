@@ -16,8 +16,8 @@ from scflogic import (
     is_strategy_proof,
     representative_model,
     sample_models,
+    valid,
     valid_in_model,
-    valid_state_formula,
 )
 from scflogic.encodings import (
     BR,
@@ -131,7 +131,7 @@ def test_example_ballot_biconditional_18_literals():
     assert len(literals) == 18
     from scflogic.logic import conj
 
-    verdict = valid_state_formula(2, K3, Iff(lhs, conj(literals)))
+    verdict = valid(2, K3, Iff(lhs, conj(literals)))
     assert verdict.status == "valid"
 
 

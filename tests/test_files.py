@@ -95,3 +95,27 @@ def test_true_preferences_validated(h_table):
     data["true_preferences"] = [["a", "b"], ["b", "b"]]
     with pytest.raises(FileFormatError):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda d: [d], "top level must be a JSON object"),
+        (lambda d: {**d, "agents": 0}, "agents must be a positive integer, got 0"),
+        (lambda d: {**d, "outcomes": "ab"}, "outcomes must be an array of names, got 'ab'"),
+        (lambda d: {**d, "outcomes": ["a", "b c"]}, "invalid outcome name: 'b c'"),
+        (lambda d: {**d, "map": {}}, "map must be an array of {profile, outcome} entries"),
+        (
+            lambda d: {**d, "map": [{"profile": [["a", "b"], ["a", "b"]]}]},
+            "map[0]: entry needs 'profile' and 'outcome' fields",
+        ),
+        (
+            lambda d: {**d, "map": [{"profile": [["a", "b"], "ab"], "outcome": "a"}]},
+            "map[0]: ranking must be an array of outcome names, got 'ab'",
+        ),
+    ],
+)
+def test_malformed_scf_rejected(h_table, malform, message):
+    with pytest.raises(FileFormatError) as err:
+        scf_from_dict(malform(_h_dict(h_table)))
+    assert str(err.value) == message

@@ -1,6 +1,8 @@
 """Package-wide source checks."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import scflogic
@@ -40,3 +42,26 @@ def test_every_module_level_import_is_read():
             if name not in read
         ]
     assert not unused, f"imported but never read: {unused}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_INSTALL_TRACER = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import calib, run, tracing
+tracing.install(tracing.Tracer(calib.Clock()), run.fresh_import())
+"""
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer rebinds names in the package (evaluators,
+    parser entry points, decision procedures); installing it fails as soon
+    as one of them is gone."""
+    done = subprocess.run(
+        [sys.executable, "-c", _INSTALL_TRACER, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
