@@ -191,6 +191,16 @@ def test_state_determined_formulas_beyond_the_budget():
     assert state == km.states[falsified[0]]
 
 
+def test_valid_state_formula_matches_full_enumeration():
+    """valid decides state-determined formulas on one model; its verdict
+    and counterexample equal those of a scan of the whole class."""
+    for formula in _state_determined(2, K2, 31, 60):
+        verdict = valid(2, K2, formula)
+        slow = _relational_scan(2, K2, formula, False)
+        assert verdict.counterexample == slow, formula
+        assert verdict.status == ("valid" if slow is None else "invalid"), formula
+
+
 def test_verdict_invariants():
     with pytest.raises(ValueError):
         Verdict("satisfiable")
