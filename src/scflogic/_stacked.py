@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .core import InvalidDomain, Profile, ScfModel, all_linear_orders, all_profiles
+from .core import Profile, ScfModel, _state_index, all_linear_orders, all_profiles
 from .logic import (
     Diamond,
     Formula,
@@ -46,15 +46,14 @@ __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
 
 class _StateSpace:
-    """Per-(n, K) canonical state data shared by every evaluator: profiles,
-    the axes of the state grid and reported-atom masks."""
+    """Per-(n, K) state data shared by every evaluator: `core`'s canonical
+    profiles, the axes of the state grid and reported-atom masks."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
         self.outcomes = outcomes
         self.profiles = all_profiles(n, outcomes)
         self.size = len(self.profiles)
-        self.index = {p: i for i, p in enumerate(self.profiles)}
         radix = len(all_linear_orders(outcomes))
         self.radix = radix
         # per agent: the digit stride of its axis (state v's digit on it is
@@ -319,9 +318,7 @@ class Evaluator(StackedEvaluator):
         self.model = model
 
     def holds(self, state: Profile, formula: Formula) -> bool:
-        idx = self.space.index.get(state)
-        if idx is None:
-            raise InvalidDomain(f"{state} is not a state of this model")
+        idx = _state_index(self.space.n, self.space.outcomes, state)
         return bool(self.truth_mask(formula) >> idx & 1)
 
     def valid(self, formula: Formula) -> bool:

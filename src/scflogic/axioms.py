@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import _stacked
 from .core import Profile, ScfModel, all_linear_orders, all_profiles
+from .decision import _bounded_size
 from .encodings import ballot_agent, ballot_profile, better
 from .logic import (
     And,
@@ -89,13 +90,10 @@ class AxiomInstance:
 
 def _default_cap(n: int, outcomes: tuple[str, ...]) -> int:
     # binary schemas instantiate pool^2 pairs; size the default to the class
-    states = len(all_linear_orders(outcomes)) ** n
-    models = len(outcomes) ** states * states
-    if models <= 64:
-        return 64
-    if models <= 4096:
-        return 48
-    return 32
+    models, _ = _bounded_size(n, len(outcomes), 4096)
+    if models is None:
+        return 32
+    return 64 if models <= 64 else 48
 
 
 def default_pool(n: int, outcomes: Sequence[str]) -> tuple[Formula, ...]:

@@ -20,7 +20,7 @@ from . import axioms as axioms_mod
 from . import decision, encodings, files, game
 from ._stacked import Evaluator
 from .core import InvalidDomain, Profile, ScfModel, scf_as_game_form
-from .parser import Context, ParseError, format_formula, parse
+from .parser import ParseError, format_formula, parse
 
 __all__ = ["main"]
 
@@ -30,10 +30,8 @@ def _profile_json(profile: Profile) -> list[list[str]]:
 
 
 def _model_lines(model: ScfModel) -> list[str]:
-    lines = [f"truth: {model.truth}"]
-    for state in model.states:
-        lines.append(f"  out {state} -> {model.out(state)}")
-    return lines
+    outs = zip(model.states, model.table.values)
+    return [f"truth: {model.truth}"] + [f"  out {state} -> {value}" for state, value in outs]
 
 
 def _parse_outcomes(text: str) -> tuple[str, ...]:
@@ -41,13 +39,15 @@ def _parse_outcomes(text: str) -> tuple[str, ...]:
 
 
 def _parse_property(text: str) -> encodings.PropertyId:
-    match = re.fullmatch(r"br\(?(\d+)\)?", text)
+    match = re.fullmatch(r"br\(([1-9][0-9]*)\)", text)
     if match:
         return encodings.BR(int(match.group(1)))
-    try:
-        return encodings.PropertyId(text)
-    except ValueError as exc:
-        raise InvalidDomain(str(exc)) from None
+    if text not in ("citsov", "nodict", "dom", "mon", "strproof"):
+        raise InvalidDomain(
+            f"unknown property {text!r};"
+            " expected citsov, nodict, dom, mon, strproof or br(<agent>)"
+        )
+    return encodings.PropertyId(text)
 
 
 def _formula_arg(args: argparse.Namespace) -> str:
@@ -56,10 +56,6 @@ def _formula_arg(args: argparse.Namespace) -> str:
     if (positional is None) == (flagged is None):
         raise InvalidDomain("give the formula either positionally or via --formula, not both")
     return positional if positional is not None else flagged
-
-
-def _context(n: int, outcomes: Sequence[str]) -> Context:
-    return Context(n, tuple(outcomes), scf_loader=files.load_scf)
 
 
 def _budget(args: argparse.Namespace) -> decision.EnumerationBudget:
@@ -83,8 +79,8 @@ def _emit(
 
 def cmd_check(args: argparse.Namespace) -> int:
     model = files.load_model(args.model)
-    ctx = _context(model.n, model.outcomes)
-    formula = parse(_formula_arg(args), ctx)
+    text = _formula_arg(args)
+    formula = parse(text, (model.n, model.outcomes))
     ev = Evaluator(model)
     mask = ev.truth_mask(formula)
     rows = [(idx, state, bool(mask >> idx & 1)) for idx, state in enumerate(model.states)]
@@ -93,7 +89,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         args,
         lambda: {
             "command": "check",
-            "formula": format_formula(formula),
+            "formula": text,
             "states": [
                 {"state": _profile_json(state), "holds": holds} for _, state, holds in rows
             ],
@@ -175,8 +171,7 @@ _HEADLINES = {
 def cmd_decide(args: argparse.Namespace) -> int:
     """sat and valid: decide the formula over the whole model class."""
     outcomes = _parse_outcomes(args.outcomes)
-    ctx = _context(args.agents, outcomes)
-    formula = parse(_formula_arg(args), ctx)
+    formula = parse(_formula_arg(args), (args.agents, outcomes))
     decide = decision.satisfiable if args.command == "sat" else decision.valid
     verdict = decide(args.agents, outcomes, formula, _budget(args))
     _emit(
@@ -245,13 +240,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_axioms(args: argparse.Namespace) -> int:
     outcomes = _parse_outcomes(args.outcomes)
     budget = _budget(args)
-    count, _ = decision.model_class_size(args.agents, outcomes)
-    if count <= budget.max_models:
+    try:
         models = list(decision.enumerate_models(args.agents, outcomes, budget))
-        source = f"all {count} models"
-    else:
-        models = decision.sample_models(args.agents, outcomes, 1000, seed=args.seed)
-        source = f"1000 sampled models (seed {args.seed}; class has {count})"
+        source = f"all {len(models)} models"
+    except decision.BudgetExceeded as exc:
+        models = decision.sample_models(args.agents, outcomes, 1000, args.seed, budget)
+        source = f"1000 sampled models (seed {args.seed}; class has {exc.models})"
     instances = axioms_mod.instantiate_all(args.agents, outcomes)
     report = axioms_mod.soundness_check(instances, models)
     _emit(

@@ -3,8 +3,10 @@
 Outcomes are plain name tokens (letters/digits, case-sensitive) and agents are
 1-based integers.  A reported preference profile doubles as a *state*: the
 states of a model are exactly the profiles over (n, K), in bijection with the
-valuations of the reported-preference atoms.  Everything here is immutable and
-all functions are pure, so values can be shared freely across workers.
+valuations of the reported-preference atoms; `all_profiles` numbers them
+for every module.  Outcome names are checked where they enter (the public
+functions and constructors), not on reads of checked data.  Everything here
+is immutable and all functions are pure, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "InvalidDomain",
@@ -116,9 +118,7 @@ class Profile:
     def replace(self, agent: int, order: LinearOrder) -> "Profile":
         """Profile with agent's order swapped (a unilateral deviation)."""
         self.order(agent)
-        parts = list(self.orders)
-        parts[agent - 1] = order
-        return Profile(tuple(parts))
+        return Profile(self.orders[: agent - 1] + (order,) + self.orders[agent:])
 
     def __str__(self) -> str:
         return "(" + ",".join(str(o) for o in self.orders) + ")"
@@ -137,18 +137,34 @@ class RepAtom:
 
 
 @lru_cache(maxsize=None)
-def _orders_cache(outcomes: tuple[str, ...]) -> tuple[LinearOrder, ...]:
+def _orders(outcomes: tuple[str, ...]) -> tuple[LinearOrder, ...]:
     return tuple(LinearOrder(perm) for perm in itertools.permutations(outcomes))
 
 
 @lru_cache(maxsize=None)
-def _order_index_cache(outcomes: tuple[str, ...]) -> dict[tuple[str, ...], int]:
-    return {o.ranking: i for i, o in enumerate(_orders_cache(outcomes))}
+def _profiles(n: int, outcomes: tuple[str, ...]) -> tuple[Profile, ...]:
+    if n < 1:
+        raise InvalidDomain(f"need at least one agent, got n={n}")
+    return tuple(Profile(combo) for combo in itertools.product(_orders(outcomes), repeat=n))
+
+
+@lru_cache(maxsize=None)
+def _indices(n: int, outcomes: tuple[str, ...]) -> dict[Profile, int]:
+    return {p: i for i, p in enumerate(_profiles(n, outcomes))}
+
+
+def _state_index(n: int, outcomes: tuple[str, ...], profile: Profile) -> int:
+    """Canonical index of `profile` among the states over an already
+    checked (n, K); InvalidDomain if it is not one of them."""
+    index = _indices(n, outcomes).get(profile)
+    if index is None:
+        raise InvalidDomain(f"{profile} is not a state over n={n}, K={','.join(outcomes)}")
+    return index
 
 
 def all_linear_orders(outcomes: Sequence[str]) -> tuple[LinearOrder, ...]:
     """All |K|! rankings over the outcome set, in lexicographic order."""
-    return _orders_cache(_check_outcomes(outcomes))
+    return _orders(_check_outcomes(outcomes))
 
 
 def num_states(n: int, outcomes: Sequence[str]) -> int:
@@ -158,36 +174,17 @@ def num_states(n: int, outcomes: Sequence[str]) -> int:
     return len(all_linear_orders(outcomes)) ** n
 
 
-@lru_cache(maxsize=None)
-def _profiles_cache(n: int, outcomes: tuple[str, ...]) -> tuple[Profile, ...]:
-    orders = _orders_cache(outcomes)
-    return tuple(Profile(combo) for combo in itertools.product(orders, repeat=n))
-
-
 def all_profiles(n: int, outcomes: Sequence[str]) -> tuple[Profile, ...]:
-    """All (|K|!)^n profiles over (n, K).
-
-    The sequence position equals the mixed-radix index over per-agent
-    ranking indices, with agent 1 the most significant digit; this gives a
-    canonical O(1) state numbering shared by every module.
-    """
-    if n < 1:
-        raise InvalidDomain(f"need at least one agent, got n={n}")
-    return _profiles_cache(n, _check_outcomes(outcomes))
+    """All (|K|!)^n profiles over (n, K), in the one state numbering that
+    every module reads, through one cached profile-to-position map: the
+    mixed-radix index over per-agent ranking indices, agent 1 first."""
+    return _profiles(n, _check_outcomes(outcomes))
 
 
-def profile_index(profile: Profile, outcomes: Sequence[str]) -> int:
-    """Canonical index of ``profile`` within all_profiles(n, K)."""
-    lookup = _order_index_cache(_check_outcomes(outcomes))
-    idx = 0
-    radix = len(lookup)
-    for order in profile.orders:
-        try:
-            digit = lookup[order.ranking]
-        except KeyError:
-            raise InvalidDomain(f"order {order} is not a permutation of {tuple(outcomes)}") from None
-        idx = idx * radix + digit
-    return idx
+def profile_index(profile: Profile, outcomes: Sequence[str], n: Optional[int] = None) -> int:
+    """Position of `profile` in all_profiles(n, K), from the map every module
+    reads (n defaults to the profile's); InvalidDomain if it is no state."""
+    return _state_index(profile.n if n is None else n, _check_outcomes(outcomes), profile)
 
 
 def state_atoms(state: Profile) -> frozenset[RepAtom]:
@@ -206,20 +203,6 @@ def state_atoms(state: Profile) -> frozenset[RepAtom]:
     return frozenset(atoms)
 
 
-def _freeze_values(
-    n: int,
-    outcomes: tuple[str, ...],
-    fn: Callable[[Profile], str],
-) -> tuple[str, ...]:
-    values = []
-    for profile in all_profiles(n, outcomes):
-        outcome = fn(profile)
-        if outcome not in outcomes:
-            raise InvalidDomain(f"value {outcome!r} for {profile} is not in {outcomes}")
-        values.append(outcome)
-    return tuple(values)
-
-
 @dataclass(frozen=True)
 class ScfTable:
     """A social choice function as a total map from profiles to outcomes.
@@ -234,7 +217,7 @@ class ScfTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", _check_outcomes(self.outcomes))
         object.__setattr__(self, "values", tuple(self.values))
-        expected = num_states(self.agents, self.outcomes)
+        expected = len(_profiles(self.agents, self.outcomes))
         if len(self.values) != expected:
             raise InvalidDomain(
                 f"SCF table needs {expected} entries for (n={self.agents}, K={self.outcomes}),"
@@ -249,14 +232,14 @@ class ScfTable:
         cls, agents: int, outcomes: Sequence[str], fn: Callable[[Profile], str]
     ) -> "ScfTable":
         names = _check_outcomes(outcomes)
-        return cls(agents, names, _freeze_values(agents, names, fn))
+        return cls(agents, names, tuple(map(fn, _profiles(agents, names))))
 
     def __call__(self, profile: Profile) -> str:
-        return self.values[profile_index(profile, self.outcomes)]
+        return self.values[_state_index(self.agents, self.outcomes, profile)]
 
     @property
     def profiles(self) -> tuple[Profile, ...]:
-        return all_profiles(self.agents, self.outcomes)
+        return _profiles(self.agents, self.outcomes)
 
     def feasible_outcomes(self) -> frozenset[str]:
         """Outcomes actually attained by the function."""
@@ -272,12 +255,8 @@ class ScfModel:
     truth: Profile
 
     def __post_init__(self) -> None:
-        if self.truth.n != self.table.agents:
-            raise InvalidDomain(
-                f"true profile has {self.truth.n} agents, table has {self.table.agents}"
-            )
-        if set(self.truth.orders[0].ranking) != set(self.table.outcomes):
-            raise InvalidDomain("true profile must range over the table's outcomes")
+        # the true profile must be a state over the table's (n, K)
+        _state_index(self.table.agents, self.table.outcomes, self.truth)
 
     @property
     def n(self) -> int:
@@ -332,8 +311,8 @@ class GameForm:
 def scf_as_game_form(table: ScfTable) -> GameForm:
     """The direct mechanism induced by an SCF: every agent's action set is
     the set of rankings, and the outcome function is the SCF itself."""
-    orders = all_linear_orders(table.outcomes)
-    mapping = {p.orders: table(p) for p in table.profiles}
+    orders = _orders(table.outcomes)
+    mapping = {p.orders: value for p, value in zip(table.profiles, table.values)}
     return GameForm(
         actions=tuple(orders for _ in range(table.agents)),
         outcomes=table.outcomes,

@@ -11,9 +11,10 @@ state, so witnesses and counterexamples stay canonical.
 
 A formula without outcome atoms or pref modalities is state-determined:
 its truth at a state is the same in every model.  Such a formula is
-decided on the first model in enumeration order alone, at any (n, K) and
-without the budget; its lowest hit state there is the witness or
-counterexample the enumeration would return.
+decided on the first model in enumeration order alone, however many
+models the class has; the budget then bounds that model's (|K|!)^n
+states instead of the models.  Its lowest hit state there is the witness
+or counterexample the enumeration would return.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from . import _stacked
@@ -72,16 +74,22 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 
 class BudgetExceeded(RuntimeError):
-    """The model class is larger than the enumeration budget allows."""
+    """The model class over (n, K), or the state set of one model of it,
+    is larger than the enumeration budget allows.  `models` is the class's
+    model count, as text of bounded length."""
 
-    def __init__(self, required_models: int, required_states: int, budget: EnumerationBudget):
-        self.required_models = required_models
-        self.required_states = required_states
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs {required_models} models over {required_states} states,"
-            f" budget allows {budget.max_models} models"
-        )
+    def __init__(self, n: int, outcomes: Sequence[str], budget: EnumerationBudget, one_model: bool):
+        self.n, self.outcomes, self.budget = n, tuple(outcomes), budget
+        k = len(self.outcomes)
+        models, states = _bounded_size(n, k, 10**15)  # larger counts print as powers
+        text = f"{k}!^{n}" if states is None else str(states)
+        self.models = f"{k}^{text} * {text}" if models is None else str(models)
+        need = "one model has" if one_model else f"enumeration needs {self.models} models over"
+        super().__init__(f"{need} {text} states, budget allows {budget.max_models} models")
+
+    @property
+    def required_models(self) -> int:
+        return model_class_size(self.n, self.outcomes)[0]
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,35 @@ def model_class_size(n: int, outcomes: Sequence[str]) -> tuple[int, int]:
     return len(tuple(outcomes)) ** states * states, states
 
 
-def _check_budget(n: int, outcomes: Sequence[str], budget: EnumerationBudget) -> None:
-    models, states = model_class_size(n, outcomes)
-    if models > budget.max_models:
-        raise BudgetExceeded(models, states, budget)
+def _power_upto(base: int, exp: int, limit: int) -> Optional[int]:
+    """base ** exp if it is at most `limit`, else None."""
+    value = 1
+    for _ in range(exp if base > 1 else 0):
+        value *= base
+        if value > limit:
+            return None
+    return value
+
+
+def _bounded_size(n: int, k: int, limit: int) -> tuple[Optional[int], Optional[int]]:
+    """(models, states) of the class over n agents and k outcomes, each None
+    if above `limit`.  There are k^S * S >= S models over S = (k!)^n states,
+    so S is bounded first, and no number much above `limit` is built."""
+    states = _power_upto(factorial(k), n, limit)
+    tables = None if states is None else _power_upto(k, states, limit)
+    if tables is None or tables * states > limit:
+        return None, states
+    return tables * states, states
+
+
+def _check_budget(
+    n: int, outcomes: Sequence[str], budget: EnumerationBudget, one_model: bool = False
+) -> None:
+    """Raise BudgetExceeded unless the budget covers every model over
+    (n, K) or, with `one_model`, the (|K|!)^n states of one model."""
+    models, states = _bounded_size(n, len(outcomes), budget.max_models)
+    if (states if one_model else models) is None:
+        raise BudgetExceeded(n, outcomes, budget, one_model)
 
 
 def enumerate_models(
@@ -135,11 +168,18 @@ def enumerate_models(
 
 
 def sample_models(
-    n: int, outcomes: Sequence[str], count: int, seed: int = 0
+    n: int,
+    outcomes: Sequence[str],
+    count: int,
+    seed: int = 0,
+    budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> list[ScfModel]:
     """Deterministic sample of models: cycle through every true profile
-    while drawing outcome functions from a seeded generator."""
+    while drawing outcome functions from a seeded generator.  Raises
+    `BudgetExceeded` before building any state if one model's states
+    exceed the budget."""
     names = tuple(outcomes)
+    _check_budget(n, names, budget, one_model=True)
     profiles = all_profiles(n, names)
     rng = random.Random(seed)
     picked = []
@@ -152,10 +192,8 @@ def sample_models(
 def representative_model(n: int, outcomes: Sequence[str]) -> ScfModel:
     """The first model in enumeration order over (n, K); enough to decide
     any formula whose truth is state-determined."""
-    names = tuple(outcomes)
-    profiles = all_profiles(n, names)
-    table = ScfTable(n, names, tuple(names[0] for _ in profiles))
-    return ScfModel(table, profiles[0])
+    table = ScfTable.from_function(n, outcomes, lambda _: outcomes[0])
+    return ScfModel(table, table.profiles[0])
 
 
 # widest stacked mask, in bits, that one chunk of an enumeration may use
@@ -169,13 +207,16 @@ def _first_failure(
     lowest falsified state, or None.
 
     A state-determined formula is evaluated on `representative_model`
-    alone, the first model in enumeration order.  Any other formula walks
-    `enumerate_models` in chunks, each evaluated as one stacked batch: the
+    alone, the first model in enumeration order, if the budget covers its
+    states.  Any other formula walks `enumerate_models`, if the budget
+    covers the class, in chunks, each evaluated as one stacked batch: the
     first chunk holds one outcome function's (|K|!)^n true profiles, and
     each next chunk twice as many outcome functions, up to `_CHUNK_BITS`
     bits, so an early hit stays cheap and a full sweep takes few wide
     batches."""
-    if not (formula.uses_outcome or formula.uses_pref):
+    determined = not (formula.uses_outcome or formula.uses_pref)
+    _check_budget(n, outcomes, budget, one_model=determined)
+    if determined:
         return Evaluator(representative_model(n, outcomes)).first_failure(formula)
     models = enumerate_models(n, outcomes, budget)
     states = num_states(n, outcomes)
@@ -198,8 +239,9 @@ def satisfiable(
 ) -> Verdict:
     """First (model, state) satisfying the formula, or unsatisfiable.
 
-    Raises `BudgetExceeded` before building any model when the formula is
-    not state-determined and the class exceeds the budget."""
+    Raises `BudgetExceeded` before building any model when the class
+    exceeds the budget or, for a state-determined formula, when one
+    model's states do."""
     hit = _first_failure(n, outcomes, Not(formula), budget)
     if hit is None:
         return Verdict("unsatisfiable")
@@ -214,8 +256,9 @@ def valid(
 ) -> Verdict:
     """Truth at every state of every model, or the first counterexample.
 
-    Raises `BudgetExceeded` before building any model when the formula is
-    not state-determined and the class exceeds the budget."""
+    Raises `BudgetExceeded` before building any model when the class
+    exceeds the budget or, for a state-determined formula, when one
+    model's states do."""
     hit = _first_failure(n, outcomes, formula, budget)
     if hit is None:
         return Verdict("valid")

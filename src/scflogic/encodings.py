@@ -34,7 +34,6 @@ from .logic import (
     Out,
     Pref,
     Rep,
-    TRUE,
     conj,
     disj,
 )
@@ -69,13 +68,10 @@ def _grand(n: int) -> frozenset[int]:
 def ballot_agent(agent: int, order: LinearOrder) -> Formula:
     """Reification of one agent's reported ranking: the chain of adjacent
     at-least-as-good atoms.  A single-outcome ranking reifies to truth."""
-    pairs = [
+    return conj(
         Rep(agent, order.ranking[k], order.ranking[k + 1])
         for k in range(len(order.ranking) - 1)
-    ]
-    if not pairs:
-        return TRUE
-    return conj(pairs)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,9 @@ from .core import (
     Profile,
     ScfModel,
     ScfTable,
-    all_linear_orders,
-    all_profiles,
+    _check_outcomes,
+    _profiles,
+    _state_index,
 )
 
 __all__ = [
@@ -78,14 +79,14 @@ def scf_from_dict(data: object) -> ScfTable:
         raise FileFormatError(f"agents must be a positive integer, got {agents!r}")
     if not isinstance(outcome_list, list) or not all(isinstance(x, str) for x in outcome_list):
         raise FileFormatError(f"outcomes must be an array of names, got {outcome_list!r}")
-    outcomes = tuple(outcome_list)
     try:
-        all_linear_orders(outcomes)
+        outcomes = _check_outcomes(outcome_list)
     except InvalidDomain as exc:
         raise FileFormatError(str(exc)) from None
     if not isinstance(entries, list):
         raise FileFormatError("map must be an array of {profile, outcome} entries")
-    mapping: dict[Profile, str] = {}
+    profiles = _profiles(agents, outcomes)
+    values: list[str | None] = [None] * len(profiles)
     for k, entry in enumerate(entries):
         what = f"map[{k}]"
         if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
@@ -94,14 +95,12 @@ def scf_from_dict(data: object) -> ScfTable:
         outcome = entry["outcome"]
         if outcome not in outcomes:
             raise FileFormatError(f"{what}: unknown outcome {outcome!r}")
-        if profile in mapping:
+        index = _state_index(agents, outcomes, profile)
+        if values[index] is not None:
             raise FileFormatError(f"{what}: duplicate profile {profile}")
-        mapping[profile] = outcome
-    values = []
-    for profile in all_profiles(agents, outcomes):
-        if profile not in mapping:
-            raise FileFormatError(f"missing profile {profile} in map")
-        values.append(mapping[profile])
+        values[index] = outcome
+    if None in values:
+        raise FileFormatError(f"missing profile {profiles[values.index(None)]} in map")
     return ScfTable(agents, outcomes, tuple(values))
 
 
@@ -119,8 +118,8 @@ def scf_to_dict(table: ScfTable) -> dict:
         "agents": table.agents,
         "outcomes": list(table.outcomes),
         "map": [
-            {"profile": [list(o.ranking) for o in p.orders], "outcome": table(p)}
-            for p in table.profiles
+            {"profile": [list(o.ranking) for o in p.orders], "outcome": value}
+            for p, value in zip(table.profiles, table.values)
         ],
     }
 

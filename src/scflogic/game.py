@@ -4,8 +4,9 @@ Everything here works by direct enumeration over action profiles and
 preference profiles, straight from the definitions: Nash equilibrium,
 dominant strategy equilibrium, (truthful) implementation, strategy-
 proofness, monotonicity, citizen sovereignty and dictatorship.  These
-routines exist to validate the logical encodings; they never consult the
-formula evaluator.
+routines exist to validate the logical encodings and never consult the
+formula evaluator, except `equivalence_audit`, which decides the
+strategy-proofness encoding through `decision`, imported at call time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .core import (
     Profile,
     ScfTable,
     all_linear_orders,
-    all_profiles,
     scf_as_game_form,
 )
 
@@ -146,7 +146,7 @@ def implements(game: GameForm, table: ScfTable, concept: SolutionConcept) -> Imp
     outcomes match the function."""
     if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
         raise InvalidDomain("game form and SCF must share agents and outcomes")
-    for profile in all_profiles(table.agents, table.outcomes):
+    for profile in table.profiles:
         answers = solution_set(game, profile, concept)
         if not answers:
             return ImplementationReport(False, "empty_solution_set", profile, None)
@@ -175,7 +175,7 @@ def truthfully_implements(
     if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
         raise InvalidDomain("game form and SCF must share agents and outcomes")
     _require_direct(game, table.outcomes)
-    for profile in all_profiles(table.agents, table.outcomes):
+    for profile in table.profiles:
         sincere = profile.orders
         answers = solution_set(game, profile, concept)
         if sincere not in answers:
@@ -205,7 +205,7 @@ class MonotonicityReport:
 def is_monotonic(table: ScfTable) -> MonotonicityReport:
     """Scan all profile pairs: if the chosen outcome keeps or improves its
     standing in every agent's report, it must stay chosen."""
-    profiles = all_profiles(table.agents, table.outcomes)
+    profiles = table.profiles
     for before in profiles:
         x = table(before)
         for after in profiles:
@@ -269,12 +269,13 @@ def property_oracle(table: ScfTable, prop: PropertyId) -> tuple[bool, str]:
     if prop.kind == "br":
         agent = prop.agent
         assert agent is not None
+        moves = all_linear_orders(table.outcomes)
         for truth in table.profiles:
             order = truth.order(agent)
             for state in table.profiles:
                 current = table(state)
-                for move in all_profiles(1, table.outcomes):
-                    deviated = state.replace(agent, move.orders[0])
+                for move in moves:
+                    deviated = state.replace(agent, move)
                     if order.strictly_better(table(deviated), current):
                         return False, f"agent {agent} improves by deviating at {state}"
         return True, ""

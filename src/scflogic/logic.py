@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Iterable, Iterator
 
-from .core import InvalidDomain, Profile, RepAtom, ScfModel, state_atoms
+from .core import InvalidDomain, Profile, RepAtom, ScfModel, _state_index, state_atoms
 
 __all__ = [
     "Formula",
@@ -253,7 +253,9 @@ def disj(parts: Iterable[Formula]) -> Formula:
 class KripkeScf:
     """Relational presentation of a model: states, one equivalence relation
     per agent (agreement outside that agent), one preference relation per
-    agent over states, and an explicit valuation.
+    agent over states, and an explicit valuation.  The states are the
+    profiles over (n, K) in `core`'s canonical numbering, which
+    `eval_kripke` reads to locate a profile.
 
     For views built by `kripke_view` the valuation assigns exactly one
     outcome label per state; the type allows degenerate valuations so that
@@ -272,12 +274,6 @@ class KripkeScf:
     @property
     def n(self) -> int:
         return len(self.r_edges)
-
-    def state_index(self, state: Profile) -> int:
-        try:
-            return self.states.index(state)
-        except ValueError:
-            raise InvalidDomain(f"{state} is not a state of this Kripke model") from None
 
 
 def kripke_view(model: ScfModel) -> KripkeScf:
@@ -315,7 +311,7 @@ def kripke_view(model: ScfModel) -> KripkeScf:
 
 def eval_kripke(km: KripkeScf, state: Profile | int, formula: Formula) -> bool:
     """Relational satisfaction in a Kripke model; the cross-check semantics."""
-    idx = state if isinstance(state, int) else km.state_index(state)
+    idx = state if isinstance(state, int) else _state_index(km.n, km.outcomes, state)
     if not 0 <= idx < len(km.states):
         raise InvalidDomain(f"state index {idx} out of range")
     return idx in _kripke_extension(km, formula)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Union
 
-from . import encodings
-from .core import InvalidDomain, LinearOrder, Profile, ScfTable, _check_outcomes
+from . import encodings, files
+from .core import InvalidDomain, LinearOrder, Profile, _check_outcomes
 from .logic import (
     And,
     Box,
@@ -107,12 +107,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Context:
-    """Parsing context: agent count, outcome names, and an optional loader
-    resolving scf("path") macros to tables."""
+    """Parsing context: agent count and outcome names."""
 
     n: int
     outcomes: tuple[str, ...]
-    scf_loader: Optional[Callable[[str], ScfTable]] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -429,10 +427,8 @@ class _Parser:
                 raise ParseError("scf(...) takes a quoted path", token.span)
             self.advance()
             self.expect(")")
-            if self.ctx.scf_loader is None:
-                raise ParseError("no SCF loader configured for scf(...)", token.span)
             try:
-                table = self.ctx.scf_loader(token.text)
+                table = files.load_scf(token.text)
             except (OSError, ValueError) as exc:
                 raise ParseError(f"cannot load SCF {token.text!r}: {exc}", token.span) from exc
             if table.agents != self.ctx.n or set(table.outcomes) != set(self.ctx.outcomes):

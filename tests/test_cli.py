@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -239,6 +240,11 @@ def test_error_exits(capsys, tmp_path):
     save_scf(ScfTable(1, K2, ("a", "b")), good)
     assert main(["property", "--scf", str(good), "frobnicate"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown property 'frobnicate'")
+    # property names are exact: br(<agent>) or one of the five keywords
+    for spelling in ("br1", "br(1", "br1)", "br(01)", "br(0)", "br", "BR(1)", " mon"):
+        assert main(["property", "--scf", str(good), spelling]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: unknown property {spelling!r}")
     assert main(["valid", "--agents", "2", "--outcomes", "a,b", "rep(9,a,b)"]) == 2
     assert "unknown agent token" in capsys.readouterr().err
 
@@ -336,20 +342,20 @@ def test_state_determined_valid_beyond_the_budget(capsys):
 
 
 def test_check_text_mode_does_not_format_the_formula(capsys, monkeypatch, h_files):
-    """Only the printed output is built: text mode never formats the
-    formula, whose printed form can be exponentially larger than its DAG."""
+    """Neither output formats the formula, whose printed form can be
+    exponentially larger than its DAG: the JSON payload carries the text
+    as given."""
     _, model_path = h_files
 
     def no_format(formula):
-        raise AssertionError("formatted in text mode")
+        raise AssertionError("formatted")
 
     monkeypatch.setattr(cli, "format_formula", no_format)
     assert main(["check", "--model", str(model_path), "dom"]) == 1
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 6 and "valid in model: no" in out
-    # the JSON payload does format it
-    assert main(["check", "--model", str(model_path), "dom", "--json"]) == 2
-    assert "formatted in text mode" in capsys.readouterr().err
+    assert main(["check", "--model", str(model_path), "dom", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["formula"] == "dom"
 
 
 def test_axioms_samples_beyond_the_budget(capsys):
@@ -377,3 +383,33 @@ def test_property_reports_oracle_disagreement(capsys, monkeypatch, tmp_path, j_t
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "FAIL" and payload["oracle"] is True
     assert payload["agrees"] is False
+
+
+def test_budget_refusal_is_one_immediate_line(capsys):
+    """A class far beyond the budget is refused from its state count, in
+    one short line, without computing its model count in full."""
+    for agents, states in (("6", "46656"), ("10", "60466176")):
+        start = time.perf_counter()
+        assert main(["sat", "--agents", agents, "--outcomes", "a,b,c", "a"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: enumeration needs") and f"over {states} states" in line
+    # the axioms sampling fallback refuses models with more states than
+    # the budget allows
+    assert main(["axioms", "--agents", "3", "--outcomes", "a,b,c", "--budget", "100"]) == 2
+    assert capsys.readouterr().err == "error: one model has 216 states, budget allows 100 models\n"
+
+
+def test_check_json_prints_the_formula_as_given(capsys, tmp_path):
+    """A 16-deep nested better prints as megabytes of core grammar; the
+    payload carries the text that was parsed."""
+    model = ScfModel(ScfTable(1, K2, ("a", "b")), profile(("b", "a")))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = "better(1," * 16 + "a" + ",b)" * 16
+    code = main(["check", "--model", str(path), text, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["formula"] == text
+    assert code == (0 if payload["valid"] else 1)

@@ -4,18 +4,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scflogic import (
+    Evaluator,
     InvalidDomain,
     LinearOrder,
     Profile,
     RepAtom,
+    ScfModel,
     ScfTable,
     all_linear_orders,
     all_profiles,
     num_states,
     profile_index,
+    eval_kripke,
+    kripke_view,
     scf_as_game_form,
     state_atoms,
 )
+from scflogic.logic import TRUE
 
 from conftest import AB, BA, K2, K3, profile
 
@@ -72,6 +77,34 @@ def test_profile_index_is_mixed_radix():
     orders = all_linear_orders(K3)
     p = Profile((orders[4], orders[1]))
     assert profile_index(p, K3) == 4 * 6 + 1
+
+
+def test_one_state_numbering_for_every_reader():
+    """profile_index is the position in all_profiles at every (n, K), and
+    every reader of the numbering rejects a profile that is not a state of
+    its (n, K) instead of reading some other state's entry."""
+    for n, k in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)):
+        outcomes = ("a", "b", "c", "d")[:k]
+        for i, p in enumerate(all_profiles(n, outcomes)):
+            assert profile_index(p, outcomes) == i
+    table = ScfTable(2, K2, ("a", "b", "b", "a"))
+    model = ScfModel(table, all_profiles(2, K2)[0])
+    ev = Evaluator(model)
+    km = kripke_view(model)
+    readers = {
+        "ScfTable.__call__": table,
+        "profile_index": lambda p: profile_index(p, K2, 2),
+        "ScfModel.out": model.out,
+        "Evaluator.holds": lambda p: ev.holds(p, TRUE),
+        "eval_kripke": lambda p: eval_kripke(km, p, TRUE),
+    }
+    one_agent_too_many = profile(("a", "b"), ("a", "b"), ("b", "a"))
+    other_outcomes = profile(("a", "c"), ("c", "a"))
+    for name, read in readers.items():
+        for state in (one_agent_too_many, other_outcomes):
+            with pytest.raises(InvalidDomain):
+                read(state)
+                pytest.fail(f"{name} read {state}")
 
 
 def test_state_atoms_examples():

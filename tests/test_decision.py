@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scflogic import decision
+from scflogic import axioms, decision
 from scflogic import (
     BudgetExceeded,
     EnumerationBudget,
@@ -384,3 +384,32 @@ def test_budget_exceeded_before_any_model_is_built(monkeypatch):
             query(2, K2, excluded_middle, small)
         with pytest.raises(BudgetExceeded):
             query(2, K3, excluded_middle)
+
+
+def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):
+    """Every refusal is decided from the state count before any state is
+    built, and names the sizes in text of bounded length."""
+
+    def no_states(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(decision, "all_profiles", no_states)
+    small = EnumerationBudget(max_models=100)
+    rep_ab = Rep(1, "a", "b")
+    # a state-determined formula needs one model: 216 states at (3,3)
+    for query in (satisfiable, valid):
+        with pytest.raises(BudgetExceeded) as err:
+            query(3, K3, rep_ab, small)
+        assert str(err.value) == "one model has 216 states, budget allows 100 models"
+    with pytest.raises(BudgetExceeded):
+        sample_models(3, K3, 10, budget=small)
+    # (10,3) has 3^60466176 * 60466176 models; (1000,3) more states than
+    # fit in a short decimal
+    for n, states in ((10, "60466176"), (1000, "3!^1000")):
+        with pytest.raises(BudgetExceeded) as err:
+            valid(n, K3, Out("a"))
+        message = str(err.value)
+        assert f"over {states} states" in message and len(message) < 120
+    # the axioms pool size reads the class size through the same bound
+    caps = [axioms._default_cap(n, k) for n, k in ((1, K2), (2, K2), (3, K2), (2, K3), (10, K3))]
+    assert caps == [64, 64, 48, 32, 32]

@@ -188,3 +188,21 @@ def test_property_oracle_agrees_with_the_encodings():
             holds, detail = property_oracle(table, prop)
             assert holds == (check_scf_property(table, prop).status == "valid"), (table, prop)
             assert (detail == "") == holds, (table, prop, detail)
+
+
+def test_oracles_check_outcome_names_a_fixed_number_of_times(monkeypatch):
+    """Outcome names are checked where they enter core, not on every read
+    of a table: the br oracle checks them as often at (2,3), with 1,296
+    (state, truth) pairs, as at (2,2) with 16."""
+    from scflogic import core
+
+    calls = []
+    check = core._check_outcomes
+    monkeypatch.setattr(core, "_check_outcomes", lambda names: calls.append(1) or check(names))
+    counts = []
+    for n, outcomes in ((2, K2), (3, K2), (2, K3)):
+        table = ScfTable.from_function(n, outcomes, lambda p: p.order(1).top)
+        calls.clear()
+        assert property_oracle(table, BR(2)) == (True, "")
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]

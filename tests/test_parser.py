@@ -155,7 +155,7 @@ def test_macros_match_builders():
 def test_scf_macro_loads_table(tmp_path, h_table):
     path = tmp_path / "h.json"
     save_scf(h_table, path)
-    ctx = Context(2, K2, scf_loader=lambda p: __import__("scflogic").load_scf(p))
+    ctx = Context(2, K2)
     assert parse(f"scf('{path}')", ctx) == rho(h_table, "diamond")
     assert parse(f'scf("{path}")', ctx) == rho(h_table, "diamond")
 
@@ -163,9 +163,7 @@ def test_scf_macro_loads_table(tmp_path, h_table):
 def test_scf_macro_domain_mismatch(tmp_path, majority_table):
     path = tmp_path / "maj.json"
     save_scf(majority_table, path)
-    from scflogic import load_scf
-
-    ctx = Context(2, K2, scf_loader=load_scf)
+    ctx = Context(2, K2)
     with pytest.raises(ParseError):
         parse(f"scf('{path}')", ctx)
 
