@@ -30,8 +30,10 @@ def _profile_json(profile: Profile) -> list[list[str]]:
 
 
 def _model_lines(model: ScfModel) -> list[str]:
-    outs = zip(model.states, model.table.values)
-    return [f"truth: {model.truth}"] + [f"  out {state} -> {value}" for state, value in outs]
+    lines = [f"truth: {model.truth}"]
+    for state in model.states:
+        lines.append(f"  out {state} -> {model.out(state)}")
+    return lines
 
 
 def _parse_outcomes(text: str) -> tuple[str, ...]:

@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "InvalidDomain",
@@ -118,7 +118,9 @@ class Profile:
     def replace(self, agent: int, order: LinearOrder) -> "Profile":
         """Profile with agent's order swapped (a unilateral deviation)."""
         self.order(agent)
-        return Profile(self.orders[: agent - 1] + (order,) + self.orders[agent:])
+        parts = list(self.orders)
+        parts[agent - 1] = order
+        return Profile(tuple(parts))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(o) for o in self.orders) + ")"
@@ -167,11 +169,15 @@ def all_linear_orders(outcomes: Sequence[str]) -> tuple[LinearOrder, ...]:
     return _orders(_check_outcomes(outcomes))
 
 
-def num_states(n: int, outcomes: Sequence[str]) -> int:
-    """(|K|!)^n, the number of profiles (= states) over (n, K)."""
+def _num_states(n: int, outcomes: tuple[str, ...]) -> int:
     if n < 1:
         raise InvalidDomain(f"need at least one agent, got n={n}")
-    return len(all_linear_orders(outcomes)) ** n
+    return len(_orders(outcomes)) ** n
+
+
+def num_states(n: int, outcomes: Sequence[str]) -> int:
+    """(|K|!)^n, the number of profiles (= states) over (n, K)."""
+    return _num_states(n, _check_outcomes(outcomes))
 
 
 def all_profiles(n: int, outcomes: Sequence[str]) -> tuple[Profile, ...]:
@@ -181,10 +187,10 @@ def all_profiles(n: int, outcomes: Sequence[str]) -> tuple[Profile, ...]:
     return _profiles(n, _check_outcomes(outcomes))
 
 
-def profile_index(profile: Profile, outcomes: Sequence[str], n: Optional[int] = None) -> int:
-    """Position of `profile` in all_profiles(n, K), from the map every module
-    reads (n defaults to the profile's); InvalidDomain if it is no state."""
-    return _state_index(profile.n if n is None else n, _check_outcomes(outcomes), profile)
+def profile_index(profile: Profile, outcomes: Sequence[str]) -> int:
+    """Position of `profile` in all_profiles(profile.n, K), from the map
+    every module reads; InvalidDomain if it ranks other outcomes."""
+    return _state_index(profile.n, _check_outcomes(outcomes), profile)
 
 
 def state_atoms(state: Profile) -> frozenset[RepAtom]:
@@ -217,7 +223,7 @@ class ScfTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", _check_outcomes(self.outcomes))
         object.__setattr__(self, "values", tuple(self.values))
-        expected = len(_profiles(self.agents, self.outcomes))
+        expected = _num_states(self.agents, self.outcomes)
         if len(self.values) != expected:
             raise InvalidDomain(
                 f"SCF table needs {expected} entries for (n={self.agents}, K={self.outcomes}),"

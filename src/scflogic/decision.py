@@ -11,10 +11,9 @@ state, so witnesses and counterexamples stay canonical.
 
 A formula without outcome atoms or pref modalities is state-determined:
 its truth at a state is the same in every model.  Such a formula is
-decided on the first model in enumeration order alone, however many
-models the class has; the budget then bounds that model's (|K|!)^n
-states instead of the models.  Its lowest hit state there is the witness
-or counterexample the enumeration would return.
+decided on the first model in enumeration order alone, if the budget
+covers its (|K|!)^n states; its lowest hit state there is the witness or
+counterexample the enumeration would return.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
@@ -75,21 +74,19 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 class BudgetExceeded(RuntimeError):
     """The model class over (n, K), or the state set of one model of it,
-    is larger than the enumeration budget allows.  `models` is the class's
-    model count, as text of bounded length."""
+    is larger than the enumeration budget allows.  `required_models` and
+    `required_states` are the class's model count and one model's state
+    count, each None above 10^30; `models` is the model count as text of
+    bounded length, with larger counts written as powers."""
 
     def __init__(self, n: int, outcomes: Sequence[str], budget: EnumerationBudget, one_model: bool):
-        self.n, self.outcomes, self.budget = n, tuple(outcomes), budget
-        k = len(self.outcomes)
-        models, states = _bounded_size(n, k, 10**15)  # larger counts print as powers
+        k = len(outcomes)
+        models, states = _bounded_size(n, k, 10**30)
+        self.required_models, self.required_states, self.budget = models, states, budget
         text = f"{k}!^{n}" if states is None else str(states)
         self.models = f"{k}^{text} * {text}" if models is None else str(models)
         need = "one model has" if one_model else f"enumeration needs {self.models} models over"
         super().__init__(f"{need} {text} states, budget allows {budget.max_models} models")
-
-    @property
-    def required_models(self) -> int:
-        return model_class_size(self.n, self.outcomes)[0]
 
 
 @dataclass(frozen=True)
@@ -122,25 +119,18 @@ def model_class_size(n: int, outcomes: Sequence[str]) -> tuple[int, int]:
     return len(tuple(outcomes)) ** states * states, states
 
 
-def _power_upto(base: int, exp: int, limit: int) -> Optional[int]:
-    """base ** exp if it is at most `limit`, else None."""
-    value = 1
-    for _ in range(exp if base > 1 else 0):
-        value *= base
-        if value > limit:
-            return None
-    return value
-
-
 def _bounded_size(n: int, k: int, limit: int) -> tuple[Optional[int], Optional[int]]:
     """(models, states) of the class over n agents and k outcomes, each None
     if above `limit`.  There are k^S * S >= S models over S = (k!)^n states,
-    so S is bounded first, and no number much above `limit` is built."""
-    states = _power_upto(factorial(k), n, limit)
-    tables = None if states is None else _power_upto(k, states, limit)
-    if tables is None or tables * states > limit:
+    and a power of a base >= 2 exceeds `limit` once its exponent passes the
+    bit length of `limit`, so no power with a larger exponent is taken."""
+    bits = limit.bit_length()
+    if k > 1 and n > bits or factorial(k) ** n > limit:
+        return None, None
+    states = factorial(k) ** n
+    if k > 1 and states > bits or k**states * states > limit:
         return None, states
-    return tables * states, states
+    return k**states * states, states
 
 
 def _check_budget(
@@ -239,9 +229,8 @@ def satisfiable(
 ) -> Verdict:
     """First (model, state) satisfying the formula, or unsatisfiable.
 
-    Raises `BudgetExceeded` before building any model when the class
-    exceeds the budget or, for a state-determined formula, when one
-    model's states do."""
+    Raises `BudgetExceeded` before building any model when the budget does
+    not cover the class, or one model's states if state-determined."""
     hit = _first_failure(n, outcomes, Not(formula), budget)
     if hit is None:
         return Verdict("unsatisfiable")
@@ -256,9 +245,8 @@ def valid(
 ) -> Verdict:
     """Truth at every state of every model, or the first counterexample.
 
-    Raises `BudgetExceeded` before building any model when the class
-    exceeds the budget or, for a state-determined formula, when one
-    model's states do."""
+    Raises `BudgetExceeded` before building any model when the budget does
+    not cover the class, or one model's states if state-determined."""
     hit = _first_failure(n, outcomes, formula, budget)
     if hit is None:
         return Verdict("valid")

@@ -34,6 +34,7 @@ from .logic import (
     Out,
     Pref,
     Rep,
+    TRUE,
     conj,
     disj,
 )
@@ -68,10 +69,13 @@ def _grand(n: int) -> frozenset[int]:
 def ballot_agent(agent: int, order: LinearOrder) -> Formula:
     """Reification of one agent's reported ranking: the chain of adjacent
     at-least-as-good atoms.  A single-outcome ranking reifies to truth."""
-    return conj(
+    pairs = [
         Rep(agent, order.ranking[k], order.ranking[k + 1])
         for k in range(len(order.ranking) - 1)
-    )
+    ]
+    if not pairs:
+        return TRUE
+    return conj(pairs)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,6 @@ from .core import (
     ScfTable,
     _check_outcomes,
     _profiles,
-    _state_index,
 )
 
 __all__ = [
@@ -85,8 +84,7 @@ def scf_from_dict(data: object) -> ScfTable:
         raise FileFormatError(str(exc)) from None
     if not isinstance(entries, list):
         raise FileFormatError("map must be an array of {profile, outcome} entries")
-    profiles = _profiles(agents, outcomes)
-    values: list[str | None] = [None] * len(profiles)
+    mapping: dict[Profile, str] = {}
     for k, entry in enumerate(entries):
         what = f"map[{k}]"
         if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
@@ -95,12 +93,15 @@ def scf_from_dict(data: object) -> ScfTable:
         outcome = entry["outcome"]
         if outcome not in outcomes:
             raise FileFormatError(f"{what}: unknown outcome {outcome!r}")
-        index = _state_index(agents, outcomes, profile)
-        if values[index] is not None:
+        if profile in mapping:
             raise FileFormatError(f"{what}: duplicate profile {profile}")
-        values[index] = outcome
-    if None in values:
-        raise FileFormatError(f"missing profile {profiles[values.index(None)]} in map")
+        mapping[profile] = outcome
+    # states are built only once every entry is checked
+    values = []
+    for profile in _profiles(agents, outcomes):
+        if profile not in mapping:
+            raise FileFormatError(f"missing profile {profile} in map")
+        values.append(mapping[profile])
     return ScfTable(agents, outcomes, tuple(values))
 
 

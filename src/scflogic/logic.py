@@ -253,9 +253,7 @@ def disj(parts: Iterable[Formula]) -> Formula:
 class KripkeScf:
     """Relational presentation of a model: states, one equivalence relation
     per agent (agreement outside that agent), one preference relation per
-    agent over states, and an explicit valuation.  The states are the
-    profiles over (n, K) in `core`'s canonical numbering, which
-    `eval_kripke` reads to locate a profile.
+    agent over states, and an explicit valuation.
 
     For views built by `kripke_view` the valuation assigns exactly one
     outcome label per state; the type allows degenerate valuations so that

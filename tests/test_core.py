@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from scflogic import core
 from scflogic import (
     Evaluator,
     InvalidDomain,
@@ -93,7 +94,6 @@ def test_one_state_numbering_for_every_reader():
     km = kripke_view(model)
     readers = {
         "ScfTable.__call__": table,
-        "profile_index": lambda p: profile_index(p, K2, 2),
         "ScfModel.out": model.out,
         "Evaluator.holds": lambda p: ev.holds(p, TRUE),
         "eval_kripke": lambda p: eval_kripke(km, p, TRUE),
@@ -105,6 +105,9 @@ def test_one_state_numbering_for_every_reader():
             with pytest.raises(InvalidDomain):
                 read(state)
                 pytest.fail(f"{name} read {state}")
+    # profile_index numbers the profile's own n; only foreign outcomes fail
+    with pytest.raises(InvalidDomain):
+        profile_index(other_outcomes, K2)
 
 
 def test_state_atoms_examples():
@@ -182,6 +185,17 @@ def test_scf_table_validation():
         ScfTable(2, K2, ("a", "a", "a"))  # wrong arity
     with pytest.raises(InvalidDomain):
         ScfTable(2, K2, ("a", "a", "a", "z"))  # image outside K
+
+
+def test_scf_table_length_is_checked_without_building_states(monkeypatch):
+    """(3!)^12 states: the table length is compared with the count alone."""
+
+    def no_states(*args):
+        raise AssertionError("the states were built")
+
+    monkeypatch.setattr(core, "_profiles", no_states)
+    with pytest.raises(InvalidDomain, match="needs 2176782336 entries"):
+        ScfTable(12, K3, ())
 
 
 def test_profile_validation():

@@ -410,6 +410,7 @@ def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):
             valid(n, K3, Out("a"))
         message = str(err.value)
         assert f"over {states} states" in message and len(message) < 120
+        assert err.value.required_models is None
     # the axioms pool size reads the class size through the same bound
     caps = [axioms._default_cap(n, k) for n, k in ((1, K2), (2, K2), (3, K2), (2, K3), (10, K3))]
     assert caps == [64, 64, 48, 32, 32]

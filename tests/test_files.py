@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scflogic import ScfModel, all_profiles
+from scflogic import ScfModel, all_profiles, files
 from scflogic.files import (
     FileFormatError,
     load_model,
@@ -119,3 +119,20 @@ def test_malformed_scf_rejected(h_table, malform, message):
     with pytest.raises(FileFormatError) as err:
         scf_from_dict(malform(_h_dict(h_table)))
     assert str(err.value) == message
+
+
+def test_entries_are_checked_before_states_are_built(monkeypatch):
+    """A file claiming 12 agents over three outcomes, (3!)^12 states, fails
+    on its short first profile without building any state."""
+
+    def no_states(*args):
+        raise AssertionError("the states were built")
+
+    monkeypatch.setattr(files, "_profiles", no_states)
+    data = {
+        "agents": 12,
+        "outcomes": ["a", "b", "c"],
+        "map": [{"profile": [["a", "b", "c"], ["c", "b", "a"]], "outcome": "a"}],
+    }
+    with pytest.raises(FileFormatError, match=r"map\[0\]: profile must list 12 rankings"):
+        scf_from_dict(data)

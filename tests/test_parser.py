@@ -117,10 +117,11 @@ def test_format_examples():
         "ballot(1,[a,a])",
         "a b",  # trailing input
         "'lonely'",  # stray string
-        "scf('x.json')",  # no loader configured
+        "scf('x.json')",  # no such file: the test runs in an empty directory
     ],
 )
-def test_errors_carry_spans(text):
+def test_errors_carry_spans(text, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ParseError) as err:
         parse(text, CTX2)
     span = err.value.span
