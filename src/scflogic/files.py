@@ -74,7 +74,7 @@ def scf_from_dict(data: object) -> ScfTable:
         entries = data["map"]
     except KeyError as exc:
         raise FileFormatError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(agents, int) or agents < 1:
+    if type(agents) is not int or agents < 1:  # bool is an int subclass
         raise FileFormatError(f"agents must be a positive integer, got {agents!r}")
     if not isinstance(outcome_list, list) or not all(isinstance(x, str) for x in outcome_list):
         raise FileFormatError(f"outcomes must be an array of names, got {outcome_list!r}")

@@ -1,12 +1,13 @@
 """Game-theoretic oracles, independent of the logic layer.
 
-Everything here works by direct enumeration over action profiles and
-preference profiles, straight from the definitions: Nash equilibrium,
-dominant strategy equilibrium, (truthful) implementation, strategy-
-proofness, monotonicity, citizen sovereignty and dictatorship.  These
-routines exist to validate the logical encodings and never consult the
-formula evaluator, except `equivalence_audit`, which decides the
-strategy-proofness encoding through `decision`, imported at call time.
+Everything here works by direct enumeration, straight from the definitions:
+Nash and dominant strategy equilibrium, (truthful) implementation, strategy-
+proofness, monotonicity, citizen sovereignty and dictatorship.  One scan for
+a profitable misreport decides `is_strategy_proof` and the `strproof`, `dom`
+and `br(i)` oracles; `equivalence_audit` keeps the equilibrium route
+(`truthfully_implements`, `implements`) as an independent check, and decides
+the encoding through `decision`, imported at call time: the one routine here
+that consults the formula evaluator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
     GameForm,
@@ -185,10 +186,25 @@ def truthfully_implements(
     return ImplementationReport(True)
 
 
+def _first_gain(table: ScfTable, agents: Iterable[int], by_truth: bool):
+    """The first (agent, ranking, state, misreport) at which `agent` gains by
+    `ranking` from changing its report at `state` alone, or None; `ranking` is
+    that report or, `by_truth`, each of the |K|! true rankings in turn."""
+    moves = all_linear_orders(table.outcomes)
+    for agent in agents:
+        for truth in moves if by_truth else (None,):
+            for state, value in zip(table.profiles, table.values):
+                ranking = state.order(agent) if truth is None else truth
+                for move in moves:
+                    if ranking.strictly_better(table(state.replace(agent, move)), value):
+                        return agent, ranking, state, move
+    return None
+
+
 def is_strategy_proof(table: ScfTable) -> bool:
-    """Truth-telling is a dominant strategy under the induced direct
-    mechanism, for every true profile."""
-    return truthfully_implements(scf_as_game_form(table), table, SolutionConcept.DOMEQ).ok
+    """No agent gains, by its own report, from changing that report alone
+    (the deviation scan; `equivalence_audit` keeps the equilibrium route)."""
+    return _first_gain(table, range(1, table.agents + 1), by_truth=False) is None
 
 
 @dataclass(frozen=True)
@@ -236,7 +252,7 @@ def is_dictatorial(table: ScfTable) -> tuple[bool, Optional[int]]:
 
 def property_oracle(table: ScfTable, prop: PropertyId) -> tuple[bool, str]:
     """Game-theoretic verdict on a named SCF property, straight from its
-    definition, plus a failure explanation ("" when it holds)."""
+    definition (dom is br(i) for every i), plus a failure explanation ("" when it holds)."""
     if prop.kind == "citsov":
         if has_citsov(table):
             return True, ""
@@ -253,33 +269,14 @@ def property_oracle(table: ScfTable, prop: PropertyId) -> tuple[bool, str]:
             f"outcome {report.outcome} chosen at {report.profile} but dropped at"
             f" {report.profile_after}"
         )
-    if prop.kind == "strproof":
-        report = truthfully_implements(scf_as_game_form(table), table, SolutionConcept.DOMEQ)
-        if report.ok:
-            return True, ""
-        return False, f"truth-telling not dominant at true profile {report.profile}"
-    if prop.kind == "dom":
-        direct = scf_as_game_form(table)
-        for truth in table.profiles:
-            winners = set(dom_equilibria(direct, truth))
-            for state in table.profiles:
-                if state.orders not in winners:
-                    return False, f"state {state} not dominant under truth {truth}"
+    if prop.kind not in ("strproof", "dom", "br"):
+        raise InvalidDomain(f"no oracle for property {prop}")
+    agents = (prop.agent,) if prop.kind == "br" else range(1, table.agents + 1)
+    gain = _first_gain(table, agents, by_truth=prop.kind != "strproof")
+    if gain is None:
         return True, ""
-    if prop.kind == "br":
-        agent = prop.agent
-        assert agent is not None
-        moves = all_linear_orders(table.outcomes)
-        for truth in table.profiles:
-            order = truth.order(agent)
-            for state in table.profiles:
-                current = table(state)
-                for move in moves:
-                    deviated = state.replace(agent, move)
-                    if order.strictly_better(table(deviated), current):
-                        return False, f"agent {agent} improves by deviating at {state}"
-        return True, ""
-    raise InvalidDomain(f"no oracle for property {prop}")
+    agent, ranking, state, move = gain
+    return False, f"agent {agent} with true ranking {ranking} gains by reporting {move} at {state}"
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,7 @@ def test_true_preferences_validated(h_table):
     [
         (lambda d: [d], "top level must be a JSON object"),
         (lambda d: {**d, "agents": 0}, "agents must be a positive integer, got 0"),
+        (lambda d: {**d, "agents": True}, "agents must be a positive integer, got True"),
         (lambda d: {**d, "outcomes": "ab"}, "outcomes must be an array of names, got 'ab'"),
         (lambda d: {**d, "outcomes": ["a", "b c"]}, "invalid outcome name: 'b c'"),
         (lambda d: {**d, "map": {}}, "map must be an array of {profile, outcome} entries"),

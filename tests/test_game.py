@@ -165,16 +165,17 @@ def test_equivalences_on_all_two_agent_scfs():
         direct = scf_as_game_form(table)
         truthful = truthfully_implements(direct, table, SolutionConcept.DOMEQ).ok
         implement = implements(direct, table, SolutionConcept.DOMEQ).ok
-        assert truthful == implement
+        assert truthful == implement == is_strategy_proof(table)
         assert is_monotonic(table).ok == is_strategy_proof(table)
 
 
 def _property_tables():
-    """Every SCF at n = 1..3 over {a,b}, then seeded tables at (2,3)."""
-    for n in (1, 2, 3):
-        count = len(all_profiles(n, K2))
-        for values in itertools.product(K2, repeat=count):
-            yield ScfTable(n, K2, values)
+    """Every SCF at n = 1..3 over {a,b} and at (1,3), then seeded tables at
+    (2,3)."""
+    for n, outcomes in ((1, K2), (2, K2), (3, K2), (1, K3)):
+        count = len(all_profiles(n, outcomes))
+        for values in itertools.product(outcomes, repeat=count):
+            yield ScfTable(n, outcomes, values)
     rng = random.Random(41)
     for _ in range(3):
         yield ScfTable(2, K3, tuple(rng.choice(K3) for _ in range(36)))
@@ -192,8 +193,8 @@ def test_property_oracle_agrees_with_the_encodings():
 
 def test_oracles_check_outcome_names_a_fixed_number_of_times(monkeypatch):
     """Outcome names are checked where they enter core, not on every read
-    of a table: the br oracle checks them as often at (2,3), with 1,296
-    (state, truth) pairs, as at (2,2) with 16."""
+    of a table: the br oracle checks them as often at (2,3), with 216
+    (state, true ranking) pairs, as at (2,2) with 8."""
     from scflogic import core
 
     calls = []
@@ -206,3 +207,36 @@ def test_oracles_check_outcome_names_a_fixed_number_of_times(monkeypatch):
         assert property_oracle(table, BR(2)) == (True, "")
         counts.append(len(calls))
     assert counts == [1, 1, 1]
+
+
+def test_deviation_details_name_a_gain_the_table_confirms():
+    """The strproof, dom and br details name the first (agent, true ranking,
+    state, misreport) of a profitable misreport; rebuilt here from the table
+    alone, in the scan's order: agent, true ranking, state, misreport."""
+    table = ScfTable.from_function(2, K3, lambda p: p.order(1).ranking[1])
+    orders = all_linear_orders(K3)
+
+    def first_gain(agents, truths):
+        for agent in agents:
+            for truth in truths:
+                for state in table.profiles:
+                    ranking = truth or state.order(agent)
+                    for move in orders:
+                        if ranking.strictly_better(table(state.replace(agent, move)), table(state)):
+                            return agent, ranking, state, move
+
+    for prop, agents, truths in (
+        (STRPROOF, (1, 2), (None,)),
+        (DOM, (1, 2), orders),
+        (BR(1), (1,), orders),
+    ):
+        agent, ranking, state, move = first_gain(agents, truths)
+        assert property_oracle(table, prop) == (
+            False,
+            f"agent {agent} with true ranking {ranking} gains by reporting {move} at {state}",
+        )
+    # at the first state agent 1 gets b, its second choice; ranking b first gets it a
+    assert property_oracle(table, STRPROOF)[1] == (
+        "agent 1 with true ranking [a,b,c] gains by reporting [b,a,c] at ([a,b,c],[a,b,c])"
+    )
+    assert property_oracle(table, BR(2)) == (True, "")

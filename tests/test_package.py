@@ -44,6 +44,36 @@ def test_every_module_level_import_is_read():
     assert not unused, f"imported but never read: {unused}"
 
 
+def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The modules an import statement names, relative ones with their dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return ["." * node.level + (node.module or "")]
+
+
+def test_oracle_layer_imports_only_core():
+    """The oracles stay independent of the logic layer: `game` imports only
+    from `core` and the standard library, apart from `if TYPE_CHECKING:`
+    imports and `equivalence_audit`'s call-time import of `decision` (and
+    `encodings`), which decides the encoding it audits."""
+    tree = ast.parse((Path(scflogic.__file__).parent / "game.py").read_text())
+    outside = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING":
+            continue
+        audit = getattr(stmt, "name", None) == "equivalence_audit"
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                outside += [
+                    module
+                    for module in _imported(node)
+                    if module != ".core"
+                    and module.split(".")[0] not in sys.stdlib_module_names
+                    and not (audit and module in (".decision", ".encodings"))
+                ]
+    assert not outside, f"game imports outside core and the standard library: {outside}"
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 _INSTALL_TRACER = """
