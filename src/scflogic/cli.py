@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -38,18 +37,6 @@ def _model_lines(model: ScfModel) -> list[str]:
 
 def _parse_outcomes(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
-
-
-def _parse_property(text: str) -> encodings.PropertyId:
-    match = re.fullmatch(r"br\(([1-9][0-9]*)\)", text)
-    if match:
-        return encodings.BR(int(match.group(1)))
-    if text not in ("citsov", "nodict", "dom", "mon", "strproof"):
-        raise InvalidDomain(
-            f"unknown property {text!r};"
-            " expected citsov, nodict, dom, mon, strproof or br(<agent>)"
-        )
-    return encodings.PropertyId(text)
 
 
 def _formula_arg(args: argparse.Namespace) -> str:
@@ -106,7 +93,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_property(args: argparse.Namespace) -> int:
     table = files.load_scf(args.scf)
-    prop = _parse_property(args.property)
+    prop = encodings.PropertyId.parse(args.property)
     verdict = decision.check_scf_property(table, prop)
     holds = verdict.status == "valid"
     oracle, detail = game.property_oracle(table, prop)
@@ -193,7 +180,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
     model = files.load_model(args.model)
-    concept = game.SolutionConcept.NE if args.concept == "ne" else game.SolutionConcept.DOMEQ
+    concept = game.SolutionConcept(args.concept)
     direct = scf_as_game_form(model.table)
     found = game.solution_set(direct, model.truth, concept)
     _emit(
@@ -292,10 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prop = subs.add_parser("property", help="check an SCF property via its encoding")
     prop.add_argument("--scf", required=True, help="SCF JSON file")
-    prop.add_argument(
-        "property",
-        help="citsov | nodict | dom | mon | strproof | br(i)",
-    )
+    prop.add_argument("property", help=" | ".join(encodings.PropertyId.spellings()))
 
     for name, help_text in (
         ("sat", "satisfiability by model enumeration"),
@@ -313,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     equilibria = subs.add_parser("equilibria", help="equilibria of the induced direct mechanism")
     equilibria.add_argument("--model", required=True)
-    equilibria.add_argument("--concept", choices=("ne", "dom"), default="ne")
+    equilibria.add_argument(
+        "--concept",
+        choices=[concept.value for concept in game.SolutionConcept],
+        default=game.SolutionConcept.NE.value,
+    )
 
     audit = subs.add_parser("audit", help="strategy-proofness equivalence audit")
     audit.add_argument("--scf", required=True)

@@ -10,13 +10,19 @@ ballot labels and `better` expansions, are one shared node, and an
 evaluator's memo hits them by identity.  `ballot_profile`, `better` and
 `property_formula` are memoized with `lru_cache` only to skip rebuilding
 what interning would return anyway.
+
+The property table `_PROPERTIES` maps each property kind to its builder:
+`PropertyId` accepts exactly its kinds, `PropertyId.parse` reads their
+spellings, and `property_formula` builds through it.  The parser's bare
+property names and the CLI's property argument come from the same table.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .core import (
     InvalidDomain,
@@ -242,6 +248,19 @@ def strproof(n: int, outcomes: Sequence[str]) -> Formula:
     )
 
 
+# property kind -> its builder over (agent, n, K); the agent is None but for
+# the kinds named with one, as br(1) is.  Each row looks its builder up when
+# called, so the builder functions above stay the one place to replace.
+_PROPERTIES: dict[str, Callable[[Optional[int], int, tuple[str, ...]], Formula]] = {
+    "citsov": lambda agent, n, outcomes: citsov(n, outcomes),
+    "nodict": lambda agent, n, outcomes: nodict(n, outcomes),
+    "dom": lambda agent, n, outcomes: dom(n, outcomes),
+    "mon": lambda agent, n, outcomes: mon(n, outcomes),
+    "strproof": lambda agent, n, outcomes: strproof(n, outcomes),
+    "br": lambda agent, n, outcomes: best_response(agent, n, outcomes),
+}
+
+
 @dataclass(frozen=True)
 class PropertyId:
     """Name of a checkable SCF property; `agent` is set for best-response."""
@@ -249,16 +268,36 @@ class PropertyId:
     kind: str
     agent: Optional[int] = None
 
-    _KINDS = ("citsov", "nodict", "br", "dom", "mon", "strproof")
+    # the property kinds, and those named with an agent
+    KINDS: ClassVar[tuple[str, ...]] = tuple(_PROPERTIES)
+    AGENT_KINDS: ClassVar[frozenset[str]] = frozenset({"br"})
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown property {self.kind!r}; expected one of {self._KINDS}")
-        if (self.kind == "br") != (self.agent is not None):
+        if self.kind not in _PROPERTIES:
+            raise ValueError(f"unknown property {self.kind!r}; expected one of {self.KINDS}")
+        if (self.kind in self.AGENT_KINDS) != (self.agent is not None):
             raise ValueError("agent must be given for br and only for br")
 
     def __str__(self) -> str:
-        return f"br({self.agent})" if self.kind == "br" else self.kind
+        return self.kind if self.agent is None else f"{self.kind}({self.agent})"
+
+    @classmethod
+    def spellings(cls) -> tuple[str, ...]:
+        """How each kind is written, in table order: `mon`, `br(<agent>)`."""
+        return tuple(f"{k}(<agent>)" if k in cls.AGENT_KINDS else k for k in cls.KINDS)
+
+    @classmethod
+    def parse(cls, text: str) -> "PropertyId":
+        """The property `text` names, spelled exactly as `str` prints it: a
+        bare kind, or a kind named with an agent and a decimal agent number
+        without leading zeros, as in br(2)."""
+        match = re.fullmatch(r"([a-z]+)(?:\(([1-9][0-9]*)\))?", text)
+        if match and match[1] in _PROPERTIES:
+            kind, agent = match[1], match[2]
+            if (kind in cls.AGENT_KINDS) == (agent is not None):
+                return cls(kind, None if agent is None else int(agent))
+        *rest, last = cls.spellings()
+        raise InvalidDomain(f"unknown property {text!r}; expected {', '.join(rest)} or {last}")
 
 
 CITSOV = PropertyId("citsov")
@@ -280,18 +319,4 @@ def property_formula(prop: PropertyId, n: int, outcomes: Sequence[str]) -> Formu
 
 @lru_cache(maxsize=None)
 def _property_formula(prop: PropertyId, n: int, outcomes: tuple[str, ...]) -> Formula:
-    if prop.kind == "citsov":
-        return citsov(n, outcomes)
-    if prop.kind == "nodict":
-        return nodict(n, outcomes)
-    if prop.kind == "br":
-        assert prop.agent is not None
-        return best_response(prop.agent, n, outcomes)
-    if prop.kind == "dom":
-        return dom(n, outcomes)
-    if prop.kind == "mon":
-        return mon(n, outcomes)
-    if prop.kind == "strproof":
-        return strproof(n, outcomes)
-    raise ValueError(f"unknown property {prop}")
-
+    return _PROPERTIES[prop.kind](prop.agent, n, outcomes)

@@ -97,12 +97,20 @@ class Formula:
         return ()
 
     def subformulas(self) -> Iterator["Formula"]:
-        """All nodes of the syntax tree, preorder."""
+        """Every distinct node of the formula, each once, in preorder.
+
+        Nodes are interned, so a formula is a DAG: a node shared by several
+        parents is yielded at its first visit only (nodes are told apart by
+        identity), and the walk is linear in the distinct nodes, not in the
+        size of the tree they unfold to."""
+        seen: set[Formula] = set()
         stack = [self]
         while stack:
             node = stack.pop()
-            yield node
-            stack.extend(node.children())
+            if node not in seen:
+                seen.add(node)
+                yield node
+                stack.extend(node.children())
 
     def __repr__(self) -> str:
         from .parser import format_formula

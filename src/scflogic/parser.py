@@ -8,17 +8,23 @@ Grammar (ASCII only, whitespace-insensitive outside tokens):
     and      := unary ("&" unary)*                    left-associative
     unary    := ("~" | "<" coalition ">" | "[" coalition "]"
               | "pref" "(" AGENT ")" | "Pref" "(" AGENT ")")* primary
-    primary  := "true" | "false" | "(" formula ")"
-              | "rep" "(" AGENT "," OUTCOME "," OUTCOME ")"
-              | macro | OUTCOME
+    primary  := "(" formula ")"
+              | "better" "(" AGENT "," formula "," formula ")"
+              | NAME ("(" ARG ("," ARG)* ")")? | OUTCOME
     coalition := "{" (AGENT ("," AGENT)*)? "}" | "N"
 
-Macros — ballot(i,[...]), ballotAll([[...],...]), better(i,f,g),
-trueprofile([[...],...]), citsov, nodict, br(i), dom, mon, strproof,
-scf("path") — are expanded at parse time by the encoding builders, so the
-evaluator only ever sees the core grammar.  Formulas are parsed on
-explicit stacks (operator precedence), so long operator chains and deep
-nesting are limited by memory only.
+Every named form NAME is one row of the table `_FORMS`: the kinds of its
+arguments ARG (an agent, an outcome, a ranking [x,...], a profile literal
+[[x,...],...] or a quoted SCF file path), each read by the `_Parser`
+method of that name, and the builder it is expanded by at parse time, so
+the evaluator only ever sees the core grammar.  The rows are true, false,
+rep(i,x,y), ballot(i,[...]), ballotAll([[...],...]),
+trueprofile([[...],...]), scf("path") and one per property kind of
+`encodings.PropertyId`, bare or with an agent argument as the kind is
+named.  `KEYWORDS` is the table's names with N, pref, Pref and better.
+`better(i,f,g)` takes formulas, so it is parsed as a level of the formula
+instead.  Formulas are parsed on explicit stacks (operator precedence),
+so long operator chains and deep nesting are limited by memory only.
 
 `format_formula` prints the canonical minimally-parenthesized core form;
 parsing it back yields the same (interned) node.
@@ -32,7 +38,7 @@ from functools import partial
 from typing import Callable, Optional, Union
 
 from . import encodings, files
-from .core import InvalidDomain, LinearOrder, Profile, _check_outcomes
+from .core import InvalidDomain, LinearOrder, Profile, ScfTable, _check_outcomes
 from .logic import (
     And,
     Box,
@@ -57,28 +63,6 @@ __all__ = [
     "parse",
     "format_formula",
 ]
-
-KEYWORDS = frozenset(
-    {
-        "true",
-        "false",
-        "N",
-        "rep",
-        "pref",
-        "Pref",
-        "ballot",
-        "ballotAll",
-        "better",
-        "trueprofile",
-        "citsov",
-        "nodict",
-        "br",
-        "dom",
-        "mon",
-        "strproof",
-        "scf",
-    }
-)
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -172,6 +156,33 @@ _BINARY: dict[str, tuple[int, Callable[[Formula, Formula], Formula]]] = {
     "<->": (1, Iff),
 }
 _RIGHT_ASSOCIATIVE = frozenset({"->", "<->"})
+
+# named form -> (its argument kinds, each the `_Parser` method that reads
+# one, and its builder over the context and the arguments).  Rows call the
+# builders through the module name `encodings` when they run.
+_FORMS: dict[str, tuple[tuple[str, ...], Callable[..., Formula]]] = {
+    "true": ((), lambda ctx: TRUE),
+    "false": ((), lambda ctx: Not(TRUE)),
+    "rep": (("agent", "outcome", "outcome"), lambda ctx, *args: Rep(*args)),
+    "ballot": (("agent", "ranking"), lambda ctx, *args: encodings.ballot_agent(*args)),
+    "ballotAll": (("profile_literal",), lambda ctx, p: encodings.ballot_profile(p)),
+    "trueprofile": (
+        ("profile_literal",),
+        lambda ctx, p: encodings.trueprofile(p, ctx.outcomes),
+    ),
+    "scf": (("path",), lambda ctx, table: encodings.rho(table, "diamond")),
+    **{
+        kind: (
+            ("agent",) if kind in encodings.PropertyId.AGENT_KINDS else (),
+            lambda ctx, *agent, kind=kind: encodings.property_formula(
+                encodings.PropertyId(kind, *agent), ctx.n, ctx.outcomes
+            ),
+        )
+        for kind in encodings.PropertyId.KINDS
+    },
+}
+
+KEYWORDS = frozenset({*_FORMS, "N", "pref", "Pref", "better"})
 
 
 @dataclass
@@ -366,79 +377,45 @@ class _Parser:
             )
         return Profile(tuple(orders))
 
+    def path(self) -> ScfTable:
+        """A quoted SCF file path, loaded and checked against the context."""
+        token = self.peek()
+        if token.kind != "string":
+            raise ParseError("scf(...) takes a quoted path", token.span)
+        self.advance()
+        try:
+            table = files.load_scf(token.text)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot load SCF {token.text!r}: {exc}", token.span) from exc
+        if table.agents != self.ctx.n or set(table.outcomes) != set(self.ctx.outcomes):
+            raise ParseError(
+                f"SCF {token.text!r} is over (n={table.agents}, K={table.outcomes}),"
+                f" context is (n={self.ctx.n}, K={self.ctx.outcomes})",
+                token.span,
+            )
+        return table
+
     def primary(self) -> Formula:
+        """A named form of `_FORMS` with its arguments, or an outcome."""
         token = self.peek()
         if token.kind == "string":
             raise ParseError("string literal outside scf(...)", token.span)
-        if token.kind in ("word", "number"):
-            text = token.text
-            if text == "true":
-                self.advance()
-                return TRUE
-            if text == "false":
-                self.advance()
-                return Not(TRUE)
-            if text == "rep":
-                self.advance()
-                self.expect("(")
-                agent = self.agent()
-                self.expect(",")
-                left = self.outcome()
-                self.expect(",")
-                right = self.outcome()
-                self.expect(")")
-                return Rep(agent, left, right)
-            if text in ("ballot", "ballotAll", "trueprofile", "br", "scf"):
-                return self.macro_call(token)
-            if text in ("citsov", "nodict", "dom", "mon", "strproof"):
-                self.advance()
-                prop = encodings.PropertyId(text)
-                return encodings.property_formula(prop, self.ctx.n, self.ctx.outcomes)
+        if token.kind not in ("word", "number"):
+            raise ParseError(
+                f"expected a formula, found {token.text or 'end of input'!r}", token.span
+            )
+        form = _FORMS.get(token.text)
+        if form is None:
             return Out(self.outcome())
-        raise ParseError(
-            f"expected a formula, found {token.text or 'end of input'!r}", token.span
-        )
-
-    def macro_call(self, head: _Token) -> Formula:
-        name = head.text
         self.advance()
-        self.expect("(")
-        if name == "ballot":
-            agent = self.agent()
-            self.expect(",")
-            order = self.ranking()
+        kinds, build = form
+        args = []
+        for k, kind in enumerate(kinds):
+            self.expect("," if k else "(")
+            args.append(getattr(self, kind)())
+        if kinds:
             self.expect(")")
-            return encodings.ballot_agent(agent, order)
-        if name == "ballotAll":
-            profile = self.profile_literal()
-            self.expect(")")
-            return encodings.ballot_profile(profile)
-        if name == "trueprofile":
-            profile = self.profile_literal()
-            self.expect(")")
-            return encodings.trueprofile(profile, self.ctx.outcomes)
-        if name == "br":
-            agent = self.agent()
-            self.expect(")")
-            return encodings.property_formula(encodings.BR(agent), self.ctx.n, self.ctx.outcomes)
-        if name == "scf":
-            token = self.peek()
-            if token.kind != "string":
-                raise ParseError("scf(...) takes a quoted path", token.span)
-            self.advance()
-            self.expect(")")
-            try:
-                table = files.load_scf(token.text)
-            except (OSError, ValueError) as exc:
-                raise ParseError(f"cannot load SCF {token.text!r}: {exc}", token.span) from exc
-            if table.agents != self.ctx.n or set(table.outcomes) != set(self.ctx.outcomes):
-                raise ParseError(
-                    f"SCF {token.text!r} is over (n={table.agents}, K={table.outcomes}),"
-                    f" context is (n={self.ctx.n}, K={self.ctx.outcomes})",
-                    token.span,
-                )
-            return encodings.rho(table, "diamond")
-        raise ParseError(f"unknown macro {name!r}", head.span)
+        return build(self.ctx, *args)
 
 
 def _as_context(ctx: Union[Context, tuple]) -> Context:

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from scflogic.axioms import (
     pref_necessitation_holds,
     soundness_check,
 )
+from scflogic.encodings import better
 from scflogic.logic import And, Box, Diamond, Iff, Not, Or, Out, Pref, PrefBox, Rep, TRUE
 from scflogic.axioms import AxiomInstance
 from scflogic.parser import format_formula, parse
@@ -73,6 +75,18 @@ def test_comp_at_filter_excludes_shared_agents_and_outcomes():
         {inst.bindings["delta1"], inst.bindings["delta2"]} != {pool[0], pool[1]}
         for inst in instances
     )
+
+
+def test_comp_at_reads_each_distinct_node_once():
+    """comp-At reads the agents of a pool formula from its distinct nodes:
+    a 12-deep nesting of `better` has a few hundred, though the tree they
+    unfold to has hundreds of millions (a walk over it took about 40 s)."""
+    formula = Rep(1, "a", "b")
+    for _ in range(12):
+        formula = better(1, K2, 1, formula, formula)
+    start = time.perf_counter()
+    assert instantiate("comp-At", 1, K2, [formula]) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_confl_skips_same_agent():

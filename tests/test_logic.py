@@ -299,6 +299,20 @@ def test_unreferenced_nodes_are_collected():
     assert Pref(2, Diamond({1}, Rep(1, "b", "a"))) is Pref(2, Diamond([1], Rep(1, "b", "a")))
 
 
+def test_subformulas_yield_each_distinct_node_once_in_preorder():
+    """The strproof encoding at (2,3) is a DAG of 3,934 distinct nodes that
+    unfolds to a tree of 370,148; the walk yields each node once, the root
+    first and every other node after a parent of it."""
+    formula = property_formula(STRPROOF, 2, K3)
+    nodes = list(formula.subformulas())
+    assert len(nodes) == len(set(nodes)) == 3934
+    reached = {formula}
+    for node in nodes:
+        assert node in reached
+        reached.update(node.children())
+    assert reached == set(nodes)
+
+
 def test_eval_kripke_walks_deep_and_shared_formulas():
     """The relational semantics evaluates a 20,000-deep chain and the
     strproof encoding at (2,3) without recursion, in agreement with the

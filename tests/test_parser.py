@@ -13,6 +13,7 @@ from scflogic import (
     valid_in_model,
 )
 from scflogic.encodings import (
+    PropertyId,
     ballot_agent,
     ballot_profile,
     best_response,
@@ -21,6 +22,7 @@ from scflogic.encodings import (
     dom,
     mon,
     nodict,
+    property_formula,
     rho,
     strproof,
     trueprofile,
@@ -40,7 +42,8 @@ from scflogic.logic import (
     PrefBox,
     Rep,
 )
-from scflogic.parser import Context, ParseError, SourceSpan, format_formula, parse
+from scflogic.game import property_oracle
+from scflogic.parser import KEYWORDS, Context, ParseError, SourceSpan, format_formula, parse
 
 from conftest import K2, K3
 
@@ -129,12 +132,21 @@ def test_errors_carry_spans(text, tmp_path, monkeypatch):
 
 
 def test_keyword_outcomes_rejected_at_context_load():
-    with pytest.raises(InvalidDomain):
-        Context(2, ("true", "b"))
-    with pytest.raises(InvalidDomain):
-        Context(2, ("N", "b"))
-    with pytest.raises(InvalidDomain):
-        Context(2, ("mon", "b"))
+    for keyword in KEYWORDS:
+        with pytest.raises(InvalidDomain, match="collides with a keyword"):
+            Context(2, (keyword, "b"))
+
+
+def test_every_property_kind_has_a_macro_a_spelling_and_an_oracle():
+    """A property kind cannot be added to the encodings' table without the
+    parser's macro for it, its CLI spelling and its game-theoretic oracle."""
+    table = ScfTable.from_function(2, K2, lambda p: p.order(1).top)
+    for kind in PropertyId.KINDS:
+        prop = PropertyId(kind, 1) if kind in PropertyId.AGENT_KINDS else PropertyId(kind)
+        assert PropertyId.parse(str(prop)) == prop
+        assert parse(str(prop), (2, K2)) is property_formula(prop, 2, K2)
+        holds, detail = property_oracle(table, prop)
+        assert isinstance(holds, bool) and isinstance(detail, str)
 
 
 def test_macros_match_builders():
