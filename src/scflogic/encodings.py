@@ -11,10 +11,9 @@ evaluator's memo hits them by identity.  `ballot_profile`, `better` and
 `property_formula` are memoized with `lru_cache` only to skip rebuilding
 what interning would return anyway.
 
-The property table `_PROPERTIES` maps each property kind to its builder:
-`PropertyId` accepts exactly its kinds, `PropertyId.parse` reads their
-spellings, and `property_formula` builds through it.  The parser's bare
-property names and the CLI's property argument come from the same table.
+The property table `_PROPERTIES` maps each property kind to its builder;
+`PropertyId`, its spellings on the command line and in formulas, and
+`property_formula` all come from it.
 """
 
 from __future__ import annotations

@@ -97,12 +97,10 @@ class Formula:
         return ()
 
     def subformulas(self) -> Iterator["Formula"]:
-        """Every distinct node of the formula, each once, in preorder.
-
-        Nodes are interned, so a formula is a DAG: a node shared by several
-        parents is yielded at its first visit only (nodes are told apart by
-        identity), and the walk is linear in the distinct nodes, not in the
-        size of the tree they unfold to."""
+        """Every distinct node of the formula once, in preorder: a node
+        shared by several parents (told apart by identity, as nodes are
+        interned) is yielded at its first visit only, so the walk is linear
+        in the DAG, not in the tree it unfolds to."""
         seen: set[Formula] = set()
         stack = [self]
         while stack:
