@@ -18,6 +18,8 @@ This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
 only in their true profile, satisfiability and validity stack chunks of
 the enumerated model class, and `Evaluator` is a stack of one model.
+Masks are memoized per call: `first_failure` evaluates a batch of roots
+on one memo, so shared nodes are computed once and none outlives the call.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks) is built once per domain (`_space`).  Agreement with
 the relational semantics (`logic.eval_kripke`), which shares none of this
@@ -27,7 +29,7 @@ state data, is enforced by property tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Profile, ScfModel, _state_index, all_linear_orders, all_profiles
 from .logic import (
@@ -110,7 +112,8 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
 
 
 class StackedEvaluator:
-    """Memoized truth masks for a batch of models sharing one (n, K)."""
+    """Truth masks for a batch of models sharing one (n, K).  Each call has
+    a memo of its own, dropped on return: no formula outlives its caller."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -165,7 +168,6 @@ class StackedEvaluator:
             self._exact.append(exact)
             self._at_or_below.append(below)
         self._agents = frozenset(range(1, first.n + 1))
-        self._memo: dict[Formula, int] = {}
 
     # --- vector primitives -------------------------------------------------
 
@@ -176,10 +178,6 @@ class StackedEvaluator:
             acc |= x >> (d * stride)
         return acc & plane
 
-    def _spread_axis(self, x: int, agent: int) -> int:
-        _, _, comb = self._axis[agent - 1]
-        return x * comb
-
     def _block_any(self, x: int) -> int:
         """One bit per block (at the block base) iff the block is non-empty."""
         for agent in range(1, self.space.n + 1):
@@ -189,7 +187,11 @@ class StackedEvaluator:
     # --- evaluation ----------------------------------------------------------
 
     def truth_mask(self, formula: Formula) -> int:
-        """Truth mask of `formula` across the batch.
+        """Truth mask of `formula` across the batch."""
+        return self._mask(formula, {})
+
+    def _mask(self, formula: Formula, memo: dict[Formula, int]) -> int:
+        """Truth mask of `formula`, reading and filling `memo`.
 
         Walks the formula DAG in post-order on an explicit stack, so depth
         is limited by memory only.  The stack holds one path from the root,
@@ -197,7 +199,6 @@ class StackedEvaluator:
         node whose child has no mask yet pushes that child, and a node
         whose children have masks computes its own, once, from theirs.
         The mask just computed is passed up without a memo lookup."""
-        memo = self._memo
         get = memo.get
         mask = get(formula)
         if mask is not None:
@@ -254,9 +255,6 @@ class StackedEvaluator:
             last = node
             node = stack[-1]
 
-    def clear_memo(self) -> None:
-        self._memo.clear()
-
     def _atom(self, formula: Formula) -> int:
         if type(formula) is Top:
             return self.full
@@ -277,7 +275,7 @@ class StackedEvaluator:
                 f"coalition {sorted(coalition)} not within agents 1..{self.space.n}"
             )
         for agent in sorted(coalition):
-            x = self._spread_axis(self._collapse_axis(x, agent), agent)
+            x = self._collapse_axis(x, agent) * self._axis[agent - 1][2]
         return x
 
     def _pref(self, agent: int, child: int) -> int:
@@ -293,19 +291,18 @@ class StackedEvaluator:
                 result |= self._at_or_below[agent - 1][r] & (fresh * self.block_ones)
         return result
 
-    def falsified_blocks(self, formula: Formula) -> int:
-        """One bit per model, at the base of its block, set iff `formula`
-        fails at some state of that model."""
-        return self._block_any(self.full ^ self.truth_mask(formula))
-
-    def first_failure(self, formula: Formula) -> tuple[ScfModel, Profile] | None:
-        """(model, state) of the lowest falsified bit, if any: the first
-        model of the batch that falsifies `formula`, at its lowest state."""
-        bad = self.full ^ self.truth_mask(formula)
-        if not bad:
-            return None
-        model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
-        return self.models[model_idx], self.space.profiles[state_idx]
+    def first_failure(self, formulas: Iterable[Formula]) -> tuple[int, ScfModel, Profile] | None:
+        """(index, model, state) of the first of `formulas` that some model
+        of the batch falsifies, at its lowest falsified bit: the first such
+        model, at its lowest state.  The roots are evaluated in order on one
+        memo, so a node they share is computed once."""
+        memo: dict[Formula, int] = {}
+        for index, formula in enumerate(formulas):
+            bad = self.full ^ self._mask(formula, memo)
+            if bad:
+                model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
+                return index, self.models[model_idx], self.space.profiles[state_idx]
+        return None
 
 
 class Evaluator(StackedEvaluator):

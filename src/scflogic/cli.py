@@ -235,6 +235,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     except decision.BudgetExceeded as exc:
         models = decision.sample_models(args.agents, outcomes, 1000, args.seed, budget)
         source = f"1000 sampled models (seed {args.seed}; class has {exc.models})"
+    axioms_mod.check_sweep_size(args.agents, outcomes, models)
     instances = axioms_mod.instantiate_all(args.agents, outcomes)
     report = axioms_mod.soundness_check(instances, models)
     _emit(

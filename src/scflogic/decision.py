@@ -50,7 +50,6 @@ __all__ = [
     "EnumerationBudget",
     "BudgetExceeded",
     "Verdict",
-    "model_class_size",
     "enumerate_models",
     "sample_models",
     "representative_model",
@@ -111,12 +110,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.status in ("valid", "satisfiable")
-
-
-def model_class_size(n: int, outcomes: Sequence[str]) -> tuple[int, int]:
-    """(number of models, number of states) for the class over (n, K)."""
-    states = num_states(n, outcomes)
-    return len(tuple(outcomes)) ** states * states, states
 
 
 def _bounded_size(n: int, k: int, limit: int) -> tuple[Optional[int], Optional[int]]:
@@ -204,10 +197,11 @@ def _first_failure(
     each next chunk twice as many outcome functions, up to `_CHUNK_BITS`
     bits, so an early hit stays cheap and a full sweep takes few wide
     batches."""
-    determined = not (formula.uses_outcome or formula.uses_pref)
+    determined = formula.state_determined
     _check_budget(n, outcomes, budget, one_model=determined)
     if determined:
-        return Evaluator(representative_model(n, outcomes)).first_failure(formula)
+        hit = Evaluator(representative_model(n, outcomes)).first_failure([formula])
+        return None if hit is None else hit[1:]
     models = enumerate_models(n, outcomes, budget)
     states = num_states(n, outcomes)
     tables, most = 1, max(1, _CHUNK_BITS // (states * states))
@@ -215,9 +209,9 @@ def _first_failure(
         chunk = list(itertools.islice(models, tables * states))
         if not chunk:
             return None
-        where = _stacked.StackedEvaluator(chunk).first_failure(formula)
-        if where is not None:
-            return where
+        hit = _stacked.StackedEvaluator(chunk).first_failure([formula])
+        if hit is not None:
+            return hit[1:]
         tables = min(2 * tables, most)
 
 
@@ -267,7 +261,7 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     the same counterexample a model-by-model scan would report."""
     formula = property_formula(prop, table.agents, table.outcomes)
     models = [ScfModel(table, truth) for truth in table.profiles]
-    where = _stacked.StackedEvaluator(models).first_failure(formula)
-    if where is None:
+    hit = _stacked.StackedEvaluator(models).first_failure([formula])
+    if hit is None:
         return Verdict("valid")
-    return Verdict("invalid", counterexample=where)
+    return Verdict("invalid", counterexample=hit[1:])

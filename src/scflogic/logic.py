@@ -78,17 +78,15 @@ class Formula:
     Python's identity defaults.  The intern table holds nodes weakly, so a
     node lives only while something else references it.
 
-    Nodes are immutable and carry two flags used by the evaluator: whether
-    any outcome atom occurs (`uses_outcome`) and whether any pref modality
-    occurs (`uses_pref`).  A formula with neither has a state-determined
-    truth value, independent of the model's outcome function and true
-    preferences.
+    Nodes are immutable and carry one flag used by the decision procedures:
+    `state_determined` is set when no outcome atom and no pref modality
+    occurs, so the truth value at a state is independent of the model's
+    outcome function and true preferences.
     """
 
-    __slots__ = ("uses_outcome", "uses_pref", "__weakref__")
+    __slots__ = ("state_determined", "__weakref__")
 
-    uses_outcome: bool
-    uses_pref: bool
+    state_determined: bool
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("formulas are immutable")
@@ -119,7 +117,7 @@ class Formula:
 _interned: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
 
 
-def _node(cls: type, fields: tuple, uses_outcome: bool, uses_pref: bool) -> Any:
+def _node(cls: type, fields: tuple, state_determined: bool) -> Any:
     """The live `cls` node whose slots, in `cls.__slots__` order, hold
     `fields` (children compared by identity), built and interned if there
     is none."""
@@ -129,8 +127,7 @@ def _node(cls: type, fields: tuple, uses_outcome: bool, uses_pref: bool) -> Any:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
-        object.__setattr__(node, "uses_outcome", uses_outcome)
-        object.__setattr__(node, "uses_pref", uses_pref)
+        object.__setattr__(node, "state_determined", state_determined)
         _interned[key] = node
     return node
 
@@ -139,7 +136,7 @@ class Top(Formula):
     __slots__ = ()
 
     def __new__(cls) -> "Top":
-        return _node(cls, (), False, False)
+        return _node(cls, (), True)
 
 
 class Rep(Formula):
@@ -148,7 +145,7 @@ class Rep(Formula):
     __slots__ = ("agent", "left", "right")
 
     def __new__(cls, agent: int, left: str, right: str) -> "Rep":
-        return _node(cls, (agent, left, right), False, False)
+        return _node(cls, (agent, left, right), True)
 
     def atom(self) -> RepAtom:
         return RepAtom(self.agent, self.left, self.right)
@@ -160,14 +157,14 @@ class Out(Formula):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "Out":
-        return _node(cls, (name,), True, False)
+        return _node(cls, (name,), False)
 
 
 class Not(Formula):
     __slots__ = ("child",)
 
     def __new__(cls, child: Formula) -> "Not":
-        return _node(cls, (child,), child.uses_outcome, child.uses_pref)
+        return _node(cls, (child,), child.state_determined)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -177,12 +174,7 @@ class Or(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> "Or":
-        return _node(
-            cls,
-            (left, right),
-            left.uses_outcome or right.uses_outcome,
-            left.uses_pref or right.uses_pref,
-        )
+        return _node(cls, (left, right), left.state_determined and right.state_determined)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -194,9 +186,7 @@ class Diamond(Formula):
     __slots__ = ("coalition", "child")
 
     def __new__(cls, coalition: Iterable[int], child: Formula) -> "Diamond":
-        return _node(
-            cls, (frozenset(coalition), child), child.uses_outcome, child.uses_pref
-        )
+        return _node(cls, (frozenset(coalition), child), child.state_determined)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -209,7 +199,7 @@ class Pref(Formula):
     __slots__ = ("agent", "child")
 
     def __new__(cls, agent: int, child: Formula) -> "Pref":
-        return _node(cls, (agent, child), child.uses_outcome, True)
+        return _node(cls, (agent, child), False)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from scflogic import (
+    InvalidDomain,
     KripkeScf,
     Profile,
     all_profiles,
@@ -16,6 +17,7 @@ from scflogic import (
 )
 from scflogic.axioms import (
     SCHEMAS,
+    check_sweep_size,
     default_pool,
     instantiate,
     instantiate_all,
@@ -23,7 +25,7 @@ from scflogic.axioms import (
     soundness_check,
 )
 from scflogic.encodings import better
-from scflogic.logic import And, Box, Diamond, Iff, Not, Or, Out, Pref, PrefBox, Rep, TRUE
+from scflogic.logic import And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, PrefBox, Rep, TRUE
 from scflogic.axioms import AxiomInstance
 from scflogic.parser import format_formula, parse
 
@@ -68,7 +70,7 @@ def test_comp_at_filter_excludes_shared_agents_and_outcomes():
         agents1 = {node.agent for node in d1.subformulas() if type(node) is Rep}
         agents2 = {node.agent for node in d2.subformulas() if type(node) is Rep}
         assert not agents1 & agents2
-        assert not d1.uses_outcome and not d2.uses_outcome
+        assert all(type(node) is not Out for d in (d1, d2) for node in d.subformulas())
     # the pair (rep(1,a,b), rep(1,b,a)) shares an agent: never instantiated,
     # and rightly so, since <1>p & <1>q -> <1>(p & q) fails for it
     assert all(
@@ -100,7 +102,7 @@ def test_default_pool_mixes_categories():
     assert len(pool) <= 200
     kinds = {type(f) for f in pool}
     assert {Out, Rep, Not, Or} <= kinds
-    assert any(f.uses_outcome for f in pool)
+    assert any(type(node) is Out for f in pool for node in f.subformulas())
     # deterministic
     assert default_pool(2, K2) == pool
 
@@ -126,6 +128,39 @@ def test_soundness_detects_invalid_instance(h_table):
     assert inst is bogus
     assert model.out(state) != "a"
     assert "FAIL" in report.render()
+
+
+def test_soundness_reports_a_planted_instance_where_a_scan_does():
+    """A schema's instances are checked as one batch: an unsound instance
+    planted in the middle of them is reported at the (model, state) where
+    a per-instance relational scan finds its first failure."""
+    models = sample_models(2, K3, 40, seed=5)
+    group = instantiate("T(i)", 2, K3, SMALL_POOL)
+    planted = AxiomInstance("T(i)", {"i": 1}, Implies(Out("a"), Box({1}, Out("a"))))
+    group.insert(len(group) // 2, planted)
+    (result,) = soundness_check(group, models).results
+    views = [(model, kripke_view(model)) for model in models]
+    scan = next(
+        (inst, model, km.states[v])
+        for inst in group
+        for model, km in views
+        for v in range(len(km.states))
+        if not eval_kripke(km, v, inst.formula)
+    )
+    assert scan[0] is planted
+    assert result.counterexample == scan
+    assert result.instances == len(group) and not result.ok
+
+
+def test_sweep_size_check():
+    """The largest sweeps known to finish pass the size check, (3,2) over
+    its whole class and (4,2) over 1000 sampled models; (3,3) and (2,4)
+    over 1000 sampled models are refused before any instance is built."""
+    check_sweep_size(3, K2, list(enumerate_models(3, K2)))
+    check_sweep_size(4, K2, sample_models(4, K2, 1000))
+    for n, outcomes in ((3, K3), (2, ("a", "b", "c", "d"))):
+        with pytest.raises(InvalidDomain, match="^axiom sweep too large: "):
+            check_sweep_size(n, outcomes, sample_models(n, outcomes, 1000))
 
 
 def test_func1_fails_on_two_valued_outcome_fixture():

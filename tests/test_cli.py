@@ -402,6 +402,18 @@ def test_budget_refusal_is_one_immediate_line(capsys):
     assert capsys.readouterr().err == "error: one model has 216 states, budget allows 100 models\n"
 
 
+def test_axioms_refuses_a_sweep_beyond_the_size_limit(capsys):
+    """(3,3) passes the budget through 1000 sampled models, but its sweep
+    is refused in one line before any instance is built."""
+    start = time.perf_counter()
+    assert main(["axioms", "--agents", "3", "--outcomes", "a,b,c"]) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: axiom sweep too large: ")
+
+
 def test_check_json_prints_the_formula_as_given(capsys, tmp_path):
     """A 16-deep nested better prints as megabytes of core grammar; the
     payload carries the text that was parsed."""

@@ -21,7 +21,6 @@ from scflogic import (
     is_monotonic,
     is_strategy_proof,
     kripke_view,
-    model_class_size,
     representative_model,
     sample_models,
     satisfiable,
@@ -41,16 +40,16 @@ from scflogic.encodings import (
     rho,
     strproof,
 )
-from scflogic.decision import _CHUNK_BITS
+from scflogic.decision import _CHUNK_BITS, _bounded_size
 from scflogic.logic import And, Box, Iff, Implies, Not, Or, Out, Pref, Rep
 
 from conftest import K2, K3, make_formula_sampler, profile
 
 
 def test_model_class_sizes():
-    assert model_class_size(2, K2) == (64, 4)
-    assert model_class_size(3, K2) == (2048, 8)
-    count, states = model_class_size(2, K3)
+    assert _bounded_size(2, 2, 10**30) == (64, 4)
+    assert _bounded_size(3, 2, 10**30) == (2048, 8)
+    count, states = _bounded_size(2, 3, 10**30)
     assert count == 3**36 * 36 and states == 36
 
 
@@ -172,13 +171,13 @@ def test_duality_on_random_pool():
 
 def _state_determined(n, outcomes, seed, count):
     draw = make_formula_sampler(n, outcomes, seed=seed)
-    pool = [f for f in draw(count, max_depth=5) if not (f.uses_outcome or f.uses_pref)]
+    pool = [f for f in draw(count, max_depth=5) if f.state_determined]
     assert pool, "sampler must produce some reported-atom formulas"
     return pool
 
 
 def test_state_determined_formulas_beyond_the_budget():
-    assert model_class_size(2, K3)[0] > EnumerationBudget().max_models
+    assert _bounded_size(2, 3, 10**30)[0] > EnumerationBudget().max_models
     assert valid(2, K3, Or(Rep(1, "a", "b"), Rep(1, "b", "a"))).status == "valid"
     rep_ab = Rep(1, "a", "b")
     assert satisfiable(2, K3, And(rep_ab, Not(rep_ab))).status == "unsatisfiable"

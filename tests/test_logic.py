@@ -299,6 +299,26 @@ def test_unreferenced_nodes_are_collected():
     assert Pref(2, Diamond({1}, Rep(1, "b", "a"))) is Pref(2, Diamond([1], Rep(1, "b", "a")))
 
 
+def test_evaluators_keep_no_formula_alive():
+    """A memo lives for one call only: a formula evaluated through
+    `truth_mask` and `first_failure` of a live evaluator is collected
+    once the caller drops it."""
+    models = sample_models(2, K2, 4, seed=3)
+    stacked = StackedEvaluator(models)
+    one = Evaluator(models[0])
+
+    def evaluate_and_drop():
+        node = Pref(1, Diamond({2}, Not(Rep(2, "b", "a"))))
+        stacked.truth_mask(node)
+        stacked.first_failure([Or(node, Out("a")), node])
+        one.holds(models[0].states[0], node)
+        return weakref.ref(node)
+
+    ref = evaluate_and_drop()
+    gc.collect()
+    assert ref() is None
+
+
 def test_subformulas_yield_each_distinct_node_once_in_preorder():
     """The strproof encoding at (2,3) is a DAG of 3,934 distinct nodes that
     unfolds to a tree of 370,148; the walk yields each node once, the root
