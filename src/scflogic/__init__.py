@@ -7,7 +7,6 @@ from .core import (
     InvalidDomain,
     LinearOrder,
     Profile,
-    RepAtom,
     ScfModel,
     ScfTable,
     all_linear_orders,
@@ -15,7 +14,6 @@ from .core import (
     num_states,
     profile_index,
     scf_as_game_form,
-    state_atoms,
 )
 from .logic import (
     FALSE,
@@ -24,7 +22,6 @@ from .logic import (
     Box,
     Diamond,
     Formula,
-    FormulaDomainMismatch,
     Iff,
     Implies,
     KripkeScf,
@@ -39,6 +36,7 @@ from .logic import (
     disj,
     eval_kripke,
     kripke_view,
+    state_atoms,
 )
 from ._stacked import Evaluator, evaluate, valid_in_model
 from .encodings import (

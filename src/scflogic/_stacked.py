@@ -31,18 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .core import Profile, ScfModel, _state_index, all_linear_orders, all_profiles
-from .logic import (
-    Diamond,
-    Formula,
-    FormulaDomainMismatch,
-    Not,
-    Or,
-    Out,
-    Pref,
-    Rep,
-    Top,
-)
+from .core import InvalidDomain, Profile, ScfModel, _state_index, all_linear_orders, all_profiles
+from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top
 
 __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
@@ -77,9 +67,9 @@ class _StateSpace:
         mask = self._rep_masks.get(key)
         if mask is None:
             if not 1 <= agent <= self.n:
-                raise FormulaDomainMismatch(f"agent {agent} out of range 1..{self.n}")
+                raise InvalidDomain(f"agent {agent} out of range 1..{self.n}")
             if left not in self.outcomes or right not in self.outcomes:
-                raise FormulaDomainMismatch(
+                raise InvalidDomain(
                     f"rep({agent},{left},{right}) mentions an outcome outside {self.outcomes}"
                 )
             mask = 0
@@ -263,15 +253,13 @@ class StackedEvaluator:
             return small * self.tile
         if type(formula) is Out:
             if formula.name not in self.space.outcomes:
-                raise FormulaDomainMismatch(
-                    f"outcome atom {formula.name!r} outside {self.space.outcomes}"
-                )
+                raise InvalidDomain(f"outcome atom {formula.name!r} outside {self.space.outcomes}")
             return self._out_masks[formula.name]
         raise TypeError(f"not a formula node: {formula!r}")
 
     def _diamond(self, coalition: frozenset[int], x: int) -> int:
         if not coalition <= self._agents:
-            raise FormulaDomainMismatch(
+            raise InvalidDomain(
                 f"coalition {sorted(coalition)} not within agents 1..{self.space.n}"
             )
         for agent in sorted(coalition):
@@ -280,7 +268,7 @@ class StackedEvaluator:
 
     def _pref(self, agent: int, child: int) -> int:
         if not 1 <= agent <= self.space.n:
-            raise FormulaDomainMismatch(f"agent {agent} out of range 1..{self.space.n}")
+            raise InvalidDomain(f"agent {agent} out of range 1..{self.space.n}")
         result = 0
         assigned = 0
         for r in range(len(self.space.outcomes)):

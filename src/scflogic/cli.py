@@ -42,7 +42,9 @@ def _parse_outcomes(text: str) -> tuple[str, ...]:
 def _formula_arg(args: argparse.Namespace) -> str:
     positional = getattr(args, "formula_pos", None)
     flagged = getattr(args, "formula", None)
-    if (positional is None) == (flagged is None):
+    if positional is None and flagged is None:
+        raise InvalidDomain("no formula given: give it positionally or via --formula")
+    if positional is not None and flagged is not None:
         raise InvalidDomain("give the formula either positionally or via --formula, not both")
     return positional if positional is not None else flagged
 

@@ -3,10 +3,11 @@
 Outcomes are plain name tokens (letters/digits, case-sensitive) and agents are
 1-based integers.  A reported preference profile doubles as a *state*: the
 states of a model are exactly the profiles over (n, K), in bijection with the
-valuations of the reported-preference atoms; `all_profiles` numbers them
-for every module.  Outcome names are checked where they enter (the public
-functions and constructors), not on reads of checked data.  Everything here
-is immutable and all functions are pure, so values can be shared freely.
+valuations of the reported-preference atoms (`logic.state_atoms`), and
+`all_profiles` numbers them for every module.  Outcome names are checked
+where they enter (the public functions and constructors), not on reads of
+checked data.  Everything here is immutable and all functions are pure, so
+values can be shared freely.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "InvalidDomain",
     "LinearOrder",
     "Profile",
-    "RepAtom",
     "ScfTable",
     "ScfModel",
     "GameForm",
@@ -29,7 +29,6 @@ __all__ = [
     "all_profiles",
     "profile_index",
     "num_states",
-    "state_atoms",
     "scf_as_game_form",
 ]
 
@@ -37,7 +36,8 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+\Z")
 
 
 class InvalidDomain(ValueError):
-    """Raised when an agent/outcome domain is empty, malformed or mismatched."""
+    """Raised when an agent/outcome domain is empty, malformed or mismatched,
+    and when a formula mentions an agent, outcome or coalition outside one."""
 
 
 def _check_outcomes(outcomes: Sequence[str]) -> tuple[str, ...]:
@@ -126,18 +126,6 @@ class Profile:
         return "(" + ",".join(str(o) for o in self.orders) + ")"
 
 
-@dataclass(frozen=True)
-class RepAtom:
-    """Atom "agent reports that left is at least as good as right"."""
-
-    agent: int
-    left: str
-    right: str
-
-    def __str__(self) -> str:
-        return f"rep({self.agent},{self.left},{self.right})"
-
-
 @lru_cache(maxsize=None)
 def _orders(outcomes: tuple[str, ...]) -> tuple[LinearOrder, ...]:
     return tuple(LinearOrder(perm) for perm in itertools.permutations(outcomes))
@@ -191,22 +179,6 @@ def profile_index(profile: Profile, outcomes: Sequence[str]) -> int:
     """Position of `profile` in all_profiles(profile.n, K), from the map
     every module reads; InvalidDomain if it ranks other outcomes."""
     return _state_index(profile.n, _check_outcomes(outcomes), profile)
-
-
-def state_atoms(state: Profile) -> frozenset[RepAtom]:
-    """The valuation encoding ``state``: every reported at-least-as-good pair.
-
-    Contains rep(i,x,x) for every agent and outcome, exactly one of
-    rep(i,x,y) / rep(i,y,x) for distinct x,y, and is transitively closed;
-    it is the unique well-formed valuation corresponding to the profile.
-    """
-    atoms = set()
-    for agent, order in enumerate(state.orders, start=1):
-        ranking = order.ranking
-        for pos, x in enumerate(ranking):
-            for y in ranking[pos:]:
-                atoms.add(RepAtom(agent, x, y))
-    return frozenset(atoms)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,12 @@ primary evaluator, by truth masks over many models at once, and its
 one-model `Evaluator` live in `_stacked`, which builds on this module and
 never the other way round.
 
-The relational semantics (`KripkeScf`, `kripke_view`, `eval_kripke`)
-evaluates formulas over explicit accessibility relations built from the
-model's states and true profile alone; it exists to cross-check the
-primary evaluator and shares none of its state data.
+The relational semantics (`KripkeScf`, `kripke_view`, `eval_kripke`) is a
+textbook Kripke model: accessibility relations built from the model's
+states and true profile alone, plus one valuation of this module's own
+atom nodes (`state_atoms` gives a state's `Rep` atoms).  It exists to
+cross-check the primary evaluator and shares none of its state data.  Both
+raise `InvalidDomain` on a formula outside the model's (n, K).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Iterable, Iterator
 
-from .core import InvalidDomain, Profile, RepAtom, ScfModel, _state_index, state_atoms
+from .core import InvalidDomain, Profile, ScfModel, _state_index
 
 __all__ = [
     "Formula",
@@ -57,16 +59,11 @@ __all__ = [
     "PrefBox",
     "conj",
     "disj",
-    "FormulaDomainMismatch",
+    "state_atoms",
     "KripkeScf",
     "kripke_view",
     "eval_kripke",
 ]
-
-
-class FormulaDomainMismatch(ValueError):
-    """A formula mentions an agent, outcome or coalition outside the model's
-    (n, K) domain."""
 
 
 class Formula:
@@ -95,18 +92,24 @@ class Formula:
         return ()
 
     def subformulas(self) -> Iterator["Formula"]:
-        """Every distinct node of the formula once, in preorder: a node
-        shared by several parents (told apart by identity, as nodes are
-        interned) is yielded at its first visit only, so the walk is linear
-        in the DAG, not in the tree it unfolds to."""
-        seen: set[Formula] = set()
-        stack = [self]
+        """Every distinct node of the formula once, in post-order: each
+        node after all its children, the root last.  A node shared by
+        several parents (told apart by identity, as nodes are interned) is
+        yielded once, so the walk is linear in the DAG, not in the tree it
+        unfolds to; it runs on an explicit stack, so depth is limited by
+        memory only."""
+        seen = {self}
+        stack = [(self, iter(self.children()))]
         while stack:
-            node = stack.pop()
-            if node not in seen:
-                seen.add(node)
+            node, pending = stack[-1]
+            for child in pending:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(child.children())))
+                    break
+            else:
+                stack.pop()
                 yield node
-                stack.extend(node.children())
 
     def __repr__(self) -> str:
         from .parser import format_formula
@@ -146,9 +149,6 @@ class Rep(Formula):
 
     def __new__(cls, agent: int, left: str, right: str) -> "Rep":
         return _node(cls, (agent, left, right), True)
-
-    def atom(self) -> RepAtom:
-        return RepAtom(self.agent, self.left, self.right)
 
 
 class Out(Formula):
@@ -245,23 +245,38 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return reduce(Or, items)
 
 
+def state_atoms(state: Profile) -> frozenset[Rep]:
+    """The reported atoms true at ``state``: every at-least-as-good pair.
+
+    Contains rep(i,x,x) for every agent and outcome, exactly one of
+    rep(i,x,y) / rep(i,y,x) for distinct x,y, and is transitively closed;
+    it is the unique well-formed valuation corresponding to the profile.
+    """
+    return frozenset(
+        Rep(agent, x, y)
+        for agent, order in enumerate(state.orders, start=1)
+        for pos, x in enumerate(order.ranking)
+        for y in order.ranking[pos:]
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class KripkeScf:
     """Relational presentation of a model: states, one equivalence relation
     per agent (agreement outside that agent), one preference relation per
-    agent over states, and an explicit valuation.
+    agent over states, and one valuation: per state, the atom nodes (`Rep`
+    and `Out`) true there.
 
-    For views built by `kripke_view` the valuation assigns exactly one
-    outcome label per state; the type allows degenerate valuations so that
-    broken models can be constructed in tests.
+    `kripke_view` puts a state's `state_atoms` and exactly one `Out` in its
+    set; the type allows degenerate valuations so that broken models can be
+    constructed in tests.
     """
 
     outcomes: tuple[str, ...]
     states: tuple[Profile, ...]
     r_edges: tuple[tuple[tuple[int, ...], ...], ...]
     p_edges: tuple[tuple[tuple[int, ...], ...], ...]
-    atoms: tuple[frozenset[RepAtom], ...]
-    outcome_labels: tuple[frozenset[str], ...]
+    valuation: tuple[frozenset[Formula], ...]
     # memo of eval_kripke: formula -> the states where it holds
     _extensions: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -298,8 +313,7 @@ def kripke_view(model: ScfModel) -> KripkeScf:
         states=states,
         r_edges=tuple(r_edges),
         p_edges=tuple(p_edges),
-        atoms=tuple(state_atoms(s) for s in states),
-        outcome_labels=tuple(frozenset({o}) for o in outs),
+        valuation=tuple(state_atoms(s) | {Out(o)} for s, o in zip(states, outs)),
     )
 
 
@@ -314,22 +328,13 @@ def eval_kripke(km: KripkeScf, state: Profile | int, formula: Formula) -> bool:
 def _kripke_extension(km: KripkeScf, formula: Formula) -> frozenset[int]:
     """The states of `km` where `formula` holds.
 
-    Walks the formula in post-order on an explicit stack, so depth is
-    limited by memory only, and memoizes each node's state set on the
-    view, so later calls at other states reuse it."""
+    Computes each node's state set in the post-order of `subformulas` and
+    memoizes it on the view, so later calls at other states reuse it."""
     memo = km._extensions
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        missing = [child for child in node.children() if child not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        memo[node] = _kripke_step(km, node)
+    if formula not in memo:
+        for node in formula.subformulas():
+            if node not in memo:
+                memo[node] = _kripke_step(km, node)
     return memo[formula]
 
 
@@ -341,17 +346,13 @@ def _kripke_step(km: KripkeScf, formula: Formula) -> frozenset[int]:
         return frozenset(states)
     if type(formula) is Rep:
         if formula.left not in km.outcomes or formula.right not in km.outcomes:
-            raise FormulaDomainMismatch(
-                f"rep atom mentions outcome outside {km.outcomes}: {formula!r}"
-            )
+            raise InvalidDomain(f"rep atom mentions outcome outside {km.outcomes}: {formula!r}")
         if not 1 <= formula.agent <= km.n:
-            raise FormulaDomainMismatch(f"agent {formula.agent} out of range 1..{km.n}")
-        atom = formula.atom()
-        return frozenset(v for v in states if atom in km.atoms[v])
-    if type(formula) is Out:
-        if formula.name not in km.outcomes:
-            raise FormulaDomainMismatch(f"outcome atom {formula.name!r} outside {km.outcomes}")
-        return frozenset(v for v in states if formula.name in km.outcome_labels[v])
+            raise InvalidDomain(f"agent {formula.agent} out of range 1..{km.n}")
+    if type(formula) is Out and formula.name not in km.outcomes:
+        raise InvalidDomain(f"outcome atom {formula.name!r} outside {km.outcomes}")
+    if type(formula) is Rep or type(formula) is Out:
+        return frozenset(v for v in states if formula in km.valuation[v])
     if type(formula) is Not:
         return frozenset(states) - memo[formula.child]
     if type(formula) is Or:
@@ -361,7 +362,7 @@ def _kripke_step(km: KripkeScf, formula: Formula) -> frozenset[int]:
         # reaches a child state: the child set, closed backwards
         for agent in formula.coalition:
             if not 1 <= agent <= km.n:
-                raise FormulaDomainMismatch(f"coalition agent {agent} out of range 1..{km.n}")
+                raise InvalidDomain(f"coalition agent {agent} out of range 1..{km.n}")
         rows = [km.r_edges[agent - 1] for agent in formula.coalition]
         reach = set(memo[formula.child])
         fresh = True
@@ -375,7 +376,7 @@ def _kripke_step(km: KripkeScf, formula: Formula) -> frozenset[int]:
         return frozenset(reach)
     if type(formula) is Pref:
         if not 1 <= formula.agent <= km.n:
-            raise FormulaDomainMismatch(f"agent {formula.agent} out of range 1..{km.n}")
+            raise InvalidDomain(f"agent {formula.agent} out of range 1..{km.n}")
         edges = km.p_edges[formula.agent - 1]
         child = memo[formula.child]
         return frozenset(v for v in states if not child.isdisjoint(edges[v]))

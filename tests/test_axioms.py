@@ -173,8 +173,7 @@ def test_func1_fails_on_two_valued_outcome_fixture():
         states=km.states,
         r_edges=km.r_edges,
         p_edges=km.p_edges,
-        atoms=km.atoms,
-        outcome_labels=(frozenset({"a", "b"}),) + km.outcome_labels[1:],
+        valuation=(km.valuation[0] | {Out("a"), Out("b")},) + km.valuation[1:],
     )
     (func1,) = instantiate("func1", 2, K2, ())
     assert eval_kripke(km, 0, func1.formula)

@@ -253,7 +253,14 @@ def test_formula_flag_alternative(capsys):
     assert main(["valid", "--agents", "2", "--outcomes", "a,b", "--formula", "true"]) == 0
     capsys.readouterr()
     assert main(["valid", "--agents", "2", "--outcomes", "a,b"]) == 2  # no formula at all
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: no formula given: give it positionally or via --formula\n"
+    )
+    argv = ["valid", "--agents", "2", "--outcomes", "a,b", "true", "--formula", "true"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: give the formula either positionally or via --formula, not both\n"
+    )
 
 
 def test_crash_is_exit_2_not_1(capsys, monkeypatch):

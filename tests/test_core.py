@@ -9,7 +9,7 @@ from scflogic import (
     InvalidDomain,
     LinearOrder,
     Profile,
-    RepAtom,
+    Rep,
     ScfModel,
     ScfTable,
     all_linear_orders,
@@ -112,16 +112,16 @@ def test_one_state_numbering_for_every_reader():
 
 def test_state_atoms_examples():
     atoms = state_atoms(profile(("a", "b"), ("a", "b")))
-    assert RepAtom(1, "a", "a") in atoms
-    assert RepAtom(1, "b", "b") in atoms
-    assert RepAtom(1, "a", "b") in atoms
-    assert RepAtom(1, "b", "a") not in atoms
+    assert Rep(1, "a", "a") in atoms
+    assert Rep(1, "b", "b") in atoms
+    assert Rep(1, "a", "b") in atoms
+    assert Rep(1, "b", "a") not in atoms
     # transitivity closes the chain a>c, c>b into a>b
     atoms = state_atoms(Profile((LinearOrder(("a", "c", "b")),)))
-    assert {RepAtom(1, "a", "c"), RepAtom(1, "c", "b"), RepAtom(1, "a", "b")} <= atoms
+    assert {Rep(1, "a", "c"), Rep(1, "c", "b"), Rep(1, "a", "b")} <= atoms
     # one outcome: only the reflexive atoms remain
     atoms = state_atoms(Profile((LinearOrder(("a",)), LinearOrder(("a",)))))
-    assert atoms == frozenset({RepAtom(1, "a", "a"), RepAtom(2, "a", "a")})
+    assert atoms == frozenset({Rep(1, "a", "a"), Rep(2, "a", "a")})
 
 
 def test_state_atoms_bijection_and_axioms():

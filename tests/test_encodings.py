@@ -53,6 +53,7 @@ from scflogic.logic import (
     Pref,
     Rep,
 )
+from scflogic._stacked import StackedEvaluator
 
 from conftest import K2, K3, profile
 
@@ -201,15 +202,18 @@ def test_trueprofile_orders_feasible_outcomes_around_an_infeasible_one():
     assert table.feasible_outcomes() == {"a", "b"}
     assert is_strategy_proof(table)
     assert check_scf_property(table, STRPROOF).status == "valid"
-    for truth in all_profiles(2, K3):
-        model = ScfModel(table, truth)
-        ev = Evaluator(model)
-        for p in all_profiles(2, K3):
+    # one stack of the 36 (table, truth) models, one truth mask per formula
+    truths = all_profiles(2, K3)
+    ev = StackedEvaluator([ScfModel(table, truth) for truth in truths])
+    for p in all_profiles(2, K3):
+        mask = ev.truth_mask(trueprofile(p, K3))
+        for m, truth in enumerate(truths):
             agrees = all(
                 p.order(i).at_least_as_good("a", "b") == truth.order(i).at_least_as_good("a", "b")
                 for i in (1, 2)
             )
-            assert ev.valid(trueprofile(p, K3)) == agrees
+            valid_here = mask >> (m * ev.block) & ev.block_ones == ev.block_ones
+            assert valid_here == agrees
 
 
 def _partial_range_tables(n, outcomes, rng):

@@ -7,7 +7,7 @@ import pytest
 
 from scflogic import (
     Evaluator,
-    FormulaDomainMismatch,
+    InvalidDomain,
     KripkeScf,
     Profile,
     ScfModel,
@@ -60,15 +60,21 @@ def test_eval_examples(h_model):
 
 
 def test_eval_domain_mismatch(h_model):
+    """Both semantics refuse a formula outside the model's (n, K)."""
     s = h_model.states[0]
-    with pytest.raises(FormulaDomainMismatch):
-        evaluate(h_model, s, Rep(3, "a", "b"))
-    with pytest.raises(FormulaDomainMismatch):
-        evaluate(h_model, s, Out("z"))
-    with pytest.raises(FormulaDomainMismatch):
-        evaluate(h_model, s, Diamond({1, 5}, TRUE))
-    with pytest.raises(FormulaDomainMismatch):
-        evaluate(h_model, s, Pref(9, TRUE))
+    km = kripke_view(h_model)
+    outside = [
+        Rep(3, "a", "b"),
+        Rep(1, "a", "z"),
+        Out("z"),
+        Diamond({1, 5}, TRUE),
+        Pref(9, TRUE),
+    ]
+    for f in outside:
+        with pytest.raises(InvalidDomain):
+            evaluate(h_model, s, f)
+        with pytest.raises(InvalidDomain):
+            eval_kripke(km, 0, f)
 
 
 def test_valid_in_model_examples(h_model, p_table):
@@ -273,8 +279,9 @@ def test_stacked_evaluator_handles_deep_formulas():
 
 
 def test_evaluate_rejects_foreign_state(h_model):
-    with pytest.raises(Exception):
-        evaluate(h_model, profile(("a", "b"), ("a", "c")), TRUE)
+    # a well-formed profile, but over other outcomes than the model's
+    with pytest.raises(InvalidDomain, match="is not a state over n=2, K=a,b"):
+        evaluate(h_model, profile(("a", "c"), ("c", "a")), TRUE)
 
 
 def test_equal_formulas_are_one_object():
@@ -319,18 +326,18 @@ def test_evaluators_keep_no_formula_alive():
     assert ref() is None
 
 
-def test_subformulas_yield_each_distinct_node_once_in_preorder():
+def test_subformulas_yield_each_distinct_node_once_in_postorder():
     """The strproof encoding at (2,3) is a DAG of 3,934 distinct nodes that
-    unfolds to a tree of 370,148; the walk yields each node once, the root
-    first and every other node after a parent of it."""
+    unfolds to a tree of 370,148; the walk yields each node once, every
+    node after all its children and the root last."""
     formula = property_formula(STRPROOF, 2, K3)
     nodes = list(formula.subformulas())
     assert len(nodes) == len(set(nodes)) == 3934
-    reached = {formula}
+    done = set()
     for node in nodes:
-        assert node in reached
-        reached.update(node.children())
-    assert reached == set(nodes)
+        assert done.issuperset(node.children())
+        done.add(node)
+    assert nodes[-1] is formula
 
 
 def test_eval_kripke_walks_deep_and_shared_formulas():

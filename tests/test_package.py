@@ -1,6 +1,7 @@
 """Package-wide source checks."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +96,21 @@ def test_benchmark_tracer_installs():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run():
+    """The README's python blocks run in order in one namespace, and the
+    quick start's annotated results hold."""
+    text = (ROOT / "README.md").read_text()
+    namespace: dict = {}
+    results = {}
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        for stmt in ast.parse(block).body:
+            source = ast.get_source_segment(block, stmt)
+            if isinstance(stmt, ast.Expr):
+                results[source] = eval(source, namespace)
+            else:
+                exec(source, namespace)
+    assert results['evaluate(model, state, Diamond({1, 2}, Out("b")))'] is True
+    assert results["check_scf_property(H, STRPROOF).status"] == "valid"
+    assert results["is_strategy_proof(H)"] is True
