@@ -8,7 +8,6 @@ equivalents can be checked against them.
 
 from scflogic import (
     Context,
-    Evaluator,
     Iff,
     ScfTable,
     enumerate_models,
@@ -26,7 +25,7 @@ implication = rho(H, "implication")
 print("implication form of H:")
 print(" ", format_formula(implication))
 
-matching = [m for m in enumerate_models(2, K) if Evaluator(m).valid(diamond)]
+matching = [m for m in enumerate_models(2, K) if valid_in_model(m, diamond)[0]]
 print(f"\ndiamond form valid in {len(matching)} of 64 models;",
       "all share the outcome function:", all(m.table.values == H.values for m in matching))
 

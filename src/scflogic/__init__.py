@@ -80,7 +80,6 @@ from .game import (
 )
 from .decision import (
     BudgetExceeded,
-    EnumerationBudget,
     Verdict,
     check_scf_property,
     enumerate_models,

@@ -17,9 +17,12 @@ modalities vectorize as well:
 This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
 only in their true profile, satisfiability and validity stack chunks of
-the enumerated model class, and `Evaluator` is a stack of one model.
-Masks are memoized per call: `first_failure` evaluates a batch of roots
-on one memo, so shared nodes are computed once and none outlives the call.
+the enumerated model class, and `Evaluator` is a stack of one model, on
+which `evaluate` and `valid_in_model` each read one `truth_mask`.  Masks
+are memoized per call: `first_failure` evaluates a batch of roots on one
+memo, so shared nodes are computed once and none outlives the call.  To
+ask one formula at many states, read its mask once instead of calling
+`evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks) is built once per domain (`_space`).  Agreement with
 the relational semantics (`logic.eval_kripke`), which shares none of this
@@ -294,33 +297,25 @@ class StackedEvaluator:
 
 
 class Evaluator(StackedEvaluator):
-    """Truth masks in one model: a stack of one, whose single block is the
-    model's mask.  To evaluate many models over one (n, K), stack them
-    instead of building one evaluator per model."""
+    """A stack of one model, whose single block is the model's truth mask.
+    To evaluate many models over one (n, K), stack them instead of building
+    one evaluator per model."""
 
     def __init__(self, model: ScfModel):
         super().__init__([model])
-        self.model = model
-
-    def holds(self, state: Profile, formula: Formula) -> bool:
-        idx = _state_index(self.space.n, self.space.outcomes, state)
-        return bool(self.truth_mask(formula) >> idx & 1)
-
-    def valid(self, formula: Formula) -> bool:
-        return self.truth_mask(formula) == self.full
-
-    def falsifying_states(self, formula: Formula) -> list[Profile]:
-        missing = self.full ^ self.truth_mask(formula)
-        return [state for i, state in enumerate(self.space.profiles) if missing >> i & 1]
 
 
 def evaluate(model: ScfModel, state: Profile, formula: Formula) -> bool:
-    """Truth of `formula` at `state` in `model`."""
-    return Evaluator(model).holds(state, formula)
+    """Truth of `formula` at `state` in `model`; InvalidDomain if `state`
+    is not one of the model's states."""
+    idx = _state_index(model.n, model.outcomes, state)
+    return bool(Evaluator(model).truth_mask(formula) >> idx & 1)
 
 
 def valid_in_model(model: ScfModel, formula: Formula) -> tuple[bool, list[Profile]]:
     """Whether `formula` holds at every state; falsifying states in
     canonical order otherwise."""
-    bad = Evaluator(model).falsifying_states(formula)
+    ev = Evaluator(model)
+    missing = ev.full ^ ev.truth_mask(formula)
+    bad = [state for i, state in enumerate(model.states) if missing >> i & 1]
     return (not bad, bad)

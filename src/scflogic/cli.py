@@ -49,12 +49,6 @@ def _formula_arg(args: argparse.Namespace) -> str:
     return positional if positional is not None else flagged
 
 
-def _budget(args: argparse.Namespace) -> decision.EnumerationBudget:
-    if getattr(args, "budget", None) is None:
-        return decision.EnumerationBudget()
-    return decision.EnumerationBudget(max_models=args.budget)
-
-
 def _emit(
     args: argparse.Namespace,
     payload: Callable[[], dict],
@@ -164,7 +158,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     outcomes = _parse_outcomes(args.outcomes)
     formula = parse(_formula_arg(args), (args.agents, outcomes))
     decide = decision.satisfiable if args.command == "sat" else decision.valid
-    verdict = decide(args.agents, outcomes, formula, _budget(args))
+    verdict = decide(args.agents, outcomes, formula, args.budget)
     _emit(
         args,
         lambda: {"command": args.command, **_verdict_payload(verdict)},
@@ -230,12 +224,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_axioms(args: argparse.Namespace) -> int:
     outcomes = _parse_outcomes(args.outcomes)
-    budget = _budget(args)
     try:
-        models = list(decision.enumerate_models(args.agents, outcomes, budget))
+        models = list(decision.enumerate_models(args.agents, outcomes, args.budget))
         source = f"all {len(models)} models"
     except decision.BudgetExceeded as exc:
-        models = decision.sample_models(args.agents, outcomes, 1000, args.seed, budget)
+        models = decision.sample_models(args.agents, outcomes, 1000, args.seed, args.budget)
         source = f"1000 sampled models (seed {args.seed}; class has {exc.models})"
     axioms_mod.check_sweep_size(args.agents, outcomes, models)
     instances = axioms_mod.instantiate_all(args.agents, outcomes)
@@ -284,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     prop.add_argument("--scf", required=True, help="SCF JSON file")
     prop.add_argument("property", help=" | ".join(encodings.PropertyId.spellings()))
 
+    budget_help = "maximum number of models to enumerate"
     for name, help_text in (
         ("sat", "satisfiability by model enumeration"),
         ("valid", "validity by model enumeration"),
@@ -291,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--agents", type=int, required=True)
         sub.add_argument("--outcomes", required=True, help="comma-separated names")
-        sub.add_argument("--budget", type=int, help="maximum number of models to enumerate")
+        sub.add_argument("--budget", type=int, default=decision.DEFAULT_BUDGET, help=budget_help)
         _add_formula_args(sub)
 
     encode = subs.add_parser("encode", help="characteristic formula of an SCF")
@@ -312,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     ax = subs.add_parser("axioms", help="soundness sweep of the axiom schemas")
     ax.add_argument("--agents", type=int, required=True)
     ax.add_argument("--outcomes", required=True)
-    ax.add_argument("--budget", type=int, help="maximum number of models to enumerate")
+    ax.add_argument("--budget", type=int, default=decision.DEFAULT_BUDGET, help=budget_help)
     ax.add_argument("--seed", type=int, default=0, help="seed when sampling models")
 
     for sub in subs.choices.values():

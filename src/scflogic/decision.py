@@ -2,7 +2,8 @@
 
 The model class over (n, K) is finite: |K|^((|K|!)^n) outcome functions
 times (|K|!)^n true profiles.  Satisfiability and validity enumerate it
-under an explicit budget — exceeding the budget is an error, never a
+under a budget, an int count of models (`DEFAULT_BUDGET` unless given;
+one below 1 is an InvalidDomain) — exceeding it is an error, never a
 silent truncation, since a truncated "valid" would be unsound.  The
 enumeration is evaluated in chunks of consecutive models, each one
 stacked bitmask batch (see `_stacked`); the lowest hit bit of the first
@@ -47,7 +48,6 @@ from .encodings import PropertyId, property_formula
 from .logic import Formula, Not
 
 __all__ = [
-    "EnumerationBudget",
     "BudgetExceeded",
     "Verdict",
     "enumerate_models",
@@ -59,33 +59,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_models: int = 10**6
-
-    def __post_init__(self) -> None:
-        if self.max_models < 1:
-            raise InvalidDomain("the model budget must be positive")
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
     """The model class over (n, K), or the state set of one model of it,
-    is larger than the enumeration budget allows.  `required_models` and
-    `required_states` are the class's model count and one model's state
-    count, each None above 10^30; `models` is the model count as text of
-    bounded length, with larger counts written as powers."""
+    is larger than the budget, a number of models, allows.
+    `required_models` is the class's model count, None above 10^30;
+    `models` is that count as text of bounded length, with larger counts
+    written as powers."""
 
-    def __init__(self, n: int, outcomes: Sequence[str], budget: EnumerationBudget, one_model: bool):
+    def __init__(self, n: int, outcomes: Sequence[str], budget: int, one_model: bool):
         k = len(outcomes)
         models, states = _bounded_size(n, k, 10**30)
-        self.required_models, self.required_states, self.budget = models, states, budget
+        self.required_models = models
         text = f"{k}!^{n}" if states is None else str(states)
         self.models = f"{k}^{text} * {text}" if models is None else str(models)
         need = "one model has" if one_model else f"enumeration needs {self.models} models over"
-        super().__init__(f"{need} {text} states, budget allows {budget.max_models} models")
+        super().__init__(f"{need} {text} states, budget allows {budget} models")
 
 
 @dataclass(frozen=True)
@@ -126,21 +117,24 @@ def _bounded_size(n: int, k: int, limit: int) -> tuple[Optional[int], Optional[i
     return k**states * states, states
 
 
-def _check_budget(
-    n: int, outcomes: Sequence[str], budget: EnumerationBudget, one_model: bool = False
-) -> None:
-    """Raise BudgetExceeded unless the budget covers every model over
-    (n, K) or, with `one_model`, the (|K|!)^n states of one model."""
-    models, states = _bounded_size(n, len(outcomes), budget.max_models)
+def _check_budget(n: int, outcomes: Sequence[str], budget: int, one_model: bool = False) -> None:
+    """Raise InvalidDomain if the budget is below one model, and
+    BudgetExceeded unless it covers every model over (n, K) or, with
+    `one_model`, the (|K|!)^n states of one model."""
+    if budget < 1:
+        raise InvalidDomain("the model budget must be positive")
+    models, states = _bounded_size(n, len(outcomes), budget)
     if (states if one_model else models) is None:
         raise BudgetExceeded(n, outcomes, budget, one_model)
 
 
 def enumerate_models(
-    n: int, outcomes: Sequence[str], budget: EnumerationBudget = DEFAULT_BUDGET
+    n: int, outcomes: Sequence[str], budget: int = DEFAULT_BUDGET
 ) -> Iterator[ScfModel]:
     """Every model over (n, K) exactly once: outcome functions in
-    mixed-radix order over the canonical state order, true profiles inner."""
+    mixed-radix order over the canonical state order, true profiles inner.
+    Raises `BudgetExceeded` before building any model if the class has
+    more than `budget` models."""
     names = tuple(outcomes)
     _check_budget(n, names, budget)
     profiles = all_profiles(n, names)
@@ -155,12 +149,12 @@ def sample_models(
     outcomes: Sequence[str],
     count: int,
     seed: int = 0,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[ScfModel]:
     """Deterministic sample of models: cycle through every true profile
     while drawing outcome functions from a seeded generator.  Raises
     `BudgetExceeded` before building any state if one model's states
-    exceed the budget."""
+    exceed `budget`, a count of models."""
     names = tuple(outcomes)
     _check_budget(n, names, budget, one_model=True)
     profiles = all_profiles(n, names)
@@ -184,7 +178,7 @@ _CHUNK_BITS = 1 << 15
 
 
 def _first_failure(
-    n: int, outcomes: Sequence[str], formula: Formula, budget: EnumerationBudget
+    n: int, outcomes: Sequence[str], formula: Formula, budget: int
 ) -> Optional[tuple[ScfModel, Profile]]:
     """First model in enumeration order falsifying `formula`, with its
     lowest falsified state, or None.
@@ -219,12 +213,13 @@ def satisfiable(
     n: int,
     outcomes: Sequence[str],
     formula: Formula,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """First (model, state) satisfying the formula, or unsatisfiable.
 
-    Raises `BudgetExceeded` before building any model when the budget does
-    not cover the class, or one model's states if state-determined."""
+    Raises `BudgetExceeded` before building any model when `budget`, a
+    count of models, does not cover the class, or one model's states if
+    state-determined."""
     hit = _first_failure(n, outcomes, Not(formula), budget)
     if hit is None:
         return Verdict("unsatisfiable")
@@ -235,12 +230,13 @@ def valid(
     n: int,
     outcomes: Sequence[str],
     formula: Formula,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Truth at every state of every model, or the first counterexample.
 
-    Raises `BudgetExceeded` before building any model when the budget does
-    not cover the class, or one model's states if state-determined."""
+    Raises `BudgetExceeded` before building any model when `budget`, a
+    count of models, does not cover the class, or one model's states if
+    state-determined."""
     hit = _first_failure(n, outcomes, formula, budget)
     if hit is None:
         return Verdict("valid")

@@ -10,11 +10,12 @@ per profile; rankings are arrays, most-preferred first:
 A model file is an SCF file plus "true_preferences", a profile giving the
 agents' true rankings.  Loaders reject missing profiles, duplicate
 profiles, unknown outcomes and non-permutation rankings, each with its own
-message.
+message; a map short of profiles is rejected without building the states.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Union
@@ -26,6 +27,8 @@ from .core import (
     ScfModel,
     ScfTable,
     _check_outcomes,
+    _num_states,
+    _orders,
     _profiles,
 )
 
@@ -96,13 +99,13 @@ def scf_from_dict(data: object) -> ScfTable:
         if profile in mapping:
             raise FileFormatError(f"{what}: duplicate profile {profile}")
         mapping[profile] = outcome
-    # states are built only once every entry is checked
-    values = []
-    for profile in _profiles(agents, outcomes):
-        if profile not in mapping:
-            raise FileFormatError(f"missing profile {profile} in map")
-        values.append(mapping[profile])
-    return ScfTable(agents, outcomes, tuple(values))
+    # states are built only once every entry is checked, and a short map
+    # only up to its first gap, which is among its first len(mapping) + 1
+    if len(mapping) < _num_states(agents, outcomes):
+        for gap in map(Profile, itertools.product(_orders(outcomes), repeat=agents)):
+            if gap not in mapping:
+                raise FileFormatError(f"missing profile {gap} in map")
+    return ScfTable(agents, outcomes, tuple(mapping[p] for p in _profiles(agents, outcomes)))
 
 
 def model_from_dict(data: object) -> ScfModel:

@@ -345,10 +345,11 @@ def _kripke_step(km: KripkeScf, formula: Formula) -> frozenset[int]:
     if type(formula) is Top:
         return frozenset(states)
     if type(formula) is Rep:
-        if formula.left not in km.outcomes or formula.right not in km.outcomes:
-            raise InvalidDomain(f"rep atom mentions outcome outside {km.outcomes}: {formula!r}")
-        if not 1 <= formula.agent <= km.n:
-            raise InvalidDomain(f"agent {formula.agent} out of range 1..{km.n}")
+        i, x, y = formula.agent, formula.left, formula.right
+        if not 1 <= i <= km.n:
+            raise InvalidDomain(f"agent {i} out of range 1..{km.n}")
+        if x not in km.outcomes or y not in km.outcomes:
+            raise InvalidDomain(f"rep({i},{x},{y}) mentions an outcome outside {km.outcomes}")
     if type(formula) is Out and formula.name not in km.outcomes:
         raise InvalidDomain(f"outcome atom {formula.name!r} outside {km.outcomes}")
     if type(formula) is Rep or type(formula) is Out:
@@ -360,10 +361,10 @@ def _kripke_step(km: KripkeScf, formula: Formula) -> frozenset[int]:
     if type(formula) is Diamond:
         # the states from which the join of the coalition's relations
         # reaches a child state: the child set, closed backwards
-        for agent in formula.coalition:
-            if not 1 <= agent <= km.n:
-                raise InvalidDomain(f"coalition agent {agent} out of range 1..{km.n}")
-        rows = [km.r_edges[agent - 1] for agent in formula.coalition]
+        agents = sorted(formula.coalition)
+        if not all(1 <= agent <= km.n for agent in agents):
+            raise InvalidDomain(f"coalition {agents} not within agents 1..{km.n}")
+        rows = [km.r_edges[agent - 1] for agent in agents]
         reach = set(memo[formula.child])
         fresh = True
         while fresh:

@@ -4,7 +4,6 @@ import time
 import pytest
 
 from scflogic import (
-    Evaluator,
     ScfModel,
     ScfTable,
     all_profiles,
@@ -159,6 +158,14 @@ def test_budget_flag(capsys):
     code = main(["valid", "--agents", "2", "--outcomes", "a,b", "--budget", "10", "a | ~a"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+    # a budget below one model is refused by sat/valid and by axioms alike
+    for budget in ("0", "-3"):
+        for command, formula in (("sat", ["a"]), ("axioms", [])):
+            argv = [command, "--agents", "2", "--outcomes", "a,b", "--budget", budget]
+            assert main(argv + formula) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the model budget must be positive\n"
 
 
 def test_encode_roundtrips(capsys, h_files, h_table):
@@ -167,8 +174,7 @@ def test_encode_roundtrips(capsys, h_files, h_table):
     text = capsys.readouterr().out.strip()
     parsed = parse(text, Context(2, K2))
     for model in [ScfModel(h_table, t) for t in all_profiles(2, K2)]:
-        ev = Evaluator(model)
-        assert ev.valid(parsed)
+        assert valid_in_model(model, parsed)[0]
 
 
 def test_encode_constant_is_equivalent_to_atom(capsys, tmp_path, p_table):
@@ -247,6 +253,8 @@ def test_error_exits(capsys, tmp_path):
         assert line.startswith(f"error: unknown property {spelling!r}")
     assert main(["valid", "--agents", "2", "--outcomes", "a,b", "rep(9,a,b)"]) == 2
     assert "unknown agent token" in capsys.readouterr().err
+    assert main(["property", "--scf", str(good), "br(2)"]) == 2
+    assert capsys.readouterr().err == "error: agent 2 out of range 1..1\n"
 
 
 def test_formula_flag_alternative(capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from scflogic import core
 from scflogic import (
-    Evaluator,
     InvalidDomain,
     LinearOrder,
     Profile,
@@ -16,6 +15,7 @@ from scflogic import (
     all_profiles,
     num_states,
     profile_index,
+    evaluate,
     eval_kripke,
     kripke_view,
     scf_as_game_form,
@@ -90,12 +90,11 @@ def test_one_state_numbering_for_every_reader():
             assert profile_index(p, outcomes) == i
     table = ScfTable(2, K2, ("a", "b", "b", "a"))
     model = ScfModel(table, all_profiles(2, K2)[0])
-    ev = Evaluator(model)
     km = kripke_view(model)
     readers = {
         "ScfTable.__call__": table,
         "ScfModel.out": model.out,
-        "Evaluator.holds": lambda p: ev.holds(p, TRUE),
+        "evaluate": lambda p: evaluate(model, p, TRUE),
         "eval_kripke": lambda p: eval_kripke(km, p, TRUE),
     }
     one_agent_too_many = profile(("a", "b"), ("a", "b"), ("b", "a"))

@@ -7,8 +7,6 @@ import pytest
 from scflogic import axioms, decision
 from scflogic import (
     BudgetExceeded,
-    EnumerationBudget,
-    Evaluator,
     ScfModel,
     ScfTable,
     Verdict,
@@ -25,6 +23,7 @@ from scflogic import (
     sample_models,
     satisfiable,
     valid,
+    valid_in_model,
 )
 from scflogic.encodings import (
     BR,
@@ -71,7 +70,7 @@ def test_budget_exceeded_at_k3():
         list(enumerate_models(2, K3))
     assert err.value.required_models == 3**36 * 36
     with pytest.raises(BudgetExceeded):
-        list(enumerate_models(2, K2, EnumerationBudget(max_models=10)))
+        list(enumerate_models(2, K2, 10))
 
 
 def test_satisfiable_examples(h_table):
@@ -119,8 +118,7 @@ def test_prop_4_6_formulations():
     boxed = valid(2, K2, Iff(Box(grand, mon_f), Box(grand, sp_f)))
     assert boxed.status == "valid"
     for m in enumerate_models(2, K2):
-        ev = Evaluator(m)
-        assert ev.valid(mon_f) == ev.valid(sp_f)
+        assert valid_in_model(m, mon_f)[0] == valid_in_model(m, sp_f)[0]
 
 
 def test_check_scf_property_examples(majority_table, h_table, j_table):
@@ -177,7 +175,7 @@ def _state_determined(n, outcomes, seed, count):
 
 
 def test_state_determined_formulas_beyond_the_budget():
-    assert _bounded_size(2, 3, 10**30)[0] > EnumerationBudget().max_models
+    assert _bounded_size(2, 3, 10**30)[0] > decision.DEFAULT_BUDGET
     assert valid(2, K3, Or(Rep(1, "a", "b"), Rep(1, "b", "a"))).status == "valid"
     rep_ab = Rep(1, "a", "b")
     assert satisfiable(2, K3, And(rep_ab, Not(rep_ab))).status == "unsatisfiable"
@@ -231,7 +229,7 @@ def _per_model_scan(table, prop):
     model that falsifies the property."""
     formula = property_formula(prop, table.agents, table.outcomes)
     for truth in table.profiles:
-        bad = Evaluator(ScfModel(table, truth)).falsifying_states(formula)
+        _, bad = valid_in_model(ScfModel(table, truth), formula)
         if bad:
             return truth, bad[0]
     return None
@@ -376,7 +374,7 @@ def test_budget_exceeded_before_any_model_is_built(monkeypatch):
 
     monkeypatch.setattr(decision, "ScfModel", no_models)
     monkeypatch.setattr(decision, "ScfTable", no_models)
-    small = EnumerationBudget(max_models=63)
+    small = 63
     excluded_middle = Or(Out("a"), Not(Out("a")))
     for query in (satisfiable, valid):
         with pytest.raises(BudgetExceeded):
@@ -393,7 +391,7 @@ def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):
         raise AssertionError("a state was built")
 
     monkeypatch.setattr(decision, "all_profiles", no_states)
-    small = EnumerationBudget(max_models=100)
+    small = 100
     rep_ab = Rep(1, "a", "b")
     # a state-determined formula needs one model: 216 states at (3,3)
     for query in (satisfiable, valid):

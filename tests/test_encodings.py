@@ -13,6 +13,7 @@ from scflogic import (
     all_profiles,
     check_scf_property,
     enumerate_models,
+    evaluate,
     is_strategy_proof,
     representative_model,
     sample_models,
@@ -109,11 +110,12 @@ def test_ballot_profile_examples():
 
 
 def test_ballot_profile_pins_one_state():
-    ev = Evaluator(representative_model(2, K3))
+    model = representative_model(2, K3)
+    ev = Evaluator(model)
     for p in all_profiles(2, K3):
         mask = ev.truth_mask(ballot_profile(p))
         assert mask.bit_count() == 1
-        assert ev.holds(p, ballot_profile(p))
+        assert evaluate(model, p, ballot_profile(p))
 
 
 def test_example_ballot_biconditional_18_literals():
@@ -177,8 +179,8 @@ def test_trueprofile_identifies_truth_when_all_feasible(h_table):
 def test_trueprofile_blind_to_infeasible_outcomes():
     table = ScfTable.from_function(2, K3, lambda p: "a" if p.order(1).top == "a" else "b")
     truth = all_profiles(2, K3)[0]  # ([a,b,c],[a,b,c])
-    ev = Evaluator(ScfModel(table, truth))
-    holding = [p for p in all_profiles(2, K3) if ev.valid(trueprofile(p, K3))]
+    model = ScfModel(table, truth)
+    holding = [p for p in all_profiles(2, K3) if valid_in_model(model, trueprofile(p, K3))[0]]
     assert truth in holding
     # c is infeasible, so only a above b is pinned: 3 such orders per agent
     assert len(holding) == 9
@@ -269,13 +271,12 @@ def _better_by_definition(model, agent, lo, hi):
 
 def test_fast_paths_match_expansions():
     for model in enumerate_models(2, K2):
-        ev = Evaluator(model)
         for agent in (1, 2):
             for lo in K2:
                 for hi in K2:
-                    assert ev.valid(
-                        better(2, K2, agent, Out(lo), Out(hi))
-                    ) == _better_by_definition(model, agent, lo, hi)
+                    assert valid_in_model(
+                        model, better(2, K2, agent, Out(lo), Out(hi))
+                    )[0] == _better_by_definition(model, agent, lo, hi)
         for p in model.states:
             # every outcome globally better than each one ranked below it
             links = all(
@@ -284,15 +285,14 @@ def test_fast_paths_match_expansions():
                 for k in range(len(order.ranking))
                 for j in range(k)
             )
-            assert ev.valid(trueprofile(p, K2)) == links
+            assert valid_in_model(model, trueprofile(p, K2))[0] == links
     for model in sample_models(2, K3, 4, seed=9):
-        ev = Evaluator(model)
         for agent in (1, 2):
             for lo in K3:
                 for hi in K3:
-                    assert ev.valid(
-                        better(2, K3, agent, Out(lo), Out(hi))
-                    ) == _better_by_definition(model, agent, lo, hi)
+                    assert valid_in_model(
+                        model, better(2, K3, agent, Out(lo), Out(hi))
+                    )[0] == _better_by_definition(model, agent, lo, hi)
 
 
 def test_rho_valid_exactly_on_matching_models(h_table, j_table, p_table):
@@ -300,10 +300,9 @@ def test_rho_valid_exactly_on_matching_models(h_table, j_table, p_table):
         diamond = rho(table, "diamond")
         implication = rho(table, "implication")
         for model in enumerate_models(2, K2):
-            ev = Evaluator(model)
             matches = model.table.values == table.values
-            assert ev.valid(diamond) == matches
-            assert ev.valid(implication) == matches
+            assert valid_in_model(model, diamond)[0] == matches
+            assert valid_in_model(model, implication)[0] == matches
 
 
 def test_rho_compact_forms(h_table, j_table, p_table):

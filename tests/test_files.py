@@ -124,16 +124,26 @@ def test_malformed_scf_rejected(h_table, malform, message):
 
 def test_entries_are_checked_before_states_are_built(monkeypatch):
     """A file claiming 12 agents over three outcomes, (3!)^12 states, fails
-    on its short first profile without building any state."""
+    on its short first profile, or on the first profile its short map
+    lacks, without building the states."""
 
     def no_states(*args):
         raise AssertionError("the states were built")
 
     monkeypatch.setattr(files, "_profiles", no_states)
-    data = {
-        "agents": 12,
-        "outcomes": ["a", "b", "c"],
-        "map": [{"profile": [["a", "b", "c"], ["c", "b", "a"]], "outcome": "a"}],
+    abc, acb = ("a", "b", "c"), ("a", "c", "b")
+    failures = {
+        "map[0]: profile must list 12 rankings, got [['a', 'b', 'c'], ['c', 'b', 'a']]": [
+            {"profile": [["a", "b", "c"], ["c", "b", "a"]], "outcome": "a"}
+        ],
+        # an empty map lacks the first state, a map of the first state the second
+        f"missing profile {profile(*[abc] * 12)} in map": [],
+        f"missing profile {profile(*[abc] * 11, acb)} in map": [
+            {"profile": [list(abc)] * 12, "outcome": "a"}
+        ],
     }
-    with pytest.raises(FileFormatError, match=r"map\[0\]: profile must list 12 rankings"):
-        scf_from_dict(data)
+    for message, entries in failures.items():
+        data = {"agents": 12, "outcomes": ["a", "b", "c"], "map": entries}
+        with pytest.raises(FileFormatError) as err:
+            scf_from_dict(data)
+        assert str(err.value) == message

@@ -60,21 +60,30 @@ def test_eval_examples(h_model):
 
 
 def test_eval_domain_mismatch(h_model):
-    """Both semantics refuse a formula outside the model's (n, K)."""
+    """Both semantics refuse a formula outside the model's (n, K), in the
+    same words, naming the first fault in post-order."""
     s = h_model.states[0]
     km = kripke_view(h_model)
+    pair = StackedEvaluator([h_model, ScfModel(h_model.table, h_model.states[3])])
     outside = [
         Rep(3, "a", "b"),
         Rep(1, "a", "z"),
         Out("z"),
         Diamond({1, 5}, TRUE),
         Pref(9, TRUE),
+        Diamond({0}, TRUE),
+        Rep(5, "a", "z"),
+        Or(Out("z"), Rep(3, "a", "b")),
+        Not(Diamond({2, 7}, Pref(1, Out("a")))),
     ]
     for f in outside:
-        with pytest.raises(InvalidDomain):
+        with pytest.raises(InvalidDomain) as direct:
             evaluate(h_model, s, f)
-        with pytest.raises(InvalidDomain):
+        with pytest.raises(InvalidDomain) as relational:
             eval_kripke(km, 0, f)
+        with pytest.raises(InvalidDomain) as stacked:
+            pair.first_failure([f])
+        assert str(direct.value) == str(relational.value) == str(stacked.value)
 
 
 def test_valid_in_model_examples(h_model, p_table):
@@ -209,19 +218,18 @@ def test_eval_kripke_agrees_on_h_characterization(h_table):
     for truth in all_profiles(2, K2):
         model = ScfModel(h_table, truth)
         km = kripke_view(model)
-        ev = Evaluator(model)
         for s in model.states:
-            assert ev.holds(s, TRUE) == eval_kripke(km, s, TRUE)
-            assert ev.holds(s, rho_h) == eval_kripke(km, s, rho_h)
+            assert evaluate(model, s, TRUE) == eval_kripke(km, s, TRUE)
+            assert evaluate(model, s, rho_h) == eval_kripke(km, s, rho_h)
 
 
 def test_eval_kripke_agrees_on_dom(majority_table):
     model = ScfModel(majority_table, all_profiles(3, K2)[0])
     km = kripke_view(model)
-    ev = Evaluator(model)
     formula = dom(3, K2)
-    for s in model.states:
-        assert ev.holds(s, formula) == eval_kripke(km, s, formula)
+    mask = Evaluator(model).truth_mask(formula)
+    for idx, s in enumerate(model.states):
+        assert bool(mask >> idx & 1) == eval_kripke(km, s, formula)
 
 
 def test_semantics_agreement_small_classes():
@@ -233,8 +241,9 @@ def test_semantics_agreement_small_classes():
             km = kripke_view(model)
             ev = Evaluator(model)
             for f in pool:
-                for s in model.states:
-                    assert ev.holds(s, f) == eval_kripke(km, s, f)
+                mask = ev.truth_mask(f)
+                for idx, s in enumerate(model.states):
+                    assert bool(mask >> idx & 1) == eval_kripke(km, s, f)
 
 
 def test_semantics_agreement_sampled_k3():
@@ -244,8 +253,9 @@ def test_semantics_agreement_sampled_k3():
         km = kripke_view(model)
         ev = Evaluator(model)
         for f in pool:
-            for s in model.states:
-                assert ev.holds(s, f) == eval_kripke(km, s, f)
+            mask = ev.truth_mask(f)
+            for idx, s in enumerate(model.states):
+                assert bool(mask >> idx & 1) == eval_kripke(km, s, f)
 
 
 def test_stacked_evaluator_matches_per_model():
@@ -318,7 +328,7 @@ def test_evaluators_keep_no_formula_alive():
         node = Pref(1, Diamond({2}, Not(Rep(2, "b", "a"))))
         stacked.truth_mask(node)
         stacked.first_failure([Or(node, Out("a")), node])
-        one.holds(models[0].states[0], node)
+        one.truth_mask(node)
         return weakref.ref(node)
 
     ref = evaluate_and_drop()
