@@ -20,9 +20,11 @@ only in their true profile, satisfiability and validity stack chunks of
 the enumerated model class, and `Evaluator` is a stack of one model, on
 which `evaluate` and `valid_in_model` each read one `truth_mask`.  Masks
 are memoized per call: `first_failure` evaluates a batch of roots on one
-memo, so shared nodes are computed once and none outlives the call.  To
-ask one formula at many states, read its mask once instead of calling
-`evaluate` per state.
+memo, so shared nodes are computed once and none outlives the call.
+Within a batch, a node's mask is dropped once the last root that reaches
+it has passed, so the memo holds what later roots still read, not every
+mask computed so far.  To ask one formula at many states, read its mask
+once instead of calling `evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks) is built once per domain (`_space`).  Agreement with
 the relational semantics (`logic.eval_kripke`), which shares none of this
@@ -286,14 +288,49 @@ class StackedEvaluator:
         """(index, model, state) of the first of `formulas` that some model
         of the batch falsifies, at its lowest falsified bit: the first such
         model, at its lowest state.  The roots are evaluated in order on one
-        memo, so a node they share is computed once."""
+        memo, so a node they share is computed once.
+
+        Before evaluating, the roots are walked from last to first, and
+        each distinct node goes into the bucket of the first walk that
+        meets it: the last root that reaches it (`_last_readers`).  Once
+        root k passes, the masks in bucket k are dropped, as no later root
+        reads them; a node that a later root reaches stays until that root
+        has passed, so the answer and the one computation per node are
+        unchanged.  A batch of one root skips the walk, as its whole memo
+        is dropped on return anyway; single-formula checks stay as cheap
+        as a `truth_mask`."""
+        roots = list(formulas)
+        last_readers = _last_readers(roots) if len(roots) > 1 else None
         memo: dict[Formula, int] = {}
-        for index, formula in enumerate(formulas):
+        for index, formula in enumerate(roots):
             bad = self.full ^ self._mask(formula, memo)
             if bad:
                 model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
                 return index, self.models[model_idx], self.space.profiles[state_idx]
+            if last_readers:
+                for node in last_readers[index]:
+                    del memo[node]
         return None
+
+
+def _last_readers(roots: Sequence[Formula]) -> list[list[Formula]]:
+    """Per root, the distinct nodes that it reaches and no later root does,
+    found by walking the roots from last to first on one seen-set."""
+    seen: set[Formula] = set()
+    buckets: list[list[Formula]] = [[] for _ in roots]
+    for root, bucket in zip(reversed(roots), reversed(buckets)):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            bucket.append(node)
+            for child in node.children():
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+    return buckets
 
 
 class Evaluator(StackedEvaluator):

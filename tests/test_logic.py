@@ -1,5 +1,6 @@
 import ast
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from scflogic.logic import (
     Box,
     Diamond,
     Iff,
+    Implies,
     Not,
     Or,
     Out,
@@ -38,6 +40,7 @@ from scflogic.logic import (
     disj,
 )
 from scflogic._stacked import StackedEvaluator
+from scflogic.axioms import default_pool
 from scflogic import encodings, logic
 from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
 from scflogic.parser import Context, parse
@@ -364,3 +367,86 @@ def test_eval_kripke_walks_deep_and_shared_formulas():
         mask = stacked.truth_mask(formula)
         for v in range(stacked.block):
             assert eval_kripke(km, v, formula) == bool(mask >> v & 1)
+
+
+def _scan_and_count(models, roots):
+    """`first_failure` of a fresh evaluator over `models`, checked against
+    a per-root `truth_mask` scan (index, model and state), and checked to
+    compute each modal node of the roots it reads once."""
+    ev = StackedEvaluator(models)
+    expected = None
+    for index, root in enumerate(roots):
+        bad = ev.full ^ ev.truth_mask(root)
+        if bad:
+            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, ev.block)
+            expected = (index, ev.models[model_idx], ev.space.profiles[state_idx])
+            break
+    read = roots if expected is None else roots[: expected[0] + 1]
+    modal = {node for root in read for node in root.subformulas() if type(node) in (Diamond, Pref)}
+    calls = []
+    diamond, pref = ev._diamond, ev._pref
+    ev._diamond = lambda coalition, x: calls.append(coalition) or diamond(coalition, x)
+    ev._pref = lambda agent, x: calls.append(agent) or pref(agent, x)
+    assert ev.first_failure(roots) == expected
+    assert len(calls) == len(modal)
+    return expected
+
+
+def test_first_failure_batches_match_a_per_root_scan():
+    """A mask dropped after the last root that reaches it is never needed
+    again: every batch shape, passed as a list or a generator, answers as
+    a per-root scan does, computing each node once."""
+    models = list(enumerate_models(2, K2))
+    p = Diamond({1}, Rep(1, "a", "b"))
+    q = Pref(2, Out("b"))
+    t_p, t_q = Implies(p, p), Or(q, Not(q))
+    fail = Implies(p, Out("a"))
+    cases = {
+        "the same root twice": ([t_p, t_p, fail], 2),
+        "the same failing root twice": ([fail, fail], 0),
+        "a root inside a later root": ([t_q, And(t_q, fail)], 1),
+        "a root inside an earlier root": ([Or(t_p, Out("a")), t_p, fail], 2),
+        "Or(x, x)": ([Or(t_p, t_p), Or(t_q, t_q), Or(Out("a"), Out("a"))], 2),
+        "shared by roots 0 and 2 only": ([t_p, t_q, Or(p, Not(p))], None),
+        "shared by roots 0 and 2, failing at 2": ([t_p, t_q, fail], 2),
+        "a failure at a middle root": ([t_p, fail, t_q], 1),
+    }
+    for name, (roots, index) in cases.items():
+        hit = _scan_and_count(models, roots)
+        assert (hit and hit[0]) == index, name
+        assert StackedEvaluator(models).first_failure(root for root in roots) == hit, name
+
+
+def test_first_failure_random_batches_match_a_per_root_scan():
+    """Batches of sampled tautologies sharing subformulas, with one sampled
+    formula planted among them."""
+    for n, outcomes, seed in ((2, K2, 41), (3, K2, 43), (2, K3, 47)):
+        models = sample_models(n, outcomes, 6, seed=seed)
+        draw = make_formula_sampler(n, outcomes, seed=seed)
+        for planted_at in (0, 7, 19):
+            formulas = draw(20, max_depth=5)
+            roots = [Or(f, Not(f)) for f in formulas]
+            roots[planted_at] = formulas[planted_at]
+            _scan_and_count(models, roots)
+        _scan_and_count(models, [Or(f, Not(f)) for f in draw(20, max_depth=5)])
+
+
+def test_first_failure_drops_masks_no_later_root_reads():
+    """240 tautology roots with private modal nodes, over all 2,048 (3,2)
+    models: each root's masks (2 KiB apiece) are dropped once it passes,
+    so the traced peak stays near the pool's masks plus one root's (about
+    0.14 MiB); a memo keeping every mask until return peaks at about
+    1.1 MiB."""
+    ev = StackedEvaluator(list(enumerate_models(3, K2)))
+    coalitions = ({1}, {2}, {3}, {1, 2}, {1, 2, 3})
+    roots = [
+        Implies(Diamond(c, phi), Diamond(c, phi)) for c in coalitions for phi in default_pool(3, K2)
+    ]
+    assert len(roots) == 240
+    tracemalloc.start()
+    try:
+        assert ev.first_failure(roots) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
