@@ -10,9 +10,9 @@ modalities vectorize as well:
   spreads back by multiplying with the axis comb.  Shifted bits that
   cross a block boundary or borrow across digits never land on the
   digit-0 plane, so the plane mask discards them.
-* pref(i) phi peels the child mask by the rank (under model m's true
-  order for i) of each state's outcome: the lowest rank present in a
-  block decides that block's result, a precomputed at-or-below-rank mask.
+* pref(i) phi walks i's true ranking of the outcomes from the best down,
+  keeping a running OR of the blocks that have met a phi-state so far: a
+  state holds once its block has met one at or above its outcome's rank.
 
 This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
@@ -114,15 +114,10 @@ class StackedEvaluator:
         if not models:
             raise ValueError("need at least one model")
         first = models[0]
-        for model in models:
-            if model.n != first.n or model.outcomes != first.outcomes:
-                raise ValueError("all stacked models must share (n, outcomes)")
         self.models = list(models)
         self.space = _space(first.n, first.outcomes)
         self.block = self.space.size
-        self.count = len(self.models)
-        total = self.block * self.count
-        self.full = (1 << total) - 1
+        self.full = (1 << self.block * len(self.models)) - 1
         self.block_ones = (1 << self.block) - 1
         self.tile = self.full // self.block_ones  # one bit per block, at the block base
         self._radix = self.space.radix
@@ -130,11 +125,14 @@ class StackedEvaluator:
         self._axis = [
             (stride, plane * self.tile, comb) for stride, plane, comb in self.space.axes
         ]
-        # per distinct outcome function, the states choosing each outcome;
-        # stacked, the states of each model choosing it
+        # one pass over the models: each must share the first's (n, K), and
+        # each distinct outcome function gets, once, the states choosing
+        # each outcome
         by_values: dict[tuple[str, ...], dict[str, int]] = {}
         small_out: list[dict[str, int]] = []
         for model in self.models:
+            if model.n != first.n or model.outcomes != first.outcomes:
+                raise ValueError("all stacked models must share (n, outcomes)")
             masks = by_values.get(model.table.values)
             if masks is None:
                 masks = dict.fromkeys(first.outcomes, 0)
@@ -142,26 +140,24 @@ class StackedEvaluator:
                     masks[value] |= 1 << v
                 by_values[model.table.values] = masks
             small_out.append(masks)
+        # stacked: per outcome, the states of each model choosing it; per
+        # agent and rank r, those whose outcome sits at rank r of the
+        # model's true order for the agent
         self._out_masks = {
             name: _stack([masks[name] for masks in small_out], self.block)
             for name in first.outcomes
         }
-        # per agent, per rank: states whose outcome sits exactly at / at or
-        # below that rank of the model's true order for the agent
-        k_size = len(first.outcomes)
-        self._exact: list[list[int]] = []
-        self._at_or_below: list[list[int]] = []
-        for agent in range(1, first.n + 1):
-            exact_smalls: list[list[int]] = [[] for _ in range(k_size)]
-            for model, masks in zip(self.models, small_out):
-                for r, name in enumerate(model.true_order(agent).ranking):
-                    exact_smalls[r].append(masks[name])
-            exact = [_stack(per_model, self.block) for per_model in exact_smalls]
-            below = [0] * (k_size + 1)
-            for r in range(k_size - 1, -1, -1):
-                below[r] = below[r + 1] | exact[r]
-            self._exact.append(exact)
-            self._at_or_below.append(below)
+        truths = [model.truth.orders for model in self.models]
+        self._ranked = [
+            [
+                _stack(
+                    [masks[orders[agent].ranking[r]] for masks, orders in zip(small_out, truths)],
+                    self.block,
+                )
+                for r in range(len(first.outcomes))
+            ]
+            for agent in range(first.n)
+        ]
         self._agents = frozenset(range(1, first.n + 1))
 
     # --- vector primitives -------------------------------------------------
@@ -272,16 +268,16 @@ class StackedEvaluator:
         return x
 
     def _pref(self, agent: int, child: int) -> int:
+        """States whose outcome `agent` truly ranks at or below the outcome
+        of some `child`-state of the same model.  Walks the ranks from the
+        best down: `reached` marks the blocks that have met a `child`-state
+        so far, and each rank's states join in the blocks reached."""
         if not 1 <= agent <= self.space.n:
             raise InvalidDomain(f"agent {agent} out of range 1..{self.space.n}")
-        result = 0
-        assigned = 0
-        for r in range(len(self.space.outcomes)):
-            hits = self._block_any(child & self._exact[agent - 1][r])
-            fresh = hits & ~assigned
-            if fresh:
-                assigned |= fresh
-                result |= self._at_or_below[agent - 1][r] & (fresh * self.block_ones)
+        reached = result = 0
+        for rank in self._ranked[agent - 1]:
+            reached |= self._block_any(child & rank)
+            result |= rank & (reached * self.block_ones)
         return result
 
     def first_failure(self, formulas: Iterable[Formula]) -> tuple[int, ScfModel, Profile] | None:

@@ -264,7 +264,13 @@ def test_semantics_agreement_sampled_k3():
 def test_stacked_evaluator_matches_per_model():
     """Each block of a stacked mask agrees, state by state, with the
     relational semantics of its model."""
-    for n, outcomes, count in ((2, K2, 12), (3, K2, 6), (2, K3, 4), (1, K2, 3)):
+    for n, outcomes, count in (
+        (2, K2, 12),
+        (3, K2, 6),
+        (2, K3, 4),
+        (1, K2, 3),
+        (1, ("a", "b", "c", "d"), 5),
+    ):
         models = sample_models(n, outcomes, count, seed=3)
         stacked = StackedEvaluator(models)
         views = [kripke_view(model) for model in models]
@@ -275,6 +281,17 @@ def test_stacked_evaluator_matches_per_model():
                 small = (whole >> (m * stacked.block)) & stacked.block_ones
                 for v in range(stacked.block):
                     assert bool(small >> v & 1) == eval_kripke(km, v, f)
+
+
+def test_stacked_evaluator_refuses_empty_or_mixed_stacks():
+    """A stack needs a model, and every model over the first one's (n, K),
+    outcomes in the same order; the last model is checked too."""
+    with pytest.raises(ValueError, match="need at least one model"):
+        StackedEvaluator([])
+    models = sample_models(2, K2, 3, seed=3)
+    for odd in (representative_model(3, K2), representative_model(2, ("b", "a"))):
+        with pytest.raises(ValueError, match=r"all stacked models must share \(n, outcomes\)"):
+            StackedEvaluator(models + [odd])
 
 
 def test_stacked_evaluator_handles_deep_formulas():
