@@ -23,13 +23,14 @@ K = ("a", "b")
 pool = default_pool(2, K)
 print(f"metavariable pool: {len(pool)} formulas")
 
-instances = instantiate_all(2, K)
-print(f"instances over (n=2, K={{a,b}}): {len(instances)}")
-
+# the instances stream in schema by schema, each schema checked and dropped
+# before the one after next is built
 start = time.perf_counter()
 models = list(enumerate_models(2, K))
-report = soundness_check(instances, models)
-print(f"\nchecked against all 64 models in {time.perf_counter() - start:.2f}s:\n")
+report = soundness_check(instantiate_all(2, K), models)
+print(f"instances over (n=2, K={{a,b}}): {sum(r.instances for r in report.results)}")
+print(f"\ninstantiated and checked against all 64 models in"
+      f" {time.perf_counter() - start:.2f}s:\n")
 print(report.render())
 
 rule = pref_necessitation_holds(models, pool)

@@ -4,8 +4,9 @@ enumeration.
 Each schema of the proof system becomes a finite family of concrete
 formulas (instances), quantified over agents, coalitions, outcomes,
 profiles and a pool of metavariable formulas.  `soundness_check` verifies
-every instance in every supplied model; `check_sweep_size` refuses, from
-the binder domain sizes alone, a sweep too large to hold in memory.
+each schema's instances in every supplied model as `instantiate_all`
+streams them; `check_sweep_size` refuses, from the binder domain sizes
+alone, a sweep too large to hold in memory.
 
 Each schema is one row of a table: its binder names and a builder of the
 instance formula for one binding.  A binder ranges over agents, outcomes,
@@ -39,7 +40,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _stacked
 from .core import InvalidDomain, Profile, ScfModel, all_linear_orders, all_profiles
@@ -311,10 +313,11 @@ def instantiate(
 
 def instantiate_all(
     n: int, outcomes: Sequence[str], pool: Optional[Sequence[Formula]] = None
-) -> list[AxiomInstance]:
+) -> Iterator[AxiomInstance]:
+    """Every schema's instances in `SCHEMAS` order, each schema built when reached."""
     if pool is None:
         pool = default_pool(n, outcomes)
-    return [inst for schema in SCHEMAS for inst in instantiate(schema, n, outcomes, pool)]
+    return (inst for schema in SCHEMAS for inst in instantiate(schema, n, outcomes, pool))
 
 
 @dataclass
@@ -356,51 +359,47 @@ class SoundnessReport:
 def soundness_check(
     instances: Iterable[AxiomInstance], models: Iterable[ScfModel]
 ) -> SoundnessReport:
-    """Check every instance in every model.
+    """Check every instance in every model, one run at a time.
+
+    A run is a stretch of consecutive instances of one schema; it gets one
+    result, so a schema in two separate runs gets two.  Each run is read
+    only after the one before it is checked and dropped, so over the
+    `instantiate_all` stream two schemas' instances are live at most.
 
     Evaluation is batched: one truth mask per instance across the whole
-    model list (see `_stacked`), and each schema's instances are one batch
-    of roots, so the subformulas they share are evaluated once per schema.
-    An instance's masks are dropped once no later instance of its schema
-    reads them, so the memo holds the masks later instances share (chiefly
-    the pool formulas') and those of the instance being checked, not every
-    mask of the schema.  The reported counterexample is the first failing
-    instance in instantiation order, at its lowest (model, state) pair.
+    model list (see `_stacked`), and each run is one batch of roots, so the
+    subformulas its instances share are evaluated once.  An instance's
+    masks are dropped once no later instance of its run reads them.  The
+    reported counterexample is the run's first failing instance in
+    instantiation order, at its lowest (model, state) pair.
     """
-    instances = list(instances)
-    models = list(models)
-    if not models:
-        raise ValueError("need at least one model")
-    ev = _stacked.StackedEvaluator(models)
-    by_schema: dict[str, list[AxiomInstance]] = {}
-    for inst in instances:
-        by_schema.setdefault(inst.schema, []).append(inst)
-    results = []
-    for schema, group in by_schema.items():
-        hit = ev.first_failure(inst.formula for inst in group)
-        results.append(
-            SchemaResult(
-                schema=schema,
-                instances=len(group),
-                models=len(models),
-                model_independent=sum(inst.formula.state_determined for inst in group),
-                ok=hit is None,
-                counterexample=None if hit is None else (group[hit[0]], *hit[1:]),
-            )
-        )
-    return SoundnessReport(results)
+    ev = _stacked.StackedEvaluator(list(models))
+    runs = itertools.groupby(instances, attrgetter("schema"))
+    return SoundnessReport([_check_run(ev, list(run)) for _, run in runs])
+
+
+def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
+    hit = ev.first_failure(inst.formula for inst in run)
+    return SchemaResult(
+        schema=run[0].schema,
+        instances=len(run),
+        models=len(ev.models),
+        model_independent=sum(inst.formula.state_determined for inst in run),
+        ok=hit is None,
+        counterexample=None if hit is None else (run[hit[0]], *hit[1:]),
+    )
 
 
 # Largest binder product times stacked width (models x states) of one
-# schema that a sweep takes on.  Each instance's masks are dropped once no
-# later instance reads them, so the product bounds mainly the instance
-# list and the run time, not a memo of every mask.  At (4,2) over 1000
-# sampled models comp-At reaches 3.2e9: its 150,528 instances take about
-# 6 s to build and 1.5 s to check, and the process peaks at 264 MiB.  At
-# (3,3) comp-At reaches 1.1e10 and checks in about 1 s and 206 MiB, but
-# antisym' reaches 3.0e10 and runs out of a 3 GB cap: its 139,968
-# instances share per-profile subformulas, whose masks stay live until
-# their last reader.
+# schema that a sweep takes on.  A sweep holds two adjacent schemas'
+# instances at most and drops each instance's masks after its last reader,
+# so the product bounds mainly one schema's instances and the run time.
+# At (4,2) over 1000 sampled models comp-At reaches 3.2e9: its 150,528
+# instances take 6-8 s and 200 MiB to build, 1.5-2.2 s to check, and the
+# whole sweep peaks at 263 MiB, as comp-At alone does.  At (3,3) comp-At
+# reaches 1.1e10 and checks in about 1 s and 206 MiB, but antisym' reaches
+# 3.0e10 and runs out of a 3 GB cap: its 139,968 instances share
+# per-profile subformulas, whose masks stay live until their last reader.
 SWEEP_LIMIT = 5 * 10**9
 
 

@@ -222,6 +222,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.all_agree else 1
 
 
+def _failure_json(counterexample: Optional[tuple]) -> Optional[dict]:
+    if counterexample is None:
+        return None
+    inst, model, state = counterexample
+    return {
+        "instance": inst.describe(),
+        "state": _profile_json(state),
+        "truth": _profile_json(model.truth),
+    }
+
+
 def cmd_axioms(args: argparse.Namespace) -> int:
     outcomes = _parse_outcomes(args.outcomes)
     try:
@@ -231,8 +242,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         models = decision.sample_models(args.agents, outcomes, 1000, args.seed, args.budget)
         source = f"1000 sampled models (seed {args.seed}; class has {exc.models})"
     axioms_mod.check_sweep_size(args.agents, outcomes, models)
-    instances = axioms_mod.instantiate_all(args.agents, outcomes)
-    report = axioms_mod.soundness_check(instances, models)
+    report = axioms_mod.soundness_check(axioms_mod.instantiate_all(args.agents, outcomes), models)
     _emit(
         args,
         lambda: {
@@ -245,11 +255,15 @@ def cmd_axioms(args: argparse.Namespace) -> int:
                     "instances": r.instances,
                     "models": r.models,
                     "ok": r.ok,
+                    "first_failure": _failure_json(r.counterexample),
                 }
                 for r in report.results
             ],
         },
-        lambda: [f"checking {len(instances)} instances against {source}", report.render()],
+        lambda: [
+            f"checking {sum(r.instances for r in report.results)} instances against {source}",
+            report.render(),
+        ],
     )
     return 0 if report.ok else 1
 

@@ -128,8 +128,10 @@ class ImplementationReport:
     """Verdict plus the canonically-first offending pair on failure.
 
     `failure` is "empty_solution_set" when some game has no equilibrium at
-    all, or "wrong_outcome" when an equilibrium's outcome disagrees with
-    the choice function.
+    all, "truth_not_in_solution_set" when (truthful implementation only)
+    the game has equilibria but the truthful report is not one of them, or
+    "wrong_outcome" when an equilibrium's outcome disagrees with the
+    choice function.
     """
 
     ok: bool
@@ -180,7 +182,8 @@ def truthfully_implements(
         sincere = profile.orders
         answers = solution_set(game, profile, concept)
         if sincere not in answers:
-            return ImplementationReport(False, "empty_solution_set", profile, sincere)
+            failure = "truth_not_in_solution_set" if answers else "empty_solution_set"
+            return ImplementationReport(False, failure, profile, sincere)
         if game.outcome(sincere) != table(profile):
             return ImplementationReport(False, "wrong_outcome", profile, sincere)
     return ImplementationReport(True)

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import time
+import weakref
 
 import pytest
 
@@ -150,6 +152,58 @@ def test_soundness_reports_a_planted_instance_where_a_scan_does():
     assert scan[0] is planted
     assert result.counterexample == scan
     assert result.instances == len(group) and not result.ok
+
+
+def test_instantiate_all_builds_a_schema_when_the_stream_reaches_it(monkeypatch):
+    from scflogic import axioms
+
+    calls = []
+    real = axioms.instantiate
+    monkeypatch.setattr(
+        axioms, "instantiate", lambda schema, *args: calls.append(schema) or real(schema, *args)
+    )
+    stream = instantiate_all(2, K2, SMALL_POOL)
+    assert calls == []
+    assert next(stream).schema == "refl"
+    assert calls == ["refl"]
+
+
+def test_sweep_drops_each_schema_once_checked(monkeypatch):
+    """Over the `instantiate_all` stream, `soundness_check` holds the
+    schema being checked and the next one only: whenever the stream starts
+    building a schema, no instance of the non-empty schemas two or more
+    back is alive."""
+    from scflogic import axioms
+
+    pool = SMALL_POOL + (Rep(1, "b", "a"), Out("b"))
+    built = []  # per non-empty schema so far, weak references to its instances
+    alive = []  # per schema built after the first two non-empty ones
+    real = axioms.instantiate
+
+    def tracked(schema, *args):
+        gc.collect()
+        if len(built) >= 2:
+            alive.append(sum(ref() is not None for refs in built[:-1] for ref in refs))
+        out = real(schema, *args)
+        if out:
+            built.append([weakref.ref(inst) for inst in out])
+        return out
+
+    monkeypatch.setattr(axioms, "instantiate", tracked)
+    report = soundness_check(instantiate_all(2, K2, pool), list(enumerate_models(2, K2)))
+    assert report.ok and len(report.results) == len(built) == len(SCHEMAS)
+    assert alive == [0] * (len(SCHEMAS) - 2)
+
+
+def test_soundness_checks_each_run_of_a_schema_apart():
+    """A schema whose instances come in two separate runs gets two results."""
+    refl = instantiate("refl", 2, K2, ())
+    trans = instantiate("trans", 2, K2, ())
+    report = soundness_check(refl[:1] + trans + refl[1:], list(enumerate_models(2, K2)))
+    assert [(r.schema, r.instances) for r in report.results] == [
+        ("refl", 1), ("trans", len(trans)), ("refl", len(refl) - 1)
+    ]
+    assert report.ok
 
 
 def test_sweep_size_check():

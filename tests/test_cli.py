@@ -8,11 +8,13 @@ from scflogic import (
     ScfTable,
     all_profiles,
     dom_equilibria,
+    enumerate_models,
     scf_as_game_form,
     valid_in_model,
 )
 from scflogic import cli
 from scflogic._stacked import StackedEvaluator
+from scflogic.axioms import AxiomInstance
 from scflogic.cli import main
 from scflogic.encodings import MON, dom, property_formula
 from scflogic.files import save_model, save_scf
@@ -383,6 +385,35 @@ def test_axioms_samples_beyond_the_budget(capsys):
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["models"] == source and payload["ok"] is True
+
+
+def test_axioms_json_reports_the_first_failure(capsys, monkeypatch):
+    """A failing schema's first failure, which the text line prints, is
+    in its JSON entry too: the instance, the state and the truth; a
+    passing schema's entry has it null."""
+    bogus = AxiomInstance("func1", {}, Out("a"))
+    monkeypatch.setattr(cli.axioms_mod, "instantiate_all", lambda n, outcomes: iter([bogus]))
+    argv = ["axioms", "--agents", "1", "--outcomes", "a,b"]
+    model, state = next(
+        (m, s) for m in enumerate_models(1, K2) for s in m.states if m.out(s) != "a"
+    )
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("checking 1 instances against all 8 models\n")
+    assert f"first failure: func1[] at state {state} truth {model.truth}" in out
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    (entry,) = payload["schemas"]
+    assert entry["first_failure"] == {
+        "instance": "func1[]",
+        "state": [list(order.ranking) for order in state.orders],
+        "truth": [list(order.ranking) for order in model.truth.orders],
+    }
+    monkeypatch.undo()
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert all(entry["first_failure"] is None for entry in payload["schemas"])
 
 
 def test_property_reports_oracle_disagreement(capsys, monkeypatch, tmp_path, j_table):

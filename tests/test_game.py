@@ -91,7 +91,13 @@ def test_implementation_matrix(h_table, j_table, p_table, g_j_minus, g_p_matrix)
     assert truthfully_implements(g_j, j_table, SolutionConcept.NE).ok
 
     assert implements(g_j_minus, j_table, SolutionConcept.NE).ok
-    assert not truthfully_implements(g_j_minus, j_table, SolutionConcept.NE).ok
+    # the truthful report is no equilibrium, though two other profiles are
+    failure = truthfully_implements(g_j_minus, j_table, SolutionConcept.NE)
+    assert not failure.ok
+    assert failure.failure == "truth_not_in_solution_set"
+    assert failure.profile == profile(("a", "b"), ("a", "b"))
+    assert failure.action_profile == (AB, AB)
+    assert len(nash_equilibria(g_j_minus, failure.profile)) == 2
 
     assert not implements(g_p_matrix, p_table, SolutionConcept.NE).ok
     assert not truthfully_implements(g_p_matrix, p_table, SolutionConcept.NE).ok
@@ -107,6 +113,9 @@ def test_implements_reports_empty_solution_set():
     assert report.failure == "empty_solution_set"
     assert report.action_profile is None
     assert nash_equilibria(game, report.profile) == ()
+    truthful = truthfully_implements(game, table, SolutionConcept.NE)
+    assert truthful.failure == "empty_solution_set"
+    assert nash_equilibria(game, truthful.profile) == ()
 
 
 def test_truthful_requires_direct_mechanism(h_table):
