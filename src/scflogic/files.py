@@ -10,12 +10,16 @@ per profile; rankings are arrays, most-preferred first:
 A model file is an SCF file plus "true_preferences", a profile giving the
 agents' true rankings.  Loaders reject missing profiles, duplicate
 profiles, unknown outcomes and non-permutation rankings, each with its own
-message; a map short of profiles is rejected without building the states.
+message.  A map entry's state index is read off `core._positions`, one
+lookup per ranking, and its outcome goes into that slot, so no profile is
+built for it; an entry the lookup misses goes through `_checked_entry`,
+whose checks word its error.  A short map is found by comparing bit
+lengths, and rejected at its first gap without building the states or
+taking a power of the agent count, on one bounded line.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 from typing import Union
@@ -27,9 +31,8 @@ from .core import (
     ScfModel,
     ScfTable,
     _check_outcomes,
-    _num_states,
     _orders,
-    _profiles,
+    _positions,
 )
 
 __all__ = [
@@ -43,6 +46,9 @@ __all__ = [
     "save_scf",
     "save_model",
 ]
+
+
+_LINE = 1000  # characters in the longest message of a missing profile
 
 
 class FileFormatError(ValueError):
@@ -68,6 +74,49 @@ def _profile(entry: object, agents: int, outcomes: tuple[str, ...], what: str) -
     return Profile(tuple(_ranking(r, outcomes, what) for r in entry))
 
 
+def _checked_entry(
+    entry: object, agents: int, outcomes: tuple[str, ...], what: str
+) -> tuple[int, object]:
+    """(state index, outcome) of a map entry the index lookup missed.  The
+    checks raise the error an ill-formed entry gets; an entry they pass
+    (a list subclass, say) is numbered from its checked rankings."""
+    if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
+        raise FileFormatError(f"{what}: entry needs 'profile' and 'outcome' fields")
+    positions = _positions(outcomes)
+    index = 0
+    for order in _profile(entry["profile"], agents, outcomes, what).orders:
+        index = index * len(positions) + positions[order.ranking]
+    return index, entry["outcome"]
+
+
+def _short(count: int, radix: int, agents: int) -> bool:
+    """Whether `count` < radix^agents.  A power of a base >= 2 passes
+    `count` once its exponent reaches the bit length of `count`, so no
+    power with a larger exponent is taken."""
+    return (radix > 1 and agents >= count.bit_length()) or count < radix**agents
+
+
+def _missing(agents: int, outcomes: tuple[str, ...], index: int) -> FileFormatError:
+    """The error for a map lacking state `index`, naming its profile as
+    `str(Profile)` does, with a run of first rankings too long for one
+    line written as a count, and the line clipped to _LINE characters."""
+    orders = _orders(outcomes)
+    tail = []  # the rankings of the last agents, from the digits of index
+    while index:
+        index, digit = divmod(index, len(orders))
+        tail.append(str(orders[digit]))
+    tail.reverse()
+    first, lead = str(orders[0]), agents - len(tail)
+    if lead * (len(first) + 1) <= _LINE:
+        text = ",".join([first] * lead + tail)
+    else:
+        text = f"{first} for agents 1..{lead}"
+        if tail:
+            text += ", then " + ",".join(tail)
+    message = f"missing profile ({text}) in map"
+    return FileFormatError(message if len(message) <= _LINE else message[: _LINE - 3] + "...")
+
+
 def scf_from_dict(data: object) -> ScfTable:
     if not isinstance(data, dict):
         raise FileFormatError("top level must be a JSON object")
@@ -87,25 +136,33 @@ def scf_from_dict(data: object) -> ScfTable:
         raise FileFormatError(str(exc)) from None
     if not isinstance(entries, list):
         raise FileFormatError("map must be an array of {profile, outcome} entries")
-    mapping: dict[Profile, str] = {}
+    positions = _positions(outcomes)
+    radix = len(positions)
+    values: dict[int, str] = {}
     for k, entry in enumerate(entries):
-        what = f"map[{k}]"
-        if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
-            raise FileFormatError(f"{what}: entry needs 'profile' and 'outcome' fields")
-        profile = _profile(entry["profile"], agents, outcomes, what)
-        outcome = entry["outcome"]
+        try:
+            rankings = entry["profile"]
+            outcome = entry["outcome"]
+            if type(entry) is not dict or type(rankings) is not list or len(rankings) != agents:
+                raise LookupError
+            index = 0
+            for ranking in rankings:
+                if type(ranking) is not list:  # tuple("abc") would be a key
+                    raise LookupError
+                index = index * radix + positions[tuple(ranking)]
+        except (LookupError, TypeError):  # a miss, an unhashable name included
+            index, outcome = _checked_entry(entry, agents, outcomes, f"map[{k}]")
         if outcome not in outcomes:
-            raise FileFormatError(f"{what}: unknown outcome {outcome!r}")
-        if profile in mapping:
-            raise FileFormatError(f"{what}: duplicate profile {profile}")
-        mapping[profile] = outcome
-    # states are built only once every entry is checked, and a short map
-    # only up to its first gap, which is among its first len(mapping) + 1
-    if len(mapping) < _num_states(agents, outcomes):
-        for gap in map(Profile, itertools.product(_orders(outcomes), repeat=agents)):
-            if gap not in mapping:
-                raise FileFormatError(f"missing profile {gap} in map")
-    return ScfTable(agents, outcomes, tuple(mapping[p] for p in _profiles(agents, outcomes)))
+            raise FileFormatError(f"map[{k}]: unknown outcome {outcome!r}")
+        if index in values:
+            duplicate = _profile(entry["profile"], agents, outcomes, f"map[{k}]")
+            raise FileFormatError(f"map[{k}]: duplicate profile {duplicate}")
+        values[index] = outcome
+    # distinct indices below radix^agents: the map is total unless short,
+    # and a short map's first gap is among its first len(values) + 1 states
+    if _short(len(values), radix, agents):
+        raise _missing(agents, outcomes, next(i for i in range(len(values) + 1) if i not in values))
+    return ScfTable(agents, outcomes, tuple(map(values.__getitem__, range(len(values)))))
 
 
 def model_from_dict(data: object) -> ScfModel:

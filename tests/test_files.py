@@ -1,8 +1,13 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from scflogic import ScfModel, all_profiles, files
+from scflogic import ScfModel, ScfTable, all_profiles, core, files
 from scflogic.files import (
     FileFormatError,
     load_model,
@@ -15,7 +20,7 @@ from scflogic.files import (
     scf_to_dict,
 )
 
-from conftest import K2, profile
+from conftest import K2, K3, profile
 
 
 def test_scf_roundtrip(tmp_path, h_table):
@@ -130,7 +135,7 @@ def test_entries_are_checked_before_states_are_built(monkeypatch):
     def no_states(*args):
         raise AssertionError("the states were built")
 
-    monkeypatch.setattr(files, "_profiles", no_states)
+    monkeypatch.setattr(core, "_profiles", no_states)
     abc, acb = ("a", "b", "c"), ("a", "c", "b")
     failures = {
         "map[0]: profile must list 12 rankings, got [['a', 'b', 'c'], ['c', 'b', 'a']]": [
@@ -147,3 +152,102 @@ def test_entries_are_checked_before_states_are_built(monkeypatch):
         with pytest.raises(FileFormatError) as err:
             scf_from_dict(data)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "agents, outcomes",
+    [(1, K3), (2, K2), (2, K3), (3, K2), (2, ("a", "b", "c", "d")), (3, K3)],
+)
+def test_entries_are_numbered_as_all_profiles(agents, outcomes):
+    """Entries in any order land at the index `all_profiles` gives their
+    profile: a seeded table and agent 1's dictatorship round-trip with the
+    map shuffled, and a model file loads as the model built directly."""
+    rng = random.Random(agents * 10 + len(outcomes))
+    states = all_profiles(agents, outcomes)
+    seeded = ScfTable(agents, outcomes, tuple(rng.choice(outcomes) for _ in states))
+    dictator = ScfTable.from_function(agents, outcomes, lambda p: p.order(1).top)
+    if agents > 1:  # reading agent 1 as the least significant digit would fail
+        assert dictator != ScfTable.from_function(agents, outcomes, lambda p: p.order(agents).top)
+    for table in (seeded, dictator):
+        data = scf_to_dict(table)
+        rng.shuffle(data["map"])
+        assert scf_from_dict(data) == table
+        model = ScfModel(table, rng.choice(states))
+        data = model_to_dict(model)
+        rng.shuffle(data["map"])
+        assert model_from_dict(data) == model
+
+
+def test_a_loaded_map_builds_no_profile(tmp_path, monkeypatch, majority_table):
+    """Map entries are numbered by lookup: loading builds no profile or
+    ranking in this module, except the model's one true profile."""
+    built = []
+    for name in ("Profile", "LinearOrder"):
+        cls = getattr(files, name)
+        monkeypatch.setattr(files, name, lambda *args, cls=cls: built.append(cls) or cls(*args))
+    model = ScfModel(majority_table, all_profiles(3, K2)[5])
+    save_model(model, tmp_path / "m.json")
+    assert load_scf(tmp_path / "m.json") == majority_table and built == []
+    assert load_model(tmp_path / "m.json") == model
+    assert built.count(core.Profile) == 1 and built.count(core.LinearOrder) == 3
+
+
+def _second_ranking(ranking):
+    return lambda entries: {**entries[1], "profile": [entries[1]["profile"][0], ranking]}
+
+
+@pytest.mark.parametrize(
+    "index, entry, message",
+    [
+        # tuple("abc") is a ranking
+        (1, _second_ranking("abc"), "map[1]: ranking must be an array of outcome names, got 'abc'"),
+        (
+            1,
+            _second_ranking(("a", "b", "c")),
+            "map[1]: ranking must be an array of outcome names, got ('a', 'b', 'c')",
+        ),
+        (
+            1,
+            _second_ranking(["a", "b", "a"]),
+            "map[1]: non-permutation ranking ['a', 'b', 'a'] over outcomes ['a', 'b', 'c']",
+        ),
+        (
+            1,
+            _second_ranking(["a", ["b"], "c"]),  # unhashable
+            "map[1]: ranking must be an array of outcome names, got ['a', ['b'], 'c']",
+        ),
+        (1, lambda entries: ["a"], "map[1]: entry needs 'profile' and 'outcome' fields"),
+        (3, lambda entries: entries[1], "map[3]: duplicate profile ([a,b,c],[a,c,b])"),
+        (3, lambda entries: {**entries[1], "outcome": "z"}, "map[3]: unknown outcome 'z'"),
+    ],
+)
+def test_entries_the_lookup_misses_keep_their_messages(index, entry, message):
+    """Each message as the loader worded it when every entry built its
+    profile."""
+    entries = scf_to_dict(ScfTable.from_function(2, K3, lambda p: "a"))["map"]
+    entries[index] = entry(entries)
+    with pytest.raises(FileFormatError) as err:
+        scf_from_dict({"agents": 2, "outcomes": list(K3), "map": entries})
+    assert str(err.value) == message
+
+
+def test_a_short_map_is_rejected_on_one_line_however_many_agents(tmp_path):
+    """The agent count is compared with the map through bit lengths, and a
+    missing profile of more rankings than fit on a line is counted, so a
+    file claiming 10^9 agents fails at once with one short line."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"agents": 10**9, "outcomes": list(K3), "map": []}))
+    src = str(Path(files.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "scflogic.cli", "property", "--scf", str(path), "citsov"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: missing profile ([a,b,c] for agents 1..1000000000) in map\n"
+    entries = [{"profile": [list(K3)] * 200, "outcome": "a"}]
+    with pytest.raises(FileFormatError) as err:
+        scf_from_dict({"agents": 200, "outcomes": list(K3), "map": entries})
+    assert str(err.value) == "missing profile ([a,b,c] for agents 1..199, then [a,c,b]) in map"
