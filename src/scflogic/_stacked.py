@@ -18,7 +18,11 @@ This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
 only in their true profile, satisfiability and validity stack chunks of
 the enumerated model class, and `Evaluator` is a stack of one model, on
-which `evaluate` and `valid_in_model` each read one `truth_mask`.  Masks
+which `evaluate` and `valid_in_model` each read one `truth_mask`.  The
+property checks and the enumeration pass a `TableGrid`, outcome-function
+rows each with all S true profiles, which is stacked per table: a row's
+outcome masks are spread over its S blocks by one multiplication, and a
+model is built only for the index `first_failure` reports.  Masks
 are memoized per call: `first_failure` evaluates a batch of roots on one
 memo, so shared nodes are computed once and none outlives the call.
 Within a batch, a node's mask is dropped once the last root that reaches
@@ -33,10 +37,11 @@ state data, is enforced by property tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .core import InvalidDomain, Profile, ScfModel, _state_index, all_linear_orders, all_profiles
+from .core import InvalidDomain, Profile, ScfModel, ScfTable, _state_index
+from .core import all_linear_orders, all_profiles
 from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top
 
 __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
@@ -44,7 +49,8 @@ __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
 class _StateSpace:
     """Per-(n, K) state data shared by every evaluator: `core`'s canonical
-    profiles, the axes of the state grid and reported-atom masks."""
+    profiles, the axes of the state grid, reported-atom masks and, for
+    stacking a `TableGrid`, the true profiles' rank blocks."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
@@ -84,10 +90,47 @@ class _StateSpace:
             self._rep_masks[key] = mask
         return mask
 
+    @cached_property
+    def rank_blocks(self) -> list[list[dict[str, int]]]:
+        """Per agent and rank r, per outcome: one bit per true profile t,
+        at bit t*S, set where t ranks the outcome at r for the agent."""
+        blocks = [[dict.fromkeys(self.outcomes, 0) for _ in self.outcomes] for _ in range(self.n)]
+        for t, truth in enumerate(self.profiles):
+            for ranks, order in zip(blocks, truth.orders):
+                for at_rank, name in zip(ranks, order.ranking):
+                    at_rank[name] |= 1 << t * self.size
+        return blocks
+
 
 @lru_cache(maxsize=None)
 def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
     return _StateSpace(n, outcomes)
+
+
+def _out_small(values: Sequence[str], outcomes: tuple[str, ...]) -> dict[str, int]:
+    """Per outcome, the states of one outcome function choosing it."""
+    masks = dict.fromkeys(outcomes, 0)
+    for v, value in enumerate(values):
+        masks[value] |= 1 << v
+    return masks
+
+
+class TableGrid(Sequence[ScfModel]):
+    """The models of outcome-function rows over (n, K), each with every true
+    profile: table outer, truth inner, as `enumerate_models` orders them.
+    A model is built only when its index is read; `StackedEvaluator`
+    stacks a grid per table without reading any."""
+
+    def __init__(self, n: int, outcomes: tuple[str, ...], rows: Sequence[tuple[str, ...]]):
+        self.n, self.outcomes, self.rows = n, outcomes, rows
+        self.truths = _space(n, outcomes).profiles
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.truths)
+
+    def __getitem__(self, index: int) -> ScfModel:
+        row, truth = divmod(index, len(self.truths))
+        return ScfModel(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
 
 
 def _stack(small_masks: Sequence[int], block_bits: int) -> int:
@@ -113,8 +156,9 @@ class StackedEvaluator:
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
             raise ValueError("need at least one model")
-        first = models[0]
-        self.models = list(models)
+        grid = models if isinstance(models, TableGrid) else None
+        first = models[0] if grid is None else grid
+        self.models = list(models) if grid is None else grid
         self.space = _space(first.n, first.outcomes)
         self.block = self.space.size
         self.full = (1 << self.block * len(self.models)) - 1
@@ -125,6 +169,10 @@ class StackedEvaluator:
         self._axis = [
             (stride, plane * self.tile, comb) for stride, plane, comb in self.space.axes
         ]
+        self._agents = frozenset(range(1, first.n + 1))
+        if grid is not None:
+            self._stack_grid(grid)
+            return
         # one pass over the models: each must share the first's (n, K), and
         # each distinct outcome function gets, once, the states choosing
         # each outcome
@@ -135,9 +183,7 @@ class StackedEvaluator:
                 raise ValueError("all stacked models must share (n, outcomes)")
             masks = by_values.get(model.table.values)
             if masks is None:
-                masks = dict.fromkeys(first.outcomes, 0)
-                for v, value in enumerate(model.table.values):
-                    masks[value] |= 1 << v
+                masks = _out_small(model.table.values, first.outcomes)
                 by_values[model.table.values] = masks
             small_out.append(masks)
         # stacked: per outcome, the states of each model choosing it; per
@@ -158,7 +204,25 @@ class StackedEvaluator:
             ]
             for agent in range(first.n)
         ]
-        self._agents = frozenset(range(1, first.n + 1))
+
+    def _stack_grid(self, grid: TableGrid) -> None:
+        """The masks of a grid, built per table: a table's S blocks share
+        its outcome masks, so an outcome's stack is the tables' masks at
+        stride S*S spread over each table's blocks by one multiplication,
+        and its rank-r states for an agent are, per outcome, those masks
+        spread over the blocks whose true profile ranks it at r."""
+        rows = [_out_small(values, grid.outcomes) for values in grid.rows]
+        by_table = {
+            name: _stack([masks[name] for masks in rows], self.block * self.block)
+            for name in grid.outcomes
+        }
+        comb = ((1 << self.block * self.block) - 1) // self.block_ones
+        self._out_masks = {name: stack * comb for name, stack in by_table.items()}
+        # each true profile ranks one outcome at r, so the terms are disjoint
+        self._ranked = [
+            [sum(by_table[name] * blocks for name, blocks in at_rank.items()) for at_rank in ranks]
+            for ranks in self.space.rank_blocks
+        ]
 
     # --- vector primitives -------------------------------------------------
 

@@ -132,16 +132,6 @@ def _orders(outcomes: tuple[str, ...]) -> tuple[LinearOrder, ...]:
 
 
 @lru_cache(maxsize=None)
-def _positions(outcomes: tuple[str, ...]) -> dict[tuple[str, ...], int]:
-    """Each ranking over `outcomes`, as its tuple of names, to its position
-    in `_orders(outcomes)`.  A state's index in `_profiles` is the
-    mixed-radix number of its rankings' positions, agent 1 the most
-    significant digit, so a profile given as names is numbered by one
-    lookup per ranking, and a key is a ranking exactly when it is here."""
-    return {order.ranking: i for i, order in enumerate(_orders(outcomes))}
-
-
-@lru_cache(maxsize=None)
 def _profiles(n: int, outcomes: tuple[str, ...]) -> tuple[Profile, ...]:
     if n < 1:
         raise InvalidDomain(f"need at least one agent, got n={n}")

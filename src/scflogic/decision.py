@@ -5,10 +5,11 @@ times (|K|!)^n true profiles.  Satisfiability and validity enumerate it
 under a budget, an int count of models (`DEFAULT_BUDGET` unless given;
 one below 1 is an InvalidDomain) — exceeding it is an error, never a
 silent truncation, since a truncated "valid" would be unsound.  The
-enumeration is evaluated in chunks of consecutive models, each one
-stacked bitmask batch (see `_stacked`); the lowest hit bit of the first
-chunk with a hit is the first model in enumeration order and its lowest
-state, so witnesses and counterexamples stay canonical.
+enumeration is evaluated in chunks of consecutive outcome functions, each
+with every true profile, as one stacked `TableGrid` (see `_stacked`), so
+no model is built but the witness or counterexample; the lowest hit bit
+of the first chunk with a hit is the first model in enumeration order and
+its lowest state, so witnesses and counterexamples stay canonical.
 
 A formula without outcome atoms or pref modalities is state-determined:
 its truth at a state is the same in every model.  Such a formula is
@@ -21,7 +22,7 @@ formula of F holds exactly in the models whose outcome function realizes
 F, so `check_scf_property` quantifies over the (|K|!)^n true profiles
 only.  It builds the property formula once per (property, n, K) (the
 encodings builders are memoized) and evaluates it on all those models at
-once with the stacked bitmask evaluator.  The restriction is itself
+once, as a one-row `TableGrid`.  The restriction is itself
 tested against full enumeration at the small scales where both are
 feasible.
 """
@@ -185,25 +186,27 @@ def _first_failure(
 
     A state-determined formula is evaluated on `representative_model`
     alone, the first model in enumeration order, if the budget covers its
-    states.  Any other formula walks `enumerate_models`, if the budget
-    covers the class, in chunks, each evaluated as one stacked batch: the
-    first chunk holds one outcome function's (|K|!)^n true profiles, and
-    each next chunk twice as many outcome functions, up to `_CHUNK_BITS`
-    bits, so an early hit stays cheap and a full sweep takes few wide
-    batches."""
+    states.  Any other formula, if the budget covers the class, walks the
+    outcome functions in `enumerate_models` order in chunks, each stacked
+    with every true profile as one `TableGrid`: the first chunk holds one
+    outcome function, and each next chunk twice as many, up to
+    `_CHUNK_BITS` bits, so an early hit stays cheap and a full sweep takes
+    few wide batches."""
     determined = formula.state_determined
     _check_budget(n, outcomes, budget, one_model=determined)
     if determined:
         hit = Evaluator(representative_model(n, outcomes)).first_failure([formula])
         return None if hit is None else hit[1:]
-    models = enumerate_models(n, outcomes, budget)
-    states = num_states(n, outcomes)
+    names = tuple(outcomes)
+    states = num_states(n, names)
+    rows = itertools.product(names, repeat=states)
     tables, most = 1, max(1, _CHUNK_BITS // (states * states))
     while True:
-        chunk = list(itertools.islice(models, tables * states))
+        chunk = list(itertools.islice(rows, tables))
         if not chunk:
             return None
-        hit = _stacked.StackedEvaluator(chunk).first_failure([formula])
+        grid = _stacked.TableGrid(n, names, chunk)
+        hit = _stacked.StackedEvaluator(grid).first_failure([formula])
         if hit is not None:
             return hit[1:]
         tables = min(2 * tables, most)
@@ -251,13 +254,14 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     quantifies only over the models whose outcome function realizes F —
     sound because rho(F) holds in a model exactly when its outcome function
     corresponds to F, and never budget-limited since only the (|K|!)^n true
-    profiles vary.  Those models are evaluated as one stacked batch, in
-    true-profile order, against the memoized property formula; the lowest
+    profiles vary.  Those models are evaluated as one stacked batch, a
+    one-row grid in true-profile order, against the memoized property
+    formula; the lowest
     falsified bit is the first failing true profile and its lowest state,
     the same counterexample a model-by-model scan would report."""
     formula = property_formula(prop, table.agents, table.outcomes)
-    models = [ScfModel(table, truth) for truth in table.profiles]
-    hit = _stacked.StackedEvaluator(models).first_failure([formula])
+    grid = _stacked.TableGrid(table.agents, table.outcomes, [table.values])
+    hit = _stacked.StackedEvaluator(grid).first_failure([formula])
     if hit is None:
         return Verdict("valid")
     return Verdict("invalid", counterexample=hit[1:])

@@ -10,17 +10,22 @@ per profile; rankings are arrays, most-preferred first:
 A model file is an SCF file plus "true_preferences", a profile giving the
 agents' true rankings.  Loaders reject missing profiles, duplicate
 profiles, unknown outcomes and non-permutation rankings, each with its own
-message.  A map entry's state index is read off `core._positions`, one
-lookup per ranking, and its outcome goes into that slot, so no profile is
-built for it; an entry the lookup misses goes through `_checked_entry`,
-whose checks word its error.  A short map is found by comparing bit
-lengths, and rejected at its first gap without building the states or
-taking a power of the agent count, on one bounded line.
+message.  A map entry's state index is read off `_ranks`, one lookup per
+ranking, and its outcome goes into that slot, so no profile is built for
+it; an entry the lookup misses goes through `_checked_entry`, whose checks
+word its error.  A ranking's position is its Lehmer rank, computed on its
+first lookup and decoded again to word a missing profile, so the |K|!
+rankings are never built.  A short map is found by comparing bit lengths,
+and rejected at its first gap without building the states or the
+rankings or taking a power of the agent count, on one bounded line.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from functools import lru_cache
+from math import factorial
 from pathlib import Path
 from typing import Union
 
@@ -31,8 +36,6 @@ from .core import (
     ScfModel,
     ScfTable,
     _check_outcomes,
-    _orders,
-    _positions,
 )
 
 __all__ = [
@@ -74,18 +77,60 @@ def _profile(entry: object, agents: int, outcomes: tuple[str, ...], what: str) -
     return Profile(tuple(_ranking(r, outcomes, what) for r in entry))
 
 
+class _Ranks(dict):
+    """Each ranking over `outcomes` looked up so far, as its tuple of names,
+    to its position in `core.all_linear_orders(outcomes)`: its Lehmer rank,
+    computed on its first lookup, so the |K|! rankings are never built.  A
+    state's index is the mixed-radix number of its rankings' positions,
+    agent 1 the most significant digit (the `all_profiles` order), and a
+    key that is not a ranking over the outcomes is a KeyError."""
+
+    def __init__(self, outcomes: tuple[str, ...]):
+        super().__init__()
+        self.where = {name: i for i, name in enumerate(outcomes)}
+
+    def __missing__(self, ranking: tuple) -> int:
+        left = list(range(len(self.where)))  # positions of the names not yet ranked
+        rank = 0
+        for name in ranking:
+            i = bisect_left(left, self.where[name])
+            if i == len(left) or left[i] != self.where[name]:  # a repeat, or too long
+                raise KeyError(ranking)
+            rank = rank * len(left) + i
+            del left[i]
+        if left:
+            raise KeyError(ranking)
+        self[ranking] = rank
+        return rank
+
+
+@lru_cache(maxsize=None)
+def _ranks(outcomes: tuple[str, ...]) -> _Ranks:
+    return _Ranks(outcomes)
+
+
+def _unrank(outcomes: tuple[str, ...], rank: int) -> str:
+    """The ranking at position `rank` of `core.all_linear_orders(outcomes)`,
+    written as `str(LinearOrder)` does, decoded from its Lehmer digits."""
+    digits = []
+    for base in range(1, len(outcomes) + 1):
+        rank, digit = divmod(rank, base)
+        digits.append(digit)
+    left = list(outcomes)
+    return "[" + ",".join(left.pop(digit) for digit in reversed(digits)) + "]"
+
+
 def _checked_entry(
-    entry: object, agents: int, outcomes: tuple[str, ...], what: str
+    entry: object, agents: int, outcomes: tuple[str, ...], ranks: _Ranks, radix: int, what: str
 ) -> tuple[int, object]:
     """(state index, outcome) of a map entry the index lookup missed.  The
     checks raise the error an ill-formed entry gets; an entry they pass
     (a list subclass, say) is numbered from its checked rankings."""
     if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
         raise FileFormatError(f"{what}: entry needs 'profile' and 'outcome' fields")
-    positions = _positions(outcomes)
     index = 0
     for order in _profile(entry["profile"], agents, outcomes, what).orders:
-        index = index * len(positions) + positions[order.ranking]
+        index = index * radix + ranks[order.ranking]
     return index, entry["outcome"]
 
 
@@ -96,17 +141,16 @@ def _short(count: int, radix: int, agents: int) -> bool:
     return (radix > 1 and agents >= count.bit_length()) or count < radix**agents
 
 
-def _missing(agents: int, outcomes: tuple[str, ...], index: int) -> FileFormatError:
+def _missing(agents: int, outcomes: tuple[str, ...], radix: int, index: int) -> FileFormatError:
     """The error for a map lacking state `index`, naming its profile as
     `str(Profile)` does, with a run of first rankings too long for one
     line written as a count, and the line clipped to _LINE characters."""
-    orders = _orders(outcomes)
     tail = []  # the rankings of the last agents, from the digits of index
     while index:
-        index, digit = divmod(index, len(orders))
-        tail.append(str(orders[digit]))
+        index, digit = divmod(index, radix)
+        tail.append(_unrank(outcomes, digit))
     tail.reverse()
-    first, lead = str(orders[0]), agents - len(tail)
+    first, lead = _unrank(outcomes, 0), agents - len(tail)
     if lead * (len(first) + 1) <= _LINE:
         text = ",".join([first] * lead + tail)
     else:
@@ -136,8 +180,7 @@ def scf_from_dict(data: object) -> ScfTable:
         raise FileFormatError(str(exc)) from None
     if not isinstance(entries, list):
         raise FileFormatError("map must be an array of {profile, outcome} entries")
-    positions = _positions(outcomes)
-    radix = len(positions)
+    ranks, radix = _ranks(outcomes), factorial(len(outcomes))
     values: dict[int, str] = {}
     for k, entry in enumerate(entries):
         try:
@@ -149,9 +192,9 @@ def scf_from_dict(data: object) -> ScfTable:
             for ranking in rankings:
                 if type(ranking) is not list:  # tuple("abc") would be a key
                     raise LookupError
-                index = index * radix + positions[tuple(ranking)]
+                index = index * radix + ranks[tuple(ranking)]
         except (LookupError, TypeError):  # a miss, an unhashable name included
-            index, outcome = _checked_entry(entry, agents, outcomes, f"map[{k}]")
+            index, outcome = _checked_entry(entry, agents, outcomes, ranks, radix, f"map[{k}]")
         if outcome not in outcomes:
             raise FileFormatError(f"map[{k}]: unknown outcome {outcome!r}")
         if index in values:
@@ -161,7 +204,8 @@ def scf_from_dict(data: object) -> ScfTable:
     # distinct indices below radix^agents: the map is total unless short,
     # and a short map's first gap is among its first len(values) + 1 states
     if _short(len(values), radix, agents):
-        raise _missing(agents, outcomes, next(i for i in range(len(values) + 1) if i not in values))
+        gap = next(i for i in range(len(values) + 1) if i not in values)
+        raise _missing(agents, outcomes, radix, gap)
     return ScfTable(agents, outcomes, tuple(map(values.__getitem__, range(len(values)))))
 
 

@@ -368,6 +368,29 @@ def test_sat_and_valid_return_the_canonical_first_hit():
     assert {("unsatisfiable", "invalid"), ("satisfiable", "valid")} <= statuses
 
 
+def test_enumeration_builds_no_model_per_visited_model(monkeypatch):
+    """Enumeration stacks outcome functions as tables, and only the model
+    of a witness or counterexample is ever built."""
+    late, first = _first_hit_formula(1, K3, _chunk_starts(1, K3)[0][-1])
+    dictatorship = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
+    built = []
+    post_init = ScfModel.__post_init__
+
+    def counted(model):
+        built.append(model)
+        post_init(model)
+
+    monkeypatch.setattr(ScfModel, "__post_init__", counted)
+    assert valid(1, K3, Implies(Out("c"), Pref(1, Out("c")))).status == "valid"
+    assert built == []
+    assert satisfiable(1, K3, late).witness[0] == first
+    assert built == [first]
+    built.clear()
+    for prop in (STRPROOF, CITSOV):
+        assert check_scf_property(dictatorship, prop).status == "valid"
+    assert built == []
+
+
 def test_budget_exceeded_before_any_model_is_built(monkeypatch):
     def no_models(*args):
         raise AssertionError("a model was built")

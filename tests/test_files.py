@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scflogic import ScfModel, ScfTable, all_profiles, core, files
+from scflogic import ScfModel, ScfTable, all_linear_orders, all_profiles, core, files
 from scflogic.files import (
     FileFormatError,
     load_model,
@@ -151,6 +151,52 @@ def test_entries_are_checked_before_states_are_built(monkeypatch):
         data = {"agents": 12, "outcomes": ["a", "b", "c"], "map": entries}
         with pytest.raises(FileFormatError) as err:
             scf_from_dict(data)
+        assert str(err.value) == message
+
+
+def test_rankings_are_numbered_without_building_them(monkeypatch):
+    """A ranking's position is its Lehmer rank, as `all_linear_orders`
+    orders the rankings, and a map over 12 outcomes, too short for their
+    12! rankings, fails on its first gap, worded as for any other outcome
+    count, without building the rankings."""
+    k4 = ("a", "b", "c", "d")
+    ranks = files._Ranks(k4)
+    for position, order in enumerate(all_linear_orders(k4)):
+        assert ranks[order.ranking] == position
+        assert files._unrank(k4, position) == str(order)
+    for bad in (("a", "b", "c"), ("a", "b", "c", "d", "a"), ("a", "a", "c", "d"), ("e",)):
+        with pytest.raises(KeyError):
+            ranks[bad]
+
+    def no_rankings(*args):
+        raise AssertionError("the rankings were built")
+
+    monkeypatch.setattr(core, "_orders", no_rankings)
+    names = [f"o{i}" for i in range(12)]
+    first, second = names, names[:10] + ["o11", "o10"]
+    full, third = f"[{','.join(names)}]", "[o0,o1,o2,o3,o4,o5,o6,o7,o8,o10,o9,o11]"
+
+    def entry(*rankings, outcome="o0"):
+        return {"profile": list(rankings), "outcome": outcome}
+
+    failures = {
+        f"missing profile ({full},{full}) in map": [],
+        f"missing profile ({full},{third}) in map": [
+            entry(first, second, outcome="o5"),
+            entry(first, first),
+        ],
+        f"map[1]: duplicate profile ({full},[{','.join(second)}])": [
+            entry(first, second),
+            entry(first, second),
+        ],
+        "map[0]: unknown outcome 'x'": [entry(first, first, outcome="x")],
+        f"map[0]: non-permutation ranking {first[:11]!r} over outcomes {first!r}": [
+            entry(first, first[:11])
+        ],
+    }
+    for message, entries in failures.items():
+        with pytest.raises(FileFormatError) as err:
+            scf_from_dict({"agents": 2, "outcomes": names, "map": entries})
         assert str(err.value) == message
 
 

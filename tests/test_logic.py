@@ -39,7 +39,10 @@ from scflogic.logic import (
     conj,
     disj,
 )
-from scflogic._stacked import StackedEvaluator
+import itertools
+import random
+
+from scflogic._stacked import StackedEvaluator, TableGrid
 from scflogic.axioms import default_pool
 from scflogic import encodings, logic
 from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
@@ -281,6 +284,41 @@ def test_stacked_evaluator_matches_per_model():
                 small = (whole >> (m * stacked.block)) & stacked.block_ones
                 for v in range(stacked.block):
                     assert bool(small >> v & 1) == eval_kripke(km, v, f)
+
+
+def test_a_table_grid_stacks_as_its_models_do():
+    """A grid of outcome-function rows, stacked per table, has the masks
+    of the list of its models bit for bit, and its models are those of
+    `enumerate_models` from the grid's first row on."""
+    k4 = ("a", "b", "c", "d")
+    # (n, K, first row in enumeration order, row count): one row, a middle
+    # run, and at (1,3) the partial last chunk of an enumeration (rows
+    # 511..728); (1,{a,b,c,d}) has 24 true profiles
+    for n, outcomes, start, count in (
+        (1, K3, 0, 1),
+        (1, K3, 511, 218),
+        (2, K2, 5, 3),
+        (3, K2, 17, 4),
+        (1, k4, 0, 2),
+    ):
+        states = len(all_profiles(n, outcomes))
+        values = itertools.product(outcomes, repeat=states)
+        rows = list(itertools.islice(values, start, start + count))
+        models = itertools.islice(enumerate_models(n, outcomes, 10**20), start * states, None)
+        grid = TableGrid(n, outcomes, rows)
+        assert len(grid) == count * states
+        assert [grid[i] for i in range(len(grid))] == list(itertools.islice(models, len(grid)))
+        # and on seeded rows, which choose every outcome somewhere
+        rng = random.Random(n * 10 + len(outcomes))
+        seeded = [tuple(rng.choice(outcomes) for _ in range(states)) for _ in range(3)]
+        draw = make_formula_sampler(n, outcomes, seed=31)
+        for grid in (grid, TableGrid(n, outcomes, seeded)):
+            stacked, per_model = StackedEvaluator(grid), StackedEvaluator(list(grid))
+            assert stacked.models is grid and stacked.full == per_model.full
+            assert stacked._out_masks == per_model._out_masks
+            assert stacked._ranked == per_model._ranked
+            for f in draw(25, max_depth=6):
+                assert stacked.truth_mask(f) == per_model.truth_mask(f)
 
 
 def test_stacked_evaluator_refuses_empty_or_mixed_stacks():
