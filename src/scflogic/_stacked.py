@@ -40,8 +40,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .core import InvalidDomain, Profile, ScfModel, ScfTable, _state_index
-from .core import all_linear_orders, all_profiles
+from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
+from .core import all_profiles
 from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top
 
 __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
@@ -57,8 +57,7 @@ class _StateSpace:
         self.outcomes = outcomes
         self.profiles = all_profiles(n, outcomes)
         self.size = len(self.profiles)
-        radix = len(all_linear_orders(outcomes))
-        self.radix = radix
+        self.radix = radix = _positions(outcomes).radix
         # per agent: the digit stride of its axis (state v's digit on it is
         # v // stride % radix), the states whose digit on it is 0, and the
         # comb spreading one state along it

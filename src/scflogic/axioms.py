@@ -44,8 +44,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _stacked
-from .core import InvalidDomain, Profile, ScfModel, all_linear_orders, all_profiles
-from .decision import _bounded_size
+from .core import InvalidDomain, Profile, ScfModel, _bounded_size, all_linear_orders, all_profiles
 from .encodings import ballot_agent, ballot_profile, better
 from .logic import (
     And,

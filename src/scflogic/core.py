@@ -4,19 +4,23 @@ Outcomes are plain name tokens (letters/digits, case-sensitive) and agents are
 1-based integers.  A reported preference profile doubles as a *state*: the
 states of a model are exactly the profiles over (n, K), in bijection with the
 valuations of the reported-preference atoms (`logic.state_atoms`), and
-`all_profiles` numbers them for every module.  Outcome names are checked
-where they enter (the public functions and constructors), not on reads of
-checked data.  Everything here is immutable and all functions are pure, so
-values can be shared freely.
+`all_profiles` numbers them for every module.  The numbering is computed,
+not stored (`_state_index`, from Lehmer ranks), and `_bounded_size` is the
+one bound on state and model counts.  Outcome names are checked where they
+enter (the public functions and constructors), not on reads of checked
+data.  Everything here is immutable and all functions are pure, so values
+can be shared freely.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from math import factorial
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "InvalidDomain",
@@ -138,18 +142,82 @@ def _profiles(n: int, outcomes: tuple[str, ...]) -> tuple[Profile, ...]:
     return tuple(Profile(combo) for combo in itertools.product(_orders(outcomes), repeat=n))
 
 
+class _Positions(dict):
+    """Each ranking over `outcomes` looked up so far, as its tuple of names,
+    to its position in `all_linear_orders(outcomes)`: its Lehmer rank,
+    computed on its first lookup, so the |K|! rankings are never built.  A
+    key that is not a ranking over the outcomes is a KeyError.  `radix`,
+    the ranking count |K|!, is taken on its first read."""
+
+    def __init__(self, outcomes: tuple[str, ...]):
+        super().__init__()
+        self.where = {name: i for i, name in enumerate(outcomes)}
+
+    @cached_property
+    def radix(self) -> int:
+        return factorial(len(self.where))
+
+    def __missing__(self, ranking: tuple) -> int:
+        left = list(range(len(self.where)))  # positions of the names not yet ranked
+        rank = 0
+        for name in ranking:
+            i = bisect_left(left, self.where[name])
+            if i == len(left) or left[i] != self.where[name]:  # a repeat, or too long
+                raise KeyError(ranking)
+            rank = rank * len(left) + i
+            del left[i]
+        if left:
+            raise KeyError(ranking)
+        self[ranking] = rank
+        return rank
+
+
 @lru_cache(maxsize=None)
-def _indices(n: int, outcomes: tuple[str, ...]) -> dict[Profile, int]:
-    return {p: i for i, p in enumerate(_profiles(n, outcomes))}
+def _positions(outcomes: tuple[str, ...]) -> _Positions:
+    return _Positions(outcomes)
+
+
+def _unrank(outcomes: tuple[str, ...], rank: int) -> str:
+    """The ranking at position `rank` of `all_linear_orders(outcomes)`, as
+    `str(LinearOrder)` writes it, decoded from its Lehmer digits: only the
+    tail that the nonzero digits reach is permuted."""
+    digits = []
+    while rank:
+        rank, digit = divmod(rank, len(digits) + 1)
+        digits.append(digit)
+    head = len(outcomes) - len(digits)
+    left = list(outcomes[head:])
+    return "[" + ",".join(outcomes[:head] + tuple(left.pop(d) for d in reversed(digits))) + "]"
 
 
 def _state_index(n: int, outcomes: tuple[str, ...], profile: Profile) -> int:
     """Canonical index of `profile` among the states over an already
-    checked (n, K); InvalidDomain if it is not one of them."""
-    index = _indices(n, outcomes).get(profile)
-    if index is None:
-        raise InvalidDomain(f"{profile} is not a state over n={n}, K={','.join(outcomes)}")
-    return index
+    checked (n, K), the mixed-radix number of its rankings' positions with
+    agent 1 the most significant digit; InvalidDomain if it is not one."""
+    positions = _positions(outcomes)
+    radix, index = positions.radix, 0
+    try:
+        for order in profile.orders:
+            index = index * radix + positions[order.ranking]
+        if len(profile.orders) == n:
+            return index
+    except KeyError:
+        pass
+    raise InvalidDomain(f"{profile} is not a state over n={n}, K={','.join(outcomes)}")
+
+
+def _bounded_size(n: int, k: int, limit: int) -> tuple[Optional[int], Optional[int]]:
+    """(models, states) of the class over n agents and k outcomes, each None
+    if above `limit`.  There are k^S * S >= S models over S = (k!)^n >=
+    2^((k-1)n) states, and a power of 2 or more exceeds `limit` once its
+    exponent reaches the bit length of `limit`, so no larger one is taken."""
+    bits = limit.bit_length()
+    if (k - 1) * n >= bits or factorial(k) ** n > limit:
+        return None, None
+    states = factorial(k) ** n
+    if k > 1 and states > bits or k**states * states > limit:
+        return None, states
+    return k**states * states, states
 
 
 def all_linear_orders(outcomes: Sequence[str]) -> tuple[LinearOrder, ...]:
@@ -157,27 +225,24 @@ def all_linear_orders(outcomes: Sequence[str]) -> tuple[LinearOrder, ...]:
     return _orders(_check_outcomes(outcomes))
 
 
-def _num_states(n: int, outcomes: tuple[str, ...]) -> int:
-    if n < 1:
-        raise InvalidDomain(f"need at least one agent, got n={n}")
-    return len(_orders(outcomes)) ** n
-
-
 def num_states(n: int, outcomes: Sequence[str]) -> int:
     """(|K|!)^n, the number of profiles (= states) over (n, K)."""
-    return _num_states(n, _check_outcomes(outcomes))
+    names = _check_outcomes(outcomes)
+    if n < 1:
+        raise InvalidDomain(f"need at least one agent, got n={n}")
+    return factorial(len(names)) ** n
 
 
 def all_profiles(n: int, outcomes: Sequence[str]) -> tuple[Profile, ...]:
     """All (|K|!)^n profiles over (n, K), in the one state numbering that
-    every module reads, through one cached profile-to-position map: the
-    mixed-radix index over per-agent ranking indices, agent 1 first."""
+    every module reads: the mixed-radix number of the agents' ranking
+    positions, agent 1 the most significant digit."""
     return _profiles(n, _check_outcomes(outcomes))
 
 
 def profile_index(profile: Profile, outcomes: Sequence[str]) -> int:
-    """Position of `profile` in all_profiles(profile.n, K), from the map
-    every module reads; InvalidDomain if it ranks other outcomes."""
+    """Position of `profile` in all_profiles(profile.n, K), computed from
+    its rankings' positions; InvalidDomain if it ranks other outcomes."""
     return _state_index(profile.n, _check_outcomes(outcomes), profile)
 
 
@@ -195,8 +260,11 @@ class ScfTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", _check_outcomes(self.outcomes))
         object.__setattr__(self, "values", tuple(self.values))
-        expected = _num_states(self.agents, self.outcomes)
-        if len(self.values) != expected:
+        if self.agents < 1:
+            raise InvalidDomain(f"need at least one agent, got n={self.agents}")
+        _, states = _bounded_size(self.agents, len(self.outcomes), 10**30)
+        if states != len(self.values):
+            expected = f"{len(self.outcomes)}!^{self.agents}" if states is None else states
             raise InvalidDomain(
                 f"SCF table needs {expected} entries for (n={self.agents}, K={self.outcomes}),"
                 f" got {len(self.values)}"

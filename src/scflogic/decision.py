@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from . import _stacked
@@ -42,6 +41,7 @@ from .core import (
     Profile,
     ScfModel,
     ScfTable,
+    _bounded_size,
     all_profiles,
     num_states,
 )
@@ -102,20 +102,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.status in ("valid", "satisfiable")
-
-
-def _bounded_size(n: int, k: int, limit: int) -> tuple[Optional[int], Optional[int]]:
-    """(models, states) of the class over n agents and k outcomes, each None
-    if above `limit`.  There are k^S * S >= S models over S = (k!)^n states,
-    and a power of a base >= 2 exceeds `limit` once its exponent passes the
-    bit length of `limit`, so no power with a larger exponent is taken."""
-    bits = limit.bit_length()
-    if k > 1 and n > bits or factorial(k) ** n > limit:
-        return None, None
-    states = factorial(k) ** n
-    if k > 1 and states > bits or k**states * states > limit:
-        return None, states
-    return k**states * states, states
 
 
 def _check_budget(n: int, outcomes: Sequence[str], budget: int, one_model: bool = False) -> None:

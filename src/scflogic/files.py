@@ -10,22 +10,19 @@ per profile; rankings are arrays, most-preferred first:
 A model file is an SCF file plus "true_preferences", a profile giving the
 agents' true rankings.  Loaders reject missing profiles, duplicate
 profiles, unknown outcomes and non-permutation rankings, each with its own
-message.  A map entry's state index is read off `_ranks`, one lookup per
-ranking, and its outcome goes into that slot, so no profile is built for
-it; an entry the lookup misses goes through `_checked_entry`, whose checks
-word its error.  A ranking's position is its Lehmer rank, computed on its
-first lookup and decoded again to word a missing profile, so the |K|!
-rankings are never built.  A short map is found by comparing bit lengths,
-and rejected at its first gap without building the states or the
-rankings or taking a power of the agent count, on one bounded line.
+message.  A map entry's state index is numbered as `core` numbers states,
+one lookup of `core._positions` per ranking, and its outcome goes into
+that slot, so no profile is built for it; an entry the lookup misses goes
+through the checks that word its error.  A short map is found by
+`core._bounded_size` and rejected at its first gap, worded by
+`core._unrank`, on one bounded line: no load builds the states or the
+rankings, or takes a power of the agent count or the factorial of an
+outcome count it has no entry to number with.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from functools import lru_cache
-from math import factorial
 from pathlib import Path
 from typing import Union
 
@@ -35,7 +32,11 @@ from .core import (
     Profile,
     ScfModel,
     ScfTable,
+    _bounded_size,
     _check_outcomes,
+    _positions,
+    _state_index,
+    _unrank,
 )
 
 __all__ = [
@@ -77,77 +78,13 @@ def _profile(entry: object, agents: int, outcomes: tuple[str, ...], what: str) -
     return Profile(tuple(_ranking(r, outcomes, what) for r in entry))
 
 
-class _Ranks(dict):
-    """Each ranking over `outcomes` looked up so far, as its tuple of names,
-    to its position in `core.all_linear_orders(outcomes)`: its Lehmer rank,
-    computed on its first lookup, so the |K|! rankings are never built.  A
-    state's index is the mixed-radix number of its rankings' positions,
-    agent 1 the most significant digit (the `all_profiles` order), and a
-    key that is not a ranking over the outcomes is a KeyError."""
-
-    def __init__(self, outcomes: tuple[str, ...]):
-        super().__init__()
-        self.where = {name: i for i, name in enumerate(outcomes)}
-
-    def __missing__(self, ranking: tuple) -> int:
-        left = list(range(len(self.where)))  # positions of the names not yet ranked
-        rank = 0
-        for name in ranking:
-            i = bisect_left(left, self.where[name])
-            if i == len(left) or left[i] != self.where[name]:  # a repeat, or too long
-                raise KeyError(ranking)
-            rank = rank * len(left) + i
-            del left[i]
-        if left:
-            raise KeyError(ranking)
-        self[ranking] = rank
-        return rank
-
-
-@lru_cache(maxsize=None)
-def _ranks(outcomes: tuple[str, ...]) -> _Ranks:
-    return _Ranks(outcomes)
-
-
-def _unrank(outcomes: tuple[str, ...], rank: int) -> str:
-    """The ranking at position `rank` of `core.all_linear_orders(outcomes)`,
-    written as `str(LinearOrder)` does, decoded from its Lehmer digits."""
-    digits = []
-    for base in range(1, len(outcomes) + 1):
-        rank, digit = divmod(rank, base)
-        digits.append(digit)
-    left = list(outcomes)
-    return "[" + ",".join(left.pop(digit) for digit in reversed(digits)) + "]"
-
-
-def _checked_entry(
-    entry: object, agents: int, outcomes: tuple[str, ...], ranks: _Ranks, radix: int, what: str
-) -> tuple[int, object]:
-    """(state index, outcome) of a map entry the index lookup missed.  The
-    checks raise the error an ill-formed entry gets; an entry they pass
-    (a list subclass, say) is numbered from its checked rankings."""
-    if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
-        raise FileFormatError(f"{what}: entry needs 'profile' and 'outcome' fields")
-    index = 0
-    for order in _profile(entry["profile"], agents, outcomes, what).orders:
-        index = index * radix + ranks[order.ranking]
-    return index, entry["outcome"]
-
-
-def _short(count: int, radix: int, agents: int) -> bool:
-    """Whether `count` < radix^agents.  A power of a base >= 2 passes
-    `count` once its exponent reaches the bit length of `count`, so no
-    power with a larger exponent is taken."""
-    return (radix > 1 and agents >= count.bit_length()) or count < radix**agents
-
-
-def _missing(agents: int, outcomes: tuple[str, ...], radix: int, index: int) -> FileFormatError:
+def _missing(agents: int, outcomes: tuple[str, ...], index: int) -> FileFormatError:
     """The error for a map lacking state `index`, naming its profile as
     `str(Profile)` does, with a run of first rankings too long for one
     line written as a count, and the line clipped to _LINE characters."""
     tail = []  # the rankings of the last agents, from the digits of index
     while index:
-        index, digit = divmod(index, radix)
+        index, digit = divmod(index, _positions(outcomes).radix)
         tail.append(_unrank(outcomes, digit))
     tail.reverse()
     first, lead = _unrank(outcomes, 0), agents - len(tail)
@@ -180,7 +117,8 @@ def scf_from_dict(data: object) -> ScfTable:
         raise FileFormatError(str(exc)) from None
     if not isinstance(entries, list):
         raise FileFormatError("map must be an array of {profile, outcome} entries")
-    ranks, radix = _ranks(outcomes), factorial(len(outcomes))
+    positions = _positions(outcomes)
+    radix = positions.radix if entries else 0  # no |K|! for an empty map
     values: dict[int, str] = {}
     for k, entry in enumerate(entries):
         try:
@@ -192,9 +130,14 @@ def scf_from_dict(data: object) -> ScfTable:
             for ranking in rankings:
                 if type(ranking) is not list:  # tuple("abc") would be a key
                     raise LookupError
-                index = index * radix + ranks[tuple(ranking)]
+                index = index * radix + positions[tuple(ranking)]
         except (LookupError, TypeError):  # a miss, an unhashable name included
-            index, outcome = _checked_entry(entry, agents, outcomes, ranks, radix, f"map[{k}]")
+            # the checks raise the error an ill-formed entry gets; an entry
+            # they pass (a list subclass, say) is numbered from its profile
+            if not isinstance(entry, dict) or "profile" not in entry or "outcome" not in entry:
+                raise FileFormatError(f"map[{k}]: entry needs 'profile' and 'outcome' fields")
+            profile = _profile(entry["profile"], agents, outcomes, f"map[{k}]")
+            index, outcome = _state_index(agents, outcomes, profile), entry["outcome"]
         if outcome not in outcomes:
             raise FileFormatError(f"map[{k}]: unknown outcome {outcome!r}")
         if index in values:
@@ -203,9 +146,9 @@ def scf_from_dict(data: object) -> ScfTable:
         values[index] = outcome
     # distinct indices below radix^agents: the map is total unless short,
     # and a short map's first gap is among its first len(values) + 1 states
-    if _short(len(values), radix, agents):
+    if _bounded_size(agents, len(outcomes), len(values))[1] is None:
         gap = next(i for i in range(len(values) + 1) if i not in values)
-        raise _missing(agents, outcomes, radix, gap)
+        raise _missing(agents, outcomes, gap)
     return ScfTable(agents, outcomes, tuple(map(values.__getitem__, range(len(values)))))
 
 

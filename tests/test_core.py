@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +110,29 @@ def test_one_state_numbering_for_every_reader():
         profile_index(other_outcomes, K2)
 
 
+
+@pytest.mark.parametrize(
+    "n, outcomes",
+    [(1, "abcdef"[:k]) for k in range(1, 7)]
+    + [(2, "abcd"[:k]) for k in range(1, 5)]
+    + [(3, "ab"), (3, "abc"), (4, "ab"), (2, "cab")],
+)
+def test_states_are_numbered_by_ranking_positions(n, outcomes):
+    """The computed numbering is the order of all_profiles, and ranking
+    positions and their decoding invert all_linear_orders, for sorted and
+    unsorted outcome tuples; a key that is not a ranking is a KeyError."""
+    names = tuple(outcomes)
+    for i, p in enumerate(all_profiles(n, names)):
+        assert profile_index(p, names) == i
+    positions = core._positions(names)
+    for i, order in enumerate(all_linear_orders(names)):
+        assert positions[order.ranking] == i
+        assert core._unrank(names, i) == str(order)
+    repeat, missing, unknown = names[:1] * 2 + names[2:], names[:-1], names[:-1] + ("z",)
+    for bad in (repeat, missing, unknown, names + names[:1]):
+        with pytest.raises(KeyError):
+            positions[bad]
+
 def test_state_atoms_examples():
     atoms = state_atoms(profile(("a", "b"), ("a", "b")))
     assert Rep(1, "a", "a") in atoms
@@ -187,14 +211,23 @@ def test_scf_table_validation():
 
 
 def test_scf_table_length_is_checked_without_building_states(monkeypatch):
-    """(3!)^12 states: the table length is compared with the count alone."""
+    """(3!)^12 states, 10! rankings and (3!)^(10^9) states: the table
+    length is compared with a bounded count, built from neither the states
+    nor the rankings, and a count too large to compute is written as a
+    power."""
 
-    def no_states(*args):
-        raise AssertionError("the states were built")
+    def not_built(*args):
+        raise AssertionError("the states or rankings were built")
 
-    monkeypatch.setattr(core, "_profiles", no_states)
-    with pytest.raises(InvalidDomain, match="needs 2176782336 entries"):
-        ScfTable(12, K3, ())
+    monkeypatch.setattr(core, "_profiles", not_built)
+    monkeypatch.setattr(core, "_orders", not_built)
+    for agents, outcomes, count in [
+        (12, K3, "2176782336"),
+        (1, tuple("abcdefghij"), "3628800"),
+        (10**9, K3, "3!^1000000000"),
+    ]:
+        with pytest.raises(InvalidDomain, match=rf"needs {re.escape(count)} entries"):
+            ScfTable(agents, outcomes, ())
 
 
 def test_profile_validation():

@@ -39,7 +39,8 @@ from scflogic.encodings import (
     rho,
     strproof,
 )
-from scflogic.decision import _CHUNK_BITS, _bounded_size
+from scflogic.core import _bounded_size
+from scflogic.decision import _CHUNK_BITS
 from scflogic.logic import And, Box, Iff, Implies, Not, Or, Out, Pref, Rep
 
 from conftest import K2, K3, make_formula_sampler, profile
@@ -50,6 +51,9 @@ def test_model_class_sizes():
     assert _bounded_size(3, 2, 10**30) == (2048, 8)
     count, states = _bounded_size(2, 3, 10**30)
     assert count == 3**36 * 36 and states == 36
+    # k! >= 2^(k-1) refuses a huge k before any factorial is taken
+    assert _bounded_size(1, 10**5, 10**30) == (None, None)
+    assert _bounded_size(10**9, 1, 10**30) == (1, 1)
 
 
 def test_enumerate_models_counts_and_order():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scflogic import ScfModel, ScfTable, all_linear_orders, all_profiles, core, files
+from scflogic import ScfModel, ScfTable, all_profiles, core, files
 from scflogic.files import (
     FileFormatError,
     load_model,
@@ -155,18 +155,9 @@ def test_entries_are_checked_before_states_are_built(monkeypatch):
 
 
 def test_rankings_are_numbered_without_building_them(monkeypatch):
-    """A ranking's position is its Lehmer rank, as `all_linear_orders`
-    orders the rankings, and a map over 12 outcomes, too short for their
-    12! rankings, fails on its first gap, worded as for any other outcome
-    count, without building the rankings."""
-    k4 = ("a", "b", "c", "d")
-    ranks = files._Ranks(k4)
-    for position, order in enumerate(all_linear_orders(k4)):
-        assert ranks[order.ranking] == position
-        assert files._unrank(k4, position) == str(order)
-    for bad in (("a", "b", "c"), ("a", "b", "c", "d", "a"), ("a", "a", "c", "d"), ("e",)):
-        with pytest.raises(KeyError):
-            ranks[bad]
+    """A map over 12 outcomes, too short for their 12! rankings, fails on
+    its first gap, worded as for any other outcome count, without building
+    the rankings (`core`'s ranking positions are tested in test_core)."""
 
     def no_rankings(*args):
         raise AssertionError("the rankings were built")
@@ -199,6 +190,20 @@ def test_rankings_are_numbered_without_building_them(monkeypatch):
             scf_from_dict({"agents": 2, "outcomes": names, "map": entries})
         assert str(err.value) == message
 
+
+def test_an_empty_map_over_very_many_outcomes_takes_no_factorial(monkeypatch):
+    """An empty map over 10^5 outcome names is refused by k! >= 2^(k-1)
+    before |K|! is taken, and its first gap, the identity ranking, is
+    worded without permuting any name."""
+
+    def no_factorial(k):
+        raise AssertionError(f"{k}! was taken")
+
+    monkeypatch.setattr(core, "factorial", no_factorial)
+    names = [f"o{i}" for i in range(10**5)]
+    with pytest.raises(FileFormatError) as err:
+        scf_from_dict({"agents": 1, "outcomes": names, "map": []})
+    assert str(err.value) == f"missing profile ([{','.join(names)}]) in map"[:997] + "..."
 
 @pytest.mark.parametrize(
     "agents, outcomes",
