@@ -18,6 +18,10 @@ Truth at a state:
 Nodes are hash-consed when they are built (see `Formula`): equal formulas
 are one object, so a formula that repeats a subformula is a DAG sharing
 one node for it, and every memo keyed by node identity computes it once.
+The intern table `_interned` is a plain dict from a node's key, its class
+and fields, to a keyed weak reference to the node; the reference's
+callback removes the entry when the node dies, unless the key has been
+interned again since.  Each constructor looks its key up inline.
 
 This module holds the language and the relational semantics only.  The
 primary evaluator, by truth masks over many models at once, and its
@@ -35,9 +39,10 @@ raise `InvalidDomain` on a formula outside the model's (n, K).
 from __future__ import annotations
 
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import InvalidDomain, Profile, ScfModel, _state_index
 
@@ -72,8 +77,12 @@ class Formula:
     Nodes are hash-consed: every constructor returns the live node of the
     same kind with the same fields and the same child objects, if there is
     one, so equal formulas are one object, and `==` and `hash` are
-    Python's identity defaults.  The intern table holds nodes weakly, so a
-    node lives only while something else references it.
+    Python's identity defaults.  The intern table holds nodes weakly: it
+    is a dict from the key `(cls, *fields)` to a weak reference carrying
+    that key, whose callback clears the entry when the node dies, so a
+    node lives only while something else references it.  For the same
+    reason copying a node returns it, and unpickling rebuilds it through
+    the constructors, returning the live node when there is one.
 
     Nodes are immutable and carry one flag used by the decision procedures:
     `state_determined` is set when no outcome atom and no pref modality
@@ -111,35 +120,95 @@ class Formula:
                 stack.pop()
                 yield node
 
+    def __copy__(self) -> "Formula":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Formula":
+        return self
+
+    def __reduce__(self) -> tuple:
+        """Pickle as a flat table, one `(cls, leaves, kids)` row per
+        distinct node in post-order: `leaves` are the node's other fields,
+        `kids` its children's row numbers.  Every class lists its children
+        last in `__slots__`, in constructor order, so `_rebuild` calls
+        `cls(*leaves, *children)`; being flat, the table pickles at any
+        depth."""
+        rows: dict[Formula, int] = {}
+        table = []
+        for node in self.subformulas():
+            kids = node.children()
+            names = node.__slots__[: len(node.__slots__) - len(kids)]
+            table.append(
+                (type(node), tuple(getattr(node, name) for name in names), tuple(rows[k] for k in kids))
+            )
+            rows[node] = len(rows)
+        return _rebuild, (tuple(table),)
+
     def __repr__(self) -> str:
         from .parser import format_formula
 
         return f"Formula({format_formula(self)!r})"
 
 
-_interned: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """The intern table's weak reference to a node, keyed like its entry."""
+
+    __slots__ = ("key",)
 
 
-def _node(cls: type, fields: tuple, state_determined: bool) -> Any:
-    """The live `cls` node whose slots, in `cls.__slots__` order, hold
-    `fields` (children compared by identity), built and interned if there
-    is none."""
-    key = (cls, *fields)
-    node = _interned.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
-        object.__setattr__(node, "state_determined", state_determined)
-        _interned[key] = node
-    return node
+# key (cls, *fields) -> a weak reference to the live node with those fields
+_interned: dict[tuple, _Ref] = {}
+_lookup = _interned.get
+# the lookup's default: a reference whose referent is gone, so that a miss
+# reads None from one call, as a dead entry does
+_GONE = weakref.ref(set())
+
+
+def _evict(ref: _Ref) -> None:
+    """A dying node's callback: drop its entry unless the key was re-interned.
+
+    `_remove_dead_weakref` deletes the entry only while it still holds a
+    dead reference, in one C call, so a live node built under the same key
+    after this one died keeps its entry."""
+    _remove_dead_weakref(_interned, ref.key)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _intern(key: tuple, node: Formula) -> None:
+    """Enter a fully built node under `key`."""
+    ref = _Ref(node, _evict)
+    ref.key = key
+    _interned[key] = ref
+
+
+def _rebuild(table: tuple) -> Formula:
+    """The node a `Formula.__reduce__` table describes, built bottom-up
+    through the constructors, so it is the live interned node if any."""
+    built: list[Formula] = []
+    for cls, leaves, kids in table:
+        built.append(cls(*leaves, *[built[k] for k in kids]))
+    return built[-1]
+
+
+# Each constructor looks its key up inline; a hit costs one dict.get and
+# one weakref call.  On a miss it sets the new node's slots by name and
+# interns it.
 
 
 class Top(Formula):
     __slots__ = ()
 
     def __new__(cls) -> "Top":
-        return _node(cls, (), True)
+        key = (cls,)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "state_determined", True)
+            _intern(key, node)
+        return node
 
 
 class Rep(Formula):
@@ -148,7 +217,16 @@ class Rep(Formula):
     __slots__ = ("agent", "left", "right")
 
     def __new__(cls, agent: int, left: str, right: str) -> "Rep":
-        return _node(cls, (agent, left, right), True)
+        key = (cls, agent, left, right)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "agent", agent)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _set(node, "state_determined", True)
+            _intern(key, node)
+        return node
 
 
 class Out(Formula):
@@ -157,14 +235,28 @@ class Out(Formula):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "Out":
-        return _node(cls, (name,), False)
+        key = (cls, name)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "name", name)
+            _set(node, "state_determined", False)
+            _intern(key, node)
+        return node
 
 
 class Not(Formula):
     __slots__ = ("child",)
 
     def __new__(cls, child: Formula) -> "Not":
-        return _node(cls, (child,), child.state_determined)
+        key = (cls, child)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "child", child)
+            _set(node, "state_determined", child.state_determined)
+            _intern(key, node)
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -174,7 +266,15 @@ class Or(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> "Or":
-        return _node(cls, (left, right), left.state_determined and right.state_determined)
+        key = (cls, left, right)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _set(node, "state_determined", left.state_determined and right.state_determined)
+            _intern(key, node)
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -186,7 +286,16 @@ class Diamond(Formula):
     __slots__ = ("coalition", "child")
 
     def __new__(cls, coalition: Iterable[int], child: Formula) -> "Diamond":
-        return _node(cls, (frozenset(coalition), child), child.state_determined)
+        coalition = frozenset(coalition)
+        key = (cls, coalition, child)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "coalition", coalition)
+            _set(node, "child", child)
+            _set(node, "state_determined", child.state_determined)
+            _intern(key, node)
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -199,7 +308,15 @@ class Pref(Formula):
     __slots__ = ("agent", "child")
 
     def __new__(cls, agent: int, child: Formula) -> "Pref":
-        return _node(cls, (agent, child), False)
+        key = (cls, agent, child)
+        node = _lookup(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set(node, "agent", agent)
+            _set(node, "child", child)
+            _set(node, "state_determined", False)
+            _intern(key, node)
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)

@@ -1,5 +1,7 @@
+import copy
 import gc
 import hashlib
+import pickle
 import time
 import weakref
 
@@ -91,6 +93,13 @@ def test_comp_at_reads_each_distinct_node_once():
     start = time.perf_counter()
     assert instantiate("comp-At", 1, K2, [formula]) == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_instances_copy_and_pickle_with_their_live_formulas():
+    for inst in instantiate("comp-At", 2, K2, SMALL_POOL)[:5]:
+        for twin in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+            assert twin == inst and twin.formula is inst.formula
+            assert twin.bindings == inst.bindings
 
 
 def test_confl_skips_same_agent():

@@ -1,5 +1,7 @@
 import ast
+import copy
 import gc
+import pickle
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -36,6 +38,7 @@ from scflogic.logic import (
     Out,
     Pref,
     Rep,
+    Top,
     conj,
     disj,
 )
@@ -43,7 +46,7 @@ import itertools
 import random
 
 from scflogic._stacked import StackedEvaluator, TableGrid
-from scflogic.axioms import default_pool
+from scflogic.axioms import default_pool, instantiate
 from scflogic import encodings, logic
 from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
 from scflogic.parser import Context, parse
@@ -372,6 +375,84 @@ def test_unreferenced_nodes_are_collected():
     assert [ref() for ref in refs] == [None, None]
     # a rebuilt node is fresh and still canonical
     assert Pref(2, Diamond({1}, Rep(1, "b", "a"))) is Pref(2, Diamond([1], Rep(1, "b", "a")))
+
+
+# one node of each kind: its constructor arguments, its fields by slot name
+# and its state_determined flag
+NODE_KINDS = [
+    (Top, (), {}, True),
+    (Rep, (2, "b", "a"), {"agent": 2, "left": "b", "right": "a"}, True),
+    (Out, ("b",), {"name": "b"}, False),
+    (Not, (Rep(1, "a", "b"),), {"child": Rep(1, "a", "b")}, True),
+    (Or, (Rep(1, "a", "b"), Out("a")), {"left": Rep(1, "a", "b"), "right": Out("a")}, False),
+    (Diamond, ([2, 1], Rep(1, "a", "b")), {"coalition": {1, 2}, "child": Rep(1, "a", "b")}, True),
+    (Pref, (1, Rep(1, "a", "b")), {"agent": 1, "child": Rep(1, "a", "b")}, False),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields, determined", NODE_KINDS, ids=[kind[0].__name__ for kind in NODE_KINDS])
+def test_each_node_kind_is_interned(cls, args, fields, determined):
+    node = cls(*args)
+    assert type(node) is cls
+    assert cls(*args) is node
+    assert {name: getattr(node, name) for name in cls.__slots__} == fields
+    assert node.state_determined is determined
+    with pytest.raises(AttributeError, match="immutable"):
+        node.state_determined = not determined
+
+
+def test_the_intern_table_returns_to_its_size_once_a_build_is_dropped():
+    pool = default_pool(2, K2)
+    gc.collect()
+    baseline = len(logic._interned)
+    instances = instantiate("K(i)", 2, K2, pool)
+    assert len(logic._interned) > baseline + len(instances)
+    del instances
+    gc.collect()
+    assert len(logic._interned) == baseline
+
+
+def test_a_late_callback_leaves_a_reinterned_key_alone():
+    """A dead node's callback that runs after its key was interned again
+    (as when the collector delays it) must not evict the live node."""
+    key = (Rep, 7, "p", "q")
+
+    def build_and_drop():
+        node = Rep(7, "p", "q")
+        ref = logic._interned[key]
+        assert ref() is node
+        return ref, ref.__callback__
+
+    dead, callback = build_and_drop()
+    assert dead() is None and key not in logic._interned
+    live = Rep(7, "p", "q")
+    callback(dead)
+    assert logic._interned[key]() is live
+    assert Rep(7, "p", "q") is live
+
+
+def test_nodes_copy_and_pickle_to_the_live_node():
+    """Copies are the node itself; unpickling rebuilds through the
+    constructors, so it meets the live node, at any depth."""
+    chain = TRUE
+    for _ in range(20000):
+        chain = Not(chain)
+    nodes = [cls(*args) for cls, args, _, _ in NODE_KINDS]
+    nodes += [chain, property_formula(STRPROOF, 2, K3)]
+    for node in nodes:
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(node, protocol)) is node
+    assert copy.deepcopy(nodes) == nodes
+
+
+def test_an_unpickled_node_is_canonical_after_the_original_died():
+    data = pickle.dumps(Pref(2, Diamond({1}, Or(Rep(1, "q", "r"), Out("q")))))
+    gc.collect()
+    assert (Out, "q") not in logic._interned
+    node = pickle.loads(data)
+    assert node is Pref(2, Diamond([1], Or(Rep(1, "q", "r"), Out("q"))))
 
 
 def test_evaluators_keep_no_formula_alive():
