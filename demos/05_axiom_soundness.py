@@ -39,7 +39,7 @@ print(f"\npref-necessitation (phi valid => [pref(i)] phi valid) on the pool: {ru
 start = time.perf_counter()
 sampled = sample_models(2, ("a", "b", "c"), 200, seed=0)
 report3 = soundness_check(instantiate_all(2, ("a", "b", "c")), sampled)
-print(f"\nthree outcomes, 200 sampled models, {time.perf_counter() - start:.2f}s:"
+print(f"\nthree outcomes, {len(sampled)} sampled models, {time.perf_counter() - start:.2f}s:"
       f" {'all sound' if report3.ok else 'FAILURE'}")
 
 # (ballot) has neither outcome atoms nor pref modalities, so `valid` decides

@@ -18,11 +18,13 @@ This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
 only in their true profile, satisfiability and validity stack chunks of
 the enumerated model class, and `Evaluator` is a stack of one model, on
-which `evaluate` and `valid_in_model` each read one `truth_mask`.  The
-property checks and the enumeration pass a `TableGrid`, outcome-function
-rows each with all S true profiles, which is stacked per table: a row's
-outcome masks are spread over its S blocks by one multiplication, and a
-model is built only for the index `first_failure` reports.  Masks
+which `evaluate` and `valid_in_model` each read one `truth_mask`.
+Every stack is a grid (`TableGrid`): outcome-function rows, each with
+one sequence of L true profiles that all rows share.  Property checks
+and the enumeration pass a grid of all S profiles and build a model only
+for the index `first_failure` reports; a model list is read into the
+grid it spells (`_as_grid`).  A row's outcome masks are spread over its
+L blocks by one multiplication.  Masks
 are memoized per call: `first_failure` evaluates a batch of roots on one
 memo, so shared nodes are computed once and none outlives the call.
 Within a batch, a node's mask is dropped once the last root that reaches
@@ -30,9 +32,10 @@ it has passed, so the memo holds what later roots still read, not every
 mask computed so far.  To ask one formula at many states, read its mask
 once instead of calling `evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
-reported-atom masks) is built once per domain (`_space`).  Agreement with
-the relational semantics (`logic.eval_kripke`), which shares none of this
-state data, is enforced by property tests.
+reported-atom masks, the rank blocks of all S profiles) is built once
+per domain (`_space`).  Agreement with the relational semantics
+(`logic.eval_kripke`), which shares none of this state data, is enforced
+by property tests.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
 class _StateSpace:
     """Per-(n, K) state data shared by every evaluator: `core`'s canonical
-    profiles, the axes of the state grid, reported-atom masks and, for
-    stacking a `TableGrid`, the true profiles' rank blocks."""
+    profiles, the axes of the state grid, reported-atom masks and the rank
+    blocks of a grid's true profiles, built once for all S in order."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
@@ -89,16 +92,22 @@ class _StateSpace:
             self._rep_masks[key] = mask
         return mask
 
-    @cached_property
-    def rank_blocks(self) -> list[list[dict[str, int]]]:
-        """Per agent and rank r, per outcome: one bit per true profile t,
-        at bit t*S, set where t ranks the outcome at r for the agent."""
+    def rank_blocks(self, truths: Sequence[Profile]) -> list[list[dict[str, int]]]:
+        """Per agent and rank r, per outcome: one bit per true profile t of
+        `truths`, at bit t*S, set where t ranks the outcome at r for the
+        agent.  The blocks of all S profiles in order are built once."""
+        if truths == self.profiles:
+            return self._all_rank_blocks
         blocks = [[dict.fromkeys(self.outcomes, 0) for _ in self.outcomes] for _ in range(self.n)]
-        for t, truth in enumerate(self.profiles):
+        for t, truth in enumerate(truths):
             for ranks, order in zip(blocks, truth.orders):
                 for at_rank, name in zip(ranks, order.ranking):
                     at_rank[name] |= 1 << t * self.size
         return blocks
+
+    @cached_property
+    def _all_rank_blocks(self) -> list[list[dict[str, int]]]:
+        return self.rank_blocks(list(self.profiles))  # a list never equals the tuple
 
 
 @lru_cache(maxsize=None)
@@ -106,23 +115,21 @@ def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
     return _StateSpace(n, outcomes)
 
 
-def _out_small(values: Sequence[str], outcomes: tuple[str, ...]) -> dict[str, int]:
-    """Per outcome, the states of one outcome function choosing it."""
-    masks = dict.fromkeys(outcomes, 0)
-    for v, value in enumerate(values):
-        masks[value] |= 1 << v
-    return masks
-
-
 class TableGrid(Sequence[ScfModel]):
-    """The models of outcome-function rows over (n, K), each with every true
-    profile: table outer, truth inner, as `enumerate_models` orders them.
-    A model is built only when its index is read; `StackedEvaluator`
-    stacks a grid per table without reading any."""
+    """The models of outcome-function rows over (n, K), each with one
+    sequence of true profiles (all S in order by default), table outer,
+    truth inner.  A model is built only when its index is read;
+    `StackedEvaluator` stacks a grid per row without reading any."""
 
-    def __init__(self, n: int, outcomes: tuple[str, ...], rows: Sequence[tuple[str, ...]]):
+    def __init__(
+        self,
+        n: int,
+        outcomes: tuple[str, ...],
+        rows: Sequence[tuple[str, ...]],
+        truths: Sequence[Profile] | None = None,
+    ):
         self.n, self.outcomes, self.rows = n, outcomes, rows
-        self.truths = _space(n, outcomes).profiles
+        self.truths = _space(n, outcomes).profiles if truths is None else truths
 
     def __len__(self) -> int:
         return len(self.rows) * len(self.truths)
@@ -132,9 +139,37 @@ class TableGrid(Sequence[ScfModel]):
         return ScfModel(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
 
 
+def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
+    """The grid a model list spells, or ValueError: runs of L models, each
+    on one outcome function, with the first run's true profiles in order.
+    L counts the leading models on the first model's table (by value) up
+    to a table change or a repeat of the first model's truth."""
+    first = models[0]
+    n, outcomes = first.n, first.outcomes
+    for model in models:
+        if model.n != n or model.outcomes != outcomes:
+            raise ValueError("all stacked models must share (n, outcomes)")
+    width = 1
+    while width < len(models) and (
+        models[width].table.values == first.table.values and models[width].truth != first.truth
+    ):
+        width += 1
+    truths = tuple(model.truth for model in models[:width])
+    rows = [model.table.values for model in models[::width]]
+    if len(models) % width or any(
+        model.table.values != rows[m // width] or model.truth != truths[m % width]
+        for m, model in enumerate(models)
+    ):
+        raise ValueError(
+            "a stacked model list must be runs of equal length, each run one"
+            " outcome function with the first run's true profiles in order"
+        )
+    return TableGrid(n, outcomes, rows, truths)
+
+
 def _stack(small_masks: Sequence[int], block_bits: int) -> int:
-    """Concatenate per-model masks, model 0 lowest; binary fold so the
-    copy volume stays O(M log M) words."""
+    """Concatenate masks at stride `block_bits`, the first lowest; binary
+    fold so the copy volume stays O(M log M) words."""
     parts = list(small_masks)
     width = block_bits
     while len(parts) > 1:
@@ -149,78 +184,42 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
 
 
 class StackedEvaluator:
-    """Truth masks for a batch of models sharing one (n, K).  Each call has
-    a memo of its own, dropped on return: no formula outlives its caller."""
+    """Truth masks for a batch of models sharing one (n, K): a `TableGrid`,
+    or a model list read into one (`_as_grid`), whose `models` stay the
+    caller's own objects.  Each call has a memo of its own, dropped on
+    return: no formula outlives its caller."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
             raise ValueError("need at least one model")
-        grid = models if isinstance(models, TableGrid) else None
-        first = models[0] if grid is None else grid
-        self.models = list(models) if grid is None else grid
-        self.space = _space(first.n, first.outcomes)
+        grid = models if isinstance(models, TableGrid) else _as_grid(models)
+        self.models = models
+        self.space = _space(grid.n, grid.outcomes)
         self.block = self.space.size
-        self.full = (1 << self.block * len(self.models)) - 1
+        self.full = (1 << self.block * len(grid)) - 1
         self.block_ones = (1 << self.block) - 1
         self.tile = self.full // self.block_ones  # one bit per block, at the block base
         self._radix = self.space.radix
         # per agent axis: stride, tiled digit-0 plane, spread comb
-        self._axis = [
-            (stride, plane * self.tile, comb) for stride, plane, comb in self.space.axes
-        ]
-        self._agents = frozenset(range(1, first.n + 1))
-        if grid is not None:
-            self._stack_grid(grid)
-            return
-        # one pass over the models: each must share the first's (n, K), and
-        # each distinct outcome function gets, once, the states choosing
-        # each outcome
-        by_values: dict[tuple[str, ...], dict[str, int]] = {}
-        small_out: list[dict[str, int]] = []
-        for model in self.models:
-            if model.n != first.n or model.outcomes != first.outcomes:
-                raise ValueError("all stacked models must share (n, outcomes)")
-            masks = by_values.get(model.table.values)
-            if masks is None:
-                masks = _out_small(model.table.values, first.outcomes)
-                by_values[model.table.values] = masks
-            small_out.append(masks)
-        # stacked: per outcome, the states of each model choosing it; per
-        # agent and rank r, those whose outcome sits at rank r of the
-        # model's true order for the agent
-        self._out_masks = {
-            name: _stack([masks[name] for masks in small_out], self.block)
-            for name in first.outcomes
-        }
-        truths = [model.truth.orders for model in self.models]
+        self._axis = [(stride, plane * self.tile, comb) for stride, plane, comb in self.space.axes]
+        self._agents = frozenset(range(1, grid.n + 1))
+        # per outcome, each row's states choosing it, rows at stride L*S,
+        # spread over each row's L blocks by one multiplication with a comb
+        row_bits = self.block * len(grid.truths)
+        rows = []
+        for values in grid.rows:
+            masks = dict.fromkeys(grid.outcomes, 0)
+            for v, value in enumerate(values):
+                masks[value] |= 1 << v
+            rows.append(masks)
+        by_row = {name: _stack([m[name] for m in rows], row_bits) for name in grid.outcomes}
+        comb = ((1 << row_bits) - 1) // self.block_ones
+        self._out_masks = {name: stack * comb for name, stack in by_row.items()}
+        # per agent and rank r, per outcome: its rows' masks spread over the
+        # blocks whose truth ranks it at r (one outcome per truth: disjoint)
         self._ranked = [
-            [
-                _stack(
-                    [masks[orders[agent].ranking[r]] for masks, orders in zip(small_out, truths)],
-                    self.block,
-                )
-                for r in range(len(first.outcomes))
-            ]
-            for agent in range(first.n)
-        ]
-
-    def _stack_grid(self, grid: TableGrid) -> None:
-        """The masks of a grid, built per table: a table's S blocks share
-        its outcome masks, so an outcome's stack is the tables' masks at
-        stride S*S spread over each table's blocks by one multiplication,
-        and its rank-r states for an agent are, per outcome, those masks
-        spread over the blocks whose true profile ranks it at r."""
-        rows = [_out_small(values, grid.outcomes) for values in grid.rows]
-        by_table = {
-            name: _stack([masks[name] for masks in rows], self.block * self.block)
-            for name in grid.outcomes
-        }
-        comb = ((1 << self.block * self.block) - 1) // self.block_ones
-        self._out_masks = {name: stack * comb for name, stack in by_table.items()}
-        # each true profile ranks one outcome at r, so the terms are disjoint
-        self._ranked = [
-            [sum(by_table[name] * blocks for name, blocks in at_rank.items()) for at_rank in ranks]
-            for ranks in self.space.rank_blocks
+            [sum(by_row[name] * blocks for name, blocks in at_rank.items()) for at_rank in ranks]
+            for ranks in self.space.rank_blocks(grid.truths)
         ]
 
     # --- vector primitives -------------------------------------------------

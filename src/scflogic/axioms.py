@@ -393,12 +393,14 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
 # schema that a sweep takes on.  A sweep holds two adjacent schemas'
 # instances at most and drops each instance's masks after its last reader,
 # so the product bounds mainly one schema's instances and the run time.
-# At (4,2) over 1000 sampled models comp-At reaches 3.2e9: its 150,528
-# instances take 6-8 s and 200 MiB to build, 1.5-2.2 s to check, and the
-# whole sweep peaks at 263 MiB, as comp-At alone does.  At (3,3) comp-At
-# reaches 1.1e10 and checks in about 1 s and 206 MiB, but antisym' reaches
-# 3.0e10 and runs out of a 3 GB cap: its 139,968 instances share
-# per-profile subformulas, whose masks stay live until their last reader.
+# At (4,2) over 1008 sampled models (63 outcome functions, each with its 16
+# true profiles) comp-At reaches 3.2e9: its 150,528 instances take 6-8 s
+# and 200 MiB to build, 1.5-2.2 s to check, and the whole sweep peaks at
+# 263 MiB, as comp-At alone does.  At (3,3) over 1080 sampled models
+# comp-At reaches 1.2e10 and antisym' 3.3e10.  Over 1000 models there,
+# comp-At checked in about 1 s and 206 MiB, but antisym' ran out of a 3 GB
+# cap: its 139,968 instances share per-profile subformulas, whose masks
+# stay live until their last reader.
 SWEEP_LIMIT = 5 * 10**9
 
 

@@ -118,10 +118,18 @@ def cmd_property(args: argparse.Namespace) -> int:
             "oracle": oracle,
             "agrees": oracle == holds,
             "detail": detail or None,
+            "counterexample": _state_truth_json(verdict.counterexample),
         },
         lines,
     )
     return 0 if holds else 1
+
+
+def _state_truth_json(pair: Optional[tuple[ScfModel, Profile]]) -> Optional[dict]:
+    if pair is None:
+        return None
+    model, state = pair
+    return {"state": _profile_json(state), "truth": _profile_json(model.truth)}
 
 
 def _verdict_payload(verdict: decision.Verdict) -> dict:
@@ -226,11 +234,7 @@ def _failure_json(counterexample: Optional[tuple]) -> Optional[dict]:
     if counterexample is None:
         return None
     inst, model, state = counterexample
-    return {
-        "instance": inst.describe(),
-        "state": _profile_json(state),
-        "truth": _profile_json(model.truth),
-    }
+    return {"instance": inst.describe(), **_state_truth_json((model, state))}
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
@@ -240,7 +244,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         source = f"all {len(models)} models"
     except decision.BudgetExceeded as exc:
         models = decision.sample_models(args.agents, outcomes, 1000, args.seed, args.budget)
-        source = f"1000 sampled models (seed {args.seed}; class has {exc.models})"
+        source = f"{len(models)} sampled models (seed {args.seed}; class has {exc.models})"
     axioms_mod.check_sweep_size(args.agents, outcomes, models)
     report = axioms_mod.soundness_check(axioms_mod.instantiate_all(args.agents, outcomes), models)
     _emit(

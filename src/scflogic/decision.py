@@ -10,6 +10,9 @@ with every true profile, as one stacked `TableGrid` (see `_stacked`), so
 no model is built but the witness or counterexample; the lowest hit bit
 of the first chunk with a hit is the first model in enumeration order and
 its lowest state, so witnesses and counterexamples stay canonical.
+Where the class is too large to enumerate, `sample_models` draws whole
+rows instead: seeded outcome functions, each with every true profile, so
+a sample is a grid too.
 
 A formula without outcome atoms or pref modalities is state-determined:
 its truth at a state is the same in every model.  Such a formula is
@@ -138,8 +141,10 @@ def sample_models(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ScfModel]:
-    """Deterministic sample of models: cycle through every true profile
-    while drawing outcome functions from a seeded generator.  Raises
+    """Deterministic sample of models drawn as whole rows: ceil(count/S)
+    outcome functions from a seeded generator, each paired with every one
+    of the S true profiles in canonical order (table outer, truth inner,
+    as `enumerate_models` orders them), so the sample is a grid.  Raises
     `BudgetExceeded` before building any state if one model's states
     exceed `budget`, a count of models."""
     names = tuple(outcomes)
@@ -147,9 +152,9 @@ def sample_models(
     profiles = all_profiles(n, names)
     rng = random.Random(seed)
     picked = []
-    for i in range(count):
-        values = tuple(rng.choice(names) for _ in profiles)
-        picked.append(ScfModel(ScfTable(n, names, values), profiles[i % len(profiles)]))
+    for _ in range(-(-count // len(profiles))):
+        table = ScfTable(n, names, tuple(rng.choice(names) for _ in profiles))
+        picked += [ScfModel(table, truth) for truth in profiles]
     return picked
 
 

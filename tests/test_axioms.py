@@ -217,8 +217,9 @@ def test_soundness_checks_each_run_of_a_schema_apart():
 
 def test_sweep_size_check():
     """The largest sweeps known to finish pass the size check, (3,2) over
-    its whole class and (4,2) over 1000 sampled models; (3,3) and (2,4)
-    over 1000 sampled models are refused before any instance is built."""
+    its whole class and (4,2) over the 1008 models sampled for a count of
+    1000; (3,3) and (2,4), sampled the same way (1080 and 1152 models),
+    are refused before any instance is built."""
     check_sweep_size(3, K2, list(enumerate_models(3, K2)))
     check_sweep_size(4, K2, sample_models(4, K2, 1000))
     for n, outcomes in ((3, K3), (2, ("a", "b", "c", "d"))):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -88,6 +89,33 @@ def test_property_json_payload(capsys, tmp_path, j_table):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "FAIL"
     assert payload["agrees"] is True
+
+
+def test_property_json_carries_the_counterexample_the_text_prints(
+    capsys, tmp_path, j_table, majority_table
+):
+    """A FAIL payload's counterexample is the state and truth of the text
+    line "encoding fails at state ... with truth ..."; a PASS payload's
+    is null."""
+    keys = {"command", "property", "verdict", "oracle", "agrees", "detail", "counterexample"}
+    j_path, maj_path = tmp_path / "j.json", tmp_path / "maj.json"
+    save_scf(j_table, j_path)
+    save_scf(majority_table, maj_path)
+    assert main(["property", "--scf", str(j_path), "nodict"]) == 1
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if "encoding fails" in x]
+    assert main(["property", "--scf", str(j_path), "nodict", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == keys and payload["verdict"] == "FAIL"
+    found = payload["counterexample"]
+    assert set(found) == {"state", "truth"}
+    state, truth = (
+        "(" + ",".join(f"[{','.join(ranking)}]" for ranking in found[key]) + ")"
+        for key in ("state", "truth")
+    )
+    assert line == f"  encoding fails at state {state} with truth {truth}"
+    assert main(["property", "--scf", str(maj_path), "strproof", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == keys and payload["counterexample"] is None
 
 
 def test_valid_and_sat_commands(capsys):
@@ -234,6 +262,23 @@ def test_axioms_command(capsys):
     out = capsys.readouterr().out
     assert "all 64 models" in out
     assert "all schemas sound" in out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["2", "a,b"], "05b89ce4b93da08ea691a34b483a2eff494b45ee91fcb69e1b5dfa7ad7cd2959"),
+        (["2", "a,b", "--json"], "638f3e06de27ca7e7473ce982ffb5af1ef3988d7256d768c967c85992558e5bb"),
+        (["3", "a,b", "--json"], "29a45a72b71b6138626f6f82afdfaf5424ac7f6131e505abfa808b53544f36b7"),
+    ],
+    ids=["(2,{a,b})", "(2,{a,b}) --json", "(3,{a,b}) --json"],
+)
+def test_axioms_output_over_an_enumerated_class_is_pinned(capsys, argv, digest):
+    """The sweep over a whole enumerated class prints, byte for byte, the
+    report pinned here: schemas, instance and model counts, verdicts."""
+    agents, outcomes, *rest = argv
+    assert main(["axioms", "--agents", agents, "--outcomes", outcomes, *rest]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_error_exits(capsys, tmp_path):
@@ -449,7 +494,7 @@ def test_budget_refusal_is_one_immediate_line(capsys):
 
 
 def test_axioms_refuses_a_sweep_beyond_the_size_limit(capsys):
-    """(3,3) passes the budget through 1000 sampled models, but its sweep
+    """(3,3) passes the budget through 1080 sampled models, but its sweep
     is refused in one line before any instance is built."""
     start = time.perf_counter()
     assert main(["axioms", "--agents", "3", "--outcomes", "a,b,c"]) == 2

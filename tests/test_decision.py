@@ -221,6 +221,20 @@ def test_sample_models_deterministic():
     assert truths == list(all_profiles(2, K2)) * 2
 
 
+def test_sample_models_draws_whole_rows():
+    """ceil(count/S) seeded outcome functions, each with every true profile
+    in canonical order: table outer, truth inner."""
+    for n, outcomes, count, tables in ((2, K3, 1000, 28), (2, K3, 36, 1), (1, K2, 1000, 500)):
+        profiles = all_profiles(n, outcomes)
+        models = sample_models(n, outcomes, count, seed=6)
+        assert len(models) == tables * len(profiles)
+        for start in range(0, len(models), len(profiles)):
+            run = models[start : start + len(profiles)]
+            assert [m.truth for m in run] == list(profiles)
+            assert len({m.table for m in run}) == 1
+    assert sample_models(2, K3, 0) == []
+
+
 def test_representative_model_shape():
     model = representative_model(2, K3)
     assert model.table.values == ("a",) * 36

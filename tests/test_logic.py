@@ -267,6 +267,19 @@ def test_semantics_agreement_sampled_k3():
                 assert bool(mask >> idx & 1) == eval_kripke(km, s, f)
 
 
+def _assert_blocks_follow_kripke(stacked, models, formulas):
+    """Block m of each formula's stacked mask is, state by state, the
+    formula's extension in the relational semantics of model m."""
+    views = [kripke_view(model) for model in models]
+    for f in formulas:
+        whole = stacked.truth_mask(f)
+        for m, km in enumerate(views):
+            small = (whole >> (m * stacked.block)) & stacked.block_ones
+            assert {v for v in range(stacked.block) if small >> v & 1} == {
+                v for v in range(stacked.block) if eval_kripke(km, v, f)
+            }
+
+
 def test_stacked_evaluator_matches_per_model():
     """Each block of a stacked mask agrees, state by state, with the
     relational semantics of its model."""
@@ -278,21 +291,15 @@ def test_stacked_evaluator_matches_per_model():
         (1, ("a", "b", "c", "d"), 5),
     ):
         models = sample_models(n, outcomes, count, seed=3)
-        stacked = StackedEvaluator(models)
-        views = [kripke_view(model) for model in models]
         draw = make_formula_sampler(n, outcomes, seed=29)
-        for f in draw(60, max_depth=6):
-            whole = stacked.truth_mask(f)
-            for m, km in enumerate(views):
-                small = (whole >> (m * stacked.block)) & stacked.block_ones
-                for v in range(stacked.block):
-                    assert bool(small >> v & 1) == eval_kripke(km, v, f)
+        _assert_blocks_follow_kripke(StackedEvaluator(models), models, draw(60, max_depth=6))
 
 
 def test_a_table_grid_stacks_as_its_models_do():
-    """A grid of outcome-function rows, stacked per table, has the masks
-    of the list of its models bit for bit, and its models are those of
-    `enumerate_models` from the grid's first row on."""
+    """A grid of outcome-function rows is stacked without building its
+    models, yet each block of a stacked mask is the relational extension
+    of the model at that index, and those models are `enumerate_models`'
+    from the grid's first row on."""
     k4 = ("a", "b", "c", "d")
     # (n, K, first row in enumeration order, row count): one row, a middle
     # run, and at (1,3) the partial last chunk of an enumeration (rows
@@ -316,12 +323,63 @@ def test_a_table_grid_stacks_as_its_models_do():
         seeded = [tuple(rng.choice(outcomes) for _ in range(states)) for _ in range(3)]
         draw = make_formula_sampler(n, outcomes, seed=31)
         for grid in (grid, TableGrid(n, outcomes, seeded)):
-            stacked, per_model = StackedEvaluator(grid), StackedEvaluator(list(grid))
-            assert stacked.models is grid and stacked.full == per_model.full
-            assert stacked._out_masks == per_model._out_masks
-            assert stacked._ranked == per_model._ranked
-            for f in draw(25, max_depth=6):
-                assert stacked.truth_mask(f) == per_model.truth_mask(f)
+            stacked = StackedEvaluator(grid)
+            assert stacked.models is grid and stacked.full == (1 << len(grid) * states) - 1
+            _assert_blocks_follow_kripke(stacked, list(grid), draw(8, max_depth=6))
+
+
+def test_a_model_list_stacks_as_the_grid_it_spells():
+    """A model list is read into a grid: runs of one outcome function each,
+    over the first run's true profiles in order.  `list(grid)` (equal but
+    distinct tables), a list whose first two rows share a table, and one
+    over part of the true profiles stack bit for bit like their grids,
+    and `first_failure` reports the caller's own model object."""
+    profiles = all_profiles(2, K2)
+    rng = random.Random(7)
+    rows = [tuple(rng.choice(K2) for _ in profiles) for _ in range(3)]
+    grids = [
+        TableGrid(2, K2, rows),
+        TableGrid(2, K2, [rows[0], rows[0], rows[1]]),
+        TableGrid(2, K2, rows, profiles[1:3]),
+        TableGrid(2, K2, [rows[2]], profiles[::-1]),
+    ]
+    draw = make_formula_sampler(2, K2, seed=37)
+    formulas = draw(20, max_depth=5)
+    for grid in grids:
+        models = list(grid)
+        assert len({id(model.table) for model in models}) == len(models)
+        by_grid, by_list = StackedEvaluator(grid), StackedEvaluator(models)
+        assert by_list.models is models
+        failing = 0
+        for f in formulas:
+            mask = by_list.truth_mask(f)
+            assert mask == by_grid.truth_mask(f)
+            bad = by_list.full ^ mask
+            if bad:
+                failing += 1
+                m, v = divmod((bad & -bad).bit_length() - 1, by_list.block)
+                hit = by_list.first_failure([f])
+                assert hit == by_grid.first_failure([f]) == (0, models[m], profiles[v])
+                assert hit[1] is models[m]
+        assert failing
+        _assert_blocks_follow_kripke(by_list, models, formulas[:5])
+
+
+def test_a_model_list_that_spells_no_grid_is_refused():
+    """A list whose runs differ in length, mix outcome functions or change
+    the first run's true profiles or their order is refused."""
+    profiles = all_profiles(2, K2)
+    one, two = ScfTable(2, K2, ("a",) * 4), ScfTable(2, K2, ("b",) * 4)
+    run = [ScfModel(one, truth) for truth in profiles]
+    for models in (
+        run + [ScfModel(two, truth) for truth in profiles[:3]],  # a short last run
+        run + [ScfModel(two, t) for t in profiles[:3]] + run[3:],  # a run of two tables
+        run + [ScfModel(two, t) for t in profiles[::-1]],  # a run in another order
+        run[:2] + [ScfModel(two, t) for t in profiles[2:]],  # a run over other truths
+        [run[0], ScfModel(two, profiles[1]), run[2]],  # one truth, then others
+    ):
+        with pytest.raises(ValueError, match="must be runs of equal length"):
+            StackedEvaluator(models)
 
 
 def test_stacked_evaluator_refuses_empty_or_mixed_stacks():
