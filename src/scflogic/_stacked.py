@@ -6,13 +6,16 @@ are then single bignum operations for the whole batch, and the two
 modalities vectorize as well:
 
 * <C> phi collapses the child mask along each coalition member's digit
-  axis (OR of the r per-digit shifts, masked to the digit-0 plane) and
-  spreads back by multiplying with the axis comb.  Shifted bits that
-  cross a block boundary or borrow across digits never land on the
-  digit-0 plane, so the plane mask discards them.
+  axis (a fold by doubling shifts, ceil(log2 r) of them for r = |K|!
+  digits, masked to the digit-0 plane) and spreads back by multiplying
+  with the axis comb.  Shifted bits that cross a block boundary or borrow
+  across digits never land on the digit-0 plane, so the plane mask
+  discards them.  <N> phi asks which blocks hold any set bit in one carry
+  test (`_block_any`) and spreads each such block's bit over the block.
 * pref(i) phi walks i's true ranking of the outcomes from the best down,
-  keeping a running OR of the blocks that have met a phi-state so far: a
-  state holds once its block has met one at or above its outcome's rank.
+  keeping a running OR of the blocks that have met a phi-state so far,
+  each rank's blocks found by one carry test: a state holds once its
+  block has met one at or above its outcome's rank.
 
 This is the only evaluator: the axiom soundness sweep stacks thousands
 of models, per-SCF property checks stack the (|K|!)^n models that differ
@@ -61,10 +64,12 @@ class _StateSpace:
         self.profiles = all_profiles(n, outcomes)
         self.size = len(self.profiles)
         self.radix = radix = _positions(outcomes).radix
-        # per agent: the digit stride of its axis (state v's digit on it is
-        # v // stride % radix), the states whose digit on it is 0, and the
-        # comb spreading one state along it
-        self.axes: list[tuple[int, int, int]] = []
+        # per agent: the shifts folding its axis (`_collapse_axis`), the
+        # states whose digit on it is 0, and the comb spreading one state
+        # along it; state v's digit on it is v // stride % radix.  The fold's
+        # spans double from 1, the last cut so that they add up to r - 1.
+        spans = [min(1 << k, radix - (1 << k)) for k in range((radix - 1).bit_length())]
+        self.axes: list[tuple[tuple[int, ...], int, int]] = []
         for agent in range(n):
             stride = radix ** (n - 1 - agent)
             plane = 0
@@ -72,7 +77,7 @@ class _StateSpace:
                 if v // stride % radix == 0:
                     plane |= 1 << v
             comb = sum(1 << (d * stride) for d in range(radix))
-            self.axes.append((stride, plane, comb))
+            self.axes.append((tuple(span * stride for span in spans), plane, comb))
         self._rep_masks: dict[tuple[int, str, str], int] = {}
 
     def rep_mask(self, agent: int, left: str, right: str) -> int:
@@ -199,9 +204,10 @@ class StackedEvaluator:
         self.full = (1 << self.block * len(grid)) - 1
         self.block_ones = (1 << self.block) - 1
         self.tile = self.full // self.block_ones  # one bit per block, at the block base
-        self._radix = self.space.radix
-        # per agent axis: stride, tiled digit-0 plane, spread comb
-        self._axis = [(stride, plane * self.tile, comb) for stride, plane, comb in self.space.axes]
+        self._low = (self.block_ones >> 1) * self.tile  # each block's low S-1 bits
+        self._top = self.full ^ self._low  # each block's top bit
+        # per agent axis: fold shifts, tiled digit-0 plane, spread comb
+        self._axis = [(shifts, plane * self.tile, comb) for shifts, plane, comb in self.space.axes]
         self._agents = frozenset(range(1, grid.n + 1))
         # per outcome, each row's states choosing it, rows at stride L*S,
         # spread over each row's L blocks by one multiplication with a comb
@@ -225,17 +231,20 @@ class StackedEvaluator:
     # --- vector primitives -------------------------------------------------
 
     def _collapse_axis(self, x: int, agent: int) -> int:
-        stride, plane, _ = self._axis[agent - 1]
-        acc = x
-        for d in range(1, self._radix):
-            acc |= x >> (d * stride)
-        return acc & plane
+        """On the digit-0 plane of `agent`'s axis, the OR of the r = |K|!
+        states along the axis.  Folds by doubling: once x |= x >> (s *
+        stride) for s = 1, 2, 4, ... a bit holds the OR of 2s digits; the
+        last span is cut so that the fold reads digits 0..r-1 exactly."""
+        shifts, plane, _ = self._axis[agent - 1]
+        for shift in shifts:
+            x |= x >> shift
+        return x & plane
 
     def _block_any(self, x: int) -> int:
-        """One bit per block (at the block base) iff the block is non-empty."""
-        for agent in range(1, self.space.n + 1):
-            x = self._collapse_axis(x, agent)
-        return x
+        """One bit per block (at the block base) iff the block is non-empty.
+        Adding `low` to a block's low S-1 bits carries into its top bit iff
+        one is set; the sum stays below 2^S, so no carry leaves the block."""
+        return (((x & self._low) + self._low | x) & self._top) >> (self.block - 1)
 
     # --- evaluation ----------------------------------------------------------
 
@@ -325,6 +334,8 @@ class StackedEvaluator:
             raise InvalidDomain(
                 f"coalition {sorted(coalition)} not within agents 1..{self.space.n}"
             )
+        if len(coalition) == self.space.n:
+            return self._block_any(x) * self.block_ones
         for agent in sorted(coalition):
             x = self._collapse_axis(x, agent) * self._axis[agent - 1][2]
         return x

@@ -370,9 +370,12 @@ def soundness_check(
     subformulas its instances share are evaluated once.  An instance's
     masks are dropped once no later instance of its run reads them.  The
     reported counterexample is the run's first failing instance in
-    instantiation order, at its lowest (model, state) pair.
+    instantiation order, at its lowest (model, state) pair.  A `TableGrid`
+    is stacked as it is, building no model but the counterexamples.
     """
-    ev = _stacked.StackedEvaluator(list(models))
+    if not isinstance(models, _stacked.TableGrid):
+        models = list(models)
+    ev = _stacked.StackedEvaluator(models)
     runs = itertools.groupby(instances, attrgetter("schema"))
     return SoundnessReport([_check_run(ev, list(run)) for _, run in runs])
 

@@ -10,9 +10,11 @@ with every true profile, as one stacked `TableGrid` (see `_stacked`), so
 no model is built but the witness or counterexample; the lowest hit bit
 of the first chunk with a hit is the first model in enumeration order and
 its lowest state, so witnesses and counterexamples stay canonical.
-Where the class is too large to enumerate, `sample_models` draws whole
-rows instead: seeded outcome functions, each with every true profile, so
-a sample is a grid too.
+`enumerate_grid` holds the whole class as one such grid, for sweeps that
+check every model, such as the `axioms` command.  Where the class is too
+large to enumerate, `sample_models` draws whole rows instead: seeded
+outcome functions, each with every true profile, so a sample is a grid
+too.
 
 A formula without outcome atoms or pref modalities is state-determined:
 its truth at a state is the same in every model.  Such a formula is
@@ -55,6 +57,7 @@ __all__ = [
     "BudgetExceeded",
     "Verdict",
     "enumerate_models",
+    "enumerate_grid",
     "sample_models",
     "representative_model",
     "satisfiable",
@@ -132,6 +135,18 @@ def enumerate_models(
         table = ScfTable(n, names, values)
         for truth in profiles:
             yield ScfModel(table, truth)
+
+
+def enumerate_grid(
+    n: int, outcomes: Sequence[str], budget: int = DEFAULT_BUDGET
+) -> _stacked.TableGrid:
+    """Every model over (n, K) as one `TableGrid`, in `enumerate_models`
+    order: outcome-function rows, each with every true profile.  No model
+    is built until an index is read.  Raises `BudgetExceeded` as
+    `enumerate_models` does."""
+    names = tuple(outcomes)
+    _check_budget(n, names, budget)
+    return _stacked.TableGrid(n, names, list(itertools.product(names, repeat=num_states(n, names))))
 
 
 def sample_models(

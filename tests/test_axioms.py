@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from scflogic import decision
 from scflogic import (
     InvalidDomain,
     KripkeScf,
@@ -31,6 +32,7 @@ from scflogic.axioms import (
 from scflogic.encodings import better
 from scflogic.logic import And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, PrefBox, Rep, TRUE
 from scflogic.axioms import AxiomInstance
+from scflogic._stacked import TableGrid
 from scflogic.parser import format_formula, parse
 
 from conftest import K2, K3
@@ -125,6 +127,27 @@ def test_soundness_all_64_models_small_pool():
     lines = report.render().splitlines()
     assert len(lines) == len(SCHEMAS) + 1
     assert all("PASS" in line for line in lines[:-1])
+
+
+def test_soundness_check_stacks_a_grid_as_it_is():
+    """Over `enumerate_grid` the report is the one over the enumerated
+    model list, counterexamples included, and the only models built are
+    the counterexamples, one per failing run."""
+    reads = []
+
+    class CountingGrid(TableGrid):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    grid = decision.enumerate_grid(2, K2)
+    grid = CountingGrid(grid.n, grid.outcomes, grid.rows)
+    bogus = [AxiomInstance("func1", {}, Out("a")), AxiomInstance("func2", {}, Out("b"))]
+    instances = [*instantiate_all(2, K2, SMALL_POOL), *bogus]
+    report = soundness_check(instances, grid)
+    assert report.results == soundness_check(instances, list(enumerate_models(2, K2))).results
+    assert [r.ok for r in report.results[-2:]] == [False, False]
+    assert len(reads) == 2
 
 
 def test_soundness_detects_invalid_instance(h_table):

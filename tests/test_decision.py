@@ -75,6 +75,15 @@ def test_budget_exceeded_at_k3():
     assert err.value.required_models == 3**36 * 36
     with pytest.raises(BudgetExceeded):
         list(enumerate_models(2, K2, 10))
+    for n, outcomes, budget in ((2, K3, decision.DEFAULT_BUDGET), (2, K2, 10)):
+        with pytest.raises(BudgetExceeded):
+            decision.enumerate_grid(n, outcomes, budget)
+
+
+def test_enumerate_grid_holds_the_enumerated_models_in_order():
+    for n, outcomes in ((1, K2), (2, K2), (1, K3), (3, K2)):
+        grid = decision.enumerate_grid(n, outcomes)
+        assert list(grid) == list(enumerate_models(n, outcomes))
 
 
 def test_satisfiable_examples(h_table):

@@ -393,6 +393,79 @@ def test_stacked_evaluator_refuses_empty_or_mixed_stacks():
             StackedEvaluator(models + [odd])
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)])
+def test_modality_kernels_match_a_per_bit_reference(n, k):
+    """`_block_any`, `_collapse_axis`, `_diamond` for every coalition (∅
+    and N included) and `_pref` for every agent agree bit by bit with
+    references read off `all_profiles` and each block's model, on a
+    one-row grid and a three-row grid.  The masks are random, plus the
+    carry edges in every block: a block's top bit alone, its base bit
+    alone, every bit, none, and the four side by side."""
+    outcomes = ("a", "b", "c", "d")[:k]
+    rng = random.Random(100 * n + k)
+    profiles = all_profiles(n, outcomes)
+    size, ones = len(profiles), (1 << len(profiles)) - 1
+    agents = range(1, n + 1)
+
+    def states(test):
+        return sum(1 << v for v in range(size) if test(v))
+
+    def varying(coalition, p):
+        """The states that differ from profile p in the orders of `coalition` only."""
+        fixed = [j - 1 for j in agents if j not in coalition]
+        return states(lambda w: all(profiles[w].orders[j] == p.orders[j] for j in fixed))
+
+    coalitions = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(agents, r)]
+    lines = {c: [varying(c, p) for p in profiles] for c in coalitions}
+    # per agent: the states giving it profiles[0]'s order, its digit 0
+    planes = {
+        i: states(lambda v: profiles[v].orders[i - 1] == profiles[0].orders[i - 1]) for i in agents
+    }
+    rows = [tuple(rng.choice(outcomes) for _ in profiles) for _ in range(3)]
+    for grid in (
+        TableGrid(n, outcomes, rows[:1]),
+        TableGrid(n, outcomes, rows, rng.sample(profiles, min(3, size))),
+    ):
+        ev = StackedEvaluator(grid)
+        blocks = len(grid)
+
+        def per_block(bits_of, x=0):
+            """The mask whose block m is `bits_of(m, block m of x)`."""
+            return sum(bits_of(m, x >> m * size & ones) << m * size for m in range(blocks))
+
+        # per agent, block m and state v: the states whose outcome the
+        # agent truly ranks at least as high as v's in model m
+        above = {i: [] for i in agents}
+        for m in range(blocks):
+            out = [grid[m].out(p) for p in profiles]
+            for i in agents:
+                order = grid[m].truth.orders[i - 1]
+                above[i].append([states(lambda w: order.at_least_as_good(out[w], o)) for o in out])
+
+        edges = [0, 1, 1 << size - 1, ones]
+        masks = [per_block(lambda m, _: edge) for edge in edges]
+        masks.append(per_block(lambda m, _: edges[m % 4]))
+        masks += [rng.getrandbits(size * blocks) for _ in range(3)]
+        masks += [
+            per_block(lambda m, _: rng.choice([0, 1 << rng.randrange(size), rng.getrandbits(size)]))
+            for _ in range(3)
+        ]
+        for x in masks:
+            assert ev._block_any(x) == per_block(lambda m, b: int(b != 0), x)
+            for i in agents:
+                line = lines[frozenset({i})]
+                assert ev._collapse_axis(x, i) == per_block(
+                    lambda m, b: states(lambda v: planes[i] >> v & 1 and b & line[v]), x
+                ), i
+                assert ev._pref(i, x) == per_block(
+                    lambda m, b: states(lambda v: b & above[i][m][v]), x
+                ), i
+            for c in coalitions:
+                assert ev._diamond(c, x) == per_block(
+                    lambda m, b: states(lambda v: b & lines[c][v]), x
+                ), sorted(c)
+
+
 def test_stacked_evaluator_handles_deep_formulas():
     models = sample_models(2, K2, 6, seed=3)
     stacked = StackedEvaluator(models)
