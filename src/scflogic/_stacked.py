@@ -27,13 +27,25 @@ one sequence of L true profiles that all rows share.  Property checks
 and the enumeration pass a grid of all S profiles and build a model only
 for the index `first_failure` reports; a model list is read into the
 grid it spells (`_as_grid`).  A row's outcome masks are spread over its
-L blocks by one multiplication.  Masks
-are memoized per call: `first_failure` evaluates a batch of roots on one
-memo, so shared nodes are computed once and none outlives the call.
-Within a batch, a node's mask is dropped once the last root that reaches
-it has passed, so the memo holds what later roots still read, not every
-mask computed so far.  To ask one formula at many states, read its mask
-once instead of calling `evaluate` per state.
+L blocks by one multiplication.
+
+A formula is evaluated by one post-order walk of its DAG (`_mask`) on a
+memo of its own, so a shared node is computed once and no mask outlives
+the call.  A root evaluated alone (`truth_mask`, or `first_failure` over
+one root) is usually asked again on other stacks: a property formula on
+table after table, the chunks of an enumeration.  So the first such call
+only marks the root, the second reads its walk's memo, which holds every
+distinct node in post-order, into a flat program of one `(op, a, b)`
+entry per node (`_record`), and later calls replay that program (`_replay`)
+as one loop over a list, with no memo and no revisits, through the same
+kernels and domain checks.  A program names children by slot and atoms by
+their fields, so it never references its root; the table of programs
+(`_programs`) holds roots weakly, and a program lives as long as its root.
+A batch, `first_failure` over several roots, is never recorded: its roots
+share one memo, and a node's mask is dropped once the last root that
+reaches it has passed, so the memo holds what later roots still read, not
+every mask computed so far.  To ask one formula at many states, read its
+mask once instead of calling `evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the rank blocks of all S profiles) is built once
 per domain (`_space`).  Agreement with the relational semantics
@@ -43,6 +55,7 @@ by property tests.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -188,11 +201,24 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
     return parts[0]
 
 
+# a program: per distinct node in post-order, an entry (op, a, b) of plain
+# data (see `_record`); op is one of these codes, not the node's class, so
+# the collector can untrack the entries
+_NOT, _OR, _DIAMOND, _PREF, _TOP, _OUT, _REP = range(7)
+_Program = list[tuple]
+
+# root evaluated alone -> None after its first such call, its program after
+# the second; held weakly, so an entry dies with its root
+_programs: weakref.WeakKeyDictionary[Formula, _Program | None] = weakref.WeakKeyDictionary()
+_UNSEEN = object()
+
+
 class StackedEvaluator:
     """Truth masks for a batch of models sharing one (n, K): a `TableGrid`,
     or a model list read into one (`_as_grid`), whose `models` stay the
     caller's own objects.  Each call has a memo of its own, dropped on
-    return: no formula outlives its caller."""
+    return; a root evaluated alone may keep a program of entries, never
+    masks or nodes, in `_programs`."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -250,7 +276,40 @@ class StackedEvaluator:
 
     def truth_mask(self, formula: Formula) -> int:
         """Truth mask of `formula` across the batch."""
-        return self._mask(formula, {})
+        return self._single(formula)
+
+    def _single(self, root: Formula) -> int:
+        """Truth mask of a root evaluated alone: walked on its first such
+        call, walked and recorded on its second, replayed from then on."""
+        program = _programs.get(root, _UNSEEN)
+        if program is _UNSEEN:
+            _programs[root] = None
+            return self._mask(root, {})
+        if program is None:
+            memo: dict[Formula, int] = {}
+            mask = self._mask(root, memo)
+            _programs[root] = _record(memo)
+            return mask
+        return self._replay(program)
+
+    def _replay(self, program: _Program) -> int:
+        """Truth mask of the root `program` was recorded from: one pass in
+        slot order, each entry's mask from its children's slots."""
+        full = self.full
+        masks: list[int] = []
+        push = masks.append
+        for op, a, b in program:
+            if op == _NOT:
+                push(full ^ masks[a])
+            elif op == _OR:
+                push(masks[a] | masks[b])
+            elif op == _DIAMOND:
+                push(self._diamond(b, masks[a]))
+            elif op == _PREF:
+                push(self._pref(b, masks[a]))
+            else:
+                push(self._atom(op, a, b))
+        return masks[-1]
 
     def _mask(self, formula: Formula, memo: dict[Formula, int]) -> int:
         """Truth mask of `formula`, reading and filling `memo`.
@@ -260,7 +319,9 @@ class StackedEvaluator:
         each entry a child of the one below it, so no node waits twice: a
         node whose child has no mask yet pushes that child, and a node
         whose children have masks computes its own, once, from theirs.
-        The mask just computed is passed up without a memo lookup."""
+        The mask just computed is passed up without a memo lookup.  Each
+        node enters `memo` when its mask is computed, after its children:
+        a fresh memo ends up in post-order, as `_record` reads it."""
         get = memo.get
         mask = get(formula)
         if mask is not None:
@@ -309,7 +370,7 @@ class StackedEvaluator:
                 else:
                     mask = self._pref(node.agent, x)
             else:
-                mask = self._atom(node)
+                mask = self._atom(*_atom_entry(node))
             stack.pop()
             memo[node] = mask
             if not stack:
@@ -317,17 +378,15 @@ class StackedEvaluator:
             last = node
             node = stack[-1]
 
-    def _atom(self, formula: Formula) -> int:
-        if type(formula) is Top:
+    def _atom(self, op: int, a, b) -> int:
+        """Mask of the atom whose entry `_atom_entry` gives as (op, a, b)."""
+        if op == _TOP:
             return self.full
-        if type(formula) is Rep:
-            small = self.space.rep_mask(formula.agent, formula.left, formula.right)
-            return small * self.tile
-        if type(formula) is Out:
-            if formula.name not in self.space.outcomes:
-                raise InvalidDomain(f"outcome atom {formula.name!r} outside {self.space.outcomes}")
-            return self._out_masks[formula.name]
-        raise TypeError(f"not a formula node: {formula!r}")
+        if op == _REP:
+            return self.space.rep_mask(a, *b) * self.tile
+        if a not in self.space.outcomes:
+            raise InvalidDomain(f"outcome atom {a!r} outside {self.space.outcomes}")
+        return self._out_masks[a]
 
     def _diamond(self, coalition: frozenset[int], x: int) -> int:
         if not coalition <= self._agents:
@@ -365,21 +424,65 @@ class StackedEvaluator:
         root k passes, the masks in bucket k are dropped, as no later root
         reads them; a node that a later root reaches stays until that root
         has passed, so the answer and the one computation per node are
-        unchanged.  A batch of one root skips the walk, as its whole memo
-        is dropped on return anyway; single-formula checks stay as cheap
-        as a `truth_mask`."""
+        unchanged.  A batch of one root is a `truth_mask`: it skips the
+        walk and may be recorded and replayed."""
         roots = list(formulas)
-        last_readers = _last_readers(roots) if len(roots) > 1 else None
+        if len(roots) == 1:
+            return self._failure(0, self.full ^ self._single(roots[0]))
+        last_readers = _last_readers(roots)
         memo: dict[Formula, int] = {}
         for index, formula in enumerate(roots):
             bad = self.full ^ self._mask(formula, memo)
             if bad:
-                model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
-                return index, self.models[model_idx], self.space.profiles[state_idx]
-            if last_readers:
-                for node in last_readers[index]:
-                    del memo[node]
+                return self._failure(index, bad)
+            for node in last_readers[index]:
+                del memo[node]
         return None
+
+    def _failure(self, index: int, bad: int) -> tuple[int, ScfModel, Profile] | None:
+        """(index, model, state) at the lowest set bit of `bad`, or None."""
+        if not bad:
+            return None
+        model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
+        return index, self.models[model_idx], self.space.profiles[state_idx]
+
+
+def _atom_entry(node: Formula) -> tuple:
+    """An atom's program entry (op, a, b), by its fields alone: (_TOP,
+    None, None), (_OUT, name, None) or (_REP, agent, (left, right))."""
+    kind = type(node)
+    if kind is Top:
+        return _TOP, None, None
+    if kind is Out:
+        return _OUT, node.name, None
+    if kind is Rep:
+        return _REP, node.agent, (node.left, node.right)
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _record(memo: dict[Formula, int]) -> _Program:
+    """The program of a single-root walk, read from its memo, which the
+    walk fills in post-order: one entry (op, a, b) per node in that
+    order, its position the node's slot.  An `Or`'s a and b are its
+    children's slots; a `Not`, `<C>` or `pref(i)` has its child's slot in
+    a and its coalition or agent in b; an atom is `_atom_entry`'s."""
+    slots: dict[Formula, int] = {}
+    program: _Program = []
+    for node in memo:
+        kind = type(node)
+        if kind is Not:
+            entry = (_NOT, slots[node.child], None)
+        elif kind is Or:
+            entry = (_OR, slots[node.left], slots[node.right])
+        elif kind is Diamond:
+            entry = (_DIAMOND, slots[node.child], node.coalition)
+        elif kind is Pref:
+            entry = (_PREF, slots[node.child], node.agent)
+        else:
+            entry = _atom_entry(node)
+        slots[node] = len(program)
+        program.append(entry)
+    return program
 
 
 def _last_readers(roots: Sequence[Formula]) -> list[list[Formula]]:

@@ -49,6 +49,39 @@ def _formula_arg(args: argparse.Namespace) -> str:
     return positional if positional is not None else flagged
 
 
+_string = json.encoder.encode_basestring_ascii
+# the C encoder `json.dumps` runs when it does not indent; it returns chunks
+_compact = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _string, None, ": ", ", ", False, False, True
+)
+
+
+def _json(value: object, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for the payloads'
+    types: lists, tuples, dicts with string keys, strings and scalars.
+    `indent` is the line break and indentation that close `value`.
+    `json.dumps` takes its pure-Python path whenever it indents; here
+    containers are joined level by level with `str.join`, strings go to
+    the C string encoder and other scalars to the C compact encoder."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = ("," + inner).join([_json(item, inner) for item in value])
+        return "[" + inner + items + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = ("," + inner).join(
+            [_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+        )
+        return "{" + inner + items + indent + "}"
+    return "".join(_compact(value, 0))
+
+
 def _emit(
     args: argparse.Namespace,
     payload: Callable[[], dict],
@@ -56,7 +89,7 @@ def _emit(
 ) -> None:
     """Print the JSON payload or the text lines; only the one printed is built."""
     if args.json:
-        print(json.dumps(payload(), indent=2))
+        print(_json(payload()))
     else:
         for line in lines():
             print(line)

@@ -516,3 +516,63 @@ def test_check_json_prints_the_formula_as_given(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["formula"] == text
     assert code == (0 if payload["valid"] else 1)
+
+
+def test_json_output_is_the_standard_encoders_byte_for_byte(
+    capsys, monkeypatch, tmp_path, h_files, majority_table
+):
+    """Every subcommand's `--json` output is `json.dumps(payload,
+    indent=2)` and a line break: with and without witnesses and
+    counterexamples, with null, bool and int values, and with control and
+    non-ASCII characters in the formula text.  The emitter itself is
+    checked on empty containers, scalars and names no input file may hold."""
+    payloads = []
+    emit = cli._emit
+
+    def spy(args, payload, lines):
+        payloads.append(payload())
+        emit(args, payload, lines)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    scf, model = h_files
+    majority = tmp_path / "maj.json"
+    save_scf(majority_table, majority)
+    runs = [
+        ["check", "--model", model, "dom"],
+        ["check", "--model", model, "\x1c\ttrue\u3000\n"],
+        ["property", "--scf", scf, "nodict"],
+        ["property", "--scf", majority, "strproof"],
+        ["sat", "--agents", "2", "--outcomes", "a,b", "b & <{1}> a"],
+        ["sat", "--agents", "1", "--outcomes", "a,b", "false"],
+        ["valid", "--agents", "2", "--outcomes", "a,b", "pref(1) a"],
+        ["valid", "--agents", "1", "--outcomes", "a,b", "true"],
+        ["encode", "--scf", scf],
+        ["equilibria", "--model", model],
+        ["audit", "--scf", scf],
+        ["axioms", "--agents", "1", "--outcomes", "a,b"],
+    ]
+    for argv in runs:
+        main([*map(str, argv), "--json"])
+        assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2) + "\n", argv
+    assert len(payloads) == len(runs)
+
+    odd = ["é", "日本", "\x00\x07\x1f\x7f", " ", '"\\/', "\ud800", ""]
+    values = [
+        [],
+        {},
+        None,
+        True,
+        False,
+        0,
+        -7,
+        2**70,
+        [[]],
+        [{}, []],
+        {"a": [], "b": {}},
+        {name: name for name in odd},
+        {"command": "equilibria", "concept": "NE", "equilibria": []},
+        {"verdict": "FAIL", "detail": None, "counterexample": {"state": [odd, odd[::-1]]}},
+        (odd, (1, False)),
+    ]
+    for value in values:
+        assert cli._json(value) == json.dumps(value, indent=2), value

@@ -45,7 +45,7 @@ from scflogic.logic import (
 import itertools
 import random
 
-from scflogic._stacked import StackedEvaluator, TableGrid
+from scflogic._stacked import StackedEvaluator, TableGrid, _programs
 from scflogic.axioms import default_pool, instantiate
 from scflogic import encodings, logic
 from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
@@ -717,3 +717,114 @@ def test_first_failure_drops_masks_no_later_root_reads():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 2**20
+
+
+def _stacks_of_four_kinds(n, outcomes, seed):
+    """(stack, its models) for a one-row grid, a multi-row model list, a
+    model list over part of the true profiles and a one-model evaluator."""
+    profiles = all_profiles(n, outcomes)
+    rng = random.Random(seed)
+    tables = [ScfTable(n, outcomes, tuple(rng.choice(outcomes) for _ in profiles)) for _ in range(3)]
+    one_row = TableGrid(n, outcomes, [tables[0].values])
+    rows = [ScfModel(table, truth) for table in tables for truth in profiles]
+    part = [ScfModel(table, truth) for table in tables[1:] for truth in profiles[1::3]]
+    single = ScfModel(tables[2], profiles[-1])
+    return [
+        (StackedEvaluator(one_row), list(one_row)),
+        (StackedEvaluator(rows), rows),
+        (StackedEvaluator(part), part),
+        (Evaluator(single), [single]),
+    ]
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
+def test_replayed_programs_match_the_walk(n, k):
+    """A root evaluated alone is walked, then walked and recorded, then
+    replayed: every stack's mask equals a fresh walk's and, block by
+    block, the relational extension, and `first_failure` reports the
+    walk's (index, model, state), the model being the caller's object."""
+    outcomes = ("a", "b", "c", "d")[:k]
+    stacks = _stacks_of_four_kinds(n, outcomes, seed=10 * n + k)
+    draw = make_formula_sampler(n, outcomes, seed=53 + n + k)
+    sampled = draw(30, max_depth=7)
+    formulas = list(sampled)
+    if (n, k) == (2, 3):  # the strproof encoding, too big for a relational check
+        formulas.append(property_formula(STRPROOF, n, outcomes))
+    for f in formulas:
+        stacks[0][0].truth_mask(f)
+        stacks[1][0].first_failure([f])
+        assert isinstance(_programs[f], list)
+    for stacked, models in stacks:
+        _assert_blocks_follow_kripke(stacked, models, sampled)
+        for f in formulas:
+            walked = stacked._mask(f, {})
+            assert stacked.truth_mask(f) == walked
+            bad = stacked.full ^ walked
+            hit = stacked.first_failure([f])
+            if not bad:
+                assert hit is None
+                continue
+            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
+            index, model, state = hit
+            assert index == 0 and state == stacked.space.profiles[state_idx]
+            if isinstance(stacked.models, TableGrid):
+                assert model == stacked.models[model_idx]
+            else:
+                assert model is models[model_idx]
+
+
+def test_a_replay_refuses_what_the_walk_refuses():
+    """A program recorded over (2,{a,b,c}) and replayed over a stack that
+    lacks an outcome, an agent or a coalition member raises the walk's
+    InvalidDomain, word for word, at the same first fault."""
+    recorded = StackedEvaluator(sample_models(2, K3, 1, seed=59))
+    one_agent = StackedEvaluator(sample_models(1, K3, 1, seed=61))
+    two_outcomes = StackedEvaluator(sample_models(2, K2, 1, seed=67))
+    three_agents = StackedEvaluator(sample_models(3, K2, 1, seed=71))
+    cases = [
+        (Out("c"), [two_outcomes, three_agents]),
+        (Or(Rep(1, "a", "b"), Not(Out("c"))), [two_outcomes, three_agents]),
+        (Rep(2, "a", "c"), [two_outcomes]),
+        (Diamond({1}, Rep(2, "a", "b")), [one_agent]),
+        (Diamond({2}, Out("a")), [one_agent]),
+        (Not(Diamond({1, 2}, Pref(1, TRUE))), [one_agent]),
+        (Pref(2, Out("a")), [one_agent]),
+        (Or(Pref(1, Out("b")), Pref(2, Out("c"))), [one_agent, two_outcomes]),
+    ]
+    for f, targets in cases:
+        for _ in range(2):
+            recorded.truth_mask(f)
+        assert isinstance(_programs[f], list)
+        for stacked in targets:
+            with pytest.raises(InvalidDomain) as walked:
+                stacked._mask(f, {})
+            with pytest.raises(InvalidDomain) as replayed:
+                stacked.truth_mask(f)
+            with pytest.raises(InvalidDomain) as checked:
+                stacked.first_failure([f])
+            assert str(walked.value) == str(replayed.value) == str(checked.value)
+
+
+def test_programs_die_with_their_roots():
+    """A program holds no node: once a root evaluated three times is
+    dropped, it is collected and the program table is back to its size,
+    for a root with children and for an atom root alike."""
+    outcomes = ("p", "q")
+    stacked = StackedEvaluator(sample_models(2, outcomes, 1, seed=73))
+    one = Evaluator(stacked.models[1])
+
+    def evaluate_and_drop(make):
+        node = make()
+        stacked.truth_mask(node)
+        stacked.first_failure([node])
+        one.truth_mask(node)
+        assert isinstance(_programs[node], list)
+        return weakref.ref(node)
+
+    for make in (lambda: Pref(1, Diamond({2}, Not(Rep(2, "q", "p")))), lambda: Out("q")):
+        gc.collect()
+        before = len(_programs)
+        ref = evaluate_and_drop(make)
+        gc.collect()
+        assert ref() is None
+        assert len(_programs) == before
