@@ -27,7 +27,17 @@ one sequence of L true profiles that all rows share.  Property checks
 and the enumeration pass a grid of all S profiles and build a model only
 for the index `first_failure` reports; a model list is read into the
 grid it spells (`_as_grid`).  A row's outcome masks are spread over its
-L blocks by one multiplication.
+L blocks by one multiplication, when an evaluation first reads them.
+
+Only pref(i) reads a model's true profile, and only outcome atoms its
+outcome function; each node's read-set (`Formula.reads`) says which it
+reaches.  `first_failure` ORs its roots' read-sets and evaluates them on
+the narrowest view of the grid that gives the same answer: the first
+model's block alone if no root reads either, the first truth of each row
+if no root reads a true profile, and the whole grid otherwise.  Block j
+of a view stands for model j*L, the first of its row, which is the
+lowest failing model of the whole grid too, so counterexamples do not
+change.  The views are built on first use and kept on the evaluator.
 
 A formula is evaluated by one post-order walk of its DAG (`_mask`) on a
 memo of its own, so a shared node is computed once and no mask outlives
@@ -57,6 +67,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property, lru_cache
+from itertools import chain, cycle, repeat
 from typing import Iterable, Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
@@ -161,27 +172,40 @@ def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
     """The grid a model list spells, or ValueError: runs of L models, each
     on one outcome function, with the first run's true profiles in order.
     L counts the leading models on the first model's table (by value) up
-    to a table change or a repeat of the first model's truth."""
+    to a table change or a repeat of the first model's truth.  Tables and
+    truths are compared by identity first, as the models of one row
+    usually share their table and the rows their truths, and by value
+    only where identity fails."""
     first = models[0]
-    n, outcomes = first.n, first.outcomes
+    table, n, outcomes = first.table, first.n, first.outcomes
     for model in models:
-        if model.n != n or model.outcomes != outcomes:
-            raise ValueError("all stacked models must share (n, outcomes)")
+        if model.table is not table:
+            table = model.table
+            if table.agents != n or table.outcomes is not outcomes and table.outcomes != outcomes:
+                raise ValueError("all stacked models must share (n, outcomes)")
+    table, truth = first.table, first.truth
     width = 1
-    while width < len(models) and (
-        models[width].table.values == first.table.values and models[width].truth != first.truth
-    ):
+    for model in models[1:]:
+        if model.table is not table and model.table.values != table.values:
+            break
+        if model.truth is truth or model.truth == truth:
+            break
         width += 1
     truths = tuple(model.truth for model in models[:width])
-    rows = [model.table.values for model in models[::width]]
+    tables = [model.table for model in models[::width]]
+    each_table = chain.from_iterable(repeat(table, width) for table in tables)
     if len(models) % width or any(
-        model.table.values != rows[m // width] or model.truth != truths[m % width]
-        for m, model in enumerate(models)
+        model.table is not table
+        and model.table.values != table.values
+        or model.truth is not truth
+        and model.truth != truth
+        for model, table, truth in zip(models, each_table, cycle(truths))
     ):
         raise ValueError(
             "a stacked model list must be runs of equal length, each run one"
             " outcome function with the first run's true profiles in order"
         )
+    rows = [table.values for table in tables]
     return TableGrid(n, outcomes, rows, truths)
 
 
@@ -218,13 +242,16 @@ class StackedEvaluator:
     or a model list read into one (`_as_grid`), whose `models` stay the
     caller's own objects.  Each call has a memo of its own, dropped on
     return; a root evaluated alone may keep a program of entries, never
-    masks or nodes, in `_programs`."""
+    masks or nodes, in `_programs`.  The outcome and rank masks are built
+    when an evaluation at full width first reads them, and the narrowed
+    views of `first_failure` when it first needs them."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
             raise ValueError("need at least one model")
         grid = models if isinstance(models, TableGrid) else _as_grid(models)
         self.models = models
+        self.grid = grid
         self.space = _space(grid.n, grid.outcomes)
         self.block = self.space.size
         self.full = (1 << self.block * len(grid)) - 1
@@ -235,24 +262,46 @@ class StackedEvaluator:
         # per agent axis: fold shifts, tiled digit-0 plane, spread comb
         self._axis = [(shifts, plane * self.tile, comb) for shifts, plane, comb in self.space.axes]
         self._agents = frozenset(range(1, grid.n + 1))
-        # per outcome, each row's states choosing it, rows at stride L*S,
-        # spread over each row's L blocks by one multiplication with a comb
-        row_bits = self.block * len(grid.truths)
-        rows = []
-        for values in grid.rows:
-            masks = dict.fromkeys(grid.outcomes, 0)
-            for v, value in enumerate(values):
-                masks[value] |= 1 << v
-            rows.append(masks)
-        by_row = {name: _stack([m[name] for m in rows], row_bits) for name in grid.outcomes}
-        comb = ((1 << row_bits) - 1) // self.block_ones
-        self._out_masks = {name: stack * comb for name, stack in by_row.items()}
-        # per agent and rank r, per outcome: its rows' masks spread over the
-        # blocks whose truth ranks it at r (one outcome per truth: disjoint)
+        # read-set (0 or 1) -> the narrowed view `first_failure` evaluates on
+        self._views: dict[int, StackedEvaluator] = {}
+        # built when first read (`_row_masks`, `_outcome_masks`, `_rank_masks`);
+        # set here, as every attribute is, so that attribute reads stay fast
+        self._by_row: dict[str, int] | None = None
+        self._out_masks: dict[str, int] | None = None
+        self._ranked: list[list[int]] | None = None
+
+    def _row_masks(self) -> dict[str, int]:
+        """Per outcome, each row's states choosing it, rows at stride L*S."""
+        if self._by_row is None:
+            rows = []
+            for values in self.grid.rows:
+                masks = dict.fromkeys(self.grid.outcomes, 0)
+                for v, value in enumerate(values):
+                    masks[value] |= 1 << v
+                rows.append(masks)
+            row_bits = self.block * len(self.grid.truths)
+            self._by_row = {
+                name: _stack([m[name] for m in rows], row_bits) for name in self.grid.outcomes
+            }
+        return self._by_row
+
+    def _outcome_masks(self) -> dict[str, int]:
+        """Per outcome, its rows' masks spread over each row's L blocks by
+        one multiplication with a comb."""
+        comb = ((1 << self.block * len(self.grid.truths)) - 1) // self.block_ones
+        self._out_masks = {name: stack * comb for name, stack in self._row_masks().items()}
+        return self._out_masks
+
+    def _rank_masks(self) -> list[list[int]]:
+        """Per agent and rank r: per outcome, its rows' masks spread over
+        the blocks whose truth ranks it at r (one outcome per truth:
+        disjoint), summed over the outcomes."""
+        by_row = self._row_masks()
         self._ranked = [
             [sum(by_row[name] * blocks for name, blocks in at_rank.items()) for at_rank in ranks]
-            for ranks in self.space.rank_blocks(grid.truths)
+            for ranks in self.space.rank_blocks(self.grid.truths)
         ]
+        return self._ranked
 
     # --- vector primitives -------------------------------------------------
 
@@ -386,7 +435,7 @@ class StackedEvaluator:
             return self.space.rep_mask(a, *b) * self.tile
         if a not in self.space.outcomes:
             raise InvalidDomain(f"outcome atom {a!r} outside {self.space.outcomes}")
-        return self._out_masks[a]
+        return (self._out_masks or self._outcome_masks())[a]
 
     def _diamond(self, coalition: frozenset[int], x: int) -> int:
         if not coalition <= self._agents:
@@ -407,7 +456,7 @@ class StackedEvaluator:
         if not 1 <= agent <= self.space.n:
             raise InvalidDomain(f"agent {agent} out of range 1..{self.space.n}")
         reached = result = 0
-        for rank in self._ranked[agent - 1]:
+        for rank in (self._ranked or self._rank_masks())[agent - 1]:
             reached |= self._block_any(child & rank)
             result |= rank & (reached * self.block_ones)
         return result
@@ -415,8 +464,50 @@ class StackedEvaluator:
     def first_failure(self, formulas: Iterable[Formula]) -> tuple[int, ScfModel, Profile] | None:
         """(index, model, state) of the first of `formulas` that some model
         of the batch falsifies, at its lowest falsified bit: the first such
-        model, at its lowest state.  The roots are evaluated in order on one
-        memo, so a node they share is computed once.
+        model, at its lowest state.
+
+        The roots are evaluated at the width their read-sets ask for.  If
+        no root reads an outcome atom or a true preference, every model
+        gives each root the same mask, so they are evaluated on the first
+        model's block alone; if none reads a true preference, every model
+        of a row gives the same mask, so they are evaluated on the first
+        truth of each row (`_narrowed`).  Block j of such a view stands
+        for model j*L of the batch, the first model of its row, so the
+        answer is the model the full grid would report, and for a model
+        list the caller's own object.  Otherwise the full grid is read."""
+        roots = list(formulas)
+        reads = 0
+        for root in roots:
+            reads |= root.reads
+        view = self if reads > 1 else self._narrowed(reads)
+        hit = view._first_bad(roots)
+        if hit is None:
+            return None
+        index, bad = hit
+        block_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
+        stride = 1 if view is self else len(self.grid.truths)
+        return index, self.models[block_idx * stride], self.space.profiles[state_idx]
+
+    def _narrowed(self, reads: int) -> StackedEvaluator:
+        """The view `first_failure` evaluates roots of read-set `reads` (0
+        or 1) on: the first model alone, or each row with the first truth
+        only; itself if that is the whole grid.  Built on first use and
+        kept."""
+        grid = self.grid
+        rows = grid.rows[:1] if reads == 0 else grid.rows
+        if len(rows) == len(grid):
+            return self
+        view = self._views.get(reads)
+        if view is None:
+            # type(self), not the module's name, which a tracer may replace
+            view = type(self)(TableGrid(grid.n, grid.outcomes, rows, grid.truths[:1]))
+            self._views[reads] = view
+        return view
+
+    def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
+        """(index, falsified bits) of the first root that some model of
+        this stack falsifies, or None.  The roots are evaluated in order
+        on one memo, so a node they share is computed once.
 
         Before evaluating, the roots are walked from last to first, and
         each distinct node goes into the bucket of the first walk that
@@ -426,25 +517,18 @@ class StackedEvaluator:
         has passed, so the answer and the one computation per node are
         unchanged.  A batch of one root is a `truth_mask`: it skips the
         walk and may be recorded and replayed."""
-        roots = list(formulas)
         if len(roots) == 1:
-            return self._failure(0, self.full ^ self._single(roots[0]))
+            bad = self.full ^ self._single(roots[0])
+            return (0, bad) if bad else None
         last_readers = _last_readers(roots)
         memo: dict[Formula, int] = {}
         for index, formula in enumerate(roots):
             bad = self.full ^ self._mask(formula, memo)
             if bad:
-                return self._failure(index, bad)
+                return index, bad
             for node in last_readers[index]:
                 del memo[node]
         return None
-
-    def _failure(self, index: int, bad: int) -> tuple[int, ScfModel, Profile] | None:
-        """(index, model, state) at the lowest set bit of `bad`, or None."""
-        if not bad:
-            return None
-        model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
-        return index, self.models[model_idx], self.space.profiles[state_idx]
 
 
 def _atom_entry(node: Formula) -> tuple:

@@ -18,7 +18,13 @@ condition (x != y, i != j, disjoint agent sets) excludes the binding.
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
 the same (n, K); the checker counts those per schema and reports the
-count, but evaluates them in every model like the rest.
+count.  A schema's run is checked at the width its instances read (see
+`StackedEvaluator.first_failure`): a run of state-determined instances on
+the first model alone, a run without pref modalities on one model per
+outcome function, and any other run on every model.  Building instances
+and checking them pause the cyclic garbage collector
+(`logic._collector_paused`): interned nodes are acyclic, so its passes
+over the growing live set could free nothing the build made.
 
 Two schema subtleties worth knowing:
 
@@ -61,6 +67,7 @@ from .logic import (
     Rep,
     conj,
     disj,
+    _collector_paused,
 )
 
 __all__ = [
@@ -301,12 +308,13 @@ def instantiate(
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     binders, build = _TABLE[schema]
     names = binders.split()
-    scope = _Scope(n, outcomes, pool)
     out: list[AxiomInstance] = []
-    for values in itertools.product(*(getattr(scope, _DOMAINS[b]) for b in names)):
-        formula = build(scope, *values)
-        if formula is not None:
-            out.append(AxiomInstance(schema, dict(zip(names, values)), formula))
+    with _collector_paused():
+        scope = _Scope(n, outcomes, pool)
+        for values in itertools.product(*(getattr(scope, _DOMAINS[b]) for b in names)):
+            formula = build(scope, *values)
+            if formula is not None:
+                out.append(AxiomInstance(schema, dict(zip(names, values)), formula))
     return out
 
 
@@ -367,17 +375,22 @@ def soundness_check(
 
     Evaluation is batched: one truth mask per instance across the whole
     model list (see `_stacked`), and each run is one batch of roots, so the
-    subformulas its instances share are evaluated once.  An instance's
-    masks are dropped once no later instance of its run reads them.  The
-    reported counterexample is the run's first failing instance in
-    instantiation order, at its lowest (model, state) pair.  A `TableGrid`
-    is stacked as it is, building no model but the counterexamples.
+    subformulas its instances share are evaluated once.  A run whose
+    instances read no true preference is evaluated on one model per
+    outcome function, and a state-determined run on the first model only.
+    An instance's masks are dropped once no later instance of its run
+    reads them.  The reported counterexample is the run's first failing
+    instance in instantiation order, at its lowest (model, state) pair.
+    A `TableGrid` is stacked as it is, building no model but the
+    counterexamples.  The collector is paused throughout, and so while
+    an `instantiate_all` stream builds the instances.
     """
-    if not isinstance(models, _stacked.TableGrid):
-        models = list(models)
-    ev = _stacked.StackedEvaluator(models)
-    runs = itertools.groupby(instances, attrgetter("schema"))
-    return SoundnessReport([_check_run(ev, list(run)) for _, run in runs])
+    with _collector_paused():
+        if not isinstance(models, _stacked.TableGrid):
+            models = list(models)
+        ev = _stacked.StackedEvaluator(models)
+        runs = itertools.groupby(instances, attrgetter("schema"))
+        return SoundnessReport([_check_run(ev, list(run)) for _, run in runs])
 
 
 def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
@@ -386,7 +399,7 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
         schema=run[0].schema,
         instances=len(run),
         models=len(ev.models),
-        model_independent=sum(inst.formula.state_determined for inst in run),
+        model_independent=sum(not inst.formula.reads for inst in run),
         ok=hit is None,
         counterexample=None if hit is None else (run[hit[0]], *hit[1:]),
     )

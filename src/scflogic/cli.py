@@ -336,7 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--agents", type=int, required=True)
         sub.add_argument("--outcomes", required=True, help="comma-separated names")
-        sub.add_argument("--budget", type=int, default=decision.DEFAULT_BUDGET, help=budget_help)
+        sub.add_argument(
+            "--budget",
+            type=int,
+            default=decision.DEFAULT_BUDGET,
+            help=f"{budget_help}; of outcome functions for a formula without pref",
+        )
         _add_formula_args(sub)
 
     encode = subs.add_parser("encode", help="characteristic formula of an SCF")
@@ -389,6 +394,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # usually raised with no message: name what ran out of memory
+        print(f"error: out of memory while running {args.command}", file=sys.stderr)
         return 2
     except Exception as exc:
         # a crash is never "does not hold": report it on one line, exit 2

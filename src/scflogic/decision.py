@@ -16,11 +16,16 @@ large to enumerate, `sample_models` draws whole rows instead: seeded
 outcome functions, each with every true profile, so a sample is a grid
 too.
 
-A formula without outcome atoms or pref modalities is state-determined:
-its truth at a state is the same in every model.  Such a formula is
-decided on the first model in enumeration order alone, if the budget
-covers its (|K|!)^n states; its lowest hit state there is the witness or
-counterexample the enumeration would return.
+The enumeration reads only what the formula reads (its read-set,
+`Formula.reads`).  A formula without outcome atoms or pref modalities is
+state-determined: its truth at a state is the same in every model.  Such
+a formula is decided on the first model in enumeration order alone, if
+the budget covers its (|K|!)^n states; its lowest hit state there is the
+witness or counterexample the enumeration would return.  A formula with
+outcome atoms but no pref modality has the same truth in every model of
+an outcome function, whatever the true profile: it is decided on one
+model per outcome function, the first in enumeration order, and the
+budget counts those outcome functions instead of models.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
@@ -70,20 +75,36 @@ DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
-    """The model class over (n, K), or the state set of one model of it,
-    is larger than the budget, a number of models, allows.
-    `required_models` is the class's model count, None above 10^30;
-    `models` is that count as text of bounded length, with larger counts
-    written as powers."""
+    """The model class over (n, K), its outcome functions, or the state set
+    of one model of it, is larger than the budget allows.  The budget
+    counts models; for a formula that reads no true preference it counts
+    outcome functions, each with one true profile.  `required_models` is
+    the class's model count, None above 10^30; `models` is that count as
+    text of bounded length, with larger counts written as powers."""
 
-    def __init__(self, n: int, outcomes: Sequence[str], budget: int, one_model: bool):
+    def __init__(self, n: int, outcomes: Sequence[str], budget: int, unit: str = "models"):
         k = len(outcomes)
         models, states = _bounded_size(n, k, 10**30)
         self.required_models = models
         text = f"{k}!^{n}" if states is None else str(states)
         self.models = f"{k}^{text} * {text}" if models is None else str(models)
-        need = "one model has" if one_model else f"enumeration needs {self.models} models over"
-        super().__init__(f"{need} {text} states, budget allows {budget} models")
+        if unit == "one model":
+            need, unit = "one model has", "models"
+        elif unit == "outcome functions":
+            functions = _function_count(k, states, 10**30)
+            need = f"enumeration needs {f'{k}^{text}' if functions is None else functions} {unit} over"
+        else:
+            need = f"enumeration needs {self.models} models over"
+        super().__init__(f"{need} {text} states, budget allows {budget} {unit}")
+
+
+def _function_count(k: int, states: Optional[int], limit: int) -> Optional[int]:
+    """k^states, the outcome functions over `states` states, or None if
+    above `limit` (or if `states` is None)."""
+    if states is None or k > 1 and states >= limit.bit_length():
+        return None
+    count = k**states
+    return count if count <= limit else None
 
 
 @dataclass(frozen=True)
@@ -110,15 +131,22 @@ class Verdict:
         return self.status in ("valid", "satisfiable")
 
 
-def _check_budget(n: int, outcomes: Sequence[str], budget: int, one_model: bool = False) -> None:
-    """Raise InvalidDomain if the budget is below one model, and
-    BudgetExceeded unless it covers every model over (n, K) or, with
-    `one_model`, the (|K|!)^n states of one model."""
+def _check_budget(n: int, outcomes: Sequence[str], budget: int, unit: str = "models") -> None:
+    """Raise InvalidDomain if the budget is below one, and BudgetExceeded
+    unless it covers what `unit` counts over (n, K): every model
+    ("models"), every outcome function ("outcome functions") or the
+    (|K|!)^n states of one model ("one model")."""
     if budget < 1:
         raise InvalidDomain("the model budget must be positive")
     models, states = _bounded_size(n, len(outcomes), budget)
-    if (states if one_model else models) is None:
-        raise BudgetExceeded(n, outcomes, budget, one_model)
+    if unit == "one model":
+        count = states
+    elif unit == "outcome functions":
+        count = _function_count(len(outcomes), states, budget)
+    else:
+        count = models
+    if count is None:
+        raise BudgetExceeded(n, outcomes, budget, unit)
 
 
 def enumerate_models(
@@ -163,7 +191,7 @@ def sample_models(
     `BudgetExceeded` before building any state if one model's states
     exceed `budget`, a count of models."""
     names = tuple(outcomes)
-    _check_budget(n, names, budget, one_model=True)
+    _check_budget(n, names, budget, "one model")
     profiles = all_profiles(n, names)
     rng = random.Random(seed)
     picked = []
@@ -194,24 +222,31 @@ def _first_failure(
     alone, the first model in enumeration order, if the budget covers its
     states.  Any other formula, if the budget covers the class, walks the
     outcome functions in `enumerate_models` order in chunks, each stacked
-    with every true profile as one `TableGrid`: the first chunk holds one
-    outcome function, and each next chunk twice as many, up to
-    `_CHUNK_BITS` bits, so an early hit stays cheap and a full sweep takes
-    few wide batches."""
-    determined = formula.state_determined
-    _check_budget(n, outcomes, budget, one_model=determined)
-    if determined:
+    as one `TableGrid`: the first chunk holds one outcome function, and
+    each next chunk twice as many, up to `_CHUNK_BITS` bits, so an early
+    hit stays cheap and a full sweep takes few wide batches.  A formula
+    that reads no true preference gives every model of a row the same
+    mask, so its rows are stacked with the first true profile only, the
+    first model of each row in enumeration order, and the budget counts
+    outcome functions; any other formula's rows carry every true
+    profile."""
+    reads = formula.reads
+    unit = "one model" if reads == 0 else "outcome functions" if reads == 1 else "models"
+    _check_budget(n, outcomes, budget, unit)
+    if reads == 0:
         hit = Evaluator(representative_model(n, outcomes)).first_failure([formula])
         return None if hit is None else hit[1:]
     names = tuple(outcomes)
     states = num_states(n, names)
+    # None: every true profile, as `TableGrid` defaults to
+    truths = all_profiles(n, names)[:1] if reads == 1 else None
     rows = itertools.product(names, repeat=states)
-    tables, most = 1, max(1, _CHUNK_BITS // (states * states))
+    tables, most = 1, max(1, _CHUNK_BITS // (states * (1 if reads == 1 else states)))
     while True:
         chunk = list(itertools.islice(rows, tables))
         if not chunk:
             return None
-        grid = _stacked.TableGrid(n, names, chunk)
+        grid = _stacked.TableGrid(n, names, chunk, truths)
         hit = _stacked.StackedEvaluator(grid).first_failure([formula])
         if hit is not None:
             return hit[1:]
@@ -227,7 +262,8 @@ def satisfiable(
     """First (model, state) satisfying the formula, or unsatisfiable.
 
     Raises `BudgetExceeded` before building any model when `budget`, a
-    count of models, does not cover the class, or one model's states if
+    count of models, does not cover the class, its outcome functions if
+    the formula reads no true preference, or one model's states if it is
     state-determined."""
     hit = _first_failure(n, outcomes, Not(formula), budget)
     if hit is None:
@@ -244,7 +280,8 @@ def valid(
     """Truth at every state of every model, or the first counterexample.
 
     Raises `BudgetExceeded` before building any model when `budget`, a
-    count of models, does not cover the class, or one model's states if
+    count of models, does not cover the class, its outcome functions if
+    the formula reads no true preference, or one model's states if it is
     state-determined."""
     hit = _first_failure(n, outcomes, formula, budget)
     if hit is None:

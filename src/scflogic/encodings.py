@@ -45,6 +45,7 @@ from .logic import (
     TRUE,
     conj,
     disj,
+    _collector_paused,
 )
 
 __all__ = [
@@ -321,4 +322,6 @@ def property_formula(prop: PropertyId, n: int, outcomes: Sequence[str]) -> Formu
 
 @lru_cache(maxsize=None)
 def _property_formula(prop: PropertyId, n: int, outcomes: tuple[str, ...]) -> Formula:
-    return _PROPERTIES[prop.kind](prop.agent, n, outcomes)
+    # interned nodes are acyclic: a collector pass during the build frees nothing
+    with _collector_paused():
+        return _PROPERTIES[prop.kind](prop.agent, n, outcomes)

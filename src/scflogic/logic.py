@@ -38,8 +38,10 @@ raise `InvalidDomain` on a formula outside the model's (n, K).
 
 from __future__ import annotations
 
+import gc
 import weakref
 from _weakref import _remove_dead_weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Iterator
@@ -84,15 +86,24 @@ class Formula:
     reason copying a node returns it, and unpickling rebuilds it through
     the constructors, returning the live node when there is one.
 
-    Nodes are immutable and carry one flag used by the decision procedures:
-    `state_determined` is set when no outcome atom and no pref modality
-    occurs, so the truth value at a state is independent of the model's
-    outcome function and true preferences.
+    Nodes are immutable and carry one small int computed from their
+    children when they are built, the read-set `reads`: bit 0 is set when
+    an outcome atom occurs, and bit i when a pref(i) modality does (bit 64
+    stands for every agent past 63 and for agents no model has), so the
+    evaluators can skip model data no node reads.  `state_determined`,
+    `reads == 0`, holds when neither occurs: the truth value at a state is
+    then independent of the model's outcome function and true preferences.
+    A node with `reads` at most 1 reads the outcome function but no true
+    preference.
     """
 
-    __slots__ = ("state_determined", "__weakref__")
+    __slots__ = ("reads", "__weakref__")
 
-    state_determined: bool
+    reads: int
+
+    @property
+    def state_determined(self) -> bool:
+        return self.reads == 0
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("formulas are immutable")
@@ -177,6 +188,22 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body, restoring its
+    previous state on every exit.  A formula build allocates millions of
+    container objects, each of which counts towards the collector's next
+    pass, which rescans the growing live set; interned nodes are immutable
+    and acyclic, so such a pass can free nothing the build made."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _intern(key: tuple, node: Formula) -> None:
     """Enter a fully built node under `key`."""
     ref = _Ref(node, _evict)
@@ -193,6 +220,11 @@ def _rebuild(table: tuple) -> Formula:
     return built[-1]
 
 
+# the read-set bit of pref(i) for an agent past 63, or one that no model has
+# (evaluation rejects it), so that no agent number builds a huge int
+_OTHER_AGENT = 1 << 64
+
+
 # Each constructor looks its key up inline; a hit costs one dict.get and
 # one weakref call.  On a miss it sets the new node's slots by name and
 # interns it.
@@ -206,7 +238,7 @@ class Top(Formula):
         node = _lookup(key, _GONE)()
         if node is None:
             node = _new(cls)
-            _set(node, "state_determined", True)
+            _set(node, "reads", 0)
             _intern(key, node)
         return node
 
@@ -224,7 +256,7 @@ class Rep(Formula):
             _set(node, "agent", agent)
             _set(node, "left", left)
             _set(node, "right", right)
-            _set(node, "state_determined", True)
+            _set(node, "reads", 0)
             _intern(key, node)
         return node
 
@@ -240,7 +272,7 @@ class Out(Formula):
         if node is None:
             node = _new(cls)
             _set(node, "name", name)
-            _set(node, "state_determined", False)
+            _set(node, "reads", 1)
             _intern(key, node)
         return node
 
@@ -254,7 +286,7 @@ class Not(Formula):
         if node is None:
             node = _new(cls)
             _set(node, "child", child)
-            _set(node, "state_determined", child.state_determined)
+            _set(node, "reads", child.reads)
             _intern(key, node)
         return node
 
@@ -272,7 +304,7 @@ class Or(Formula):
             node = _new(cls)
             _set(node, "left", left)
             _set(node, "right", right)
-            _set(node, "state_determined", left.state_determined and right.state_determined)
+            _set(node, "reads", left.reads | right.reads)
             _intern(key, node)
         return node
 
@@ -293,7 +325,7 @@ class Diamond(Formula):
             node = _new(cls)
             _set(node, "coalition", coalition)
             _set(node, "child", child)
-            _set(node, "state_determined", child.state_determined)
+            _set(node, "reads", child.reads)
             _intern(key, node)
         return node
 
@@ -314,7 +346,8 @@ class Pref(Formula):
             node = _new(cls)
             _set(node, "agent", agent)
             _set(node, "child", child)
-            _set(node, "state_determined", False)
+            bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
+            _set(node, "reads", child.reads | bit)
             _intern(key, node)
         return node
 

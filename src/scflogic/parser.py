@@ -1,6 +1,7 @@
 """Concrete syntax for the formula language.
 
-Grammar (ASCII only, whitespace-insensitive outside tokens):
+Grammar (ASCII only; outside tokens, ASCII whitespace, that is space, tab,
+LF, CR, VT and FF, is ignored):
 
     formula  := imp ("<->" imp)*                      right-associative
     imp      := or ("->" or)*                         right-associative
@@ -112,6 +113,9 @@ class _Token:
     span: SourceSpan
 
 
+# ASCII whitespace only, as the grammar says: str.isspace() also holds for
+# \x1c-\x1f and for non-ASCII spaces such as U+3000
+_SPACE = frozenset(" \t\n\r\x0b\x0c")
 _SYMBOLS = ("<->", "->", "~", "&", "|", "<", ">", "[", "]", "{", "}", "(", ")", ",")
 
 
@@ -121,7 +125,7 @@ def _tokenize(text: str) -> list[_Token]:
     length = len(text)
     while i < length:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SPACE:
             i += 1
             continue
         if ch in "'\"":

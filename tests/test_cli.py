@@ -336,6 +336,25 @@ def test_crash_is_exit_2_not_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_running_out_of_memory_names_the_command(capsys, monkeypatch):
+    """A MemoryError, which usually carries no message, is reported as
+    one line naming the command, with exit 2."""
+
+    def exhausted(args):
+        raise MemoryError()
+
+    for command in ("sat", "property"):
+        monkeypatch.setitem(cli._HANDLERS, command, exhausted)
+    assert main(["sat", "--agents", "1", "--outcomes", "a,b", "a"]) == 2
+    assert main(["property", "--scf", "x.json", "mon"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory while running sat\n"
+        "error: out of memory while running property\n"
+    )
+
+
 def test_check_mon_at_2_3_prints_every_state(capsys, tmp_path):
     """The mon formula at (2,3) is about 11,700 nodes deep; `check` walks it
     without recursion and prints one row per state in canonical order."""
@@ -537,9 +556,12 @@ def test_json_output_is_the_standard_encoders_byte_for_byte(
     scf, model = h_files
     majority = tmp_path / "maj.json"
     save_scf(majority_table, majority)
+    # whitespace outside tokens is ASCII only, so non-ASCII text sits in a path
+    h_copy = tmp_path / "h\u65e5\u00e9.json"
+    h_copy.write_bytes(scf.read_bytes())
     runs = [
         ["check", "--model", model, "dom"],
-        ["check", "--model", model, "\x1c\ttrue\u3000\n"],
+        ["check", "--model", model, f'\x0c\tscf("{h_copy}")\x0b\n'],
         ["property", "--scf", scf, "nodict"],
         ["property", "--scf", majority, "strproof"],
         ["sat", "--agents", "2", "--outcomes", "a,b", "b & <{1}> a"],

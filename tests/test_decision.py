@@ -41,7 +41,7 @@ from scflogic.encodings import (
 )
 from scflogic.core import _bounded_size
 from scflogic.decision import _CHUNK_BITS
-from scflogic.logic import And, Box, Iff, Implies, Not, Or, Out, Pref, Rep
+from scflogic.logic import TRUE, And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, Rep
 
 from conftest import K2, K3, make_formula_sampler, profile
 
@@ -338,12 +338,13 @@ def _relational_scan(n, outcomes, formula, want):
     return None
 
 
-def _chunk_starts(n, outcomes):
+def _chunk_starts(n, outcomes, truths):
     """Indices of the outcome functions that open each chunk of the
-    stacked enumeration, and whether the last chunk is partial."""
+    stacked enumeration, each outcome function stacked with `truths` true
+    profiles, and whether the last chunk is partial."""
     states = len(all_profiles(n, outcomes))
     tables = len(outcomes) ** states
-    most = max(1, _CHUNK_BITS // (states * states))
+    most = max(1, _CHUNK_BITS // (states * truths))
     starts, start, size = [], 0, 1
     while start < tables:
         starts.append(start)
@@ -352,16 +353,19 @@ def _chunk_starts(n, outcomes):
     return starts, start > tables
 
 
-def _first_hit_formula(n, outcomes, table_index):
+def _first_hit_formula(n, outcomes, table_index, reads_pref=False):
     """A formula satisfiable exactly in the models whose outcome function
     is the `table_index`-th one in enumeration order, and the first of
-    those models."""
+    those models.  With `reads_pref` the formula also reads a true
+    preference (through a pref(1) that always holds), so the enumeration
+    stacks every true profile of an outcome function, not only the first."""
     states = len(all_profiles(n, outcomes))
     values = itertools.product(outcomes, repeat=states)
     table = ScfTable(n, outcomes, next(itertools.islice(values, table_index, None)))
     first = next(itertools.islice(enumerate_models(n, outcomes), table_index * states, None))
     assert first.table == table
-    return rho(table, "diamond"), first
+    formula = rho(table, "diamond")
+    return (And(formula, Pref(1, TRUE)) if reads_pref else formula), first
 
 
 def test_sat_and_valid_return_the_canonical_first_hit():
@@ -371,14 +375,18 @@ def test_sat_and_valid_return_the_canonical_first_hit():
     for n, outcomes, seed in ((1, K2, 41), (2, K2, 42), (1, K3, 43)):
         draw = make_formula_sampler(n, outcomes, seed=seed)
         cases += [(n, outcomes, f) for f in draw(12, max_depth=4)]
-        starts, partial = _chunk_starts(n, outcomes)
-        assert len(starts) >= 3 and partial
-        # first hits on the first model of the second and of the last chunk
-        for t in (starts[1], starts[-1]):
-            formula, first = _first_hit_formula(n, outcomes, t)
-            assert satisfiable(n, outcomes, formula).witness[0] == first
-            assert valid(n, outcomes, Not(formula)).counterexample[0] == first
-            cases.append((n, outcomes, formula))
+        # chunks of one true profile per outcome function (a pref-free
+        # formula) and of every true profile
+        for truths in (1, len(all_profiles(n, outcomes))):
+            starts, partial = _chunk_starts(n, outcomes, truths)
+            assert len(starts) >= 3 and partial
+            # first hits on the first model of the second and of the last chunk
+            for t in (starts[1], starts[-1]):
+                formula, first = _first_hit_formula(n, outcomes, t, reads_pref=truths > 1)
+                assert (formula.reads > 1) == (truths > 1)
+                assert satisfiable(n, outcomes, formula).witness[0] == first
+                assert valid(n, outcomes, Not(formula)).counterexample[0] == first
+                cases.append((n, outcomes, formula))
     # state-determined formulas, decided on the first model alone
     for n, outcomes, seed in ((1, K2, 44), (2, K2, 45), (1, K3, 46)):
         cases += [(n, outcomes, f) for f in _state_determined(n, outcomes, seed, 30)]
@@ -395,10 +403,42 @@ def test_sat_and_valid_return_the_canonical_first_hit():
     assert {("unsatisfiable", "invalid"), ("satisfiable", "valid")} <= statuses
 
 
+def test_pref_free_formulas_enumerate_outcome_functions():
+    """A formula without pref modalities is decided on one model per
+    outcome function, and the budget counts those: at (4,2) `<N> a -> a`
+    needs 65,536 of them where the class has 1,048,576 models.  Its
+    counterexample is the first model of the second outcome function, at
+    the one state that function maps to b."""
+    grand = range(1, 5)
+    formula = Implies(Diamond(grand, Out("a")), Out("a"))
+    profiles = all_profiles(4, K2)
+    verdict = valid(4, K2, formula)
+    assert verdict.counterexample == (
+        ScfModel(ScfTable(4, K2, ("a",) * 15 + ("b",)), profiles[0]),
+        profiles[15],
+    )
+    assert satisfiable(4, K2, Not(formula)).witness == verdict.counterexample
+    with pytest.raises(BudgetExceeded) as err:
+        valid(4, K2, formula, budget=2**16 - 1)
+    assert str(err.value) == (
+        "enumeration needs 65536 outcome functions over 16 states,"
+        " budget allows 65535 outcome functions"
+    )
+    with pytest.raises(BudgetExceeded) as err:
+        valid(4, K2, Or(formula, Pref(1, Out("b"))))
+    assert str(err.value) == (
+        "enumeration needs 1048576 models over 16 states, budget allows 1000000 models"
+    )
+    # beyond 10^30 the count is written as a power
+    with pytest.raises(BudgetExceeded) as err:
+        valid(3, K3, Out("a"))
+    assert str(err.value).startswith("enumeration needs 3^216 outcome functions over 216 states")
+
+
 def test_enumeration_builds_no_model_per_visited_model(monkeypatch):
     """Enumeration stacks outcome functions as tables, and only the model
     of a witness or counterexample is ever built."""
-    late, first = _first_hit_formula(1, K3, _chunk_starts(1, K3)[0][-1])
+    late, first = _first_hit_formula(1, K3, _chunk_starts(1, K3, 1)[0][-1])
     dictatorship = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
     built = []
     post_init = ScfModel.__post_init__
@@ -424,13 +464,17 @@ def test_budget_exceeded_before_any_model_is_built(monkeypatch):
 
     monkeypatch.setattr(decision, "ScfModel", no_models)
     monkeypatch.setattr(decision, "ScfTable", no_models)
-    small = 63
+    # 64 models at (2,2); a pref-free formula needs its 16 outcome functions
     excluded_middle = Or(Out("a"), Not(Out("a")))
+    pref_middle = Or(Pref(1, Out("a")), Not(Pref(1, Out("a"))))
     for query in (satisfiable, valid):
         with pytest.raises(BudgetExceeded):
-            query(2, K2, excluded_middle, small)
+            query(2, K2, pref_middle, 63)
         with pytest.raises(BudgetExceeded):
-            query(2, K3, excluded_middle)
+            query(2, K2, excluded_middle, 15)
+        for formula in (excluded_middle, pref_middle):
+            with pytest.raises(BudgetExceeded):
+                query(2, K3, formula)
 
 
 def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):

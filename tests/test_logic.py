@@ -47,7 +47,7 @@ import random
 
 from scflogic._stacked import StackedEvaluator, TableGrid, _programs
 from scflogic.axioms import default_pool, instantiate
-from scflogic import encodings, logic
+from scflogic import axioms, encodings, logic
 from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
 from scflogic.parser import Context, parse
 
@@ -639,7 +639,8 @@ def test_eval_kripke_walks_deep_and_shared_formulas():
 def _scan_and_count(models, roots):
     """`first_failure` of a fresh evaluator over `models`, checked against
     a per-root `truth_mask` scan (index, model and state), and checked to
-    compute each modal node of the roots it reads once."""
+    compute each modal node of the roots it reads once, on whichever view
+    of the stack it evaluates them."""
     ev = StackedEvaluator(models)
     expected = None
     for index, root in enumerate(roots):
@@ -651,10 +652,13 @@ def _scan_and_count(models, roots):
     read = roots if expected is None else roots[: expected[0] + 1]
     modal = {node for root in read for node in root.subformulas() if type(node) in (Diamond, Pref)}
     calls = []
-    diamond, pref = ev._diamond, ev._pref
-    ev._diamond = lambda coalition, x: calls.append(coalition) or diamond(coalition, x)
-    ev._pref = lambda agent, x: calls.append(agent) or pref(agent, x)
-    assert ev.first_failure(roots) == expected
+    diamond, pref = StackedEvaluator._diamond, StackedEvaluator._pref
+    StackedEvaluator._diamond = lambda self, c, x: calls.append(c) or diamond(self, c, x)
+    StackedEvaluator._pref = lambda self, agent, x: calls.append(agent) or pref(self, agent, x)
+    try:
+        assert ev.first_failure(roots) == expected
+    finally:
+        StackedEvaluator._diamond, StackedEvaluator._pref = diamond, pref
     assert len(calls) == len(modal)
     return expected
 
@@ -828,3 +832,183 @@ def test_programs_die_with_their_roots():
         gc.collect()
         assert ref() is None
         assert len(_programs) == before
+
+
+def test_read_sets_follow_the_atoms_and_modalities():
+    """Bit 0 of `reads` marks an outcome atom, bit i a pref(i); the flag
+    `state_determined` is `reads == 0`.  An agent no model has gets the
+    shared bit 64, and builds no huge int."""
+    rep = Rep(1, "a", "b")
+    cases = [
+        (TRUE, 0),
+        (rep, 0),
+        (Diamond({1, 2}, Not(rep)), 0),
+        (Out("a"), 1),
+        (Or(rep, Diamond({2}, Out("b"))), 1),
+        (Pref(2, rep), 1 << 2),
+        (Pref(2, Out("a")), 1 << 2 | 1),
+        (Not(Or(Pref(1, rep), Diamond({3}, Pref(3, TRUE)))), 1 << 1 | 1 << 3),
+        (And(Pref(3, Pref(1, Out("c"))), rep), 1 << 3 | 1 << 1 | 1),
+        (Pref(63, TRUE), 1 << 63),
+    ]
+    for formula, reads in cases:
+        assert formula.reads == reads, formula
+        assert formula.state_determined is (reads == 0)
+    for agent in (0, -1, 64, 10**9, "x"):
+        assert Pref(agent, rep).reads == 1 << 64
+    # a pref node's own agent bit, however deep it sits
+    draw = make_formula_sampler(3, K2, seed=83)
+    for f in draw(60, max_depth=7):
+        agents = {node.agent for node in f.subformulas() if type(node) is Pref}
+        outs = any(type(node) is Out for node in f.subformulas())
+        assert f.reads == sum(1 << i for i in agents) | outs
+
+
+def _narrowing_stacks(n, outcomes, seed):
+    """(stack, its models, rows, truths per row) for a multi-row grid over
+    every truth, the same rows as a model list, a grid over part of the
+    truths, a model list over part of the truths, a one-row grid and a
+    one-model evaluator."""
+    profiles = all_profiles(n, outcomes)
+    rng = random.Random(seed)
+    rows = [tuple(rng.choice(outcomes) for _ in profiles) for _ in range(3)]
+    part = profiles[1::3]
+    grids = [
+        TableGrid(n, outcomes, rows),
+        TableGrid(n, outcomes, rows, part),
+        TableGrid(n, outcomes, rows[1:2]),
+    ]
+    lists = [
+        [ScfModel(ScfTable(n, outcomes, row), truth) for row in rows for truth in profiles],
+        [ScfModel(ScfTable(n, outcomes, row), truth) for row in rows for truth in part],
+        [ScfModel(ScfTable(n, outcomes, rows[2]), profiles[-1])],
+    ]
+    return [(StackedEvaluator(grid), grid) for grid in grids] + [
+        (StackedEvaluator(models), models) for models in lists
+    ]
+
+
+def _full_width_failure(stacked, models, roots):
+    """(index, model, state) at the lowest bit of the first root's
+    full-width `truth_mask` that some model falsifies, or None."""
+    for index, root in enumerate(roots):
+        bad = stacked.full ^ stacked.truth_mask(root)
+        if bad:
+            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
+            return index, models[model_idx], stacked.space.profiles[state_idx]
+    return None
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
+def test_first_failure_at_the_width_its_roots_read(n, k):
+    """Roots that read no true preference are checked on the first truth
+    of each row, and state-determined ones on the first model alone; the
+    answer is the full-width mask's lowest falsified bit: the same index,
+    the same state, and the same model, the caller's own object for a
+    model list.  Single roots and batches, over grids, model lists and
+    partial truth sequences."""
+    outcomes = ("a", "b", "c")[:k]
+    draw = make_formula_sampler(n, outcomes, seed=89 + 10 * n + k)
+    sampled = draw(200, max_depth=6)
+    determined = [f for f in sampled if f.reads == 0][:12]
+    pref_free = [f for f in sampled if f.reads == 1][:12]
+    reading = [f for f in sampled if f.reads > 1][:4]
+    assert len(determined) >= 6 and len(pref_free) >= 6 and reading
+    batches = [[f] for f in determined + pref_free + reading]
+    for group in (determined, pref_free):
+        tautologies = [Or(f, Not(f)) for f in group]
+        batches.append(tautologies)
+        for planted in (0, len(group) // 2, len(group) - 1):
+            batch = list(tautologies)
+            batch[planted] = group[planted]
+            batches.append(batch)
+    batches.append([Or(f, Not(f)) for f in determined + pref_free] + [reading[0]])
+    for stacked, models in _narrowing_stacks(n, outcomes, seed=97 + n + k):
+        for roots in batches:
+            expected = _full_width_failure(stacked, models, roots)
+            hit = stacked.first_failure(iter(roots))
+            if expected is None:
+                assert hit is None
+                continue
+            assert hit is not None and hit[0] == expected[0] and hit[2] == expected[2]
+            if isinstance(models, TableGrid):
+                assert hit[1] == expected[1]
+            else:
+                assert hit[1] is expected[1]
+        # the views are as narrow as their read-sets allow
+        grid = stacked.grid
+        for reads, blocks in ((0, 1), (1, len(grid.rows))):
+            view = stacked._narrowed(reads)
+            assert view.full.bit_length() == blocks * stacked.block
+            assert (view is stacked) == (blocks == len(grid))
+
+
+def test_narrowed_checks_build_no_full_width_masks():
+    """A pref-free batch reads only its view's outcome masks: the full
+    grid's outcome and rank masks are built when a full-width evaluation
+    first needs them."""
+    stacked = StackedEvaluator(TableGrid(2, K3, [("a",) * 36, ("b", "c") * 18]))
+    assert stacked.first_failure([Or(Out("a"), Out("b")), Diamond({1}, Out("c"))]) is not None
+    assert stacked._out_masks is None and stacked._ranked is None
+    assert stacked._narrowed(1)._out_masks is not None
+    stacked.first_failure([Pref(1, Rep(1, "a", "b"))])
+    assert stacked._ranked is not None and stacked._out_masks is None
+    stacked.truth_mask(Out("a"))
+    assert stacked._out_masks is not None
+
+
+def test_builds_pause_the_collector_and_restore_its_state(monkeypatch):
+    """`instantiate`, `soundness_check` and `property_formula` run with
+    the collector off and leave it as they found it, on return and on a
+    raise: on if it was on, and off for a caller who turned it off."""
+    seen = []
+
+    class Pool(list):
+        def __iter__(self):
+            seen.append(gc.isenabled())
+            if self.fail:
+                raise RuntimeError("pool")
+            return super().__iter__()
+
+    def pool(fail):
+        made = Pool([Rep(1, "a", "b")])
+        made.fail = fail
+        return made
+
+    def instances(fail):
+        seen.append(gc.isenabled())
+        yield from instantiate("refl", 1, K2, ())
+        if fail:
+            raise RuntimeError("instances")
+
+    def citsov(n, outcomes):
+        seen.append(gc.isenabled())
+        return TRUE
+
+    monkeypatch.setattr(encodings, "citsov", citsov)
+    models = list(enumerate_models(1, K2))
+    # a domain no other test builds, as the cache keeps the stand-in formula
+    domain = (1, ("gc1", "gc2"))
+    calls = [
+        (lambda: instantiate("T(i)", 1, K2, pool(False)), None),
+        (lambda: instantiate("T(i)", 1, K2, pool(True)), RuntimeError),
+        (lambda: axioms.soundness_check(instances(False), models), None),
+        (lambda: axioms.soundness_check(instances(True), models), RuntimeError),
+        (lambda: axioms.soundness_check([], []), ValueError),
+        (lambda: property_formula(encodings.CITSOV, *domain), None),
+        (lambda: property_formula(encodings.BR(3), *domain), InvalidDomain),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for call, error in calls:
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(seen) == 9 and not any(seen)

@@ -100,6 +100,18 @@ def test_whitespace_insensitive():
     )
 
 
+def test_whitespace_is_ascii_only():
+    """Space, tab, LF, CR, VT and FF separate tokens; other characters
+    that `str.isspace` accepts, such as \\x1c or U+3000, are lexical
+    errors at their own position."""
+    assert parse(" \t\n\r\x0b\x0crep(1,a,b)\x0c&\ta\n", CTX2) == parse("rep(1,a,b) & a", CTX2)
+    for text, at in (("a\x1c", 1), ("\u3000a", 0), ("a &\u00a0b", 3), ("\x1fa", 0)):
+        with pytest.raises(ParseError) as err:
+            parse(text, CTX2)
+        assert err.value.span == SourceSpan(at, at + 1)
+        assert err.value.message == f"unexpected character {text[at]!r}"
+
+
 def test_format_examples():
     assert format_formula(TRUE) == "true"
     assert format_formula(Not(TRUE)) == "false"
