@@ -31,13 +31,15 @@ L blocks by one multiplication, when an evaluation first reads them.
 
 Only pref(i) reads a model's true profile, and only outcome atoms its
 outcome function; each node's read-set (`Formula.reads`) says which it
-reaches.  `first_failure` ORs its roots' read-sets and evaluates them on
-the narrowest view of the grid that gives the same answer: the first
-model's block alone if no root reads either, the first truth of each row
-if no root reads a true profile, and the whole grid otherwise.  Block j
-of a view stands for model j*L, the first of its row, which is the
-lowest failing model of the whole grid too, so counterexamples do not
-change.  The views are built on first use and kept on the evaluator.
+reaches.  One rule, on the grid, maps a read-set to the models that
+decide it (`TableGrid.narrowed`): the first model's block alone if it
+reads neither, the first truth of each row if it reads no true profile,
+and the whole grid otherwise.  Block j of a narrowed grid stands for
+model j*L, the first of its row, which is the lowest failing model of
+the whole grid too, so counterexamples do not change.  `first_failure`
+ORs its roots' read-sets and builds its view from that grid on each
+call; the property check and the enumeration stack narrowed grids
+directly.
 
 A formula is evaluated by one post-order walk of its DAG (`_mask`) on a
 memo of its own, so a shared node is computed once and no mask outlives
@@ -167,6 +169,20 @@ class TableGrid(Sequence[ScfModel]):
         row, truth = divmod(index, len(self.truths))
         return ScfModel(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
 
+    def narrowed(self, reads: int) -> TableGrid:
+        """The grid that decides a root of read-set `reads` (`Formula.reads`)
+        as this one does: the first model alone if the root reads neither
+        an outcome atom nor a true preference (0), the first truth of each
+        row if it reads no true preference (1), and this grid itself if it
+        reads one or is no wider.  Every model of a row gives such a root
+        the same mask, so block j stands for model j*L here, the first of
+        its row, and its first failing block for this grid's first failing
+        model."""
+        rows = self.rows if reads else self.rows[:1]
+        if reads > 1 or len(rows) == len(self):
+            return self
+        return TableGrid(self.n, self.outcomes, rows, self.truths[:1])
+
 
 def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
     """The grid a model list spells, or ValueError: runs of L models, each
@@ -243,8 +259,8 @@ class StackedEvaluator:
     caller's own objects.  Each call has a memo of its own, dropped on
     return; a root evaluated alone may keep a program of entries, never
     masks or nodes, in `_programs`.  The outcome and rank masks are built
-    when an evaluation at full width first reads them, and the narrowed
-    views of `first_failure` when it first needs them."""
+    when an evaluation first reads them; `first_failure` evaluates on a
+    view of the narrowed grid, built per call and not kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -262,8 +278,6 @@ class StackedEvaluator:
         # per agent axis: fold shifts, tiled digit-0 plane, spread comb
         self._axis = [(shifts, plane * self.tile, comb) for shifts, plane, comb in self.space.axes]
         self._agents = frozenset(range(1, grid.n + 1))
-        # read-set (0 or 1) -> the narrowed view `first_failure` evaluates on
-        self._views: dict[int, StackedEvaluator] = {}
         # built when first read (`_row_masks`, `_outcome_masks`, `_rank_masks`);
         # set here, as every attribute is, so that attribute reads stay fast
         self._by_row: dict[str, int] | None = None
@@ -324,20 +338,17 @@ class StackedEvaluator:
     # --- evaluation ----------------------------------------------------------
 
     def truth_mask(self, formula: Formula) -> int:
-        """Truth mask of `formula` across the batch."""
-        return self._single(formula)
-
-    def _single(self, root: Formula) -> int:
-        """Truth mask of a root evaluated alone: walked on its first such
-        call, walked and recorded on its second, replayed from then on."""
-        program = _programs.get(root, _UNSEEN)
+        """Truth mask of `formula` across the batch, as a root evaluated
+        alone: walked on its first such call, walked and recorded on its
+        second, replayed from then on."""
+        program = _programs.get(formula, _UNSEEN)
         if program is _UNSEEN:
-            _programs[root] = None
-            return self._mask(root, {})
+            _programs[formula] = None
+            return self._mask(formula, {})
         if program is None:
             memo: dict[Formula, int] = {}
-            mask = self._mask(root, memo)
-            _programs[root] = _record(memo)
+            mask = self._mask(formula, memo)
+            _programs[formula] = _record(memo)
             return mask
         return self._replay(program)
 
@@ -466,43 +477,28 @@ class StackedEvaluator:
         of the batch falsifies, at its lowest falsified bit: the first such
         model, at its lowest state.
 
-        The roots are evaluated at the width their read-sets ask for.  If
-        no root reads an outcome atom or a true preference, every model
-        gives each root the same mask, so they are evaluated on the first
-        model's block alone; if none reads a true preference, every model
-        of a row gives the same mask, so they are evaluated on the first
-        truth of each row (`_narrowed`).  Block j of such a view stands
-        for model j*L of the batch, the first model of its row, so the
-        answer is the model the full grid would report, and for a model
-        list the caller's own object.  Otherwise the full grid is read."""
+        The roots are evaluated on a view built for this call from the
+        grid their ORed read-sets ask for (`TableGrid.narrowed`): the first
+        model alone if no root reads an outcome atom or a true preference,
+        the first truth of each row if none reads a true preference, the
+        whole grid otherwise.  Block j of a narrowed view stands for model
+        j*L of the batch, the first of its row, so the answer is the model
+        the full grid would report, and for a model list the caller's own
+        object."""
         roots = list(formulas)
         reads = 0
         for root in roots:
             reads |= root.reads
-        view = self if reads > 1 else self._narrowed(reads)
+        grid = self.grid.narrowed(reads)
+        # type(self), not the module's name, which a tracer may replace
+        view = self if grid is self.grid else type(self)(grid)
         hit = view._first_bad(roots)
         if hit is None:
             return None
         index, bad = hit
         block_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
-        stride = 1 if view is self else len(self.grid.truths)
+        stride = len(self.grid.truths) // len(grid.truths)
         return index, self.models[block_idx * stride], self.space.profiles[state_idx]
-
-    def _narrowed(self, reads: int) -> StackedEvaluator:
-        """The view `first_failure` evaluates roots of read-set `reads` (0
-        or 1) on: the first model alone, or each row with the first truth
-        only; itself if that is the whole grid.  Built on first use and
-        kept."""
-        grid = self.grid
-        rows = grid.rows[:1] if reads == 0 else grid.rows
-        if len(rows) == len(grid):
-            return self
-        view = self._views.get(reads)
-        if view is None:
-            # type(self), not the module's name, which a tracer may replace
-            view = type(self)(TableGrid(grid.n, grid.outcomes, rows, grid.truths[:1]))
-            self._views[reads] = view
-        return view
 
     def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
         """(index, falsified bits) of the first root that some model of
@@ -518,7 +514,7 @@ class StackedEvaluator:
         unchanged.  A batch of one root is a `truth_mask`: it skips the
         walk and may be recorded and replayed."""
         if len(roots) == 1:
-            bad = self.full ^ self._single(roots[0])
+            bad = self.full ^ self.truth_mask(roots[0])
             return (0, bad) if bad else None
         last_readers = _last_readers(roots)
         memo: dict[Formula, int] = {}

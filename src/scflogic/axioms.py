@@ -18,10 +18,13 @@ condition (x != y, i != j, disjoint agent sets) excludes the binding.
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
 the same (n, K); the checker counts those per schema and reports the
-count.  A schema's run is checked at the width its instances read (see
-`StackedEvaluator.first_failure`): a run of state-determined instances on
-the first model alone, a run without pref modalities on one model per
-outcome function, and any other run on every model.  Building instances
+count.  A schema's run is checked at the width its instances read, by
+the one rule `TableGrid.narrowed` keeps: a run of state-determined
+instances on the first model alone, a run without pref modalities on one
+model per outcome function, and any other run on every model.
+`StackedEvaluator.first_failure` builds that view for each run and drops
+it on return, so a sweep holds one evaluator over its models and at most
+one narrowed view at a time.  Building instances
 and checking them pause the cyclic garbage collector
 (`logic._collector_paused`): interned nodes are acyclic, so its passes
 over the growing live set could free nothing the build made.

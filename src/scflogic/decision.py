@@ -17,14 +17,15 @@ outcome functions, each with every true profile, so a sample is a grid
 too.
 
 The enumeration reads only what the formula reads (its read-set,
-`Formula.reads`).  A formula without outcome atoms or pref modalities is
-state-determined: its truth at a state is the same in every model.  Such
-a formula is decided on the first model in enumeration order alone, if
-the budget covers its (|K|!)^n states; its lowest hit state there is the
-witness or counterexample the enumeration would return.  A formula with
-outcome atoms but no pref modality has the same truth in every model of
-an outcome function, whatever the true profile: it is decided on one
-model per outcome function, the first in enumeration order, and the
+`Formula.reads`), by the one rule `TableGrid.narrowed` keeps.  A formula
+without outcome atoms or pref modalities is state-determined: its truth
+at a state is the same in every model.  Such a formula is decided on the
+first model in enumeration order alone, if the budget covers its
+(|K|!)^n states; its lowest hit state there is the witness or
+counterexample the enumeration would return.  A formula with outcome
+atoms but no pref modality has the same truth in every model of an
+outcome function, whatever the true profile: each chunk is narrowed to
+one model per outcome function, the first in enumeration order, and the
 budget counts those outcome functions instead of models.
 
 Per-SCF property checking avoids the full class: the characteristic
@@ -32,9 +33,9 @@ formula of F holds exactly in the models whose outcome function realizes
 F, so `check_scf_property` quantifies over the (|K|!)^n true profiles
 only.  It builds the property formula once per (property, n, K) (the
 encodings builders are memoized) and evaluates it on all those models at
-once, as a one-row `TableGrid`.  The restriction is itself
-tested against full enumeration at the small scales where both are
-feasible.
+once, as a one-row `TableGrid` narrowed to the formula's read-set.  The
+restriction is itself tested against full enumeration at the small
+scales where both are feasible.
 """
 
 from __future__ import annotations
@@ -224,12 +225,11 @@ def _first_failure(
     outcome functions in `enumerate_models` order in chunks, each stacked
     as one `TableGrid`: the first chunk holds one outcome function, and
     each next chunk twice as many, up to `_CHUNK_BITS` bits, so an early
-    hit stays cheap and a full sweep takes few wide batches.  A formula
-    that reads no true preference gives every model of a row the same
-    mask, so its rows are stacked with the first true profile only, the
-    first model of each row in enumeration order, and the budget counts
-    outcome functions; any other formula's rows carry every true
-    profile."""
+    hit stays cheap and a full sweep takes few wide batches.  Each chunk
+    is narrowed to the formula's read-set (`TableGrid.narrowed`): a formula
+    that reads no true preference is stacked with the first truth of each
+    row, and its budget counts outcome functions; the chunk width counts
+    the truths the narrowed grid keeps."""
     reads = formula.reads
     unit = "one model" if reads == 0 else "outcome functions" if reads == 1 else "models"
     _check_budget(n, outcomes, budget, unit)
@@ -238,19 +238,17 @@ def _first_failure(
         return None if hit is None else hit[1:]
     names = tuple(outcomes)
     states = num_states(n, names)
-    # None: every true profile, as `TableGrid` defaults to
-    truths = all_profiles(n, names)[:1] if reads == 1 else None
     rows = itertools.product(names, repeat=states)
-    tables, most = 1, max(1, _CHUNK_BITS // (states * (1 if reads == 1 else states)))
+    tables = 1
     while True:
         chunk = list(itertools.islice(rows, tables))
         if not chunk:
             return None
-        grid = _stacked.TableGrid(n, names, chunk, truths)
+        grid = _stacked.TableGrid(n, names, chunk).narrowed(reads)
         hit = _stacked.StackedEvaluator(grid).first_failure([formula])
         if hit is not None:
             return hit[1:]
-        tables = min(2 * tables, most)
+        tables = min(2 * tables, max(1, _CHUNK_BITS // (states * len(grid.truths))))
 
 
 def satisfiable(
@@ -298,13 +296,13 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     sound because rho(F) holds in a model exactly when its outcome function
     corresponds to F, and never budget-limited since only the (|K|!)^n true
     profiles vary.  Those models are evaluated as one stacked batch, a
-    one-row grid in true-profile order, against the memoized property
-    formula; the lowest
+    one-row grid in true-profile order narrowed to the formula's read-set,
+    against the memoized property formula; the lowest
     falsified bit is the first failing true profile and its lowest state,
     the same counterexample a model-by-model scan would report."""
     formula = property_formula(prop, table.agents, table.outcomes)
     grid = _stacked.TableGrid(table.agents, table.outcomes, [table.values])
-    hit = _stacked.StackedEvaluator(grid).first_failure([formula])
+    hit = _stacked.StackedEvaluator(grid.narrowed(formula.reads)).first_failure([formula])
     if hit is None:
         return Verdict("valid")
     return Verdict("invalid", counterexample=hit[1:])

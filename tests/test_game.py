@@ -8,6 +8,7 @@ from scflogic import (
     LinearOrder,
     NonDirectMechanism,
     Profile,
+    ScfModel,
     ScfTable,
     SolutionConcept,
     all_linear_orders,
@@ -20,9 +21,11 @@ from scflogic import (
     is_monotonic,
     is_strategy_proof,
     nash_equilibria,
+    property_formula,
     property_oracle,
     scf_as_game_form,
     truthfully_implements,
+    valid_in_model,
 )
 
 from scflogic.decision import check_scf_property
@@ -179,9 +182,9 @@ def test_equivalences_on_all_two_agent_scfs():
 
 
 def _property_tables():
-    """Every SCF at n = 1..3 over {a,b} and at (1,3), then seeded tables at
-    (2,3)."""
-    for n, outcomes in ((1, K2), (2, K2), (3, K2), (1, K3)):
+    """Every SCF at n = 1..3 over {a,b}, then seeded tables at (2,3); every
+    SCF at (1,3) is swept on its own below."""
+    for n, outcomes in ((1, K2), (2, K2), (3, K2)):
         count = len(all_profiles(n, outcomes))
         for values in itertools.product(outcomes, repeat=count):
             yield ScfTable(n, outcomes, values)
@@ -198,6 +201,87 @@ def test_property_oracle_agrees_with_the_encodings():
             holds, detail = property_oracle(table, prop)
             assert holds == (check_scf_property(table, prop).status == "valid"), (table, prop)
             assert (detail == "") == holds, (table, prop, detail)
+
+
+def test_every_one_agent_three_outcome_scf():
+    """All 729 SCFs at (1,{a,b,c}): the encoded verdict equals the oracle's
+    on each table, and the PASS counts are the closed forms.  citsov holds
+    on the 3^6 - 3*2^6 + 3 surjections and nodict on all but the identity;
+    dom and br(1) only on the 3 constants; mon and strproof on the 3
+    constants and on "the agent's top within a fixed range" for each of the
+    4 ranges of two or more outcomes."""
+    props = (CITSOV, NODICT, DOM, MON, STRPROOF, BR(1))
+    passes = dict.fromkeys(props, 0)
+    for values in itertools.product(K3, repeat=6):
+        table = ScfTable(1, K3, values)
+        for prop in props:
+            holds, detail = property_oracle(table, prop)
+            assert holds == (check_scf_property(table, prop).status == "valid"), (values, prop)
+            assert (detail == "") == holds, (values, prop, detail)
+            passes[prop] += holds
+    assert passes == {CITSOV: 540, NODICT: 728, DOM: 3, MON: 7, STRPROOF: 7, BR(1): 3}
+
+
+def _renamed(table, outcome_map, agent_map):
+    """The image of `table` under renaming outcome x to outcome_map[x] and
+    agent i to agent_map[i]: agent agent_map[i] reports the renamed ranking
+    of agent i, and the renamed profile gets the renamed outcome."""
+
+    def rename(profile):
+        orders = [None] * profile.n
+        for agent, order in enumerate(profile.orders, 1):
+            orders[agent_map[agent] - 1] = LinearOrder(tuple(outcome_map[x] for x in order.ranking))
+        return Profile(tuple(orders))
+
+    image = {rename(p): outcome_map[table(p)] for p in table.profiles}
+    return ScfTable.from_function(table.agents, table.outcomes, image.__getitem__), rename
+
+
+def _renaming_tables():
+    """Per scale (1,3), (2,2), (3,2), (2,3): seeded tables over every
+    outcome, seeded tables missing one outcome, and the agent-1
+    dictatorship."""
+    rng = random.Random(61)
+    for n, outcomes in ((1, K3), (2, K2), (3, K2), (2, K3)):
+        states = len(all_profiles(n, outcomes))
+        for used in (outcomes, outcomes, outcomes[1:], outcomes[:-1]):
+            yield ScfTable(n, outcomes, tuple(rng.choice(used) for _ in range(states)))
+        yield ScfTable.from_function(n, outcomes, lambda p: p.order(1).top)
+
+
+def test_verdicts_are_invariant_under_renaming():
+    """Renaming outcomes by a permutation pi and agents by a permutation
+    sigma maps an SCF to one with the same verdicts, br(i) becoming
+    br(sigma(i)), from the encodings and the oracles alike; the image of
+    each counterexample falsifies the renamed property in the image model.
+    The canonical counterexample itself is not invariant, as the canonical
+    order is not.  mon is left out at (2,3), where one check costs about
+    0.13 s."""
+    for table in _renaming_tables():
+        n, outcomes = table.agents, table.outcomes
+        props = [CITSOV, NODICT, DOM, STRPROOF] + [BR(agent) for agent in range(1, n + 1)]
+        if (n, len(outcomes)) != (2, 3):
+            props.append(MON)
+        verdicts = {prop: check_scf_property(table, prop) for prop in props}
+        for prop, verdict in verdicts.items():
+            assert bool(verdict) == property_oracle(table, prop)[0], (table, prop)
+        for pi in itertools.permutations(outcomes):
+            outcome_map = dict(zip(outcomes, pi))
+            for sigma in itertools.permutations(range(1, n + 1)):
+                agent_map = dict(zip(range(1, n + 1), sigma))
+                image, rename = _renamed(table, outcome_map, agent_map)
+                for prop, verdict in verdicts.items():
+                    renamed = BR(agent_map[prop.agent]) if prop.kind == "br" else prop
+                    seen = check_scf_property(image, renamed)
+                    where = (table, pi, sigma, prop)
+                    assert seen.status == verdict.status, where
+                    assert property_oracle(image, renamed)[0] == bool(verdict), where
+                    if verdict:
+                        continue
+                    model, state = verdict.counterexample
+                    moved = ScfModel(image, rename(model.truth))
+                    holds, falsified = valid_in_model(moved, property_formula(renamed, n, outcomes))
+                    assert not holds and rename(state) in falsified, where
 
 
 def test_oracles_check_outcome_names_a_fixed_number_of_times(monkeypatch):

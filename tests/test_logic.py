@@ -935,22 +935,27 @@ def test_first_failure_at_the_width_its_roots_read(n, k):
                 assert hit[1] == expected[1]
             else:
                 assert hit[1] is expected[1]
-        # the views are as narrow as their read-sets allow
+        # the narrowed grids are as narrow as their read-sets allow
         grid = stacked.grid
-        for reads, blocks in ((0, 1), (1, len(grid.rows))):
-            view = stacked._narrowed(reads)
-            assert view.full.bit_length() == blocks * stacked.block
-            assert (view is stacked) == (blocks == len(grid))
+        for reads, blocks in ((0, 1), (1, len(grid.rows)), (2, len(grid))):
+            narrow = grid.narrowed(reads)
+            assert len(narrow) == blocks and narrow.narrowed(reads) is narrow
+            assert StackedEvaluator(narrow).full.bit_length() == blocks * stacked.block
+            assert (narrow is grid) == (blocks == len(grid))
 
 
 def test_narrowed_checks_build_no_full_width_masks():
-    """A pref-free batch reads only its view's outcome masks: the full
-    grid's outcome and rank masks are built when a full-width evaluation
-    first needs them."""
-    stacked = StackedEvaluator(TableGrid(2, K3, [("a",) * 36, ("b", "c") * 18]))
-    assert stacked.first_failure([Or(Out("a"), Out("b")), Diamond({1}, Out("c"))]) is not None
+    """A pref-free batch is evaluated on the grid `TableGrid.narrowed`
+    gives, the first truth of each row, and reports the first model of
+    the failing row: the full grid's outcome and rank masks are built when
+    a full-width evaluation first needs them."""
+    grid = TableGrid(2, K3, [("a",) * 36, ("b", "c") * 18])
+    stacked = StackedEvaluator(grid)
+    narrow = grid.narrowed(1)
+    assert narrow.rows == grid.rows and narrow.truths == grid.truths[:1]
+    hit = stacked.first_failure([Or(Out("a"), Out("b")), Diamond({1}, Out("c"))])
+    assert hit == (0, grid[36], grid.truths[1])
     assert stacked._out_masks is None and stacked._ranked is None
-    assert stacked._narrowed(1)._out_masks is not None
     stacked.first_failure([Pref(1, Rep(1, "a", "b"))])
     assert stacked._ranked is not None and stacked._out_masks is None
     stacked.truth_mask(Out("a"))
