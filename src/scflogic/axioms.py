@@ -15,6 +15,16 @@ the pool's reported-atom fragment; `instantiate` is one loop over the
 product of the binders' domains, and a builder returns None where a side
 condition (x != y, i != j, disjoint agent sets) excludes the binding.
 
+Nodes are interned, so rebuilding a subformula returns the same object,
+but each rebuild still pays a constructor call per node.  A subformula
+that reads only some of the binders, such as [i]phi in K(i) or
+<C1>delta1 in comp-At, is therefore taken from a memo table of the
+instantiation's `_Scope`, keyed by the values it reads, and built once
+per binding of those.  The tables go with the scope when `instantiate`
+returns.  Each instance is an `AxiomInstance`, a slotted immutable record
+holding the schema's binder-name tuple and the product's value tuple; its
+`bindings` dict is built only when read.
+
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
 the same (n, K); the checker counts those per schema and reports the
@@ -47,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -87,19 +97,71 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AxiomInstance:
-    schema: str
-    bindings: dict = field(compare=False)
-    formula: Formula
+    """One instance of a schema: the schema's name, its bindings and the
+    instance formula.
+
+    A slotted record: it holds the schema's binder names, one tuple shared
+    by all its instances, and the tuple of bound values `instantiate`'s
+    product made; `bindings` builds a fresh dict of them, in binder order,
+    on each read.  It behaves as the frozen dataclass it replaces: built
+    positionally as `AxiomInstance(schema, bindings, formula)`, equal and
+    hashed by (schema, formula) with the bindings ignored, immutable, and
+    copied and pickled through that constructor."""
+
+    __slots__ = ("schema", "formula", "_names", "_values", "__weakref__")
+
+    def __init__(self, schema: str, bindings: dict, formula: Formula):
+        _fill(self, schema, tuple(bindings), tuple(bindings.values()), formula)
+
+    @property
+    def bindings(self) -> dict:
+        return dict(zip(self._names, self._values))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.schema, self.formula) == (other.schema, other.formula)
+
+    def __hash__(self) -> int:
+        return hash((self.schema, self.formula))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(schema={self.schema!r},"
+            f" bindings={self.bindings!r}, formula={self.formula!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.schema, self.bindings, self.formula))
 
     def describe(self) -> str:
         parts = []
-        for key, value in self.bindings.items():
+        for key, value in zip(self._names, self._values):
             if isinstance(value, frozenset):
                 value = "{" + ",".join(map(str, sorted(value))) + "}"
             parts.append(f"{key}={value}")
         return f"{self.schema}[{', '.join(parts)}]"
+
+
+_new = object.__new__
+_set = object.__setattr__  # past the record's `__setattr__`, which refuses
+
+
+def _fill(
+    inst: AxiomInstance, schema: str, names: tuple, values: tuple, formula: Formula
+) -> AxiomInstance:
+    _set(inst, "schema", schema)
+    _set(inst, "formula", formula)
+    _set(inst, "_names", names)
+    _set(inst, "_values", values)
+    return inst
 
 
 def _default_cap(n: int, outcomes: tuple[str, ...]) -> int:
@@ -158,22 +220,54 @@ def _at_agent_set(formula: Formula) -> Optional[frozenset[int]]:
     return frozenset(node.agent for node in nodes if type(node) is Rep)
 
 
+class _Memo(dict):
+    """A subformula table: the value of `build(*key)`, built on the key's
+    first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[..., object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: tuple) -> object:
+        value = self[key] = self.build(*key)
+        return value
+
+
 class _Scope:
     """What one instantiation ranges over: the binder domains over (n, K)
     and the pool, the reported atoms and the pool-derived ones computed on
-    first use, and the constants the builders read."""
+    first use, and the constants and memo tables the builders read.
+
+    Each memo table holds one kind of subformula, keyed by the binder
+    values it reads, so a builder makes it once per such binding rather
+    than once per binding of all the schema's binders: `box` and `dia`
+    per (coalition, formula), `prefbox` and `pref` per (agent, formula),
+    `union` per coalition pair, `pair` per comp-At fragment pair and
+    `reach` per (ballot, outcome).  `single` is the prebuilt coalition
+    {i} of each agent.  No table's build refers back to the scope, so
+    the tables and the nodes only they hold go with the scope when
+    `instantiate` returns, collector or not."""
 
     def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula]):
         self.n = n
         self.outcomes = tuple(outcomes)
         self.pool = pool
         self.agents = range(1, n + 1)
-        self.grand = frozenset(self.agents)
+        self.grand = grand = frozenset(self.agents)
         self.coalitions = [
             frozenset(c) for size in range(n + 1) for c in itertools.combinations(self.agents, size)
         ]
         self.rankings = all_linear_orders(self.outcomes)
         self.profiles = all_profiles(n, self.outcomes)
+        self.single = {i: frozenset((i,)) for i in self.agents}
+        self.box = _Memo(Box)
+        self.dia = _Memo(Diamond)
+        self.prefbox = _Memo(PrefBox)
+        self.pref = _Memo(Pref)
+        self.union = _Memo(frozenset.union)
+        self.reach = _Memo(lambda ballot, x: Diamond(grand, And(ballot, Out(x))))
 
     @cached_property
     def reps(self) -> list[Formula]:
@@ -188,6 +282,13 @@ class _Scope:
     def fragment(self) -> list[Formula]:
         """The pool's modality-free reported-atom formulas, for comp-At."""
         return [f for f in self.pool if self.atom_agents[f] is not None]
+
+    @cached_property
+    def pair(self) -> _Memo:
+        """d1 & d2 for two fragment formulas, or None where an agent
+        controls atoms of both."""
+        agents = self.atom_agents
+        return _Memo(lambda d1, d2: None if agents[d1] & agents[d2] else And(d1, d2))
 
 
 # binder name -> the `_Scope` attribute holding its domain
@@ -205,25 +306,54 @@ _DOMAINS = {
 
 def _antisym(s: _Scope, i: int, p1: Profile, p2: Profile) -> Formula:
     b1, b2 = ballot_profile(p1), ballot_profile(p2)
-    same_outcome = disj(
-        And(Diamond(s.grand, And(b1, Out(x))), Diamond(s.grand, And(b2, Out(x))))
-        for x in s.outcomes
-    )
+    same_outcome = disj(And(s.reach[b1, x], s.reach[b2, x]) for x in s.outcomes)
     return Implies(
-        Diamond(s.grand, And(b1, Pref(i, b2))),
-        Or(Box(s.grand, Implies(b2, PrefBox(i, Not(b1)))), same_outcome),
+        Diamond(s.grand, And(b1, s.pref[i, b2])),
+        Or(Box(s.grand, Implies(b2, s.prefbox[i, Not(b1)])), same_outcome),
     )
 
 
 def _total(s: _Scope, i: int, p1: Profile, p2: Profile) -> Formula:
     b1, b2 = ballot_profile(p1), ballot_profile(p2)
-    return Or(Diamond(s.grand, And(b1, Pref(i, b2))), Box(s.grand, Implies(b2, Pref(i, b1))))
+    return Or(
+        Diamond(s.grand, And(b1, s.pref[i, b2])), Box(s.grand, Implies(b2, s.pref[i, b1]))
+    )
+
+
+def _k_i(s: _Scope, i: int, phi: Formula, psi: Formula) -> Formula:
+    c = s.single[i]
+    return Implies(Box(c, Implies(phi, psi)), Implies(s.box[c, phi], s.box[c, psi]))
+
+
+def _confl(s: _Scope, i: int, j: int, phi: Formula) -> Optional[Formula]:
+    if i == j:  # stated for independence between distinct agents
+        return None
+    ci, cj = s.single[i], s.single[j]
+    return Implies(s.dia[ci, s.box[cj, phi]], s.box[cj, s.dia[ci, phi]])
+
+
+def _exclu(s: _Scope, i: int, j: int, p: Formula) -> Optional[Formula]:
+    if i == j:
+        return None
+    ci, cj, not_p = s.single[i], s.single[j], Not(p)
+    return Implies(And(s.dia[ci, p], s.dia[ci, not_p]), Or(s.box[cj, p], s.box[cj, not_p]))
+
+
+def _comp_at(
+    s: _Scope, c1: frozenset[int], c2: frozenset[int], d1: Formula, d2: Formula
+) -> Optional[Formula]:
+    both = s.pair[d1, d2]
+    if both is None:
+        return None
+    return Implies(And(s.dia[c1, d1], s.dia[c2, d2]), s.dia[s.union[c1, c2], both])
 
 
 # Each schema: its binder names, bound in this order (the last one varies
 # fastest), and the builder of the instance for one binding, called with
 # the scope and the bound values, which returns None where a side
-# condition excludes the binding.  Table order is `SCHEMAS` order.
+# condition excludes the binding.  A builder takes each subformula that
+# reads fewer binders than the instance from the scope's memo tables.
+# Table order is `SCHEMAS` order.
 _TABLE: dict[str, tuple[str, Callable[..., Optional[Formula]]]] = {
     "refl": ("i x", lambda s, i, x: Rep(i, x, x)),
     "antisym-total": (
@@ -234,41 +364,21 @@ _TABLE: dict[str, tuple[str, Callable[..., Optional[Formula]]]] = {
         "i x y z",
         lambda s, i, x, y, z: Implies(And(Rep(i, x, y), Rep(i, y, z)), Rep(i, x, z)),
     ),
-    "K(i)": (
-        "i phi psi",
-        lambda s, i, phi, psi: Implies(
-            Box({i}, Implies(phi, psi)), Implies(Box({i}, phi), Box({i}, psi))
-        ),
+    "K(i)": ("i phi psi", _k_i),
+    "T(i)": ("i phi", lambda s, i, phi: Implies(s.box[s.single[i], phi], phi)),
+    "B(i)": (
+        "i phi",
+        lambda s, i, phi: Implies(phi, s.box[s.single[i], s.dia[s.single[i], phi]]),
     ),
-    "T(i)": ("i phi", lambda s, i, phi: Implies(Box({i}, phi), phi)),
-    "B(i)": ("i phi", lambda s, i, phi: Implies(phi, Box({i}, Diamond({i}, phi)))),
     "comp-union": (
         "C1 C2 phi",
-        lambda s, c1, c2, phi: Iff(Box(c1, Box(c2, phi)), Box(c1 | c2, phi)),
+        lambda s, c1, c2, phi: Iff(s.box[c1, s.box[c2, phi]], s.box[s.union[c1, c2], phi]),
     ),
-    # stated for independence between distinct agents; i = j not instantiated
-    "confl": (
-        "i j phi",
-        lambda s, i, j, phi: Implies(Diamond({i}, Box({j}, phi)), Box({j}, Diamond({i}, phi)))
-        if i != j
-        else None,
-    ),
+    "confl": ("i j phi", _confl),
     "empty": ("phi", lambda s, phi: Iff(Box((), phi), phi)),
-    "exclu": (
-        "i j p",
-        lambda s, i, j, p: Implies(
-            And(Diamond({i}, p), Diamond({i}, Not(p))), Or(Box({j}, p), Box({j}, Not(p)))
-        )
-        if i != j
-        else None,
-    ),
+    "exclu": ("i j p", _exclu),
     "ballot": ("i order", lambda s, i, order: Diamond({i}, ballot_agent(i, order))),
-    "comp-At": (
-        "C1 C2 delta1 delta2",
-        lambda s, c1, c2, d1, d2: None
-        if s.atom_agents[d1] & s.atom_agents[d2]
-        else Implies(And(Diamond(c1, d1), Diamond(c2, d2)), Diamond(c1 | c2, And(d1, d2))),
-    ),
+    "comp-At": ("C1 C2 delta1 delta2", _comp_at),
     "func1": (
         "",
         lambda s: disj(
@@ -281,14 +391,14 @@ _TABLE: dict[str, tuple[str, Callable[..., Optional[Formula]]]] = {
             And(ballot_profile(q), phi), Box(s.grand, Implies(ballot_profile(q), phi))
         ),
     ),
-    "incl": ("i phi", lambda s, i, phi: Implies(Box(s.grand, phi), PrefBox(i, phi))),
+    "incl": ("i phi", lambda s, i, phi: Implies(s.box[s.grand, phi], s.prefbox[i, phi])),
     "K(pref)": (
         "i phi psi",
         lambda s, i, phi, psi: Implies(
-            PrefBox(i, Implies(phi, psi)), Implies(PrefBox(i, phi), PrefBox(i, psi))
+            PrefBox(i, Implies(phi, psi)), Implies(s.prefbox[i, phi], s.prefbox[i, psi])
         ),
     ),
-    "4(pref)": ("i phi", lambda s, i, phi: Implies(Pref(i, Pref(i, phi)), Pref(i, phi))),
+    "4(pref)": ("i phi", lambda s, i, phi: Implies(Pref(i, s.pref[i, phi]), s.pref[i, phi])),
     "antisym'": ("i profile1 profile2", _antisym),
     "total'": ("i profile1 profile2", _total),
     "unifPref": (
@@ -310,14 +420,14 @@ def instantiate(
     if schema not in _TABLE:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     binders, build = _TABLE[schema]
-    names = binders.split()
+    names = tuple(binders.split())
     out: list[AxiomInstance] = []
     with _collector_paused():
         scope = _Scope(n, outcomes, pool)
         for values in itertools.product(*(getattr(scope, _DOMAINS[b]) for b in names)):
             formula = build(scope, *values)
             if formula is not None:
-                out.append(AxiomInstance(schema, dict(zip(names, values)), formula))
+                out.append(_fill(_new(AxiomInstance), schema, names, values, formula))
     return out
 
 
@@ -413,9 +523,9 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
 # instances at most and drops each instance's masks after its last reader,
 # so the product bounds mainly one schema's instances and the run time.
 # At (4,2) over 1008 sampled models (63 outcome functions, each with its 16
-# true profiles) comp-At reaches 3.2e9: its 150,528 instances take 6-8 s
-# and 200 MiB to build, 1.5-2.2 s to check, and the whole sweep peaks at
-# 263 MiB, as comp-At alone does.  At (3,3) over 1080 sampled models
+# true profiles) comp-At reaches 3.2e9: its 150,528 instances take 1.5-2.2 s
+# and 164 MiB to build, 0.8-1.1 s to check, and the whole sweep peaks at
+# 240 MiB, as comp-At alone does.  At (3,3) over 1080 sampled models
 # comp-At reaches 1.2e10 and antisym' 3.3e10.  Over 1000 models there,
 # comp-At checked in about 1 s and 206 MiB, but antisym' ran out of a 3 GB
 # cap: its 139,968 instances share per-profile subformulas, whose masks

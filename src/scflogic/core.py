@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
@@ -158,16 +157,39 @@ class _Positions(dict):
         return factorial(len(self.where))
 
     def __missing__(self, ranking: tuple) -> int:
-        left = list(range(len(self.where)))  # positions of the names not yet ranked
-        rank = 0
+        where, size = self.where, len(self.where)
+        # a Fenwick tree over positions 1..size counting the ones not yet
+        # ranked: node k covers (k - lowbit(k), k], all of them at first
+        tree = [k & -k for k in range(size + 1)]
+        taken = bytearray(size)
+        digits = []  # per name, the unranked positions below its own
         for name in ranking:
-            i = bisect_left(left, self.where[name])
-            if i == len(left) or left[i] != self.where[name]:  # a repeat, or too long
+            p = where[name]
+            if len(digits) == size or taken[p]:  # too long, or a repeat
                 raise KeyError(ranking)
-            rank = rank * len(left) + i
-            del left[i]
-        if left:
+            taken[p] = 1
+            below, k = 0, p
+            while k:
+                below += tree[k]
+                k &= k - 1
+            digits.append(below)
+            k = p + 1
+            while k <= size:
+                tree[k] -= 1
+                k += k & -k
+        if len(digits) < size:
             raise KeyError(ranking)
+        # the mixed-radix number of the digits, digit k in base size - k,
+        # folded pairwise as (value, span) so the big products stay balanced
+        parts = [(digit, size - k) for k, digit in enumerate(digits)]
+        while len(parts) > 1:
+            merged = [
+                (v1 * s2 + v2, s1 * s2) for (v1, s1), (v2, s2) in zip(parts[::2], parts[1::2])
+            ]
+            if len(parts) % 2:
+                merged.append(parts[-1])
+            parts = merged
+        rank = parts[0][0] if parts else 0
         self[ranking] = rank
         return rank
 

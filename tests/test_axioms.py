@@ -104,6 +104,53 @@ def test_instances_copy_and_pickle_with_their_live_formulas():
             assert twin.bindings == inst.bindings
 
 
+def test_instances_are_immutable_records_of_their_bindings():
+    """A record built by hand and one `instantiate` built keep their
+    bindings in binder order and hand out a fresh dict of them; equality
+    and hash go by (schema, formula); fields cannot be assigned; and
+    records take weak references, copy, and pickle at every protocol."""
+    phi, psi = Out("a"), Rep(1, "a", "b")
+    (built,) = [
+        inst
+        for inst in instantiate("K(i)", 2, K2, (phi, psi))
+        if inst.bindings == {"i": 2, "phi": psi, "psi": phi}
+    ]
+    given = {"i": 2, "phi": psi, "psi": phi}
+    hand = AxiomInstance("K(i)", given, built.formula)
+    given["i"] = 1
+    for inst in (hand, built):
+        assert list(inst.bindings.items()) == [("i", 2), ("phi", psi), ("psi", phi)]
+        inst.bindings["i"] = 1
+        assert inst.bindings["i"] == 2
+        assert inst.describe() == "K(i)[i=2, phi=Formula('rep(1,a,b)'), psi=Formula('a')]"
+        assert repr(inst) == (
+            f"AxiomInstance(schema='K(i)', bindings={inst.bindings!r}, formula={built.formula!r})"
+        )
+        for field in ("schema", "formula", "bindings", "other"):
+            with pytest.raises(AttributeError):
+                setattr(inst, field, None)
+        with pytest.raises(AttributeError):
+            del inst.schema
+        assert weakref.ref(inst)() is inst
+    assert hand == built and hash(hand) == hash(built)
+    assert AxiomInstance("K(i)", {}, built.formula) == built
+    assert AxiomInstance("K(pref)", given, built.formula) != built
+    assert AxiomInstance("K(i)", given, phi) != built
+    assert built != ("K(i)", built.formula) and len({hand, built}) == 1
+    union = instantiate("comp-union", 2, K2, (phi,))[-1]
+    assert union.describe() == "comp-union[C1={1,2}, C2={1,2}, phi=Formula('a')]"
+    antisym = instantiate("antisym'", 2, K2, ())[5]
+    for inst in (built, union, antisym):
+        twins = [copy.copy(inst), copy.deepcopy(inst)]
+        twins += [
+            pickle.loads(pickle.dumps(inst, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in twins:
+            assert type(twin) is AxiomInstance and twin == inst and twin.formula is inst.formula
+            assert list(twin.bindings.items()) == list(inst.bindings.items())
+
+
 def test_confl_skips_same_agent():
     instances = instantiate("confl", 3, K2, (Out("a"),))
     assert all(inst.bindings["i"] != inst.bindings["j"] for inst in instances)
@@ -324,7 +371,7 @@ def test_pref_necessitation_holds_on_whole_classes(monkeypatch):
 
 # (n, outcomes, schema) -> (instance count, first 16 hex digits of the
 # sha256 of the lines "<describe()>\t<format_formula(formula)>\n" in
-# instantiation order); pools: the default ones at (2,2) and (1,3),
+# instantiation order); pools: the default ones at (2,2), (1,3) and (3,2),
 # DIGEST_POOL_23 at (2,3)
 DIGEST_POOL_23 = ("a", "rep(1,a,b)", "~rep(2,b,c)", "rep(1,c,a) | rep(2,a,b)")
 INSTANCE_DIGESTS = {
@@ -388,14 +435,40 @@ INSTANCE_DIGESTS = {
     (2, "abc", "antisym'"): (2592, "87685b4a6a70191c"),
     (2, "abc", "total'"): (2592, "47d3c08cf98ee64d"),
     (2, "abc", "unifPref"): (18, "ce53133107b2a9b4"),
+    (3, "ab", "refl"): (6, "894fff9bbe3345e7"),
+    (3, "ab", "antisym-total"): (6, "9bd96430dffc321b"),
+    (3, "ab", "trans"): (24, "e0dbac5f1b1ee422"),
+    (3, "ab", "K(i)"): (6912, "e28a1c3c2c362bac"),
+    (3, "ab", "T(i)"): (144, "9c4d4120d27d5137"),
+    (3, "ab", "B(i)"): (144, "f5a6ad092c70c55e"),
+    (3, "ab", "comp-union"): (3072, "135f375285cc873a"),
+    (3, "ab", "confl"): (288, "b69ecd049938e766"),
+    (3, "ab", "empty"): (48, "277d27ab358bf25a"),
+    (3, "ab", "exclu"): (72, "2bed4ae9ea62bb41"),
+    (3, "ab", "ballot"): (6, "a5c2401fb6e9d559"),
+    (3, "ab", "comp-At"): (56320, "d01eb2a4a86b883e"),
+    (3, "ab", "func1"): (1, "5082495abb662213"),
+    (3, "ab", "func2"): (384, "ee4822e94dfcaac8"),
+    (3, "ab", "incl"): (144, "fc199e13c429ac5e"),
+    (3, "ab", "K(pref)"): (6912, "1b8fd5d2bfd62358"),
+    (3, "ab", "4(pref)"): (144, "813dac28a5346fca"),
+    (3, "ab", "antisym'"): (192, "bc64b6b857c25015"),
+    (3, "ab", "total'"): (192, "60a4275f39b3aec0"),
+    (3, "ab", "unifPref"): (12, "e1f274353fc0c1d3"),
 }
 
 
 def test_instances_match_pinned_digests():
     """Every schema yields the same instances, bindings and formulas, in
-    the same order, as pinned here."""
+    the same order, as pinned here.  (3,2) has coalition unions of three
+    agents and comp-At's largest pinned count."""
     pool_23 = tuple(parse(text, (2, K3)) for text in DIGEST_POOL_23)
-    pools = {(2, "ab"): default_pool(2, K2), (1, "abc"): default_pool(1, K3), (2, "abc"): pool_23}
+    pools = {
+        (2, "ab"): default_pool(2, K2),
+        (1, "abc"): default_pool(1, K3),
+        (2, "abc"): pool_23,
+        (3, "ab"): default_pool(3, K2),
+    }
     seen = {}
     for (n, names), pool in pools.items():
         for schema in SCHEMAS:

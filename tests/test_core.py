@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import re
 
 import pytest
@@ -132,6 +134,24 @@ def test_states_are_numbered_by_ranking_positions(n, outcomes):
     for bad in (repeat, missing, unknown, names + names[:1]):
         with pytest.raises(KeyError):
             positions[bad]
+
+def test_long_rankings_get_their_plain_lehmer_rank():
+    """Over 300 outcome names, a ranking's position is its Lehmer rank as
+    a list-deleting loop builds it, on seeded shuffles; the reversed names
+    are the last ranking, |K|! - 1."""
+    names = tuple(f"o{i}" for i in range(300))
+    positions = core._Positions(names)
+    rng = random.Random(300)
+    for _ in range(20):
+        ranking = list(names)
+        rng.shuffle(ranking)
+        left, rank = list(names), 0
+        for name in ranking:
+            rank = rank * len(left) + left.index(name)
+            left.remove(name)
+        assert positions[tuple(ranking)] == rank
+    assert positions[names[::-1]] == positions.radix - 1 == math.factorial(300) - 1
+
 
 def test_state_atoms_examples():
     atoms = state_atoms(profile(("a", "b"), ("a", "b")))
