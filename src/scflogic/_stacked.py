@@ -41,23 +41,22 @@ ORs its roots' read-sets and builds its view from that grid on each
 call; the property check and the enumeration stack narrowed grids
 directly.
 
-A formula is evaluated by one post-order walk of its DAG (`_mask`) on a
-memo of its own, so a shared node is computed once and no mask outlives
-the call.  A root evaluated alone (`truth_mask`, or `first_failure` over
-one root) is usually asked again on other stacks: a property formula on
-table after table, the chunks of an enumeration.  So the first such call
-only marks the root, the second reads its walk's memo, which holds every
-distinct node in post-order, into a flat program of one `(op, a, b)`
-entry per node (`_record`), and later calls replay that program (`_replay`)
-as one loop over a list, with no memo and no revisits, through the same
-kernels and domain checks.  A program names children by slot and atoms by
-their fields, so it never references its root; the table of programs
-(`_programs`) holds roots weakly, and a program lives as long as its root.
-A batch, `first_failure` over several roots, is never recorded: its roots
-share one memo, and a node's mask is dropped once the last root that
-reaches it has passed, so the memo holds what later roots still read, not
-every mask computed so far.  To ask one formula at many states, read its
-mask once instead of calling `evaluate` per state.
+A formula is evaluated by running a program (`StackedEvaluator._run`):
+one entry per distinct node of its DAG in post-order, compiled by one walk
+(`_compile`) into three parallel lists (op code; child slot or atom field;
+coalition, agent or atom field), so a shared node is computed once.  A
+program names children by slot and atoms by their fields, so it never
+references its root.  A root evaluated alone (`truth_mask`, or
+`first_failure` over one root) is usually asked again on other stacks: a
+property formula on table after table, the chunks of an enumeration.  So
+its program is compiled on its first such call and kept in `_programs`,
+which holds roots weakly: a program lives as long as its root, and no
+mask outlives the call.  A batch, `first_failure` over several roots,
+compiles each root's new nodes against one table of slots, runs them, and
+drops a node's mask once the last root that reaches it has passed, so it
+holds what later roots still read, not every mask computed so far.  To ask
+one formula at many states, read its mask once instead of calling
+`evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the rank blocks of all S profiles) is built once
 per domain (`_space`).  Agreement with the relational semantics
@@ -241,26 +240,26 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
     return parts[0]
 
 
-# a program: per distinct node in post-order, an entry (op, a, b) of plain
-# data (see `_record`); op is one of these codes, not the node's class, so
-# the collector can untrack the entries
+# a program: per node in post-order, an entry (op, a, b) of plain data
+# (see `_compile`), held as three parallel lists; op is one of these codes,
+# not the node's class, so a program references no node
 _NOT, _OR, _DIAMOND, _PREF, _TOP, _OUT, _REP = range(7)
-_Program = list[tuple]
+_Program = tuple[list[int], list, list]
 
-# root evaluated alone -> None after its first such call, its program after
-# the second; held weakly, so an entry dies with its root
-_programs: weakref.WeakKeyDictionary[Formula, _Program | None] = weakref.WeakKeyDictionary()
-_UNSEEN = object()
+# root evaluated alone -> its program; held weakly, so an entry dies with
+# its root
+_programs: weakref.WeakKeyDictionary[Formula, _Program] = weakref.WeakKeyDictionary()
 
 
 class StackedEvaluator:
     """Truth masks for a batch of models sharing one (n, K): a `TableGrid`,
     or a model list read into one (`_as_grid`), whose `models` stay the
-    caller's own objects.  Each call has a memo of its own, dropped on
-    return; a root evaluated alone may keep a program of entries, never
-    masks or nodes, in `_programs`.  The outcome and rank masks are built
-    when an evaluation first reads them; `first_failure` evaluates on a
-    view of the narrowed grid, built per call and not kept."""
+    caller's own objects.  Each call runs programs on a list of masks of
+    its own, dropped on return; a root evaluated alone keeps its program,
+    which holds no mask or node, in `_programs`.  The outcome and rank
+    masks are built when an evaluation first reads them; `first_failure`
+    evaluates on a view of the narrowed grid, built per call and not
+    kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -339,26 +338,20 @@ class StackedEvaluator:
 
     def truth_mask(self, formula: Formula) -> int:
         """Truth mask of `formula` across the batch, as a root evaluated
-        alone: walked on its first such call, walked and recorded on its
-        second, replayed from then on."""
-        program = _programs.get(formula, _UNSEEN)
-        if program is _UNSEEN:
-            _programs[formula] = None
-            return self._mask(formula, {})
+        alone: compiled on its first such call, its program kept in
+        `_programs` and run on every call."""
+        program = _programs.get(formula)
         if program is None:
-            memo: dict[Formula, int] = {}
-            mask = self._mask(formula, memo)
-            _programs[formula] = _record(memo)
-            return mask
-        return self._replay(program)
+            program = _programs[formula] = _compile(formula, {}, 0)
+        return self._run(program, [])[-1]
 
-    def _replay(self, program: _Program) -> int:
-        """Truth mask of the root `program` was recorded from: one pass in
-        slot order, each entry's mask from its children's slots."""
+    def _run(self, program: _Program, masks: list) -> list:
+        """Append to `masks`, which holds the masks of the slots below the
+        program's first, each entry's mask from its children's slots, in
+        slot order, and return `masks`."""
         full = self.full
-        masks: list[int] = []
         push = masks.append
-        for op, a, b in program:
+        for op, a, b in zip(*program):
             if op == _NOT:
                 push(full ^ masks[a])
             elif op == _OR:
@@ -369,74 +362,7 @@ class StackedEvaluator:
                 push(self._pref(b, masks[a]))
             else:
                 push(self._atom(op, a, b))
-        return masks[-1]
-
-    def _mask(self, formula: Formula, memo: dict[Formula, int]) -> int:
-        """Truth mask of `formula`, reading and filling `memo`.
-
-        Walks the formula DAG in post-order on an explicit stack, so depth
-        is limited by memory only.  The stack holds one path from the root,
-        each entry a child of the one below it, so no node waits twice: a
-        node whose child has no mask yet pushes that child, and a node
-        whose children have masks computes its own, once, from theirs.
-        The mask just computed is passed up without a memo lookup.  Each
-        node enters `memo` when its mask is computed, after its children:
-        a fresh memo ends up in post-order, as `_record` reads it."""
-        get = memo.get
-        mask = get(formula)
-        if mask is not None:
-            return mask
-        full = self.full
-        stack = [formula]
-        push = stack.append
-        last = None
-        node = formula
-        while True:
-            kind = type(node)
-            if kind is Or:
-                child = node.left
-                if child is last:
-                    x = mask
-                else:
-                    x = get(child)
-                    if x is None:
-                        push(child)
-                        node = child
-                        continue
-                child = node.right
-                if child is last:
-                    y = mask
-                else:
-                    y = get(child)
-                    if y is None:
-                        push(child)
-                        node = child
-                        continue
-                mask = x | y
-            elif kind is Not or kind is Diamond or kind is Pref:
-                child = node.child
-                if child is last:
-                    x = mask
-                else:
-                    x = get(child)
-                    if x is None:
-                        push(child)
-                        node = child
-                        continue
-                if kind is Not:
-                    mask = full ^ x
-                elif kind is Diamond:
-                    mask = self._diamond(node.coalition, x)
-                else:
-                    mask = self._pref(node.agent, x)
-            else:
-                mask = self._atom(*_atom_entry(node))
-            stack.pop()
-            memo[node] = mask
-            if not stack:
-                return mask
-            last = node
-            node = stack[-1]
+        return masks
 
     def _atom(self, op: int, a, b) -> int:
         """Mask of the atom whose entry `_atom_entry` gives as (op, a, b)."""
@@ -503,27 +429,32 @@ class StackedEvaluator:
     def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
         """(index, falsified bits) of the first root that some model of
         this stack falsifies, or None.  The roots are evaluated in order
-        on one memo, so a node they share is computed once.
+        against one table of slots: each root's nodes that no earlier root
+        reached are compiled (`_compile`) and run on one list of masks, so
+        a node they share is computed once.
 
         Before evaluating, the roots are walked from last to first, and
         each distinct node goes into the bucket of the first walk that
         meets it: the last root that reaches it (`_last_readers`).  Once
-        root k passes, the masks in bucket k are dropped, as no later root
-        reads them; a node that a later root reaches stays until that root
-        has passed, so the answer and the one computation per node are
-        unchanged.  A batch of one root is a `truth_mask`: it skips the
-        walk and may be recorded and replayed."""
+        root k passes, the masks in bucket k are dropped and their slots
+        freed, as no later root reads them; a node that a later root
+        reaches stays until that root has passed, so the answer and the
+        one computation per node are unchanged.  A batch of one root is a
+        `truth_mask`: it skips the walk and runs the root's kept
+        program."""
         if len(roots) == 1:
             bad = self.full ^ self.truth_mask(roots[0])
             return (0, bad) if bad else None
         last_readers = _last_readers(roots)
-        memo: dict[Formula, int] = {}
-        for index, formula in enumerate(roots):
-            bad = self.full ^ self._mask(formula, memo)
+        slots: dict[Formula, int] = {}
+        masks: list[int | None] = []
+        for index, root in enumerate(roots):
+            self._run(_compile(root, slots, len(masks)), masks)
+            bad = self.full ^ masks[slots[root]]
             if bad:
                 return index, bad
             for node in last_readers[index]:
-                del memo[node]
+                masks[slots.pop(node)] = None
         return None
 
 
@@ -540,29 +471,55 @@ def _atom_entry(node: Formula) -> tuple:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _record(memo: dict[Formula, int]) -> _Program:
-    """The program of a single-root walk, read from its memo, which the
-    walk fills in post-order: one entry (op, a, b) per node in that
-    order, its position the node's slot.  An `Or`'s a and b are its
-    children's slots; a `Not`, `<C>` or `pref(i)` has its child's slot in
-    a and its coalition or agent in b; an atom is `_atom_entry`'s."""
-    slots: dict[Formula, int] = {}
-    program: _Program = []
-    for node in memo:
+def _compile(root: Formula, slots: dict[Formula, int], base: int) -> _Program:
+    """The program of the nodes `root` reaches that are not in `slots`, in
+    post-order: entry k gets slot `base + k`, which `slots` records.  An
+    `Or`'s a and b are its children's slots; a `Not`, `<C>` or `pref(i)`
+    has its child's slot in a and its coalition or agent in b; an atom is
+    `_atom_entry`'s.
+
+    Walks on an explicit stack, so depth is limited by memory only.  The
+    stack holds one path from the root, each entry a child of the one
+    below it: a node with a child not in `slots` pushes that child, and a
+    node whose children have slots gets its entry, once."""
+    ops: list[int] = []
+    args: list = []
+    keys: list = []
+    get = slots.get
+    stack = [] if root in slots else [root]
+    push = stack.append
+    while stack:
+        node = stack[-1]
         kind = type(node)
-        if kind is Not:
-            entry = (_NOT, slots[node.child], None)
-        elif kind is Or:
-            entry = (_OR, slots[node.left], slots[node.right])
-        elif kind is Diamond:
-            entry = (_DIAMOND, slots[node.child], node.coalition)
-        elif kind is Pref:
-            entry = (_PREF, slots[node.child], node.agent)
+        if kind is Or:
+            a = get(node.left)
+            if a is None:
+                push(node.left)
+                continue
+            b = get(node.right)
+            if b is None:
+                push(node.right)
+                continue
+            op = _OR
+        elif kind is Not or kind is Diamond or kind is Pref:
+            a = get(node.child)
+            if a is None:
+                push(node.child)
+                continue
+            if kind is Not:
+                op, b = _NOT, None
+            elif kind is Diamond:
+                op, b = _DIAMOND, node.coalition
+            else:
+                op, b = _PREF, node.agent
         else:
-            entry = _atom_entry(node)
-        slots[node] = len(program)
-        program.append(entry)
-    return program
+            op, a, b = _atom_entry(node)
+        stack.pop()
+        slots[node] = base + len(ops)
+        ops.append(op)
+        args.append(a)
+        keys.append(b)
+    return ops, args, keys
 
 
 def _last_readers(roots: Sequence[Formula]) -> list[list[Formula]]:

@@ -7,7 +7,7 @@ model or evaluates a formula.
 Formula nodes are interned when they are built (see `logic.Formula`), so
 the formulas built here are DAGs in which equal subformulas, such as the
 ballot labels and `better` expansions, are one shared node, and an
-evaluator's memo hits them by identity.  `ballot_profile`, `better` and
+evaluator's slots hit them by identity.  `ballot_profile`, `better` and
 `property_formula` are memoized with `lru_cache` as well.  Interning alone
 would return the same nodes, but only after rebuilding each expansion at
 every use: the caches of `ballot_profile` and `better` keep the build

@@ -45,10 +45,11 @@ from scflogic.logic import (
 import itertools
 import random
 
-from scflogic._stacked import StackedEvaluator, TableGrid, _programs
+from scflogic import _stacked
+from scflogic._stacked import StackedEvaluator, TableGrid, _compile, _programs
 from scflogic.axioms import default_pool, instantiate
-from scflogic import axioms, encodings, logic
-from scflogic.encodings import STRPROOF, better, dom, property_formula, rho
+from scflogic import axioms, decision, encodings, logic
+from scflogic.encodings import MON, STRPROOF, better, dom, property_formula, rho
 from scflogic.parser import Context, parse
 
 from conftest import AB, BA, K2, K3, make_formula_sampler, profile
@@ -478,6 +479,21 @@ def test_stacked_evaluator_handles_deep_formulas():
         Pref(2, Out("b"))
     )
     assert stacked.truth_mask(wide) == expected
+    # a batch compiles each root against the slots of the roots before it:
+    # two 20,000-deep chains sharing a 10,000-deep tail, the second ~b
+    tail = TRUE
+    for _ in range(10000):
+        tail = Not(tail)
+    first, second = tail, Or(Out("b"), Not(tail))
+    for _ in range(10000):
+        first = Not(first)
+    for _ in range(9999):
+        second = Not(second)
+    bad = stacked.truth_mask(Out("b"))
+    assert bad
+    model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
+    expected = (1, models[model_idx], stacked.space.profiles[state_idx])
+    assert stacked.first_failure([first, second]) == expected
 
 
 def test_evaluate_rejects_foreign_state(h_model):
@@ -598,9 +614,9 @@ def test_an_unpickled_node_is_canonical_after_the_original_died():
 
 
 def test_evaluators_keep_no_formula_alive():
-    """A memo lives for one call only: a formula evaluated through
-    `truth_mask` and `first_failure` of a live evaluator is collected
-    once the caller drops it."""
+    """Slots and masks live for one call only, and a kept program holds no
+    node: a formula evaluated through `truth_mask` and `first_failure` of
+    a live evaluator is collected once the caller drops it."""
     models = sample_models(2, K2, 4, seed=3)
     stacked = StackedEvaluator(models)
     one = Evaluator(models[0])
@@ -717,7 +733,7 @@ def test_first_failure_drops_masks_no_later_root_reads():
     """240 tautology roots with private modal nodes, over all 2,048 (3,2)
     models: each root's masks (2 KiB apiece) are dropped once it passes,
     so the traced peak stays near the pool's masks plus one root's (about
-    0.14 MiB); a memo keeping every mask until return peaks at about
+    0.14 MiB); keeping every mask until return peaks at about
     1.1 MiB."""
     ev = StackedEvaluator(list(enumerate_models(3, K2)))
     coalitions = ({1}, {2}, {3}, {1, 2}, {1, 2, 3})
@@ -754,10 +770,12 @@ def _stacks_of_four_kinds(n, outcomes, seed):
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
 def test_replayed_programs_match_the_walk(n, k):
-    """A root evaluated alone is walked, then walked and recorded, then
-    replayed: every stack's mask equals a fresh walk's and, block by
-    block, the relational extension, and `first_failure` reports the
-    walk's (index, model, state), the model being the caller's object."""
+    """A root evaluated alone is compiled on its first call, and its kept
+    program run on later ones: on every stack the first-use mask equals
+    the kept program's and, block by block, the relational extension, and
+    `first_failure` over the root alone and over a batch of it twice
+    reports that mask's (index, model, state), the model being the
+    caller's object."""
     outcomes = ("a", "b", "c", "d")[:k]
     stacks = _stacks_of_four_kinds(n, outcomes, seed=10 * n + k)
     draw = make_formula_sampler(n, outcomes, seed=53 + n + k)
@@ -765,17 +783,16 @@ def test_replayed_programs_match_the_walk(n, k):
     formulas = list(sampled)
     if (n, k) == (2, 3):  # the strproof encoding, too big for a relational check
         formulas.append(property_formula(STRPROOF, n, outcomes))
-    for f in formulas:
-        stacks[0][0].truth_mask(f)
-        stacks[1][0].first_failure([f])
-        assert isinstance(_programs[f], list)
     for stacked, models in stacks:
-        _assert_blocks_follow_kripke(stacked, models, sampled)
         for f in formulas:
-            walked = stacked._mask(f, {})
-            assert stacked.truth_mask(f) == walked
-            bad = stacked.full ^ walked
+            _programs.pop(f, None)
+            first = stacked.truth_mask(f)
+            program = _programs[f]
+            assert stacked.truth_mask(f) == first
             hit = stacked.first_failure([f])
+            assert _programs[f] is program
+            assert stacked.first_failure([f, f]) == hit
+            bad = stacked.full ^ first
             if not bad:
                 assert hit is None
                 continue
@@ -786,13 +803,15 @@ def test_replayed_programs_match_the_walk(n, k):
                 assert model == stacked.models[model_idx]
             else:
                 assert model is models[model_idx]
+        _assert_blocks_follow_kripke(stacked, models, sampled)
 
 
 def test_a_replay_refuses_what_the_walk_refuses():
-    """A program recorded over (2,{a,b,c}) and replayed over a stack that
-    lacks an outcome, an agent or a coalition member raises the walk's
-    InvalidDomain, word for word, at the same first fault."""
-    recorded = StackedEvaluator(sample_models(2, K3, 1, seed=59))
+    """A program compiled over (2,{a,b,c}) and run on a stack that lacks an
+    outcome, an agent or a coalition member raises, word for word, the
+    InvalidDomain of a program compiled there afresh, at the same first
+    fault, and so does `first_failure`."""
+    compiled = StackedEvaluator(sample_models(2, K3, 1, seed=59))
     one_agent = StackedEvaluator(sample_models(1, K3, 1, seed=61))
     two_outcomes = StackedEvaluator(sample_models(2, K2, 1, seed=67))
     three_agents = StackedEvaluator(sample_models(3, K2, 1, seed=71))
@@ -807,22 +826,57 @@ def test_a_replay_refuses_what_the_walk_refuses():
         (Or(Pref(1, Out("b")), Pref(2, Out("c"))), [one_agent, two_outcomes]),
     ]
     for f, targets in cases:
-        for _ in range(2):
-            recorded.truth_mask(f)
-        assert isinstance(_programs[f], list)
+        _programs.pop(f, None)
+        compiled.truth_mask(f)
+        program = _programs[f]
         for stacked in targets:
-            with pytest.raises(InvalidDomain) as walked:
-                stacked._mask(f, {})
-            with pytest.raises(InvalidDomain) as replayed:
+            with pytest.raises(InvalidDomain) as fresh:
+                stacked._run(_compile(f, {}, 0), [])
+            with pytest.raises(InvalidDomain) as kept:
                 stacked.truth_mask(f)
             with pytest.raises(InvalidDomain) as checked:
                 stacked.first_failure([f])
-            assert str(walked.value) == str(replayed.value) == str(checked.value)
+            assert str(fresh.value) == str(kept.value) == str(checked.value)
+            assert _programs[f] is program
+
+
+def test_a_root_is_compiled_once(monkeypatch):
+    """A root evaluated alone is compiled on its first call only: over two
+    stacks and two tables, `truth_mask`, `first_failure` over the root
+    alone and `check_scf_property` run the program kept from then on, and
+    every mask equals a fresh compile's."""
+    compiled = []
+
+    def counting(root, slots, base):
+        compiled.append(root)
+        return _compile(root, slots, base)
+
+    formula = property_formula(MON, 2, K2)
+    tables = [
+        ScfTable.from_function(2, K2, lambda p: p.order(1).top),
+        ScfTable.from_function(2, K2, lambda p: p.order(1).ranking[-1]),
+    ]
+    models = sample_models(2, K2, 3, seed=79)
+    stacks = [StackedEvaluator(models), Evaluator(models[-1])]
+    grids = [StackedEvaluator(TableGrid(2, K2, [table.values])) for table in tables]
+    fresh = [stacked._run(_compile(formula, {}, 0), [])[-1] for stacked in stacks + grids]
+    _programs.pop(formula, None)
+    monkeypatch.setattr(_stacked, "_compile", counting)
+    hits = []
+    for stacked, mask in zip(stacks + grids, fresh):
+        assert stacked.truth_mask(formula) == mask
+        hits.append(stacked.first_failure([formula]))
+        assert (hits[-1] is None) == (mask == stacked.full)
+    for table, hit in zip(tables, hits[2:]):
+        verdict = decision.check_scf_property(table, MON)
+        assert verdict.counterexample == (hit and hit[1:])
+    assert hits[2] is None and hits[3] is not None
+    assert compiled == [formula]
 
 
 def test_programs_die_with_their_roots():
-    """A program holds no node: once a root evaluated three times is
-    dropped, it is collected and the program table is back to its size,
+    """A program holds no node: once a root evaluated alone on two stacks
+    is dropped, it is collected and the program table is back to its size,
     for a root with children and for an atom root alike."""
     outcomes = ("p", "q")
     stacked = StackedEvaluator(sample_models(2, outcomes, 1, seed=73))
@@ -833,7 +887,7 @@ def test_programs_die_with_their_roots():
         stacked.truth_mask(node)
         stacked.first_failure([node])
         one.truth_mask(node)
-        assert isinstance(_programs[node], list)
+        assert node in _programs
         return weakref.ref(node)
 
     for make in (lambda: Pref(1, Diamond({2}, Not(Rep(2, "q", "p")))), lambda: Out("q")):
