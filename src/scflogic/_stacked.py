@@ -42,21 +42,26 @@ call; the property check and the enumeration stack narrowed grids
 directly.
 
 A formula is evaluated by running a program (`StackedEvaluator._run`):
-one entry per distinct node of its DAG in post-order, compiled by one walk
-(`_compile`) into three parallel lists (op code; child slot or atom field;
-coalition, agent or atom field), so a shared node is computed once.  A
-program names children by slot and atoms by their fields, so it never
-references its root.  A root evaluated alone (`truth_mask`, or
-`first_failure` over one root) is usually asked again on other stacks: a
-property formula on table after table, the chunks of an enumeration.  So
-its program is compiled on its first such call and kept in `_programs`,
-which holds roots weakly: a program lives as long as its root, and no
-mask outlives the call.  A batch, `first_failure` over several roots,
-compiles each root's new nodes against one table of slots, runs them, and
-drops a node's mask once the last root that reaches it has passed, so it
-holds what later roots still read, not every mask computed so far.  To ask
-one formula at many states, read its mask once instead of calling
-`evaluate` per state.
+one entry per distinct node of its DAG in post-order, so a shared node is
+computed once.  One iterative walk (`_walk`) lists the distinct nodes of a
+sequence of roots in post-order, each with the index of its last direct
+reader: the last root that is the node, or that computes a parent of it.
+One flat pass (`_program`) turns a run of those nodes into three parallel
+lists (op code; child slot or atom field; coalition, agent or atom field)
+against a table of slots.  A program names children by slot and atoms by
+their fields, so it never references its root.  A root evaluated alone
+(`truth_mask`, or `first_failure` over one root) is usually asked again
+on other stacks: a property formula on table after table, the chunks of an
+enumeration.  So its program is built on its first such call and kept in
+`_programs`, which holds roots weakly: a program lives as long as its
+root, and no mask outlives the call.  A batch, `first_failure` over
+several roots, is walked once; each root's new nodes are then compiled
+against one table of slots and run, and a node's mask is dropped once its
+last direct reader has passed.  A node that a later root reaches only
+through a node already computed is not read again, so the batch holds
+what later roots still read, not every mask computed so far.  To ask one
+formula at many states, read its mask once instead of calling `evaluate`
+per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the rank blocks of all S profiles) is built once
 per domain (`_space`).  Agreement with the relational semantics
@@ -241,7 +246,7 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
 
 
 # a program: per node in post-order, an entry (op, a, b) of plain data
-# (see `_compile`), held as three parallel lists; op is one of these codes,
+# (see `_program`), held as three parallel lists; op is one of these codes,
 # not the node's class, so a program references no node
 _NOT, _OR, _DIAMOND, _PREF, _TOP, _OUT, _REP = range(7)
 _Program = tuple[list[int], list, list]
@@ -338,11 +343,13 @@ class StackedEvaluator:
 
     def truth_mask(self, formula: Formula) -> int:
         """Truth mask of `formula` across the batch, as a root evaluated
-        alone: compiled on its first such call, its program kept in
+        alone: on its first such call its nodes are walked (`_walk`) and
+        compiled in that order (`_program`), and the program is kept in
         `_programs` and run on every call."""
         program = _programs.get(formula)
         if program is None:
-            program = _programs[formula] = _compile(formula, {}, 0)
+            slots = _walk([formula])  # node -> 0, made the slot table in place
+            program = _programs[formula] = _program(slots, slots, 0)
         return self._run(program, [])[-1]
 
     def _run(self, program: _Program, masks: list) -> list:
@@ -365,7 +372,7 @@ class StackedEvaluator:
         return masks
 
     def _atom(self, op: int, a, b) -> int:
-        """Mask of the atom whose entry `_atom_entry` gives as (op, a, b)."""
+        """Mask of the atom whose program entry is (op, a, b)."""
         if op == _TOP:
             return self.full
         if op == _REP:
@@ -428,118 +435,121 @@ class StackedEvaluator:
 
     def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
         """(index, falsified bits) of the first root that some model of
-        this stack falsifies, or None.  The roots are evaluated in order
-        against one table of slots: each root's nodes that no earlier root
-        reached are compiled (`_compile`) and run on one list of masks, so
-        a node they share is computed once.
+        this stack falsifies, or None.  The roots are walked once
+        (`_walk`), and the walk's table is replaced by its node list and
+        the nodes sorted by last direct reader before any mask is
+        computed.  Then, in order, each root's new nodes, the run of the
+        node list that ends at the root, are compiled (`_program`) against
+        one table of slots and run on one list of masks, so a node they
+        share is computed once.
 
-        Before evaluating, the roots are walked from last to first, and
-        each distinct node goes into the bucket of the first walk that
-        meets it: the last root that reaches it (`_last_readers`).  Once
-        root k passes, the masks in bucket k are dropped and their slots
-        freed, as no later root reads them; a node that a later root
-        reaches stays until that root has passed, so the answer and the
-        one computation per node are unchanged.  A batch of one root is a
-        `truth_mask`: it skips the walk and runs the root's kept
-        program."""
+        Once root k passes, the masks of the nodes whose last direct reader
+        it is are dropped and their slots freed: no later root is such a
+        node or computes a parent of it.  A node that a later root reaches
+        only through a node computed before goes with its own last direct
+        reader, as that root reads the computed node's mask instead, so
+        the answer and the one computation per node are unchanged.  A batch
+        of one root is a `truth_mask`: it skips the walk and runs the
+        root's kept program."""
         if len(roots) == 1:
             bad = self.full ^ self.truth_mask(roots[0])
             return (0, bad) if bad else None
-        last_readers = _last_readers(roots)
+        readers = _walk(roots)
+        nodes = list(readers)
+        # the nodes in order of last direct reader, and those readers
+        order = sorted(readers, key=readers.__getitem__)
+        last = sorted(readers.values())
+        del readers
         slots: dict[Formula, int] = {}
         masks: list[int | None] = []
+        start = dropped = 0
         for index, root in enumerate(roots):
-            self._run(_compile(root, slots, len(masks)), masks)
+            if root not in slots:
+                end = nodes.index(root, start) + 1
+                self._run(_program(nodes[start:end], slots, len(masks)), masks)
+                start = end
             bad = self.full ^ masks[slots[root]]
             if bad:
                 return index, bad
-            for node in last_readers[index]:
-                masks[slots.pop(node)] = None
+            while dropped < len(last) and last[dropped] == index:
+                masks[slots.pop(order[dropped])] = None
+                dropped += 1
         return None
 
 
-def _atom_entry(node: Formula) -> tuple:
-    """An atom's program entry (op, a, b), by its fields alone: (_TOP,
-    None, None), (_OUT, name, None) or (_REP, agent, (left, right))."""
-    kind = type(node)
-    if kind is Top:
-        return _TOP, None, None
-    if kind is Out:
-        return _OUT, node.name, None
-    if kind is Rep:
-        return _REP, node.agent, (node.left, node.right)
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-def _compile(root: Formula, slots: dict[Formula, int], base: int) -> _Program:
-    """The program of the nodes `root` reaches that are not in `slots`, in
-    post-order: entry k gets slot `base + k`, which `slots` records.  An
-    `Or`'s a and b are its children's slots; a `Not`, `<C>` or `pref(i)`
-    has its child's slot in a and its coalition or agent in b; an atom is
-    `_atom_entry`'s.
+def _walk(roots: Sequence[Formula]) -> dict[Formula, int]:
+    """The distinct nodes of `roots` in post-order, each mapped to the
+    index of its last direct reader: the last root that is the node or has
+    it as a child of one of its new nodes, those no earlier root reaches.
+    A root reaching a node only through an earlier root's node does not
+    read it, as that node's mask is at hand.  Root k's new nodes are a run
+    of the order ending at root k, or none if an earlier root reaches it.
 
     Walks on an explicit stack, so depth is limited by memory only.  The
-    stack holds one path from the root, each entry a child of the one
-    below it: a node with a child not in `slots` pushes that child, and a
-    node whose children have slots gets its entry, once."""
+    stack holds one path from a root, each entry a child of the one below
+    it: a node with an unwalked child pushes that child, and a node whose
+    children are walked is entered, once."""
+    readers: dict[Formula, int] = {}
+    stack: list[Formula] = []
+    push = stack.append
+    for index, root in enumerate(roots):
+        if root not in readers:
+            push(root)
+        while stack:
+            node = stack[-1]
+            kind = type(node)
+            if kind is Or:
+                if node.left not in readers:
+                    push(node.left)
+                    continue
+                if node.right not in readers:
+                    push(node.right)
+                    continue
+                readers[node.left] = readers[node.right] = index
+            elif kind is Not or kind is Diamond or kind is Pref:
+                if node.child not in readers:
+                    push(node.child)
+                    continue
+                readers[node.child] = index
+            stack.pop()
+            readers[node] = index
+        readers[root] = index
+    return readers
+
+
+def _program(nodes: Iterable[Formula], slots: dict[Formula, int], base: int) -> _Program:
+    """The program of `nodes`, a run of `_walk`'s order whose children are
+    in `slots` or earlier in the run: entry k gets slot `base + k`, which
+    `slots` records.  An `Or`'s a and b are its children's slots; a `Not`,
+    `<C>` or `pref(i)` has its child's slot in a and its coalition or agent
+    in b; an atom has (None, None) for top, (name, None) for an outcome and
+    (agent, (left, right)) for a reported preference."""
     ops: list[int] = []
     args: list = []
     keys: list = []
-    get = slots.get
-    stack = [] if root in slots else [root]
-    push = stack.append
-    while stack:
-        node = stack[-1]
+    for slot, node in enumerate(nodes, base):
         kind = type(node)
         if kind is Or:
-            a = get(node.left)
-            if a is None:
-                push(node.left)
-                continue
-            b = get(node.right)
-            if b is None:
-                push(node.right)
-                continue
-            op = _OR
-        elif kind is Not or kind is Diamond or kind is Pref:
-            a = get(node.child)
-            if a is None:
-                push(node.child)
-                continue
-            if kind is Not:
-                op, b = _NOT, None
-            elif kind is Diamond:
-                op, b = _DIAMOND, node.coalition
-            else:
-                op, b = _PREF, node.agent
+            op, a, b = _OR, slots[node.left], slots[node.right]
+        elif kind is Not:
+            op, a, b = _NOT, slots[node.child], None
+        elif kind is Diamond:
+            op, a, b = _DIAMOND, slots[node.child], node.coalition
+        elif kind is Pref:
+            op, a, b = _PREF, slots[node.child], node.agent
+        elif kind is Top:
+            op, a, b = _TOP, None, None
+        elif kind is Out:
+            op, a, b = _OUT, node.name, None
+        elif kind is Rep:
+            op, a, b = _REP, node.agent, (node.left, node.right)
         else:
-            op, a, b = _atom_entry(node)
-        stack.pop()
-        slots[node] = base + len(ops)
+            raise TypeError(f"not a formula node: {node!r}")
+        slots[node] = slot
         ops.append(op)
         args.append(a)
         keys.append(b)
     return ops, args, keys
-
-
-def _last_readers(roots: Sequence[Formula]) -> list[list[Formula]]:
-    """Per root, the distinct nodes that it reaches and no later root does,
-    found by walking the roots from last to first on one seen-set."""
-    seen: set[Formula] = set()
-    buckets: list[list[Formula]] = [[] for _ in roots]
-    for root, bucket in zip(reversed(roots), reversed(buckets)):
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            bucket.append(node)
-            for child in node.children():
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-    return buckets
 
 
 class Evaluator(StackedEvaluator):

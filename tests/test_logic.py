@@ -46,7 +46,7 @@ import itertools
 import random
 
 from scflogic import _stacked
-from scflogic._stacked import StackedEvaluator, TableGrid, _compile, _programs
+from scflogic._stacked import StackedEvaluator, TableGrid, _program, _programs, _walk
 from scflogic.axioms import default_pool, instantiate
 from scflogic import axioms, decision, encodings, logic
 from scflogic.encodings import MON, STRPROOF, better, dom, property_formula, rho
@@ -750,6 +750,32 @@ def test_first_failure_drops_masks_no_later_root_reads():
     assert peak < 0.5 * 2**20
 
 
+def test_first_failure_drops_a_node_after_its_last_direct_reader():
+    """Over all 2,048 (3,2) models, P is the conjunction of the tautologies
+    <1>pref(1) phi | ~<1>pref(1) phi over the pool, and the later roots are
+    P | Y_c, Y_c the same over <c>pref(2) phi for five coalitions c.  The
+    later roots reach P's nodes only through P, computed by the first
+    root, so those masks (2 KiB apiece) are dropped once it passes, and
+    the traced peak stays near 0.58 MiB; keeping them until the last root
+    that reaches them peaks at about 0.96 MiB."""
+
+    def taut(w):
+        return Or(w, Not(w))
+
+    pool = default_pool(3, K2)
+    ev = StackedEvaluator(list(enumerate_models(3, K2)))
+    p = conj(taut(Diamond({1}, Pref(1, phi))) for phi in pool)
+    coalitions = ({2}, {3}, {1, 2}, {1, 3}, {2, 3})
+    roots = [p] + [Or(p, conj(taut(Diamond(c, Pref(2, phi))) for phi in pool)) for c in coalitions]
+    tracemalloc.start()
+    try:
+        assert ev.first_failure(roots) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20
+
+
 def _stacks_of_four_kinds(n, outcomes, seed):
     """(stack, its models) for a one-row grid, a multi-row model list, a
     model list over part of the true profiles and a one-model evaluator."""
@@ -831,7 +857,7 @@ def test_a_replay_refuses_what_the_walk_refuses():
         program = _programs[f]
         for stacked in targets:
             with pytest.raises(InvalidDomain) as fresh:
-                stacked._run(_compile(f, {}, 0), [])
+                stacked._run(_program(_walk([f]), {}, 0), [])
             with pytest.raises(InvalidDomain) as kept:
                 stacked.truth_mask(f)
             with pytest.raises(InvalidDomain) as checked:
@@ -841,15 +867,15 @@ def test_a_replay_refuses_what_the_walk_refuses():
 
 
 def test_a_root_is_compiled_once(monkeypatch):
-    """A root evaluated alone is compiled on its first call only: over two
-    stacks and two tables, `truth_mask`, `first_failure` over the root
-    alone and `check_scf_property` run the program kept from then on, and
-    every mask equals a fresh compile's."""
-    compiled = []
+    """A root evaluated alone is walked and compiled on its first call
+    only: over two stacks and two tables, `truth_mask`, `first_failure`
+    over the root alone and `check_scf_property` run the program kept from
+    then on, and every mask equals a fresh compile's."""
+    walked = []
 
-    def counting(root, slots, base):
-        compiled.append(root)
-        return _compile(root, slots, base)
+    def counting(roots):
+        walked.append(list(roots))
+        return _walk(roots)
 
     formula = property_formula(MON, 2, K2)
     tables = [
@@ -859,9 +885,9 @@ def test_a_root_is_compiled_once(monkeypatch):
     models = sample_models(2, K2, 3, seed=79)
     stacks = [StackedEvaluator(models), Evaluator(models[-1])]
     grids = [StackedEvaluator(TableGrid(2, K2, [table.values])) for table in tables]
-    fresh = [stacked._run(_compile(formula, {}, 0), [])[-1] for stacked in stacks + grids]
+    fresh = [stacked._run(_program(_walk([formula]), {}, 0), [])[-1] for stacked in stacks + grids]
     _programs.pop(formula, None)
-    monkeypatch.setattr(_stacked, "_compile", counting)
+    monkeypatch.setattr(_stacked, "_walk", counting)
     hits = []
     for stacked, mask in zip(stacks + grids, fresh):
         assert stacked.truth_mask(formula) == mask
@@ -871,7 +897,7 @@ def test_a_root_is_compiled_once(monkeypatch):
         verdict = decision.check_scf_property(table, MON)
         assert verdict.counterexample == (hit and hit[1:])
     assert hits[2] is None and hits[3] is not None
-    assert compiled == [formula]
+    assert walked == [[formula]]
 
 
 def test_programs_die_with_their_roots():
