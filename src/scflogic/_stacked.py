@@ -37,31 +37,35 @@ reads neither, the first truth of each row if it reads no true profile,
 and the whole grid otherwise.  Block j of a narrowed grid stands for
 model j*L, the first of its row, which is the lowest failing model of
 the whole grid too, so counterexamples do not change.  `first_failure`
-ORs its roots' read-sets and builds its view from that grid on each
-call; the property check and the enumeration stack narrowed grids
-directly.
+ORs its roots' read-sets and evaluates on a view of that grid, kept on
+the evaluator from the first call that asks for it; the property check
+and the enumeration stack narrowed grids directly.
 
 A formula is evaluated by running a program (`StackedEvaluator._run`):
 one entry per distinct node of its DAG in post-order, so a shared node is
-computed once.  One iterative walk (`_walk`) lists the distinct nodes of a
-sequence of roots in post-order, each with the index of its last direct
-reader: the last root that is the node, or that computes a parent of it.
-One flat pass (`_program`) turns a run of those nodes into three parallel
-lists (op code; child slot or atom field; coalition, agent or atom field)
-against a table of slots.  A program names children by slot and atoms by
-their fields, so it never references its root.  A root evaluated alone
-(`truth_mask`, or `first_failure` over one root) is usually asked again
-on other stacks: a property formula on table after table, the chunks of an
-enumeration.  So its program is built on its first such call and kept in
-`_programs`, which holds roots weakly: a program lives as long as its
-root, and no mask outlives the call.  A batch, `first_failure` over
-several roots, is walked once; each root's new nodes are then compiled
-against one table of slots and run, and a node's mask is dropped once its
-last direct reader has passed.  A node that a later root reaches only
-through a node already computed is not read again, so the batch holds
-what later roots still read, not every mask computed so far.  To ask one
-formula at many states, read its mask once instead of calling `evaluate`
-per state.
+computed once.  One walk (`_compile`) visits the distinct nodes of a
+sequence of roots once, in post-order, and emits the program's three
+parallel lists directly (op code; child slot or atom field; coalition,
+agent or atom field).  A `Not` gets no entry: it is an edge attribute, as
+in the complemented edges of Brace, Rudell and Bryant's BDD package
+(1990).  A parent reads its child through any chain of `Not`s, and the
+chain's parity goes into the parent's op code, so ~a | ~b is one entry,
+full ^ (a & b).  Each root is checked where its mask is computed, or at an
+alias entry if it is a `Not` or an earlier root computed it.  Once the
+walk ends its node table is dropped, and one reverse pass sets the free
+schedule in the op codes (Collins's erasure of lists, 1960): an entry
+frees each child whose last reader it is, and a checked mask no later
+entry reads is freed after its check.  So a run holds only the masks
+later entries still read, inside one root as across a batch.  A program
+names children by slot and atoms by their fields, so it never references
+its root.  A root evaluated alone (`truth_mask`, or `first_failure` over
+one root) is usually asked again on other stacks: a property formula on
+table after table, the chunks of an enumeration.  So its program is
+compiled on its first such call and kept in `_programs`, which holds
+roots weakly: a program lives as long as its root, and no mask outlives
+the call.  A batch, `first_failure` over several roots, is compiled per
+call and returns at its first failing root.  To ask one formula at many
+states, read its mask once instead of calling `evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the rank blocks of all S profiles) is built once
 per domain (`_space`).  Agreement with the relational semantics
@@ -245,10 +249,17 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
     return parts[0]
 
 
-# a program: per node in post-order, an entry (op, a, b) of plain data
-# (see `_program`), held as three parallel lists; op is one of these codes,
-# not the node's class, so a program references no node
-_NOT, _OR, _DIAMOND, _PREF, _TOP, _OUT, _REP = range(7)
+# a program: three parallel lists of plain data, one entry (op, a, b) per
+# distinct node that is not a `Not`, in post-order (see `_compile`); op is a
+# code, not the node's class, so a program references no node.  The high
+# four bits of op are the entry's kind plus the parity of the `Not`s it reads
+# through: _NOT_A if it reads child a (a modality's or an alias's only one)
+# complemented, _NOT_B if child b; an alias copies slot a.  The low four bits
+# are the free schedule: free child a, or child b, once the entry is
+# computed; check the next root here; free this mask once it is checked.
+_OR, _DIAMOND, _PREF, _ALIAS, _TOP, _OUT, _REP = 0, 64, 96, 128, 160, 176, 192
+_NOT_A, _NOT_B = 16, 32
+_FREE_A, _FREE_B, _CHECK, _FREE = 1, 2, 4, 8
 _Program = tuple[list[int], list, list]
 
 # root evaluated alone -> its program; held weakly, so an entry dies with
@@ -259,12 +270,12 @@ _programs: weakref.WeakKeyDictionary[Formula, _Program] = weakref.WeakKeyDiction
 class StackedEvaluator:
     """Truth masks for a batch of models sharing one (n, K): a `TableGrid`,
     or a model list read into one (`_as_grid`), whose `models` stay the
-    caller's own objects.  Each call runs programs on a list of masks of
+    caller's own objects.  Each call runs a program on a list of masks of
     its own, dropped on return; a root evaluated alone keeps its program,
     which holds no mask or node, in `_programs`.  The outcome and rank
     masks are built when an evaluation first reads them; `first_failure`
-    evaluates on a view of the narrowed grid, built per call and not
-    kept."""
+    evaluates on a view of the narrowed grid, one per narrowing, built on
+    the first call that asks for it and kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -287,6 +298,7 @@ class StackedEvaluator:
         self._by_row: dict[str, int] | None = None
         self._out_masks: dict[str, int] | None = None
         self._ranked: list[list[int]] | None = None
+        self._views: dict[int, StackedEvaluator] = {}  # narrowed views, by min(reads, 2)
 
     def _row_masks(self) -> dict[str, int]:
         """Per outcome, each row's states choosing it, rows at stride L*S."""
@@ -343,39 +355,57 @@ class StackedEvaluator:
 
     def truth_mask(self, formula: Formula) -> int:
         """Truth mask of `formula` across the batch, as a root evaluated
-        alone: on its first such call its nodes are walked (`_walk`) and
-        compiled in that order (`_program`), and the program is kept in
-        `_programs` and run on every call."""
-        program = _programs.get(formula)
-        if program is None:
-            slots = _walk([formula])  # node -> 0, made the slot table in place
-            program = _programs[formula] = _program(slots, slots, 0)
-        return self._run(program, [])[-1]
+        alone: its kept program's check (`_first_bad`) gives the bits it
+        falsifies."""
+        hit = self._first_bad([formula])
+        return self.full if hit is None else self.full ^ hit[1]
 
-    def _run(self, program: _Program, masks: list) -> list:
-        """Append to `masks`, which holds the masks of the slots below the
-        program's first, each entry's mask from its children's slots, in
-        slot order, and return `masks`."""
+    def _run(self, program: _Program) -> tuple[int, int] | None:
+        """Run `program` on a list of masks of its own, entry k's mask at
+        slot k, and return (index, falsified bits) of its first root that
+        some model falsifies, or None.  An entry reads its children's slots
+        and frees those it is the last reader of; a checked entry's mask is
+        the next root's, freed after the check if no later entry reads
+        it."""
         full = self.full
+        masks: list = []
         push = masks.append
+        index = 0
         for op, a, b in zip(*program):
-            if op == _NOT:
-                push(full ^ masks[a])
-            elif op == _OR:
-                push(masks[a] | masks[b])
-            elif op == _DIAMOND:
-                push(self._diamond(b, masks[a]))
-            elif op == _PREF:
-                push(self._pref(b, masks[a]))
+            if op < _NOT_B:
+                push(full ^ masks[a] | masks[b] if op >= _NOT_A else masks[a] | masks[b])
+            elif op < _DIAMOND:  # ~a | ~b is the complement of a & b
+                push(full ^ masks[a] & masks[b] if op & _NOT_A else masks[a] | full ^ masks[b])
+            elif op < _TOP:
+                x = full ^ masks[a] if op & _NOT_A else masks[a]
+                push(x if op >= _ALIAS else self._diamond(b, x) if op < _PREF else self._pref(b, x))
             else:
                 push(self._atom(op, a, b))
-        return masks
+            flags = op & 15
+            if flags == _FREE_A | _FREE_B:
+                masks[a] = masks[b] = None
+            elif flags == _FREE_A:
+                masks[a] = None
+            elif flags == _FREE_B:
+                masks[b] = None
+            elif flags:  # a check, after any frees
+                if flags & _FREE_A:
+                    masks[a] = None
+                if flags & _FREE_B:
+                    masks[b] = None
+                bad = full ^ masks[-1]
+                if bad:
+                    return index, bad
+                index += 1
+                if flags & _FREE:
+                    masks[-1] = None
+        return None
 
     def _atom(self, op: int, a, b) -> int:
         """Mask of the atom whose program entry is (op, a, b)."""
-        if op == _TOP:
+        if op < _OUT:
             return self.full
-        if op == _REP:
+        if op >= _REP:
             return self.space.rep_mask(a, *b) * self.tile
         if a not in self.space.outcomes:
             raise InvalidDomain(f"outcome atom {a!r} outside {self.space.outcomes}")
@@ -410,145 +440,130 @@ class StackedEvaluator:
         of the batch falsifies, at its lowest falsified bit: the first such
         model, at its lowest state.
 
-        The roots are evaluated on a view built for this call from the
-        grid their ORed read-sets ask for (`TableGrid.narrowed`): the first
-        model alone if no root reads an outcome atom or a true preference,
-        the first truth of each row if none reads a true preference, the
-        whole grid otherwise.  Block j of a narrowed view stands for model
-        j*L of the batch, the first of its row, so the answer is the model
-        the full grid would report, and for a model list the caller's own
-        object."""
+        The roots are evaluated on a view of the grid their ORed read-sets
+        ask for (`TableGrid.narrowed`): the first model alone if no root
+        reads an outcome atom or a true preference, the first truth of each
+        row if none reads a true preference, the whole grid otherwise.  A
+        narrowed view is built on the first call that asks for it and kept,
+        with the masks it builds, for later calls.  Block j of a narrowed
+        view stands for model j*L of the batch, the first of its row, so
+        the answer is the model the full grid would report, and for a model
+        list the caller's own object."""
         roots = list(formulas)
         reads = 0
         for root in roots:
             reads |= root.reads
         grid = self.grid.narrowed(reads)
-        # type(self), not the module's name, which a tracer may replace
-        view = self if grid is self.grid else type(self)(grid)
+        view = self if grid is self.grid else self._views.get(min(reads, 2))
+        if view is None:
+            # type(self), not the module's name, which a tracer may replace
+            view = self._views[min(reads, 2)] = type(self)(grid)
         hit = view._first_bad(roots)
         if hit is None:
             return None
         index, bad = hit
         block_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
-        stride = len(self.grid.truths) // len(grid.truths)
+        stride = len(self.grid.truths) // len(view.grid.truths)
         return index, self.models[block_idx * stride], self.space.profiles[state_idx]
 
     def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
         """(index, falsified bits) of the first root that some model of
-        this stack falsifies, or None.  The roots are walked once
-        (`_walk`), and the walk's table is replaced by its node list and
-        the nodes sorted by last direct reader before any mask is
-        computed.  Then, in order, each root's new nodes, the run of the
-        node list that ends at the root, are compiled (`_program`) against
-        one table of slots and run on one list of masks, so a node they
-        share is computed once.
-
-        Once root k passes, the masks of the nodes whose last direct reader
-        it is are dropped and their slots freed: no later root is such a
-        node or computes a parent of it.  A node that a later root reaches
-        only through a node computed before goes with its own last direct
-        reader, as that root reads the computed node's mask instead, so
-        the answer and the one computation per node are unchanged.  A batch
-        of one root is a `truth_mask`: it skips the walk and runs the
-        root's kept program."""
-        if len(roots) == 1:
-            bad = self.full ^ self.truth_mask(roots[0])
-            return (0, bad) if bad else None
-        readers = _walk(roots)
-        nodes = list(readers)
-        # the nodes in order of last direct reader, and those readers
-        order = sorted(readers, key=readers.__getitem__)
-        last = sorted(readers.values())
-        del readers
-        slots: dict[Formula, int] = {}
-        masks: list[int | None] = []
-        start = dropped = 0
-        for index, root in enumerate(roots):
-            if root not in slots:
-                end = nodes.index(root, start) + 1
-                self._run(_program(nodes[start:end], slots, len(masks)), masks)
-                start = end
-            bad = self.full ^ masks[slots[root]]
-            if bad:
-                return index, bad
-            while dropped < len(last) and last[dropped] == index:
-                masks[slots.pop(order[dropped])] = None
-                dropped += 1
-        return None
+        this stack falsifies, or None, from one run of the roots' program
+        (`_compile`).  A single root's program is compiled on its first
+        call and kept in `_programs`; a batch is compiled per call."""
+        if len(roots) != 1:
+            return self._run(_compile(roots))
+        return self._run(_programs.get(roots[0]) or _programs.setdefault(roots[0], _compile(roots)))
 
 
-def _walk(roots: Sequence[Formula]) -> dict[Formula, int]:
-    """The distinct nodes of `roots` in post-order, each mapped to the
-    index of its last direct reader: the last root that is the node or has
-    it as a child of one of its new nodes, those no earlier root reaches.
-    A root reaching a node only through an earlier root's node does not
-    read it, as that node's mask is at hand.  Root k's new nodes are a run
-    of the order ending at root k, or none if an earlier root reaches it.
+def _compile(roots: Sequence[Formula]) -> _Program:
+    """The program of `roots` from one post-order walk: one entry per
+    distinct node that is not a `Not`, and one check per root.
+
+    A `Not` is an edge attribute: a parent reads its child through any
+    chain of `Not`s and adds `_NOT_A` (`_NOT_B` for an `Or`'s right child)
+    to its op code if the chain is odd, so the walk's table (node -> slot)
+    holds no `Not`.  An `Or`'s a and b are its children's slots; a `<C>`
+    or `pref(i)` has its child's slot in a and its coalition or agent in
+    b; an atom has (None, None) for top, (name, None) for an outcome and
+    (agent, (left, right)) for a reported preference.  A root is checked
+    at its own entry if this walk made it, and at an alias entry if it is
+    a `Not` or an earlier root computed it.  A node that a root reaches
+    only through a node computed before is not walked again.
 
     Walks on an explicit stack, so depth is limited by memory only.  The
     stack holds one path from a root, each entry a child of the one below
     it: a node with an unwalked child pushes that child, and a node whose
-    children are walked is entered, once."""
-    readers: dict[Formula, int] = {}
+    children are walked is entered, once.  The table is dropped when the
+    walk ends; one reverse pass, with a bytearray of the slots already
+    read, then flags each entry's children it is the last reader of, and
+    each checked mask that no later entry reads."""
+    slots: dict[Formula, int] = {}
+    ops: list[int] = []
+    args: list = []
+    keys: list = []
     stack: list[Formula] = []
     push = stack.append
-    for index, root in enumerate(roots):
-        if root not in readers:
-            push(root)
+    for root in roots:
+        base, odd = root, 0
+        while type(base) is Not:
+            base, odd = base.child, odd ^ _NOT_A
+        new = base not in slots
+        if new:
+            push(base)
         while stack:
             node = stack[-1]
             kind = type(node)
             if kind is Or:
-                if node.left not in readers:
-                    push(node.left)
+                left, right, op = node.left, node.right, _OR
+                while type(left) is Not:
+                    left, op = left.child, op ^ _NOT_A
+                while type(right) is Not:
+                    right, op = right.child, op ^ _NOT_B
+                a, b = slots.get(left), slots.get(right)
+                if a is None or b is None:
+                    push(left if a is None else right)
                     continue
-                if node.right not in readers:
-                    push(node.right)
+            elif kind is Diamond or kind is Pref:
+                child, op = node.child, _DIAMOND if kind is Diamond else _PREF
+                while type(child) is Not:
+                    child, op = child.child, op ^ _NOT_A
+                a, b = slots.get(child), node.coalition if kind is Diamond else node.agent
+                if a is None:
+                    push(child)
                     continue
-                readers[node.left] = readers[node.right] = index
-            elif kind is Not or kind is Diamond or kind is Pref:
-                if node.child not in readers:
-                    push(node.child)
-                    continue
-                readers[node.child] = index
-            stack.pop()
-            readers[node] = index
-        readers[root] = index
-    return readers
-
-
-def _program(nodes: Iterable[Formula], slots: dict[Formula, int], base: int) -> _Program:
-    """The program of `nodes`, a run of `_walk`'s order whose children are
-    in `slots` or earlier in the run: entry k gets slot `base + k`, which
-    `slots` records.  An `Or`'s a and b are its children's slots; a `Not`,
-    `<C>` or `pref(i)` has its child's slot in a and its coalition or agent
-    in b; an atom has (None, None) for top, (name, None) for an outcome and
-    (agent, (left, right)) for a reported preference."""
-    ops: list[int] = []
-    args: list = []
-    keys: list = []
-    for slot, node in enumerate(nodes, base):
-        kind = type(node)
-        if kind is Or:
-            op, a, b = _OR, slots[node.left], slots[node.right]
-        elif kind is Not:
-            op, a, b = _NOT, slots[node.child], None
-        elif kind is Diamond:
-            op, a, b = _DIAMOND, slots[node.child], node.coalition
-        elif kind is Pref:
-            op, a, b = _PREF, slots[node.child], node.agent
-        elif kind is Top:
-            op, a, b = _TOP, None, None
-        elif kind is Out:
-            op, a, b = _OUT, node.name, None
-        elif kind is Rep:
-            op, a, b = _REP, node.agent, (node.left, node.right)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        slots[node] = slot
-        ops.append(op)
-        args.append(a)
-        keys.append(b)
+            elif kind is Top:
+                op, a, b = _TOP, None, None
+            elif kind is Out:
+                op, a, b = _OUT, node.name, None
+            elif kind is Rep:
+                op, a, b = _REP, node.agent, (node.left, node.right)
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+            slots[stack.pop()] = len(ops)
+            ops.append(op)
+            args.append(a)
+            keys.append(b)
+        if odd or not new:
+            ops.append(_ALIAS | odd)
+            args.append(slots[base])
+            keys.append(None)
+        ops[-1] |= _CHECK
+    del slots
+    read = bytearray(len(ops))
+    for slot in range(len(ops) - 1, -1, -1):
+        op = ops[slot]
+        if op & _CHECK and not read[slot]:
+            op |= _FREE
+        if op < _TOP:
+            a = args[slot]
+            if not read[a]:
+                read[a] = 1
+                op |= _FREE_A
+            if op < _DIAMOND and not read[keys[slot]]:
+                read[keys[slot]] = 1
+                op |= _FREE_B
+        ops[slot] = op
     return ops, args, keys
 
 

@@ -491,10 +491,11 @@ def soundness_check(
     subformulas its instances share are evaluated once.  A run whose
     instances read no true preference is evaluated on one model per
     outcome function, and a state-determined run on the first model only.
-    A subformula's mask is dropped after its last direct reader: the last
-    instance of its run that is the subformula or computes a parent of
-    it.  The reported counterexample is the run's first failing
-    instance in instantiation order, at its lowest (model, state) pair.
+    A subformula's mask is dropped after its last reading entry in the
+    run's program, and an instance's mask after its check if no later
+    entry reads it.  The reported counterexample is the run's first
+    failing instance in instantiation order, at its lowest (model, state)
+    pair.
     A `TableGrid` is stacked as it is, building no model but the
     counterexamples.  The collector is paused throughout, and so while
     an `instantiate_all` stream builds the instances.
@@ -521,17 +522,17 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
 
 # Largest binder product times stacked width (models x states) of one
 # schema that a sweep takes on.  A sweep holds two adjacent schemas'
-# instances at most and drops each mask after its last direct reader, so
+# instances at most and drops each mask after its last reading entry, so
 # the product bounds mainly one schema's instances and the run time.
 # At (4,2) over 1008 sampled models (63 outcome functions, each with its 16
-# true profiles) comp-At reaches 3.2e9: its 150,528 instances take 1.5-2.2 s
-# and 164 MiB to build, 0.8-1.1 s to check, and the whole sweep peaks at
-# 240 MiB, as comp-At alone does.  At (3,3) over 1080 sampled models
-# comp-At reaches 1.2e10 and antisym' 3.3e10.  Over 1000 models there,
-# comp-At checked in about 1 s and 206 MiB, and antisym' (139,968
-# instances, which share per-profile subformulas) builds in 5-9 s, checks
-# in 33-48 s and peaks at about 1,570 MiB: too slow and too large for a
-# command-line sweep.
+# true profiles) comp-At reaches 3.2e9: its 150,528 instances take about
+# 2.1 s to build, to a peak of 194 MiB, and 0.8 s to check, and the whole
+# sweep peaks at 227 MiB, as comp-At alone does.  At (3,3) over 1080
+# sampled models comp-At reaches 1.2e10 and antisym' 3.3e10.  Over 1000
+# models there, comp-At checks in about 0.1 s and 66 MiB, and antisym'
+# (139,968 instances, which share per-profile subformulas) builds in about
+# 6 s, checks in about 37 s and peaks at about 1,560 MiB: too slow and
+# too large for a command-line sweep.
 SWEEP_LIMIT = 5 * 10**9
 
 

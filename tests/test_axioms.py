@@ -1,13 +1,15 @@
+import contextlib
 import copy
 import gc
 import hashlib
+import io
 import pickle
 import time
 import weakref
 
 import pytest
 
-from scflogic import decision
+from scflogic import _stacked, cli, decision
 from scflogic import (
     InvalidDomain,
     KripkeScf,
@@ -478,3 +480,23 @@ def test_instances_match_pinned_digests():
                 digest.update(f"{inst.describe()}\t{format_formula(inst.formula)}\n".encode())
             seen[n, names, schema] = (len(instances), digest.hexdigest()[:16])
     assert seen == INSTANCE_DIGESTS
+
+
+def test_an_axioms_sweep_builds_each_narrowed_view_once(monkeypatch):
+    """A sweep checks every schema on one evaluator, and `first_failure`
+    keeps one view per narrowing: across the whole `axioms` command at
+    (1,{a,b,c}) the outcome masks are built once per narrowing (here the
+    first truth of each of the 729 rows, and all 4,374 models), not once
+    per schema."""
+    built = []
+    row_masks = _stacked.StackedEvaluator._row_masks
+
+    def counting(self):
+        if self._by_row is None:
+            built.append(self)
+        return row_masks(self)
+
+    monkeypatch.setattr(_stacked.StackedEvaluator, "_row_masks", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["axioms", "--agents", "1", "--outcomes", "a,b,c", "--json"]) == 0
+    assert sorted(len(ev.grid) for ev in built) == [729, 4374]

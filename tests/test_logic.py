@@ -46,7 +46,7 @@ import itertools
 import random
 
 from scflogic import _stacked
-from scflogic._stacked import StackedEvaluator, TableGrid, _program, _programs, _walk
+from scflogic._stacked import StackedEvaluator, TableGrid, _compile, _programs
 from scflogic.axioms import default_pool, instantiate
 from scflogic import axioms, decision, encodings, logic
 from scflogic.encodings import MON, STRPROOF, better, dom, property_formula, rho
@@ -663,19 +663,23 @@ def test_eval_kripke_walks_deep_and_shared_formulas():
             assert eval_kripke(km, v, formula) == bool(mask >> v & 1)
 
 
+def _first_hit_by_scan(stacked, roots):
+    """What `first_failure` must report, from each root's `truth_mask`."""
+    for index, root in enumerate(roots):
+        bad = stacked.full ^ stacked.truth_mask(root)
+        if bad:
+            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
+            return index, stacked.models[model_idx], stacked.space.profiles[state_idx]
+    return None
+
+
 def _scan_and_count(models, roots):
     """`first_failure` of a fresh evaluator over `models`, checked against
     a per-root `truth_mask` scan (index, model and state), and checked to
     compute each modal node of the roots it reads once, on whichever view
     of the stack it evaluates them."""
     ev = StackedEvaluator(models)
-    expected = None
-    for index, root in enumerate(roots):
-        bad = ev.full ^ ev.truth_mask(root)
-        if bad:
-            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, ev.block)
-            expected = (index, ev.models[model_idx], ev.space.profiles[state_idx])
-            break
+    expected = _first_hit_by_scan(ev, roots)
     read = roots if expected is None else roots[: expected[0] + 1]
     modal = {node for root in read for node in root.subformulas() if type(node) in (Diamond, Pref)}
     calls = []
@@ -776,6 +780,33 @@ def test_first_failure_drops_a_node_after_its_last_direct_reader():
     assert peak < 0.75 * 2**20
 
 
+def test_a_root_drops_each_mask_after_its_last_reading_entry():
+    """One root, the conjunction of 240 tautologies <c>pref(1) phi ->
+    <c>pref(1) phi with private modal nodes, over all 2,048 (3,2) models:
+    each mask (2 KiB) is dropped once the last entry reading it is
+    computed, so the traced peak stays near the live set (about 0.17
+    MiB); keeping every mask of the root until it returns peaks at about
+    1.9 MiB.  The single-root twin of the batch test above.  The 240
+    conjuncts as a batch peak near 0.12 MiB, as each root's mask is
+    dropped once checked; keeping the checked masks peaks at about 0.47
+    MiB."""
+    ev = StackedEvaluator(list(enumerate_models(3, K2)))
+    coalitions = ({1}, {2}, {3}, {1, 2}, {1, 2, 3})
+    conjuncts = [
+        Implies(Diamond(c, Pref(1, phi)), Diamond(c, Pref(1, phi)))
+        for c in coalitions
+        for phi in default_pool(3, K2)
+    ]
+    for roots in ([conj(conjuncts)], conjuncts):
+        tracemalloc.start()
+        try:
+            assert ev.first_failure(roots) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * 2**20
+
+
 def _stacks_of_four_kinds(n, outcomes, seed):
     """(stack, its models) for a one-row grid, a multi-row model list, a
     model list over part of the true profiles and a one-model evaluator."""
@@ -857,7 +888,7 @@ def test_a_replay_refuses_what_the_walk_refuses():
         program = _programs[f]
         for stacked in targets:
             with pytest.raises(InvalidDomain) as fresh:
-                stacked._run(_program(_walk([f]), {}, 0), [])
+                stacked._run(_compile([f]))
             with pytest.raises(InvalidDomain) as kept:
                 stacked.truth_mask(f)
             with pytest.raises(InvalidDomain) as checked:
@@ -871,11 +902,11 @@ def test_a_root_is_compiled_once(monkeypatch):
     only: over two stacks and two tables, `truth_mask`, `first_failure`
     over the root alone and `check_scf_property` run the program kept from
     then on, and every mask equals a fresh compile's."""
-    walked = []
+    compiled = []
 
     def counting(roots):
-        walked.append(list(roots))
-        return _walk(roots)
+        compiled.append(list(roots))
+        return _compile(roots)
 
     formula = property_formula(MON, 2, K2)
     tables = [
@@ -885,9 +916,12 @@ def test_a_root_is_compiled_once(monkeypatch):
     models = sample_models(2, K2, 3, seed=79)
     stacks = [StackedEvaluator(models), Evaluator(models[-1])]
     grids = [StackedEvaluator(TableGrid(2, K2, [table.values])) for table in tables]
-    fresh = [stacked._run(_program(_walk([formula]), {}, 0), [])[-1] for stacked in stacks + grids]
+    fresh = []
+    for stacked in stacks + grids:
+        hit = stacked._run(_compile([formula]))
+        fresh.append(stacked.full if hit is None else stacked.full ^ hit[1])
     _programs.pop(formula, None)
-    monkeypatch.setattr(_stacked, "_walk", counting)
+    monkeypatch.setattr(_stacked, "_compile", counting)
     hits = []
     for stacked, mask in zip(stacks + grids, fresh):
         assert stacked.truth_mask(formula) == mask
@@ -897,7 +931,70 @@ def test_a_root_is_compiled_once(monkeypatch):
         verdict = decision.check_scf_property(table, MON)
         assert verdict.counterexample == (hit and hit[1:])
     assert hits[2] is None and hits[3] is not None
-    assert walked == [[formula]]
+    assert compiled == [[formula]]
+
+
+def _with_not_chains(formula, rng):
+    """`formula` rebuilt with a chain of 0-3 `Not`s around every child and
+    around the root, drawn afresh for each parent of a shared node."""
+
+    def wrap(node):
+        for _ in range(rng.randrange(4)):
+            node = Not(node)
+        return node
+
+    built = {}
+    for node in formula.subformulas():
+        kind = type(node)
+        if kind is Or:
+            built[node] = Or(wrap(built[node.left]), wrap(built[node.right]))
+        elif kind is Not:
+            built[node] = Not(wrap(built[node.child]))
+        elif kind is Diamond:
+            built[node] = Diamond(node.coalition, wrap(built[node.child]))
+        elif kind is Pref:
+            built[node] = Pref(node.agent, wrap(built[node.child]))
+        else:
+            built[node] = node
+    return wrap(built[formula])
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
+def test_complement_edges_match_kripke(n, k):
+    """A `Not` has no program entry: its parent reads the child complemented.
+    Seeded formulas with `Not` chains of depth 0-3 around every child, and
+    `Not` roots, Or(x, ~x), Or(~x, ~x) and ~ under <C> and pref(i), give
+    the relational extension on every stack kind as single roots; batches
+    of them, with repeated roots, [~X, X] and [X, ~X], answer as a
+    per-root scan does, and compute each modal node once."""
+    outcomes = ("a", "b", "c", "d")[:k]
+    rng = random.Random(101 * n + k)
+    draw = make_formula_sampler(n, outcomes, seed=89 + 7 * n + k)
+    x = Or(Diamond({n}, Out(outcomes[-1])), Rep(1, outcomes[0], outcomes[-1]))
+    formulas = [
+        Not(x),
+        Not(Not(x)),
+        Or(x, Not(x)),
+        Or(Not(x), x),
+        Or(Not(x), Not(x)),
+        Or(Not(Not(x)), Not(Not(Not(x)))),
+        Diamond({1}, Not(x)),
+        Not(Diamond({1}, Not(Not(Not(x))))),
+        Pref(n, Not(x)),
+        Not(Pref(1, Not(Not(x)))),
+        Not(Top()),
+    ] + [_with_not_chains(f, rng) for f in draw(25, max_depth=6)]
+    batches = [[f, Not(f)] for f in formulas] + [[Not(f), f] for f in formulas]
+    batches += [[f, f, Not(Not(f))] for f in formulas]
+    taut = [Or(f, Not(f)) for f in formulas]
+    batches += [taut, taut[::-1] + taut, taut[:9] + [formulas[20]] + taut[9:]]
+    for stacked, models in _stacks_of_four_kinds(n, outcomes, seed=13 * n + k):
+        _assert_blocks_follow_kripke(stacked, models, formulas)
+        for roots in batches:
+            assert stacked.first_failure(roots) == _first_hit_by_scan(stacked, roots)
+    models = sample_models(n, outcomes, 4, seed=n + k)
+    for roots in batches[::7] + batches[-3:]:
+        _scan_and_count(models, roots)
 
 
 def test_programs_die_with_their_roots():
