@@ -43,19 +43,23 @@ and the enumeration stack narrowed grids directly.
 
 A formula is evaluated by running a program (`StackedEvaluator._run`):
 one entry per distinct node of its DAG in post-order, so a shared node is
-computed once.  One walk (`_compile`) visits the distinct nodes of a
-sequence of roots once, in post-order, and emits the program's three
-parallel lists directly (op code; child slot or atom field; coalition,
-agent or atom field).  A `Not` gets no entry: it is an edge attribute, as
-in the complemented edges of Brace, Rudell and Bryant's BDD package
-(1990).  A parent reads its child through any chain of `Not`s, and the
-chain's parity goes into the parent's op code, so ~a | ~b is one entry,
+computed once.  One builder (`_Builder`) makes every program, as three
+parallel lists (op code; child slot or atom field; coalition, agent or
+atom field).  Its `lift` walks the distinct nodes of a formula once, in
+post-order (`_compile` lifts and checks each of a sequence of roots); its
+constructors (`Or`, `Diamond`, `Pref`, the atoms and the derived forms)
+let the axiom sweep emit instances straight into a program, with no
+formula built, each entry hash-consed by (op, a, b).  A `Not` gets no
+entry: it is an edge attribute, as in the complemented edges of Brace,
+Rudell and Bryant's BDD package (1990).  A handle is slot * 2 + parity;
+a parent reads its child through any chain of `Not`s, and the chain's
+parity goes into the parent's op code, so ~a | ~b is one entry,
 full ^ (a & b).  Each root is checked where its mask is computed, or at an
 alias entry if it is a `Not` or an earlier root computed it.  Once the
-walk ends its node table is dropped, and one reverse pass sets the free
-schedule in the op codes (Collins's erasure of lists, 1960): an entry
-frees each child whose last reader it is, and a checked mask no later
-entry reads is freed after its check.  So a run holds only the masks
+roots are in, the builder's tables are dropped, and one reverse pass sets
+the free schedule in the op codes (Collins's erasure of lists, 1960): an
+entry frees each child whose last reader it is, and a checked mask no
+later entry reads is freed after its check.  So a run holds only the masks
 later entries still read, inside one root as across a batch.  A program
 names children by slot and atoms by their fields, so it never references
 its root.  A root evaluated alone (`truth_mask`, or `first_failure` over
@@ -64,7 +68,8 @@ table after table, the chunks of an enumeration.  So its program is
 compiled on its first such call and kept in `_programs`, which holds
 roots weakly: a program lives as long as its root, and no mask outlives
 the call.  A batch, `first_failure` over several roots, is compiled per
-call and returns at its first failing root.  To ask one formula at many
+call (or emitted, for an axiom run) and returns at its first failing
+root.  To ask one formula at many
 states, read its mask once instead of calling `evaluate` per state.
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the rank blocks of all S profiles) is built once
@@ -82,7 +87,7 @@ from typing import Iterable, Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
 from .core import all_profiles
-from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top
+from .logic import _OTHER_AGENT, Diamond, Formula, Not, Or, Out, Pref, Rep, Top
 
 __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
@@ -435,10 +440,13 @@ class StackedEvaluator:
             result |= rank & (reached * self.block_ones)
         return result
 
-    def first_failure(self, formulas: Iterable[Formula]) -> tuple[int, ScfModel, Profile] | None:
+    def first_failure(
+        self, formulas: Iterable[Formula] | _Builder
+    ) -> tuple[int, ScfModel, Profile] | None:
         """(index, model, state) of the first of `formulas` that some model
         of the batch falsifies, at its lowest falsified bit: the first such
-        model, at its lowest state.
+        model, at its lowest state.  `formulas` may also be a `_Builder`
+        whose roots are checked: its program is finished and run.
 
         The roots are evaluated on a view of the grid their ORed read-sets
         ask for (`TableGrid.narrowed`): the first model alone if no root
@@ -449,16 +457,18 @@ class StackedEvaluator:
         view stands for model j*L of the batch, the first of its row, so
         the answer is the model the full grid would report, and for a model
         list the caller's own object."""
-        roots = list(formulas)
-        reads = 0
-        for root in roots:
-            reads |= root.reads
+        if isinstance(formulas, _Builder):
+            program, reads = formulas.finish(), formulas.root_reads
+        else:
+            program, roots, reads = None, list(formulas), 0
+            for root in roots:
+                reads |= root.reads
         grid = self.grid.narrowed(reads)
         view = self if grid is self.grid else self._views.get(min(reads, 2))
         if view is None:
             # type(self), not the module's name, which a tracer may replace
             view = self._views[min(reads, 2)] = type(self)(grid)
-        hit = view._first_bad(roots)
+        hit = view._first_bad(roots) if program is None else view._run(program)
         if hit is None:
             return None
         index, bad = hit
@@ -476,40 +486,51 @@ class StackedEvaluator:
         return self._run(_programs.get(roots[0]) or _programs.setdefault(roots[0], _compile(roots)))
 
 
-def _compile(roots: Sequence[Formula]) -> _Program:
-    """The program of `roots` from one post-order walk: one entry per
-    distinct node that is not a `Not`, and one check per root.
+class _Builder:
+    """One program under construction, entry by entry (see the program
+    comment), from formulas (`lift`) or from the constructors the axiom
+    builders call (`Or`, `Diamond`, `Pref`, the atoms and the derived
+    forms), with `check` marking each root and `finish` writing the free
+    schedule.
 
-    A `Not` is an edge attribute: a parent reads its child through any
-    chain of `Not`s and adds `_NOT_A` (`_NOT_B` for an `Or`'s right child)
-    to its op code if the chain is odd, so the walk's table (node -> slot)
-    holds no `Not`.  An `Or`'s a and b are its children's slots; a `<C>`
-    or `pref(i)` has its child's slot in a and its coalition or agent in
-    b; an atom has (None, None) for top, (name, None) for an outcome and
-    (agent, (left, right)) for a reported preference.  A root is checked
-    at its own entry if this walk made it, and at an alias entry if it is
-    a `Not` or an earlier root computed it.  A node that a root reaches
-    only through a node computed before is not walked again.
+    A handle names an entry's mask or its complement: slot * 2 + parity,
+    so `Not` flips the low bit and makes no entry.  The constructors
+    hash-cons their entries by (op, a, b) in `table`, as a BDD package's
+    unique table does, so a subformula built twice, or through a chain of
+    `Not`s, is one entry; each slot records its read-set (`Formula.reads`)
+    in `reads`.  `lift` walks a formula as `_compile` always has, with its
+    own identity table `slots`, and records the read-set of the slot it
+    returns only.  Neither table survives `finish`."""
 
-    Walks on an explicit stack, so depth is limited by memory only.  The
-    stack holds one path from a root, each entry a child of the one below
-    it: a node with an unwalked child pushes that child, and a node whose
-    children are walked is entered, once.  The table is dropped when the
-    walk ends; one reverse pass, with a bytearray of the slots already
-    read, then flags each entry's children it is the last reader of, and
-    each checked mask that no later entry reads."""
-    slots: dict[Formula, int] = {}
-    ops: list[int] = []
-    args: list = []
-    keys: list = []
-    stack: list[Formula] = []
-    push = stack.append
-    for root in roots:
+    def __init__(self) -> None:
+        self.ops, self.args, self.keys, self.reads = [], [], [], []  # `reads`: per slot
+        self.slots: dict[Formula, int] = {}  # `lift`'s: node -> slot, no `Not`
+        self.table: dict[tuple, int] = {}  # the constructors': (op, a, b) -> slot
+        self.root_reads = 0  # the checked roots' read-sets, ORed
+
+    def lift(self, root: Formula) -> int:
+        """The handle of `root`, each distinct node that is not a `Not` and
+        not in `slots` given an entry, in post-order.
+
+        A `Not` is an edge attribute: a parent reads its child through any
+        chain of `Not`s and adds `_NOT_A` (`_NOT_B` for an `Or`'s right
+        child) to its op code if the chain is odd, and the root's chain
+        goes into the handle's parity.  The walk runs on an explicit stack,
+        so depth is limited by memory only.  The stack holds one path from
+        the root, each entry a child of the one below it: a node with an
+        unwalked child pushes that child, and a node whose children are
+        walked is entered, once.  A node already in `slots` is not walked
+        again.  An `Or`'s a and b are its children's slots; a `<C>` or
+        `pref(i)` has its child's slot in a and its coalition or agent in
+        b; an atom has (None, None) for top, (name, None) for an outcome and
+        (agent, (left, right)) for a reported preference."""
+        slots, ops, args, keys = self.slots, self.ops, self.args, self.keys
+        stack: list[Formula] = []
+        push = stack.append
         base, odd = root, 0
         while type(base) is Not:
-            base, odd = base.child, odd ^ _NOT_A
-        new = base not in slots
-        if new:
+            base, odd = base.child, odd ^ 1
+        if base not in slots:
             push(base)
         while stack:
             node = stack[-1]
@@ -544,27 +565,105 @@ def _compile(roots: Sequence[Formula]) -> _Program:
             ops.append(op)
             args.append(a)
             keys.append(b)
-        if odd or not new:
-            ops.append(_ALIAS | odd)
-            args.append(slots[base])
-            keys.append(None)
+        slot, reads = slots[base], self.reads
+        reads.extend(repeat(0, len(ops) - len(reads)))
+        reads[slot] = base.reads
+        return slot * 2 + odd
+
+    def _entry(self, op: int, a, b, reads: int) -> int:
+        key = (op, a, b)
+        slot = self.table.get(key)
+        if slot is None:
+            slot = self.table[key] = len(self.ops)
+            self.ops.append(op)
+            self.args.append(a)
+            self.keys.append(b)
+            self.reads.append(reads)
+        return slot * 2
+
+    def Or(self, x: int, y: int) -> int:
+        op = _OR | (x & 1) * _NOT_A | (y & 1) * _NOT_B
+        return self._entry(op, x >> 1, y >> 1, self.reads[x >> 1] | self.reads[y >> 1])
+
+    def Diamond(self, coalition, x: int) -> int:
+        op = _DIAMOND | (x & 1) * _NOT_A
+        return self._entry(op, x >> 1, frozenset(coalition), self.reads[x >> 1])
+
+    def Pref(self, agent: int, x: int) -> int:
+        bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
+        return self._entry(_PREF | (x & 1) * _NOT_A, x >> 1, agent, self.reads[x >> 1] | bit)
+
+    def Rep(self, agent: int, left: str, right: str) -> int:
+        return self._entry(_REP, agent, (left, right), 0)
+
+    def Out(self, name: str) -> int:
+        return self._entry(_OUT, name, None, 1)
+
+    # the derived forms, as `logic` rewrites them
+    def Not(self, x: int) -> int:
+        return x ^ 1
+
+    def And(self, x: int, y: int) -> int:
+        return self.Or(x ^ 1, y ^ 1) ^ 1
+
+    def Implies(self, x: int, y: int) -> int:
+        return self.Or(x ^ 1, y)
+
+    def Iff(self, x: int, y: int) -> int:
+        return self.And(self.Or(x ^ 1, y), self.Or(y ^ 1, x))
+
+    def Box(self, coalition, x: int) -> int:
+        return self.Diamond(coalition, x ^ 1) ^ 1
+
+    def PrefBox(self, agent: int, x: int) -> int:
+        return self.Pref(agent, x ^ 1) ^ 1
+
+    def check(self, handle: int) -> int:
+        """Check `handle`'s mask as the next root, and return its read-set:
+        at its own entry if that is the last one and checks nothing yet,
+        else at an alias entry, as for a `Not` or a root computed before."""
+        ops, slot = self.ops, handle >> 1
+        if handle & 1 or slot != len(ops) - 1 or ops[slot] & _CHECK:
+            ops.append(_ALIAS | (handle & 1) * _NOT_A)
+            self.args.append(slot)
+            self.keys.append(None)
+            self.reads.append(0)
         ops[-1] |= _CHECK
-    del slots
-    read = bytearray(len(ops))
-    for slot in range(len(ops) - 1, -1, -1):
-        op = ops[slot]
-        if op & _CHECK and not read[slot]:
-            op |= _FREE
-        if op < _TOP:
-            a = args[slot]
-            if not read[a]:
-                read[a] = 1
-                op |= _FREE_A
-            if op < _DIAMOND and not read[keys[slot]]:
-                read[keys[slot]] = 1
-                op |= _FREE_B
-        ops[slot] = op
-    return ops, args, keys
+        reads = self.reads[slot]
+        self.root_reads |= reads
+        return reads
+
+    def finish(self) -> _Program:
+        """The program, with its free schedule: one reverse pass, with a
+        bytearray of the slots already read, flags each entry's children it
+        is the last reader of, and each checked mask that no later entry
+        reads.  The tables are dropped first."""
+        ops, args, keys = self.ops, self.args, self.keys
+        self.slots = self.table = self.reads = None
+        read = bytearray(len(ops))
+        for slot in range(len(ops) - 1, -1, -1):
+            op = ops[slot]
+            if op & _CHECK and not read[slot]:
+                op |= _FREE
+            if op < _TOP:
+                a = args[slot]
+                if not read[a]:
+                    read[a] = 1
+                    op |= _FREE_A
+                if op < _DIAMOND and not read[keys[slot]]:
+                    read[keys[slot]] = 1
+                    op |= _FREE_B
+            ops[slot] = op
+        return ops, args, keys
+
+
+def _compile(roots: Sequence[Formula]) -> _Program:
+    """The program of `roots`: one entry per distinct node that is not a
+    `Not`, in post-order, and one check per root (`_Builder`)."""
+    program = _Builder()
+    for root in roots:
+        program.check(program.lift(root))
+    return program.finish()
 
 
 class Evaluator(StackedEvaluator):

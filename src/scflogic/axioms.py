@@ -9,35 +9,43 @@ streams them; `check_sweep_size` refuses, from the binder domain sizes
 alone, a sweep too large to hold in memory.
 
 Each schema is one row of a table: its binder names and a builder of the
-instance formula for one binding.  A binder ranges over agents, outcomes,
-the pool, coalitions, reported atoms, rankings, profiles or, for comp-At,
-the pool's reported-atom fragment; `instantiate` is one loop over the
-product of the binders' domains, and a builder returns None where a side
-condition (x != y, i != j, disjoint agent sets) excludes the binding.
+instance for one binding.  A binder ranges over agents, outcomes, the
+pool, coalitions, reported atoms, rankings, profiles or, for comp-At, the
+pool's reported-atom fragment; a side condition (x != y, i != j,
+disjoint agent sets) makes two binders range together over the pairs it
+keeps, so an excluded binding is never made.  `instantiate` is one loop
+over the product of the domains that evaluates no builder: each instance
+is an `AxiomInstance`, a slotted immutable record holding the schema's
+binder-name tuple, the product's value tuple and the scope of the call;
+its `bindings` dict is built only when read, and its formula on its
+first read.
 
-Nodes are interned, so rebuilding a subformula returns the same object,
-but each rebuild still pays a constructor call per node.  A subformula
-that reads only some of the binders, such as [i]phi in K(i) or
-<C1>delta1 in comp-At, is therefore taken from a memo table of the
-instantiation's `_Scope`, keyed by the values it reads, and built once
-per binding of those.  The tables go with the scope when `instantiate`
-returns.  Each instance is an `AxiomInstance`, a slotted immutable record
-holding the schema's binder-name tuple and the product's value tuple; its
-`bindings` dict is built only when read.
+A builder is written once, against the constructors of the `_Scope` it
+is called with (`s.Or`, `s.Implies`, `s.Box`, ...), as in the
+tagless-final style of Carette, Kiselyov and Shan (2009).  A formula
+scope supplies `logic`'s, so the builder returns the interned instance
+formula; a program scope supplies a `_stacked._Builder`'s, so it emits
+the instance straight into a stacked program and returns a handle.  A
+subformula that reads only some of the binders, such as [i]phi in K(i)
+or <C1>delta1 in comp-At, is taken from a memo table of the scope, keyed
+by the values it reads, and built once per binding of those.  The tables
+go with the scope.  `soundness_check` emits each run of records through
+one program scope per `instantiate` call, so a sweep builds, interns,
+walks and frees no instance formula.
 
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
-the same (n, K); the checker counts those per schema and reports the
-count.  A schema's run is checked at the width its instances read, by
-the one rule `TableGrid.narrowed` keeps: a run of state-determined
-instances on the first model alone, a run without pref modalities on one
-model per outcome function, and any other run on every model.
-`StackedEvaluator.first_failure` builds that view for each run and drops
-it on return, so a sweep holds one evaluator over its models and at most
-one narrowed view at a time.  Building instances
-and checking them pause the cyclic garbage collector
-(`logic._collector_paused`): interned nodes are acyclic, so its passes
-over the growing live set could free nothing the build made.
+the same (n, K); the checker counts those per schema, from the read-sets
+the program records, and reports the count.  A schema's run is checked at
+the width its instances read, by the one rule `TableGrid.narrowed` keeps:
+a run of state-determined instances on the first model alone, a run
+without pref modalities on one model per outcome function, and any other
+run on every model.  `StackedEvaluator.first_failure` keeps one view per
+narrowing, so a sweep holds one evaluator over its models and at most two
+narrowed views.  Building instances and checking them pause the cyclic
+garbage collector (`logic._collector_paused`): interned nodes are
+acyclic, so its passes over the growing live set could free nothing the
+build made.
 
 Two schema subtleties worth knowing:
 
@@ -58,19 +66,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import _stacked
+from . import _stacked, logic
 from .core import InvalidDomain, Profile, ScfModel, _bounded_size, all_linear_orders, all_profiles
 from .encodings import ballot_agent, ballot_profile, better
 from .logic import (
-    And,
     Box,
     Diamond,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
@@ -78,8 +84,6 @@ from .logic import (
     Pref,
     PrefBox,
     Rep,
-    conj,
-    disj,
     _collector_paused,
 )
 
@@ -102,21 +106,34 @@ class AxiomInstance:
     instance formula.
 
     A slotted record: it holds the schema's binder names, one tuple shared
-    by all its instances, and the tuple of bound values `instantiate`'s
-    product made; `bindings` builds a fresh dict of them, in binder order,
-    on each read.  It behaves as the frozen dataclass it replaces: built
+    by all its instances, the tuple of bound values `instantiate`'s
+    product made, and the scope of that `instantiate` call, which all its
+    records share; `bindings` builds a fresh dict of the values, in binder
+    order, on each read.  `formula` is built on its first read, by the
+    schema's builder in that scope, as the interned node a build of it
+    always gives, and kept.  A record built by hand holds its formula from
+    the start.  It behaves as the frozen dataclass it replaces: built
     positionally as `AxiomInstance(schema, bindings, formula)`, equal and
     hashed by (schema, formula) with the bindings ignored, immutable, and
     copied and pickled through that constructor."""
 
-    __slots__ = ("schema", "formula", "_names", "_values", "__weakref__")
+    __slots__ = ("schema", "_names", "_values", "_scope", "_formula", "__weakref__")
 
     def __init__(self, schema: str, bindings: dict, formula: Formula):
-        _fill(self, schema, tuple(bindings), tuple(bindings.values()), formula)
+        _fill(self, schema, tuple(bindings), tuple(bindings.values()), None)
+        _set(self, "_formula", formula)
 
     @property
     def bindings(self) -> dict:
         return dict(zip(self._names, self._values))
+
+    @property
+    def formula(self) -> Formula:
+        try:
+            return self._formula
+        except AttributeError:
+            _set(self, "_formula", _TABLE[self.schema][1](self._scope, *self._values))
+            return self._formula
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -155,12 +172,12 @@ _set = object.__setattr__  # past the record's `__setattr__`, which refuses
 
 
 def _fill(
-    inst: AxiomInstance, schema: str, names: tuple, values: tuple, formula: Formula
+    inst: AxiomInstance, schema: str, names: tuple, values: tuple, scope: Optional[_Scope]
 ) -> AxiomInstance:
     _set(inst, "schema", schema)
-    _set(inst, "formula", formula)
     _set(inst, "_names", names)
     _set(inst, "_values", values)
+    _set(inst, "_scope", scope)
     return inst
 
 
@@ -221,8 +238,8 @@ def _at_agent_set(formula: Formula) -> Optional[frozenset[int]]:
 
 
 class _Memo(dict):
-    """A subformula table: the value of `build(*key)`, built on the key's
-    first lookup."""
+    """A subformula table: the value of `build(*key)`, or of `build(key)`
+    for a key that is not a tuple, built on the key's first lookup."""
 
     __slots__ = ("build",)
 
@@ -230,27 +247,40 @@ class _Memo(dict):
         super().__init__()
         self.build = build
 
-    def __missing__(self, key: tuple) -> object:
-        value = self[key] = self.build(*key)
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.build(*key) if type(key) is tuple else self.build(key)
         return value
 
 
+# the constructors a scope supplies: `logic`'s or a `_stacked._Builder`'s
+_TERMS = ("Not", "Or", "And", "Implies", "Iff", "Diamond", "Box", "Pref", "PrefBox", "Rep", "Out")
+
+
 class _Scope:
-    """What one instantiation ranges over: the binder domains over (n, K)
-    and the pool, the reported atoms and the pool-derived ones computed on
-    first use, and the constants and memo tables the builders read.
+    """What one instantiation ranges over and builds with: the binder
+    domains over (n, K) and the pool, the reported atoms and the
+    pool-derived ones computed on first use, the constructors, and the
+    constants and memo tables the builders read.
 
-    Each memo table holds one kind of subformula, keyed by the binder
-    values it reads, so a builder makes it once per such binding rather
-    than once per binding of all the schema's binders: `box` and `dia`
-    per (coalition, formula), `prefbox` and `pref` per (agent, formula),
-    `union` per coalition pair, `pair` per comp-At fragment pair and
-    `reach` per (ballot, outcome).  `single` is the prebuilt coalition
-    {i} of each agent.  No table's build refers back to the scope, so
-    the tables and the nodes only they hold go with the scope when
-    `instantiate` returns, collector or not."""
+    A builder is written once against its scope's constructors (`s.Or`,
+    `s.Implies`, `s.Box`, ...), in the tagless-final style of Carette,
+    Kiselyov and Shan (2009).  A formula scope supplies `logic`'s, so a
+    builder returns the instance formula; a program scope supplies those
+    of a `_stacked._Builder`, so it returns a handle to the instance's
+    entry in a stacked program, and formulas such as `ballot_profile`'s
+    are lifted into the program (`lift`); `lifted` maps a bound value to
+    what a builder takes, a formula to its handle and any other value to
+    itself.  Each memo table holds one kind of subformula, keyed by
+    the binder values it reads (handles in a program scope), so a builder
+    makes it once per such binding rather than once per binding of all
+    the schema's binders: `box` and `dia` per (coalition, formula),
+    `prefbox` and `pref` per (agent, formula), `union` per coalition pair,
+    `pair` per comp-At fragment pair, `ballot` per profile and `reach` per
+    (ballot, outcome).  `single` is the prebuilt coalition {i} of each
+    agent.  No table's build refers back to the scope, so the tables and
+    what only they hold go with the scope, collector or not."""
 
-    def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula]):
+    def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula], program=None):
         self.n = n
         self.outcomes = tuple(outcomes)
         self.pool = pool
@@ -262,11 +292,19 @@ class _Scope:
         self.rankings = all_linear_orders(self.outcomes)
         self.profiles = all_profiles(n, self.outcomes)
         self.single = {i: frozenset((i,)) for i in self.agents}
-        self.box = _Memo(Box)
+        self.distinct_agents = list(itertools.permutations(self.agents, 2))
+        self.distinct_outcomes = list(itertools.permutations(self.outcomes, 2))
+        vars(self).update((name, getattr(program or logic, name)) for name in _TERMS)
+        self.lift = lift = program.lift if program else lambda formula: formula
+        Diamond, And, Out = self.Diamond, self.And, self.Out
+        self.box = _Memo(self.Box)
         self.dia = _Memo(Diamond)
-        self.prefbox = _Memo(PrefBox)
-        self.pref = _Memo(Pref)
+        self.prefbox = _Memo(self.PrefBox)
+        self.pref = _Memo(self.Pref)
         self.union = _Memo(frozenset.union)
+        self.pair = _Memo(And)
+        self.lifted = _Memo(lambda value: lift(value) if isinstance(value, Formula) else value)
+        self.ballot = _Memo(lambda profile: lift(ballot_profile(profile)))
         self.reach = _Memo(lambda ballot, x: Diamond(grand, And(ballot, Out(x))))
 
     @cached_property
@@ -274,24 +312,24 @@ class _Scope:
         return [Rep(i, x, y) for i in self.agents for x in self.outcomes for y in self.outcomes]
 
     @cached_property
-    def atom_agents(self) -> dict[Formula, Optional[frozenset[int]]]:
-        """`_at_agent_set` of each pool formula, computed once per formula."""
-        return {f: _at_agent_set(f) for f in self.pool}
-
-    @cached_property
     def fragment(self) -> list[Formula]:
         """The pool's modality-free reported-atom formulas, for comp-At."""
         return [f for f in self.pool if self.atom_agents[f] is not None]
 
     @cached_property
-    def pair(self) -> _Memo:
-        """d1 & d2 for two fragment formulas, or None where an agent
-        controls atoms of both."""
-        agents = self.atom_agents
-        return _Memo(lambda d1, d2: None if agents[d1] & agents[d2] else And(d1, d2))
+    def atom_agents(self) -> dict[Formula, Optional[frozenset[int]]]:
+        """`_at_agent_set` of each pool formula, computed once per formula."""
+        return {f: _at_agent_set(f) for f in self.pool}
+
+    @cached_property
+    def compatible(self) -> list[tuple[Formula, Formula]]:
+        """comp-At's fragment pairs in which no agent controls atoms of both."""
+        agents, fragment = self.atom_agents, self.fragment
+        return [(d1, d2) for d1 in fragment for d2 in fragment if not agents[d1] & agents[d2]]
 
 
-# binder name -> the `_Scope` attribute holding its domain
+# binder name -> the `_Scope` attribute holding its domain; two binders
+# joined by a comma range together over the pairs their side condition keeps
 _DOMAINS = {
     **dict.fromkeys(("i", "j"), "agents"),
     **dict.fromkeys(("x", "y", "z"), "outcomes"),
@@ -301,110 +339,106 @@ _DOMAINS = {
     **dict.fromkeys(("delta1", "delta2"), "fragment"),
     "p": "reps",
     "order": "rankings",
+    "i,j": "distinct_agents",
+    "x,y": "distinct_outcomes",
+    "delta1,delta2": "compatible",
 }
 
 
-def _antisym(s: _Scope, i: int, p1: Profile, p2: Profile) -> Formula:
-    b1, b2 = ballot_profile(p1), ballot_profile(p2)
-    same_outcome = disj(And(s.reach[b1, x], s.reach[b2, x]) for x in s.outcomes)
-    return Implies(
-        Diamond(s.grand, And(b1, s.pref[i, b2])),
-        Or(Box(s.grand, Implies(b2, s.prefbox[i, Not(b1)])), same_outcome),
+def _antisym(s: _Scope, i: int, p1: Profile, p2: Profile):
+    b1, b2 = s.ballot[p1], s.ballot[p2]
+    same_outcome = reduce(s.Or, [s.And(s.reach[b1, x], s.reach[b2, x]) for x in s.outcomes])
+    return s.Implies(
+        s.Diamond(s.grand, s.And(b1, s.pref[i, b2])),
+        s.Or(s.Box(s.grand, s.Implies(b2, s.prefbox[i, s.Not(b1)])), same_outcome),
     )
 
 
-def _total(s: _Scope, i: int, p1: Profile, p2: Profile) -> Formula:
-    b1, b2 = ballot_profile(p1), ballot_profile(p2)
-    return Or(
-        Diamond(s.grand, And(b1, s.pref[i, b2])), Box(s.grand, Implies(b2, s.pref[i, b1]))
+def _total(s: _Scope, i: int, p1: Profile, p2: Profile):
+    b1, b2 = s.ballot[p1], s.ballot[p2]
+    return s.Or(
+        s.Diamond(s.grand, s.And(b1, s.pref[i, b2])), s.Box(s.grand, s.Implies(b2, s.pref[i, b1]))
     )
 
 
-def _k_i(s: _Scope, i: int, phi: Formula, psi: Formula) -> Formula:
+def _k_i(s: _Scope, i: int, phi, psi):
     c = s.single[i]
-    return Implies(Box(c, Implies(phi, psi)), Implies(s.box[c, phi], s.box[c, psi]))
+    return s.Implies(s.Box(c, s.Implies(phi, psi)), s.Implies(s.box[c, phi], s.box[c, psi]))
 
 
-def _confl(s: _Scope, i: int, j: int, phi: Formula) -> Optional[Formula]:
-    if i == j:  # stated for independence between distinct agents
-        return None
+def _confl(s: _Scope, i: int, j: int, phi):
     ci, cj = s.single[i], s.single[j]
-    return Implies(s.dia[ci, s.box[cj, phi]], s.box[cj, s.dia[ci, phi]])
+    return s.Implies(s.dia[ci, s.box[cj, phi]], s.box[cj, s.dia[ci, phi]])
 
 
-def _exclu(s: _Scope, i: int, j: int, p: Formula) -> Optional[Formula]:
-    if i == j:
-        return None
-    ci, cj, not_p = s.single[i], s.single[j], Not(p)
-    return Implies(And(s.dia[ci, p], s.dia[ci, not_p]), Or(s.box[cj, p], s.box[cj, not_p]))
+def _exclu(s: _Scope, i: int, j: int, p):
+    ci, cj, not_p = s.single[i], s.single[j], s.Not(p)
+    return s.Implies(s.And(s.dia[ci, p], s.dia[ci, not_p]), s.Or(s.box[cj, p], s.box[cj, not_p]))
 
 
-def _comp_at(
-    s: _Scope, c1: frozenset[int], c2: frozenset[int], d1: Formula, d2: Formula
-) -> Optional[Formula]:
-    both = s.pair[d1, d2]
-    if both is None:
-        return None
-    return Implies(And(s.dia[c1, d1], s.dia[c2, d2]), s.dia[s.union[c1, c2], both])
+def _comp_at(s: _Scope, c1: frozenset[int], c2: frozenset[int], d1, d2):
+    return s.Implies(s.And(s.dia[c1, d1], s.dia[c2, d2]), s.dia[s.union[c1, c2], s.pair[d1, d2]])
+
+
+def _func2(s: _Scope, profile: Profile, phi):
+    ballot = s.ballot[profile]
+    return s.Implies(s.And(ballot, phi), s.Box(s.grand, s.Implies(ballot, phi)))
 
 
 # Each schema: its binder names, bound in this order (the last one varies
 # fastest), and the builder of the instance for one binding, called with
-# the scope and the bound values, which returns None where a side
-# condition excludes the binding.  A builder takes each subformula that
-# reads fewer binders than the instance from the scope's memo tables.
-# Table order is `SCHEMAS` order.
-_TABLE: dict[str, tuple[str, Callable[..., Optional[Formula]]]] = {
-    "refl": ("i x", lambda s, i, x: Rep(i, x, x)),
-    "antisym-total": (
-        "i x y",
-        lambda s, i, x, y: Iff(Rep(i, x, y), Not(Rep(i, y, x))) if x != y else None,
-    ),
+# the scope and the bound values.  A side condition (x != y, i != j, no
+# agent controlling atoms of both comp-At fragments) is a pair domain
+# (`_DOMAINS`), so an excluded binding is never made.  A builder calls only
+# its scope's constructors, and takes each subformula that reads fewer
+# binders than the instance from the scope's memo tables.  Table order is
+# `SCHEMAS` order.
+_TABLE: dict[str, tuple[str, Callable[..., object]]] = {
+    "refl": ("i x", lambda s, i, x: s.Rep(i, x, x)),
+    "antisym-total": ("i x,y", lambda s, i, x, y: s.Iff(s.Rep(i, x, y), s.Not(s.Rep(i, y, x)))),
     "trans": (
         "i x y z",
-        lambda s, i, x, y, z: Implies(And(Rep(i, x, y), Rep(i, y, z)), Rep(i, x, z)),
+        lambda s, i, x, y, z: s.Implies(s.And(s.Rep(i, x, y), s.Rep(i, y, z)), s.Rep(i, x, z)),
     ),
     "K(i)": ("i phi psi", _k_i),
-    "T(i)": ("i phi", lambda s, i, phi: Implies(s.box[s.single[i], phi], phi)),
+    "T(i)": ("i phi", lambda s, i, phi: s.Implies(s.box[s.single[i], phi], phi)),
     "B(i)": (
         "i phi",
-        lambda s, i, phi: Implies(phi, s.box[s.single[i], s.dia[s.single[i], phi]]),
+        lambda s, i, phi: s.Implies(phi, s.box[s.single[i], s.dia[s.single[i], phi]]),
     ),
     "comp-union": (
         "C1 C2 phi",
-        lambda s, c1, c2, phi: Iff(s.box[c1, s.box[c2, phi]], s.box[s.union[c1, c2], phi]),
+        lambda s, c1, c2, phi: s.Iff(s.box[c1, s.box[c2, phi]], s.box[s.union[c1, c2], phi]),
     ),
-    "confl": ("i j phi", _confl),
-    "empty": ("phi", lambda s, phi: Iff(Box((), phi), phi)),
-    "exclu": ("i j p", _exclu),
-    "ballot": ("i order", lambda s, i, order: Diamond({i}, ballot_agent(i, order))),
-    "comp-At": ("C1 C2 delta1 delta2", _comp_at),
+    "confl": ("i,j phi", _confl),  # stated for independence between distinct agents
+    "empty": ("phi", lambda s, phi: s.Iff(s.Box((), phi), phi)),
+    "exclu": ("i,j p", _exclu),
+    "ballot": ("i order", lambda s, i, order: s.Diamond({i}, s.lift(ballot_agent(i, order)))),
+    "comp-At": ("C1 C2 delta1,delta2", _comp_at),
     "func1": (
         "",
-        lambda s: disj(
-            conj([Out(x)] + [Not(Out(y)) for y in s.outcomes if y != x]) for x in s.outcomes
+        lambda s: reduce(
+            s.Or,
+            [reduce(s.And, [s.Out(x)] + [s.Not(s.Out(y)) for y in s.outcomes if y != x])
+             for x in s.outcomes],
         ),
     ),
-    "func2": (
-        "profile phi",
-        lambda s, q, phi: Implies(
-            And(ballot_profile(q), phi), Box(s.grand, Implies(ballot_profile(q), phi))
-        ),
-    ),
-    "incl": ("i phi", lambda s, i, phi: Implies(s.box[s.grand, phi], s.prefbox[i, phi])),
+    "func2": ("profile phi", _func2),
+    "incl": ("i phi", lambda s, i, phi: s.Implies(s.box[s.grand, phi], s.prefbox[i, phi])),
     "K(pref)": (
         "i phi psi",
-        lambda s, i, phi, psi: Implies(
-            PrefBox(i, Implies(phi, psi)), Implies(s.prefbox[i, phi], s.prefbox[i, psi])
+        lambda s, i, phi, psi: s.Implies(
+            s.PrefBox(i, s.Implies(phi, psi)), s.Implies(s.prefbox[i, phi], s.prefbox[i, psi])
         ),
     ),
-    "4(pref)": ("i phi", lambda s, i, phi: Implies(Pref(i, s.pref[i, phi]), s.pref[i, phi])),
+    "4(pref)": ("i phi", lambda s, i, phi: s.Implies(s.Pref(i, s.pref[i, phi]), s.pref[i, phi])),
     "antisym'": ("i profile1 profile2", _antisym),
     "total'": ("i profile1 profile2", _total),
     "unifPref": (
         "i x y",
-        lambda s, i, x, y: Implies(
-            And(Out(x), Pref(i, Out(y))), better(s.n, s.outcomes, i, Out(x), Out(y))
+        lambda s, i, x, y: s.Implies(
+            s.And(s.Out(x), s.Pref(i, s.Out(y))),
+            s.lift(better(s.n, s.outcomes, i, Out(x), Out(y))),
         ),
     ),
 }
@@ -416,19 +450,20 @@ def instantiate(
     schema: str, n: int, outcomes: Sequence[str], pool: Sequence[Formula]
 ) -> list[AxiomInstance]:
     """All instances of one schema over every binding of its agents,
-    coalitions, outcomes and profiles, metavariables drawn from the pool."""
+    coalitions, outcomes and profiles, metavariables drawn from the pool,
+    that its side condition keeps.  Each is a record of its binding; its
+    formula is built when read."""
     if schema not in _TABLE:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
-    binders, build = _TABLE[schema]
-    names = tuple(binders.split())
-    out: list[AxiomInstance] = []
+    binders = _TABLE[schema][0]
+    groups, names = binders.split(), tuple(binders.replace(",", " ").split())
     with _collector_paused():
         scope = _Scope(n, outcomes, pool)
-        for values in itertools.product(*(getattr(scope, _DOMAINS[b]) for b in names)):
-            formula = build(scope, *values)
-            if formula is not None:
-                out.append(_fill(_new(AxiomInstance), schema, names, values, formula))
-    return out
+        bindings = itertools.product(*(getattr(scope, _DOMAINS[g]) for g in groups))
+        pair = next((at for at, group in enumerate(groups) if "," in group), None)
+        if pair is not None:  # spread the pair's values over its two binders
+            bindings = (v[:pair] + v[pair] + v[pair + 1 :] for v in bindings)
+        return [_fill(_new(AxiomInstance), schema, names, values, scope) for values in bindings]
 
 
 def instantiate_all(
@@ -487,15 +522,21 @@ def soundness_check(
     `instantiate_all` stream two schemas' instances are live at most.
 
     Evaluation is batched: one truth mask per instance across the whole
-    model list (see `_stacked`), and each run is one batch of roots, so the
-    subformulas its instances share are evaluated once.  A run whose
-    instances read no true preference is evaluated on one model per
-    outcome function, and a state-determined run on the first model only.
-    A subformula's mask is dropped after its last reading entry in the
-    run's program, and an instance's mask after its check if no later
-    entry reads it.  The reported counterexample is the run's first
-    failing instance in instantiation order, at its lowest (model, state)
-    pair.
+    model list (see `_stacked`), and each run is one program of roots,
+    checked in one `first_failure` call, so the subformulas its instances
+    share are evaluated once.  An `instantiate` record is emitted straight
+    into the program: its schema's builder runs in a program scope, one
+    per `instantiate` call in the run, on its bound values, pool formulas
+    lifted, so no instance formula is built.  A record whose formula was
+    read is emitted the same way, and a hand-built one is lifted from its
+    formula.  The read-sets the program records per root count the
+    state-determined instances.  A run whose instances read no true
+    preference is evaluated on one model per outcome function, and a
+    state-determined run on the first model only.  A subformula's mask is
+    dropped after its last reading entry in the run's program, and an
+    instance's mask after its check if no later entry reads it.  The
+    reported counterexample is the run's first failing instance in
+    instantiation order, at its lowest (model, state) pair.
     A `TableGrid` is stacked as it is, building no model but the
     counterexamples.  The collector is paused throughout, and so while
     an `instantiate_all` stream builds the instances.
@@ -509,15 +550,35 @@ def soundness_check(
 
 
 def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
-    hit = ev.first_failure(inst.formula for inst in run)
+    program, independent = _emit(run)
+    hit = ev.first_failure(program)
     return SchemaResult(
         schema=run[0].schema,
         instances=len(run),
         models=len(ev.models),
-        model_independent=sum(not inst.formula.reads for inst in run),
+        model_independent=independent,
         ok=hit is None,
         counterexample=None if hit is None else (run[hit[0]], *hit[1:]),
     )
+
+
+def _emit(run: list[AxiomInstance]) -> tuple[_stacked._Builder, int]:
+    """A program with one checked root per instance of `run`, in order,
+    and the number of state-determined instances among them."""
+    program = _stacked._Builder()
+    scopes: dict[_Scope, _Scope] = {}  # an `instantiate` call's scope -> its program scope
+    independent = 0
+    for inst in run:
+        scope = inst._scope
+        if scope is None:
+            root = program.lift(inst.formula)
+        else:
+            target = scopes.get(scope)
+            if target is None:
+                target = scopes[scope] = _Scope(scope.n, scope.outcomes, scope.pool, program)
+            root = _TABLE[inst.schema][1](target, *map(target.lifted.__getitem__, inst._values))
+        independent += not program.check(root)
+    return program, independent
 
 
 # Largest binder product times stacked width (models x states) of one
@@ -525,14 +586,13 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
 # instances at most and drops each mask after its last reading entry, so
 # the product bounds mainly one schema's instances and the run time.
 # At (4,2) over 1008 sampled models (63 outcome functions, each with its 16
-# true profiles) comp-At reaches 3.2e9: its 150,528 instances take about
-# 2.1 s to build, to a peak of 194 MiB, and 0.8 s to check, and the whole
-# sweep peaks at 227 MiB, as comp-At alone does.  At (3,3) over 1080
-# sampled models comp-At reaches 1.2e10 and antisym' 3.3e10.  Over 1000
-# models there, comp-At checks in about 0.1 s and 66 MiB, and antisym'
-# (139,968 instances, which share per-profile subformulas) builds in about
-# 6 s, checks in about 37 s and peaks at about 1,560 MiB: too slow and
-# too large for a command-line sweep.
+# true profiles) comp-At reaches 3.2e9: its 150,528 records take about
+# 0.3 s to make and 1.3 s to emit and check, to a peak of 115 MiB, and the
+# whole sweep peaks at 120 MiB.  At (3,3) over 1080 sampled models comp-At
+# reaches 1.2e10 and antisym' 3.3e10.  There comp-At is made and checked
+# in about 0.35 s and 40 MiB, and antisym' (139,968 instances, which share
+# per-profile subformulas) in about 28 s, peaking at about 1,880 MiB: too
+# slow and too large for a command-line sweep.
 SWEEP_LIMIT = 5 * 10**9
 
 
@@ -544,7 +604,8 @@ def check_sweep_size(n: int, outcomes: Sequence[str], models: Sequence[ScfModel]
     scope = _Scope(n, outcomes, default_pool(n, outcomes))
     width = len(models) * len(scope.profiles)
     for schema, (binders, _) in _TABLE.items():
-        bindings = math.prod(len(getattr(scope, _DOMAINS[b])) for b in binders.split())
+        names = binders.replace(",", " ").split()
+        bindings = math.prod(len(getattr(scope, _DOMAINS[b])) for b in names)
         if bindings * width > SWEEP_LIMIT:
             raise InvalidDomain(
                 f"axiom sweep too large: {schema} has {bindings} bindings over {width}"

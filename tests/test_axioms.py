@@ -500,3 +500,118 @@ def test_an_axioms_sweep_builds_each_narrowed_view_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["axioms", "--agents", "1", "--outcomes", "a,b,c", "--json"]) == 0
     assert sorted(len(ev.grid) for ev in built) == [729, 4374]
+
+
+# (n, outcomes) -> small pools: the pinned (2,3) one, and a few atoms,
+# negations and a disjunction over two agents where there are two
+EMISSION_POOLS = {
+    (1, K3): ("a", "rep(1,a,b)", "~rep(1,c,a)", "rep(1,b,c) | c"),
+    (2, K2): ("a", "rep(1,a,b)", "~rep(2,b,a)", "rep(1,b,a) | rep(2,a,b)"),
+    (3, K2): ("rep(1,a,b)", "~rep(2,b,a)", "rep(3,a,b) | rep(1,b,a)", "b"),
+    (2, K3): DIGEST_POOL_23,
+}
+
+
+def _stacks(n, outcomes):
+    """Two stacks of at most 64 models: a seeded model list (whole rows of
+    every truth) and a grid of seeded rows over every other truth."""
+    truths = all_profiles(n, outcomes)
+    listed = sample_models(n, outcomes, 64, seed=n)
+    rows = {model.table.values for model in sample_models(n, outcomes, 400, seed=7 + n)}
+    rows = sorted(rows)[: 64 // len(truths[::2])]
+    return [listed, TableGrid(n, outcomes, rows, truths[::2])]
+
+
+def _root_masks(ev, program):
+    """Each checked root's mask in a finished program: `_run` stops at the
+    first failing root, so run it again with that root's check (and its
+    free-after-check flag) cleared until no root fails."""
+    ops, args, keys = program
+    ops = list(ops)
+    checks = [k for k, op in enumerate(ops) if op & _stacked._CHECK]
+    masks = dict.fromkeys(checks, ev.full)
+    while (hit := ev._run((ops, args, keys))) is not None:
+        slot = [k for k in checks if ops[k] & _stacked._CHECK][hit[0]]
+        masks[slot] = ev.full ^ hit[1]
+        ops[slot] &= ~(_stacked._CHECK | _stacked._FREE)
+    return [masks[k] for k in checks]
+
+
+@pytest.mark.parametrize(
+    "n, outcomes", list(EMISSION_POOLS), ids=lambda v: "".join(v) if isinstance(v, tuple) else str(v)
+)
+def test_emitted_runs_match_the_formula_path(n, outcomes):
+    """Every schema's records, emitted into one program per run without
+    building a formula, give each root the mask of its formula, on a model
+    list and on a grid, and the schemas being sound, that mask is full;
+    the program's read-sets count the state-determined instances as the
+    formulas' do."""
+    from scflogic import axioms
+
+    pool = tuple(parse(text, (n, outcomes)) for text in EMISSION_POOLS[n, outcomes])
+    for schema in SCHEMAS:
+        run = instantiate(schema, n, outcomes, pool)
+        if not run:
+            continue
+        emitted = [axioms._emit(run) for _ in _stacks(n, outcomes)]
+        assert all(not hasattr(inst, "_formula") for inst in run)
+        for stack, (program, independent) in zip(_stacks(n, outcomes), emitted):
+            ev = _stacked.StackedEvaluator(stack)
+            expected = [ev.truth_mask(inst.formula) for inst in run]
+            assert _root_masks(ev, program.finish()) == expected == [ev.full] * len(run), schema
+            assert independent == sum(not inst.formula.reads for inst in run)
+
+
+UNSOUND = ("a", "<{1}> a -> a", "a -> [{1}] a", "pref(1) b -> b", "rep(1,a,b)", "~rep(1,a,b)")
+
+
+@pytest.mark.parametrize(
+    "n, outcomes", list(EMISSION_POOLS), ids=lambda v: "".join(v) if isinstance(v, tuple) else str(v)
+)
+def test_runs_mixed_with_unsound_instances_fail_where_the_formulas_do(n, outcomes):
+    """A run of a schema's records with hand-built unsound instances planted
+    in it (lifted from their formulas) reports the first failing instance,
+    model and state that `first_failure` finds over the formulas, the
+    first instance whose formula's own mask is not full, and the same
+    count of state-determined instances."""
+    pool = tuple(parse(text, (n, outcomes)) for text in EMISSION_POOLS[n, outcomes])
+    planted = [parse(text, (n, outcomes)) for text in UNSOUND]
+    for s, schema in enumerate(SCHEMAS):
+        run = instantiate(schema, n, outcomes, pool)
+        for k, formula in enumerate(planted[s % 3 :: 3]):
+            run.insert((k + 1) * len(run) // 3, AxiomInstance(schema, {}, formula))
+        for stack in _stacks(n, outcomes):
+            (result,) = soundness_check(run, stack).results
+            ev = _stacked.StackedEvaluator(stack)
+            hit = ev.first_failure([inst.formula for inst in run])
+            assert hit is not None and not result.ok
+            assert result.counterexample == (run[hit[0]], *hit[1:]), schema
+            first = next(inst for inst in run if ev.truth_mask(inst.formula) != ev.full)
+            assert result.counterexample[0] is first
+            assert result.model_independent == sum(not inst.formula.reads for inst in run)
+
+
+def test_instantiate_builds_records_and_a_formula_only_when_read():
+    """`instantiate` adds no node to the intern table but its binder
+    domains' own atoms; reading one record's formula builds that formula
+    only; a formula read is kept, and a record equals its hand-built twin."""
+    from scflogic import logic
+
+    pool = tuple(parse(text, (2, K3)) for text in DIGEST_POOL_23)
+    for schema in SCHEMAS:
+        with logic._collector_paused():
+            before = set(logic._interned)
+            run = instantiate(schema, 2, K3, pool)
+            added = set(logic._interned) - before
+            assert all(key[0] is Rep for key in added), schema
+            if len(run) < 2:
+                continue
+            formula = run[1].formula
+            added = set(logic._interned) - before
+            assert len(added) <= sum(1 for _ in formula.subformulas()), schema
+            assert not any(hasattr(inst, "_formula") for inst in run[:1] + run[2:])
+            assert run[1].formula is formula
+            twin = AxiomInstance(schema, run[1].bindings, formula)
+            assert twin == run[1] and hash(twin) == hash(run[1])
+            assert run[0] == AxiomInstance(schema, run[0].bindings, run[0].formula)
+            del run, formula, twin

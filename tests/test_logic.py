@@ -554,16 +554,18 @@ def test_each_node_kind_is_interned(cls, args, fields, determined):
     ids=lambda value: "".join(value) if isinstance(value, tuple) else str(value),
 )
 def test_the_intern_table_returns_to_its_size_once_a_build_is_dropped(n, outcomes, schema):
-    """`instantiate`'s memo tables go with its scope: once its instances
-    are dropped the table is back at its size before the build, with the
-    collector off, so no reference cycle holds a node either.  A first
-    build fills the process-wide memos of `ballot_profile` and `better`."""
+    """`instantiate`'s memo tables go with its scope: once its instances,
+    every formula read, are dropped the table is back at its size before
+    the build, with the collector off, so no reference cycle holds a node
+    either.  A first build fills the process-wide memos of
+    `ballot_profile` and `better`."""
     pool = default_pool(n, outcomes)
-    instantiate(schema, n, outcomes, pool)
+    assert all(inst.formula for inst in instantiate(schema, n, outcomes, pool))
     gc.collect()
     baseline = len(logic._interned)
     with logic._collector_paused():
         instances = instantiate(schema, n, outcomes, pool)
+        assert all(inst.formula for inst in instances)
         built = len(logic._interned) - baseline
         del instances
         assert len(logic._interned) == baseline
