@@ -24,8 +24,16 @@ from .parser import ParseError, format_formula, parse
 __all__ = ["main"]
 
 
-def _profile_json(profile: Profile) -> list[list[str]]:
-    return [list(order.ranking) for order in profile.orders]
+class _ProfileJson(tuple):
+    """A profile in a payload, the tuple of its rankings: `json.dumps`
+    writes it as the array of arrays it stands for, and `_json` joins it
+    in one step."""
+
+    __slots__ = ()
+
+
+def _profile_json(profile: Profile) -> _ProfileJson:
+    return _ProfileJson([order.ranking for order in profile.orders])
 
 
 def _model_lines(model: ScfModel) -> list[str]:
@@ -62,9 +70,17 @@ def _json(value: object, indent: str = "\n") -> str:
     `indent` is the line break and indentation that close `value`.
     `json.dumps` takes its pure-Python path whenever it indents; here
     containers are joined level by level with `str.join`, strings go to
-    the C string encoder and other scalars to the C compact encoder."""
+    the C string encoder and other scalars to the C compact encoder.  A
+    `_ProfileJson` (`check` has one per state) is joined in one step, its
+    outcome names straight through the C string encoder: a profile and its
+    rankings are never empty."""
     if isinstance(value, str):
         return _string(value)
+    if type(value) is _ProfileJson:
+        inner = indent + "  "
+        name = "," + inner + "  "
+        rankings = ["[" + name[1:] + name.join(map(_string, r)) + inner + "]" for r in value]
+        return "[" + inner + ("," + inner).join(rankings) + indent + "]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

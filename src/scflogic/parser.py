@@ -27,6 +27,12 @@ named.  `KEYWORDS` is the table's names with N, pref, Pref and better.
 instead.  Formulas are parsed on explicit stacks (operator precedence),
 so long operator chains and deep nesting are limited by memory only.
 
+The text is cut into tokens by one compiled regex, `_TOKEN_RE`, matched
+once per token: ASCII whitespace, then a word, number, symbol or quoted
+string, or nothing, which is a lexical error where text remains.  A token
+keeps its offsets, and the `SourceSpan` an error reports is built from
+them only when the error is raised.
+
 `format_formula` prints the canonical minimally-parenthesized core form;
 parsing it back yields the same (interned) node.
 """
@@ -64,9 +70,6 @@ __all__ = [
     "parse",
     "format_formula",
 ]
-
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
-
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -106,49 +109,53 @@ class Context:
                 raise InvalidDomain(f"outcome name {name!r} collides with a keyword")
 
 
-@dataclass(frozen=True)
+# ASCII whitespace only, as the grammar says (str.isspace() also holds for
+# \x1c-\x1f and for non-ASCII spaces such as U+3000), then one token: a
+# number, a word, a symbol or a quoted string, in the groups `_KINDS` names;
+# or nothing, where no token starts
+_TOKEN_RE = re.compile(
+    r"[ \t\n\r\x0b\x0c]*(?:([0-9]+(?![A-Za-z0-9]))|([A-Za-z0-9]+)"
+    r"|(<->|->|[~&|<>\[\]{}(),])|'([^']*)'|\"([^\"]*)\")?"
+)
+_KINDS = (None, "number", "word", "symbol", "string", "string")
+
+
 class _Token:
-    kind: str  # word | number | string | symbol | eof
-    text: str
-    span: SourceSpan
+    """A token, its kind (word, number, string, symbol or eof), its text
+    (a string's without the quotes) and its offsets [start, end)."""
 
+    __slots__ = ("kind", "text", "start", "end")
 
-# ASCII whitespace only, as the grammar says: str.isspace() also holds for
-# \x1c-\x1f and for non-ASCII spaces such as U+3000
-_SPACE = frozenset(" \t\n\r\x0b\x0c")
-_SYMBOLS = ("<->", "->", "~", "&", "|", "<", ">", "[", "]", "{", "}", "(", ")", ",")
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind, self.text, self.start, self.end = kind, text, start, end
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text` and an eof token, one `_TOKEN_RE` match each;
+    spans are built only when an error reads them.  As the pattern matches
+    the empty string, `finditer` finds each match where the last ended, and
+    a match with no token before the end of the text is a lexical error at
+    the character there."""
     tokens: list[_Token] = []
-    i = 0
     length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch in _SPACE:
-            i += 1
-            continue
-        if ch in "'\"":
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise ParseError("unterminated string literal", SourceSpan(i, length))
-            tokens.append(_Token("string", text[i + 1 : end], SourceSpan(i, end + 1)))
-            i = end + 1
-            continue
-        word = _WORD_RE.match(text, i)
-        if word:
-            kind = "number" if word.group().isdigit() else "word"
-            tokens.append(_Token(kind, word.group(), SourceSpan(i, word.end())))
-            i = word.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("symbol", sym, SourceSpan(i, i + len(sym))))
-                i += len(sym)
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group is None:
+            at = match.end()
+            if at == length:
                 break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
-    tokens.append(_Token("eof", "", SourceSpan(length, length)))
+            if text[at] in "'\"":
+                raise ParseError("unterminated string literal", SourceSpan(at, length))
+            raise ParseError(f"unexpected character {text[at]!r}", SourceSpan(at, at + 1))
+        start, end = match.span(group)
+        if group > 3:  # a string's span takes in its quotes
+            start, end = start - 1, end + 1
+        tokens.append(_Token(_KINDS[group], match[group], start, end))
+    tokens.append(_Token("eof", "", length, length))
     return tokens
 
 

@@ -598,3 +598,49 @@ def test_json_output_is_the_standard_encoders_byte_for_byte(
     ]
     for value in values:
         assert cli._json(value) == json.dumps(value, indent=2), value
+
+
+def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
+    capsys, monkeypatch, tmp_path
+):
+    """Profiles are joined by their own path in `_json`: `check` at (2,4)
+    and (3,3) and a `sat` witness print `json.dumps(payload, indent=2)`,
+    the same bytes on a repeated call; one profile at three depths of a
+    payload is right at each; and scalar tuples that compare equal, such as
+    (True,), (1,) and (1.0,), stay apart."""
+    payloads = []
+    emit = cli._emit
+
+    def spy(args, payload, lines):
+        payloads.append(payload())
+        emit(args, payload, lines)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    runs = []
+    for n, outcomes in ((2, ("a", "b", "c", "d")), (3, K3)):
+        states = all_profiles(n, outcomes)
+        values = tuple(outcomes[k * 7 % len(outcomes)] for k in range(len(states)))
+        path = tmp_path / f"model{n}.json"
+        save_model(ScfModel(ScfTable(n, outcomes, values), states[-1]), path)
+        runs.append(["check", "--model", str(path), "<{1}> a -> pref(2) b"])
+    runs.append(["sat", "--agents", "1", "--outcomes", "a,b,c", "pref(1) b & ~b & <{1}> c"])
+    for argv in runs:
+        printed = []
+        for _ in range(2):
+            main([*argv, "--json"])
+            printed.append(capsys.readouterr().out)
+            assert printed[-1] == json.dumps(payloads[-1], indent=2) + "\n", argv
+        assert printed[0] == printed[1]
+    assert "witness" in payloads[-1]
+
+    state = all_profiles(2, K3)[17]
+    rendered = cli._profile_json(state)
+    value = {"state": rendered, "deeper": [{"states": [rendered, rendered]}], "at": [rendered]}
+    for _ in range(2):
+        assert cli._json(value) == json.dumps(value, indent=2)
+        assert cli._json(rendered) == json.dumps(rendered, indent=2)
+    for scalars in ([(True,), (1,), (1.0,)], [(1.0,), (1,), (True,)]):
+        assert cli._json(scalars) == json.dumps(scalars, indent=2)
+        assert [cli._json(item) for item in scalars] == [
+            json.dumps(item, indent=2) for item in scalars
+        ]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,7 @@ from scflogic.logic import (
     Rep,
 )
 from scflogic.game import property_oracle
+from scflogic import parser
 from scflogic.parser import KEYWORDS, Context, ParseError, SourceSpan, format_formula, parse
 
 from conftest import K2, K3
@@ -103,13 +105,52 @@ def test_whitespace_insensitive():
 def test_whitespace_is_ascii_only():
     """Space, tab, LF, CR, VT and FF separate tokens; other characters
     that `str.isspace` accepts, such as \\x1c or U+3000, are lexical
-    errors at their own position."""
+    errors at their own position, like any character that starts no token,
+    before any later error.  A lone quote is an unterminated string that
+    runs to the end of the text."""
     assert parse(" \t\n\r\x0b\x0crep(1,a,b)\x0c&\ta\n", CTX2) == parse("rep(1,a,b) & a", CTX2)
-    for text, at in (("a\x1c", 1), ("\u3000a", 0), ("a &\u00a0b", 3), ("\x1fa", 0)):
+    for text, at in (
+        ("a\x1c", 1),
+        ("\u3000a", 0),
+        ("a &\u00a0b", 3),
+        ("\x1fa", 0),
+        ("a |\t\x85 b", 4),
+        ("rep(1,a,b) @ 'a", 11),
+    ):
         with pytest.raises(ParseError) as err:
             parse(text, CTX2)
         assert err.value.span == SourceSpan(at, at + 1)
         assert err.value.message == f"unexpected character {text[at]!r}"
+    for text, at in (("'", 0), ('"', 0), ("a & 'b", 4), ('ballot(1,[a,b]) |\n~" b @', 19)):
+        with pytest.raises(ParseError) as err:
+            parse(text, CTX2)
+        assert err.value.span == SourceSpan(at, len(text))
+        assert err.value.message == "unterminated string literal"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_token_offsets_spell_each_token(seed):
+    """Tokens separated by runs of all six ASCII whitespace kinds: each
+    token's kind and text are as written, `text[start:end]` spells it
+    (with its quotes, for a string) and the eof token sits at the end."""
+    rng = random.Random(seed)
+    spellings = [
+        ("word", "rep"), ("word", "a1"), ("word", "1a"), ("word", "N"), ("number", "12"),
+        ("number", "3"), ("string", "'x y'"), ("string", '"p\tq.json"'), ("string", "''"),
+        *(("symbol", sym) for sym in ("<->", "->", "~", "&", "|", "<", ">", "[", "]", "{", "}", "(", ")", ",")),
+    ]
+    space = " \t\n\r\x0b\x0c"
+    chosen = [rng.choice(spellings) for _ in range(60)]
+    gaps = [space] + ["".join(rng.choices(space, k=rng.randint(1, 3))) for _ in chosen]
+    rng.shuffle(gaps)
+    text = "".join(gap + spelled for gap, (_, spelled) in zip(gaps, chosen)) + gaps[-1]
+    tokens = parser._tokenize(text)
+    for token, (kind, spelled) in zip(tokens, chosen):
+        assert text[token.start : token.end] == spelled
+        assert token.span == SourceSpan(token.start, token.end)
+        assert (token.kind, token.text) == (kind, spelled.strip("'\""))
+    assert len(tokens) == len(chosen) + 1
+    assert (tokens[-1].kind, tokens[-1].start, tokens[-1].end) == ("eof", len(text), len(text))
 
 
 def test_format_examples():
