@@ -36,6 +36,14 @@ def _profile_json(profile: Profile) -> _ProfileJson:
     return _ProfileJson([order.ranking for order in profile.orders])
 
 
+class _StatesJson(list):
+    """`check`'s per-state rows, each {"state": a `_ProfileJson`, "holds": a
+    bool}: `json.dumps` writes it as the list of objects it is, and `_json`
+    joins it in one step."""
+
+    __slots__ = ()
+
+
 def _model_lines(model: ScfModel) -> list[str]:
     lines = [f"truth: {model.truth}"]
     for state in model.states:
@@ -64,6 +72,13 @@ _compact = json.encoder.c_make_encoder(
 )
 
 
+def _profile_text(profile: _ProfileJson, indent: str) -> str:
+    inner = indent + "  "
+    name = "," + inner + "  "
+    rankings = ["[" + name[1:] + name.join(map(_string, r)) + inner + "]" for r in profile]
+    return "[" + inner + ("," + inner).join(rankings) + indent + "]"
+
+
 def _json(value: object, indent: str = "\n") -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for the payloads'
     types: lists, tuples, dicts with string keys, strings and scalars.
@@ -73,14 +88,22 @@ def _json(value: object, indent: str = "\n") -> str:
     the C string encoder and other scalars to the C compact encoder.  A
     `_ProfileJson` (`check` has one per state) is joined in one step, its
     outcome names straight through the C string encoder: a profile and its
-    rankings are never empty."""
+    rankings are never empty.  So is a `_StatesJson`, its keys written
+    once: a model has at least one state."""
     if isinstance(value, str):
         return _string(value)
     if type(value) is _ProfileJson:
+        return _profile_text(value, indent)
+    if type(value) is _StatesJson:
         inner = indent + "  "
-        name = "," + inner + "  "
-        rankings = ["[" + name[1:] + name.join(map(_string, r)) + inner + "]" for r in value]
-        return "[" + inner + ("," + inner).join(rankings) + indent + "]"
+        field = inner + "  "
+        state, holds = "{" + field + '"state": ', "," + field + '"holds": '
+        rows = [
+            state + _profile_text(row["state"], field) + holds
+            + ("true" if row["holds"] else "false") + inner + "}"
+            for row in value
+        ]
+        return "[" + inner + ("," + inner).join(rows) + indent + "]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -124,9 +147,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         lambda: {
             "command": "check",
             "formula": text,
-            "states": [
+            "states": _StatesJson(
                 {"state": _profile_json(state), "holds": holds} for _, state, holds in rows
-            ],
+            ),
             "valid": valid,
         },
         lambda: [f"{'state':<6} {'profile':<24} holds"]

@@ -8,6 +8,17 @@ and `br(i)` oracles; `equivalence_audit` keeps the equilibrium route
 (`truthfully_implements`, `implements`) as an independent check, and decides
 the encoding through `decision`, imported at call time: the one routine here
 that consults the formula evaluator.
+
+The deviation scan and `is_monotonic` work on state indices, in `core`'s
+numbering: mixed radix over the |K|! rankings, agent 1 the most
+significant digit.  Agent i's deviation to ranking m at state s is the
+state s + (m - d) * stride, d being i's digit of s and stride
+(|K|!)^(n-i), and outcomes are compared through one {outcome: rank} dict
+per ranking; profiles are looked up only to report a failure.
+`is_monotonic` compares lower contours as bitmasks, one |K|-bit field per
+agent.  An agent's dominant actions depend only on its own true ranking,
+so `implements` and `truthfully_implements` find them once per (agent,
+ranking) and call.
 """
 
 from __future__ import annotations
@@ -15,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .core import (
     GameForm,
     InvalidDomain,
+    LinearOrder,
     Profile,
     ScfTable,
     all_linear_orders,
@@ -88,30 +100,29 @@ def nash_equilibria(game: GameForm, truth: Profile) -> tuple[tuple, ...]:
     return tuple(found)
 
 
+def _dominant(game: GameForm, agent: int, order: LinearOrder) -> list:
+    """The actions of `agent` that are dominant under its true `order`:
+    against every profile of the others' actions, the outcome of each kept
+    action has the least rank in the column of `agent`'s actions."""
+    rank = {outcome: r for r, outcome in enumerate(order.ranking)}
+    acts = game.actions[agent - 1]
+    outcome = game.outcome
+    alive = range(len(acts))
+    for rest in itertools.product(*game.actions[: agent - 1], *game.actions[agent:]):
+        head, tail = rest[: agent - 1], rest[agent - 1 :]
+        column = [rank[outcome(head + (act,) + tail)] for act in acts]
+        best = min(column)
+        alive = [i for i in alive if column[i] == best]
+        if not alive:
+            break
+    return [acts[i] for i in alive]
+
+
 def dom_equilibria(game: GameForm, truth: Profile) -> tuple[tuple, ...]:
     """Action profiles in which every component is a dominant strategy:
     at least as good as any alternative whatever the others play."""
     _check_truth(game, truth)
-    dominant: list[list] = []
-    for agent in range(1, game.n + 1):
-        order = truth.order(agent)
-        others = [game.actions[j] for j in range(game.n) if j != agent - 1]
-        keep = []
-        for act in game.actions[agent - 1]:
-            ok = True
-            for rest in itertools.product(*others):
-                base = rest[: agent - 1] + (act,) + rest[agent - 1 :]
-                value = game.outcome(base)
-                for alt in game.actions[agent - 1]:
-                    other = rest[: agent - 1] + (alt,) + rest[agent - 1 :]
-                    if order.strictly_better(game.outcome(other), value):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                keep.append(act)
-        dominant.append(keep)
+    dominant = [_dominant(game, agent, order) for agent, order in enumerate(truth.orders, 1)]
     return tuple(itertools.product(*dominant))
 
 
@@ -121,6 +132,25 @@ def solution_set(game: GameForm, truth: Profile, concept: SolutionConcept) -> tu
     if concept is SolutionConcept.DOMEQ:
         return dom_equilibria(game, truth)
     raise ValueError(f"unknown solution concept {concept}")
+
+
+def _solver(game: GameForm, concept: SolutionConcept) -> Callable[[Profile], tuple[tuple, ...]]:
+    """`solution_set` of `game` under `concept`, for true profiles over the
+    game's agents and outcomes; under DOMEQ each (agent, true ranking)'s
+    dominant actions are found once per solver."""
+    if concept is not SolutionConcept.DOMEQ:
+        return lambda truth: solution_set(game, truth, concept)
+    found: dict[tuple[int, LinearOrder], list] = {}
+
+    def solve(truth: Profile) -> tuple[tuple, ...]:
+        parts = []
+        for key in enumerate(truth.orders, 1):
+            if key not in found:
+                found[key] = _dominant(game, *key)
+            parts.append(found[key])
+        return tuple(itertools.product(*parts))
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -149,11 +179,11 @@ def implements(game: GameForm, table: ScfTable, concept: SolutionConcept) -> Imp
     outcomes match the function."""
     if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
         raise InvalidDomain("game form and SCF must share agents and outcomes")
-    for profile in table.profiles:
-        answers = solution_set(game, profile, concept)
+    solve = _solver(game, concept)
+    for profile, target in zip(table.profiles, table.values):
+        answers = solve(profile)
         if not answers:
             return ImplementationReport(False, "empty_solution_set", profile, None)
-        target = table(profile)
         for combo in answers:
             if game.outcome(combo) != target:
                 return ImplementationReport(False, "wrong_outcome", profile, combo)
@@ -178,13 +208,14 @@ def truthfully_implements(
     if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
         raise InvalidDomain("game form and SCF must share agents and outcomes")
     _require_direct(game, table.outcomes)
-    for profile in table.profiles:
+    solve = _solver(game, concept)
+    for profile, target in zip(table.profiles, table.values):
         sincere = profile.orders
-        answers = solution_set(game, profile, concept)
+        answers = solve(profile)
         if sincere not in answers:
             failure = "truth_not_in_solution_set" if answers else "empty_solution_set"
             return ImplementationReport(False, failure, profile, sincere)
-        if game.outcome(sincere) != table(profile):
+        if game.outcome(sincere) != target:
             return ImplementationReport(False, "wrong_outcome", profile, sincere)
     return ImplementationReport(True)
 
@@ -194,13 +225,22 @@ def _first_gain(table: ScfTable, agents: Iterable[int], by_truth: bool):
     `ranking` from changing its report at `state` alone, or None; `ranking` is
     that report or, `by_truth`, each of the |K|! true rankings in turn."""
     moves = all_linear_orders(table.outcomes)
+    ranks = [{outcome: r for r, outcome in enumerate(move.ranking)} for move in moves]
+    width, n, values = len(moves), table.agents, table.values
     for agent in agents:
-        for truth in moves if by_truth else (None,):
-            for state, value in zip(table.profiles, table.values):
-                ranking = state.order(agent) if truth is None else truth
-                for move in moves:
-                    if ranking.strictly_better(table(state.replace(agent, move)), value):
-                        return agent, ranking, state, move
+        if not 1 <= agent <= n:
+            raise InvalidDomain(f"agent {agent} out of range 1..{n}")
+        stride = width ** (n - agent)
+        for truth in range(width) if by_truth else (None,):
+            for state, value in enumerate(values):
+                digit = state // stride % width
+                held = digit if truth is None else truth
+                rank = ranks[held]
+                mine = rank[value]
+                base = state - digit * stride
+                for move in range(width):
+                    if rank[values[base + move * stride]] < mine:
+                        return agent, moves[held], table.profiles[state], moves[move]
     return None
 
 
@@ -223,19 +263,34 @@ class MonotonicityReport:
 
 def is_monotonic(table: ScfTable) -> MonotonicityReport:
     """Scan all profile pairs: if the chosen outcome keeps or improves its
-    standing in every agent's report, it must stay chosen."""
-    profiles = table.profiles
-    for before in profiles:
-        x = table(before)
-        for after in profiles:
-            rises = all(
-                after.order(agent).at_least_as_good(x, y)
-                for agent in range(1, table.agents + 1)
-                for y in table.outcomes
-                if before.order(agent).at_least_as_good(x, y)
-            )
-            if rises and table(after) != x:
-                return MonotonicityReport(False, before, after, x)
+    standing in every agent's report, it must stay chosen.  Per outcome x,
+    built the first time x is chosen, each state's lower contour of x (the
+    outcomes each agent ranks x at least as good as) is a bitmask; x rises
+    from `before` to `after` iff the mask of `after` covers that of `before`."""
+    outcomes, values = table.outcomes, table.values
+    width = len(outcomes)
+    bit = {outcome: 1 << i for i, outcome in enumerate(outcomes)}
+    contours: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+
+    def contour(x: str) -> tuple[list[int], list[tuple[int, int]]]:
+        below = []  # per ranking, the outcomes x is at least as good as
+        for move in all_linear_orders(outcomes):
+            ranking = move.ranking
+            below.append(sum(bit[y] for y in ranking[ranking.index(x) :]))
+        masks = [0]
+        for _ in range(table.agents):
+            masks = [mask << width | part for mask in masks for part in below]
+        rivals = [(after, masks[after]) for after, value in enumerate(values) if value != x]
+        return masks, rivals
+
+    for before, x in enumerate(values):
+        if x not in contours:
+            contours[x] = contour(x)
+        masks, rivals = contours[x]
+        need = masks[before]
+        for after, mask in rivals:
+            if need & ~mask == 0:
+                return MonotonicityReport(False, table.profiles[before], table.profiles[after], x)
     return MonotonicityReport(True)
 
 
@@ -248,7 +303,7 @@ def is_dictatorial(table: ScfTable) -> tuple[bool, Optional[int]]:
     """Whether some agent's reported top always wins; returns the first
     such agent if any."""
     for agent in range(1, table.agents + 1):
-        if all(table(p) == p.order(agent).top for p in table.profiles):
+        if all(value == p.order(agent).top for p, value in zip(table.profiles, table.values)):
             return True, agent
     return False, None
 

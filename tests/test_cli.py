@@ -603,10 +603,11 @@ def test_json_output_is_the_standard_encoders_byte_for_byte(
 def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
     capsys, monkeypatch, tmp_path
 ):
-    """Profiles are joined by their own path in `_json`: `check` at (2,4)
-    and (3,3) and a `sat` witness print `json.dumps(payload, indent=2)`,
-    the same bytes on a repeated call; one profile at three depths of a
-    payload is right at each; and scalar tuples that compare equal, such as
+    """Profiles and `check`'s state rows are joined by their own paths in
+    `_json`: `check` at (2,4) and (3,3) and a `sat` witness print
+    `json.dumps(payload, indent=2)`, the same bytes on a repeated call; one
+    profile at three depths of a payload, and rows at two, are right at
+    each; and scalar tuples that compare equal, such as
     (True,), (1,) and (1.0,), stay apart."""
     payloads = []
     emit = cli._emit
@@ -632,13 +633,17 @@ def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
             assert printed[-1] == json.dumps(payloads[-1], indent=2) + "\n", argv
         assert printed[0] == printed[1]
     assert "witness" in payloads[-1]
+    assert all(type(p["states"]) is cli._StatesJson for p in payloads[:2])
 
     state = all_profiles(2, K3)[17]
     rendered = cli._profile_json(state)
+    rows = cli._StatesJson({"state": rendered, "holds": holds} for holds in (True, False))
     value = {"state": rendered, "deeper": [{"states": [rendered, rendered]}], "at": [rendered]}
+    value["rows"] = [rows, cli._StatesJson(rows[1:])]
     for _ in range(2):
         assert cli._json(value) == json.dumps(value, indent=2)
         assert cli._json(rendered) == json.dumps(rendered, indent=2)
+        assert cli._json(rows) == json.dumps(rows, indent=2)
     for scalars in ([(True,), (1,), (1.0,)], [(1.0,), (1,), (True,)]):
         assert cli._json(scalars) == json.dumps(scalars, indent=2)
         assert [cli._json(item) for item in scalars] == [

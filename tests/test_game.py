@@ -5,7 +5,10 @@ import pytest
 
 from scflogic import (
     GameForm,
+    ImplementationReport,
+    InvalidDomain,
     LinearOrder,
+    MonotonicityReport,
     NonDirectMechanism,
     Profile,
     ScfModel,
@@ -24,10 +27,12 @@ from scflogic import (
     property_formula,
     property_oracle,
     scf_as_game_form,
+    solution_set,
     truthfully_implements,
     valid_in_model,
 )
 
+from scflogic import game as game_mod
 from scflogic.decision import check_scf_property
 from scflogic.encodings import BR, CITSOV, DOM, MON, NODICT, STRPROOF
 
@@ -333,3 +338,210 @@ def test_deviation_details_name_a_gain_the_table_confirms():
         "agent 1 with true ranking [a,b,c] gains by reporting [b,a,c] at ([a,b,c],[a,b,c])"
     )
     assert property_oracle(table, BR(2)) == (True, "")
+
+
+# The oracle scans as they were written straight from the definitions, on
+# profiles and `LinearOrder.rank`; the index scans of `game` must give the
+# same answers, failure tuples included.
+
+
+def _reference_dom_equilibria(game, truth):
+    game_mod._check_truth(game, truth)
+    dominant: list[list] = []
+    for agent in range(1, game.n + 1):
+        order = truth.order(agent)
+        others = [game.actions[j] for j in range(game.n) if j != agent - 1]
+        keep = []
+        for act in game.actions[agent - 1]:
+            ok = True
+            for rest in itertools.product(*others):
+                base = rest[: agent - 1] + (act,) + rest[agent - 1 :]
+                value = game.outcome(base)
+                for alt in game.actions[agent - 1]:
+                    other = rest[: agent - 1] + (alt,) + rest[agent - 1 :]
+                    if order.strictly_better(game.outcome(other), value):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                keep.append(act)
+        dominant.append(keep)
+    return tuple(itertools.product(*dominant))
+
+
+def _reference_solution_set(game, truth, concept):
+    if concept is SolutionConcept.NE:
+        return nash_equilibria(game, truth)
+    return _reference_dom_equilibria(game, truth)
+
+
+def _reference_implements(game, table, concept):
+    if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
+        raise InvalidDomain("game form and SCF must share agents and outcomes")
+    for profile in table.profiles:
+        answers = _reference_solution_set(game, profile, concept)
+        if not answers:
+            return ImplementationReport(False, "empty_solution_set", profile, None)
+        target = table(profile)
+        for combo in answers:
+            if game.outcome(combo) != target:
+                return ImplementationReport(False, "wrong_outcome", profile, combo)
+    return ImplementationReport(True)
+
+
+def _reference_truthfully_implements(game, table, concept):
+    if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
+        raise InvalidDomain("game form and SCF must share agents and outcomes")
+    game_mod._require_direct(game, table.outcomes)
+    for profile in table.profiles:
+        sincere = profile.orders
+        answers = _reference_solution_set(game, profile, concept)
+        if sincere not in answers:
+            failure = "truth_not_in_solution_set" if answers else "empty_solution_set"
+            return ImplementationReport(False, failure, profile, sincere)
+        if game.outcome(sincere) != table(profile):
+            return ImplementationReport(False, "wrong_outcome", profile, sincere)
+    return ImplementationReport(True)
+
+
+def _reference_first_gain(table, agents, by_truth):
+    moves = all_linear_orders(table.outcomes)
+    for agent in agents:
+        for truth in moves if by_truth else (None,):
+            for state, value in zip(table.profiles, table.values):
+                ranking = state.order(agent) if truth is None else truth
+                for move in moves:
+                    if ranking.strictly_better(table(state.replace(agent, move)), value):
+                        return agent, ranking, state, move
+    return None
+
+
+def _reference_is_monotonic(table):
+    profiles = table.profiles
+    for before in profiles:
+        x = table(before)
+        for after in profiles:
+            rises = all(
+                after.order(agent).at_least_as_good(x, y)
+                for agent in range(1, table.agents + 1)
+                for y in table.outcomes
+                if before.order(agent).at_least_as_good(x, y)
+            )
+            if rises and table(after) != x:
+                return MonotonicityReport(False, before, after, x)
+    return MonotonicityReport(True)
+
+
+def _differential_tables():
+    """Every SCF at (1,3), (2,2) and (3,2), then seeded tables at (2,3) and
+    (1,4): random ones, dictatorships, and dictatorships with one late entry
+    changed, so that every scan runs long before it fails."""
+    for n, outcomes in ((1, K3), (2, K2), (3, K2)):
+        count = len(all_profiles(n, outcomes))
+        for values in itertools.product(outcomes, repeat=count):
+            yield ScfTable(n, outcomes, values)
+    rng = random.Random(34)
+    for n, outcomes in ((2, K3), (1, ("a", "b", "c", "d"))):
+        states = len(all_profiles(n, outcomes))
+        for _ in range(6):
+            yield ScfTable(n, outcomes, tuple(rng.choice(outcomes) for _ in range(states)))
+        for agent in range(1, n + 1):
+            dictator = ScfTable.from_function(n, outcomes, lambda p: p.order(agent).top)
+            yield dictator
+            for _ in range(3):
+                values = list(dictator.values)
+                at = rng.randrange(states * 2 // 3, states)
+                values[at] = rng.choice([x for x in outcomes if x != values[at]])
+                yield ScfTable(n, outcomes, tuple(values))
+
+
+def test_index_scans_equal_the_profile_scans(monkeypatch):
+    """`_first_gain`, `is_monotonic`, `dom_equilibria`, `implements` and
+    `truthfully_implements` return what the profile scans above return,
+    failure tuples included, and `property_oracle` gives the same verdict
+    and detail for every property."""
+    for table in _differential_tables():
+        n = table.agents
+        agents = range(1, n + 1)
+        for scan_agents in [agents] + [(agent,) for agent in agents]:
+            for by_truth in (False, True):
+                assert game_mod._first_gain(table, scan_agents, by_truth) == _reference_first_gain(
+                    table, scan_agents, by_truth
+                ), (table, scan_agents, by_truth)
+        assert is_monotonic(table) == _reference_is_monotonic(table), table
+        direct = scf_as_game_form(table)
+        for concept in SolutionConcept:
+            if concept is SolutionConcept.NE and len(table.values) > 8:
+                continue  # the Nash scan is shared, and costly here
+            for check, reference in (
+                (implements, _reference_implements),
+                (truthfully_implements, _reference_truthfully_implements),
+            ):
+                assert check(direct, table, concept) == reference(direct, table, concept), (
+                    table,
+                    concept,
+                )
+        for truth in table.profiles[:: max(1, len(table.values) // 6)]:
+            assert dom_equilibria(direct, truth) == _reference_dom_equilibria(direct, truth)
+        props = [CITSOV, NODICT, DOM, MON, STRPROOF] + [BR(agent) for agent in agents]
+        found = [property_oracle(table, prop) for prop in props]
+        with monkeypatch.context() as patch:
+            patch.setattr(game_mod, "_first_gain", _reference_first_gain)
+            patch.setattr(game_mod, "is_monotonic", _reference_is_monotonic)
+            assert found == [property_oracle(table, prop) for prop in props], table
+
+
+def _game_forms(g_j_minus, g_p_matrix, j_table, p_table):
+    """(game form, SCF it is checked against): the conftest fixtures, whose
+    tables are not the SCF's own, and seeded forms whose actions are not
+    rankings, with unequal action counts, at n = 2 and 3."""
+    yield g_j_minus, j_table
+    yield g_p_matrix, p_table
+    rng = random.Random(35)
+    for actions in ((("x", "y", "z"), ("u", "v")), (("x", "y"), (1, 2, 3), ("p",))):
+        n = len(actions)
+        for _ in range(8):
+            table = {combo: rng.choice(K2) for combo in itertools.product(*actions)}
+            game = GameForm(actions=actions, outcomes=K2, table=table)
+            yield game, ScfTable(n, K2, tuple(rng.choice(K2) for _ in range(2**n)))
+
+
+def test_game_forms_get_the_profile_scans_answers(g_j_minus, g_p_matrix, j_table, p_table):
+    """On game forms other than an SCF's direct mechanism, `dom_equilibria`,
+    `solution_set` and `implements` agree with the profile scans."""
+    for game, table in _game_forms(g_j_minus, g_p_matrix, j_table, p_table):
+        for truth in table.profiles:
+            assert dom_equilibria(game, truth) == _reference_dom_equilibria(game, truth)
+            for concept in SolutionConcept:
+                expected = _reference_solution_set(game, truth, concept)
+                assert solution_set(game, truth, concept) == expected
+        for concept in SolutionConcept:
+            expected = _reference_implements(game, table, concept)
+            assert implements(game, table, concept) == expected, (game, concept)
+
+
+def test_an_agent_outside_the_table_is_refused_as_before():
+    """br of an agent the table does not have fails as the profile scan did."""
+    table = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
+    for agent in (0, 3):
+        for scan in (game_mod._first_gain, _reference_first_gain):
+            with pytest.raises(InvalidDomain, match=f"agent {agent} out of range 1..2"):
+                scan(table, (agent,), True)
+
+
+@pytest.mark.parametrize("n, outcomes", [(1, ("a", "b", "c", "d")), (2, K3), (3, K2), (3, K3)])
+def test_a_deviation_is_a_stride(n, outcomes):
+    """Agent i's deviation to ranking m at state s is the state s + (m - d) *
+    stride in `all_profiles`, d being i's digit of s and stride
+    (|K|!)^(n-i): the arithmetic `_first_gain` runs on."""
+    moves = all_linear_orders(outcomes)
+    states = all_profiles(n, outcomes)
+    width = len(moves)
+    for agent in range(1, n + 1):
+        stride = width ** (n - agent)
+        for s, state in enumerate(states):
+            d = s // stride % width
+            assert state.order(agent) == moves[d]
+            for m, move in enumerate(moves):
+                assert states[s - d * stride + m * stride] == state.replace(agent, move)
