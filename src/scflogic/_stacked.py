@@ -42,35 +42,41 @@ the evaluator from the first call that asks for it; the property check
 and the enumeration stack narrowed grids directly.
 
 A formula is evaluated by running a program (`StackedEvaluator._run`):
-one entry per distinct node of its DAG in post-order, so a shared node is
-computed once.  One builder (`_Builder`) makes every program, as three
-parallel lists (op code; child slot or atom field; coalition, agent or
-atom field).  Its `lift` walks the distinct nodes of a formula once, in
-post-order (`_compile` lifts and checks each of a sequence of roots); its
-constructors (`Or`, `Diamond`, `Pref`, the atoms and the derived forms)
-let the axiom sweep emit instances straight into a program, with no
-formula built, each entry hash-consed by (op, a, b).  A `Not` gets no
-entry: it is an edge attribute, as in the complemented edges of Brace,
-Rudell and Bryant's BDD package (1990).  A handle is slot * 2 + parity;
-a parent reads its child through any chain of `Not`s, and the chain's
-parity goes into the parent's op code, so ~a | ~b is one entry,
-full ^ (a & b).  Each root is checked where its mask is computed, or at an
-alias entry if it is a `Not` or an earlier root computed it.  Once the
-roots are in, the builder's tables are dropped, and one reverse pass sets
-the free schedule in the op codes (Collins's erasure of lists, 1960): an
-entry frees each child whose last reader it is, and a checked mask no
-later entry reads is freed after its check.  So a run holds only the masks
-later entries still read, inside one root as across a batch.  A program
-names children by slot and atoms by their fields, so it never references
-its root.  A root evaluated alone (`truth_mask`, or `first_failure` over
-one root) is usually asked again on other stacks: a property formula on
-table after table, the chunks of an enumeration.  So its program is
-compiled on its first such call and kept in `_programs`, which holds
-roots weakly: a program lives as long as its root, and no mask outlives
-the call.  A batch, `first_failure` over several roots, is compiled per
-call (or emitted, for an axiom run) and returns at its first failing
-root.  To ask one formula at many
-states, read its mask once instead of calling `evaluate` per state.
+one entry per distinct node of its DAG in post-order, so a shared node
+is computed once.  One builder (`_Builder`) makes every program, as
+three parallel lists (op code; child slot or atom field; coalition,
+agent or atom field).  Its `lift` walks the distinct nodes of a formula
+once, in post-order (`_compile` lifts and checks each of a sequence of
+roots).  A `Not` gets no entry: it is an edge attribute, as in the
+complemented edges of Brace, Rudell and Bryant's BDD package (1990).  A
+handle is slot * 2 + parity; a parent reads its child through any chain
+of `Not`s, and the chain's parity goes into the parent's op code, so
+~a | ~b is one entry, full ^ (a & b).  Each root is checked where its
+mask is computed, or at an alias entry if it is a `Not` or an earlier
+root computed it.  Once the roots are in, the builder's table is
+dropped, and one reverse pass sets the free schedule in the op codes
+(Collins's erasure of lists, 1960): an entry frees each child whose last
+reader it is, and a checked mask no later entry reads is freed after its
+check.  So a run holds only the masks later entries still read, inside
+one root as across a batch.  A program names children by slot and atoms
+by their fields, so it never references its root.  A root evaluated alone
+(`truth_mask`, or `first_failure` over one root) is usually asked again
+on other stacks: a property formula on table after table, the chunks of
+an enumeration.  So its program is compiled on its first such call and
+kept in `_programs`, which holds roots weakly: a program lives as long
+as its root, and no mask outlives the call.  A batch, `first_failure`
+over several roots, is compiled per call and returns at its first
+failing root.  To ask one formula at many states, read its mask once
+instead of calling `evaluate` per state.
+
+The axiom sweep builds neither instance formulas nor programs: a schema
+builder runs against the constructors of `_Direct`, which compute each
+value's mask at once on a view of the stack (`_view`) and carry its
+read-set.  An outcome atom, a `Pref` or a lifted formula that reads more
+than the view keeps raises `_Narrow`, and the sweep resumes on a wider
+view (`axioms.soundness_check`).  Sharing there comes from the builders'
+memo tables, keyed by value identity, not from hash-consing.
+
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the rank blocks of all S profiles) is built once
 per domain (`_space`).  Agreement with the relational semantics
@@ -422,7 +428,10 @@ class StackedEvaluator:
                 f"coalition {sorted(coalition)} not within agents 1..{self.space.n}"
             )
         if len(coalition) == self.space.n:
-            return self._block_any(x) * self.block_ones
+            # spread each block's bit over the block: times 2^S - 1, as a
+            # shift and a subtraction, which are linear in the mask's length
+            x = self._block_any(x)
+            return (x << self.block) - x
         for agent in sorted(coalition):
             x = self._collapse_axis(x, agent) * self._axis[agent - 1][2]
         return x
@@ -437,44 +446,46 @@ class StackedEvaluator:
         reached = result = 0
         for rank in (self._ranked or self._rank_masks())[agent - 1]:
             reached |= self._block_any(child & rank)
-            result |= rank & (reached * self.block_ones)
+            result |= rank & ((reached << self.block) - reached)  # as in `_diamond`
         return result
 
-    def first_failure(
-        self, formulas: Iterable[Formula] | _Builder
-    ) -> tuple[int, ScfModel, Profile] | None:
+    def first_failure(self, formulas: Iterable[Formula]) -> tuple[int, ScfModel, Profile] | None:
         """(index, model, state) of the first of `formulas` that some model
         of the batch falsifies, at its lowest falsified bit: the first such
-        model, at its lowest state.  `formulas` may also be a `_Builder`
-        whose roots are checked: its program is finished and run.
+        model, at its lowest state.
 
-        The roots are evaluated on a view of the grid their ORed read-sets
-        ask for (`TableGrid.narrowed`): the first model alone if no root
-        reads an outcome atom or a true preference, the first truth of each
-        row if none reads a true preference, the whole grid otherwise.  A
-        narrowed view is built on the first call that asks for it and kept,
-        with the masks it builds, for later calls.  Block j of a narrowed
-        view stands for model j*L of the batch, the first of its row, so
-        the answer is the model the full grid would report, and for a model
-        list the caller's own object."""
-        if isinstance(formulas, _Builder):
-            program, reads = formulas.finish(), formulas.root_reads
-        else:
-            program, roots, reads = None, list(formulas), 0
-            for root in roots:
-                reads |= root.reads
+        The roots are evaluated on the view of the grid their ORed
+        read-sets ask for (`_view`), and the hit is mapped back to the
+        batch (`_locate`): the answer is the model the full grid would
+        report, and for a model list the caller's own object."""
+        roots, reads = list(formulas), 0
+        for root in roots:
+            reads |= root.reads
+        view = self._view(reads)
+        hit = view._first_bad(roots)
+        return None if hit is None else (hit[0], *self._locate(view, hit[1]))
+
+    def _view(self, reads: int) -> StackedEvaluator:
+        """The evaluator over `TableGrid.narrowed(reads)`: the first model
+        alone for a read-set that reads neither an outcome atom nor a true
+        preference, the first truth of each row for one that reads no true
+        preference, and this one otherwise.  A narrowed view is built on
+        the first call that asks for it and kept, with the masks it builds,
+        for later calls."""
         grid = self.grid.narrowed(reads)
         view = self if grid is self.grid else self._views.get(min(reads, 2))
         if view is None:
             # type(self), not the module's name, which a tracer may replace
             view = self._views[min(reads, 2)] = type(self)(grid)
-        hit = view._first_bad(roots) if program is None else view._run(program)
-        if hit is None:
-            return None
-        index, bad = hit
+        return view
+
+    def _locate(self, view: StackedEvaluator, bad: int) -> tuple[ScfModel, Profile]:
+        """The (model, state) of the lowest of the bits `bad` of `view`: block
+        j of a narrowed view stands for model j*L of the batch, the first of
+        its row, whose first failing model it is."""
         block_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
         stride = len(self.grid.truths) // len(view.grid.truths)
-        return index, self.models[block_idx * stride], self.space.profiles[state_idx]
+        return self.models[block_idx * stride], self.space.profiles[state_idx]
 
     def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
         """(index, falsified bits) of the first root that some model of
@@ -488,25 +499,18 @@ class StackedEvaluator:
 
 class _Builder:
     """One program under construction, entry by entry (see the program
-    comment), from formulas (`lift`) or from the constructors the axiom
-    builders call (`Or`, `Diamond`, `Pref`, the atoms and the derived
-    forms), with `check` marking each root and `finish` writing the free
-    schedule.
+    comment): `lift` adds a formula's distinct nodes, `check` marks each
+    root and `finish` writes the free schedule.
 
     A handle names an entry's mask or its complement: slot * 2 + parity,
-    so `Not` flips the low bit and makes no entry.  The constructors
-    hash-cons their entries by (op, a, b) in `table`, as a BDD package's
-    unique table does, so a subformula built twice, or through a chain of
-    `Not`s, is one entry; each slot records its read-set (`Formula.reads`)
-    in `reads`.  `lift` walks a formula as `_compile` always has, with its
-    own identity table `slots`, and records the read-set of the slot it
-    returns only.  Neither table survives `finish`."""
+    so a `Not` flips the low bit and makes no entry.  `lift` walks a
+    formula with the identity table `slots`, so a node reached twice, in
+    one root or across roots, is one entry; the table does not survive
+    `finish`."""
 
     def __init__(self) -> None:
-        self.ops, self.args, self.keys, self.reads = [], [], [], []  # `reads`: per slot
-        self.slots: dict[Formula, int] = {}  # `lift`'s: node -> slot, no `Not`
-        self.table: dict[tuple, int] = {}  # the constructors': (op, a, b) -> slot
-        self.root_reads = 0  # the checked roots' read-sets, ORed
+        self.ops, self.args, self.keys = [], [], []
+        self.slots: dict[Formula, int] = {}  # node -> slot, no `Not`
 
     def lift(self, root: Formula) -> int:
         """The handle of `root`, each distinct node that is not a `Not` and
@@ -565,81 +569,26 @@ class _Builder:
             ops.append(op)
             args.append(a)
             keys.append(b)
-        slot, reads = slots[base], self.reads
-        reads.extend(repeat(0, len(ops) - len(reads)))
-        reads[slot] = base.reads
-        return slot * 2 + odd
+        return slots[base] * 2 + odd
 
-    def _entry(self, op: int, a, b, reads: int) -> int:
-        key = (op, a, b)
-        slot = self.table.get(key)
-        if slot is None:
-            slot = self.table[key] = len(self.ops)
-            self.ops.append(op)
-            self.args.append(a)
-            self.keys.append(b)
-            self.reads.append(reads)
-        return slot * 2
-
-    def Or(self, x: int, y: int) -> int:
-        op = _OR | (x & 1) * _NOT_A | (y & 1) * _NOT_B
-        return self._entry(op, x >> 1, y >> 1, self.reads[x >> 1] | self.reads[y >> 1])
-
-    def Diamond(self, coalition, x: int) -> int:
-        op = _DIAMOND | (x & 1) * _NOT_A
-        return self._entry(op, x >> 1, frozenset(coalition), self.reads[x >> 1])
-
-    def Pref(self, agent: int, x: int) -> int:
-        bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
-        return self._entry(_PREF | (x & 1) * _NOT_A, x >> 1, agent, self.reads[x >> 1] | bit)
-
-    def Rep(self, agent: int, left: str, right: str) -> int:
-        return self._entry(_REP, agent, (left, right), 0)
-
-    def Out(self, name: str) -> int:
-        return self._entry(_OUT, name, None, 1)
-
-    # the derived forms, as `logic` rewrites them
-    def Not(self, x: int) -> int:
-        return x ^ 1
-
-    def And(self, x: int, y: int) -> int:
-        return self.Or(x ^ 1, y ^ 1) ^ 1
-
-    def Implies(self, x: int, y: int) -> int:
-        return self.Or(x ^ 1, y)
-
-    def Iff(self, x: int, y: int) -> int:
-        return self.And(self.Or(x ^ 1, y), self.Or(y ^ 1, x))
-
-    def Box(self, coalition, x: int) -> int:
-        return self.Diamond(coalition, x ^ 1) ^ 1
-
-    def PrefBox(self, agent: int, x: int) -> int:
-        return self.Pref(agent, x ^ 1) ^ 1
-
-    def check(self, handle: int) -> int:
-        """Check `handle`'s mask as the next root, and return its read-set:
-        at its own entry if that is the last one and checks nothing yet,
-        else at an alias entry, as for a `Not` or a root computed before."""
+    def check(self, handle: int) -> None:
+        """Check `handle`'s mask as the next root: at its own entry if that
+        is the last one and checks nothing yet, else at an alias entry, as
+        for a `Not` or a root computed before."""
         ops, slot = self.ops, handle >> 1
         if handle & 1 or slot != len(ops) - 1 or ops[slot] & _CHECK:
             ops.append(_ALIAS | (handle & 1) * _NOT_A)
             self.args.append(slot)
             self.keys.append(None)
-            self.reads.append(0)
         ops[-1] |= _CHECK
-        reads = self.reads[slot]
-        self.root_reads |= reads
-        return reads
 
     def finish(self) -> _Program:
         """The program, with its free schedule: one reverse pass, with a
         bytearray of the slots already read, flags each entry's children it
         is the last reader of, and each checked mask that no later entry
-        reads.  The tables are dropped first."""
+        reads.  The table is dropped first."""
         ops, args, keys = self.ops, self.args, self.keys
-        self.slots = self.table = self.reads = None
+        self.slots = None
         read = bytearray(len(ops))
         for slot in range(len(ops) - 1, -1, -1):
             op = ops[slot]
@@ -664,6 +613,87 @@ def _compile(roots: Sequence[Formula]) -> _Program:
     for root in roots:
         program.check(program.lift(root))
     return program.finish()
+
+
+class _Value:
+    """A direct value: a formula's mask on its scope's view and the
+    formula's read-set (`Formula.reads`).  Hashed by identity, so a memo
+    table keyed by values never hashes a mask."""
+
+    __slots__ = ("mask", "reads")
+
+    def __init__(self, mask: int, reads: int):
+        self.mask, self.reads = mask, reads
+
+
+class _Narrow(Exception):
+    """A direct value reads more of the models than its view keeps."""
+
+
+class _Direct:
+    """The constructors of a direct scope (`Or`, `Diamond`, `Pref`, the
+    atoms and the derived forms), each computing its value's mask at once
+    on `view`, the evaluator's view for read level `level` (`_view`), with
+    the same domain checks as a program run; `lift` evaluates a formula on
+    it.  An outcome atom needs level 1, a `Pref` level 2 and a lifted
+    formula its own; on a narrower view each raises `_Narrow`.  `Not`
+    takes one complement per value from `complements`, so a memo table
+    keyed by values hits through it; the table goes with this object,
+    which no value refers to.  The derived forms complement masks, not
+    values, so the table keeps no instance's intermediate values."""
+
+    def __init__(self, view: StackedEvaluator, level: int):
+        self.view, self.level, self.full = view, level, view.full
+        self.complements: dict[_Value, _Value] = {}
+
+    def Not(self, x: _Value) -> _Value:
+        y = self.complements.get(x)
+        if y is None:
+            y = self.complements[x] = _Value(self.full ^ x.mask, x.reads)
+            self.complements[y] = x
+        return y
+
+    def Or(self, x: _Value, y: _Value) -> _Value:
+        return _Value(x.mask | y.mask, x.reads | y.reads)
+
+    def And(self, x: _Value, y: _Value) -> _Value:
+        return _Value(x.mask & y.mask, x.reads | y.reads)
+
+    def Implies(self, x: _Value, y: _Value) -> _Value:
+        return _Value(self.full ^ x.mask | y.mask, x.reads | y.reads)
+
+    def Iff(self, x: _Value, y: _Value) -> _Value:
+        return _Value(self.full ^ x.mask ^ y.mask, x.reads | y.reads)
+
+    def Diamond(self, coalition, x: _Value) -> _Value:
+        return _Value(self.view._diamond(frozenset(coalition), x.mask), x.reads)
+
+    def Box(self, coalition, x: _Value) -> _Value:
+        full = self.full
+        return _Value(full ^ self.view._diamond(frozenset(coalition), full ^ x.mask), x.reads)
+
+    def Pref(self, agent: int, x: _Value) -> _Value:
+        if self.level < 2:
+            raise _Narrow
+        bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
+        return _Value(self.view._pref(agent, x.mask), x.reads | bit)
+
+    def PrefBox(self, agent: int, x: _Value) -> _Value:
+        y = self.Pref(agent, _Value(self.full ^ x.mask, x.reads))
+        return _Value(self.full ^ y.mask, y.reads)
+
+    def Rep(self, agent: int, left: str, right: str) -> _Value:
+        return _Value(self.view._atom(_REP, agent, (left, right)), 0)
+
+    def Out(self, name: str) -> _Value:
+        if not self.level:
+            raise _Narrow
+        return _Value(self.view._atom(_OUT, name, None), 1)
+
+    def lift(self, formula: Formula) -> _Value:
+        if min(formula.reads, 2) > self.level:
+            raise _Narrow
+        return _Value(self.view.truth_mask(formula), formula.reads)
 
 
 class Evaluator(StackedEvaluator):

@@ -24,28 +24,30 @@ A builder is written once, against the constructors of the `_Scope` it
 is called with (`s.Or`, `s.Implies`, `s.Box`, ...), as in the
 tagless-final style of Carette, Kiselyov and Shan (2009).  A formula
 scope supplies `logic`'s, so the builder returns the interned instance
-formula; a program scope supplies a `_stacked._Builder`'s, so it emits
-the instance straight into a stacked program and returns a handle.  A
+formula; a direct scope supplies a `_stacked._Direct`'s, whose
+constructors compute each value's mask at once on a view of the
+stacked models, so the builder returns the instance's truth mask.  A
 subformula that reads only some of the binders, such as [i]phi in K(i)
 or <C1>delta1 in comp-At, is taken from a memo table of the scope, keyed
 by the values it reads, and built once per binding of those.  The tables
-go with the scope.  `soundness_check` emits each run of records through
-one program scope per `instantiate` call, so a sweep builds, interns,
-walks and frees no instance formula.
+go with the scope.  `soundness_check` evaluates each run of records
+through one direct scope per `instantiate` call and view, so a sweep
+builds no instance formula and no program.
 
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
 the same (n, K); the checker counts those per schema, from the read-sets
-the program records, and reports the count.  A schema's run is checked at
-the width its instances read, by the one rule `TableGrid.narrowed` keeps:
-a run of state-determined instances on the first model alone, a run
-without pref modalities on one model per outcome function, and any other
-run on every model.  `StackedEvaluator.first_failure` keeps one view per
-narrowing, so a sweep holds one evaluator over its models and at most two
-narrowed views.  Building instances and checking them pause the cyclic
-garbage collector (`logic._collector_paused`): interned nodes are
-acyclic, so its passes over the growing live set could free nothing the
-build made.
+the direct values carry, and reports the count.  An instance is
+evaluated at the width it reads, by the one rule `TableGrid.narrowed`
+keeps: a state-determined instance on the first model alone, one without
+pref modalities on one model per outcome function, and any other on
+every model.  A run starts on the narrowest view and moves to a wider one
+at the first instance that reads more, so it holds one evaluator over
+its models and at most two narrowed views, each kept by
+`StackedEvaluator._view` for later runs.  Building instances and checking
+them pause the cyclic garbage collector (`logic._collector_paused`):
+interned nodes and direct values are acyclic, so its passes over the
+growing live set could free nothing the build made.
 
 Two schema subtleties worth knowing:
 
@@ -72,7 +74,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _stacked, logic
 from .core import InvalidDomain, Profile, ScfModel, _bounded_size, all_linear_orders, all_profiles
-from .encodings import ballot_agent, ballot_profile, better
+from .encodings import ballot_agent, ballot_profile
 from .logic import (
     Box,
     Diamond,
@@ -252,7 +254,7 @@ class _Memo(dict):
         return value
 
 
-# the constructors a scope supplies: `logic`'s or a `_stacked._Builder`'s
+# the constructors a scope supplies: `logic`'s or a `_stacked._Direct`'s
 _TERMS = ("Not", "Or", "And", "Implies", "Iff", "Diamond", "Box", "Pref", "PrefBox", "Rep", "Out")
 
 
@@ -265,22 +267,23 @@ class _Scope:
     A builder is written once against its scope's constructors (`s.Or`,
     `s.Implies`, `s.Box`, ...), in the tagless-final style of Carette,
     Kiselyov and Shan (2009).  A formula scope supplies `logic`'s, so a
-    builder returns the instance formula; a program scope supplies those
-    of a `_stacked._Builder`, so it returns a handle to the instance's
-    entry in a stacked program, and formulas such as `ballot_profile`'s
-    are lifted into the program (`lift`); `lifted` maps a bound value to
-    what a builder takes, a formula to its handle and any other value to
-    itself.  Each memo table holds one kind of subformula, keyed by
-    the binder values it reads (handles in a program scope), so a builder
-    makes it once per such binding rather than once per binding of all
-    the schema's binders: `box` and `dia` per (coalition, formula),
-    `prefbox` and `pref` per (agent, formula), `union` per coalition pair,
-    `pair` per comp-At fragment pair, `ballot` per profile and `reach` per
-    (ballot, outcome).  `single` is the prebuilt coalition {i} of each
+    builder returns the instance formula; a direct scope supplies those of
+    a `_stacked._Direct`, so it returns the instance's value, its mask on
+    one view of the stacked models, and formulas such as
+    `ballot_profile`'s are evaluated on that view (`lift`); `lifted` maps
+    a bound value to what a builder takes, a formula to its value and any
+    other value to itself.  Each memo table holds one kind of subformula,
+    keyed by the binder values it reads (values, hashed by identity, in a
+    direct scope), so a builder makes it once per such binding rather than
+    once per binding of all the schema's binders: `box` and `dia` per
+    (coalition, formula), `prefbox` and `pref` per (agent, formula),
+    `union` per coalition pair, `pair` per comp-At fragment pair, `ballot`
+    per profile, `reach` per (ballot, outcome) and `fall` per (agent,
+    outcome, ballot).  `single` is the prebuilt coalition {i} of each
     agent.  No table's build refers back to the scope, so the tables and
     what only they hold go with the scope, collector or not."""
 
-    def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula], program=None):
+    def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula], direct=None):
         self.n = n
         self.outcomes = tuple(outcomes)
         self.pool = pool
@@ -294,8 +297,8 @@ class _Scope:
         self.single = {i: frozenset((i,)) for i in self.agents}
         self.distinct_agents = list(itertools.permutations(self.agents, 2))
         self.distinct_outcomes = list(itertools.permutations(self.outcomes, 2))
-        vars(self).update((name, getattr(program or logic, name)) for name in _TERMS)
-        self.lift = lift = program.lift if program else lambda formula: formula
+        vars(self).update((name, getattr(direct or logic, name)) for name in _TERMS)
+        self.lift = lift = direct.lift if direct else lambda formula: formula
         Diamond, And, Out = self.Diamond, self.And, self.Out
         self.box = _Memo(self.Box)
         self.dia = _Memo(Diamond)
@@ -306,6 +309,8 @@ class _Scope:
         self.lifted = _Memo(lambda value: lift(value) if isinstance(value, Formula) else value)
         self.ballot = _Memo(lambda profile: lift(ballot_profile(profile)))
         self.reach = _Memo(lambda ballot, x: Diamond(grand, And(ballot, Out(x))))
+        pref, Box, Implies = self.pref, self.Box, self.Implies
+        self.fall = _Memo(lambda i, x, ballot: Box(grand, Implies(Out(x), pref[i, ballot])))
 
     @cached_property
     def reps(self) -> list[Formula]:
@@ -385,6 +390,16 @@ def _func2(s: _Scope, profile: Profile, phi):
     return s.Implies(s.And(ballot, phi), s.Box(s.grand, s.Implies(ballot, phi)))
 
 
+def _unif_pref(s: _Scope, i: int, x: str, y: str):
+    # out(x) & pref(i) out(y) -> `encodings.better(n, K, i, out(x), out(y))`,
+    # the better part spelled out so that its ballots and its boxes of pref
+    # modalities come from the memo tables; a formula scope builds the very
+    # node `better` returns
+    hi, ballots = s.Out(y), map(s.ballot.__getitem__, s.profiles)
+    parts = [s.And(b, s.Implies(hi, s.fall[i, x, b])) for b in ballots]
+    return s.Implies(s.And(s.Out(x), s.Pref(i, hi)), s.Box(s.grand, reduce(s.Or, parts)))
+
+
 # Each schema: its binder names, bound in this order (the last one varies
 # fastest), and the builder of the instance for one binding, called with
 # the scope and the bound values.  A side condition (x != y, i != j, no
@@ -434,13 +449,7 @@ _TABLE: dict[str, tuple[str, Callable[..., object]]] = {
     "4(pref)": ("i phi", lambda s, i, phi: s.Implies(s.Pref(i, s.pref[i, phi]), s.pref[i, phi])),
     "antisym'": ("i profile1 profile2", _antisym),
     "total'": ("i profile1 profile2", _total),
-    "unifPref": (
-        "i x y",
-        lambda s, i, x, y: s.Implies(
-            s.And(s.Out(x), s.Pref(i, s.Out(y))),
-            s.lift(better(s.n, s.outcomes, i, Out(x), Out(y))),
-        ),
-    ),
+    "unifPref": ("i x y", _unif_pref),
 }
 
 SCHEMAS = tuple(_TABLE)
@@ -522,24 +531,26 @@ def soundness_check(
     `instantiate_all` stream two schemas' instances are live at most.
 
     Evaluation is batched: one truth mask per instance across the whole
-    model list (see `_stacked`), and each run is one program of roots,
-    checked in one `first_failure` call, so the subformulas its instances
-    share are evaluated once.  An `instantiate` record is emitted straight
-    into the program: its schema's builder runs in a program scope, one
-    per `instantiate` call in the run, on its bound values, pool formulas
-    lifted, so no instance formula is built.  A record whose formula was
-    read is emitted the same way, and a hand-built one is lifted from its
-    formula.  The read-sets the program records per root count the
-    state-determined instances.  A run whose instances read no true
-    preference is evaluated on one model per outcome function, and a
-    state-determined run on the first model only.  A subformula's mask is
-    dropped after its last reading entry in the run's program, and an
-    instance's mask after its check if no later entry reads it.  The
-    reported counterexample is the run's first failing instance in
-    instantiation order, at its lowest (model, state) pair.
-    A `TableGrid` is stacked as it is, building no model but the
-    counterexamples.  The collector is paused throughout, and so while
-    an `instantiate_all` stream builds the instances.
+    model list (see `_stacked`).  An `instantiate` record is evaluated as
+    its schema's builder runs, in a direct scope, one per `instantiate`
+    call in the run and view, on its bound values, pool formulas
+    evaluated on the view; so no instance formula and no program is
+    built, and the subformulas its instances share are evaluated once per
+    scope, through its memo tables.  A record whose formula was read is
+    evaluated the same way, and a hand-built one from its formula.  Each
+    instance is evaluated at the width it reads: the run starts on the
+    first model alone and moves, with fresh scopes, to one model per
+    outcome function at the first instance reading an outcome atom, and
+    to every model at the first reading a true preference, so each
+    instance is decided on a view that decides it.  A mask is dropped
+    once no memo table or later constructor holds it.  The reported
+    counterexample is the run's first failing instance in instantiation
+    order, at its lowest (model, state) pair; no instance after it is
+    evaluated, and the state-determined ones among them are counted from
+    their formulas' read-sets.  A `TableGrid` is stacked as it is,
+    building no model but the counterexamples.  The collector is paused
+    throughout, and so while an `instantiate_all` stream builds the
+    instances.
     """
     with _collector_paused():
         if not isinstance(models, _stacked.TableGrid):
@@ -550,49 +561,59 @@ def soundness_check(
 
 
 def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
-    program, independent = _emit(run)
-    hit = ev.first_failure(program)
+    """The result of one run: its instances evaluated in order in direct
+    scopes on `ev`'s view for read level `level`, which starts at 0 and
+    rises, with fresh scopes, at an instance that reads more than the view
+    keeps (`_stacked._Narrow`), so the instances before it keep the answers
+    their own width gives."""
+    level = done = independent = 0
+    hit = None
+    while hit is None and done < len(run):
+        view, scopes = ev._view(level), {}  # an `instantiate` call's scope -> its direct scope
+        direct = _stacked._Direct(view, level)
+        try:
+            for inst in itertools.islice(run, done, None):
+                scope = inst._scope
+                if scope is None:
+                    value = direct.lift(inst.formula)
+                else:
+                    target = scopes.get(scope)
+                    if target is None:
+                        target = scopes[scope] = _Scope(scope.n, scope.outcomes, scope.pool, direct)
+                    values = map(target.lifted.__getitem__, inst._values)
+                    value = _TABLE[inst.schema][1](target, *values)
+                independent += not value.reads
+                done += 1
+                if value.mask != view.full:
+                    hit = ev._locate(view, view.full ^ value.mask)
+                    break
+        except _stacked._Narrow:
+            level += 1
+    if hit is not None:  # the instances after the failure are counted, not evaluated
+        independent += sum(not inst.formula.reads for inst in run[done:])
     return SchemaResult(
         schema=run[0].schema,
         instances=len(run),
         models=len(ev.models),
         model_independent=independent,
         ok=hit is None,
-        counterexample=None if hit is None else (run[hit[0]], *hit[1:]),
+        counterexample=None if hit is None else (run[done - 1], *hit),
     )
-
-
-def _emit(run: list[AxiomInstance]) -> tuple[_stacked._Builder, int]:
-    """A program with one checked root per instance of `run`, in order,
-    and the number of state-determined instances among them."""
-    program = _stacked._Builder()
-    scopes: dict[_Scope, _Scope] = {}  # an `instantiate` call's scope -> its program scope
-    independent = 0
-    for inst in run:
-        scope = inst._scope
-        if scope is None:
-            root = program.lift(inst.formula)
-        else:
-            target = scopes.get(scope)
-            if target is None:
-                target = scopes[scope] = _Scope(scope.n, scope.outcomes, scope.pool, program)
-            root = _TABLE[inst.schema][1](target, *map(target.lifted.__getitem__, inst._values))
-        independent += not program.check(root)
-    return program, independent
 
 
 # Largest binder product times stacked width (models x states) of one
 # schema that a sweep takes on.  A sweep holds two adjacent schemas'
-# instances at most and drops each mask after its last reading entry, so
-# the product bounds mainly one schema's instances and the run time.
-# At (4,2) over 1008 sampled models (63 outcome functions, each with its 16
-# true profiles) comp-At reaches 3.2e9: its 150,528 records take about
-# 0.3 s to make and 1.3 s to emit and check, to a peak of 115 MiB, and the
-# whole sweep peaks at 120 MiB.  At (3,3) over 1080 sampled models comp-At
-# reaches 1.2e10 and antisym' 3.3e10.  There comp-At is made and checked
-# in about 0.35 s and 40 MiB, and antisym' (139,968 instances, which share
-# per-profile subformulas) in about 28 s, peaking at about 1,880 MiB: too
-# slow and too large for a command-line sweep.
+# instances at most and evaluates each instance as its builder runs,
+# keeping only the masks its scope's memo tables hold, so the product
+# bounds mainly the run time.  At (4,2) over 1008 sampled models (63
+# outcome functions, each with its 16 true profiles) comp-At reaches
+# 3.2e9: its 150,528 records take about 0.15 s to make and 0.4 s to
+# check, to a peak of 44 MiB, and the whole sweep takes 0.65 s and peaks
+# at 43 MiB.  At (3,3) over 1080 sampled models comp-At reaches 1.2e10
+# and antisym' 3.3e10.  There comp-At is made and checked in about 0.1 s
+# and 23 MiB, and antisym' (139,968 instances, which share per-profile
+# subformulas) in 19-25 s, peaking at about 104 MiB: too slow for a
+# command-line sweep.
 SWEEP_LIMIT = 5 * 10**9
 
 

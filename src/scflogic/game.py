@@ -16,14 +16,20 @@ state s + (m - d) * stride, d being i's digit of s and stride
 (|K|!)^(n-i), and outcomes are compared through one {outcome: rank} dict
 per ranking; profiles are looked up only to report a failure.
 `is_monotonic` compares lower contours as bitmasks, one |K|-bit field per
-agent.  An agent's dominant actions depend only on its own true ranking,
-so `implements` and `truthfully_implements` find them once per (agent,
-ranking) and call.
+agent.  Equilibria are decided on states too, for every game form: each
+call reads the game's outcomes once into a list in `action_profiles`'
+order (mixed radix over the agents' action positions, last agent
+fastest).  An agent's dominant actions are the positions whose outcome
+has the least rank in every column of that list; they depend only on its
+own true ranking, so `implements` and `truthfully_implements` find them
+once per (agent, ranking) and call, and read each equilibrium's outcome
+by its state.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
@@ -100,29 +106,41 @@ def nash_equilibria(game: GameForm, truth: Profile) -> tuple[tuple, ...]:
     return tuple(found)
 
 
-def _dominant(game: GameForm, agent: int, order: LinearOrder) -> list:
-    """The actions of `agent` that are dominant under its true `order`:
-    against every profile of the others' actions, the outcome of each kept
-    action has the least rank in the column of `agent`'s actions."""
+def _outcomes(game: GameForm) -> list[str]:
+    """The game's outcome at every action profile, in `action_profiles`'
+    order: an action profile's state is its actions' positions in mixed
+    radix, the last agent's the fastest digit."""
+    return [game.outcome(combo) for combo in game.action_profiles()]
+
+
+def _dominant(game: GameForm, grid: list[str], agent: int, order: LinearOrder) -> list[int]:
+    """The positions of the actions of `agent` that are dominant under its
+    true `order`, on the outcomes `grid` of `_outcomes`: against every
+    profile of the others' actions, the outcome of each kept action has the
+    least rank in that column, the states `stride` apart."""
     rank = {outcome: r for r, outcome in enumerate(order.ranking)}
-    acts = game.actions[agent - 1]
-    outcome = game.outcome
-    alive = range(len(acts))
-    for rest in itertools.product(*game.actions[: agent - 1], *game.actions[agent:]):
-        head, tail = rest[: agent - 1], rest[agent - 1 :]
-        column = [rank[outcome(head + (act,) + tail)] for act in acts]
-        best = min(column)
-        alive = [i for i in alive if column[i] == best]
-        if not alive:
-            break
-    return [acts[i] for i in alive]
+    size = len(game.actions[agent - 1])
+    stride = math.prod(len(acts) for acts in game.actions[agent:])
+    alive: list[int] = list(range(size))
+    for top in range(0, len(grid), size * stride):
+        for base in range(top, top + stride):
+            column = [rank[value] for value in grid[base : base + size * stride : stride]]
+            best = min(column)
+            alive = [i for i in alive if column[i] == best]
+            if not alive:
+                return alive
+    return alive
 
 
 def dom_equilibria(game: GameForm, truth: Profile) -> tuple[tuple, ...]:
     """Action profiles in which every component is a dominant strategy:
     at least as good as any alternative whatever the others play."""
     _check_truth(game, truth)
-    dominant = [_dominant(game, agent, order) for agent, order in enumerate(truth.orders, 1)]
+    grid = _outcomes(game)
+    dominant = [
+        [acts[i] for i in _dominant(game, grid, agent, order)]
+        for (agent, order), acts in zip(enumerate(truth.orders, 1), game.actions)
+    ]
     return tuple(itertools.product(*dominant))
 
 
@@ -134,21 +152,25 @@ def solution_set(game: GameForm, truth: Profile, concept: SolutionConcept) -> tu
     raise ValueError(f"unknown solution concept {concept}")
 
 
-def _solver(game: GameForm, concept: SolutionConcept) -> Callable[[Profile], tuple[tuple, ...]]:
-    """`solution_set` of `game` under `concept`, for true profiles over the
-    game's agents and outcomes; under DOMEQ each (agent, true ranking)'s
-    dominant actions are found once per solver."""
+def _solver(
+    game: GameForm, grid: list[str], concept: SolutionConcept
+) -> Callable[[Profile], list[int]]:
+    """`solution_set` of `game` under `concept` as states of `grid`, in the
+    same order, for true profiles over the game's agents and outcomes; under
+    DOMEQ each (agent, true ranking)'s dominant actions are found once per
+    solver, and the equilibria are the states their positions spell."""
     if concept is not SolutionConcept.DOMEQ:
-        return lambda truth: solution_set(game, truth, concept)
-    found: dict[tuple[int, LinearOrder], list] = {}
+        index = {combo: state for state, combo in enumerate(game.action_profiles())}
+        return lambda truth: [index[combo] for combo in solution_set(game, truth, concept)]
+    found: dict[tuple[int, LinearOrder], list[int]] = {}
 
-    def solve(truth: Profile) -> tuple[tuple, ...]:
-        parts = []
-        for key in enumerate(truth.orders, 1):
+    def solve(truth: Profile) -> list[int]:
+        states = [0]
+        for key, acts in zip(enumerate(truth.orders, 1), game.actions):
             if key not in found:
-                found[key] = _dominant(game, *key)
-            parts.append(found[key])
-        return tuple(itertools.product(*parts))
+                found[key] = _dominant(game, grid, *key)
+            states = [state * len(acts) + digit for state in states for digit in found[key]]
+        return states
 
     return solve
 
@@ -179,13 +201,15 @@ def implements(game: GameForm, table: ScfTable, concept: SolutionConcept) -> Imp
     outcomes match the function."""
     if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
         raise InvalidDomain("game form and SCF must share agents and outcomes")
-    solve = _solver(game, concept)
+    grid = _outcomes(game)
+    solve = _solver(game, grid, concept)
     for profile, target in zip(table.profiles, table.values):
-        answers = solve(profile)
-        if not answers:
+        states = solve(profile)
+        if not states:
             return ImplementationReport(False, "empty_solution_set", profile, None)
-        for combo in answers:
-            if game.outcome(combo) != target:
+        for state in states:
+            if grid[state] != target:
+                combo = next(itertools.islice(game.action_profiles(), state, None))
                 return ImplementationReport(False, "wrong_outcome", profile, combo)
     return ImplementationReport(True)
 
@@ -208,14 +232,18 @@ def truthfully_implements(
     if game.n != table.agents or set(game.outcomes) != set(table.outcomes):
         raise InvalidDomain("game form and SCF must share agents and outcomes")
     _require_direct(game, table.outcomes)
-    solve = _solver(game, concept)
+    grid = _outcomes(game)
+    solve = _solver(game, grid, concept)
+    places = [{act: digit for digit, act in enumerate(acts)} for acts in game.actions]
     for profile, target in zip(table.profiles, table.values):
-        sincere = profile.orders
-        answers = solve(profile)
-        if sincere not in answers:
-            failure = "truth_not_in_solution_set" if answers else "empty_solution_set"
+        sincere, state = profile.orders, 0
+        for order, place in zip(sincere, places):
+            state = state * len(place) + place[order]
+        states = solve(profile)
+        if state not in states:
+            failure = "truth_not_in_solution_set" if states else "empty_solution_set"
             return ImplementationReport(False, failure, profile, sincere)
-        if game.outcome(sincere) != target:
+        if grid[state] != target:
             return ImplementationReport(False, "wrong_outcome", profile, sincere)
     return ImplementationReport(True)
 

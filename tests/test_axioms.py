@@ -522,44 +522,71 @@ def _stacks(n, outcomes):
     return [listed, TableGrid(n, outcomes, rows, truths[::2])]
 
 
-def _root_masks(ev, program):
-    """Each checked root's mask in a finished program: `_run` stops at the
-    first failing root, so run it again with that root's check (and its
-    free-after-check flag) cleared until no root fails."""
-    ops, args, keys = program
-    ops = list(ops)
-    checks = [k for k, op in enumerate(ops) if op & _stacked._CHECK]
-    masks = dict.fromkeys(checks, ev.full)
-    while (hit := ev._run((ops, args, keys))) is not None:
-        slot = [k for k in checks if ops[k] & _stacked._CHECK][hit[0]]
-        masks[slot] = ev.full ^ hit[1]
-        ops[slot] &= ~(_stacked._CHECK | _stacked._FREE)
-    return [masks[k] for k in checks]
+def _direct_values(ev, run):
+    """(level, value) of each record of `run`, from its builder in a direct
+    scope on `ev`'s view for the lowest read level that decides it: one
+    scope per level, so the memo tables are shared along the run."""
+    from scflogic import axioms
+
+    base = run[0]._scope
+    scopes = [
+        axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(ev._view(level), level))
+        for level in range(3)
+    ]
+    found = []
+    for inst in run:
+        for level, scope in enumerate(scopes):
+            values = map(scope.lifted.__getitem__, inst._values)
+            try:
+                value = axioms._TABLE[inst.schema][1](scope, *values)
+            except _stacked._Narrow:
+                continue
+            found.append((level, value))
+            break
+    return found
 
 
 @pytest.mark.parametrize(
     "n, outcomes", list(EMISSION_POOLS), ids=lambda v: "".join(v) if isinstance(v, tuple) else str(v)
 )
 def test_emitted_runs_match_the_formula_path(n, outcomes):
-    """Every schema's records, emitted into one program per run without
-    building a formula, give each root the mask of its formula, on a model
-    list and on a grid, and the schemas being sound, that mask is full;
-    the program's read-sets count the state-determined instances as the
-    formulas' do."""
-    from scflogic import axioms
-
+    """Every schema's records, evaluated by their builders in direct scopes
+    without building a formula, give each instance the mask of its formula,
+    on a model list and on a grid, at the read level of the formula
+    (min(reads, 2), on that level's view) and the same read-set; the
+    schemas being sound, that mask is full.  The sweep builds no formula
+    either, and counts the state-determined instances as the formulas do."""
     pool = tuple(parse(text, (n, outcomes)) for text in EMISSION_POOLS[n, outcomes])
     for schema in SCHEMAS:
         run = instantiate(schema, n, outcomes, pool)
         if not run:
             continue
-        emitted = [axioms._emit(run) for _ in _stacks(n, outcomes)]
+        stacks = _stacks(n, outcomes)
+        reports = [soundness_check(run, stack) for stack in stacks]
+        evs = [_stacked.StackedEvaluator(stack) for stack in stacks]
+        direct = [_direct_values(ev, run) for ev in evs]
         assert all(not hasattr(inst, "_formula") for inst in run)
-        for stack, (program, independent) in zip(_stacks(n, outcomes), emitted):
-            ev = _stacked.StackedEvaluator(stack)
-            expected = [ev.truth_mask(inst.formula) for inst in run]
-            assert _root_masks(ev, program.finish()) == expected == [ev.full] * len(run), schema
-            assert independent == sum(not inst.formula.reads for inst in run)
+        for ev, report, found in zip(evs, reports, direct):
+            for inst, (level, value) in zip(run, found, strict=True):
+                view = ev._view(level)
+                assert (level, value.reads) == (min(inst.formula.reads, 2), inst.formula.reads)
+                assert value.mask == view.truth_mask(inst.formula) == view.full, schema
+            (result,) = report.results
+            assert result.ok, schema
+            assert result.model_independent == sum(not inst.formula.reads for inst in run)
+
+
+@pytest.mark.parametrize("n, outcomes", [(1, K3), (2, K2), (2, K3)])
+def test_unif_pref_spells_out_better(n, outcomes):
+    """unifPref's builder writes `encodings.better` out against its scope,
+    so that a direct scope takes the parts from its memo tables; in a
+    formula scope the consequent of every instance is the very node
+    `better` returns."""
+    run = instantiate("unifPref", n, outcomes, ())
+    assert len(run) == n * len(outcomes) ** 2
+    for inst in run:
+        i, x, y = inst.bindings.values()
+        assert inst.formula is Implies(And(Out(x), Pref(i, Out(y))), better(n, outcomes, i, Out(x), Out(y)))
 
 
 UNSOUND = ("a", "<{1}> a -> a", "a -> [{1}] a", "pref(1) b -> b", "rep(1,a,b)", "~rep(1,a,b)")
@@ -589,6 +616,64 @@ def test_runs_mixed_with_unsound_instances_fail_where_the_formulas_do(n, outcome
             first = next(inst for inst in run if ev.truth_mask(inst.formula) != ev.full)
             assert result.counterexample[0] is first
             assert result.model_independent == sum(not inst.formula.reads for inst in run)
+
+
+@pytest.mark.parametrize(
+    "middle, last",
+    [("a | b", "pref(1) b -> b"), ("a | b", "b -> pref(1) b"), ("a", "pref(1) b -> b")],
+)
+def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
+    """A run of state-determined records with a hand-built instance reading
+    an outcome atom planted in its middle and one reading a true preference
+    at its end widens its view twice, from the first model alone to the
+    first truth of each row and then to the whole stack.  It reports the
+    counterexample and count of `first_failure` over the formulas, whether
+    its last instance, its middle one or none fails, and builds each
+    narrowed view once per evaluator, however many runs it checks."""
+    from scflogic import axioms
+
+    records = instantiate("exclu", 2, K2, default_pool(2, K2))
+    assert not any(inst.formula.reads for inst in records)
+    half = len(records) // 2
+    planted = [AxiomInstance("exclu", {}, parse(text, (2, K2))) for text in (middle, last)]
+    run = records[:half] + planted[:1] + records[half:] + planted[1:]
+    built = []
+    init = _stacked.StackedEvaluator.__init__
+
+    def counting(self, models):
+        built.append(models)
+        init(self, models)
+
+    monkeypatch.setattr(_stacked.StackedEvaluator, "__init__", counting)
+    for stack in _stacks(2, K2):
+        ev = _stacked.StackedEvaluator(stack)
+        del built[:]
+        results = [axioms._check_run(ev, run) for _ in range(2)]
+        assert sorted(ev._views) == [0, 1] and len(built) == 2
+        hit = ev.first_failure([inst.formula for inst in run])
+        expected = None if hit is None else (run[hit[0]], *hit[1:])
+        for result in results:
+            assert result.counterexample == expected and result.ok is (hit is None)
+            assert result.model_independent == len(records)
+
+
+def test_a_sweep_leaves_no_garbage_cycles():
+    """`soundness_check` of every schema at sampled (2,{a,b,c}) and at
+    (3,{a,b}) leaves nothing for the cyclic collector: the direct scopes,
+    their memo and complement tables and their values go by reference
+    counting alone.  The collector stays off between the checks, so no
+    automatic pass can collect a cycle before the count is read."""
+    cases = [(2, K3, sample_models(2, K3, 1000, seed=0)), (3, K2, list(enumerate_models(3, K2)))]
+    gc.collect()
+    gc.disable()
+    try:
+        for n, outcomes, models in cases:
+            pool = default_pool(n, outcomes)
+            for schema in SCHEMAS:
+                assert soundness_check(instantiate(schema, n, outcomes, pool), models).ok
+                assert gc.collect() == 0, (n, outcomes, schema)
+    finally:
+        gc.enable()
 
 
 def test_instantiate_builds_records_and_a_formula_only_when_read():

@@ -521,6 +521,42 @@ def test_game_forms_get_the_profile_scans_answers(g_j_minus, g_p_matrix, j_table
             assert implements(game, table, concept) == expected, (game, concept)
 
 
+def test_direct_mechanisms_against_other_scfs():
+    """The direct mechanism of one SCF checked against another, also with its
+    rankings listed in a shuffled order: `implements` and
+    `truthfully_implements` read the game's outcomes, not the table's, and
+    agree with the profile scans, failure tuples included."""
+    rng = random.Random(36)
+    states = len(all_profiles(2, K3))
+    dictators = [ScfTable.from_function(2, K3, lambda p, i=i: p.order(i).top) for i in (1, 2)]
+    others = [ScfTable(2, K3, tuple(rng.choice(K3) for _ in range(states))) for _ in range(4)]
+    for dictator in dictators:
+        values = list(dictator.values)
+        values[-3] = next(x for x in K3 if x != values[-3])
+        others += [ScfTable(2, K3, tuple(values)), dictators[0], dictators[1]]
+    pairs = [(a, b) for a in dictators for b in others] + [(b, a) for a in dictators for b in others]
+    failures = set()
+    for source, table in pairs:
+        direct = scf_as_game_form(source)
+        actions = tuple(tuple(rng.sample(acts, len(acts))) for acts in direct.actions)
+        shuffled = GameForm(actions=actions, outcomes=K3, table=direct.table)
+        for game in (direct, shuffled):
+            for concept in SolutionConcept:
+                for check, reference in (
+                    (implements, _reference_implements),
+                    (truthfully_implements, _reference_truthfully_implements),
+                ):
+                    found = check(game, table, concept)
+                    assert found == reference(game, table, concept), (source, table, concept)
+                    failures.add(found.failure)
+    assert failures == {
+        None,
+        "empty_solution_set",
+        "truth_not_in_solution_set",
+        "wrong_outcome",
+    }
+
+
 def test_an_agent_outside_the_table_is_refused_as_before():
     """br of an agent the table does not have fails as the profile scan did."""
     table = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
