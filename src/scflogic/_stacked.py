@@ -634,8 +634,8 @@ class _Direct:
     """The constructors of a direct scope (`Or`, `Diamond`, `Pref`, the
     atoms and the derived forms), each computing its value's mask at once
     on `view`, the evaluator's view for read level `level` (`_view`), with
-    the same domain checks as a program run; `lift` evaluates a formula on
-    it.  An outcome atom needs level 1, a `Pref` level 2 and a lifted
+    the same domain checks as a program run, and `TRUE`, the full mask;
+    `lift` evaluates a formula on it.  An outcome atom needs level 1, a `Pref` level 2 and a lifted
     formula its own; on a narrower view each raises `_Narrow`.  `Not`
     takes one complement per value from `complements`, so a memo table
     keyed by values hits through it; the table goes with this object,
@@ -644,6 +644,7 @@ class _Direct:
 
     def __init__(self, view: StackedEvaluator, level: int):
         self.view, self.level, self.full = view, level, view.full
+        self.TRUE = _Value(view.full, 0)
         self.complements: dict[_Value, _Value] = {}
 
     def Not(self, x: _Value) -> _Value:

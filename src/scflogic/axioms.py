@@ -26,7 +26,10 @@ tagless-final style of Carette, Kiselyov and Shan (2009).  A formula
 scope supplies `logic`'s, so the builder returns the interned instance
 formula; a direct scope supplies a `_stacked._Direct`'s, whose
 constructors compute each value's mask at once on a view of the
-stacked models, so the builder returns the instance's truth mask.  A
+stacked models, so the builder returns the instance's truth mask.  The
+scope extends the one the property encodings are written against
+(`encodings._Scope`), so a ballot, its reach and the global preference
+`better` are built by the encodings' own builders and tables.  A
 subformula that reads only some of the binders, such as [i]phi in K(i)
 or <C1>delta1 in comp-At, is taken from a memo table of the scope, keyed
 by the values it reads, and built once per binding of those.  The tables
@@ -72,9 +75,9 @@ from functools import cached_property, reduce
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import _stacked, logic
-from .core import InvalidDomain, Profile, ScfModel, _bounded_size, all_linear_orders, all_profiles
-from .encodings import ballot_agent, ballot_profile
+from . import _stacked, encodings
+from .core import InvalidDomain, Profile, ScfModel, _bounded_size, all_linear_orders
+from .encodings import _Memo, _ballot_agent, ballot_agent
 from .logic import (
     Box,
     Diamond,
@@ -239,78 +242,49 @@ def _at_agent_set(formula: Formula) -> Optional[frozenset[int]]:
     return frozenset(node.agent for node in nodes if type(node) is Rep)
 
 
-class _Memo(dict):
-    """A subformula table: the value of `build(*key)`, or of `build(key)`
-    for a key that is not a tuple, built on the key's first lookup."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build: Callable[..., object]):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key: object) -> object:
-        value = self[key] = self.build(*key) if type(key) is tuple else self.build(key)
-        return value
-
-
-# the constructors a scope supplies: `logic`'s or a `_stacked._Direct`'s
-_TERMS = ("Not", "Or", "And", "Implies", "Iff", "Diamond", "Box", "Pref", "PrefBox", "Rep", "Out")
-
-
-class _Scope:
-    """What one instantiation ranges over and builds with: the binder
-    domains over (n, K) and the pool, the reported atoms and the
-    pool-derived ones computed on first use, the constructors, and the
-    constants and memo tables the builders read.
+class _Scope(encodings._Scope):
+    """What one instantiation ranges over and builds with: the encodings'
+    scope over (n, K), with its constructors and shared memo tables, and
+    the binder domains over (n, K) and the pool, the reported atoms and
+    the pool-derived ones computed on first use, and the memo tables only
+    the schemas read.
 
     A builder is written once against its scope's constructors (`s.Or`,
     `s.Implies`, `s.Box`, ...), in the tagless-final style of Carette,
     Kiselyov and Shan (2009).  A formula scope supplies `logic`'s, so a
     builder returns the instance formula; a direct scope supplies those of
     a `_stacked._Direct`, so it returns the instance's value, its mask on
-    one view of the stacked models, and formulas such as
-    `ballot_profile`'s are evaluated on that view (`lift`); `lifted` maps
-    a bound value to what a builder takes, a formula to its value and any
-    other value to itself.  Each memo table holds one kind of subformula,
-    keyed by the binder values it reads (values, hashed by identity, in a
-    direct scope), so a builder makes it once per such binding rather than
-    once per binding of all the schema's binders: `box` and `dia` per
-    (coalition, formula), `prefbox` and `pref` per (agent, formula),
-    `union` per coalition pair, `pair` per comp-At fragment pair, `ballot`
-    per profile, `reach` per (ballot, outcome) and `fall` per (agent,
-    outcome, ballot).  `single` is the prebuilt coalition {i} of each
-    agent.  No table's build refers back to the scope, so the tables and
-    what only they hold go with the scope, collector or not."""
+    one view of the stacked models, and pool formulas are evaluated on
+    that view (`lift`); `lifted` maps a bound value to what a builder
+    takes, a formula to its value and any other value to itself.  Each
+    memo table holds one kind of subformula, keyed by the binder values it
+    reads (values, hashed by identity, in a direct scope), so a builder
+    makes it once per such binding rather than once per binding of all the
+    schema's binders: besides the encodings' tables (`out`, `pref`,
+    `ballot`, `reach`, `fall` and `better`), `box` and `dia` per
+    (coalition, formula), `prefbox` per (agent, formula), `union` per
+    coalition pair and `pair` per comp-At fragment pair.  `single` is the
+    prebuilt coalition {i} of each agent.  No table's build refers back
+    to the scope, so the tables and what only they hold go with the scope,
+    collector or not."""
 
     def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula], direct=None):
-        self.n = n
-        self.outcomes = tuple(outcomes)
+        super().__init__(n, outcomes, direct)
         self.pool = pool
-        self.agents = range(1, n + 1)
-        self.grand = grand = frozenset(self.agents)
         self.coalitions = [
             frozenset(c) for size in range(n + 1) for c in itertools.combinations(self.agents, size)
         ]
         self.rankings = all_linear_orders(self.outcomes)
-        self.profiles = all_profiles(n, self.outcomes)
         self.single = {i: frozenset((i,)) for i in self.agents}
         self.distinct_agents = list(itertools.permutations(self.agents, 2))
         self.distinct_outcomes = list(itertools.permutations(self.outcomes, 2))
-        vars(self).update((name, getattr(direct or logic, name)) for name in _TERMS)
         self.lift = lift = direct.lift if direct else lambda formula: formula
-        Diamond, And, Out = self.Diamond, self.And, self.Out
         self.box = _Memo(self.Box)
-        self.dia = _Memo(Diamond)
+        self.dia = _Memo(self.Diamond)
         self.prefbox = _Memo(self.PrefBox)
-        self.pref = _Memo(self.Pref)
         self.union = _Memo(frozenset.union)
-        self.pair = _Memo(And)
+        self.pair = _Memo(self.And)
         self.lifted = _Memo(lambda value: lift(value) if isinstance(value, Formula) else value)
-        self.ballot = _Memo(lambda profile: lift(ballot_profile(profile)))
-        self.reach = _Memo(lambda ballot, x: Diamond(grand, And(ballot, Out(x))))
-        pref, Box, Implies = self.pref, self.Box, self.Implies
-        self.fall = _Memo(lambda i, x, ballot: Box(grand, Implies(Out(x), pref[i, ballot])))
 
     @cached_property
     def reps(self) -> list[Formula]:
@@ -392,12 +366,9 @@ def _func2(s: _Scope, profile: Profile, phi):
 
 def _unif_pref(s: _Scope, i: int, x: str, y: str):
     # out(x) & pref(i) out(y) -> `encodings.better(n, K, i, out(x), out(y))`,
-    # the better part spelled out so that its ballots and its boxes of pref
-    # modalities come from the memo tables; a formula scope builds the very
-    # node `better` returns
-    hi, ballots = s.Out(y), map(s.ballot.__getitem__, s.profiles)
-    parts = [s.And(b, s.Implies(hi, s.fall[i, x, b])) for b in ballots]
-    return s.Implies(s.And(s.Out(x), s.Pref(i, hi)), s.Box(s.grand, reduce(s.Or, parts)))
+    # from the scope's `better` table, which that builder reads too
+    lo, hi = s.out[x], s.out[y]
+    return s.Implies(s.And(lo, s.Pref(i, hi)), s.better[i, lo, hi])
 
 
 # Each schema: its binder names, bound in this order (the last one varies
@@ -428,7 +399,7 @@ _TABLE: dict[str, tuple[str, Callable[..., object]]] = {
     "confl": ("i,j phi", _confl),  # stated for independence between distinct agents
     "empty": ("phi", lambda s, phi: s.Iff(s.Box((), phi), phi)),
     "exclu": ("i,j p", _exclu),
-    "ballot": ("i order", lambda s, i, order: s.Diamond({i}, s.lift(ballot_agent(i, order)))),
+    "ballot": ("i order", lambda s, i, order: s.Diamond({i}, _ballot_agent(s, i, order))),
     "comp-At": ("C1 C2 delta1,delta2", _comp_at),
     "func1": (
         "",

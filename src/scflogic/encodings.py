@@ -1,18 +1,35 @@
 """Formula builders: ballots, global preference, reified true profiles, the
 characteristic formula of an SCF, and the named property encodings.
 
-Every builder returns a plain core-grammar AST; nothing here consults a
-model or evaluates a formula.
+Each builder is written once, against the constructors of the scope it is
+called with (`s.Or`, `s.Implies`, `s.Box`, ...), in the tagless-final
+style of Carette, Kiselyov and Shan (2009).  A formula scope supplies
+`logic`'s, so a builder returns a plain core-grammar AST; a direct scope
+supplies a `_stacked._Direct`'s, whose constructors compute each value's
+mask at once on a view of stacked models, so the same builder returns the
+encoding's truth mask.  `axioms._Scope` extends the scope with the binder
+domains and tables of the axiom schemas, whose builders share these.
 
+The derived notions the encodings and the axioms share are memo tables of
+the scope (`_Scope`), each built once per key: the outcome atoms, the pref
+modalities, the ballot of each profile, its reach <N>(ballot & out(x)),
+the boxes [N](lo -> pref(i) ballot) and the global preference `better`.
 Formula nodes are interned when they are built (see `logic.Formula`), so
-the formulas built here are DAGs in which equal subformulas, such as the
-ballot labels and `better` expansions, are one shared node, and an
-evaluator's slots hit them by identity.  `ballot_profile`, `better` and
-`property_formula` are memoized with `lru_cache` as well.  Interning alone
-would return the same nodes, but only after rebuilding each expansion at
-every use: the caches of `ballot_profile` and `better` keep the build
-linear in the distinct `better` links (without them strproof at (3,3)
-takes about 70 times as long to build), so they stay.
+a formula scope's DAGs share equal subformulas as one node, and an
+evaluator's slots hit them by identity.
+
+The public builders run in the formula scope of their (n, K)
+(`_formulas`), one per (n, K) kept for the life of the process, as the
+`property_formula` cache is; `ballot_agent`, which reads no (n, K), takes
+`logic`'s constructors, and `ballot_profile` the scope of its outcomes in
+sorted order.  Interning alone would return the same nodes, but only
+after rebuilding each expansion at every use: the scope's `ballot` and
+`better` tables keep the build linear in the distinct `better` links
+(without them strproof at (3,3) takes about 70 times as long to build).
+A property check evaluates the formula through its kept program
+(`decision.check_scf_property`): a direct scope on the check's one-row
+grid gives the same mask, but takes 2.3-2.4 ms per (2,3) `strproof`
+table against 0.9-1.1 ms for the program.
 
 The property table `_PROPERTIES` maps each property kind to its builder;
 `PropertyId`, its spellings on the command line and in formulas, and
@@ -23,9 +40,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, ClassVar, Optional, Sequence
 
+from . import logic
 from .core import (
     InvalidDomain,
     LinearOrder,
@@ -33,20 +51,7 @@ from .core import (
     ScfTable,
     all_profiles,
 )
-from .logic import (
-    And,
-    Box,
-    Diamond,
-    Formula,
-    Implies,
-    Out,
-    Pref,
-    Rep,
-    TRUE,
-    conj,
-    disj,
-    _collector_paused,
-)
+from .logic import Formula, _collector_paused
 
 __all__ = [
     "PropertyId",
@@ -71,28 +76,104 @@ __all__ = [
 ]
 
 
-def _grand(n: int) -> frozenset[int]:
-    return frozenset(range(1, n + 1))
+class _Memo(dict):
+    """A subformula table: the value of `build(*key)`, or of `build(key)`
+    for a key that is not a tuple, built on the key's first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[..., object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.build(*key) if type(key) is tuple else self.build(key)
+        return value
+
+
+# the constructors a scope supplies: `logic`'s or a `_stacked._Direct`'s
+_TERMS = (
+    "TRUE", "Not", "Or", "And", "Implies", "Iff", "Diamond", "Box", "Pref", "PrefBox", "Rep", "Out"
+)
+
+
+def _conj(s, parts):
+    """Left-associated conjunction in `s`'s constructors; the empty one is
+    truth.  `s` is a scope, or anything holding the constructors, as the
+    `logic` module does."""
+    parts = list(parts)
+    return reduce(s.And, parts) if parts else s.TRUE
+
+
+def _disj(s, parts):
+    """Left-associated disjunction; the empty one is falsity."""
+    parts = list(parts)
+    return reduce(s.Or, parts) if parts else s.Not(s.TRUE)
+
+
+class _Scope:
+    """What the builders over (n, K) build with: the constructors, of
+    `logic` or of `direct`, and the memo tables of the derived notions,
+    each keyed by the values it reads (values, hashed by identity, in a
+    direct scope): `out` per outcome, `pref` per (agent, formula),
+    `ballot` per profile, `reach` per (ballot, outcome), `fall`, the box
+    [N](lo -> pref(i) ballot), per (agent, lo, ballot), and `better` per
+    (agent, lo, hi).  No table's build refers back to the scope, so the
+    tables and what only they hold go with the scope, collector or not."""
+
+    def __init__(self, n: int, outcomes: Sequence[str], direct=None):
+        terms = direct or logic
+        self.n = n
+        self.outcomes = outcomes = tuple(outcomes)
+        self.agents = range(1, n + 1)
+        self.grand = grand = frozenset(self.agents)
+        vars(self).update((name, getattr(terms, name)) for name in _TERMS)
+        Or, And, Implies, Diamond, Box = self.Or, self.And, self.Implies, self.Diamond, self.Box
+        self.out = out = _Memo(self.Out)
+        self.pref = pref = _Memo(self.Pref)
+        self.ballot = ballot = _Memo(partial(_ballot_profile, terms))
+        self.reach = _Memo(lambda b, x: Diamond(grand, And(b, out[x])))
+        self.fall = fall = _Memo(lambda i, lo, b: Box(grand, Implies(lo, pref[i, b])))
+
+        def better(i, lo, hi):
+            if not 1 <= i <= n:
+                raise InvalidDomain(f"agent {i} out of range 1..{n}")
+            ballots = map(ballot.__getitem__, all_profiles(n, outcomes))
+            return Box(grand, reduce(Or, [And(b, Implies(hi, fall[i, lo, b])) for b in ballots]))
+
+        self.better = _Memo(better)
+
+    @cached_property
+    def profiles(self) -> tuple[Profile, ...]:
+        """All profiles over (n, K), listed on first use: a builder that
+        reads none, as `citsov` does, never lists (|K|!)^n of them."""
+        return all_profiles(self.n, self.outcomes)
+
+
+@lru_cache(maxsize=None)
+def _formulas(n: int, outcomes: tuple[str, ...]) -> _Scope:
+    """The formula scope over (n, K) the public builders share."""
+    return _Scope(n, outcomes)
+
+
+def _ballot_agent(s, agent: int, order: LinearOrder):
+    ranking = order.ranking
+    return _conj(s, [s.Rep(agent, ranking[k], ranking[k + 1]) for k in range(len(ranking) - 1)])
 
 
 def ballot_agent(agent: int, order: LinearOrder) -> Formula:
     """Reification of one agent's reported ranking: the chain of adjacent
     at-least-as-good atoms.  A single-outcome ranking reifies to truth."""
-    pairs = [
-        Rep(agent, order.ranking[k], order.ranking[k + 1])
-        for k in range(len(order.ranking) - 1)
-    ]
-    if not pairs:
-        return TRUE
-    return conj(pairs)
+    return _ballot_agent(logic, agent, order)
 
 
-@lru_cache(maxsize=None)
+def _ballot_profile(s, profile: Profile):
+    return _conj(s, [_ballot_agent(s, i, order) for i, order in enumerate(profile.orders, start=1)])
+
+
 def ballot_profile(profile: Profile) -> Formula:
     """Reification of a whole reported profile; true at exactly one state."""
-    return conj(
-        ballot_agent(agent, order) for agent, order in enumerate(profile.orders, start=1)
-    )
+    return _formulas(profile.n, tuple(sorted(profile.orders[0].ranking))).ballot[profile]
 
 
 def better(
@@ -104,26 +185,21 @@ def better(
 
     Expands over all profiles, so its size grows with (|K|!)^n.  Equal
     arguments give the same interned node, so `trueprofile` and `strproof`
-    share n*|K|*(|K|-1) expansions; the memo on (n, outcome tuple, agent,
-    lo, hi) builds each of them once, not once per use.  It keeps every
-    distinct argument tuple, parser-supplied `lo`/`hi` included, for the
-    life of the process.
+    share n*|K|*(|K|-1) expansions; the scope's table builds each of them
+    once, not once per use.  It keeps every distinct argument tuple,
+    parser-supplied `lo`/`hi` included, for the life of the process.
     """
-    return _better(n, tuple(outcomes), agent, lo, hi)
+    return _formulas(n, tuple(outcomes)).better[agent, lo, hi]
 
 
-@lru_cache(maxsize=None)
-def _better(n: int, outcomes: tuple[str, ...], agent: int, lo: Formula, hi: Formula) -> Formula:
-    if not 1 <= agent <= n:
-        raise InvalidDomain(f"agent {agent} out of range 1..{n}")
-    grand = _grand(n)
-    disjuncts = []
-    for profile in all_profiles(n, outcomes):
-        label = ballot_profile(profile)
-        disjuncts.append(
-            And(label, Implies(hi, Box(grand, Implies(lo, Pref(agent, label)))))
-        )
-    return Box(grand, disj(disjuncts))
+def _trueprofile(s, profile: Profile):
+    parts = []
+    for agent, order in enumerate(profile.orders, start=1):
+        ranking = order.ranking
+        for k in range(len(ranking) - 1, 0, -1):
+            for j in range(k - 1, -1, -1):
+                parts.append(s.better[agent, s.out[ranking[k]], s.out[ranking[j]]])
+    return _conj(s, parts)
 
 
 def trueprofile(profile: Profile, outcomes: Sequence[str]) -> Formula:
@@ -136,15 +212,16 @@ def trueprofile(profile: Profile, outcomes: Sequence[str]) -> Formula:
 
     `outcomes` fixes the canonical outcome order used by the expansion.
     """
-    parts = []
-    for agent, order in enumerate(profile.orders, start=1):
-        ranking = order.ranking
-        for k in range(len(ranking) - 1, 0, -1):
-            for j in range(k - 1, -1, -1):
-                parts.append(
-                    better(profile.n, outcomes, agent, Out(ranking[k]), Out(ranking[j]))
-                )
-    return conj(parts)
+    return _trueprofile(_formulas(profile.n, tuple(outcomes)), profile)
+
+
+def _rho(s, table: ScfTable, form: str):
+    if form not in ("diamond", "implication"):
+        raise ValueError(f"unknown rho form {form!r}")
+    pairs = zip(map(s.ballot.__getitem__, table.profiles), table.values)
+    if form == "diamond":
+        return _conj(s, [s.reach[b, x] for b, x in pairs])
+    return _conj(s, [s.Implies(b, s.out[x]) for b, x in pairs])
 
 
 def rho(table: ScfTable, form: str = "diamond") -> Formula:
@@ -156,56 +233,79 @@ def rho(table: ScfTable, form: str = "diamond") -> Formula:
     the outcome of that state only.  Both are valid in exactly the models
     whose outcome function realizes the table.
     """
-    if form not in ("diamond", "implication"):
-        raise ValueError(f"unknown rho form {form!r}")
-    grand = _grand(table.agents)
-    parts = []
-    for profile in table.profiles:
-        label = ballot_profile(profile)
-        value = Out(table(profile))
-        if form == "diamond":
-            parts.append(Diamond(grand, And(label, value)))
-        else:
-            parts.append(Implies(label, value))
-    return conj(parts)
+    return _rho(_formulas(table.agents, table.outcomes), table, form)
+
+
+def _citsov(s):
+    return _conj(s, [s.Diamond(s.grand, s.out[x]) for x in s.outcomes])
 
 
 def citsov(n: int, outcomes: Sequence[str]) -> Formula:
     """Every outcome is reachable by the grand coalition."""
-    grand = _grand(n)
-    return conj(Diamond(grand, Out(x)) for x in outcomes)
+    return _citsov(_formulas(n, tuple(outcomes)))
+
+
+def _nodict(s):
+    parts = []
+    for agent in s.agents:
+        witness = _disj(
+            s,
+            [
+                s.And(s.out[x], _disj(s, [s.Rep(agent, y, x) for y in s.outcomes if y != x]))
+                for x in s.outcomes
+            ],
+        )
+        parts.append(s.Diamond(s.grand, witness))
+    return _conj(s, parts)
 
 
 def nodict(n: int, outcomes: Sequence[str]) -> Formula:
     """For every agent, some state's outcome is not that agent's reported top."""
-    grand = _grand(n)
-    parts = []
-    for agent in range(1, n + 1):
-        witness = disj(
-            And(Out(x), disj(Rep(agent, y, x) for y in outcomes if y != x))
-            for x in outcomes
-        )
-        parts.append(Diamond(grand, witness))
-    return conj(parts)
+    return _nodict(_formulas(n, tuple(outcomes)))
+
+
+def _best_response(s, agent: int):
+    if not 1 <= agent <= s.n:
+        raise InvalidDomain(f"agent {agent} out of range 1..{s.n}")
+    return _disj(
+        s, [s.And(s.out[x], s.Box((agent,), s.pref[agent, s.out[x]])) for x in s.outcomes]
+    )
 
 
 def best_response(agent: int, n: int, outcomes: Sequence[str]) -> Formula:
     """The current outcome is truly at least as good, for the agent, as the
     outcome of any of its unilateral deviations."""
-    if not 1 <= agent <= n:
-        raise InvalidDomain(f"agent {agent} out of range 1..{n}")
-    return disj(
-        And(Out(x), Box(frozenset({agent}), Pref(agent, Out(x)))) for x in outcomes
-    )
+    return _best_response(_formulas(n, tuple(outcomes)), agent)
+
+
+def _dom(s):
+    return _conj(s, [s.Box(s.grand - {i}, _best_response(s, i)) for i in s.agents])
 
 
 def dom(n: int, outcomes: Sequence[str]) -> Formula:
     """Dominant strategy equilibrium as a state property: every agent plays
     a best response however the others deviate."""
-    return conj(
-        Box(_grand(n) - {agent}, best_response(agent, n, outcomes))
-        for agent in range(1, n + 1)
-    )
+    return _dom(_formulas(n, tuple(outcomes)))
+
+
+def _mon(s):
+    grand, ballot, reach, outcomes = s.grand, s.ballot, s.reach, s.outcomes
+    # <N>(ballot(p) & rep(i, x, y)), read for p on each side of a pair
+    said = {
+        (p, i, x, y): s.Diamond(grand, s.And(ballot[p], s.Rep(i, x, y)))
+        for p in s.profiles for i in s.agents for x in outcomes for y in outcomes
+    }
+    parts = []
+    for p in s.profiles:
+        for p2 in s.profiles:
+            for x in outcomes:
+                kept = [
+                    s.Implies(said[p, i, x, y], said[p2, i, x, y])
+                    for i in s.agents for y in outcomes
+                ]
+                chose_x, still_x = reach[ballot[p], x], reach[ballot[p2], x]
+                parts.append(s.Implies(s.And(chose_x, _conj(s, kept)), still_x))
+    return _conj(s, parts)
 
 
 def mon(n: int, outcomes: Sequence[str]) -> Formula:
@@ -215,40 +315,24 @@ def mon(n: int, outcomes: Sequence[str]) -> Formula:
     No algebraic simplification is applied; the artifact checks this exact
     shape.  The conjunction is quadratic in the number of profiles.
     """
-    grand = _grand(n)
-    profiles = all_profiles(n, outcomes)
-    labels = {p: ballot_profile(p) for p in profiles}
-    parts = []
-    for p in profiles:
-        for p2 in profiles:
-            for x in outcomes:
-                chose_x = Diamond(grand, And(labels[p], Out(x)))
-                still_x = Diamond(grand, And(labels[p2], Out(x)))
-                kept: list[Formula] = []
-                for agent in range(1, n + 1):
-                    for y in outcomes:
-                        kept.append(
-                            Implies(
-                                Diamond(grand, And(labels[p], Rep(agent, x, y))),
-                                Diamond(grand, And(labels[p2], Rep(agent, x, y))),
-                            )
-                        )
-                parts.append(Implies(And(chose_x, conj(kept)), still_x))
-    return conj(parts)
+    return _mon(_formulas(n, tuple(outcomes)))
+
+
+def _strproof(s):
+    dom_formula = _dom(s)
+    return _conj(
+        s,
+        [
+            s.Implies(_trueprofile(s, p), s.Implies(s.ballot[p], dom_formula))
+            for p in s.profiles
+        ],
+    )
 
 
 def strproof(n: int, outcomes: Sequence[str]) -> Formula:
     """Strategy-proofness: under the reified true profile, truth-telling is
     a dominant strategy equilibrium."""
-    dom_formula = dom(n, outcomes)
-    names = tuple(outcomes)
-    return conj(
-        Implies(
-            trueprofile(profile, names),
-            Implies(ballot_profile(profile), dom_formula),
-        )
-        for profile in all_profiles(n, names)
-    )
+    return _strproof(_formulas(n, tuple(outcomes)))
 
 
 # property kind -> its builder over (agent, n, K); the agent is None but for

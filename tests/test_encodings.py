@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import random
 
@@ -54,7 +56,9 @@ from scflogic.logic import (
     Pref,
     Rep,
 )
-from scflogic._stacked import StackedEvaluator
+from scflogic import encodings
+from scflogic._stacked import StackedEvaluator, TableGrid, _Direct
+from scflogic.parser import format_formula
 
 from conftest import K2, K3, profile
 
@@ -389,3 +393,173 @@ def test_property_id_validation():
 def test_better_validates_domain():
     with pytest.raises(InvalidDomain):
         better(2, K2, 3, Out("a"), Out("b"))
+
+
+def _all_properties(n):
+    return [PropertyId(kind, None) for kind in PropertyId.KINDS if kind != "br"] + [
+        BR(i) for i in range(1, n + 1)
+    ]
+
+
+def _seeded_table(n, outcomes, seed):
+    rng = random.Random(seed)
+    return ScfTable(n, outcomes, [rng.choice(outcomes) for _ in all_profiles(n, outcomes)])
+
+
+def _pinned_formulas(n, outcomes, seed):
+    """(label, formula) of every property, both rho forms of one seeded
+    table, the true profiles of the first and last profile and every
+    better(i, out(x), out(y)) over (n, K)."""
+    for prop in _all_properties(n):
+        yield str(prop), property_formula(prop, n, outcomes)
+    table = _seeded_table(n, outcomes, seed)
+    for form in ("diamond", "implication"):
+        yield f"rho {form}", rho(table, form)
+    profiles = all_profiles(n, outcomes)
+    for at in (0, -1):
+        yield f"trueprofile {at}", trueprofile(profiles[at], outcomes)
+    for i, x, y in itertools.product(range(1, n + 1), outcomes, outcomes):
+        yield f"better {i} {x} {y}", better(n, outcomes, i, Out(x), Out(y))
+
+
+# sha256 prefixes of `format_formula` of each `_pinned_formulas` entry at
+# (n, K, seed of the rho table); the builders must keep returning these
+ENCODING_DIGESTS = {
+    (2, "ab", "citsov"): "4cb80bd24f095664",
+    (2, "ab", "nodict"): "3e9df36dfed20eab",
+    (2, "ab", "dom"): "eb1fb89d32b06d21",
+    (2, "ab", "mon"): "ab19c37e75210595",
+    (2, "ab", "strproof"): "8b531f5c9fad372a",
+    (2, "ab", "br(1)"): "b9fa4588af2c23e0",
+    (2, "ab", "br(2)"): "42665f7d48680443",
+    (2, "ab", "rho diamond"): "3ff524d6efc23160",
+    (2, "ab", "rho implication"): "ec33996bda9a2cd8",
+    (2, "ab", "trueprofile 0"): "6ae68a3fbdb38575",
+    (2, "ab", "trueprofile -1"): "2f4bbcc82fb57ad7",
+    (2, "ab", "better 1 a a"): "465ae2a2728b0243",
+    (2, "ab", "better 1 a b"): "3bb947f64835f5cf",
+    (2, "ab", "better 1 b a"): "d29eb459ede165e9",
+    (2, "ab", "better 1 b b"): "eef7b93932134422",
+    (2, "ab", "better 2 a a"): "aa71f8086c5fb793",
+    (2, "ab", "better 2 a b"): "78c70e1884478138",
+    (2, "ab", "better 2 b a"): "036a58fe7db423b8",
+    (2, "ab", "better 2 b b"): "e04b159e6db25716",
+    (1, "abc", "citsov"): "4ed8109a66db6674",
+    (1, "abc", "nodict"): "cddf6faca68c1ab2",
+    (1, "abc", "dom"): "51d37641f2e14f72",
+    (1, "abc", "mon"): "089bd1ff62529df1",
+    (1, "abc", "strproof"): "b691fcdeecdbef38",
+    (1, "abc", "br(1)"): "4e4d896ecc1096e9",
+    (1, "abc", "rho diamond"): "79a2c3393d629bc3",
+    (1, "abc", "rho implication"): "6ea6be8c872e461d",
+    (1, "abc", "trueprofile 0"): "1b94a42402dd000e",
+    (1, "abc", "trueprofile -1"): "5d35034908c903b8",
+    (1, "abc", "better 1 a a"): "685fac364a923143",
+    (1, "abc", "better 1 a b"): "61cc26d93e6d7425",
+    (1, "abc", "better 1 a c"): "64942a208514e937",
+    (1, "abc", "better 1 b a"): "c8a73db8798e192f",
+    (1, "abc", "better 1 b b"): "fe9c065429b1c292",
+    (1, "abc", "better 1 b c"): "4ec24863d963b66f",
+    (1, "abc", "better 1 c a"): "6c90595882aa51cc",
+    (1, "abc", "better 1 c b"): "d8d00df3493dcf05",
+    (1, "abc", "better 1 c c"): "5a02b1e48758a307",
+    (2, "abc", "citsov"): "4ffde3f16067d63e",
+    (2, "abc", "nodict"): "32273f4a184b48ba",
+    (2, "abc", "dom"): "36446b77b35a50f9",
+    (2, "abc", "mon"): "514ef0b2deb118a9",
+    (2, "abc", "strproof"): "b036cde89c6272bd",
+    (2, "abc", "br(1)"): "4e4d896ecc1096e9",
+    (2, "abc", "br(2)"): "72beed47e0e8c04f",
+    (2, "abc", "rho diamond"): "c12949cc052828f7",
+    (2, "abc", "rho implication"): "4939cc9e52cfa599",
+    (2, "abc", "trueprofile 0"): "f989b948256f0458",
+    (2, "abc", "trueprofile -1"): "b0664a8b0eb9c3a8",
+    (2, "abc", "better 1 a a"): "c162a08d4f00bf1c",
+    (2, "abc", "better 1 a b"): "88dafd8f724528d2",
+    (2, "abc", "better 1 a c"): "0672e207ff30893b",
+    (2, "abc", "better 1 b a"): "4ea62b2f96869f43",
+    (2, "abc", "better 1 b b"): "2cccfdb039a81b26",
+    (2, "abc", "better 1 b c"): "eb18e721a1730802",
+    (2, "abc", "better 1 c a"): "0acadf576f5d2cab",
+    (2, "abc", "better 1 c b"): "9fe6199fc3221069",
+    (2, "abc", "better 1 c c"): "d6b99ef4a84778c3",
+    (2, "abc", "better 2 a a"): "f618fe6fce9fba18",
+    (2, "abc", "better 2 a b"): "8b8ffd1e40db7261",
+    (2, "abc", "better 2 a c"): "fda667875f14e4b0",
+    (2, "abc", "better 2 b a"): "6419aacea13c399c",
+    (2, "abc", "better 2 b b"): "5b8cc346806ededc",
+    (2, "abc", "better 2 b c"): "d0855c52aa518096",
+    (2, "abc", "better 2 c a"): "ef3b96769da3367d",
+    (2, "abc", "better 2 c b"): "0130020f266d5392",
+    (2, "abc", "better 2 c c"): "7743635ac1386eea",
+}
+
+
+def test_encodings_match_pinned_digests():
+    seen = {}
+    for n, names, seed in ((2, "ab", 2201), (1, "abc", 1301), (2, "abc", 2301)):
+        for label, formula in _pinned_formulas(n, tuple(names), seed):
+            seen[n, names, label] = hashlib.sha256(format_formula(formula).encode()).hexdigest()[:16]
+    assert seen == ENCODING_DIGESTS
+
+
+# each property kind -> its builder against a scope, called with the agent
+_SCOPED = {
+    "citsov": lambda s, agent: encodings._citsov(s),
+    "nodict": lambda s, agent: encodings._nodict(s),
+    "dom": lambda s, agent: encodings._dom(s),
+    "mon": lambda s, agent: encodings._mon(s),
+    "strproof": lambda s, agent: encodings._strproof(s),
+    "br": lambda s, agent: encodings._best_response(s, agent),
+}
+
+
+def test_property_builders_evaluate_in_a_direct_scope():
+    """Each property builder run in a direct scope on a table's full
+    one-row grid gives the truth mask and read-set of its formula, and its
+    lowest failing bit is `check_scf_property`'s counterexample: every
+    dictatorship, a constant table and seeded tables at (2,2), (1,3) and
+    (2,3), mon on one (2,3) table."""
+    verdicts = set()
+    for n, outcomes, seed in ((2, K2, 21), (1, K3, 13), (2, K3, 23)):
+        dictators = [
+            ScfTable.from_function(n, outcomes, lambda p, i=i: p.order(i).top)
+            for i in range(1, n + 1)
+        ]
+        constant = ScfTable(n, outcomes, (outcomes[-1],) * len(all_profiles(n, outcomes)))
+        seeded = [_seeded_table(n, outcomes, seed * 10 + k) for k in range(3)]
+        tables = dictators + [constant] + seeded
+        for at, table in enumerate(tables):
+            ev = StackedEvaluator(TableGrid(n, outcomes, [table.values]))
+            scope = encodings._Scope(n, outcomes, _Direct(ev, 2))
+            for prop in _all_properties(n):
+                if prop == MON and (n, outcomes) == (2, K3) and at:
+                    continue
+                value = _SCOPED[prop.kind](scope, prop.agent)
+                formula = property_formula(prop, n, outcomes)
+                assert (value.mask, value.reads) == (ev.truth_mask(formula), formula.reads)
+                bad = ev.full ^ value.mask
+                verdict = check_scf_property(table, prop)
+                assert verdict.status == ("invalid" if bad else "valid"), (prop, table.values)
+                if bad:
+                    assert verdict.counterexample == ev._locate(ev, bad), (prop, table.values)
+                verdicts.add((prop.kind, bool(bad)))
+    assert len(verdicts) == 2 * len(PropertyId.KINDS)
+
+
+def test_a_formula_scope_leaves_no_garbage_cycles():
+    """Building every property in a fresh formula scope and dropping the
+    scope leaves nothing for the cyclic collector: no memo table's build
+    refers back to the scope.  The collector stays off in between, so no
+    automatic pass can collect a cycle before the count is read."""
+    gc.collect()
+    gc.disable()
+    try:
+        for n, outcomes in ((2, K2), (1, K3), (2, K3)):
+            scope = encodings._Scope(n, outcomes)
+            for prop in _all_properties(n):
+                assert _SCOPED[prop.kind](scope, prop.agent) is property_formula(prop, n, outcomes)
+            del scope
+            assert gc.collect() == 0, (n, outcomes)
+    finally:
+        gc.enable()

@@ -508,8 +508,9 @@ def test_equal_formulas_are_one_object():
     assert parse("[N] pref(1) b", ctx) is Box([2, 1], Pref(1, Out("b")))
     built = better(2, K2, 1, Out("a"), Out("b"))
     assert better(2, K2, 1, Out("a"), Out("b")) is built
-    # rebuilding the whole expansion, past the builder's cache, meets it too
-    assert encodings._better.__wrapped__(2, K2, 1, Out("a"), Out("b")) is built
+    # rebuilding the whole expansion in a fresh formula scope, past the
+    # tables of the one the builders share, meets it too
+    assert encodings._Scope(2, K2).better[1, Out("a"), Out("b")] is built
 
 
 def test_unreferenced_nodes_are_collected():
