@@ -29,17 +29,23 @@ for the index `first_failure` reports; a model list is read into the
 grid it spells (`_as_grid`).  A row's outcome masks are spread over its
 L blocks by one multiplication, when an evaluation first reads them.
 
-Only pref(i) reads a model's true profile, and only outcome atoms its
-outcome function; each node's read-set (`Formula.reads`) says which it
-reaches.  One rule, on the grid, maps a read-set to the models that
-decide it (`TableGrid.narrowed`): the first model's block alone if it
-reads neither, the first truth of each row if it reads no true profile,
-and the whole grid otherwise.  Block j of a narrowed grid stands for
-model j*L, the first of its row, which is the lowest failing model of
-the whole grid too, so counterexamples do not change.  `first_failure`
-ORs its roots' read-sets and evaluates on a view of that grid, kept on
-the evaluator from the first call that asks for it; the property check
-and the enumeration stack narrowed grids directly.
+Only pref(i) reads a model's true profile, and only agent i's ranking in
+it; only outcome atoms and pref(i) read its outcome function.  Each
+node's read-set (`Formula.reads`) says which it reaches.  One rule, on
+the grid, maps a read-set to the models that decide it
+(`TableGrid.narrowed`), the cone of influence of the read-set along the
+true-profile axis: every row if the read-set is not empty (the first row
+alone if it is), and in each row the first truth of each distinct
+restriction of the truths to the agents whose pref(i) it reads (one
+truth if it reads none, and the grid itself if it reads every agent).
+Every truth of a row gives such a root the mask of the first truth of
+its class, so the narrowed grid's first failing block is the first
+failing model of the whole grid too, and counterexamples do not change:
+the narrowed grid keeps the indices of its truths (`kept`), which map
+its block (row, t) back to the grid's model row*L + kept[t] (`_locate`).
+`first_failure` ORs its roots' read-sets and evaluates on a view of that
+grid, kept on the evaluator from the first call that asks for it; the
+property check and the enumeration stack narrowed grids directly.
 
 A formula is evaluated by running a program (`StackedEvaluator._run`):
 one entry per distinct node of its DAG in post-order, so a shared node
@@ -73,12 +79,14 @@ The axiom sweep builds neither instance formulas nor programs: a schema
 builder runs against the constructors of `_Direct`, which compute each
 value's mask at once on a view of the stack (`_view`) and carry its
 read-set.  An outcome atom, a `Pref` or a lifted formula that reads more
-than the view keeps raises `_Narrow`, and the sweep resumes on a wider
-view (`axioms.soundness_check`).  Sharing there comes from the builders'
-memo tables, keyed by value identity, not from hash-consing.
+than the view keeps raises `_Narrow` with the read-set it needs, and the
+sweep resumes on the view for it (`axioms.soundness_check`).  Sharing
+there comes from the builders' memo tables, keyed by value identity, not
+from hash-consing.
 
 The per-(n, K) state data every stack shares (profiles, grid axes,
-reported-atom masks, the rank blocks of all S profiles) is built once
+reported-atom masks, the first truths of each agent set's rankings among
+all S profiles, and the rank blocks of those and of all S) is built once
 per domain (`_space`).  Agreement with the relational semantics
 (`logic.eval_kripke`), which shares none of this state data, is enforced
 by property tests.
@@ -87,7 +95,7 @@ by property tests.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, cycle, repeat
 from typing import Iterable, Sequence
 
@@ -100,8 +108,9 @@ __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
 class _StateSpace:
     """Per-(n, K) state data shared by every evaluator: `core`'s canonical
-    profiles, the axes of the state grid, reported-atom masks and the rank
-    blocks of a grid's true profiles, built once for all S in order."""
+    profiles, the axes of the state grid, reported-atom masks, the truths a
+    narrowed grid keeps and the rank blocks of a grid's true profiles, the
+    last two built once for all S in order and their narrowings."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
@@ -124,6 +133,31 @@ class _StateSpace:
             comb = sum(1 << (d * stride) for d in range(radix))
             self.axes.append((tuple(span * stride for span in spans), plane, comb))
         self._rep_masks: dict[tuple[int, str, str], int] = {}
+        self._narrowings: dict[int, tuple[tuple[int, ...], tuple[Profile, ...]]] = {}
+        # rank blocks by the id of a truth tuple this space holds for its life
+        self._blocks: dict[int, list[list[dict[str, int]]]] = {}
+
+    def narrowing(
+        self, truths: Sequence[Profile], shape: int
+    ) -> tuple[tuple[int, ...], tuple[Profile, ...]]:
+        """The indices of the first of `truths` with each restriction to the
+        agents whose pref bits `shape` sets (`Formula.reads`), in order, and
+        those truths: (0,) and the first truth if it sets none.  For all S
+        profiles in order these are the states whose digits on the other
+        agents are 0, found once per agent set, and their rank blocks are
+        kept (`rank_blocks`)."""
+        canonical = truths is self.profiles
+        narrowing = self._narrowings.get(shape >> 1) if canonical else None
+        if narrowing is None:
+            agents = [i for i in range(self.n) if shape >> i + 1 & 1]
+            first: dict[tuple, int] = {}
+            for t, truth in enumerate(truths):
+                first.setdefault(tuple([truth.orders[i].ranking for i in agents]), t)
+            kept = tuple(first.values())
+            narrowing = kept, tuple([truths[t] for t in kept])
+            if canonical:
+                self._narrowings[shape >> 1] = narrowing
+        return narrowing
 
     def rep_mask(self, agent: int, left: str, right: str) -> int:
         key = (agent, left, right)
@@ -145,19 +179,20 @@ class _StateSpace:
     def rank_blocks(self, truths: Sequence[Profile]) -> list[list[dict[str, int]]]:
         """Per agent and rank r, per outcome: one bit per true profile t of
         `truths`, at bit t*S, set where t ranks the outcome at r for the
-        agent.  The blocks of all S profiles in order are built once."""
+        agent.  The blocks of all S profiles in order, and of each agent
+        set's first truths among them (`narrowing`), are built once."""
         if truths == self.profiles:
-            return self._all_rank_blocks
-        blocks = [[dict.fromkeys(self.outcomes, 0) for _ in self.outcomes] for _ in range(self.n)]
-        for t, truth in enumerate(truths):
-            for ranks, order in zip(blocks, truth.orders):
-                for at_rank, name in zip(ranks, order.ranking):
-                    at_rank[name] |= 1 << t * self.size
+            truths = self.profiles
+        blocks = self._blocks.get(id(truths))
+        if blocks is None:
+            blocks = [[dict.fromkeys(self.outcomes, 0) for _ in self.outcomes] for _ in range(self.n)]
+            for t, truth in enumerate(truths):
+                for ranks, order in zip(blocks, truth.orders):
+                    for at_rank, name in zip(ranks, order.ranking):
+                        at_rank[name] |= 1 << t * self.size
+            if truths is self.profiles or any(truths is kept for _, kept in self._narrowings.values()):
+                self._blocks[id(truths)] = blocks
         return blocks
-
-    @cached_property
-    def _all_rank_blocks(self) -> list[list[dict[str, int]]]:
-        return self.rank_blocks(list(self.profiles))  # a list never equals the tuple
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +204,13 @@ class TableGrid(Sequence[ScfModel]):
     """The models of outcome-function rows over (n, K), each with one
     sequence of true profiles (all S in order by default), table outer,
     truth inner.  A model is built only when its index is read;
-    `StackedEvaluator` stacks a grid per row without reading any."""
+    `StackedEvaluator` stacks a grid per row without reading any.  A grid
+    `narrowed` from another holds in `kept` the indices of its truths
+    among the other's and in `keeps` its shape, the read-set it decides as
+    the other does; they are None and -1 on any other grid."""
+
+    kept: tuple[int, ...] | None = None
+    keeps = -1
 
     def __init__(
         self,
@@ -188,19 +229,38 @@ class TableGrid(Sequence[ScfModel]):
         row, truth = divmod(index, len(self.truths))
         return ScfModel(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
 
+    def shape(self, reads: int) -> int:
+        """The shape of the grid narrowed for `reads`, the read-set it
+        decides as this one does: -1, every bit, if `reads` reads every
+        agent's true preference or that of an agent outside 1..n
+        (`_OTHER_AGENT`); otherwise bit 0 if `reads` is not empty, and the
+        pref bits it sets."""
+        agents = (2 << min(self.n, 63)) - 2
+        if reads & ~(agents | 1) or reads & agents == agents:
+            return -1
+        return reads & agents | (reads != 0)
+
     def narrowed(self, reads: int) -> TableGrid:
         """The grid that decides a root of read-set `reads` (`Formula.reads`)
-        as this one does: the first model alone if the root reads neither
-        an outcome atom nor a true preference (0), the first truth of each
-        row if it reads no true preference (1), and this grid itself if it
-        reads one or is no wider.  Every model of a row gives such a root
-        the same mask, so block j stands for model j*L here, the first of
-        its row, and its first failing block for this grid's first failing
-        model."""
-        rows = self.rows if reads else self.rows[:1]
-        if reads > 1 or len(rows) == len(self):
+        as this one does: every row if `reads` is not empty and the first
+        row alone if it is, and in each row the first truth of each
+        distinct restriction of the truths to the agents whose pref bits
+        `reads` sets (`_StateSpace.narrowing`), so one truth if it sets none.
+        This grid itself if that keeps every model, as it does on a grid
+        narrowed to the same shape.  The models of a row that agree on those
+        agents' rankings give such a root the same mask, and each kept truth
+        is the first of its class, so the narrowed grid's first failing
+        block is this grid's first failing model."""
+        shape = self.shape(reads)
+        if shape == -1 or shape == self.keeps:
             return self
-        return TableGrid(self.n, self.outcomes, rows, self.truths[:1])
+        kept, truths = _space(self.n, self.outcomes).narrowing(self.truths, shape)
+        rows = self.rows if shape else self.rows[:1]
+        if len(rows) * len(kept) == len(self):
+            return self
+        grid = TableGrid(self.n, self.outcomes, rows, truths)
+        grid.kept, grid.keeps = kept, shape
+        return grid
 
 
 def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
@@ -286,7 +346,11 @@ class StackedEvaluator:
     which holds no mask or node, in `_programs`.  The outcome and rank
     masks are built when an evaluation first reads them; `first_failure`
     evaluates on a view of the narrowed grid, one per narrowing, built on
-    the first call that asks for it and kept."""
+    the first call that asks for it and kept.  `keeps` is the read-set a
+    view decides as the evaluator it is a view of does, its grid's shape
+    (`TableGrid.shape`): -1, every bit, on an evaluator that is no view."""
+
+    keeps = -1
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -309,7 +373,7 @@ class StackedEvaluator:
         self._by_row: dict[str, int] | None = None
         self._out_masks: dict[str, int] | None = None
         self._ranked: list[list[int]] | None = None
-        self._views: dict[int, StackedEvaluator] = {}  # narrowed views, by min(reads, 2)
+        self._views: dict[int, StackedEvaluator] = {}  # narrowed views, by what they keep
 
     def _row_masks(self) -> dict[str, int]:
         """Per outcome, each row's states choosing it, rows at stride L*S."""
@@ -467,25 +531,34 @@ class StackedEvaluator:
 
     def _view(self, reads: int) -> StackedEvaluator:
         """The evaluator over `TableGrid.narrowed(reads)`: the first model
-        alone for a read-set that reads neither an outcome atom nor a true
-        preference, the first truth of each row for one that reads no true
-        preference, and this one otherwise.  A narrowed view is built on
-        the first call that asks for it and kept, with the masks it builds,
-        for later calls."""
-        grid = self.grid.narrowed(reads)
-        view = self if grid is self.grid else self._views.get(min(reads, 2))
+        alone for an empty read-set, and otherwise every row with the first
+        truth of each ranking of the agents whose true preference `reads`
+        reads; this one if that is the whole grid.  A narrowed view is built
+        on the first call that asks for its shape (`TableGrid.shape`: rows
+        kept or not, and the agents kept), and kept, with the masks it
+        builds, for later calls."""
+        shape = self.grid.shape(reads)
+        if shape == -1:
+            return self
+        view = self._views.get(shape)
         if view is None:
+            grid = self.grid.narrowed(reads)
+            if grid is self.grid:
+                return self
             # type(self), not the module's name, which a tracer may replace
-            view = self._views[min(reads, 2)] = type(self)(grid)
+            view = self._views[shape] = type(self)(grid)
+            view.keeps = shape
         return view
 
     def _locate(self, view: StackedEvaluator, bad: int) -> tuple[ScfModel, Profile]:
-        """The (model, state) of the lowest of the bits `bad` of `view`: block
-        j of a narrowed view stands for model j*L of the batch, the first of
-        its row, whose first failing model it is."""
+        """The (model, state) of the lowest of the bits `bad` of `view`:
+        block (row, t) of a narrowed view stands for model row*L + kept[t]
+        of the batch, the first failing model of that row where it fails."""
         block_idx, state_idx = divmod((bad & -bad).bit_length() - 1, self.block)
-        stride = len(self.grid.truths) // len(view.grid.truths)
-        return self.models[block_idx * stride], self.space.profiles[state_idx]
+        if view is not self:
+            row, t = divmod(block_idx, len(view.grid.truths))
+            block_idx = row * len(self.grid.truths) + view.grid.kept[t]
+        return self.models[block_idx], self.space.profiles[state_idx]
 
     def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
         """(index, falsified bits) of the first root that some model of
@@ -627,23 +700,26 @@ class _Value:
 
 
 class _Narrow(Exception):
-    """A direct value reads more of the models than its view keeps."""
+    """A direct value reads more of the models than its view keeps; the
+    one argument is the read-set it needs."""
 
 
 class _Direct:
     """The constructors of a direct scope (`Or`, `Diamond`, `Pref`, the
     atoms and the derived forms), each computing its value's mask at once
-    on `view`, the evaluator's view for read level `level` (`_view`), with
-    the same domain checks as a program run, and `TRUE`, the full mask;
-    `lift` evaluates a formula on it.  An outcome atom needs level 1, a `Pref` level 2 and a lifted
-    formula its own; on a narrower view each raises `_Narrow`.  `Not`
-    takes one complement per value from `complements`, so a memo table
-    keyed by values hits through it; the table goes with this object,
-    which no value refers to.  The derived forms complement masks, not
-    values, so the table keeps no instance's intermediate values."""
+    on `view`, a view that decides the read-set `keeps` (-1 for every
+    read-set, `StackedEvaluator.keeps`), with the same domain checks as a
+    program run, and `TRUE`, the full mask; `lift` evaluates a formula on
+    it.  An outcome atom on a view of one model, a `Pref` whose agent the
+    view does not keep, and a lifted formula reading more than `keeps` each
+    raise `_Narrow` with the read-set it needs.  `Not` takes one complement
+    per value from `complements`, so a memo table keyed by values hits
+    through it; the table goes with this object, which no value refers to.
+    The derived forms complement masks, not values, so the table keeps no
+    instance's intermediate values."""
 
-    def __init__(self, view: StackedEvaluator, level: int):
-        self.view, self.level, self.full = view, level, view.full
+    def __init__(self, view: StackedEvaluator, keeps: int):
+        self.view, self.keeps, self.full = view, keeps, view.full
         self.TRUE = _Value(view.full, 0)
         self.complements: dict[_Value, _Value] = {}
 
@@ -674,9 +750,9 @@ class _Direct:
         return _Value(full ^ self.view._diamond(frozenset(coalition), full ^ x.mask), x.reads)
 
     def Pref(self, agent: int, x: _Value) -> _Value:
-        if self.level < 2:
-            raise _Narrow
         bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
+        if bit & ~self.keeps:
+            raise _Narrow(bit)
         return _Value(self.view._pref(agent, x.mask), x.reads | bit)
 
     def PrefBox(self, agent: int, x: _Value) -> _Value:
@@ -687,13 +763,13 @@ class _Direct:
         return _Value(self.view._atom(_REP, agent, (left, right)), 0)
 
     def Out(self, name: str) -> _Value:
-        if not self.level:
-            raise _Narrow
+        if not self.keeps:
+            raise _Narrow(1)
         return _Value(self.view._atom(_OUT, name, None), 1)
 
     def lift(self, formula: Formula) -> _Value:
-        if min(formula.reads, 2) > self.level:
-            raise _Narrow
+        if formula.reads & ~self.keeps:
+            raise _Narrow(formula.reads)
         return _Value(self.view.truth_mask(formula), formula.reads)
 
 

@@ -43,10 +43,15 @@ the same (n, K); the checker counts those per schema, from the read-sets
 the direct values carry, and reports the count.  An instance is
 evaluated at the width it reads, by the one rule `TableGrid.narrowed`
 keeps: a state-determined instance on the first model alone, one without
-pref modalities on one model per outcome function, and any other on
-every model.  A run starts on the narrowest view and moves to a wider one
-at the first instance that reads more, so it holds one evaluator over
-its models and at most two narrowed views, each kept by
+pref modalities on one model per outcome function, one whose pref
+modalities name agent i alone (each instance of K(pref), 4(pref), incl,
+unifPref, antisym' and total') on the first model of each of agent i's
+rankings per outcome function, and one that reads every agent on every
+model.  A run starts on the narrowest view and moves at the first
+instance that reads more than its view keeps, to the view for what that
+instance reads, so a run over agents 1..n visits each agent's view in
+turn.  It holds one evaluator over its models and one view per shape it
+visits (rows kept or not, agents kept), each kept by
 `StackedEvaluator._view` for later runs.  Building instances and checking
 them pause the cyclic garbage collector (`logic._collector_paused`):
 interned nodes and direct values are acyclic, so its passes over the
@@ -512,8 +517,9 @@ def soundness_check(
     instance is evaluated at the width it reads: the run starts on the
     first model alone and moves, with fresh scopes, to one model per
     outcome function at the first instance reading an outcome atom, and
-    to every model at the first reading a true preference, so each
-    instance is decided on a view that decides it.  A mask is dropped
+    to the first model of each of agent i's rankings per outcome function
+    at the first reading agent i's true preference (`_check_run`), so
+    each instance is decided on a view that decides it.  A mask is dropped
     once no memo table or later constructor holds it.  The reported
     counterexample is the run's first failing instance in instantiation
     order, at its lowest (model, state) pair; no instance after it is
@@ -532,34 +538,43 @@ def soundness_check(
 
 
 def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
-    """The result of one run: its instances evaluated in order in direct
-    scopes on `ev`'s view for read level `level`, which starts at 0 and
-    rises, with fresh scopes, at an instance that reads more than the view
-    keeps (`_stacked._Narrow`), so the instances before it keep the answers
-    their own width gives."""
-    level = done = independent = 0
+    """The result of one run: its instances evaluated in order, by the
+    schema's builder, in direct scopes on `ev`'s view for the read-set
+    `reads` (`StackedEvaluator._view`).  `reads` starts empty; at an
+    instance that reads more than the view keeps (`_stacked._Narrow`), the
+    run resumes there, with fresh scopes, on the view for what it needs:
+    its outcome bit is kept, its agents replaced, so a run over agents 1
+    and 2 moves from agent 1's view to agent 2's, and joined if the same
+    instance asks again, so an instance reading two agents lands on their
+    joint view.  Each instance is evaluated on a view that decides it, and
+    the ones before it keep the answers their own view gives."""
+    build = _TABLE.get(run[0].schema, (None, None))[1]  # None for a hand-built schema name
+    reads = done = independent = 0
+    raised = -1  # the index of the instance that last raised `_Narrow`
     hit = None
     while hit is None and done < len(run):
-        view, scopes = ev._view(level), {}  # an `instantiate` call's scope -> its direct scope
-        direct = _stacked._Direct(view, level)
+        view, scopes, last = ev._view(reads), {}, None  # an `instantiate` scope -> its direct one
+        direct = _stacked._Direct(view, view.keeps)
         try:
             for inst in itertools.islice(run, done, None):
                 scope = inst._scope
                 if scope is None:
                     value = direct.lift(inst.formula)
                 else:
-                    target = scopes.get(scope)
-                    if target is None:
-                        target = scopes[scope] = _Scope(scope.n, scope.outcomes, scope.pool, direct)
-                    values = map(target.lifted.__getitem__, inst._values)
-                    value = _TABLE[inst.schema][1](target, *values)
+                    if scope is not last:
+                        last, target = scope, scopes.get(scope)
+                        if target is None:
+                            target = scopes[scope] = _Scope(scope.n, scope.outcomes, scope.pool, direct)
+                    value = build(target, *map(target.lifted.__getitem__, inst._values))
                 independent += not value.reads
                 done += 1
                 if value.mask != view.full:
                     hit = ev._locate(view, view.full ^ value.mask)
                     break
-        except _stacked._Narrow:
-            level += 1
+        except _stacked._Narrow as narrow:
+            (need,) = narrow.args
+            reads = reads | need if raised == done else reads & 1 | need
+            raised = done
     if hit is not None:  # the instances after the failure are counted, not evaluated
         independent += sum(not inst.formula.reads for inst in run[done:])
     return SchemaResult(
@@ -583,8 +598,9 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
 # at 43 MiB.  At (3,3) over 1080 sampled models comp-At reaches 1.2e10
 # and antisym' 3.3e10.  There comp-At is made and checked in about 0.1 s
 # and 23 MiB, and antisym' (139,968 instances, which share per-profile
-# subformulas) in 19-25 s, peaking at about 104 MiB: too slow for a
-# command-line sweep.
+# subformulas, each checked on the 6 true profiles of its agent's rankings
+# per outcome function) in 2.0-4.0 s, peaking at about 39 MiB.  The other
+# schemas of a (3,3) sweep are not measured, so the limit stays.
 SWEEP_LIMIT = 5 * 10**9
 
 

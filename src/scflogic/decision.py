@@ -26,16 +26,23 @@ counterexample the enumeration would return.  A formula with outcome
 atoms but no pref modality has the same truth in every model of an
 outcome function, whatever the true profile: each chunk is narrowed to
 one model per outcome function, the first in enumeration order, and the
-budget counts those outcome functions instead of models.
+budget counts those outcome functions instead of models.  A formula whose
+pref modalities name some agents but not all has the same truth in the
+models of an outcome function whose true profiles agree on those agents'
+rankings: each chunk keeps the first true profile of each such ranking
+tuple, |K|! per outcome function for one agent, and the budget still
+counts models.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
 F, so `check_scf_property` quantifies over the (|K|!)^n true profiles
 only.  It builds the property formula once per (property, n, K) (the
 encodings builders are memoized) and evaluates it on all those models at
-once, as a one-row `TableGrid` narrowed to the formula's read-set.  The
-restriction is itself tested against full enumeration at the small
-scales where both are feasible.
+once, as a one-row `TableGrid` narrowed to the formula's read-set: a
+best response br(i) reads agent i's true preference alone, so with two
+agents or more it is evaluated on the |K|! true profiles that differ
+from the first in agent i's ranking only.  The restriction is itself tested against full enumeration at the
+small scales where both are feasible.
 """
 
 from __future__ import annotations
@@ -228,8 +235,11 @@ def _first_failure(
     hit stays cheap and a full sweep takes few wide batches.  Each chunk
     is narrowed to the formula's read-set (`TableGrid.narrowed`): a formula
     that reads no true preference is stacked with the first truth of each
-    row, and its budget counts outcome functions; the chunk width counts
-    the truths the narrowed grid keeps."""
+    row, and its budget counts outcome functions; one that reads some
+    agents' true preferences but not all, with the first truth of each of
+    their ranking tuples, and its budget counts models.  The chunk width
+    counts the truths the narrowed grid keeps, and the narrowed grid's
+    first failing model is the chunk's."""
     reads = formula.reads
     unit = "one model" if reads == 0 else "outcome functions" if reads == 1 else "models"
     _check_budget(n, outcomes, budget, unit)

@@ -111,3 +111,15 @@ def make_formula_sampler(n: int, outcomes: tuple[str, ...], seed: int):
         return [sample(rng.randint(0, max_depth)) for _ in range(count)]
 
     return draw
+
+
+def narrowed_width(grid, reads: int) -> int:
+    """The models `TableGrid.narrowed(reads)` keeps, counted apart from it:
+    the whole grid if `reads` reads every agent's true preference or one
+    outside 1..n; otherwise every row (one if `reads` is empty) times the
+    distinct rankings, among the grid's truths, of the agents it reads."""
+    agents = [i for i in range(1, grid.n + 1) if reads >> i & 1]
+    if reads >> grid.n + 1 or len(agents) == grid.n:
+        return len(grid)
+    classes = {tuple(truth.orders[i - 1] for i in agents) for truth in grid.truths}
+    return (len(grid.rows) if reads else 1) * len(classes)

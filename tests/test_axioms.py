@@ -3,6 +3,7 @@ import copy
 import gc
 import hashlib
 import io
+import itertools
 import pickle
 import time
 import weakref
@@ -37,7 +38,7 @@ from scflogic.axioms import AxiomInstance
 from scflogic._stacked import TableGrid
 from scflogic.parser import format_formula, parse
 
-from conftest import K2, K3
+from conftest import K2, K3, narrowed_width
 
 
 SMALL_POOL = (Out("a"), Rep(1, "a", "b"), Not(Rep(2, "b", "a")), Or(Out("b"), Rep(2, "a", "b")))
@@ -522,26 +523,41 @@ def _stacks(n, outcomes):
     return [listed, TableGrid(n, outcomes, rows, truths[::2])]
 
 
+def _views_by_width(ev):
+    """`ev`'s views for every read-set shape (`TableGrid.shape`: rows kept
+    or not, and the agents kept), each once, narrowest first; `ev` itself,
+    the widest, last."""
+    n = ev.grid.n
+    shapes = [0, 1] + [
+        1 | sum(1 << i for i in agents)
+        for size in range(1, n + 1)
+        for agents in itertools.combinations(range(1, n + 1), size)
+    ]
+    views = {id(view): view for view in map(ev._view, shapes)}
+    return sorted(views.values(), key=lambda view: len(view.grid))
+
+
 def _direct_values(ev, run):
-    """(level, value) of each record of `run`, from its builder in a direct
-    scope on `ev`'s view for the lowest read level that decides it: one
-    scope per level, so the memo tables are shared along the run."""
+    """(view, value) of each record of `run`, from its builder in a direct
+    scope on the narrowest of `ev`'s views on which it raises no
+    `_stacked._Narrow`: one scope per view, so the memo tables are shared
+    along the run."""
     from scflogic import axioms
 
     base = run[0]._scope
     scopes = [
-        axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(ev._view(level), level))
-        for level in range(3)
+        (view, axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(view, view.keeps)))
+        for view in _views_by_width(ev)
     ]
     found = []
     for inst in run:
-        for level, scope in enumerate(scopes):
+        for view, scope in scopes:
             values = map(scope.lifted.__getitem__, inst._values)
             try:
                 value = axioms._TABLE[inst.schema][1](scope, *values)
             except _stacked._Narrow:
                 continue
-            found.append((level, value))
+            found.append((view, value))
             break
     return found
 
@@ -552,11 +568,15 @@ def _direct_values(ev, run):
 def test_emitted_runs_match_the_formula_path(n, outcomes):
     """Every schema's records, evaluated by their builders in direct scopes
     without building a formula, give each instance the mask of its formula,
-    on a model list and on a grid, at the read level of the formula
-    (min(reads, 2), on that level's view) and the same read-set; the
-    schemas being sound, that mask is full.  The sweep builds no formula
-    either, and counts the state-determined instances as the formulas do."""
+    on a model list and on a grid, on the view that `TableGrid.narrowed`
+    gives the formula's read-set (the first truth of each of agent i's
+    rankings for a pref(i) instance), which is the narrowest view that
+    takes it, of exactly the width the rule counts, and with the same
+    read-set; the schemas being sound, that mask is full.  The sweep
+    builds no formula either, and counts the state-determined instances
+    as the formulas do."""
     pool = tuple(parse(text, (n, outcomes)) for text in EMISSION_POOLS[n, outcomes])
+    widths = set()
     for schema in SCHEMAS:
         run = instantiate(schema, n, outcomes, pool)
         if not run:
@@ -567,21 +587,26 @@ def test_emitted_runs_match_the_formula_path(n, outcomes):
         direct = [_direct_values(ev, run) for ev in evs]
         assert all(not hasattr(inst, "_formula") for inst in run)
         for ev, report, found in zip(evs, reports, direct):
-            for inst, (level, value) in zip(run, found, strict=True):
-                view = ev._view(level)
-                assert (level, value.reads) == (min(inst.formula.reads, 2), inst.formula.reads)
+            for inst, (view, value) in zip(run, found, strict=True):
+                reads = inst.formula.reads
+                assert view is ev._view(reads), schema
+                assert len(view.grid) == narrowed_width(ev.grid, reads), schema
+                assert value.reads == reads
                 assert value.mask == view.truth_mask(inst.formula) == view.full, schema
+                widths.add(((reads >> 1).bit_count() == 1, len(view.grid) < len(ev.grid)))
             (result,) = report.results
             assert result.ok, schema
             assert result.model_independent == sum(not inst.formula.reads for inst in run)
+    # some pref(i) instance of one agent runs on a narrower view than the stack
+    assert (True, True) in widths or n == 1
 
 
 @pytest.mark.parametrize("n, outcomes", [(1, K3), (2, K2), (2, K3)])
 def test_unif_pref_spells_out_better(n, outcomes):
-    """unifPref's builder writes `encodings.better` out against its scope,
-    so that a direct scope takes the parts from its memo tables; in a
-    formula scope the consequent of every instance is the very node
-    `better` returns."""
+    """unifPref's builder reads the scope's `better` table, the one
+    `encodings.better` reads too, so a direct scope takes the parts from
+    its memo tables; in a formula scope the consequent of every instance
+    is the very node `better` returns."""
     run = instantiate("unifPref", n, outcomes, ())
     assert len(run) == n * len(outcomes) ** 2
     for inst in run:
@@ -618,18 +643,31 @@ def test_runs_mixed_with_unsound_instances_fail_where_the_formulas_do(n, outcome
             assert result.model_independent == sum(not inst.formula.reads for inst in run)
 
 
-@pytest.mark.parametrize(
-    "middle, last",
-    [("a | b", "pref(1) b -> b"), ("a | b", "b -> pref(1) b"), ("a", "pref(1) b -> b")],
-)
+# (middle, last) -> per stack of `_stacks(2, K2)`, each view a run builds
+# and the truths per row it keeps (0 for the first model alone)
+WIDENING_VIEWS = {
+    ("a | b", "pref(1) b -> b"): ({0: 0, 1: 1, 0b11: 2}, {0: 0, 1: 1}),
+    ("a | b", "b -> pref(1) b"): ({0: 0, 1: 1, 0b11: 2}, {0: 0, 1: 1}),
+    ("a", "pref(1) b -> b"): ({0: 0, 1: 1}, {0: 0, 1: 1}),
+    ("a | b", "pref(2) b -> b"): ({0: 0, 1: 1, 0b101: 2}, {0: 0, 1: 1, 0b101: 1}),
+}
+
+
+@pytest.mark.parametrize("middle, last", list(WIDENING_VIEWS))
 def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
     """A run of state-determined records with a hand-built instance reading
-    an outcome atom planted in its middle and one reading a true preference
-    at its end widens its view twice, from the first model alone to the
-    first truth of each row and then to the whole stack.  It reports the
-    counterexample and count of `first_failure` over the formulas, whether
-    its last instance, its middle one or none fails, and builds each
-    narrowed view once per evaluator, however many runs it checks."""
+    an outcome atom planted in its middle and one reading agent i's true
+    preference at its end widens its view twice, from the first model alone
+    to the first truth of each row and then to the first truth of each of
+    agent i's rankings.  `WIDENING_VIEWS` pins, per stack, each view it
+    builds and the truths per row that view keeps.  On
+    the model list, whose rows hold every truth, agent i's view keeps 2 of
+    4; the grid's truths are profiles 0 and 2, which agent 1's rankings tell
+    apart, so its view is the grid itself, and agent 2's keeps one.  The
+    run reports the counterexample and count of `first_failure` over the
+    formulas, whether its last instance, its middle one or none fails, and
+    builds each narrowed view once per evaluator, however many runs it
+    checks."""
     from scflogic import axioms
 
     records = instantiate("exclu", 2, K2, default_pool(2, K2))
@@ -645,16 +683,91 @@ def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
         init(self, models)
 
     monkeypatch.setattr(_stacked.StackedEvaluator, "__init__", counting)
-    for stack in _stacks(2, K2):
+    for stack, kept in zip(_stacks(2, K2), WIDENING_VIEWS[middle, last], strict=True):
         ev = _stacked.StackedEvaluator(stack)
         del built[:]
         results = [axioms._check_run(ev, run) for _ in range(2)]
-        assert sorted(ev._views) == [0, 1] and len(built) == 2
+        assert sorted(ev._views) == sorted(kept) and len(built) == len(kept)
+        rows = len(ev.grid.rows)
+        assert {shape: len(view.grid) for shape, view in ev._views.items()} == {
+            shape: rows * per if per else 1 for shape, per in kept.items()
+        }
         hit = ev.first_failure([inst.formula for inst in run])
         expected = None if hit is None else (run[hit[0]], *hit[1:])
         for result in results:
             assert result.counterexample == expected and result.ok is (hit is None)
             assert result.model_independent == len(records)
+
+
+# hand-built instances, each reading one agent's true preference: sound
+# ones, and unsound ones, the first of which holds wherever agent i ranks
+# the last outcome {last} last, as in the first truth
+ONE_AGENT_SOUND = ("pref({i}) rep({i},a,b) | pref({i}) ~rep({i},a,b)", "a -> pref({i}) a", "pref({i}) pref({i}) b -> pref({i}) b")
+ONE_AGENT_UNSOUND = ("pref({i}) {last} -> {last}", "pref({i}) a -> a", "~pref({i}) a | rep({i},a,b)")
+
+
+@pytest.mark.parametrize("n, outcomes", [(2, K2), (3, K2), (2, K3)])
+def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
+    """A run of hand-built instances alternating agents 1..n, each reading
+    one agent's true preference, with an unsound one planted at one of
+    several places, reports the first failure that `first_failure` over the
+    formulas reports, often under a truth past the first of its row.  It
+    moves from one agent's view to the next instead of widening, so a sound
+    run builds the first model's view, where it starts, each agent's view
+    and no other, up to an agent whose view is the stack itself, which
+    decides every instance after it.  Records whose builder reads
+    agent 1 and then agent i land on their joint view: the view moves to
+    agent i's at the instance's first `_Narrow` and joins agent 1's at its
+    second."""
+    from scflogic import axioms
+
+    def instance(text, i):
+        return AxiomInstance("K(pref)", {}, parse(text.format(i=i, last=outcomes[-1]), (n, outcomes)))
+
+    sound = [instance(text, i) for text in ONE_AGENT_SOUND * 2 for i in range(1, n + 1)]
+    unsound = [instance(text, i) for text in ONE_AGENT_UNSOUND for i in range(1, n + 1)]
+    singles = [1 << i | 1 for i in range(1, n + 1)]
+    verdicts, late = set(), set()
+    for stack in _stacks(n, outcomes):
+        for k, bad in enumerate(unsound + [None]):
+            run = list(sound)
+            if bad is not None:
+                run.insert(5 * k % len(run), bad)
+            ev = _stacked.StackedEvaluator(stack)
+            result = axioms._check_run(ev, run)
+            made = set(ev._views)
+            hit = ev.first_failure([inst.formula for inst in run])
+            assert result.counterexample == (None if hit is None else (run[hit[0]], *hit[1:]))
+            verdicts.add(result.ok)
+            if hit is None:  # up to an agent whose view is the stack itself, which decides all
+                expected = {0}
+                for shape in singles:
+                    if ev._view(shape) is ev:
+                        break
+                    expected.add(shape)
+                assert made == expected
+            else:
+                late.add(hit[1].truth != ev.grid.truths[0])
+    assert verdicts == {True, False} and True in late
+
+    # pref(1) a -> pref(i) a | pref(1) a, for i = 1..n: a sound schema whose
+    # builder reads agent 1 first
+    two = lambda s, i: s.Implies(s.pref[1, s.out["a"]], s.Or(s.Pref(i, s.out["a"]), s.pref[1, s.out["a"]]))
+    monkeypatch.setitem(axioms._TABLE, "two", ("i", two))
+    run = instantiate("two", n, outcomes, ())
+    for stack in _stacks(n, outcomes):
+        ev = _stacked.StackedEvaluator(stack)
+        assert axioms._check_run(ev, run).ok
+        # 0 and 1 from `out`, then agent 1's view, then per agent i, i's view
+        # and the joint one, up to a view that is the stack itself
+        made, expected = set(ev._views), set()
+        for shape in [0, 1, 0b11] + [bits | 1 << i for i in range(2, n + 1) for bits in (1, 0b11)]:
+            if ev._view(shape) is ev:
+                break
+            expected.add(shape)
+        assert made == expected
+        if isinstance(stack, list):  # every truth in each row: no view is the stack
+            assert made == ({0, 1, 0b11, 0b101, 0b111, 0b1001, 0b1011} if n == 3 else {0, 1, 0b11, 0b101})
 
 
 def test_a_sweep_leaves_no_garbage_cycles():

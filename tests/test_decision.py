@@ -42,6 +42,7 @@ from scflogic.encodings import (
 from scflogic.core import _bounded_size
 from scflogic.decision import _CHUNK_BITS
 from scflogic.logic import TRUE, And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, Rep
+from scflogic.parser import parse
 
 from conftest import K2, K3, make_formula_sampler, profile
 
@@ -433,6 +434,74 @@ def test_pref_free_formulas_enumerate_outcome_functions():
     with pytest.raises(BudgetExceeded) as err:
         valid(3, K3, Out("a"))
     assert str(err.value).startswith("enumeration needs 3^216 outcome functions over 216 states")
+
+
+ONE_AGENT_FORMULAS = (
+    "pref(2) a -> b",
+    "pref(1) b -> b",
+    "pref(2) (b & rep(1,a,b))",
+    "~pref(1) a | <{2}> b",
+    "[{1,2}] (pref(2) b -> <{1}> b)",
+    "pref(1) pref(1) a -> pref(1) a",
+)
+
+
+def _stacked_truths(monkeypatch):
+    """The truths per row of every grid the decision procedures stack."""
+    seen = []
+    init = decision._stacked.StackedEvaluator.__init__
+
+    def recording(self, models):
+        if isinstance(models, decision._stacked.TableGrid):
+            seen.append(len(models.truths))
+        init(self, models)
+
+    monkeypatch.setattr(decision._stacked.StackedEvaluator, "__init__", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_agent_formulas_return_the_canonical_first_hit(monkeypatch, n):
+    """A formula reading one agent's true preference is enumerated with the
+    first truth of each of that agent's rankings per outcome function, two
+    of the (2!)^n, and its witness and counterexample are still the first
+    model in enumeration order, at its lowest state, that the relational
+    semantics finds model by model: fixed and seeded formulas at (n,{a,b}),
+    both verdicts occurring."""
+    draw = make_formula_sampler(n, K2, seed=61 + n)
+    sampled = [f for f in draw(300, max_depth=5) if (f.reads >> 1).bit_count() == 1][:10]
+    fixed = [parse(text, (n, K2)) for text in ONE_AGENT_FORMULAS]
+    formulas = fixed + sampled + [Implies(Out("b"), Pref(n, Out("b")))]
+    seen = _stacked_truths(monkeypatch)
+    statuses = set()
+    for formula in formulas:
+        del seen[:]
+        sat = satisfiable(n, K2, formula)
+        assert sat.witness == _relational_scan(n, K2, formula, True), formula
+        val = valid(n, K2, formula)
+        assert val.counterexample == _relational_scan(n, K2, formula, False), formula
+        assert seen and set(seen) == {2}, formula
+        statuses.add((sat.status, val.status))
+    assert {("satisfiable", "invalid"), ("satisfiable", "valid")} <= statuses
+
+
+def test_best_response_checks_stack_one_truth_per_ranking(monkeypatch):
+    """check_scf_property(br(i)) at (2,3) stacks the first truth of each of
+    agent i's 6 rankings, and strproof every one of the 36 truths; the
+    counterexamples are the model-by-model scan's, on the (2,3) pools of
+    these tests and on every dictatorship."""
+    tables = _seeded_tables(2, K3, 6, seed=8) + _seeded_tables(2, K3, 6, seed=27)
+    tables += [ScfTable.from_function(2, K3, lambda p, i=i: p.order(i).top) for i in (1, 2)]
+    seen = _stacked_truths(monkeypatch)
+    verdicts = set()
+    for table in tables:
+        for prop in (BR(1), BR(2), STRPROOF):
+            del seen[:]
+            expected = _per_model_scan(table, prop)
+            assert _checked(table, prop) == expected, (table.values, prop)
+            assert seen == [36 if prop == STRPROOF else 6]
+            verdicts.add((prop, expected is None))
+    assert len(verdicts) == 6
 
 
 def test_enumeration_builds_no_model_per_visited_model(monkeypatch):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -515,11 +516,16 @@ _SCOPED = {
 
 
 def test_property_builders_evaluate_in_a_direct_scope():
-    """Each property builder run in a direct scope on a table's full
-    one-row grid gives the truth mask and read-set of its formula, and its
-    lowest failing bit is `check_scf_property`'s counterexample: every
-    dictatorship, a constant table and seeded tables at (2,2), (1,3) and
-    (2,3), mon on one (2,3) table."""
+    """Each property builder run in a direct scope on the view of a table's
+    one-row grid that its formula's read-set narrows to gives the truth
+    mask and read-set of its formula there, and its lowest failing bit,
+    mapped back through `_locate`, is `check_scf_property`'s
+    counterexample.  citsov, nodict and mon read no true preference and run
+    on the first truth alone; br(i) at n = 2 reads agent i's alone and runs
+    on the first truth of each of agent i's rankings; dom, strproof and
+    br(1) at n = 1 read every agent's and run on every truth: every
+    dictatorship, a constant table and seeded tables at
+    (2,2), (1,3) and (2,3), mon on one (2,3) table."""
     verdicts = set()
     for n, outcomes, seed in ((2, K2, 21), (1, K3, 13), (2, K3, 23)):
         dictators = [
@@ -531,18 +537,23 @@ def test_property_builders_evaluate_in_a_direct_scope():
         tables = dictators + [constant] + seeded
         for at, table in enumerate(tables):
             ev = StackedEvaluator(TableGrid(n, outcomes, [table.values]))
-            scope = encodings._Scope(n, outcomes, _Direct(ev, 2))
+            scopes = {}  # view -> its direct scope
             for prop in _all_properties(n):
                 if prop == MON and (n, outcomes) == (2, K3) and at:
                     continue
-                value = _SCOPED[prop.kind](scope, prop.agent)
                 formula = property_formula(prop, n, outcomes)
-                assert (value.mask, value.reads) == (ev.truth_mask(formula), formula.reads)
-                bad = ev.full ^ value.mask
+                view = ev._view(formula.reads)
+                truths = len(ev.grid) if prop.kind in ("dom", "strproof") or n == 1 else math.factorial(len(outcomes))
+                assert len(view.grid) == (1 if prop.kind in ("citsov", "nodict", "mon") else truths)
+                if view not in scopes:
+                    scopes[view] = encodings._Scope(n, outcomes, _Direct(view, view.keeps))
+                value = _SCOPED[prop.kind](scopes[view], prop.agent)
+                assert (value.mask, value.reads) == (view.truth_mask(formula), formula.reads)
+                bad = view.full ^ value.mask
                 verdict = check_scf_property(table, prop)
                 assert verdict.status == ("invalid" if bad else "valid"), (prop, table.values)
                 if bad:
-                    assert verdict.counterexample == ev._locate(ev, bad), (prop, table.values)
+                    assert verdict.counterexample == ev._locate(view, bad), (prop, table.values)
                 verdicts.add((prop.kind, bool(bad)))
     assert len(verdicts) == 2 * len(PropertyId.KINDS)
 

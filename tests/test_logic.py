@@ -15,6 +15,7 @@ from scflogic import (
     Profile,
     ScfModel,
     ScfTable,
+    all_linear_orders,
     all_profiles,
     enumerate_models,
     eval_kripke,
@@ -43,6 +44,7 @@ from scflogic.logic import (
     disj,
 )
 import itertools
+import math
 import random
 
 from scflogic import _stacked
@@ -52,7 +54,7 @@ from scflogic import axioms, decision, encodings, logic
 from scflogic.encodings import MON, STRPROOF, better, dom, property_formula, rho
 from scflogic.parser import Context, parse
 
-from conftest import AB, BA, K2, K3, make_formula_sampler, profile
+from conftest import AB, BA, K2, K3, make_formula_sampler, narrowed_width, profile
 
 
 @pytest.fixture(scope="module")
@@ -1090,23 +1092,41 @@ def _full_width_failure(stacked, models, roots):
     return None
 
 
+def _one_agent(formula):
+    """The agent whose true preference `formula` reads, if it reads one."""
+    agents = formula.reads >> 1
+    return agents.bit_length() if agents and not agents & agents - 1 else None
+
+
+def _read_sets(n):
+    """Every read-set shape over n agents: empty, outcome atoms alone, and
+    each set of agents with and without them, and an agent past n."""
+    agent_sets = [
+        sum(1 << i for i in c) for size in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), size)
+    ]
+    return [0, 1] + [bits | out for bits in agent_sets for out in (0, 1)] + [1 << n + 1]
+
+
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
 def test_first_failure_at_the_width_its_roots_read(n, k):
-    """Roots that read no true preference are checked on the first truth
-    of each row, and state-determined ones on the first model alone; the
-    answer is the full-width mask's lowest falsified bit: the same index,
-    the same state, and the same model, the caller's own object for a
-    model list.  Single roots and batches, over grids, model lists and
-    partial truth sequences."""
+    """Roots are checked on the grid their read-set narrows to: the first
+    model alone if state-determined, the first truth of each row if they
+    read no true preference, and the first truth of each ranking of the
+    one agent whose preference they read.  The answer is the full-width
+    mask's lowest falsified bit: the same index, the same state, and the
+    same model, the caller's own object for a model list.  Single roots
+    and batches, over grids, model lists and partial truth sequences."""
     outcomes = ("a", "b", "c")[:k]
     draw = make_formula_sampler(n, outcomes, seed=89 + 10 * n + k)
-    sampled = draw(200, max_depth=6)
+    sampled = draw(400, max_depth=6)
     determined = [f for f in sampled if f.reads == 0][:12]
     pref_free = [f for f in sampled if f.reads == 1][:12]
-    reading = [f for f in sampled if f.reads > 1][:4]
-    assert len(determined) >= 6 and len(pref_free) >= 6 and reading
-    batches = [[f] for f in determined + pref_free + reading]
-    for group in (determined, pref_free):
+    one_agent = [f for f in sampled if _one_agent(f)][:12]
+    reading = [f for f in sampled if f.reads > 1 and not _one_agent(f)][:4] or one_agent[:1]
+    assert len(determined) >= 6 and len(pref_free) >= 6 and len(one_agent) >= 6
+    assert {_one_agent(f) for f in one_agent} == set(range(1, n + 1))
+    batches = [[f] for f in determined + pref_free + one_agent + reading]
+    for group in (determined, pref_free, one_agent):
         tautologies = [Or(f, Not(f)) for f in group]
         batches.append(tautologies)
         for planted in (0, len(group) // 2, len(group) - 1):
@@ -1114,10 +1134,13 @@ def test_first_failure_at_the_width_its_roots_read(n, k):
             batch[planted] = group[planted]
             batches.append(batch)
     batches.append([Or(f, Not(f)) for f in determined + pref_free] + [reading[0]])
+    verdicts = set()
     for stacked, models in _narrowing_stacks(n, outcomes, seed=97 + n + k):
         for roots in batches:
             expected = _full_width_failure(stacked, models, roots)
             hit = stacked.first_failure(iter(roots))
+            if all(_one_agent(f) for f in roots):
+                verdicts.add(expected is None)
             if expected is None:
                 assert hit is None
                 continue
@@ -1126,28 +1149,88 @@ def test_first_failure_at_the_width_its_roots_read(n, k):
                 assert hit[1] == expected[1]
             else:
                 assert hit[1] is expected[1]
-        # the narrowed grids are as narrow as their read-sets allow
+            # the full grid's first failing bit, mapped through `_locate`
+            full = stacked._first_bad(roots)
+            assert (full[0], *stacked._locate(stacked, full[1])) == hit
+        # the narrowed grids keep the first truth of each class, in order
         grid = stacked.grid
-        for reads, blocks in ((0, 1), (1, len(grid.rows)), (2, len(grid))):
+        for reads in _read_sets(n):
             narrow = grid.narrowed(reads)
+            blocks = narrowed_width(grid, reads)
             assert len(narrow) == blocks and narrow.narrowed(reads) is narrow
             assert StackedEvaluator(narrow).full.bit_length() == blocks * stacked.block
             assert (narrow is grid) == (blocks == len(grid))
+            view = stacked._view(reads)
+            assert (view is stacked) == (narrow is grid)
+            assert view.grid.kept == narrow.kept and len(view.grid) == blocks
+            if narrow is grid:
+                continue
+            agents = [i - 1 for i in range(1, n + 1) if reads >> i & 1]
+            first = {}
+            for t, truth in enumerate(grid.truths):
+                first.setdefault(tuple(truth.orders[i] for i in agents), t)
+            assert narrow.kept == tuple(first.values())
+            assert list(narrow.truths) == [grid.truths[t] for t in narrow.kept]
+            assert narrow.rows == (grid.rows if reads else grid.rows[:1])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (2, 3)])
+def test_one_agent_read_sets_keep_one_truth_per_ranking(n, k):
+    """A read-set naming one agent keeps, in every row, the first truth of
+    each ranking of that agent: |K|! truths, the profiles whose other
+    agents hold the first ranking, each ranking once.  The view of the
+    evaluator is built once per shape (rows kept or not, agents kept), and
+    a read-set naming every agent, or one past n, keeps the grid itself."""
+    outcomes = ("a", "b", "c")[:k]
+    profiles = all_profiles(n, outcomes)
+    rng = random.Random(10 * n + k)
+    rows = [tuple(rng.choice(outcomes) for _ in profiles) for _ in range(3)]
+    grid = TableGrid(n, outcomes, rows)
+    stacked = StackedEvaluator(grid)
+    rankings = list(all_linear_orders(outcomes))
+    for agent in range(1, n + 1):
+        kept = tuple(
+            t for t, truth in enumerate(profiles)
+            if all(order == profiles[0].orders[j] for j, order in enumerate(truth.orders) if j != agent - 1)
+        )
+        assert len(kept) == math.factorial(k)
+        assert [profiles[t].orders[agent - 1] for t in kept] == rankings
+        for reads in (1 << agent, 1 << agent | 1):
+            narrow = grid.narrowed(reads)
+            assert narrow.kept == kept and narrow.rows is grid.rows
+            assert len(narrow) == len(rows) * math.factorial(k)
+            view = stacked._view(reads)
+            assert view.grid.kept == kept and view.keeps == 1 << agent | 1
+        assert stacked._view(1 << agent) is stacked._view(1 << agent | 1)
+    assert sorted(stacked._views) == [1 << agent | 1 for agent in range(1, n + 1)]
+    every = (2 << n) - 2
+    for reads in (every, every | 1, 1 << n + 1, logic._OTHER_AGENT | 1 << 1):
+        assert grid.narrowed(reads) is grid and stacked._view(reads) is stacked
 
 
 def test_narrowed_checks_build_no_full_width_masks():
     """A pref-free batch is evaluated on the grid `TableGrid.narrowed`
     gives, the first truth of each row, and reports the first model of
-    the failing row: the full grid's outcome and rank masks are built when
-    a full-width evaluation first needs them."""
+    the failing row; a root reading agent 1's true preference on the first
+    truth of each of agent 1's rankings.  The full grid's outcome and rank
+    masks are built when a full-width evaluation first needs them."""
     grid = TableGrid(2, K3, [("a",) * 36, ("b", "c") * 18])
     stacked = StackedEvaluator(grid)
     narrow = grid.narrowed(1)
-    assert narrow.rows == grid.rows and narrow.truths == grid.truths[:1]
+    assert narrow.rows == grid.rows and narrow.truths == grid.truths[:1] and narrow.kept == (0,)
     hit = stacked.first_failure([Or(Out("a"), Out("b")), Diamond({1}, Out("c"))])
     assert hit == (0, grid[36], grid.truths[1])
     assert stacked._out_masks is None and stacked._ranked is None
-    stacked.first_failure([Pref(1, Rep(1, "a", "b"))])
+    # the second root fails at a b-state of the second row under a truth in
+    # which agent 1 ranks c over b: acb, agent 1's first such ranking, is
+    # truth 6, the first truth of agent 1's second ranking
+    hit = stacked.first_failure([Pref(1, Rep(1, "a", "b")), Implies(Pref(1, Out("c")), Out("c"))])
+    assert hit == (1, grid[36 + 6], grid.truths[0])
+    one = stacked._views[0b11]
+    assert len(one.grid) == 12 and one._ranked is not None
+    assert stacked._ranked is None and stacked._out_masks is None
+    stacked.first_failure([Pref(1, Rep(1, "a", "b")), Pref(2, TRUE)])
     assert stacked._ranked is not None and stacked._out_masks is None
     stacked.truth_mask(Out("a"))
     assert stacked._out_masks is not None
