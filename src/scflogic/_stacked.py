@@ -43,37 +43,31 @@ its class, so the narrowed grid's first failing block is the first
 failing model of the whole grid too, and counterexamples do not change:
 the narrowed grid keeps the indices of its truths (`kept`), which map
 its block (row, t) back to the grid's model row*L + kept[t] (`_locate`).
-`first_failure` ORs its roots' read-sets and evaluates on a view of that
-grid, kept on the evaluator from the first call that asks for it; the
-property check and the enumeration stack narrowed grids directly.
+`first_failure` evaluates its formula on a view of the grid its read-set
+narrows to, kept on the evaluator from the first call that asks for it;
+the property check and the enumeration stack narrowed grids directly.
 
-A formula is evaluated by running a program (`StackedEvaluator._run`):
-one entry per distinct node of its DAG in post-order, so a shared node
-is computed once.  One builder (`_Builder`) makes every program, as
-three parallel lists (op code; child slot or atom field; coalition,
-agent or atom field).  Its `lift` walks the distinct nodes of a formula
-once, in post-order (`_compile` lifts and checks each of a sequence of
-roots).  A `Not` gets no entry: it is an edge attribute, as in the
-complemented edges of Brace, Rudell and Bryant's BDD package (1990).  A
-handle is slot * 2 + parity; a parent reads its child through any chain
-of `Not`s, and the chain's parity goes into the parent's op code, so
-~a | ~b is one entry, full ^ (a & b).  Each root is checked where its
-mask is computed, or at an alias entry if it is a `Not` or an earlier
-root computed it.  Once the roots are in, the builder's table is
-dropped, and one reverse pass sets the free schedule in the op codes
-(Collins's erasure of lists, 1960): an entry frees each child whose last
-reader it is, and a checked mask no later entry reads is freed after its
-check.  So a run holds only the masks later entries still read, inside
-one root as across a batch.  A program names children by slot and atoms
-by their fields, so it never references its root.  A root evaluated alone
-(`truth_mask`, or `first_failure` over one root) is usually asked again
-on other stacks: a property formula on table after table, the chunks of
-an enumeration.  So its program is compiled on its first such call and
-kept in `_programs`, which holds roots weakly: a program lives as long
-as its root, and no mask outlives the call.  A batch, `first_failure`
-over several roots, is compiled per call and returns at its first
-failing root.  To ask one formula at many states, read its mask once
-instead of calling `evaluate` per state.
+A formula is evaluated by running its program (`StackedEvaluator._run`):
+one entry per distinct node of its DAG in post-order, so a shared node is
+computed once.  `_compile` makes the program in one walk of the distinct
+nodes, as three parallel lists (op code; child slot or atom field;
+coalition, agent or atom field).  A `Not` gets no entry: it is an edge
+attribute, as in the complemented edges of Brace, Rudell and Bryant's
+BDD package (1990).  A parent reads its child through any chain of
+`Not`s, and the chain's parity goes into the parent's op code, so ~a | ~b
+is one entry, full ^ (a & b); the parity of the chain above the root
+goes with the program, and the run complements the last entry's mask by
+it.  Once the walk is done, its table is dropped, and one reverse pass
+sets the free schedule in the op codes (Collins's erasure of lists,
+1960): an entry frees each child whose last reader it is, so a run holds
+only the masks later entries still read.  A program names children by
+slot and atoms by their fields, so it never references its root.  A
+formula is usually asked again on other stacks: a property formula on
+table after table, the chunks of an enumeration.  So its program is
+compiled on its first call and kept in `_programs`, which holds roots
+weakly: a program lives as long as its root, and no mask outlives the
+call.  To ask one formula at many states, read its mask once instead of
+calling `evaluate` per state.
 
 The axiom sweep builds neither instance formulas nor programs: a schema
 builder runs against the constructors of `_Direct`, which compute each
@@ -97,7 +91,7 @@ from __future__ import annotations
 import weakref
 from functools import lru_cache
 from itertools import chain, cycle, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
 from .core import all_profiles
@@ -321,32 +315,31 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
 
 
 # a program: three parallel lists of plain data, one entry (op, a, b) per
-# distinct node that is not a `Not`, in post-order (see `_compile`); op is a
-# code, not the node's class, so a program references no node.  The high
-# four bits of op are the entry's kind plus the parity of the `Not`s it reads
-# through: _NOT_A if it reads child a (a modality's or an alias's only one)
-# complemented, _NOT_B if child b; an alias copies slot a.  The low four bits
-# are the free schedule: free child a, or child b, once the entry is
-# computed; check the next root here; free this mask once it is checked.
-_OR, _DIAMOND, _PREF, _ALIAS, _TOP, _OUT, _REP = 0, 64, 96, 128, 160, 176, 192
+# distinct node that is not a `Not`, in post-order (see `_compile`), and the
+# parity of the `Not` chain above the root; op is a code, not the node's
+# class, so a program references no node.  The high bits of op are the
+# entry's kind plus the parity of the `Not`s it reads through: _NOT_A if it
+# reads child a (a modality's only one) complemented, _NOT_B if child b.  The
+# low two bits are the free schedule: free child a, or child b, once the
+# entry is computed.
+_OR, _DIAMOND, _PREF, _TOP, _OUT, _REP = 0, 64, 96, 128, 144, 160
 _NOT_A, _NOT_B = 16, 32
-_FREE_A, _FREE_B, _CHECK, _FREE = 1, 2, 4, 8
-_Program = tuple[list[int], list, list]
+_FREE_A, _FREE_B = 1, 2
+_Program = tuple[list[int], list, list, int]
 
-# root evaluated alone -> its program; held weakly, so an entry dies with
-# its root
+# root -> its program; held weakly, so an entry dies with its root
 _programs: weakref.WeakKeyDictionary[Formula, _Program] = weakref.WeakKeyDictionary()
 
 
 class StackedEvaluator:
     """Truth masks for a batch of models sharing one (n, K): a `TableGrid`,
     or a model list read into one (`_as_grid`), whose `models` stay the
-    caller's own objects.  Each call runs a program on a list of masks of
-    its own, dropped on return; a root evaluated alone keeps its program,
-    which holds no mask or node, in `_programs`.  The outcome and rank
-    masks are built when an evaluation first reads them; `first_failure`
-    evaluates on a view of the narrowed grid, one per narrowing, built on
-    the first call that asks for it and kept.  `keeps` is the read-set a
+    caller's own objects.  Each call runs one formula's program on a list
+    of masks of its own, dropped on return; the program, which holds no
+    mask or node, is kept in `_programs`.  The outcome and rank masks are
+    built when an evaluation first reads them; `first_failure` evaluates
+    on a view of the narrowed grid, one per narrowing, built on the first
+    call that asks for it and kept.  `keeps` is the read-set a
     view decides as the evaluator it is a view of does, its grid's shape
     (`TableGrid.shape`): -1, every bit, on an evaluator that is no view."""
 
@@ -429,52 +422,38 @@ class StackedEvaluator:
     # --- evaluation ----------------------------------------------------------
 
     def truth_mask(self, formula: Formula) -> int:
-        """Truth mask of `formula` across the batch, as a root evaluated
-        alone: its kept program's check (`_first_bad`) gives the bits it
-        falsifies."""
-        hit = self._first_bad([formula])
-        return self.full if hit is None else self.full ^ hit[1]
+        """Truth mask of `formula` across the batch, from one run of its
+        program, compiled on the first call for `formula` and kept in
+        `_programs`."""
+        program = _programs.get(formula)
+        if program is None:
+            program = _programs[formula] = _compile(formula)
+        return self._run(program)
 
-    def _run(self, program: _Program) -> tuple[int, int] | None:
+    def _run(self, program: _Program) -> int:
         """Run `program` on a list of masks of its own, entry k's mask at
-        slot k, and return (index, falsified bits) of its first root that
-        some model falsifies, or None.  An entry reads its children's slots
-        and frees those it is the last reader of; a checked entry's mask is
-        the next root's, freed after the check if no later entry reads
-        it."""
+        slot k, and return its root's mask: the last entry's, complemented
+        if the root's `Not` chain is odd.  An entry reads its children's
+        slots and frees those it is the last reader of."""
         full = self.full
         masks: list = []
         push = masks.append
-        index = 0
-        for op, a, b in zip(*program):
+        ops, args, keys, odd = program
+        for op, a, b in zip(ops, args, keys):
             if op < _NOT_B:
                 push(full ^ masks[a] | masks[b] if op >= _NOT_A else masks[a] | masks[b])
             elif op < _DIAMOND:  # ~a | ~b is the complement of a & b
                 push(full ^ masks[a] & masks[b] if op & _NOT_A else masks[a] | full ^ masks[b])
             elif op < _TOP:
                 x = full ^ masks[a] if op & _NOT_A else masks[a]
-                push(x if op >= _ALIAS else self._diamond(b, x) if op < _PREF else self._pref(b, x))
+                push(self._diamond(b, x) if op < _PREF else self._pref(b, x))
             else:
                 push(self._atom(op, a, b))
-            flags = op & 15
-            if flags == _FREE_A | _FREE_B:
-                masks[a] = masks[b] = None
-            elif flags == _FREE_A:
+            if op & _FREE_A:
                 masks[a] = None
-            elif flags == _FREE_B:
+            if op & _FREE_B:
                 masks[b] = None
-            elif flags:  # a check, after any frees
-                if flags & _FREE_A:
-                    masks[a] = None
-                if flags & _FREE_B:
-                    masks[b] = None
-                bad = full ^ masks[-1]
-                if bad:
-                    return index, bad
-                index += 1
-                if flags & _FREE:
-                    masks[-1] = None
-        return None
+        return full ^ masks[-1] if odd else masks[-1]
 
     def _atom(self, op: int, a, b) -> int:
         """Mask of the atom whose program entry is (op, a, b)."""
@@ -513,21 +492,17 @@ class StackedEvaluator:
             result |= rank & ((reached << self.block) - reached)  # as in `_diamond`
         return result
 
-    def first_failure(self, formulas: Iterable[Formula]) -> tuple[int, ScfModel, Profile] | None:
-        """(index, model, state) of the first of `formulas` that some model
-        of the batch falsifies, at its lowest falsified bit: the first such
-        model, at its lowest state.
+    def first_failure(self, formula: Formula) -> tuple[ScfModel, Profile] | None:
+        """(model, state) of the first model of the batch that falsifies
+        `formula`, at its lowest falsified state, or None.
 
-        The roots are evaluated on the view of the grid their ORed
-        read-sets ask for (`_view`), and the hit is mapped back to the
-        batch (`_locate`): the answer is the model the full grid would
+        The formula is evaluated on the view of the grid its read-set asks
+        for (`_view`), and the view's lowest falsified bit is mapped back to
+        the batch (`_locate`): the answer is the model the full grid would
         report, and for a model list the caller's own object."""
-        roots, reads = list(formulas), 0
-        for root in roots:
-            reads |= root.reads
-        view = self._view(reads)
-        hit = view._first_bad(roots)
-        return None if hit is None else (hit[0], *self._locate(view, hit[1]))
+        view = self._view(formula.reads)
+        bad = view.full ^ view.truth_mask(formula)
+        return self._locate(view, bad) if bad else None
 
     def _view(self, reads: int) -> StackedEvaluator:
         """The evaluator over `TableGrid.narrowed(reads)`: the first model
@@ -560,132 +535,80 @@ class StackedEvaluator:
             block_idx = row * len(self.grid.truths) + view.grid.kept[t]
         return self.models[block_idx], self.space.profiles[state_idx]
 
-    def _first_bad(self, roots: list[Formula]) -> tuple[int, int] | None:
-        """(index, falsified bits) of the first root that some model of
-        this stack falsifies, or None, from one run of the roots' program
-        (`_compile`).  A single root's program is compiled on its first
-        call and kept in `_programs`; a batch is compiled per call."""
-        if len(roots) != 1:
-            return self._run(_compile(roots))
-        return self._run(_programs.get(roots[0]) or _programs.setdefault(roots[0], _compile(roots)))
 
+def _compile(root: Formula) -> _Program:
+    """The program of `root`: one entry per distinct node that is not a
+    `Not`, in post-order, with the free schedule, and the parity of the
+    root's `Not` chain.
 
-class _Builder:
-    """One program under construction, entry by entry (see the program
-    comment): `lift` adds a formula's distinct nodes, `check` marks each
-    root and `finish` writes the free schedule.
-
-    A handle names an entry's mask or its complement: slot * 2 + parity,
-    so a `Not` flips the low bit and makes no entry.  `lift` walks a
-    formula with the identity table `slots`, so a node reached twice, in
-    one root or across roots, is one entry; the table does not survive
-    `finish`."""
-
-    def __init__(self) -> None:
-        self.ops, self.args, self.keys = [], [], []
-        self.slots: dict[Formula, int] = {}  # node -> slot, no `Not`
-
-    def lift(self, root: Formula) -> int:
-        """The handle of `root`, each distinct node that is not a `Not` and
-        not in `slots` given an entry, in post-order.
-
-        A `Not` is an edge attribute: a parent reads its child through any
-        chain of `Not`s and adds `_NOT_A` (`_NOT_B` for an `Or`'s right
-        child) to its op code if the chain is odd, and the root's chain
-        goes into the handle's parity.  The walk runs on an explicit stack,
-        so depth is limited by memory only.  The stack holds one path from
-        the root, each entry a child of the one below it: a node with an
-        unwalked child pushes that child, and a node whose children are
-        walked is entered, once.  A node already in `slots` is not walked
-        again.  An `Or`'s a and b are its children's slots; a `<C>` or
-        `pref(i)` has its child's slot in a and its coalition or agent in
-        b; an atom has (None, None) for top, (name, None) for an outcome and
-        (agent, (left, right)) for a reported preference."""
-        slots, ops, args, keys = self.slots, self.ops, self.args, self.keys
-        stack: list[Formula] = []
-        push = stack.append
-        base, odd = root, 0
-        while type(base) is Not:
-            base, odd = base.child, odd ^ 1
-        if base not in slots:
-            push(base)
-        while stack:
-            node = stack[-1]
-            kind = type(node)
-            if kind is Or:
-                left, right, op = node.left, node.right, _OR
-                while type(left) is Not:
-                    left, op = left.child, op ^ _NOT_A
-                while type(right) is Not:
-                    right, op = right.child, op ^ _NOT_B
-                a, b = slots.get(left), slots.get(right)
-                if a is None or b is None:
-                    push(left if a is None else right)
-                    continue
-            elif kind is Diamond or kind is Pref:
-                child, op = node.child, _DIAMOND if kind is Diamond else _PREF
-                while type(child) is Not:
-                    child, op = child.child, op ^ _NOT_A
-                a, b = slots.get(child), node.coalition if kind is Diamond else node.agent
-                if a is None:
-                    push(child)
-                    continue
-            elif kind is Top:
-                op, a, b = _TOP, None, None
-            elif kind is Out:
-                op, a, b = _OUT, node.name, None
-            elif kind is Rep:
-                op, a, b = _REP, node.agent, (node.left, node.right)
-            else:
-                raise TypeError(f"not a formula node: {node!r}")
-            slots[stack.pop()] = len(ops)
-            ops.append(op)
-            args.append(a)
-            keys.append(b)
-        return slots[base] * 2 + odd
-
-    def check(self, handle: int) -> None:
-        """Check `handle`'s mask as the next root: at its own entry if that
-        is the last one and checks nothing yet, else at an alias entry, as
-        for a `Not` or a root computed before."""
-        ops, slot = self.ops, handle >> 1
-        if handle & 1 or slot != len(ops) - 1 or ops[slot] & _CHECK:
-            ops.append(_ALIAS | (handle & 1) * _NOT_A)
-            self.args.append(slot)
-            self.keys.append(None)
-        ops[-1] |= _CHECK
-
-    def finish(self) -> _Program:
-        """The program, with its free schedule: one reverse pass, with a
-        bytearray of the slots already read, flags each entry's children it
-        is the last reader of, and each checked mask that no later entry
-        reads.  The table is dropped first."""
-        ops, args, keys = self.ops, self.args, self.keys
-        self.slots = None
-        read = bytearray(len(ops))
-        for slot in range(len(ops) - 1, -1, -1):
-            op = ops[slot]
-            if op & _CHECK and not read[slot]:
-                op |= _FREE
-            if op < _TOP:
-                a = args[slot]
-                if not read[a]:
-                    read[a] = 1
-                    op |= _FREE_A
-                if op < _DIAMOND and not read[keys[slot]]:
-                    read[keys[slot]] = 1
-                    op |= _FREE_B
+    A `Not` is an edge attribute: a parent reads its child through any
+    chain of `Not`s and adds `_NOT_A` (`_NOT_B` for an `Or`'s right child)
+    to its op code if the chain is odd, and the root's chain is the
+    program's parity.  The walk runs on an explicit stack, so depth is
+    limited by memory only.  The stack holds one path from the root, each
+    entry a child of the one below it: a node with an unwalked child
+    pushes that child, and a node whose children are walked is entered,
+    once, into the identity table `slots`, so a node reached twice is one
+    entry.  An `Or`'s a and b are its children's slots; a `<C>` or
+    `pref(i)` has its child's slot in a and its coalition or agent in b;
+    an atom has (None, None) for top, (name, None) for an outcome and
+    (agent, (left, right)) for a reported preference.  Then the table is
+    dropped, and one reverse pass, with a bytearray of the slots already
+    read, flags each entry's children it is the last reader of."""
+    ops, args, keys = [], [], []
+    slots: dict[Formula, int] = {}  # node -> slot, no `Not`
+    base, odd = root, 0
+    while type(base) is Not:
+        base, odd = base.child, odd ^ 1
+    stack = [base]
+    push = stack.append
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is Or:
+            left, right, op = node.left, node.right, _OR
+            while type(left) is Not:
+                left, op = left.child, op ^ _NOT_A
+            while type(right) is Not:
+                right, op = right.child, op ^ _NOT_B
+            a, b = slots.get(left), slots.get(right)
+            if a is None or b is None:
+                push(left if a is None else right)
+                continue
+        elif kind is Diamond or kind is Pref:
+            child, op = node.child, _DIAMOND if kind is Diamond else _PREF
+            while type(child) is Not:
+                child, op = child.child, op ^ _NOT_A
+            a, b = slots.get(child), node.coalition if kind is Diamond else node.agent
+            if a is None:
+                push(child)
+                continue
+        elif kind is Top:
+            op, a, b = _TOP, None, None
+        elif kind is Out:
+            op, a, b = _OUT, node.name, None
+        elif kind is Rep:
+            op, a, b = _REP, node.agent, (node.left, node.right)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        slots[stack.pop()] = len(ops)
+        ops.append(op)
+        args.append(a)
+        keys.append(b)
+    del slots
+    read = bytearray(len(ops))
+    for slot in range(len(ops) - 1, -1, -1):
+        op = ops[slot]
+        if op < _TOP:
+            a = args[slot]
+            if not read[a]:
+                read[a] = 1
+                op |= _FREE_A
+            if op < _DIAMOND and not read[keys[slot]]:
+                read[keys[slot]] = 1
+                op |= _FREE_B
             ops[slot] = op
-        return ops, args, keys
-
-
-def _compile(roots: Sequence[Formula]) -> _Program:
-    """The program of `roots`: one entry per distinct node that is not a
-    `Not`, in post-order, and one check per root (`_Builder`)."""
-    program = _Builder()
-    for root in roots:
-        program.check(program.lift(root))
-    return program.finish()
+    return ops, args, keys, odd
 
 
 class _Value:
@@ -707,19 +630,19 @@ class _Narrow(Exception):
 class _Direct:
     """The constructors of a direct scope (`Or`, `Diamond`, `Pref`, the
     atoms and the derived forms), each computing its value's mask at once
-    on `view`, a view that decides the read-set `keeps` (-1 for every
-    read-set, `StackedEvaluator.keeps`), with the same domain checks as a
-    program run, and `TRUE`, the full mask; `lift` evaluates a formula on
-    it.  An outcome atom on a view of one model, a `Pref` whose agent the
-    view does not keep, and a lifted formula reading more than `keeps` each
-    raise `_Narrow` with the read-set it needs.  `Not` takes one complement
+    on `view`, with the same domain checks as a program run, and `TRUE`,
+    the full mask; `lift` evaluates a formula on it.  `keeps` is the
+    read-set the view decides (`StackedEvaluator.keeps`).  An outcome atom
+    on a view of one model, a `Pref` whose agent the view does not keep,
+    and a lifted formula reading more than `keeps` each raise `_Narrow`
+    with the read-set it needs.  `Not` takes one complement
     per value from `complements`, so a memo table keyed by values hits
     through it; the table goes with this object, which no value refers to.
     The derived forms complement masks, not values, so the table keeps no
     instance's intermediate values."""
 
-    def __init__(self, view: StackedEvaluator, keeps: int):
-        self.view, self.keeps, self.full = view, keeps, view.full
+    def __init__(self, view: StackedEvaluator):
+        self.view, self.keeps, self.full = view, view.keeps, view.full
         self.TRUE = _Value(view.full, 0)
         self.complements: dict[_Value, _Value] = {}
 

@@ -441,14 +441,22 @@ def instantiate(
     if schema not in _TABLE:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     binders = _TABLE[schema][0]
-    groups, names = binders.split(), tuple(binders.replace(",", " ").split())
+    names = tuple(binders.replace(",", " ").split())
     with _collector_paused():
         scope = _Scope(n, outcomes, pool)
-        bindings = itertools.product(*(getattr(scope, _DOMAINS[g]) for g in groups))
-        pair = next((at for at, group in enumerate(groups) if "," in group), None)
-        if pair is not None:  # spread the pair's values over its two binders
-            bindings = (v[:pair] + v[pair] + v[pair + 1 :] for v in bindings)
+        bindings = _bindings(scope, binders)
         return [_fill(_new(AxiomInstance), schema, names, values, scope) for values in bindings]
+
+
+def _bindings(scope: _Scope, binders: str) -> Iterator[tuple]:
+    """The bound values of each binding of `binders` over `scope`'s
+    domains, in product order, a pair's values spread over its two binders."""
+    groups = binders.split()
+    bindings = itertools.product(*(getattr(scope, _DOMAINS[g]) for g in groups))
+    pair = next((at for at, group in enumerate(groups) if "," in group), None)
+    if pair is None:
+        return bindings
+    return (v[:pair] + v[pair] + v[pair + 1 :] for v in bindings)
 
 
 def instantiate_all(
@@ -554,7 +562,7 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
     hit = None
     while hit is None and done < len(run):
         view, scopes, last = ev._view(reads), {}, None  # an `instantiate` scope -> its direct one
-        direct = _stacked._Direct(view, view.keeps)
+        direct = _stacked._Direct(view)
         try:
             for inst in itertools.islice(run, done, None):
                 scope = inst._scope
@@ -587,33 +595,43 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
     )
 
 
-# Largest binder product times stacked width (models x states) of one
-# schema that a sweep takes on.  A sweep holds two adjacent schemas'
-# instances at most and evaluates each instance as its builder runs,
-# keeping only the masks its scope's memo tables hold, so the product
-# bounds mainly the run time.  At (4,2) over 1008 sampled models (63
-# outcome functions, each with its 16 true profiles) comp-At reaches
-# 3.2e9: its 150,528 records take about 0.15 s to make and 0.4 s to
-# check, to a peak of 44 MiB, and the whole sweep takes 0.65 s and peaks
-# at 43 MiB.  At (3,3) over 1080 sampled models comp-At reaches 1.2e10
-# and antisym' 3.3e10.  There comp-At is made and checked in about 0.1 s
-# and 23 MiB, and antisym' (139,968 instances, which share per-profile
-# subformulas, each checked on the 6 true profiles of its agent's rankings
-# per outcome function) in 2.0-4.0 s, peaking at about 39 MiB.  The other
-# schemas of a (3,3) sweep are not measured, so the limit stays.
+# Largest binder product times checked width (models x states) of one
+# schema that a sweep takes on, the width being that of the view its
+# instances are checked on (`check_sweep_size`).  A sweep holds two
+# adjacent schemas' instances at most and evaluates each instance as its
+# builder runs, keeping only the masks its scope's memo tables hold, so
+# the product bounds mainly the run time.  At (4,2) over 1008 sampled
+# models (63 outcome functions, each with its 16 true profiles) comp-At
+# reaches 2.0e8: its 150,528 records take about 0.3 s to make and 0.35 s
+# to check, to a peak of 44 MiB, and the whole `axioms` command takes
+# about 1.1 s and peaks at 43 MiB.  At (3,3) over 1080 sampled models antisym' and total'
+# reach 9.1e8: 139,968 instances each, which share per-profile
+# subformulas, each checked on the 6 true profiles of its agent's
+# rankings per outcome function; the whole command takes 4.6-6.7 s and
+# peaks at 59 MiB.  At (2,4) over 1152 sampled models they reach 1.8e10,
+# and the sweep is refused.
 SWEEP_LIMIT = 5 * 10**9
 
 
 def check_sweep_size(n: int, outcomes: Sequence[str], models: Sequence[ScfModel]) -> None:
     """Raise InvalidDomain before any instance is built if a schema's
     binder product over (n, K) and the default pool, times the stacked
-    width of `models`, exceeds `SWEEP_LIMIT`.  The product counts bindings
-    that a side condition excludes too."""
+    width its instances are checked at, exceeds `SWEEP_LIMIT`.  That width
+    counts the states of the models `TableGrid.narrowed` keeps for the
+    read-set of the schema's instance for its first binding, with the
+    outcome bit added if a binder draws from the pool or its comp-At
+    fragment: every binding of a schema reads at most one agent's true
+    preference.  The product counts bindings that a side condition
+    excludes too."""
     scope = _Scope(n, outcomes, default_pool(n, outcomes))
-    width = len(models) * len(scope.profiles)
-    for schema, (binders, _) in _TABLE.items():
-        names = binders.replace(",", " ").split()
-        bindings = math.prod(len(getattr(scope, _DOMAINS[b])) for b in names)
+    grid = models if isinstance(models, _stacked.TableGrid) else _stacked._as_grid(models)
+    for schema, (binders, build) in _TABLE.items():
+        first = next(_bindings(scope, binders), None)
+        if first is None:  # an empty domain: no instance
+            continue
+        pooled = any(_DOMAINS[g] in ("pool", "fragment", "compatible") for g in binders.split())
+        width = len(grid.narrowed(build(scope, *first).reads | pooled)) * len(scope.profiles)
+        bindings = math.prod(len(getattr(scope, _DOMAINS[b])) for b in binders.replace(",", " ").split())
         if bindings * width > SWEEP_LIMIT:
             raise InvalidDomain(
                 f"axiom sweep too large: {schema} has {bindings} bindings over {width}"
@@ -627,14 +645,19 @@ def pref_necessitation_holds(
     """Derived rule: whenever a pool formula is valid in a model, so is its
     pref-box, for every agent.
 
-    Evaluated as one batch of roots [N]phi -> [N]PrefBox(i, phi) on one
-    stacked evaluator over the models: the grand-coalition box [N] reads
-    every state of a model, so a root fails in a model exactly when phi is
-    valid there and its pref-box for i is not."""
+    Evaluated as one formula [N]phi -> [N]PrefBox(i, phi) per pool
+    formula and agent, in that order, on one stacked evaluator over the
+    models, each on the view its read-set narrows to (`first_failure`):
+    the grand-coalition box [N] reads every state of a model, so a formula
+    fails in a model exactly when phi is valid there and its pref-box for
+    i is not."""
     models = list(models)
     if not models:
         return True
     ev = _stacked.StackedEvaluator(models)
     agents = range(1, ev.space.n + 1)
-    roots = (Implies(Box(agents, phi), Box(agents, PrefBox(i, phi))) for phi in pool for i in agents)
-    return ev.first_failure(roots) is None
+    return all(
+        ev.first_failure(Implies(Box(agents, phi), Box(agents, PrefBox(i, phi)))) is None
+        for phi in pool
+        for i in agents
+    )

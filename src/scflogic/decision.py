@@ -244,8 +244,7 @@ def _first_failure(
     unit = "one model" if reads == 0 else "outcome functions" if reads == 1 else "models"
     _check_budget(n, outcomes, budget, unit)
     if reads == 0:
-        hit = Evaluator(representative_model(n, outcomes)).first_failure([formula])
-        return None if hit is None else hit[1:]
+        return Evaluator(representative_model(n, outcomes)).first_failure(formula)
     names = tuple(outcomes)
     states = num_states(n, names)
     rows = itertools.product(names, repeat=states)
@@ -255,9 +254,9 @@ def _first_failure(
         if not chunk:
             return None
         grid = _stacked.TableGrid(n, names, chunk).narrowed(reads)
-        hit = _stacked.StackedEvaluator(grid).first_failure([formula])
+        hit = _stacked.StackedEvaluator(grid).first_failure(formula)
         if hit is not None:
-            return hit[1:]
+            return hit
         tables = min(2 * tables, max(1, _CHUNK_BITS // (states * len(grid.truths))))
 
 
@@ -312,7 +311,7 @@ def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
     the same counterexample a model-by-model scan would report."""
     formula = property_formula(prop, table.agents, table.outcomes)
     grid = _stacked.TableGrid(table.agents, table.outcomes, [table.values])
-    hit = _stacked.StackedEvaluator(grid.narrowed(formula.reads)).first_failure([formula])
+    hit = _stacked.StackedEvaluator(grid.narrowed(formula.reads)).first_failure(formula)
     if hit is None:
         return Verdict("valid")
-    return Verdict("invalid", counterexample=hit[1:])
+    return Verdict("invalid", counterexample=hit)

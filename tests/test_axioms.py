@@ -289,15 +289,18 @@ def test_soundness_checks_each_run_of_a_schema_apart():
 
 
 def test_sweep_size_check():
-    """The largest sweeps known to finish pass the size check, (3,2) over
-    its whole class and (4,2) over the 1008 models sampled for a count of
-    1000; (3,3) and (2,4), sampled the same way (1080 and 1152 models),
-    are refused before any instance is built."""
+    """Each schema is sized at the width its instances are checked at. The
+    largest sweeps known to finish pass the size check: (3,2) over its
+    whole class, and (4,2) and (3,3) over the 1008 and 1080 models sampled
+    for a count of 1000, where antisym' and total' run on 6 of each
+    row's 216 truths.  (2,4), sampled the same way (1152 models), is
+    refused before any instance is built: antisym' has 663,552 bindings
+    over 48 of the 1152 models."""
     check_sweep_size(3, K2, list(enumerate_models(3, K2)))
     check_sweep_size(4, K2, sample_models(4, K2, 1000))
-    for n, outcomes in ((3, K3), (2, ("a", "b", "c", "d"))):
-        with pytest.raises(InvalidDomain, match="^axiom sweep too large: "):
-            check_sweep_size(n, outcomes, sample_models(n, outcomes, 1000))
+    check_sweep_size(3, K3, sample_models(3, K3, 1000))
+    with pytest.raises(InvalidDomain, match="^axiom sweep too large: antisym' has 663552 bindings"):
+        check_sweep_size(2, ("a", "b", "c", "d"), sample_models(2, ("a", "b", "c", "d"), 1000))
 
 
 def test_func1_fails_on_two_valued_outcome_fixture():
@@ -484,11 +487,11 @@ def test_instances_match_pinned_digests():
 
 
 def test_an_axioms_sweep_builds_each_narrowed_view_once(monkeypatch):
-    """A sweep checks every schema on one evaluator, and `first_failure`
-    keeps one view per narrowing: across the whole `axioms` command at
-    (1,{a,b,c}) the outcome masks are built once per narrowing (here the
-    first truth of each of the 729 rows, and all 4,374 models), not once
-    per schema."""
+    """A sweep checks every schema on one evaluator, and `_view` keeps one
+    view per narrowing: across the whole `axioms` command at (1,{a,b,c})
+    the outcome masks are built once per narrowing (here the first truth
+    of each of the 729 rows, and all 4,374 models), not once per
+    schema."""
     built = []
     row_masks = _stacked.StackedEvaluator._row_masks
 
@@ -546,7 +549,7 @@ def _direct_values(ev, run):
 
     base = run[0]._scope
     scopes = [
-        (view, axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(view, view.keeps)))
+        (view, axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(view)))
         for view in _views_by_width(ev)
     ]
     found = []
@@ -617,15 +620,26 @@ def test_unif_pref_spells_out_better(n, outcomes):
 UNSOUND = ("a", "<{1}> a -> a", "a -> [{1}] a", "pref(1) b -> b", "rep(1,a,b)", "~rep(1,a,b)")
 
 
+def _first_failing_instance(ev, run):
+    """(instance, model, state) of the first instance of `run` whose
+    formula some model of `ev` falsifies, at `first_failure`'s model and
+    state, or None."""
+    for inst in run:
+        hit = ev.first_failure(inst.formula)
+        if hit is not None:
+            return (inst, *hit)
+    return None
+
+
 @pytest.mark.parametrize(
     "n, outcomes", list(EMISSION_POOLS), ids=lambda v: "".join(v) if isinstance(v, tuple) else str(v)
 )
 def test_runs_mixed_with_unsound_instances_fail_where_the_formulas_do(n, outcomes):
     """A run of a schema's records with hand-built unsound instances planted
     in it (lifted from their formulas) reports the first failing instance,
-    model and state that `first_failure` finds over the formulas, the
-    first instance whose formula's own mask is not full, and the same
-    count of state-determined instances."""
+    model and state that a scan of the formulas with `first_failure`
+    finds, the first instance whose formula's own mask is not full, and
+    the same count of state-determined instances."""
     pool = tuple(parse(text, (n, outcomes)) for text in EMISSION_POOLS[n, outcomes])
     planted = [parse(text, (n, outcomes)) for text in UNSOUND]
     for s, schema in enumerate(SCHEMAS):
@@ -635,9 +649,9 @@ def test_runs_mixed_with_unsound_instances_fail_where_the_formulas_do(n, outcome
         for stack in _stacks(n, outcomes):
             (result,) = soundness_check(run, stack).results
             ev = _stacked.StackedEvaluator(stack)
-            hit = ev.first_failure([inst.formula for inst in run])
-            assert hit is not None and not result.ok
-            assert result.counterexample == (run[hit[0]], *hit[1:]), schema
+            expected = _first_failing_instance(ev, run)
+            assert expected is not None and not result.ok
+            assert result.counterexample == expected, schema
             first = next(inst for inst in run if ev.truth_mask(inst.formula) != ev.full)
             assert result.counterexample[0] is first
             assert result.model_independent == sum(not inst.formula.reads for inst in run)
@@ -660,14 +674,14 @@ def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
     preference at its end widens its view twice, from the first model alone
     to the first truth of each row and then to the first truth of each of
     agent i's rankings.  `WIDENING_VIEWS` pins, per stack, each view it
-    builds and the truths per row that view keeps.  On
-    the model list, whose rows hold every truth, agent i's view keeps 2 of
-    4; the grid's truths are profiles 0 and 2, which agent 1's rankings tell
-    apart, so its view is the grid itself, and agent 2's keeps one.  The
-    run reports the counterexample and count of `first_failure` over the
-    formulas, whether its last instance, its middle one or none fails, and
-    builds each narrowed view once per evaluator, however many runs it
-    checks."""
+    builds and the truths per row that view keeps.  On the model list,
+    whose rows hold every truth, agent i's view keeps 2 of 4; the grid's
+    truths are profiles 0 and 2, which agent 1's rankings tell apart, so
+    its view is the grid itself, and agent 2's keeps one.  The run reports
+    the counterexample that a scan of the formulas with `first_failure`
+    finds, and their count, whether its last instance, its middle one or
+    none fails, and builds each narrowed view once per evaluator, however
+    many runs it checks."""
     from scflogic import axioms
 
     records = instantiate("exclu", 2, K2, default_pool(2, K2))
@@ -692,10 +706,9 @@ def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
         assert {shape: len(view.grid) for shape, view in ev._views.items()} == {
             shape: rows * per if per else 1 for shape, per in kept.items()
         }
-        hit = ev.first_failure([inst.formula for inst in run])
-        expected = None if hit is None else (run[hit[0]], *hit[1:])
+        expected = _first_failing_instance(ev, run)
         for result in results:
-            assert result.counterexample == expected and result.ok is (hit is None)
+            assert result.counterexample == expected and result.ok is (expected is None)
             assert result.model_independent == len(records)
 
 
@@ -710,12 +723,12 @@ ONE_AGENT_UNSOUND = ("pref({i}) {last} -> {last}", "pref({i}) a -> a", "~pref({i
 def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
     """A run of hand-built instances alternating agents 1..n, each reading
     one agent's true preference, with an unsound one planted at one of
-    several places, reports the first failure that `first_failure` over the
-    formulas reports, often under a truth past the first of its row.  It
-    moves from one agent's view to the next instead of widening, so a sound
-    run builds the first model's view, where it starts, each agent's view
-    and no other, up to an agent whose view is the stack itself, which
-    decides every instance after it.  Records whose builder reads
+    several places, reports the first failure that a scan of the formulas
+    with `first_failure` finds, often under a truth past the first of its
+    row.  It moves from one agent's view to the next instead of widening,
+    so a sound run builds the first model's view, where it starts, each
+    agent's view and no other, up to an agent whose view is the stack
+    itself, which decides every instance after it.  Records whose builder reads
     agent 1 and then agent i land on their joint view: the view moves to
     agent i's at the instance's first `_Narrow` and joins agent 1's at its
     second."""
@@ -736,10 +749,10 @@ def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
             ev = _stacked.StackedEvaluator(stack)
             result = axioms._check_run(ev, run)
             made = set(ev._views)
-            hit = ev.first_failure([inst.formula for inst in run])
-            assert result.counterexample == (None if hit is None else (run[hit[0]], *hit[1:]))
+            expected = _first_failing_instance(ev, run)
+            assert result.counterexample == expected
             verdicts.add(result.ok)
-            if hit is None:  # up to an agent whose view is the stack itself, which decides all
+            if expected is None:  # up to an agent whose view is the stack itself, which decides all
                 expected = {0}
                 for shape in singles:
                     if ev._view(shape) is ev:
@@ -747,7 +760,7 @@ def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
                     expected.add(shape)
                 assert made == expected
             else:
-                late.add(hit[1].truth != ev.grid.truths[0])
+                late.add(expected[1].truth != ev.grid.truths[0])
     assert verdicts == {True, False} and True in late
 
     # pref(1) a -> pref(i) a | pref(1) a, for i = 1..n: a sound schema whose

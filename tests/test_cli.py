@@ -513,10 +513,10 @@ def test_budget_refusal_is_one_immediate_line(capsys):
 
 
 def test_axioms_refuses_a_sweep_beyond_the_size_limit(capsys):
-    """(3,3) passes the budget through 1080 sampled models, but its sweep
+    """(2,4) passes the budget through 1152 sampled models, but its sweep
     is refused in one line before any instance is built."""
     start = time.perf_counter()
-    assert main(["axioms", "--agents", "3", "--outcomes", "a,b,c"]) == 2
+    assert main(["axioms", "--agents", "2", "--outcomes", "a,b,c,d"]) == 2
     assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -94,7 +94,7 @@ def test_eval_domain_mismatch(h_model):
         with pytest.raises(InvalidDomain) as relational:
             eval_kripke(km, 0, f)
         with pytest.raises(InvalidDomain) as stacked:
-            pair.first_failure([f])
+            pair.first_failure(f)
         assert str(direct.value) == str(relational.value) == str(stacked.value)
 
 
@@ -361,9 +361,9 @@ def test_a_model_list_stacks_as_the_grid_it_spells():
             if bad:
                 failing += 1
                 m, v = divmod((bad & -bad).bit_length() - 1, by_list.block)
-                hit = by_list.first_failure([f])
-                assert hit == by_grid.first_failure([f]) == (0, models[m], profiles[v])
-                assert hit[1] is models[m]
+                hit = by_list.first_failure(f)
+                assert hit == by_grid.first_failure(f) == (models[m], profiles[v])
+                assert hit[0] is models[m]
         assert failing
         _assert_blocks_follow_kripke(by_list, models, formulas[:5])
 
@@ -481,8 +481,7 @@ def test_stacked_evaluator_handles_deep_formulas():
         Pref(2, Out("b"))
     )
     assert stacked.truth_mask(wide) == expected
-    # a batch compiles each root against the slots of the roots before it:
-    # two 20,000-deep chains sharing a 10,000-deep tail, the second ~b
+    # two 20,000-deep chains sharing a 10,000-deep tail: TRUE, and ~b
     tail = TRUE
     for _ in range(10000):
         tail = Not(tail)
@@ -494,8 +493,8 @@ def test_stacked_evaluator_handles_deep_formulas():
     bad = stacked.truth_mask(Out("b"))
     assert bad
     model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
-    expected = (1, models[model_idx], stacked.space.profiles[state_idx])
-    assert stacked.first_failure([first, second]) == expected
+    assert stacked.first_failure(first) is None
+    assert stacked.first_failure(second) == (models[model_idx], stacked.space.profiles[state_idx])
 
 
 def test_evaluate_rejects_foreign_state(h_model):
@@ -629,7 +628,7 @@ def test_evaluators_keep_no_formula_alive():
     def evaluate_and_drop():
         node = Pref(1, Diamond({2}, Not(Rep(2, "b", "a"))))
         stacked.truth_mask(node)
-        stacked.first_failure([Or(node, Out("a")), node])
+        stacked.first_failure(Or(node, Out("a")))
         one.truth_mask(node)
         return weakref.ref(node)
 
@@ -668,148 +667,57 @@ def test_eval_kripke_walks_deep_and_shared_formulas():
             assert eval_kripke(km, v, formula) == bool(mask >> v & 1)
 
 
-def _first_hit_by_scan(stacked, roots):
-    """What `first_failure` must report, from each root's `truth_mask`."""
-    for index, root in enumerate(roots):
-        bad = stacked.full ^ stacked.truth_mask(root)
-        if bad:
-            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
-            return index, stacked.models[model_idx], stacked.space.profiles[state_idx]
-    return None
+def _first_hit_by_scan(stacked, root):
+    """What `first_failure` must report, from the root's full-width
+    `truth_mask`: (model, state) at its lowest falsified bit, or None."""
+    bad = stacked.full ^ stacked.truth_mask(root)
+    if not bad:
+        return None
+    model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
+    return stacked.models[model_idx], stacked.space.profiles[state_idx]
 
 
-def _scan_and_count(models, roots):
+def _scan_and_count(models, root):
     """`first_failure` of a fresh evaluator over `models`, checked against
-    a per-root `truth_mask` scan (index, model and state), and checked to
-    compute each modal node of the roots it reads once, on whichever view
-    of the stack it evaluates them."""
+    the root's full-width `truth_mask` (model and state), and checked to
+    compute each modal node of the root once, on whichever view of the
+    stack it evaluates it."""
     ev = StackedEvaluator(models)
-    expected = _first_hit_by_scan(ev, roots)
-    read = roots if expected is None else roots[: expected[0] + 1]
-    modal = {node for root in read for node in root.subformulas() if type(node) in (Diamond, Pref)}
+    expected = _first_hit_by_scan(ev, root)
+    modal = {node for node in root.subformulas() if type(node) in (Diamond, Pref)}
     calls = []
     diamond, pref = StackedEvaluator._diamond, StackedEvaluator._pref
     StackedEvaluator._diamond = lambda self, c, x: calls.append(c) or diamond(self, c, x)
     StackedEvaluator._pref = lambda self, agent, x: calls.append(agent) or pref(self, agent, x)
     try:
-        assert ev.first_failure(roots) == expected
+        assert ev.first_failure(root) == expected
     finally:
         StackedEvaluator._diamond, StackedEvaluator._pref = diamond, pref
     assert len(calls) == len(modal)
     return expected
 
 
-def test_first_failure_batches_match_a_per_root_scan():
-    """A mask dropped after the last root that reaches it is never needed
-    again: every batch shape, passed as a list or a generator, answers as
-    a per-root scan does, computing each node once."""
-    models = list(enumerate_models(2, K2))
-    p = Diamond({1}, Rep(1, "a", "b"))
-    q = Pref(2, Out("b"))
-    t_p, t_q = Implies(p, p), Or(q, Not(q))
-    fail = Implies(p, Out("a"))
-    cases = {
-        "the same root twice": ([t_p, t_p, fail], 2),
-        "the same failing root twice": ([fail, fail], 0),
-        "a root inside a later root": ([t_q, And(t_q, fail)], 1),
-        "a root inside an earlier root": ([Or(t_p, Out("a")), t_p, fail], 2),
-        "Or(x, x)": ([Or(t_p, t_p), Or(t_q, t_q), Or(Out("a"), Out("a"))], 2),
-        "shared by roots 0 and 2 only": ([t_p, t_q, Or(p, Not(p))], None),
-        "shared by roots 0 and 2, failing at 2": ([t_p, t_q, fail], 2),
-        "a failure at a middle root": ([t_p, fail, t_q], 1),
-    }
-    for name, (roots, index) in cases.items():
-        hit = _scan_and_count(models, roots)
-        assert (hit and hit[0]) == index, name
-        assert StackedEvaluator(models).first_failure(root for root in roots) == hit, name
-
-
-def test_first_failure_random_batches_match_a_per_root_scan():
-    """Batches of sampled tautologies sharing subformulas, with one sampled
-    formula planted among them."""
-    for n, outcomes, seed in ((2, K2, 41), (3, K2, 43), (2, K3, 47)):
-        models = sample_models(n, outcomes, 6, seed=seed)
-        draw = make_formula_sampler(n, outcomes, seed=seed)
-        for planted_at in (0, 7, 19):
-            formulas = draw(20, max_depth=5)
-            roots = [Or(f, Not(f)) for f in formulas]
-            roots[planted_at] = formulas[planted_at]
-            _scan_and_count(models, roots)
-        _scan_and_count(models, [Or(f, Not(f)) for f in draw(20, max_depth=5)])
-
-
-def test_first_failure_drops_masks_no_later_root_reads():
-    """240 tautology roots with private modal nodes, over all 2,048 (3,2)
-    models: each root's masks (2 KiB apiece) are dropped once it passes,
-    so the traced peak stays near the pool's masks plus one root's (about
-    0.14 MiB); keeping every mask until return peaks at about
-    1.1 MiB."""
-    ev = StackedEvaluator(list(enumerate_models(3, K2)))
-    coalitions = ({1}, {2}, {3}, {1, 2}, {1, 2, 3})
-    roots = [
-        Implies(Diamond(c, phi), Diamond(c, phi)) for c in coalitions for phi in default_pool(3, K2)
-    ]
-    assert len(roots) == 240
-    tracemalloc.start()
-    try:
-        assert ev.first_failure(roots) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * 2**20
-
-
-def test_first_failure_drops_a_node_after_its_last_direct_reader():
-    """Over all 2,048 (3,2) models, P is the conjunction of the tautologies
-    <1>pref(1) phi | ~<1>pref(1) phi over the pool, and the later roots are
-    P | Y_c, Y_c the same over <c>pref(2) phi for five coalitions c.  The
-    later roots reach P's nodes only through P, computed by the first
-    root, so those masks (2 KiB apiece) are dropped once it passes, and
-    the traced peak stays near 0.58 MiB; keeping them until the last root
-    that reaches them peaks at about 0.96 MiB."""
-
-    def taut(w):
-        return Or(w, Not(w))
-
-    pool = default_pool(3, K2)
-    ev = StackedEvaluator(list(enumerate_models(3, K2)))
-    p = conj(taut(Diamond({1}, Pref(1, phi))) for phi in pool)
-    coalitions = ({2}, {3}, {1, 2}, {1, 3}, {2, 3})
-    roots = [p] + [Or(p, conj(taut(Diamond(c, Pref(2, phi))) for phi in pool)) for c in coalitions]
-    tracemalloc.start()
-    try:
-        assert ev.first_failure(roots) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * 2**20
-
-
 def test_a_root_drops_each_mask_after_its_last_reading_entry():
     """One root, the conjunction of 240 tautologies <c>pref(1) phi ->
-    <c>pref(1) phi with private modal nodes, over all 2,048 (3,2) models:
-    each mask (2 KiB) is dropped once the last entry reading it is
-    computed, so the traced peak stays near the live set (about 0.17
-    MiB); keeping every mask of the root until it returns peaks at about
-    1.9 MiB.  The single-root twin of the batch test above.  The 240
-    conjuncts as a batch peak near 0.12 MiB, as each root's mask is
-    dropped once checked; keeping the checked masks peaks at about 0.47
-    MiB."""
+    <c>pref(1) phi with private modal nodes, over all 2,048 (3,2) models,
+    checked on agent 1's view of 512 models: each mask (512 bytes) is
+    dropped once the last entry reading it is computed, so the traced
+    peak stays near the live set (about 0.09 MiB); keeping every mask of
+    the root until it returns peaks at about 0.3 MiB."""
     ev = StackedEvaluator(list(enumerate_models(3, K2)))
     coalitions = ({1}, {2}, {3}, {1, 2}, {1, 2, 3})
-    conjuncts = [
+    root = conj(
         Implies(Diamond(c, Pref(1, phi)), Diamond(c, Pref(1, phi)))
         for c in coalitions
         for phi in default_pool(3, K2)
-    ]
-    for roots in ([conj(conjuncts)], conjuncts):
-        tracemalloc.start()
-        try:
-            assert ev.first_failure(roots) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.3 * 2**20
+    )
+    tracemalloc.start()
+    try:
+        assert ev.first_failure(root) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.15 * 2**20
 
 
 def _stacks_of_four_kinds(n, outcomes, seed):
@@ -832,12 +740,11 @@ def _stacks_of_four_kinds(n, outcomes, seed):
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
 def test_replayed_programs_match_the_walk(n, k):
-    """A root evaluated alone is compiled on its first call, and its kept
-    program run on later ones: on every stack the first-use mask equals
-    the kept program's and, block by block, the relational extension, and
-    `first_failure` over the root alone and over a batch of it twice
-    reports that mask's (index, model, state), the model being the
-    caller's object."""
+    """A root is compiled on its first call, and its kept program run on
+    later ones: on every stack the first-use mask equals the kept
+    program's and, block by block, the relational extension, and
+    `first_failure` reports that mask's (model, state), the model being
+    the caller's object."""
     outcomes = ("a", "b", "c", "d")[:k]
     stacks = _stacks_of_four_kinds(n, outcomes, seed=10 * n + k)
     draw = make_formula_sampler(n, outcomes, seed=53 + n + k)
@@ -851,16 +758,15 @@ def test_replayed_programs_match_the_walk(n, k):
             first = stacked.truth_mask(f)
             program = _programs[f]
             assert stacked.truth_mask(f) == first
-            hit = stacked.first_failure([f])
+            hit = stacked.first_failure(f)
             assert _programs[f] is program
-            assert stacked.first_failure([f, f]) == hit
             bad = stacked.full ^ first
             if not bad:
                 assert hit is None
                 continue
             model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
-            index, model, state = hit
-            assert index == 0 and state == stacked.space.profiles[state_idx]
+            model, state = hit
+            assert state == stacked.space.profiles[state_idx]
             if isinstance(stacked.models, TableGrid):
                 assert model == stacked.models[model_idx]
             else:
@@ -893,25 +799,25 @@ def test_a_replay_refuses_what_the_walk_refuses():
         program = _programs[f]
         for stacked in targets:
             with pytest.raises(InvalidDomain) as fresh:
-                stacked._run(_compile([f]))
+                stacked._run(_compile(f))
             with pytest.raises(InvalidDomain) as kept:
                 stacked.truth_mask(f)
             with pytest.raises(InvalidDomain) as checked:
-                stacked.first_failure([f])
+                stacked.first_failure(f)
             assert str(fresh.value) == str(kept.value) == str(checked.value)
             assert _programs[f] is program
 
 
 def test_a_root_is_compiled_once(monkeypatch):
-    """A root evaluated alone is walked and compiled on its first call
-    only: over two stacks and two tables, `truth_mask`, `first_failure`
-    over the root alone and `check_scf_property` run the program kept from
-    then on, and every mask equals a fresh compile's."""
+    """A root is walked and compiled on its first call only: over two
+    stacks and two tables, `truth_mask`, `first_failure` and
+    `check_scf_property` run the program kept from then on, and every mask
+    equals a fresh compile's."""
     compiled = []
 
-    def counting(roots):
-        compiled.append(list(roots))
-        return _compile(roots)
+    def counting(root):
+        compiled.append(root)
+        return _compile(root)
 
     formula = property_formula(MON, 2, K2)
     tables = [
@@ -921,22 +827,19 @@ def test_a_root_is_compiled_once(monkeypatch):
     models = sample_models(2, K2, 3, seed=79)
     stacks = [StackedEvaluator(models), Evaluator(models[-1])]
     grids = [StackedEvaluator(TableGrid(2, K2, [table.values])) for table in tables]
-    fresh = []
-    for stacked in stacks + grids:
-        hit = stacked._run(_compile([formula]))
-        fresh.append(stacked.full if hit is None else stacked.full ^ hit[1])
+    fresh = [stacked._run(_compile(formula)) for stacked in stacks + grids]
     _programs.pop(formula, None)
     monkeypatch.setattr(_stacked, "_compile", counting)
     hits = []
     for stacked, mask in zip(stacks + grids, fresh):
         assert stacked.truth_mask(formula) == mask
-        hits.append(stacked.first_failure([formula]))
+        hits.append(stacked.first_failure(formula))
         assert (hits[-1] is None) == (mask == stacked.full)
     for table, hit in zip(tables, hits[2:]):
         verdict = decision.check_scf_property(table, MON)
-        assert verdict.counterexample == (hit and hit[1:])
+        assert verdict.counterexample == hit
     assert hits[2] is None and hits[3] is not None
-    assert compiled == [[formula]]
+    assert compiled == [formula]
 
 
 def _with_not_chains(formula, rng):
@@ -969,9 +872,8 @@ def test_complement_edges_match_kripke(n, k):
     """A `Not` has no program entry: its parent reads the child complemented.
     Seeded formulas with `Not` chains of depth 0-3 around every child, and
     `Not` roots, Or(x, ~x), Or(~x, ~x) and ~ under <C> and pref(i), give
-    the relational extension on every stack kind as single roots; batches
-    of them, with repeated roots, [~X, X] and [X, ~X], answer as a
-    per-root scan does, and compute each modal node once."""
+    the relational extension on every stack kind, and `first_failure`
+    answers as the full-width mask does, computing each modal node once."""
     outcomes = ("a", "b", "c", "d")[:k]
     rng = random.Random(101 * n + k)
     draw = make_formula_sampler(n, outcomes, seed=89 + 7 * n + k)
@@ -989,17 +891,27 @@ def test_complement_edges_match_kripke(n, k):
         Not(Pref(1, Not(Not(x)))),
         Not(Top()),
     ] + [_with_not_chains(f, rng) for f in draw(25, max_depth=6)]
-    batches = [[f, Not(f)] for f in formulas] + [[Not(f), f] for f in formulas]
-    batches += [[f, f, Not(Not(f))] for f in formulas]
-    taut = [Or(f, Not(f)) for f in formulas]
-    batches += [taut, taut[::-1] + taut, taut[:9] + [formulas[20]] + taut[9:]]
     for stacked, models in _stacks_of_four_kinds(n, outcomes, seed=13 * n + k):
         _assert_blocks_follow_kripke(stacked, models, formulas)
-        for roots in batches:
-            assert stacked.first_failure(roots) == _first_hit_by_scan(stacked, roots)
     models = sample_models(n, outcomes, 4, seed=n + k)
-    for roots in batches[::7] + batches[-3:]:
-        _scan_and_count(models, roots)
+    for f in formulas:
+        _scan_and_count(models, f)
+
+
+def test_a_not_chain_above_the_root_is_the_program_parity():
+    """A root under k `Not`s compiles to the entries of the root below the
+    chain, with parity k mod 2, and no entry of its own: its mask is that
+    root's mask, or its complement."""
+    stacked = StackedEvaluator(sample_models(2, K2, 4, seed=5))
+    base = Or(Not(Pref(2, Out("a"))), Diamond({1}, Rep(2, "b", "a")))
+    ops, args, keys, odd = _compile(base)
+    mask = stacked.truth_mask(base)
+    assert odd == 0 and 0 < mask < stacked.full
+    root = base
+    for k in range(4):
+        assert _compile(root) == (ops, args, keys, k % 2)
+        assert stacked.truth_mask(root) == (stacked.full ^ mask if k % 2 else mask)
+        root = Not(root)
 
 
 def test_programs_die_with_their_roots():
@@ -1013,7 +925,7 @@ def test_programs_die_with_their_roots():
     def evaluate_and_drop(make):
         node = make()
         stacked.truth_mask(node)
-        stacked.first_failure([node])
+        stacked.first_failure(node)
         one.truth_mask(node)
         assert node in _programs
         return weakref.ref(node)
@@ -1081,17 +993,6 @@ def _narrowing_stacks(n, outcomes, seed):
     ]
 
 
-def _full_width_failure(stacked, models, roots):
-    """(index, model, state) at the lowest bit of the first root's
-    full-width `truth_mask` that some model falsifies, or None."""
-    for index, root in enumerate(roots):
-        bad = stacked.full ^ stacked.truth_mask(root)
-        if bad:
-            model_idx, state_idx = divmod((bad & -bad).bit_length() - 1, stacked.block)
-            return index, models[model_idx], stacked.space.profiles[state_idx]
-    return None
-
-
 def _one_agent(formula):
     """The agent whose true preference `formula` reads, if it reads one."""
     agents = formula.reads >> 1
@@ -1109,13 +1010,13 @@ def _read_sets(n):
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 2), (2, 3)])
 def test_first_failure_at_the_width_its_roots_read(n, k):
-    """Roots are checked on the grid their read-set narrows to: the first
-    model alone if state-determined, the first truth of each row if they
-    read no true preference, and the first truth of each ranking of the
-    one agent whose preference they read.  The answer is the full-width
-    mask's lowest falsified bit: the same index, the same state, and the
-    same model, the caller's own object for a model list.  Single roots
-    and batches, over grids, model lists and partial truth sequences."""
+    """A formula is checked on the grid its read-set narrows to: the first
+    model alone if state-determined, the first truth of each row if it
+    reads no true preference, and the first truth of each ranking of the
+    one agent whose preference it reads.  The answer is the full-width
+    mask's lowest falsified bit: the same state, and the same model, the
+    caller's own object for a model list.  Sampled formulas and
+    tautologies, over grids, model lists and partial truth sequences."""
     outcomes = ("a", "b", "c")[:k]
     draw = make_formula_sampler(n, outcomes, seed=89 + 10 * n + k)
     sampled = draw(400, max_depth=6)
@@ -1125,33 +1026,25 @@ def test_first_failure_at_the_width_its_roots_read(n, k):
     reading = [f for f in sampled if f.reads > 1 and not _one_agent(f)][:4] or one_agent[:1]
     assert len(determined) >= 6 and len(pref_free) >= 6 and len(one_agent) >= 6
     assert {_one_agent(f) for f in one_agent} == set(range(1, n + 1))
-    batches = [[f] for f in determined + pref_free + one_agent + reading]
-    for group in (determined, pref_free, one_agent):
-        tautologies = [Or(f, Not(f)) for f in group]
-        batches.append(tautologies)
-        for planted in (0, len(group) // 2, len(group) - 1):
-            batch = list(tautologies)
-            batch[planted] = group[planted]
-            batches.append(batch)
-    batches.append([Or(f, Not(f)) for f in determined + pref_free] + [reading[0]])
+    roots = determined + pref_free + one_agent + reading
+    roots += [Or(f, Not(f)) for f in determined + pref_free + one_agent]
     verdicts = set()
     for stacked, models in _narrowing_stacks(n, outcomes, seed=97 + n + k):
-        for roots in batches:
-            expected = _full_width_failure(stacked, models, roots)
-            hit = stacked.first_failure(iter(roots))
-            if all(_one_agent(f) for f in roots):
+        for root in roots:
+            expected = _first_hit_by_scan(stacked, root)
+            hit = stacked.first_failure(root)
+            if _one_agent(root):
                 verdicts.add(expected is None)
             if expected is None:
                 assert hit is None
                 continue
-            assert hit is not None and hit[0] == expected[0] and hit[2] == expected[2]
+            assert hit is not None and hit[1] == expected[1]
             if isinstance(models, TableGrid):
-                assert hit[1] == expected[1]
+                assert hit[0] == expected[0]
             else:
-                assert hit[1] is expected[1]
+                assert hit[0] is expected[0]
             # the full grid's first failing bit, mapped through `_locate`
-            full = stacked._first_bad(roots)
-            assert (full[0], *stacked._locate(stacked, full[1])) == hit
+            assert stacked._locate(stacked, stacked.full ^ stacked.truth_mask(root)) == hit
         # the narrowed grids keep the first truth of each class, in order
         grid = stacked.grid
         for reads in _read_sets(n):
@@ -1210,7 +1103,7 @@ def test_one_agent_read_sets_keep_one_truth_per_ranking(n, k):
 
 
 def test_narrowed_checks_build_no_full_width_masks():
-    """A pref-free batch is evaluated on the grid `TableGrid.narrowed`
+    """A pref-free root is evaluated on the grid `TableGrid.narrowed`
     gives, the first truth of each row, and reports the first model of
     the failing row; a root reading agent 1's true preference on the first
     truth of each of agent 1's rankings.  The full grid's outcome and rank
@@ -1219,18 +1112,19 @@ def test_narrowed_checks_build_no_full_width_masks():
     stacked = StackedEvaluator(grid)
     narrow = grid.narrowed(1)
     assert narrow.rows == grid.rows and narrow.truths == grid.truths[:1] and narrow.kept == (0,)
-    hit = stacked.first_failure([Or(Out("a"), Out("b")), Diamond({1}, Out("c"))])
-    assert hit == (0, grid[36], grid.truths[1])
+    hit = stacked.first_failure(Or(Out("a"), Out("b")))
+    assert hit == (grid[36], grid.truths[1])
     assert stacked._out_masks is None and stacked._ranked is None
-    # the second root fails at a b-state of the second row under a truth in
-    # which agent 1 ranks c over b: acb, agent 1's first such ranking, is
+    # the root reading agent 1 fails at a b-state of the second row under a
+    # truth in which agent 1 ranks c over b: acb, agent 1's first such ranking, is
     # truth 6, the first truth of agent 1's second ranking
-    hit = stacked.first_failure([Pref(1, Rep(1, "a", "b")), Implies(Pref(1, Out("c")), Out("c"))])
-    assert hit == (1, grid[36 + 6], grid.truths[0])
+    assert stacked.first_failure(Pref(1, Rep(1, "a", "b"))) is None
+    hit = stacked.first_failure(Implies(Pref(1, Out("c")), Out("c")))
+    assert hit == (grid[36 + 6], grid.truths[0])
     one = stacked._views[0b11]
     assert len(one.grid) == 12 and one._ranked is not None
     assert stacked._ranked is None and stacked._out_masks is None
-    stacked.first_failure([Pref(1, Rep(1, "a", "b")), Pref(2, TRUE)])
+    stacked.first_failure(And(Pref(1, Rep(1, "a", "b")), Pref(2, TRUE)))
     assert stacked._ranked is not None and stacked._out_masks is None
     stacked.truth_mask(Out("a"))
     assert stacked._out_masks is not None
