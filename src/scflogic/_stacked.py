@@ -73,10 +73,10 @@ The axiom sweep builds neither instance formulas nor programs: a schema
 builder runs against the constructors of `_Direct`, which compute each
 value's mask at once on a view of the stack (`_view`) and carry its
 read-set.  An outcome atom, a `Pref` or a lifted formula that reads more
-than the view keeps raises `_Narrow` with the read-set it needs, and the
-sweep resumes on the view for it (`axioms.soundness_check`).  Sharing
-there comes from the builders' memo tables, keyed by value identity, not
-from hash-consing.
+than the read-set the view was asked for raises `_Narrow` with the
+read-set it needs, and the sweep resumes on the view for it
+(`axioms.soundness_check`).  Sharing there comes from the builders' memo
+tables, keyed by value identity, not from hash-consing.
 
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the first truths of each agent set's rankings among
@@ -95,7 +95,7 @@ from typing import Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
 from .core import all_profiles
-from .logic import _OTHER_AGENT, Diamond, Formula, Not, Or, Out, Pref, Rep, Top
+from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top, _pref_bit
 
 __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
 
@@ -226,9 +226,9 @@ class TableGrid(Sequence[ScfModel]):
     def shape(self, reads: int) -> int:
         """The shape of the grid narrowed for `reads`, the read-set it
         decides as this one does: -1, every bit, if `reads` reads every
-        agent's true preference or that of an agent outside 1..n
-        (`_OTHER_AGENT`); otherwise bit 0 if `reads` is not empty, and the
-        pref bits it sets."""
+        agent's true preference or that of an agent outside 1..n (whose
+        bit `logic._pref_bit` puts past bit n); otherwise bit 0 if `reads`
+        is not empty, and the pref bits it sets."""
         agents = (2 << min(self.n, 63)) - 2
         if reads & ~(agents | 1) or reads & agents == agents:
             return -1
@@ -339,11 +339,7 @@ class StackedEvaluator:
     mask or node, is kept in `_programs`.  The outcome and rank masks are
     built when an evaluation first reads them; `first_failure` evaluates
     on a view of the narrowed grid, one per narrowing, built on the first
-    call that asks for it and kept.  `keeps` is the read-set a
-    view decides as the evaluator it is a view of does, its grid's shape
-    (`TableGrid.shape`): -1, every bit, on an evaluator that is no view."""
-
-    keeps = -1
+    call that asks for it and kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -522,7 +518,6 @@ class StackedEvaluator:
                 return self
             # type(self), not the module's name, which a tracer may replace
             view = self._views[shape] = type(self)(grid)
-            view.keeps = shape
         return view
 
     def _locate(self, view: StackedEvaluator, bad: int) -> tuple[ScfModel, Profile]:
@@ -632,17 +627,18 @@ class _Direct:
     atoms and the derived forms), each computing its value's mask at once
     on `view`, with the same domain checks as a program run, and `TRUE`,
     the full mask; `lift` evaluates a formula on it.  `keeps` is the
-    read-set the view decides (`StackedEvaluator.keeps`).  An outcome atom
-    on a view of one model, a `Pref` whose agent the view does not keep,
-    and a lifted formula reading more than `keeps` each raise `_Narrow`
-    with the read-set it needs.  `Not` takes one complement
+    read-set shape the caller asked for (`TableGrid.shape`), which `view`
+    decides, -1 for every bit: an outcome atom where it has no bit 0, a
+    `Pref` whose agent bit it lacks and a lifted formula reading more than
+    it each raise `_Narrow` with the read-set they need, even where `view`
+    is wider and could decide them.  `Not` takes one complement
     per value from `complements`, so a memo table keyed by values hits
     through it; the table goes with this object, which no value refers to.
     The derived forms complement masks, not values, so the table keeps no
     instance's intermediate values."""
 
-    def __init__(self, view: StackedEvaluator):
-        self.view, self.keeps, self.full = view, view.keeps, view.full
+    def __init__(self, view: StackedEvaluator, keeps: int):
+        self.view, self.keeps, self.full = view, keeps, view.full
         self.TRUE = _Value(view.full, 0)
         self.complements: dict[_Value, _Value] = {}
 
@@ -673,7 +669,7 @@ class _Direct:
         return _Value(full ^ self.view._diamond(frozenset(coalition), full ^ x.mask), x.reads)
 
     def Pref(self, agent: int, x: _Value) -> _Value:
-        bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
+        bit = _pref_bit(agent)
         if bit & ~self.keeps:
             raise _Narrow(bit)
         return _Value(self.view._pref(agent, x.mask), x.reads | bit)

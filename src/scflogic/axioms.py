@@ -48,10 +48,10 @@ modalities name agent i alone (each instance of K(pref), 4(pref), incl,
 unifPref, antisym' and total') on the first model of each of agent i's
 rankings per outcome function, and one that reads every agent on every
 model.  A run starts on the narrowest view and moves at the first
-instance that reads more than its view keeps, to the view for what that
-instance reads, so a run over agents 1..n visits each agent's view in
-turn.  It holds one evaluator over its models and one view per shape it
-visits (rows kept or not, agents kept), each kept by
+instance that reads more than its view was asked for, to the view for
+what that instance reads, so a run over agents 1..n visits each agent's
+view in turn.  It holds one evaluator over its models and one view per
+shape it visits (rows kept or not, agents kept), each kept by
 `StackedEvaluator._view` for later runs.  Building instances and checking
 them pause the cyclic garbage collector (`logic._collector_paused`):
 interned nodes and direct values are acyclic, so its passes over the
@@ -548,21 +548,24 @@ def soundness_check(
 def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
     """The result of one run: its instances evaluated in order, by the
     schema's builder, in direct scopes on `ev`'s view for the read-set
-    `reads` (`StackedEvaluator._view`).  `reads` starts empty; at an
-    instance that reads more than the view keeps (`_stacked._Narrow`), the
-    run resumes there, with fresh scopes, on the view for what it needs:
-    its outcome bit is kept, its agents replaced, so a run over agents 1
-    and 2 moves from agent 1's view to agent 2's, and joined if the same
-    instance asks again, so an instance reading two agents lands on their
-    joint view.  Each instance is evaluated on a view that decides it, and
-    the ones before it keep the answers their own view gives."""
+    `reads` (`StackedEvaluator._view`).  A scope keeps the shape of
+    `reads` (`TableGrid.shape`), not its view's, so it raises
+    `_stacked._Narrow` at what reads more than `reads` even where the view
+    is wider, as where agent 1's view is the stack itself.  `reads` starts
+    empty; at an instance that raises it, the run resumes there, with
+    fresh scopes, on the view for what it needs: its outcome bit is kept,
+    its agents replaced, so a run over agents 1 and 2 moves from agent 1's
+    view to agent 2's, and joined if the same instance asks again, so an
+    instance reading two agents lands on their joint view.  Each instance
+    is evaluated on a view that decides it, and the ones before it keep
+    the answers their own view gives."""
     build = _TABLE.get(run[0].schema, (None, None))[1]  # None for a hand-built schema name
     reads = done = independent = 0
     raised = -1  # the index of the instance that last raised `_Narrow`
     hit = None
     while hit is None and done < len(run):
         view, scopes, last = ev._view(reads), {}, None  # an `instantiate` scope -> its direct one
-        direct = _stacked._Direct(view)
+        direct = _stacked._Direct(view, ev.grid.shape(reads))
         try:
             for inst in itertools.islice(run, done, None):
                 scope = inst._scope

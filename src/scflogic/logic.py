@@ -225,6 +225,12 @@ def _rebuild(table: tuple) -> Formula:
 _OTHER_AGENT = 1 << 64
 
 
+def _pref_bit(agent) -> int:
+    """The read-set bit of pref(`agent`) (`Formula.reads`): bit i for an
+    agent i in 1..63, and `_OTHER_AGENT` for any other value."""
+    return 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
+
+
 # Each constructor looks its key up inline; a hit costs one dict.get and
 # one weakref call.  On a miss it sets the new node's slots by name and
 # interns it.
@@ -346,8 +352,7 @@ class Pref(Formula):
             node = _new(cls)
             _set(node, "agent", agent)
             _set(node, "child", child)
-            bit = 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
-            _set(node, "reads", child.reads | bit)
+            _set(node, "reads", child.reads | _pref_bit(agent))
             _intern(key, node)
         return node
 

@@ -549,7 +549,7 @@ def _direct_values(ev, run):
 
     base = run[0]._scope
     scopes = [
-        (view, axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(view)))
+        (view, axioms._Scope(base.n, base.outcomes, base.pool, _stacked._Direct(view, view.grid.keeps)))
         for view in _views_by_width(ev)
     ]
     found = []
@@ -664,6 +664,7 @@ WIDENING_VIEWS = {
     ("a | b", "b -> pref(1) b"): ({0: 0, 1: 1, 0b11: 2}, {0: 0, 1: 1}),
     ("a", "pref(1) b -> b"): ({0: 0, 1: 1}, {0: 0, 1: 1}),
     ("a | b", "pref(2) b -> b"): ({0: 0, 1: 1, 0b101: 2}, {0: 0, 1: 1, 0b101: 1}),
+    ("pref(1) b | ~pref(1) b", "pref(2) b -> b"): ({0: 0, 0b11: 2, 0b101: 2}, {0: 0, 0b101: 1}),
 }
 
 
@@ -677,7 +678,10 @@ def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
     builds and the truths per row that view keeps.  On the model list,
     whose rows hold every truth, agent i's view keeps 2 of 4; the grid's
     truths are profiles 0 and 2, which agent 1's rankings tell apart, so
-    its view is the grid itself, and agent 2's keeps one.  The run reports
+    its view is the grid itself, and agent 2's keeps one.  A run whose
+    middle reads agent 1's and whose last reads agent 2's true preference
+    widens to agent 1's view and moves to agent 2's, also on the grid,
+    where agent 1's view is the grid itself.  The run reports
     the counterexample that a scan of the formulas with `first_failure`
     finds, and their count, whether its last instance, its middle one or
     none fails, and builds each narrowed view once per evaluator, however
@@ -726,9 +730,10 @@ def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
     several places, reports the first failure that a scan of the formulas
     with `first_failure` finds, often under a truth past the first of its
     row.  It moves from one agent's view to the next instead of widening,
-    so a sound run builds the first model's view, where it starts, each
-    agent's view and no other, up to an agent whose view is the stack
-    itself, which decides every instance after it.  Records whose builder reads
+    so a sound run builds the first model's view, where it starts, and
+    each agent's view that is not the stack itself, and no other: after
+    an agent whose view is the stack itself it still moves to the next
+    agent's narrower view.  Records whose builder reads
     agent 1 and then agent i land on their joint view: the view moves to
     agent i's at the instance's first `_Narrow` and joins agent 1's at its
     second."""
@@ -752,13 +757,8 @@ def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
             expected = _first_failing_instance(ev, run)
             assert result.counterexample == expected
             verdicts.add(result.ok)
-            if expected is None:  # up to an agent whose view is the stack itself, which decides all
-                expected = {0}
-                for shape in singles:
-                    if ev._view(shape) is ev:
-                        break
-                    expected.add(shape)
-                assert made == expected
+            if expected is None:  # each agent's view that is not the stack itself
+                assert made == {0} | {shape for shape in singles if ev._view(shape) is not ev}
             else:
                 late.add(expected[1].truth != ev.grid.truths[0])
     assert verdicts == {True, False} and True in late
@@ -772,13 +772,10 @@ def test_a_run_moves_between_agents_views(monkeypatch, n, outcomes):
         ev = _stacked.StackedEvaluator(stack)
         assert axioms._check_run(ev, run).ok
         # 0 and 1 from `out`, then agent 1's view, then per agent i, i's view
-        # and the joint one, up to a view that is the stack itself
-        made, expected = set(ev._views), set()
-        for shape in [0, 1, 0b11] + [bits | 1 << i for i in range(2, n + 1) for bits in (1, 0b11)]:
-            if ev._view(shape) is ev:
-                break
-            expected.add(shape)
-        assert made == expected
+        # and the joint one, each that is not the stack itself
+        made = set(ev._views)
+        shapes = [0, 1, 0b11] + [bits | 1 << i for i in range(2, n + 1) for bits in (1, 0b11)]
+        assert made == {shape for shape in shapes if ev._view(shape) is not ev}
         if isinstance(stack, list):  # every truth in each row: no view is the stack
             assert made == ({0, 1, 0b11, 0b101, 0b111, 0b1001, 0b1011} if n == 3 else {0, 1, 0b11, 0b101})
 

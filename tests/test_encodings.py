@@ -546,7 +546,7 @@ def test_property_builders_evaluate_in_a_direct_scope():
                 truths = len(ev.grid) if prop.kind in ("dom", "strproof") or n == 1 else math.factorial(len(outcomes))
                 assert len(view.grid) == (1 if prop.kind in ("citsov", "nodict", "mon") else truths)
                 if view not in scopes:
-                    scopes[view] = encodings._Scope(n, outcomes, _Direct(view))
+                    scopes[view] = encodings._Scope(n, outcomes, _Direct(view, view.grid.keeps))
                 value = _SCOPED[prop.kind](scopes[view], prop.agent)
                 assert (value.mask, value.reads) == (view.truth_mask(formula), formula.reads)
                 bad = view.full ^ value.mask

@@ -1094,7 +1094,7 @@ def test_one_agent_read_sets_keep_one_truth_per_ranking(n, k):
             assert narrow.kept == kept and narrow.rows is grid.rows
             assert len(narrow) == len(rows) * math.factorial(k)
             view = stacked._view(reads)
-            assert view.grid.kept == kept and view.keeps == 1 << agent | 1
+            assert view.grid.kept == kept and view.grid.keeps == 1 << agent | 1
         assert stacked._view(1 << agent) is stacked._view(1 << agent | 1)
     assert sorted(stacked._views) == [1 << agent | 1 for agent in range(1, n + 1)]
     every = (2 << n) - 2
