@@ -41,8 +41,9 @@ encodings builders are memoized) and evaluates it on all those models at
 once, as a one-row `TableGrid` narrowed to the formula's read-set: a
 best response br(i) reads agent i's true preference alone, so with two
 agents or more it is evaluated on the |K|! true profiles that differ
-from the first in agent i's ranking only.  The restriction is itself tested against full enumeration at the
-small scales where both are feasible.
+from the first in agent i's ranking only.  The restriction is itself
+tested against full enumeration at the small scales where both are
+feasible.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ one node for it, and every memo keyed by node identity computes it once.
 The intern table `_interned` is a plain dict from a node's key, its class
 and fields, to a keyed weak reference to the node; the reference's
 callback removes the entry when the node dies, unless the key has been
-interned again since.  Each constructor looks its key up inline.
+interned again since.  One constructor, `Formula.__new__`, serves every
+node kind: each kind declares only its fields (`__slots__`), its
+read-set rule (`_reads`) and, if it has any, its children.
 
 This module holds the language and the relational semantics only.  The
 primary evaluator, by truth masks over many models at once, and its
@@ -76,15 +78,17 @@ __all__ = [
 class Formula:
     """Base class for core-grammar nodes.
 
-    Nodes are hash-consed: every constructor returns the live node of the
-    same kind with the same fields and the same child objects, if there is
+    Nodes are hash-consed: `cls(*fields)` returns the live node of kind
+    `cls` with the same fields and the same child objects, if there is
     one, so equal formulas are one object, and `==` and `hash` are
-    Python's identity defaults.  The intern table holds nodes weakly: it
-    is a dict from the key `(cls, *fields)` to a weak reference carrying
-    that key, whose callback clears the entry when the node dies, so a
-    node lives only while something else references it.  For the same
-    reason copying a node returns it, and unpickling rebuilds it through
-    the constructors, returning the live node when there is one.
+    Python's identity defaults.  The fields are positional only, in the
+    order of the kind's `__slots__`; no constructor takes keywords.  The
+    intern table holds nodes weakly: it is a dict from the key
+    `(cls, *fields)` to a weak reference carrying that key, whose callback
+    clears the entry when the node dies, so a node lives only while
+    something else references it.  For the same reason copying a node
+    returns it, and unpickling rebuilds it through the constructor,
+    returning the live node when there is one.
 
     Nodes are immutable and carry one small int computed from their
     children when they are built, the read-set `reads`: bit 0 is set when
@@ -100,6 +104,29 @@ class Formula:
     __slots__ = ("reads", "__weakref__")
 
     reads: int
+
+    def __new__(cls, *fields):
+        """The live node `(cls, *fields)`, or a new one: a hit costs one
+        dict.get and one weakref call.  On a miss the fields fill
+        `cls.__slots__` in order, and the node is interned only once it is
+        whole, so a wrong arity or a bad child interns nothing."""
+        key = (cls,) + fields
+        node = _lookup(key, _GONE)()
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}, got {len(fields)}")
+            node = _new(cls)
+            for name, value in zip(cls.__slots__, fields):
+                _set(node, name, value)
+            _set(node, "reads", node._reads())
+            _intern(key, node)
+        return node
+
+    def _reads(self) -> int:
+        """The read-set of a node whose fields are set (see `reads`): 0 for
+        the truth constant and rep atoms, which read no model data; every
+        other kind gives its own rule."""
+        return 0
 
     @property
     def state_determined(self) -> bool:
@@ -141,9 +168,9 @@ class Formula:
         """Pickle as a flat table, one `(cls, leaves, kids)` row per
         distinct node in post-order: `leaves` are the node's other fields,
         `kids` its children's row numbers.  Every class lists its children
-        last in `__slots__`, in constructor order, so `_rebuild` calls
-        `cls(*leaves, *children)`; being flat, the table pickles at any
-        depth."""
+        last in `__slots__`, which is its constructor's order, so
+        `_rebuild` calls `cls(*leaves, *children)`; being flat, the table
+        pickles at any depth."""
         rows: dict[Formula, int] = {}
         table = []
         for node in self.subformulas():
@@ -231,22 +258,13 @@ def _pref_bit(agent) -> int:
     return 1 << agent if type(agent) is int and 0 < agent < 64 else _OTHER_AGENT
 
 
-# Each constructor looks its key up inline; a hit costs one dict.get and
-# one weakref call.  On a miss it sets the new node's slots by name and
-# interns it.
+# The node kinds.  Each declares its fields as `__slots__`, children last,
+# in the order `Formula.__new__` takes them; its read-set rule `_reads`,
+# one line, unless it reads nothing; and `children` where it has any.
 
 
 class Top(Formula):
     __slots__ = ()
-
-    def __new__(cls) -> "Top":
-        key = (cls,)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "reads", 0)
-            _intern(key, node)
-        return node
 
 
 class Rep(Formula):
@@ -254,47 +272,21 @@ class Rep(Formula):
 
     __slots__ = ("agent", "left", "right")
 
-    def __new__(cls, agent: int, left: str, right: str) -> "Rep":
-        key = (cls, agent, left, right)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "agent", agent)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _set(node, "reads", 0)
-            _intern(key, node)
-        return node
-
 
 class Out(Formula):
     """Outcome atom: the state's outcome is `name`."""
 
     __slots__ = ("name",)
 
-    def __new__(cls, name: str) -> "Out":
-        key = (cls, name)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "name", name)
-            _set(node, "reads", 1)
-            _intern(key, node)
-        return node
+    def _reads(self) -> int:
+        return 1
 
 
 class Not(Formula):
     __slots__ = ("child",)
 
-    def __new__(cls, child: Formula) -> "Not":
-        key = (cls, child)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "child", child)
-            _set(node, "reads", child.reads)
-            _intern(key, node)
-        return node
+    def _reads(self) -> int:
+        return self.child.reads
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -303,16 +295,8 @@ class Not(Formula):
 class Or(Formula):
     __slots__ = ("left", "right")
 
-    def __new__(cls, left: Formula, right: Formula) -> "Or":
-        key = (cls, left, right)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _set(node, "reads", left.reads | right.reads)
-            _intern(key, node)
-        return node
+    def _reads(self) -> int:
+        return self.left.reads | self.right.reads
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -324,16 +308,10 @@ class Diamond(Formula):
     __slots__ = ("coalition", "child")
 
     def __new__(cls, coalition: Iterable[int], child: Formula) -> "Diamond":
-        coalition = frozenset(coalition)
-        key = (cls, coalition, child)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "coalition", coalition)
-            _set(node, "child", child)
-            _set(node, "reads", child.reads)
-            _intern(key, node)
-        return node
+        return Formula.__new__(cls, frozenset(coalition), child)
+
+    def _reads(self) -> int:
+        return self.child.reads
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -345,16 +323,8 @@ class Pref(Formula):
 
     __slots__ = ("agent", "child")
 
-    def __new__(cls, agent: int, child: Formula) -> "Pref":
-        key = (cls, agent, child)
-        node = _lookup(key, _GONE)()
-        if node is None:
-            node = _new(cls)
-            _set(node, "agent", agent)
-            _set(node, "child", child)
-            _set(node, "reads", child.reads | _pref_bit(agent))
-            _intern(key, node)
-        return node
+    def _reads(self) -> int:
+        return self.child.reads | _pref_bit(self.agent)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)

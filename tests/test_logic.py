@@ -550,6 +550,26 @@ def test_each_node_kind_is_interned(cls, args, fields, determined):
         node.state_determined = not determined
 
 
+@pytest.mark.parametrize("cls, args, fields, determined", NODE_KINDS, ids=[kind[0].__name__ for kind in NODE_KINDS])
+def test_a_node_is_rebuilt_from_its_slots_in_order(cls, args, fields, determined):
+    """The one constructor takes a kind's fields in `__slots__` order."""
+    node = cls(*args)
+    assert cls(*(getattr(node, name) for name in cls.__slots__)) is node
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Top(TRUE), lambda: Out(), lambda: Or(TRUE), lambda: Pref(1), lambda: Diamond({1})],
+    ids=["Top(TRUE)", "Out()", "Or(TRUE)", "Pref(1)", "Diamond({1})"],
+)
+def test_a_wrong_arity_interns_nothing(build):
+    gc.collect()
+    size = len(logic._interned)
+    with pytest.raises(TypeError):
+        build()
+    assert len(logic._interned) == size
+
+
 @pytest.mark.parametrize(
     "n, outcomes, schema",
     [(2, K2, schema) for schema in axioms.SCHEMAS] + [(2, K3, "antisym'"), (2, K3, "comp-At")],
