@@ -91,6 +91,7 @@ from .decision import (
 from .axioms import (
     SCHEMAS,
     AxiomInstance,
+    Instances,
     default_pool,
     instantiate,
     instantiate_all,

@@ -14,11 +14,13 @@ pool, coalitions, reported atoms, rankings, profiles or, for comp-At, the
 pool's reported-atom fragment; a side condition (x != y, i != j,
 disjoint agent sets) makes two binders range together over the pairs it
 keeps, so an excluded binding is never made.  `instantiate` is one loop
-over the product of the domains that evaluates no builder: each instance
-is an `AxiomInstance`, a slotted immutable record holding the schema's
-binder-name tuple, the product's value tuple and the scope of the call;
-its `bindings` dict is built only when read, and its formula on its
-first read.
+over the product of the domains that evaluates no builder and makes no
+record: it returns an `Instances`, the schema, its binder names, the
+scope of the call and the product's value tuples, which reads as the
+list of the schema's records.  A record, an `AxiomInstance`, is made
+when an item is read: a slotted immutable record of the schema, its
+binder names, one value tuple and the scope, whose `bindings` dict is
+built only when read, and its formula on its first read.
 
 A builder is written once, against the constructors of the `_Scope` it
 is called with (`s.Or`, `s.Implies`, `s.Box`, ...), as in the
@@ -33,9 +35,13 @@ scope extends the one the property encodings are written against
 subformula that reads only some of the binders, such as [i]phi in K(i)
 or <C1>delta1 in comp-At, is taken from a memo table of the scope, keyed
 by the values it reads, and built once per binding of those.  The tables
-go with the scope.  `soundness_check` evaluates each run of records
-through one direct scope per `instantiate` call and view, so a sweep
-builds no instance formula and no program.
+go with the scope.  `soundness_check` checks every run in one loop over
+a builder and its bound-value tuples, in one direct scope per run and
+view: an `Instances` is a run of its schema's builder, and a stretch of
+records of one schema a run of a builder returning its one bound value,
+the record's formula, which the direct scope evaluates as it does a pool
+formula.  So a sweep of `Instances` makes no record but a
+counterexample's, and builds no instance formula and no program.
 
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
@@ -73,11 +79,11 @@ Two schema subtleties worth knowing:
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _stacked, encodings
@@ -100,6 +106,7 @@ from .logic import (
 __all__ = [
     "SCHEMAS",
     "AxiomInstance",
+    "Instances",
     "default_pool",
     "instantiate",
     "instantiate_all",
@@ -115,14 +122,15 @@ class AxiomInstance:
     """One instance of a schema: the schema's name, its bindings and the
     instance formula.
 
-    A slotted record: it holds the schema's binder names, one tuple shared
-    by all its instances, the tuple of bound values `instantiate`'s
-    product made, and the scope of that `instantiate` call, which all its
-    records share; `bindings` builds a fresh dict of the values, in binder
-    order, on each read.  `formula` is built on its first read, by the
-    schema's builder in that scope, as the interned node a build of it
-    always gives, and kept.  A record built by hand holds its formula from
-    the start.  It behaves as the frozen dataclass it replaces: built
+    A slotted record, made when an item of an `Instances` is read: it
+    holds the schema's binder names, one tuple shared by all its
+    instances, the tuple of bound values `instantiate`'s product made, and
+    the scope of that `instantiate` call, which all its records share;
+    `bindings` builds a fresh dict of the values, in binder order, on each
+    read.  `formula` is built on its first read, by the schema's builder
+    in that scope, as the interned node a build of it always gives, and
+    kept.  A record built by hand holds its formula from the start, and
+    its scope is None.  It behaves as the frozen dataclass it replaces: built
     positionally as `AxiomInstance(schema, bindings, formula)`, equal and
     hashed by (schema, formula) with the bindings ignored, immutable, and
     copied and pickled through that constructor."""
@@ -189,6 +197,43 @@ def _fill(
     _set(inst, "_values", values)
     _set(inst, "_scope", scope)
     return inst
+
+
+class Instances(collections.abc.Sequence):
+    """The instances of one schema, as `instantiate` returns them: the
+    schema, its binder names, the scope of the call and the tuple of bound
+    values of each binding, in product order.  It reads as the list of
+    their records: `len`, indexing, iteration and `==` against a list of
+    records behave as that list's do, so it is not hashable, and a slice
+    is the `Instances` of the slice of bindings.  A record is made only when an item is read, a
+    fresh one on each read, each the one `AxiomInstance` of its binding,
+    with its formula built on its first read.  `soundness_check` checks an
+    `Instances` from its bound values, making no record but a
+    counterexample's."""
+
+    __slots__ = ("schema", "_names", "_scope", "_values", "__weakref__")
+
+    def __init__(self, schema: str, names: tuple, scope: _Scope, values: list[tuple]):
+        self.schema, self._names, self._scope, self._values = schema, names, scope, values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def _record(self, values: tuple) -> AxiomInstance:
+        return _fill(_new(AxiomInstance), self.schema, self._names, values, self._scope)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Instances(self.schema, self._names, self._scope, self._values[index])
+        return self._record(self._values[index])
+
+    def __iter__(self) -> Iterator[AxiomInstance]:
+        return map(self._record, self._values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, Instances)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _default_cap(n: int, outcomes: tuple[str, ...]) -> int:
@@ -431,21 +476,19 @@ _TABLE: dict[str, tuple[str, Callable[..., object]]] = {
 SCHEMAS = tuple(_TABLE)
 
 
-def instantiate(
-    schema: str, n: int, outcomes: Sequence[str], pool: Sequence[Formula]
-) -> list[AxiomInstance]:
+def instantiate(schema: str, n: int, outcomes: Sequence[str], pool: Sequence[Formula]) -> Instances:
     """All instances of one schema over every binding of its agents,
     coalitions, outcomes and profiles, metavariables drawn from the pool,
-    that its side condition keeps.  Each is a record of its binding; its
-    formula is built when read."""
+    that its side condition keeps, as an `Instances`: the bound values of
+    each binding, read as a record of it, whose formula is built when
+    read."""
     if schema not in _TABLE:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     binders = _TABLE[schema][0]
     names = tuple(binders.replace(",", " ").split())
     with _collector_paused():
         scope = _Scope(n, outcomes, pool)
-        bindings = _bindings(scope, binders)
-        return [_fill(_new(AxiomInstance), schema, names, values, scope) for values in bindings]
+        return Instances(schema, names, scope, list(_bindings(scope, binders)))
 
 
 def _bindings(scope: _Scope, binders: str) -> Iterator[tuple]:
@@ -461,11 +504,13 @@ def _bindings(scope: _Scope, binders: str) -> Iterator[tuple]:
 
 def instantiate_all(
     n: int, outcomes: Sequence[str], pool: Optional[Sequence[Formula]] = None
-) -> Iterator[AxiomInstance]:
-    """Every schema's instances in `SCHEMAS` order, each schema built when reached."""
+) -> Iterator[Instances]:
+    """Every schema's `Instances` in `SCHEMAS` order, each built when
+    reached; a schema no binding of which its side condition keeps gives an
+    empty one."""
     if pool is None:
         pool = default_pool(n, outcomes)
-    return (inst for schema in SCHEMAS for inst in instantiate(schema, n, outcomes, pool))
+    return (instantiate(schema, n, outcomes, pool) for schema in SCHEMAS)
 
 
 @dataclass
@@ -505,92 +550,107 @@ class SoundnessReport:
 
 
 def soundness_check(
-    instances: Iterable[AxiomInstance], models: Iterable[ScfModel]
+    instances: Iterable[AxiomInstance | Instances], models: Iterable[ScfModel]
 ) -> SoundnessReport:
     """Check every instance in every model, one run at a time.
 
-    A run is a stretch of consecutive instances of one schema; it gets one
-    result, so a schema in two separate runs gets two.  Each run is read
-    only after the one before it is checked and dropped, so over the
-    `instantiate_all` stream two schemas' instances are live at most.
+    `instances` is an `Instances`, or a stream of `Instances` and records,
+    such as `instantiate_all`'s.  A run is a non-empty `Instances`, or a
+    stretch of consecutive records of one schema; it gets one result, so a
+    schema in two separate runs gets two.  Each run is read only after the
+    one before it is checked and dropped, so over the `instantiate_all`
+    stream two schemas' instances are live at most.
 
-    Evaluation is batched: one truth mask per instance across the whole
-    model list (see `_stacked`).  An `instantiate` record is evaluated as
-    its schema's builder runs, in a direct scope, one per `instantiate`
-    call in the run and view, on its bound values, pool formulas
-    evaluated on the view; so no instance formula and no program is
-    built, and the subformulas its instances share are evaluated once per
-    scope, through its memo tables.  A record whose formula was read is
-    evaluated the same way, and a hand-built one from its formula.  Each
-    instance is evaluated at the width it reads: the run starts on the
-    first model alone and moves, with fresh scopes, to one model per
-    outcome function at the first instance reading an outcome atom, and
-    to the first model of each of agent i's rankings per outcome function
-    at the first reading agent i's true preference (`_check_run`), so
-    each instance is decided on a view that decides it.  A mask is dropped
-    once no memo table or later constructor holds it.  The reported
-    counterexample is the run's first failing instance in instantiation
-    order, at its lowest (model, state) pair; no instance after it is
-    evaluated, and the state-determined ones among them are counted from
-    their formulas' read-sets.  A `TableGrid` is stacked as it is,
-    building no model but the counterexamples.  The collector is paused
-    throughout, and so while an `instantiate_all` stream builds the
-    instances.
+    Every run is checked by the one loop of `_check_run`, over a builder
+    and the bound-value tuples of its instances: an `Instances` with its
+    schema's builder on its values, making no record but a
+    counterexample's, and a run of records with a builder that returns its
+    one bound value, the record's formula, in a scope over the models'
+    (n, K).  A builder runs in a direct scope, one per run and view, on its
+    bound values, pool formulas and records' formulas evaluated on the
+    view; so no `Instances` builds an instance formula or a program, and
+    the subformulas its instances share are evaluated once per scope,
+    through its memo tables.  Evaluation is batched: one truth mask per
+    instance across the whole model list (see `_stacked`), each at the
+    width it reads.  A mask is dropped once no memo table or later
+    constructor holds it.  The reported counterexample is the run's first
+    failing instance in instantiation order, at its lowest (model, state)
+    pair; no instance after it is evaluated, and the state-determined ones
+    among them are counted from their formulas' read-sets.  A `TableGrid`
+    is stacked as it is, building no model but the counterexamples.  The
+    collector is paused throughout, and so while an `instantiate_all`
+    stream builds the instances.
     """
     with _collector_paused():
         if not isinstance(models, _stacked.TableGrid):
             models = list(models)
         ev = _stacked.StackedEvaluator(models)
-        runs = itertools.groupby(instances, attrgetter("schema"))
-        return SoundnessReport([_check_run(ev, list(run)) for _, run in runs])
+        return SoundnessReport([_check_run(ev, run) for run in _runs(instances)])
 
 
-def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> SchemaResult:
-    """The result of one run: its instances evaluated in order, by the
-    schema's builder, in direct scopes on `ev`'s view for the read-set
-    `reads` (`StackedEvaluator._view`).  A scope keeps the shape of
-    `reads` (`TableGrid.shape`), not its view's, so it raises
+def _runs(
+    instances: Iterable[AxiomInstance | Instances],
+) -> Iterator[Instances | list[AxiomInstance]]:
+    """The runs of `instances`: each non-empty `Instances`, and each
+    stretch of consecutive records of one schema as a list."""
+    if isinstance(instances, Instances):
+        instances = (instances,)
+    for key, group in itertools.groupby(instances, lambda item: type(item) is Instances or item.schema):
+        if key is True:
+            yield from filter(None, group)
+        else:
+            yield list(group)
+
+
+def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstance]) -> SchemaResult:
+    """The result of one run, from one loop over a builder and the tuples
+    of bound values of its instances: an `Instances`' schema builder, its
+    scope and its values, or for a list of records a builder returning its
+    one bound value, the record's formula, in a scope over `ev`'s (n, K)
+    with an empty pool.  The builder runs on each tuple in order, in a
+    direct scope over the scope's (n, K) and pool on `ev`'s view for the
+    read-set `reads` (`StackedEvaluator._view`), each bound value mapped
+    to what a builder takes by the direct scope's `lifted` table; the
+    counterexample's record is read from `run`.  A direct scope keeps the
+    shape of `reads` (`TableGrid.shape`), not its view's, so it raises
     `_stacked._Narrow` at what reads more than `reads` even where the view
     is wider, as where agent 1's view is the stack itself.  `reads` starts
-    empty; at an instance that raises it, the run resumes there, with
-    fresh scopes, on the view for what it needs: its outcome bit is kept,
+    empty; at an instance that raises it, the run resumes there, with a
+    fresh scope, on the view for what it needs: its outcome bit is kept,
     its agents replaced, so a run over agents 1 and 2 moves from agent 1's
     view to agent 2's, and joined if the same instance asks again, so an
     instance reading two agents lands on their joint view.  Each instance
     is evaluated on a view that decides it, and the ones before it keep
     the answers their own view gives."""
-    build = _TABLE.get(run[0].schema, (None, None))[1]  # None for a hand-built schema name
+    if isinstance(run, Instances):
+        build, scope, values = _TABLE[run.schema][1], run._scope, run._values
+    else:
+        build, values = lambda s, formula: formula, [(inst.formula,) for inst in run]
+        scope = _Scope(ev.space.n, ev.space.outcomes, ())
     reads = done = independent = 0
     raised = -1  # the index of the instance that last raised `_Narrow`
     hit = None
-    while hit is None and done < len(run):
-        view, scopes, last = ev._view(reads), {}, None  # an `instantiate` scope -> its direct one
-        direct = _stacked._Direct(view, ev.grid.shape(reads))
+    while hit is None and done < len(values):
+        view = ev._view(reads)
+        target = _Scope(scope.n, scope.outcomes, scope.pool, _stacked._Direct(view, ev.grid.shape(reads)))
+        lifted, full = target.lifted.__getitem__, view.full
         try:
-            for inst in itertools.islice(run, done, None):
-                scope = inst._scope
-                if scope is None:
-                    value = direct.lift(inst.formula)
-                else:
-                    if scope is not last:
-                        last, target = scope, scopes.get(scope)
-                        if target is None:
-                            target = scopes[scope] = _Scope(scope.n, scope.outcomes, scope.pool, direct)
-                    value = build(target, *map(target.lifted.__getitem__, inst._values))
+            for bound in itertools.islice(values, done, None):
+                value = build(target, *map(lifted, bound))
                 independent += not value.reads
                 done += 1
-                if value.mask != view.full:
-                    hit = ev._locate(view, view.full ^ value.mask)
+                if value.mask != full:
+                    hit = ev._locate(view, full ^ value.mask)
                     break
         except _stacked._Narrow as narrow:
             (need,) = narrow.args
             reads = reads | need if raised == done else reads & 1 | need
             raised = done
     if hit is not None:  # the instances after the failure are counted, not evaluated
-        independent += sum(not inst.formula.reads for inst in run[done:])
+        independent += sum(not build(scope, *bound).reads for bound in values[done:])
     return SchemaResult(
         schema=run[0].schema,
-        instances=len(run),
+        instances=len(values),
         models=len(ev.models),
         model_independent=independent,
         ok=hit is None,
@@ -605,14 +665,14 @@ def _check_run(ev: _stacked.StackedEvaluator, run: list[AxiomInstance]) -> Schem
 # builder runs, keeping only the masks its scope's memo tables hold, so
 # the product bounds mainly the run time.  At (4,2) over 1008 sampled
 # models (63 outcome functions, each with its 16 true profiles) comp-At
-# reaches 2.0e8: its 150,528 records take about 0.3 s to make and 0.35 s
-# to check, to a peak of 44 MiB, and the whole `axioms` command takes
-# about 1.1 s and peaks at 43 MiB.  At (3,3) over 1080 sampled models antisym' and total'
-# reach 9.1e8: 139,968 instances each, which share per-profile
-# subformulas, each checked on the 6 true profiles of its agent's
-# rankings per outcome function; the whole command takes 4.6-6.7 s and
-# peaks at 59 MiB.  At (2,4) over 1152 sampled models they reach 1.8e10,
-# and the sweep is refused.
+# reaches 2.0e8: its 150,528 bindings take about 0.04 s to list and
+# 0.26 s to check, to a peak of 31 MiB, and the whole `axioms` command
+# takes about 0.5-0.8 s and peaks at 32 MiB.  At (3,3) over 1080 sampled
+# models antisym' and total' reach 9.1e8: 139,968 instances each, which
+# share per-profile subformulas, each checked on the 6 true profiles of
+# its agent's rankings per outcome function; the whole command takes
+# 3.0-4.0 s and peaks at 38 MiB.  At (2,4) over 1152 sampled models they
+# reach 1.8e10, and the sweep is refused.
 SWEEP_LIMIT = 5 * 10**9
 
 

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from scflogic import _stacked, cli, decision
+from scflogic import _stacked, cli, decision, logic
 from scflogic import (
     InvalidDomain,
     KripkeScf,
@@ -219,7 +219,7 @@ def test_soundness_reports_a_planted_instance_where_a_scan_does():
     planted in the middle of them is reported at the (model, state) where
     a per-instance relational scan finds its first failure."""
     models = sample_models(2, K3, 40, seed=5)
-    group = instantiate("T(i)", 2, K3, SMALL_POOL)
+    group = list(instantiate("T(i)", 2, K3, SMALL_POOL))
     planted = AxiomInstance("T(i)", {"i": 1}, Implies(Out("a"), Box({1}, Out("a"))))
     group.insert(len(group) // 2, planted)
     (result,) = soundness_check(group, models).results
@@ -253,22 +253,22 @@ def test_instantiate_all_builds_a_schema_when_the_stream_reaches_it(monkeypatch)
 def test_sweep_drops_each_schema_once_checked(monkeypatch):
     """Over the `instantiate_all` stream, `soundness_check` holds the
     schema being checked and the next one only: whenever the stream starts
-    building a schema, no instance of the non-empty schemas two or more
+    building a schema, no `Instances` of the non-empty schemas two or more
     back is alive."""
     from scflogic import axioms
 
     pool = SMALL_POOL + (Rep(1, "b", "a"), Out("b"))
-    built = []  # per non-empty schema so far, weak references to its instances
+    built = []  # per non-empty schema so far, a weak reference to its instances
     alive = []  # per schema built after the first two non-empty ones
     real = axioms.instantiate
 
     def tracked(schema, *args):
         gc.collect()
         if len(built) >= 2:
-            alive.append(sum(ref() is not None for refs in built[:-1] for ref in refs))
+            alive.append(sum(ref() is not None for ref in built[:-1]))
         out = real(schema, *args)
         if out:
-            built.append([weakref.ref(inst) for inst in out])
+            built.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(axioms, "instantiate", tracked)
@@ -279,8 +279,8 @@ def test_sweep_drops_each_schema_once_checked(monkeypatch):
 
 def test_soundness_checks_each_run_of_a_schema_apart():
     """A schema whose instances come in two separate runs gets two results."""
-    refl = instantiate("refl", 2, K2, ())
-    trans = instantiate("trans", 2, K2, ())
+    refl = list(instantiate("refl", 2, K2, ()))
+    trans = list(instantiate("trans", 2, K2, ()))
     report = soundness_check(refl[:1] + trans + refl[1:], list(enumerate_models(2, K2)))
     assert [(r.schema, r.instances) for r in report.results] == [
         ("refl", 1), ("trans", len(trans)), ("refl", len(refl) - 1)
@@ -585,10 +585,12 @@ def test_emitted_runs_match_the_formula_path(n, outcomes):
         if not run:
             continue
         stacks = _stacks(n, outcomes)
-        reports = [soundness_check(run, stack) for stack in stacks]
+        with logic._collector_paused():
+            interned = set(logic._interned)
+            reports = [soundness_check(run, stack) for stack in stacks]
+            assert set(logic._interned) <= interned, schema
         evs = [_stacked.StackedEvaluator(stack) for stack in stacks]
         direct = [_direct_values(ev, run) for ev in evs]
-        assert all(not hasattr(inst, "_formula") for inst in run)
         for ev, report, found in zip(evs, reports, direct):
             for inst, (view, value) in zip(run, found, strict=True):
                 reads = inst.formula.reads
@@ -643,7 +645,7 @@ def test_runs_mixed_with_unsound_instances_fail_where_the_formulas_do(n, outcome
     pool = tuple(parse(text, (n, outcomes)) for text in EMISSION_POOLS[n, outcomes])
     planted = [parse(text, (n, outcomes)) for text in UNSOUND]
     for s, schema in enumerate(SCHEMAS):
-        run = instantiate(schema, n, outcomes, pool)
+        run = list(instantiate(schema, n, outcomes, pool))
         for k, formula in enumerate(planted[s % 3 :: 3]):
             run.insert((k + 1) * len(run) // 3, AxiomInstance(schema, {}, formula))
         for stack in _stacks(n, outcomes):
@@ -688,7 +690,7 @@ def test_a_run_widens_its_view_where_its_reads_rise(monkeypatch, middle, last):
     many runs it checks."""
     from scflogic import axioms
 
-    records = instantiate("exclu", 2, K2, default_pool(2, K2))
+    records = list(instantiate("exclu", 2, K2, default_pool(2, K2)))
     assert not any(inst.formula.reads for inst in records)
     half = len(records) // 2
     planted = [AxiomInstance("exclu", {}, parse(text, (2, K2))) for text in (middle, last)]
@@ -802,24 +804,158 @@ def test_a_sweep_leaves_no_garbage_cycles():
 def test_instantiate_builds_records_and_a_formula_only_when_read():
     """`instantiate` adds no node to the intern table but its binder
     domains' own atoms; reading one record's formula builds that formula
-    only; a formula read is kept, and a record equals its hand-built twin."""
-    from scflogic import logic
+    only; a formula read is kept by its record, a record read again
+    rebuilds it as the same node, and a record equals its hand-built
+    twin."""
 
     pool = tuple(parse(text, (2, K3)) for text in DIGEST_POOL_23)
     for schema in SCHEMAS:
         with logic._collector_paused():
             before = set(logic._interned)
             run = instantiate(schema, 2, K3, pool)
-            added = set(logic._interned) - before
-            assert all(key[0] is Rep for key in added), schema
+            atoms = set(logic._interned) - before
+            assert all(key[0] is Rep for key in atoms), schema
             if len(run) < 2:
                 continue
-            formula = run[1].formula
-            added = set(logic._interned) - before
+            second = run[1]
+            formula = second.formula
+            added = set(logic._interned) - before - atoms
             assert len(added) <= sum(1 for _ in formula.subformulas()), schema
-            assert not any(hasattr(inst, "_formula") for inst in run[:1] + run[2:])
-            assert run[1].formula is formula
-            twin = AxiomInstance(schema, run[1].bindings, formula)
-            assert twin == run[1] and hash(twin) == hash(run[1])
+            assert not any(hasattr(inst, "_formula") for inst in [*run[:1], *run[2:]])
+            assert second.formula is formula and run[1].formula is formula
+            twin = AxiomInstance(schema, second.bindings, formula)
+            assert twin == second and hash(twin) == hash(second)
             assert run[0] == AxiomInstance(schema, run[0].bindings, run[0].formula)
-            del run, formula, twin
+            del run, second, formula, twin
+
+
+def test_instantiate_calls_no_builder_and_makes_no_record_until_read(monkeypatch):
+    """`instantiate` runs no builder and makes no record: it holds the
+    bound values of each binding.  Each item read is made then, once per
+    read, and is the record the list of records held before: the same
+    schema, bindings, formula and description as a record filled in from
+    the same binding by the formula scope's builder.  Reading the items'
+    formulas runs the builder once per item."""
+    from scflogic import axioms
+
+    calls, fills = [], []
+    fill = axioms._fill
+    monkeypatch.setattr(axioms, "_fill", lambda *args: fills.append(args[1]) or fill(*args))
+    for schema in SCHEMAS:
+        binders, build = axioms._TABLE[schema]
+        monkeypatch.setitem(
+            axioms._TABLE, schema, (binders, lambda s, *v, build=build: calls.append(v) or build(s, *v))
+        )
+    for n, outcomes in ((2, K2), (1, K3), (2, K3)):
+        pool = default_pool(n, outcomes)
+        for schema in SCHEMAS:
+            del calls[:], fills[:]
+            run = instantiate(schema, n, outcomes, pool)
+            assert calls == [] and fills == [], schema
+            scope = axioms._Scope(n, outcomes, pool)
+            binders, build = axioms._TABLE[schema]
+            names = tuple(binders.replace(",", " ").split())
+            expected = [
+                AxiomInstance(schema, dict(zip(names, values)), build(scope, *values))
+                for values in axioms._bindings(scope, binders)
+            ]
+            del calls[:], fills[:]
+            picks = sorted({0, len(run) // 2, len(run) - 1}) if run else []
+            for k in picks:
+                inst = run[k]
+                assert type(inst) is AxiomInstance and calls == []
+                assert inst.schema == expected[k].schema == schema
+                assert list(inst.bindings.items()) == list(expected[k].bindings.items())
+                assert inst.formula is expected[k].formula and len(calls) == 1
+                assert inst.describe() == expected[k].describe() and inst == expected[k]
+                del calls[:]
+            assert fills == [schema] * len(picks)
+            assert len(run) == len(expected) and run == expected
+            assert len(calls) == len(fills) - len(picks) == len(expected)
+
+
+def test_instances_read_as_the_list_of_their_records():
+    """An `Instances` has the length of its records, indexes and iterates
+    them, slices to the `Instances` of the slice, and equals the list of
+    its records, in either order, as a list does; it is not hashable."""
+    run = instantiate("confl", 3, K2, SMALL_POOL)
+    records = list(run)
+    assert len(run) == len(records) == 24
+    assert run[-1] == records[-1] and run[5] == records[5]
+    with pytest.raises(IndexError):
+        run[len(run)]
+    part = run[3:11:2]
+    assert type(part) is type(run) and part == records[3:11:2] and len(part) == 4
+    assert run == records and records == run and run == run[:] and run != records[1:]
+    assert run != tuple(records) and records[2] in run and run.index(records[2]) == 2
+    assert run[:0] == [] and not run[:0]
+    with pytest.raises(TypeError):
+        hash(run)
+
+
+def _summary(report):
+    """Everything a report says, the counterexample as its description,
+    model and state."""
+    return [
+        (
+            r.schema, r.instances, r.models, r.model_independent, r.ok,
+            r.counterexample and (r.counterexample[0].describe(), *r.counterexample[1:]),
+        )
+        for r in report.results
+    ]
+
+
+# label -> (n, K, the models); the pools are the default ones
+EQUIVALENCE_SCALES = {
+    "(2,2)": (2, K2, lambda: list(enumerate_models(2, K2))),
+    "(1,3)": (1, K3, lambda: list(enumerate_models(1, K3))),
+    "(2,3) sampled": (2, K3, lambda: sample_models(2, K3, 60, seed=41)),
+}
+
+# schema -> an unsound builder put in its place, as (binders, builder)
+BROKEN = {
+    "B(i)": ("i phi", lambda s, i, phi: s.Implies(phi, s.box[s.single[i], phi])),
+    "4(pref)": ("i phi", lambda s, i, phi: s.Implies(s.pref[i, phi], phi)),
+    "total'": (
+        "i profile1 profile2",
+        lambda s, i, p1, p2: s.Diamond(s.grand, s.And(s.ballot[p1], s.pref[i, s.ballot[p2]])),
+    ),
+    "exclu": ("i,j p", lambda s, i, j, p: s.Implies(s.dia[s.single[i], p], s.box[s.single[j], p])),
+}
+
+
+@pytest.mark.parametrize("scale", list(EQUIVALENCE_SCALES))
+def test_instances_and_their_records_check_alike(monkeypatch, scale):
+    """`soundness_check` of an `Instances`, from its bound values, reports
+    what it reports for the list of its records, from their formulas:
+    every schema's count of instances, models and state-determined
+    instances and its verdict, and where a schema is made unsound, its
+    first failure's instance, model and state.  A stream of `instantiate_all`'s
+    `Instances` with hand-built records between them, unsound ones among
+    them, reports what the list of all its records does."""
+    from scflogic import axioms
+
+    n, outcomes, stack = EQUIVALENCE_SCALES[scale]
+    models = stack()
+    pool = default_pool(n, outcomes)
+    for schema in SCHEMAS:
+        run = instantiate(schema, n, outcomes, pool)
+        assert _summary(soundness_check(run, models)) == _summary(soundness_check(list(run), models)), schema
+    failed = set()
+    with monkeypatch.context() as patch:
+        for schema, entry in BROKEN.items():
+            patch.setitem(axioms._TABLE, schema, entry)
+            run = instantiate(schema, n, outcomes, pool)
+            summary = _summary(soundness_check(run, models))
+            assert summary == _summary(soundness_check(list(run), models)), schema
+            failed |= {r[0] for r in summary if not r[4]}
+    assert failed == set(BROKEN) - ({"exclu"} if n == 1 else set())
+    planted = AxiomInstance("planted", {}, parse("pref(1) a -> a", (n, outcomes)))
+    bogus = [AxiomInstance("func1", {}, Out("b")), AxiomInstance("func1", {}, Rep(1, "a", "b"))]
+    stream = [*instantiate_all(n, outcomes, pool)]
+    stream[3:3] = [planted]
+    stream[-1:-1] = bogus
+    records = [inst for item in stream for inst in ([item] if type(item) is AxiomInstance else item)]
+    report = soundness_check(stream, models)
+    assert _summary(report) == _summary(soundness_check(records, models))
+    assert [r.ok for r in report.results if r.schema in ("planted", "func1")] == [False, True, False]

@@ -586,7 +586,7 @@ def test_the_intern_table_returns_to_its_size_once_a_build_is_dropped(n, outcome
     gc.collect()
     baseline = len(logic._interned)
     with logic._collector_paused():
-        instances = instantiate(schema, n, outcomes, pool)
+        instances = list(instantiate(schema, n, outcomes, pool))
         assert all(inst.formula for inst in instances)
         built = len(logic._interned) - baseline
         del instances
