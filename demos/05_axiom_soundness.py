@@ -26,7 +26,7 @@ print(f"metavariable pool: {len(pool)} formulas")
 # the instances stream in schema by schema, each schema checked and dropped
 # before the one after next is built
 start = time.perf_counter()
-models = list(enumerate_models(2, K))
+models = enumerate_models(2, K)
 report = soundness_check(instantiate_all(2, K), models)
 print(f"instances over (n=2, K={{a,b}}): {sum(r.instances for r in report.results)}")
 print(f"\ninstantiated and checked against all 64 models in"

@@ -88,10 +88,11 @@ by property tests.
 
 from __future__ import annotations
 
+import collections.abc
 import weakref
 from functools import lru_cache
 from itertools import chain, cycle, repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
 from .core import all_profiles
@@ -173,10 +174,8 @@ class _StateSpace:
     def rank_blocks(self, truths: Sequence[Profile]) -> list[list[dict[str, int]]]:
         """Per agent and rank r, per outcome: one bit per true profile t of
         `truths`, at bit t*S, set where t ranks the outcome at r for the
-        agent.  The blocks of all S profiles in order, and of each agent
+        agent.  The blocks of this space's `profiles`, and of each agent
         set's first truths among them (`narrowing`), are built once."""
-        if truths == self.profiles:
-            truths = self.profiles
         blocks = self._blocks.get(id(truths))
         if blocks is None:
             blocks = [[dict.fromkeys(self.outcomes, 0) for _ in self.outcomes] for _ in range(self.n)]
@@ -194,14 +193,16 @@ def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
     return _StateSpace(n, outcomes)
 
 
-class TableGrid(Sequence[ScfModel]):
+class TableGrid(collections.abc.Sequence):
     """The models of outcome-function rows over (n, K), each with one
     sequence of true profiles (all S in order by default), table outer,
-    truth inner.  A model is built only when its index is read;
-    `StackedEvaluator` stacks a grid per row without reading any.  A grid
-    `narrowed` from another holds in `kept` the indices of its truths
-    among the other's and in `keeps` its shape, the read-set it decides as
-    the other does; they are None and -1 on any other grid."""
+    truth inner: the one code that pairs a row with a truth.  A model is
+    built only when its index is read, or when iteration reaches it, the
+    models of a row then sharing one table; `StackedEvaluator` stacks a
+    grid per row without reading any.  A grid `narrowed` from another
+    holds in `kept` the indices of its truths among the other's and in
+    `keeps` its shape, the read-set it decides as the other does; they are
+    None and -1 on any other grid."""
 
     kept: tuple[int, ...] | None = None
     keeps = -1
@@ -222,6 +223,12 @@ class TableGrid(Sequence[ScfModel]):
     def __getitem__(self, index: int) -> ScfModel:
         row, truth = divmod(index, len(self.truths))
         return ScfModel(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
+
+    def __iter__(self) -> Iterator[ScfModel]:
+        for values in self.rows:
+            table = ScfTable(self.n, self.outcomes, values)
+            for truth in self.truths:
+                yield ScfModel(table, truth)
 
     def shape(self, reads: int) -> int:
         """The shape of the grid narrowed for `reads`, the read-set it
@@ -264,7 +271,9 @@ def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
     to a table change or a repeat of the first model's truth.  Tables and
     truths are compared by identity first, as the models of one row
     usually share their table and the rows their truths, and by value
-    only where identity fails."""
+    only where identity fails.  Truths that are all S profiles in order
+    are read as the space's own `profiles`, whose narrowings and rank
+    blocks the space keeps."""
     first = models[0]
     table, n, outcomes = first.table, first.n, first.outcomes
     for model in models:
@@ -295,7 +304,8 @@ def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
             " outcome function with the first run's true profiles in order"
         )
     rows = [table.values for table in tables]
-    return TableGrid(n, outcomes, rows, truths)
+    profiles = _space(n, outcomes).profiles
+    return TableGrid(n, outcomes, rows, profiles if truths == profiles else truths)
 
 
 def _stack(small_masks: Sequence[int], block_bits: int) -> int:

@@ -564,11 +564,13 @@ def soundness_check(
     Every run is checked by the one loop of `_check_run`, over a builder
     and the bound-value tuples of its instances: an `Instances` with its
     schema's builder on its values, making no record but a
-    counterexample's, and a run of records with a builder that returns its
-    one bound value, the record's formula, in a scope over the models'
-    (n, K).  A builder runs in a direct scope, one per run and view, on its
-    bound values, pool formulas and records' formulas evaluated on the
-    view; so no `Instances` builds an instance formula or a program, and
+    counterexample's, a run of records that one `instantiate` call made
+    the same way, on their values, and a run of other records with a
+    builder that returns its one bound value, the record's formula, in a
+    scope over the models' (n, K).  A builder runs in a direct scope, one
+    per run and view, on its bound values, pool formulas and hand-built
+    records' formulas evaluated on the view; so no `Instances`, nor a list
+    of its records, builds an instance formula or a program, and
     the subformulas its instances share are evaluated once per scope,
     through its memo tables.  Evaluation is batched: one truth mask per
     instance across the whole model list (see `_stacked`), each at the
@@ -605,13 +607,15 @@ def _runs(
 def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstance]) -> SchemaResult:
     """The result of one run, from one loop over a builder and the tuples
     of bound values of its instances: an `Instances`' schema builder, its
-    scope and its values, or for a list of records a builder returning its
-    one bound value, the record's formula, in a scope over `ev`'s (n, K)
-    with an empty pool.  The builder runs on each tuple in order, in a
-    direct scope over the scope's (n, K) and pool on `ev`'s view for the
-    read-set `reads` (`StackedEvaluator._view`), each bound value mapped
-    to what a builder takes by the direct scope's `lifted` table; the
-    counterexample's record is read from `run`.  A direct scope keeps the
+    scope and its values; the same for a list of records that all hold one
+    scope, that of the `instantiate` call that made them; or for any other
+    list of records a builder returning its one bound value, the record's
+    formula, in a scope over `ev`'s (n, K) with an empty pool.  The
+    builder runs on each tuple in order, in a direct scope over the
+    scope's (n, K) and pool on `ev`'s view for the read-set `reads`
+    (`StackedEvaluator._view`), each bound value mapped to what a builder
+    takes by the direct scope's `lifted` table; the counterexample's
+    record is read from `run`, so it is the caller's own.  A direct scope keeps the
     shape of `reads` (`TableGrid.shape`), not its view's, so it raises
     `_stacked._Narrow` at what reads more than `reads` even where the view
     is wider, as where agent 1's view is the stack itself.  `reads` starts
@@ -624,6 +628,9 @@ def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstanc
     the answers their own view gives."""
     if isinstance(run, Instances):
         build, scope, values = _TABLE[run.schema][1], run._scope, run._values
+    elif run[0]._scope is not None and all(inst._scope is run[0]._scope for inst in run):
+        build, scope = _TABLE[run[0].schema][1], run[0]._scope
+        values = [inst._values for inst in run]
     else:
         build, values = lambda s, formula: formula, [(inst.formula,) for inst in run]
         scope = _Scope(ev.space.n, ev.space.outcomes, ())
@@ -713,8 +720,10 @@ def pref_necessitation_holds(
     models, each on the view its read-set narrows to (`first_failure`):
     the grand-coalition box [N] reads every state of a model, so a formula
     fails in a model exactly when phi is valid there and its pref-box for
-    i is not."""
-    models = list(models)
+    i is not.  A `TableGrid` is stacked as it is, as `soundness_check`
+    stacks one."""
+    if not isinstance(models, _stacked.TableGrid):
+        models = list(models)
     if not models:
         return True
     ev = _stacked.StackedEvaluator(models)

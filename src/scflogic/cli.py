@@ -312,7 +312,7 @@ def _failure_json(counterexample: Optional[tuple]) -> Optional[dict]:
 def cmd_axioms(args: argparse.Namespace) -> int:
     outcomes = _parse_outcomes(args.outcomes)
     try:
-        models = decision.enumerate_grid(args.agents, outcomes, args.budget)
+        models = decision.enumerate_models(args.agents, outcomes, args.budget)
         source = f"all {len(models)} models"
     except decision.BudgetExceeded as exc:
         models = decision.sample_models(args.agents, outcomes, 1000, args.seed, args.budget)

@@ -10,11 +10,11 @@ with every true profile, as one stacked `TableGrid` (see `_stacked`), so
 no model is built but the witness or counterexample; the lowest hit bit
 of the first chunk with a hit is the first model in enumeration order and
 its lowest state, so witnesses and counterexamples stay canonical.
-`enumerate_grid` holds the whole class as one such grid, for sweeps that
-check every model, such as the `axioms` command.  Where the class is too
-large to enumerate, `sample_models` draws whole rows instead: seeded
-outcome functions, each with every true profile, so a sample is a grid
-too.
+`enumerate_models` returns the whole class as one such grid, which sweeps
+that check every model, such as the `axioms` command, stack as it is.
+Where the class is too large to enumerate, `sample_models` draws whole
+rows instead: seeded outcome functions, each with every true profile, the
+models of a grid of those rows.
 
 The enumeration reads only what the formula reads (its read-set,
 `Formula.reads`), by the one rule `TableGrid.narrowed` keeps.  A formula
@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import _stacked
 from ._stacked import Evaluator
@@ -61,7 +61,6 @@ from .core import (
     ScfModel,
     ScfTable,
     _bounded_size,
-    all_profiles,
     num_states,
 )
 from .encodings import PropertyId, property_formula
@@ -71,7 +70,6 @@ __all__ = [
     "BudgetExceeded",
     "Verdict",
     "enumerate_models",
-    "enumerate_grid",
     "sample_models",
     "representative_model",
     "satisfiable",
@@ -160,27 +158,12 @@ def _check_budget(n: int, outcomes: Sequence[str], budget: int, unit: str = "mod
 
 def enumerate_models(
     n: int, outcomes: Sequence[str], budget: int = DEFAULT_BUDGET
-) -> Iterator[ScfModel]:
-    """Every model over (n, K) exactly once: outcome functions in
-    mixed-radix order over the canonical state order, true profiles inner.
-    Raises `BudgetExceeded` before building any model if the class has
-    more than `budget` models."""
-    names = tuple(outcomes)
-    _check_budget(n, names, budget)
-    profiles = all_profiles(n, names)
-    for values in itertools.product(names, repeat=len(profiles)):
-        table = ScfTable(n, names, values)
-        for truth in profiles:
-            yield ScfModel(table, truth)
-
-
-def enumerate_grid(
-    n: int, outcomes: Sequence[str], budget: int = DEFAULT_BUDGET
 ) -> _stacked.TableGrid:
-    """Every model over (n, K) as one `TableGrid`, in `enumerate_models`
-    order: outcome-function rows, each with every true profile.  No model
-    is built until an index is read.  Raises `BudgetExceeded` as
-    `enumerate_models` does."""
+    """Every model over (n, K) exactly once, as one `TableGrid`: outcome
+    functions in mixed-radix order over the canonical state order, each
+    row with every true profile, truths inner.  No model is built until
+    one is read.  Raises `BudgetExceeded` before laying out any row if the
+    class has more than `budget` models."""
     names = tuple(outcomes)
     _check_budget(n, names, budget)
     return _stacked.TableGrid(n, names, list(itertools.product(names, repeat=num_states(n, names))))
@@ -196,25 +179,22 @@ def sample_models(
     """Deterministic sample of models drawn as whole rows: ceil(count/S)
     outcome functions from a seeded generator, each paired with every one
     of the S true profiles in canonical order (table outer, truth inner,
-    as `enumerate_models` orders them), so the sample is a grid.  Raises
-    `BudgetExceeded` before building any state if one model's states
-    exceed `budget`, a count of models."""
+    as `enumerate_models` orders them), the models of the `TableGrid` of
+    those rows.  Raises `BudgetExceeded` before building any state if one
+    model's states exceed `budget`, a count of models."""
     names = tuple(outcomes)
     _check_budget(n, names, budget, "one model")
-    profiles = all_profiles(n, names)
+    states = num_states(n, names)
     rng = random.Random(seed)
-    picked = []
-    for _ in range(-(-count // len(profiles))):
-        table = ScfTable(n, names, tuple(rng.choice(names) for _ in profiles))
-        picked += [ScfModel(table, truth) for truth in profiles]
-    return picked
+    rows = [tuple(rng.choice(names) for _ in range(states)) for _ in range(-(-count // states))]
+    return list(_stacked.TableGrid(n, names, rows))
 
 
 def representative_model(n: int, outcomes: Sequence[str]) -> ScfModel:
     """The first model in enumeration order over (n, K); enough to decide
     any formula whose truth is state-determined."""
-    table = ScfTable.from_function(n, outcomes, lambda _: outcomes[0])
-    return ScfModel(table, table.profiles[0])
+    names = tuple(outcomes)
+    return _stacked.TableGrid(n, names, [names[:1] * num_states(n, names)])[0]
 
 
 # widest stacked mask, in bits, that one chunk of an enumeration may use

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from scflogic import _stacked, cli, decision, logic
+from scflogic import _stacked, cli, logic
 from scflogic import (
     InvalidDomain,
     KripkeScf,
@@ -180,8 +180,8 @@ def test_soundness_all_64_models_small_pool():
 
 
 def test_soundness_check_stacks_a_grid_as_it_is():
-    """Over `enumerate_grid` the report is the one over the enumerated
-    model list, counterexamples included, and the only models built are
+    """Over `enumerate_models`' grid the report is the one over the list of
+    its models, counterexamples included, and the only models built are
     the counterexamples, one per failing run."""
     reads = []
 
@@ -190,7 +190,7 @@ def test_soundness_check_stacks_a_grid_as_it_is():
             reads.append(index)
             return super().__getitem__(index)
 
-    grid = decision.enumerate_grid(2, K2)
+    grid = enumerate_models(2, K2)
     grid = CountingGrid(grid.n, grid.outcomes, grid.rows)
     bogus = [AxiomInstance("func1", {}, Out("a")), AxiomInstance("func2", {}, Out("b"))]
     instances = [*instantiate_all(2, K2, SMALL_POOL), *bogus]
@@ -352,6 +352,37 @@ def _necessitation_scan(models, pool, box):
                     if not all(eval_kripke(km, v, box(agent, phi)) for v in states):
                         return False, premises
     return True, premises
+
+
+def test_pref_necessitation_stacks_a_grid_as_it_is(monkeypatch):
+    """On `enumerate_models`' grid the rule gets the verdict it gets on the
+    list of its models, with a sound and with a broken box, and a passing
+    check reads no model of the grid."""
+    from scflogic import axioms
+
+    reads = []
+
+    class CountingGrid(TableGrid):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+    for n, outcomes in ((2, K2), (1, K3)):
+        models = enumerate_models(n, outcomes)
+        grid = CountingGrid(n, outcomes, models.rows)
+        pool = default_pool(n, outcomes)
+        assert pref_necessitation_holds(grid, pool) and pref_necessitation_holds(list(models), pool)
+        assert reads == []
+        with monkeypatch.context() as patch:
+            patch.setattr(axioms, "PrefBox", lambda agent, phi: Pref(agent, Not(phi)))
+            assert not pref_necessitation_holds(grid, pool)
+            assert not pref_necessitation_holds(list(models), pool)
+        assert "iter" not in reads
+        reads.clear()
 
 
 def test_pref_necessitation_holds_on_whole_classes(monkeypatch):
@@ -932,7 +963,9 @@ def test_instances_and_their_records_check_alike(monkeypatch, scale):
     instances and its verdict, and where a schema is made unsound, its
     first failure's instance, model and state.  A stream of `instantiate_all`'s
     `Instances` with hand-built records between them, unsound ones among
-    them, reports what the list of all its records does."""
+    them, reports what the list of all its records does.  Copies of the
+    records built by hand, which hold their formulas, are checked from
+    those formulas and report the same."""
     from scflogic import axioms
 
     n, outcomes, stack = EQUIVALENCE_SCALES[scale]
@@ -940,7 +973,9 @@ def test_instances_and_their_records_check_alike(monkeypatch, scale):
     pool = default_pool(n, outcomes)
     for schema in SCHEMAS:
         run = instantiate(schema, n, outcomes, pool)
-        assert _summary(soundness_check(run, models)) == _summary(soundness_check(list(run), models)), schema
+        summary = _summary(soundness_check(run, models))
+        assert summary == _summary(soundness_check(list(run), models)), schema
+        assert summary == _summary(soundness_check(_by_hand(run), models)), schema
     failed = set()
     with monkeypatch.context() as patch:
         for schema, entry in BROKEN.items():
@@ -948,6 +983,7 @@ def test_instances_and_their_records_check_alike(monkeypatch, scale):
             run = instantiate(schema, n, outcomes, pool)
             summary = _summary(soundness_check(run, models))
             assert summary == _summary(soundness_check(list(run), models)), schema
+            assert summary == _summary(soundness_check(_by_hand(run), models)), schema
             failed |= {r[0] for r in summary if not r[4]}
     assert failed == set(BROKEN) - ({"exclu"} if n == 1 else set())
     planted = AxiomInstance("planted", {}, parse("pref(1) a -> a", (n, outcomes)))
@@ -958,4 +994,37 @@ def test_instances_and_their_records_check_alike(monkeypatch, scale):
     records = [inst for item in stream for inst in ([item] if type(item) is AxiomInstance else item)]
     report = soundness_check(stream, models)
     assert _summary(report) == _summary(soundness_check(records, models))
+    assert _summary(report) == _summary(soundness_check(_by_hand(records), models))
     assert [r.ok for r in report.results if r.schema in ("planted", "func1")] == [False, True, False]
+
+
+def _by_hand(records):
+    """Copies of `records` built by hand, each holding its formula."""
+    return [AxiomInstance(inst.schema, inst.bindings, inst.formula) for inst in records]
+
+
+def test_a_list_of_one_call_s_records_checks_from_their_values(monkeypatch):
+    """A list of the records that one `instantiate` call made is checked as
+    that `Instances` is, by the schema's builder on the records' bound
+    values: after a passing check no record holds its formula, and the
+    report is the `Instances`' report.  Where the schema is made unsound,
+    the counterexample is the caller's own record."""
+    from scflogic import axioms
+
+    models = list(enumerate_models(2, K2))
+    pool = default_pool(2, K2)
+    for schema in ("comp-At", "K(pref)", "exclu", "total'"):
+        run = instantiate(schema, 2, K2, pool)
+        records = list(run)
+        report = soundness_check(records, models)
+        assert report.ok, schema
+        assert not any(hasattr(inst, "_formula") for inst in records), schema
+        assert _summary(report) == _summary(soundness_check(run, models)), schema
+    with monkeypatch.context() as patch:
+        patch.setitem(axioms._TABLE, "B(i)", BROKEN["B(i)"])
+        run = instantiate("B(i)", 2, K2, pool)
+        records = list(run)
+        report = soundness_check(records, models)
+        assert not report.ok
+        assert any(report.results[0].counterexample[0] is inst for inst in records)
+        assert _summary(report) == _summary(soundness_check(run, models))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scflogic import axioms, decision
+from scflogic import _stacked, axioms, core, decision
 from scflogic import (
     BudgetExceeded,
     ScfModel,
@@ -76,15 +76,25 @@ def test_budget_exceeded_at_k3():
     assert err.value.required_models == 3**36 * 36
     with pytest.raises(BudgetExceeded):
         list(enumerate_models(2, K2, 10))
-    for n, outcomes, budget in ((2, K3, decision.DEFAULT_BUDGET), (2, K2, 10)):
-        with pytest.raises(BudgetExceeded):
-            decision.enumerate_grid(n, outcomes, budget)
 
 
-def test_enumerate_grid_holds_the_enumerated_models_in_order():
+def test_enumerate_models_is_the_class_in_order():
+    """`enumerate_models` is the class's `TableGrid`, and its length, order,
+    tables and truths are those of a nested build: outcome functions in
+    mixed-radix order over the canonical states, each with every true
+    profile, truths inner."""
     for n, outcomes in ((1, K2), (2, K2), (1, K3), (3, K2)):
-        grid = decision.enumerate_grid(n, outcomes)
-        assert list(grid) == list(enumerate_models(n, outcomes))
+        grid = enumerate_models(n, outcomes)
+        assert type(grid) is _stacked.TableGrid
+        profiles = all_profiles(n, outcomes)
+        built = [
+            (ScfTable(n, outcomes, values), truth)
+            for values in itertools.product(outcomes, repeat=len(profiles))
+            for truth in profiles
+        ]
+        assert len(grid) == len(built)
+        assert [(model.table, model.truth) for model in grid] == built
+        assert [(grid[i].table, grid[i].truth) for i in range(0, len(grid), 7)] == built[::7]
 
 
 def test_satisfiable_examples(h_table):
@@ -249,6 +259,20 @@ def test_representative_model_shape():
     model = representative_model(2, K3)
     assert model.table.values == ("a",) * 36
     assert model.truth == all_profiles(2, K3)[0]
+    for n, outcomes in ((1, K2), (2, K2), (1, K3), (3, K2)):
+        assert representative_model(n, outcomes) == enumerate_models(n, outcomes)[0]
+
+
+def test_sample_models_draws_the_seeded_rows():
+    """A sample's rows are the seeded generator's draws, one outcome per
+    state, row after row, each row with every true profile in order."""
+    for seed in (0, 4):
+        for n, outcomes, count in ((2, K3, 100), (2, K2, 9), (1, K3, 6)):
+            profiles = all_profiles(n, outcomes)
+            rng = random.Random(seed)
+            rows = [tuple(rng.choice(outcomes) for _ in profiles) for _ in range(-(-count // len(profiles)))]
+            models = sample_models(n, outcomes, count, seed=seed)
+            assert [(m.table.values, m.truth) for m in models] == [(row, t) for row in rows for t in profiles]
 
 
 def _per_model_scan(table, prop):
@@ -553,7 +577,11 @@ def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):
     def no_states(*args):
         raise AssertionError("a state was built")
 
-    monkeypatch.setattr(decision, "all_profiles", no_states)
+    def no_rows(*args):
+        raise AssertionError("a row was laid out")
+
+    monkeypatch.setattr(core, "_profiles", no_states)
+    monkeypatch.setattr(decision._stacked, "TableGrid", no_rows)
     small = 100
     rep_ab = Rep(1, "a", "b")
     # a state-determined formula needs one model: 216 states at (3,3)
@@ -563,6 +591,9 @@ def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):
         assert str(err.value) == "one model has 216 states, budget allows 100 models"
     with pytest.raises(BudgetExceeded):
         sample_models(3, K3, 10, budget=small)
+    for n, outcomes, budget in ((2, K2, 10), (1, K3, small)):
+        with pytest.raises(BudgetExceeded):
+            enumerate_models(n, outcomes, budget)
     # (10,3) has 3^60466176 * 60466176 models; (1000,3) more states than
     # fit in a short decimal
     for n, states in ((10, "60466176"), (1000, "3!^1000")):

@@ -301,8 +301,8 @@ def test_stacked_evaluator_matches_per_model():
 def test_a_table_grid_stacks_as_its_models_do():
     """A grid of outcome-function rows is stacked without building its
     models, yet each block of a stacked mask is the relational extension
-    of the model at that index, and those models are `enumerate_models`'
-    from the grid's first row on."""
+    of the model at that index, and those models are the enumeration's
+    from the grid's first row on, each row with every true profile."""
     k4 = ("a", "b", "c", "d")
     # (n, K, first row in enumeration order, row count): one row, a middle
     # run, and at (1,3) the partial last chunk of an enumeration (rows
@@ -317,10 +317,10 @@ def test_a_table_grid_stacks_as_its_models_do():
         states = len(all_profiles(n, outcomes))
         values = itertools.product(outcomes, repeat=states)
         rows = list(itertools.islice(values, start, start + count))
-        models = itertools.islice(enumerate_models(n, outcomes, 10**20), start * states, None)
+        models = [ScfModel(ScfTable(n, outcomes, row), t) for row in rows for t in all_profiles(n, outcomes)]
         grid = TableGrid(n, outcomes, rows)
         assert len(grid) == count * states
-        assert [grid[i] for i in range(len(grid))] == list(itertools.islice(models, len(grid)))
+        assert [grid[i] for i in range(len(grid))] == models
         # and on seeded rows, which choose every outcome somewhere
         rng = random.Random(n * 10 + len(outcomes))
         seeded = [tuple(rng.choice(outcomes) for _ in range(states)) for _ in range(3)]
@@ -331,12 +331,34 @@ def test_a_table_grid_stacks_as_its_models_do():
             _assert_blocks_follow_kripke(stacked, list(grid), draw(8, max_depth=6))
 
 
+def test_a_grid_iterates_its_models_in_index_order():
+    """Iterating a grid gives the models its indices give, in index order,
+    the models of a row sharing one table object, one per row; on a grid
+    over all S true profiles, over part of them, and on a narrowed one."""
+    profiles = all_profiles(2, K3)
+    rng = random.Random(11)
+    rows = [tuple(rng.choice(K3) for _ in profiles) for _ in range(3)]
+    full = TableGrid(2, K3, rows)
+    for grid in (full, TableGrid(2, K3, rows, profiles[5:9]), full.narrowed(Pref(1, Out("a")).reads)):
+        models = list(grid)
+        assert models == [grid[i] for i in range(len(grid))]
+        width = len(grid.truths)
+        for row, values in enumerate(grid.rows):
+            run = models[row * width : (row + 1) * width]
+            assert [model.truth for model in run] == list(grid.truths)
+            assert all(model.table is run[0].table for model in run)
+            assert run[0].table.values == values
+        assert len({id(model.table) for model in models}) == len(grid.rows)
+
+
 def test_a_model_list_stacks_as_the_grid_it_spells():
     """A model list is read into a grid: runs of one outcome function each,
-    over the first run's true profiles in order.  `list(grid)` (equal but
-    distinct tables), a list whose first two rows share a table, and one
-    over part of the true profiles stack bit for bit like their grids,
-    and `first_failure` reports the caller's own model object."""
+    over the first run's true profiles in order.  The grid's models read
+    by index (equal but distinct tables), a list whose first two rows
+    share a table, and one over part of the true profiles stack bit for
+    bit like their grids, and `first_failure` reports the caller's own
+    model object.  A list over all S true profiles in order is read onto
+    the space's own profiles tuple, whose narrowings the space keeps."""
     profiles = all_profiles(2, K2)
     rng = random.Random(7)
     rows = [tuple(rng.choice(K2) for _ in profiles) for _ in range(3)]
@@ -349,10 +371,11 @@ def test_a_model_list_stacks_as_the_grid_it_spells():
     draw = make_formula_sampler(2, K2, seed=37)
     formulas = draw(20, max_depth=5)
     for grid in grids:
-        models = list(grid)
+        models = [grid[i] for i in range(len(grid))]
         assert len({id(model.table) for model in models}) == len(models)
         by_grid, by_list = StackedEvaluator(grid), StackedEvaluator(models)
         assert by_list.models is models
+        assert (by_list.grid.truths is profiles) == (tuple(grid.truths) == profiles)
         failing = 0
         for f in formulas:
             mask = by_list.truth_mask(f)

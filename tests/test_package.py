@@ -98,6 +98,37 @@ def test_benchmark_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
+_REIMPORT = """
+import gc, importlib, sys, weakref
+sys.path.insert(0, sys.argv[1])
+import scflogic
+first = weakref.ref(scflogic.core.ScfModel)
+for name in [m for m in sys.modules if m == "scflogic" or m.startswith("scflogic.")]:
+    del sys.modules[name]
+del scflogic
+importlib.import_module("scflogic")
+gc.collect()
+print("alive" if first() is not None else "freed")
+"""
+
+
+def test_a_fresh_import_frees_the_one_before():
+    """Once its modules are dropped from `sys.modules` and the package is
+    imported afresh, nothing keeps the first import's classes alive, so a
+    process that re-imports the package, as the benchmark runner does,
+    holds one copy of its module state.  A base class subscripted from
+    `typing`, such as `Sequence[ScfModel]`, would keep one in typing's
+    alias cache."""
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["freed"]
+
+
 def test_readme_python_blocks_run():
     """The README's python blocks run in order in one namespace, and the
     quick start's annotated results hold."""
