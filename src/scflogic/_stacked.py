@@ -78,6 +78,22 @@ read-set it needs, and the sweep resumes on the view for it
 (`axioms.soundness_check`).  Sharing there comes from the builders' memo
 tables, keyed by value identity, not from hash-consing.
 
+The sweep stacks instances as well as models, the same SIMD-within-a-
+register step (Fisher and Dietz, "Compiling for SIMD Within a Register",
+LCPC 1998) taken once more.  A block of up to d instances of one schema
+that differ only in their last binder's values (pool formulas, comp-At
+fragment pairs, profiles' ballots) and read alike is checked on the view
+tiled d times (`_Tiled`): the evaluator over the view's grid with its
+rows repeated d times, so that copy e of a mask is instance e's mask on
+the view, the builder runs once for the block, and the lowest bad bit's
+copy is the block's first failing instance.  d = `_CHUNK_BITS` // W for
+the view's width W, the bound an enumeration chunk keeps too.  The tiled
+view's constant masks are the view's own, broadcast by doubling
+shift-ors (`_tiled`): on views of 1,000 to 6,000 bits that is 10 to 20
+times faster than multiplying by a comb, which wins only on views of a
+few bytes, where both take microseconds.  A tiled view is never kept on
+an evaluator.
+
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the first truths of each agent set's rankings among
 all S profiles, and the rank blocks of those and of all S) is built once
@@ -91,10 +107,10 @@ from __future__ import annotations
 import collections.abc
 import weakref
 from functools import lru_cache
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, product, repeat
 from typing import Iterator, Sequence
 
-from .core import InvalidDomain, Profile, ScfModel, ScfTable, _positions, _state_index
+from .core import InvalidDomain, Profile, ScfModel, ScfTable, _model, _positions, _state_index
 from .core import all_profiles
 from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top, _pref_bit
 
@@ -198,8 +214,10 @@ class TableGrid(collections.abc.Sequence):
     sequence of true profiles (all S in order by default), table outer,
     truth inner: the one code that pairs a row with a truth.  A model is
     built only when its index is read, or when iteration reaches it, the
-    models of a row then sharing one table; `StackedEvaluator` stacks a
-    grid per row without reading any.  A grid `narrowed` from another
+    models of a row then sharing one table, and without re-checking that
+    its truth is a state (`core._model`): a grid's truths are states of
+    its (n, K).  `StackedEvaluator` stacks a grid per row without reading
+    any.  A grid `narrowed` from another
     holds in `kept` the indices of its truths among the other's and in
     `keeps` its shape, the read-set it decides as the other does; they are
     None and -1 on any other grid."""
@@ -222,13 +240,13 @@ class TableGrid(collections.abc.Sequence):
 
     def __getitem__(self, index: int) -> ScfModel:
         row, truth = divmod(index, len(self.truths))
-        return ScfModel(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
+        return _model(ScfTable(self.n, self.outcomes, self.rows[row]), self.truths[truth])
 
     def __iter__(self) -> Iterator[ScfModel]:
         for values in self.rows:
             table = ScfTable(self.n, self.outcomes, values)
             for truth in self.truths:
-                yield ScfModel(table, truth)
+                yield _model(table, truth)
 
     def shape(self, reads: int) -> int:
         """The shape of the grid narrowed for `reads`, the read-set it
@@ -262,6 +280,36 @@ class TableGrid(collections.abc.Sequence):
         grid = TableGrid(self.n, self.outcomes, rows, truths)
         grid.kept, grid.keeps = kept, shape
         return grid
+
+
+class _ClassRows(collections.abc.Sequence):
+    """Every outcome function over `states` states, as rows of outcome
+    names in mixed-radix order over `outcomes`, the first state's outcome
+    the most significant digit (`itertools.product`'s order): the rows of
+    the class's grid (`decision.enumerate_models`).  A row is computed from
+    its index when read, so no row is laid out up front; a slice is the
+    rows of the slice of indices."""
+
+    def __init__(self, outcomes: tuple[str, ...], states: int, span: range | None = None):
+        self.outcomes, self.states = outcomes, states
+        self.span = range(len(outcomes) ** states) if span is None else span
+
+    def __len__(self) -> int:
+        return len(self.span)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _ClassRows(self.outcomes, self.states, self.span[index])
+        index, radix, digits = self.span[index], len(self.outcomes), []
+        for _ in range(self.states):
+            index, digit = divmod(index, radix)
+            digits.append(self.outcomes[digit])
+        return tuple(reversed(digits))
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        if self.span == range(len(self.outcomes) ** self.states):
+            return product(self.outcomes, repeat=self.states)
+        return map(self.__getitem__, range(len(self)))
 
 
 def _as_grid(models: Sequence[ScfModel]) -> TableGrid:
@@ -322,6 +370,27 @@ def _stack(small_masks: Sequence[int], block_bits: int) -> int:
         parts = merged
         width *= 2
     return parts[0]
+
+
+def _tiled(mask: int, width: int, times: int) -> int:
+    """`times` copies of the `width`-bit `mask` side by side, the first
+    lowest, by doubling shift-ors: one per bit of `times`, and one more
+    per bit set in it."""
+    out = at = 0
+    while True:
+        if times & 1:
+            out |= mask << at
+            at += width
+        times >>= 1
+        if not times:
+            return out
+        mask |= mask << width
+        width *= 2
+
+
+# widest stacked mask, in bits, that one chunk of an enumeration or one
+# block of axiom instances (`_Tiled`) may use
+_CHUNK_BITS = 1 << 15
 
 
 # a program: three parallel lists of plain data, one entry (op, a, b) per
@@ -539,6 +608,40 @@ class StackedEvaluator:
             row, t = divmod(block_idx, len(view.grid.truths))
             block_idx = row * len(self.grid.truths) + view.grid.kept[t]
         return self.models[block_idx], self.space.profiles[state_idx]
+
+
+class _Tiled(StackedEvaluator):
+    """`view` tiled `times` times: the evaluator over `view`'s grid with its
+    rows repeated `times` times, so that copy e of a mask, its bits e*W to
+    (e+1)*W - 1 for the view's width W, is a mask on `view`.  A block of
+    axiom instances is checked on it at once, copy e holding instance e's
+    mask (`axioms._check_run`).  Its `full`, `tile`, axis planes and block
+    masks are the view's own, and its outcome and rank masks the view's
+    when first read, each broadcast by `_tiled`.  It narrows to no view
+    and builds no model: it only evaluates, through the constructors of a
+    `_Direct` or a program."""
+
+    def __init__(self, view: StackedEvaluator, times: int):
+        width = view.full.bit_length()
+        self.view, self.width, self.times = view, width, times
+        self.space, self.block, self._agents = view.space, view.block, view._agents
+        self.full = (1 << width * times) - 1
+        self.tile = _tiled(view.tile, width, times)
+        self._low = _tiled(view._low, width, times)
+        self._top = self.full ^ self._low
+        self._axis = [(shifts, _tiled(plane, width, times), comb) for shifts, plane, comb in view._axis]
+        self._out_masks: dict[str, int] | None = None
+        self._ranked: list[list[int]] | None = None
+
+    def _outcome_masks(self) -> dict[str, int]:
+        masks = self.view._out_masks or self.view._outcome_masks()
+        self._out_masks = {name: _tiled(mask, self.width, self.times) for name, mask in masks.items()}
+        return self._out_masks
+
+    def _rank_masks(self) -> list[list[int]]:
+        ranked = self.view._ranked or self.view._rank_masks()
+        self._ranked = [[_tiled(mask, self.width, self.times) for mask in ranks] for ranks in ranked]
+        return self._ranked
 
 
 def _compile(root: Formula) -> _Program:

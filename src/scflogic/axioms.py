@@ -13,14 +13,15 @@ instance for one binding.  A binder ranges over agents, outcomes, the
 pool, coalitions, reported atoms, rankings, profiles or, for comp-At, the
 pool's reported-atom fragment; a side condition (x != y, i != j,
 disjoint agent sets) makes two binders range together over the pairs it
-keeps, so an excluded binding is never made.  `instantiate` is one loop
-over the product of the domains that evaluates no builder and makes no
-record: it returns an `Instances`, the schema, its binder names, the
-scope of the call and the product's value tuples, which reads as the
-list of the schema's records.  A record, an `AxiomInstance`, is made
-when an item is read: a slotted immutable record of the schema, its
-binder names, one value tuple and the scope, whose `bindings` dict is
-built only when read, and its formula on its first read.
+keeps, so an excluded binding is never made.  `instantiate` evaluates no
+builder, makes no record and lists no binding: it returns an
+`Instances`, the schema, its binder names, the scope of the call and the
+domain of each binder group, which reads as the list of the records of
+the domains' product, the bound values of item k decoded from k.  A
+record, an `AxiomInstance`, is made when an item is read: a slotted
+immutable record of the schema, its binder names, one value tuple and
+the scope, whose `bindings` dict is built only when read, and its
+formula on its first read.
 
 A builder is written once, against the constructors of the `_Scope` it
 is called with (`s.Or`, `s.Implies`, `s.Box`, ...), as in the
@@ -36,12 +37,19 @@ subformula that reads only some of the binders, such as [i]phi in K(i)
 or <C1>delta1 in comp-At, is taken from a memo table of the scope, keyed
 by the values it reads, and built once per binding of those.  The tables
 go with the scope.  `soundness_check` checks every run in one loop over
-a builder and its bound-value tuples, in one direct scope per run and
-view: an `Instances` is a run of its schema's builder, and a stretch of
+a builder and rows of bound values: per binding of every binder group
+but the last, the last group's values.  An `Instances` is a run of its
+schema's builder, its rows read off its domains, and a stretch of
 records of one schema a run of a builder returning its one bound value,
 the record's formula, which the direct scope evaluates as it does a pool
-formula.  So a sweep of `Instances` makes no record but a
-counterexample's, and builds no instance formula and no program.
+formula.  The last group's formulas or profiles of one read-set are
+checked a block at a time, side by side along the mask on a view tiled
+once per instance (`_stacked._Tiled`), up to `_stacked._CHUNK_BITS`
+bits, so the builder runs once per block and its memo tables hold one
+value per block: comp-At at (3,{a,b}), 56,320 instances, makes 64
+builder calls, one per coalition pair.  So a sweep of `Instances` makes
+no record but a counterexample's, and builds no instance formula and no
+program.
 
 Instances whose formulas contain neither outcome atoms nor pref
 modalities have state-determined truth, identical across all models over
@@ -53,10 +61,11 @@ pref modalities on one model per outcome function, one whose pref
 modalities name agent i alone (each instance of K(pref), 4(pref), incl,
 unifPref, antisym' and total') on the first model of each of agent i's
 rankings per outcome function, and one that reads every agent on every
-model.  A run starts on the narrowest view and moves at the first
-instance that reads more than its view was asked for, to the view for
-what that instance reads, so a run over agents 1..n visits each agent's
-view in turn.  It holds one evaluator over its models and one view per
+model; a block's instances read alike, so a block is checked at the
+width each of them reads.  A run starts on the narrowest view and moves
+at the first block that reads more than its view was asked for, to the
+view for what that block reads, so a run over agents 1..n visits each
+agent's view in turn.  It holds one evaluator over its models and one view per
 shape it visits (rows kept or not, agents kept), each kept by
 `StackedEvaluator._view` for later runs.  Building instances and checking
 them pause the cyclic garbage collector (`logic._collector_paused`):
@@ -201,34 +210,82 @@ def _fill(
 
 class Instances(collections.abc.Sequence):
     """The instances of one schema, as `instantiate` returns them: the
-    schema, its binder names, the scope of the call and the tuple of bound
-    values of each binding, in product order.  It reads as the list of
-    their records: `len`, indexing, iteration and `==` against a list of
-    records behave as that list's do, so it is not hashable, and a slice
-    is the `Instances` of the slice of bindings.  A record is made only when an item is read, a
-    fresh one on each read, each the one `AxiomInstance` of its binding,
-    with its formula built on its first read.  `soundness_check` checks an
-    `Instances` from its bound values, making no record but a
+    schema, its binder names, the scope of the call and the domain of each
+    binder group, a side condition's pair one group, whose product, last
+    group fastest, lists the bindings.  No binding is listed: the bound
+    values of item k are decoded from k, by mixed radix over the domains'
+    sizes.  It reads as the list of their records: `len`, indexing,
+    iteration and `==` against a list of records behave as that list's do,
+    so it is not hashable, and a slice is the `Instances` of the slice of
+    bindings.  A record is made only when an item is read, a fresh one on
+    each read, each the one `AxiomInstance` of its binding, with its
+    formula built on its first read.  `soundness_check` checks an
+    `Instances` from its domains, one row of the last group's values per
+    binding of the others (`_rows`), making no record but a
     counterexample's."""
 
-    __slots__ = ("schema", "_names", "_scope", "_values", "__weakref__")
+    __slots__ = ("schema", "_names", "_scope", "_domains", "_pair", "_span", "__weakref__")
 
-    def __init__(self, schema: str, names: tuple, scope: _Scope, values: list[tuple]):
-        self.schema, self._names, self._scope, self._values = schema, names, scope, values
+    def __init__(
+        self,
+        schema: str,
+        names: tuple,
+        scope: _Scope,
+        domains: list[Sequence],
+        pair: Optional[int],
+        span: Optional[range] = None,
+    ):
+        self.schema, self._names, self._scope = schema, names, scope
+        self._domains, self._pair = domains, pair
+        self._span = range(math.prod(map(len, domains))) if span is None else span  # of the product
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._span)
 
     def _record(self, values: tuple) -> AxiomInstance:
         return _fill(_new(AxiomInstance), self.schema, self._names, values, self._scope)
 
+    def _at(self, index: int) -> tuple:
+        """The bound values of binding `index` of the whole product."""
+        picked = []
+        for domain in reversed(self._domains):
+            index, digit = divmod(index, len(domain))
+            picked.append(domain[digit])
+        return _spread(tuple(reversed(picked)), self._pair)
+
+    def _whole(self) -> bool:
+        return self._span == range(math.prod(map(len, self._domains)))
+
+    def _bound(self) -> Iterator[tuple]:
+        """The bound values of each binding, in order."""
+        if self._whole():
+            return _spread_all(itertools.product(*self._domains), self._pair)
+        return map(self._at, self._span)
+
+    def _rows(self) -> Iterable[tuple[tuple, Sequence[tuple]]]:
+        """The bindings as rows (`_check_run`): per binding of every binder
+        group but the last, in order, its bound values and the last
+        group's values, a tuple per binding.  On the whole product the
+        last group's values are its domain, shared by every row."""
+        *outer, last = self._domains or [()]
+        pair = self._pair
+        if pair == len(outer):  # the pair group is the last: its values are tuples
+            positions, pair = last, None
+        else:
+            positions = [(value,) for value in last]
+        if self._domains and self._whole():
+            return ((values, positions) for values in _spread_all(itertools.product(*outer), pair))
+        return _grouped(self._bound(), len(self._names) - len(positions[0]) if positions else 0)
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Instances(self.schema, self._names, self._scope, self._values[index])
-        return self._record(self._values[index])
+            return Instances(
+                self.schema, self._names, self._scope, self._domains, self._pair, self._span[index]
+            )
+        return self._record(self._at(self._span[index]))
 
     def __iter__(self) -> Iterator[AxiomInstance]:
-        return map(self._record, self._values)
+        return map(self._record, self._bound())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, Instances)):
@@ -294,10 +351,10 @@ def _at_agent_set(formula: Formula) -> Optional[frozenset[int]]:
 
 class _Scope(encodings._Scope):
     """What one instantiation ranges over and builds with: the encodings'
-    scope over (n, K), with its constructors and shared memo tables, and
-    the binder domains over (n, K) and the pool, the reported atoms and
-    the pool-derived ones computed on first use, and the memo tables only
-    the schemas read.
+    scope over (n, K), with its constructors and shared memo tables, the
+    binder domains over (n, K) and the pool, each computed on first use,
+    so that a direct scope lists none, and the memo tables only the
+    schemas read.
 
     A builder is written once against its scope's constructors (`s.Or`,
     `s.Implies`, `s.Box`, ...), in the tagless-final style of Carette,
@@ -321,13 +378,7 @@ class _Scope(encodings._Scope):
     def __init__(self, n: int, outcomes: Sequence[str], pool: Sequence[Formula], direct=None):
         super().__init__(n, outcomes, direct)
         self.pool = pool
-        self.coalitions = [
-            frozenset(c) for size in range(n + 1) for c in itertools.combinations(self.agents, size)
-        ]
-        self.rankings = all_linear_orders(self.outcomes)
         self.single = {i: frozenset((i,)) for i in self.agents}
-        self.distinct_agents = list(itertools.permutations(self.agents, 2))
-        self.distinct_outcomes = list(itertools.permutations(self.outcomes, 2))
         self.lift = lift = direct.lift if direct else lambda formula: formula
         self.box = _Memo(self.Box)
         self.dia = _Memo(self.Diamond)
@@ -335,6 +386,22 @@ class _Scope(encodings._Scope):
         self.union = _Memo(frozenset.union)
         self.pair = _Memo(self.And)
         self.lifted = _Memo(lambda value: lift(value) if isinstance(value, Formula) else value)
+
+    @cached_property
+    def coalitions(self) -> list[frozenset[int]]:
+        return [frozenset(c) for size in range(self.n + 1) for c in itertools.combinations(self.agents, size)]
+
+    @cached_property
+    def rankings(self) -> tuple:
+        return all_linear_orders(self.outcomes)
+
+    @cached_property
+    def distinct_agents(self) -> list[tuple[int, int]]:
+        return list(itertools.permutations(self.agents, 2))
+
+    @cached_property
+    def distinct_outcomes(self) -> list[tuple[str, str]]:
+        return list(itertools.permutations(self.outcomes, 2))
 
     @cached_property
     def reps(self) -> list[Formula]:
@@ -479,27 +546,48 @@ SCHEMAS = tuple(_TABLE)
 def instantiate(schema: str, n: int, outcomes: Sequence[str], pool: Sequence[Formula]) -> Instances:
     """All instances of one schema over every binding of its agents,
     coalitions, outcomes and profiles, metavariables drawn from the pool,
-    that its side condition keeps, as an `Instances`: the bound values of
-    each binding, read as a record of it, whose formula is built when
-    read."""
+    that its side condition keeps, as an `Instances`: the binder domains,
+    whose product it reads as the records of the bindings, each formula
+    built when read."""
     if schema not in _TABLE:
         raise ValueError(f"unknown schema {schema!r}; expected one of {SCHEMAS}")
     binders = _TABLE[schema][0]
     names = tuple(binders.replace(",", " ").split())
     with _collector_paused():
         scope = _Scope(n, outcomes, pool)
-        return Instances(schema, names, scope, list(_bindings(scope, binders)))
+        return Instances(schema, names, scope, *_domains(scope, binders))
+
+
+def _domains(scope: _Scope, binders: str) -> tuple[list[Sequence], Optional[int]]:
+    """The domain of each group of `binders` over `scope`, as a tuple read
+    once, and the index of the pair group, whose values are pairs, or
+    None."""
+    groups = binders.split()
+    pair = next((at for at, group in enumerate(groups) if "," in group), None)
+    return [tuple(getattr(scope, _DOMAINS[group])) for group in groups], pair
+
+
+def _spread(values: tuple, pair: Optional[int]) -> tuple:
+    """One value per binder of a product tuple, the pair group's spread."""
+    return values if pair is None else values[:pair] + values[pair] + values[pair + 1 :]
+
+
+def _spread_all(bindings: Iterator[tuple], pair: Optional[int]) -> Iterator[tuple]:
+    return bindings if pair is None else (_spread(values, pair) for values in bindings)
 
 
 def _bindings(scope: _Scope, binders: str) -> Iterator[tuple]:
     """The bound values of each binding of `binders` over `scope`'s
     domains, in product order, a pair's values spread over its two binders."""
-    groups = binders.split()
-    bindings = itertools.product(*(getattr(scope, _DOMAINS[g]) for g in groups))
-    pair = next((at for at, group in enumerate(groups) if "," in group), None)
-    if pair is None:
-        return bindings
-    return (v[:pair] + v[pair] + v[pair + 1 :] for v in bindings)
+    domains, pair = _domains(scope, binders)
+    return _spread_all(itertools.product(*domains), pair)
+
+
+def _grouped(bindings: Iterable[tuple], cut: int) -> Iterator[tuple[tuple, list[tuple]]]:
+    """Rows of `bindings` (`_check_run`): each stretch of bindings whose
+    first `cut` values agree, as those values and the rest of each."""
+    for outer, group in itertools.groupby(bindings, lambda values: values[:cut]):
+        yield outer, [values[cut:] for values in group]
 
 
 def instantiate_all(
@@ -562,26 +650,29 @@ def soundness_check(
     stream two schemas' instances are live at most.
 
     Every run is checked by the one loop of `_check_run`, over a builder
-    and the bound-value tuples of its instances: an `Instances` with its
-    schema's builder on its values, making no record but a
+    and rows of bound values, per binding of every binder group but the
+    last, the last group's values: an `Instances` with its schema's
+    builder, its rows read off its domains, making no record but a
     counterexample's, a run of records that one `instantiate` call made
     the same way, on their values, and a run of other records with a
     builder that returns its one bound value, the record's formula, in a
-    scope over the models' (n, K).  A builder runs in a direct scope, one
-    per run and view, on its bound values, pool formulas and hand-built
-    records' formulas evaluated on the view; so no `Instances`, nor a list
-    of its records, builds an instance formula or a program, and
-    the subformulas its instances share are evaluated once per scope,
-    through its memo tables.  Evaluation is batched: one truth mask per
-    instance across the whole model list (see `_stacked`), each at the
-    width it reads.  A mask is dropped once no memo table or later
-    constructor holds it.  The reported counterexample is the run's first
-    failing instance in instantiation order, at its lowest (model, state)
-    pair; no instance after it is evaluated, and the state-determined ones
-    among them are counted from their formulas' read-sets.  A `TableGrid`
-    is stacked as it is, building no model but the counterexamples.  The
-    collector is paused throughout, and so while an `instantiate_all`
-    stream builds the instances.
+    scope over the models' (n, K).  A builder runs in direct scopes, one
+    per run, view and block size, on its bound values, pool formulas and
+    hand-built records' formulas evaluated on the view; so no `Instances`,
+    nor a list of its records, builds an instance formula or a program,
+    and the subformulas its instances share are evaluated once per scope,
+    through its memo tables.  Evaluation is batched twice: one truth mask
+    across the whole model list (see `_stacked`), each at the width it
+    reads, and a block of a row's instances whose last values are
+    formulas or profiles of one read-set side by side in one mask, up to
+    `_stacked._CHUNK_BITS` bits.  A mask is dropped once no memo table or
+    later constructor holds it.  The reported counterexample is the run's
+    first failing instance in instantiation order, at its lowest (model,
+    state) pair; no row after its row is evaluated, and the
+    state-determined instances from its row on are counted from their
+    formulas' read-sets.  A `TableGrid` is stacked as it is, building no
+    model but the counterexamples.  The collector is paused throughout,
+    and so while an `instantiate_all` stream builds the instances.
     """
     with _collector_paused():
         if not isinstance(models, _stacked.TableGrid):
@@ -605,81 +696,210 @@ def _runs(
 
 
 def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstance]) -> SchemaResult:
-    """The result of one run, from one loop over a builder and the tuples
-    of bound values of its instances: an `Instances`' schema builder, its
-    scope and its values; the same for a list of records that all hold one
-    scope, that of the `instantiate` call that made them; or for any other
-    list of records a builder returning its one bound value, the record's
-    formula, in a scope over `ev`'s (n, K) with an empty pool.  The
-    builder runs on each tuple in order, in a direct scope over the
-    scope's (n, K) and pool on `ev`'s view for the read-set `reads`
-    (`StackedEvaluator._view`), each bound value mapped to what a builder
-    takes by the direct scope's `lifted` table; the counterexample's
-    record is read from `run`, so it is the caller's own.  A direct scope keeps the
-    shape of `reads` (`TableGrid.shape`), not its view's, so it raises
-    `_stacked._Narrow` at what reads more than `reads` even where the view
-    is wider, as where agent 1's view is the stack itself.  `reads` starts
-    empty; at an instance that raises it, the run resumes there, with a
-    fresh scope, on the view for what it needs: its outcome bit is kept,
+    """The result of one run, from one loop over a builder and rows of
+    bound values: an `Instances`' schema builder, its scope and its rows
+    (`Instances._rows`); the same for a list of records that all hold one
+    scope, that of the `instantiate` call that made them, each stretch of
+    records that agree on every binder group but the last one row; or for
+    any other list of records a builder returning its one bound value, the
+    record's formula, in a scope over `ev`'s (n, K) with an empty pool, all
+    the records one row.  A row is the values of the outer binders and the
+    last group's values of each of its instances, its positions.
+
+    The positions of a row are checked a block at a time, in direct scopes
+    over the run's scope's (n, K) and pool on `ev`'s view for the read-set
+    `reads` (`StackedEvaluator._view`).  A block is up to d positions whose
+    values are formulas or profiles of one read-set, d = max(1,
+    `_stacked._CHUNK_BITS` // W) for the view's width W, and positions whose
+    values are neither a block each; the blocks of a row follow its
+    read-set groups in order of first appearance, each group's positions
+    in order (`_order`).  The builder runs once per block, on a view tiled
+    once per position (`_stacked._Tiled`): each value of the block is
+    stacked along the mask, copy e the value of position e on the view, a
+    profile as its ballot, which the scope's `ballot` table maps to itself;
+    the outer values are lifted on the tiled view, so copy e of the
+    result is position e's instance's mask.  A block of one is run on the
+    view itself, its values mapped to what a builder takes by the direct
+    scope's `lifted` table.  So each instance reads what it reads alone
+    and is checked on the view that decides it, and a state-determined
+    block counts its every instance.  The row's first failing instance
+    is its lowest failing position over all its blocks, at its block's
+    lowest bad bit (`_locate`), and no row after it is evaluated: the
+    state-determined instances from its row on are counted from their
+    formulas' read-sets.  The counterexample's record is read from `run`,
+    so it is the caller's own.
+
+    A direct scope keeps the shape of `reads` (`TableGrid.shape`), not its
+    view's, so it raises `_stacked._Narrow` at what reads more than `reads`
+    even where the view is wider, as where agent 1's view is the stack
+    itself.  `reads` starts empty; at a block that raises it, the run
+    resumes there on the view for what it needs: its outcome bit is kept,
     its agents replaced, so a run over agents 1 and 2 moves from agent 1's
-    view to agent 2's, and joined if the same instance asks again, so an
+    view to agent 2's, and joined if the same block asks again, so an
     instance reading two agents lands on their joint view.  Each instance
     is evaluated on a view that decides it, and the ones before it keep
     the answers their own view gives."""
     if isinstance(run, Instances):
-        build, scope, values = _TABLE[run.schema][1], run._scope, run._values
-    elif run[0]._scope is not None and all(inst._scope is run[0]._scope for inst in run):
-        build, scope = _TABLE[run[0].schema][1], run[0]._scope
-        values = [inst._values for inst in run]
+        build, scope, rows, bound = _TABLE[run.schema][1], run._scope, run._rows(), run._bound
     else:
-        build, values = lambda s, formula: formula, [(inst.formula,) for inst in run]
-        scope = _Scope(ev.space.n, ev.space.outcomes, ())
-    reads = done = independent = 0
-    raised = -1  # the index of the instance that last raised `_Narrow`
-    hit = None
-    while hit is None and done < len(values):
+        if run[0]._scope is not None and all(inst._scope is run[0]._scope for inst in run):
+            build, scope = _TABLE[run[0].schema][1], run[0]._scope
+            values = [inst._values for inst in run]
+            last = _TABLE[run[0].schema][0].split()[-1:]
+            rows = _grouped(values, len(values[0]) - sum(len(group.split(",")) for group in last))
+        else:
+            build, values = lambda s, formula: formula, [(inst.formula,) for inst in run]
+            scope = _Scope(ev.space.n, ev.space.outcomes, ())
+            rows = [((), values)]
+        bound = values.__iter__
+    rows = iter(rows)
+    row = next(rows, None)
+    reads = independent = offset = done = counted = 0
+    raised = None  # (offset, done) of the block that last raised `_Narrow`
+    order = ends = stacks = None
+    best = None  # (position, view, bad bits) of the row's lowest failure so far
+    while row is not None:
         view = ev._view(reads)
-        target = _Scope(scope.n, scope.outcomes, scope.pool, _stacked._Direct(view, ev.grid.shape(reads)))
-        lifted, full = target.lifted.__getitem__, view.full
+        visit = _Visit(scope, view, ev.grid.shape(reads))
+        width, lifted = visit.width, visit.base.lifted.__getitem__
         try:
-            for bound in itertools.islice(values, done, None):
-                value = build(target, *map(lifted, bound))
-                independent += not value.reads
-                done += 1
-                if value.mask != full:
-                    hit = ev._locate(view, full ^ value.mask)
+            while row is not None:
+                outer, positions = row
+                if order is None:
+                    order, ends, stacks = _order(positions)
+                most = max(1, _stacked._CHUNK_BITS // width) if stacks else 1
+                while done < len(order):
+                    stop, at = min(done + most, ends[done]), order[done]
+                    if best is None or at < best[0]:
+                        if stop - done == 1:
+                            target, args = visit.base, map(lifted, outer + positions[at])
+                        else:
+                            target, args = visit.stacked(outer, positions, order, done, stop)
+                        value = build(target, *args)
+                        if not value.reads:
+                            counted += stop - done
+                        if value.mask != target.TRUE.mask:
+                            bad = target.TRUE.mask ^ value.mask
+                            slot = ((bad & -bad).bit_length() - 1) // width
+                            if best is None or order[done + slot] < best[0]:
+                                best = (order[done + slot], view, bad >> slot * width)
+                    done = stop
+                if best is not None:  # no row after the failing one is evaluated
+                    row = None
                     break
+                independent, counted = independent + counted, 0
+                offset, done, row = offset + len(positions), 0, next(rows, None)
+                if row is not None and row[1] is not positions:
+                    order = None
         except _stacked._Narrow as narrow:
             (need,) = narrow.args
-            reads = reads | need if raised == done else reads & 1 | need
-            raised = done
-    if hit is not None:  # the instances after the failure are counted, not evaluated
-        independent += sum(not build(scope, *bound).reads for bound in values[done:])
+            reads = reads | need if raised == (offset, done) else reads & 1 | need
+            raised = (offset, done)
+    hit = None
+    if best is not None:  # the instances from the failing row on are counted, not evaluated
+        position, view, bad = best
+        hit = (run[offset + position], *ev._locate(view, bad))
+        rest = itertools.islice(bound(), offset, None)
+        independent += sum(not build(scope, *values).reads for values in rest)
     return SchemaResult(
         schema=run[0].schema,
-        instances=len(values),
+        instances=len(run),
         models=len(ev.models),
         model_independent=independent,
         ok=hit is None,
-        counterexample=None if hit is None else (run[done - 1], *hit),
+        counterexample=hit,
     )
+
+
+def _order(positions: Sequence[tuple]) -> tuple[list[int], list[int], bool]:
+    """The positions of a row in block order, the end of each one's group
+    in that order, and whether its values stack.  The values of a binder
+    are all of one kind; if each binder's are formulas or profiles, the
+    positions are grouped by the read-sets of their formulas (a profile's
+    ballot reads nothing), groups in order of first appearance and the
+    positions in order in each; otherwise they are one group in order,
+    and do not stack."""
+    first = positions[0]
+    if not first or not all(isinstance(value, (Formula, Profile)) for value in first):
+        return list(range(len(positions))), [len(positions)] * len(positions), False
+    columns = [at for at, value in enumerate(first) if isinstance(value, Formula)]
+    groups: dict[tuple, list[int]] = {}
+    for at, values in enumerate(positions):
+        groups.setdefault(tuple([values[column].reads for column in columns]), []).append(at)
+    order: list[int] = []
+    ends: list[int] = []
+    for group in groups.values():
+        order += group
+        ends += [len(order)] * len(group)
+    return order, ends, True
+
+
+class _Visit:
+    """A run's direct scopes on one view: `base`, on the view itself, for a
+    block of one and to lift the values a larger block stacks, and one on
+    the view tiled once per position for each larger block size, whose
+    memo tables serve every row; and the stacked values of the blocks of
+    the row they were stacked for, by the block's start."""
+
+    def __init__(self, scope: _Scope, view: _stacked.StackedEvaluator, keeps: int):
+        self.scope, self.view, self.keeps = scope, view, keeps
+        self.width = view.full.bit_length()
+        self.base = _Scope(scope.n, scope.outcomes, scope.pool, _stacked._Direct(view, keeps))
+        self.tiled: dict[int, _Scope] = {}
+        self.positions: Optional[Sequence[tuple]] = None
+        self.blocks: dict[int, list] = {}
+
+    def stacked(self, outer: tuple, positions: Sequence[tuple], order: list[int], start: int, stop: int):
+        """The scope for the block of positions `order[start:stop]`, and
+        what the builder takes for it: the outer values lifted on that
+        scope's tiled view, then the block's stacked values."""
+        if positions is not self.positions:
+            self.positions, self.blocks = positions, {}
+        # stacked first: a value that reads more than the view keeps raises
+        # `_Narrow` before a tiled view is made for it
+        stacked = self.blocks.get(start) or self._stack([positions[at] for at in order[start:stop]])
+        target = self.tiled.get(stop - start)
+        if target is None:
+            direct = _stacked._Direct(_stacked._Tiled(self.view, stop - start), self.keeps)
+            scope = self.scope
+            target = self.tiled[stop - start] = _Scope(scope.n, scope.outcomes, scope.pool, direct)
+        if start not in self.blocks:
+            self.blocks[start] = stacked
+            for value, bound in zip(stacked, positions[order[start]]):
+                if not isinstance(bound, Formula):  # a profile: the stacked value is its ballot
+                    target.ballot[value] = value
+        return target, [*map(target.lifted.__getitem__, outer), *stacked]
+
+    def _stack(self, values: list[tuple]) -> list[_stacked._Value]:
+        """Per binder, its values in `values` stacked along the mask, each
+        lifted on the view first: a formula as its value, a profile as its
+        ballot's."""
+        stacked = []
+        for column in zip(*values):
+            table = self.base.lifted if isinstance(column[0], Formula) else self.base.ballot
+            parts = [table[value] for value in column]
+            mask = _stacked._stack([part.mask for part in parts], self.width)
+            stacked.append(_stacked._Value(mask, parts[0].reads))
+        return stacked
 
 
 # Largest binder product times checked width (models x states) of one
 # schema that a sweep takes on, the width being that of the view its
 # instances are checked on (`check_sweep_size`).  A sweep holds two
-# adjacent schemas' instances at most and evaluates each instance as its
-# builder runs, keeping only the masks its scope's memo tables hold, so
-# the product bounds mainly the run time.  At (4,2) over 1008 sampled
-# models (63 outcome functions, each with its 16 true profiles) comp-At
-# reaches 2.0e8: its 150,528 bindings take about 0.04 s to list and
-# 0.26 s to check, to a peak of 31 MiB, and the whole `axioms` command
-# takes about 0.5-0.8 s and peaks at 32 MiB.  At (3,3) over 1080 sampled
-# models antisym' and total' reach 9.1e8: 139,968 instances each, which
-# share per-profile subformulas, each checked on the 6 true profiles of
-# its agent's rankings per outcome function; the whole command takes
-# 3.0-4.0 s and peaks at 38 MiB.  At (2,4) over 1152 sampled models they
-# reach 1.8e10, and the sweep is refused.
+# adjacent schemas' instances at most and evaluates each block of
+# instances as its builder runs, keeping only the masks its scope's memo
+# tables hold, so the product bounds mainly the run time.  At (4,2) over
+# 1008 sampled models (63 outcome functions, each with its 16 true
+# profiles) comp-At reaches 2.0e8: its 150,528 bindings, all on the first
+# model in blocks of 588 fragment pairs, take 3-6 ms to check, and the
+# whole `axioms` command takes about 0.1 s and peaks at 19 MiB.  At (3,3)
+# over 1080 sampled models antisym' and total' reach 9.1e8: 139,968
+# instances each, which share per-profile subformulas, each checked on
+# the 6 true profiles of its agent's rankings per outcome function, in
+# blocks of 5 profiles; they take 0.9-1.3 s and 0.7-1.0 s, and the whole
+# command 1.8-2.6 s, peaking at 25 MiB (Python 3.11.7, two shared cores).
+# At (2,4) over 1152 sampled models they reach 1.8e10, and the sweep is
+# refused.
 SWEEP_LIMIT = 5 * 10**9
 
 
@@ -691,8 +911,10 @@ def check_sweep_size(n: int, outcomes: Sequence[str], models: Sequence[ScfModel]
     read-set of the schema's instance for its first binding, with the
     outcome bit added if a binder draws from the pool or its comp-At
     fragment: every binding of a schema reads at most one agent's true
-    preference.  The product counts bindings that a side condition
-    excludes too."""
+    preference.  It is one instance's width: a block of d instances is d
+    times as wide and d times fewer, so the product is the same however
+    the instances are blocked.  The product counts bindings that a side
+    condition excludes too."""
     scope = _Scope(n, outcomes, default_pool(n, outcomes))
     grid = models if isinstance(models, _stacked.TableGrid) else _stacked._as_grid(models)
     for schema, (binders, build) in _TABLE.items():

@@ -345,6 +345,14 @@ class ScfModel:
         return self.truth.order(agent)
 
 
+def _model(table: ScfTable, truth: Profile) -> ScfModel:
+    """The model of `table` and `truth`, a truth its caller knows to be one
+    of the table's states, made without `ScfModel`'s check of it."""
+    model = object.__new__(ScfModel)
+    vars(model).update(table=table, truth=truth)
+    return model
+
+
 @dataclass(frozen=True, eq=False)
 class GameForm:
     """A strategic game form: per-agent action sets and a total outcome map."""

@@ -10,8 +10,9 @@ with every true profile, as one stacked `TableGrid` (see `_stacked`), so
 no model is built but the witness or counterexample; the lowest hit bit
 of the first chunk with a hit is the first model in enumeration order and
 its lowest state, so witnesses and counterexamples stay canonical.
-`enumerate_models` returns the whole class as one such grid, which sweeps
-that check every model, such as the `axioms` command, stack as it is.
+`enumerate_models` returns the whole class as one such grid, each row
+computed from its index, which sweeps that check every model, such as
+the `axioms` command, stack as it is.
 Where the class is too large to enumerate, `sample_models` draws whole
 rows instead: seeded outcome functions, each with every true profile, the
 models of a grid of those rows.
@@ -161,12 +162,13 @@ def enumerate_models(
 ) -> _stacked.TableGrid:
     """Every model over (n, K) exactly once, as one `TableGrid`: outcome
     functions in mixed-radix order over the canonical state order, each
-    row with every true profile, truths inner.  No model is built until
-    one is read.  Raises `BudgetExceeded` before laying out any row if the
-    class has more than `budget` models."""
+    row with every true profile, truths inner.  No row is laid out: each
+    is computed from its index (`_stacked._ClassRows`), and no model is
+    built until one is read.  Raises `BudgetExceeded` if the class has
+    more than `budget` models."""
     names = tuple(outcomes)
     _check_budget(n, names, budget)
-    return _stacked.TableGrid(n, names, list(itertools.product(names, repeat=num_states(n, names))))
+    return _stacked.TableGrid(n, names, _stacked._ClassRows(names, num_states(n, names)))
 
 
 def sample_models(
@@ -197,10 +199,6 @@ def representative_model(n: int, outcomes: Sequence[str]) -> ScfModel:
     return _stacked.TableGrid(n, names, [names[:1] * num_states(n, names)])[0]
 
 
-# widest stacked mask, in bits, that one chunk of an enumeration may use
-_CHUNK_BITS = 1 << 15
-
-
 def _first_failure(
     n: int, outcomes: Sequence[str], formula: Formula, budget: int
 ) -> Optional[tuple[ScfModel, Profile]]:
@@ -212,8 +210,8 @@ def _first_failure(
     states.  Any other formula, if the budget covers the class, walks the
     outcome functions in `enumerate_models` order in chunks, each stacked
     as one `TableGrid`: the first chunk holds one outcome function, and
-    each next chunk twice as many, up to `_CHUNK_BITS` bits, so an early
-    hit stays cheap and a full sweep takes few wide batches.  Each chunk
+    each next chunk twice as many, up to `_stacked._CHUNK_BITS` bits, so an
+    early hit stays cheap and a full sweep takes few wide batches.  Each chunk
     is narrowed to the formula's read-set (`TableGrid.narrowed`): a formula
     that reads no true preference is stacked with the first truth of each
     row, and its budget counts outcome functions; one that reads some
@@ -238,7 +236,7 @@ def _first_failure(
         hit = _stacked.StackedEvaluator(grid).first_failure(formula)
         if hit is not None:
             return hit
-        tables = min(2 * tables, max(1, _CHUNK_BITS // (states * len(grid.truths))))
+        tables = min(2 * tables, max(1, _stacked._CHUNK_BITS // (states * len(grid.truths))))
 
 
 def satisfiable(

@@ -1028,3 +1028,110 @@ def test_a_list_of_one_call_s_records_checks_from_their_values(monkeypatch):
         assert not report.ok
         assert any(report.results[0].counterexample[0] is inst for inst in records)
         assert _summary(report) == _summary(soundness_check(run, models))
+
+
+# a pool whose read-sets alternate: position 0 reads an outcome atom, so a
+# run moves to the first truth of each row at once and stays there; the
+# reported-atom group, which comes second, holds the first invalid formula
+BLOCK_POOL = (
+    "a | b", "rep(1,a,b) | ~rep(1,a,b)", "rep(1,a,b)", "a | ~a", "~rep(2,b,a)",
+    "b", "rep(2,a,b) | rep(1,b,a)", "a", "~rep(1,a,b) | rep(1,a,b)", "a | ~b",
+)
+
+# schema -> an unsound builder over the block pool, as (binders, builder);
+# "phi" fails in its second row only
+BLOCK_BROKEN = {
+    "phi": ("i phi", lambda s, i, phi: s.Or(phi, s.TRUE) if i == 1 else phi),
+    "K(i)": ("i phi psi", lambda s, i, phi, psi: s.Implies(s.box[s.single[i], phi], psi)),
+    "comp-At": (
+        "C1 C2 delta1,delta2",
+        lambda s, c1, c2, d1, d2: s.Implies(s.dia[c1, d1], s.dia[c2, s.pair[d1, d2]]),
+    ),
+    "total'": BROKEN["total'"],
+}
+
+# a pool on which "phi" fails first at "b", in the outcome-atom group checked
+# first, while the reported-atom group's block starts before "b" and fails
+# only after it, at "rep(1,a,b)"
+LATE_POOL = (
+    "a | ~a", "rep(1,a,b) | ~rep(1,a,b)", "a | b", "b", "rep(1,a,b)", "~rep(2,b,a) | rep(2,b,a)",
+)
+
+
+@pytest.mark.parametrize("most", [1, 2, 3])
+def test_small_blocks_report_the_first_failing_instance(monkeypatch, most):
+    """With `_CHUNK_BITS` cut so that a block holds at most 1, 2 or 3
+    instances on the first truth of each row of (2,{a,b}), unsound
+    builders whose first failing instance sits in a read-set group checked
+    after another group's failure report what the unpatched run reports,
+    what their hand-built records report and what a scan of the formulas
+    with `first_failure` finds: the count of instances, models and
+    state-determined instances, the verdict and the counterexample's
+    instance, model and state.  A failure found in a later group's block
+    that starts before the one found so far, but fails only after it, is
+    not reported.  On the widest view the run visits, blocks of the size
+    asked for are run."""
+    from scflogic import axioms
+
+    models = list(enumerate_models(2, K2))
+    grid = enumerate_models(2, K2)
+    tiled = []
+    tile = _stacked._Tiled.__init__
+    monkeypatch.setattr(
+        _stacked._Tiled, "__init__", lambda self, view, times: tiled.append((view, times)) or tile(self, view, times)
+    )
+    cases = [(BLOCK_POOL, schema) for schema in BLOCK_BROKEN] + [(LATE_POOL, "phi")]
+    for texts, schema in cases:
+        pool = tuple(parse(text, (2, K2)) for text in texts)
+        monkeypatch.setitem(axioms._TABLE, schema, BLOCK_BROKEN[schema])
+        run = instantiate(schema, 2, K2, pool)
+        expected = _first_failing_instance(_stacked.StackedEvaluator(models), run)
+        unpatched = _summary(soundness_check(run, models))
+        with monkeypatch.context() as patch:
+            # the width of the widest view the run is checked on
+            width = max(narrowed_width(grid, inst.formula.reads) for inst in run) * 4
+            patch.setattr(_stacked, "_CHUNK_BITS", most * width)
+            del tiled[:]
+            report = soundness_check(run, models)
+            sizes = {times for view, times in tiled if view.full.bit_length() == width}
+            assert max(sizes, default=1) == most, schema
+            assert _summary(report) == _summary(soundness_check(_by_hand(run), models)), schema
+        assert _summary(report) == unpatched, schema
+        (result,) = report.results
+        assert not result.ok and result.counterexample == expected, schema
+        assert result.model_independent == sum(not inst.formula.reads for inst in run), schema
+    late = instantiate("phi", 2, K2, pool)
+    assert expected[0] == late[9] and late[9].bindings == {"i": 2, "phi": Out("b")}
+    pool = tuple(parse(text, (2, K2)) for text in BLOCK_POOL)
+    records = list(instantiate("phi", 2, K2, pool))
+    first = next(k for k, inst in enumerate(records) if inst.bindings["i"] == 2 and inst.formula.reads == 0)
+    failing = [k for k, inst in enumerate(records) if _stacked.StackedEvaluator(models).first_failure(inst.formula)]
+    # the first failure is a reported-atom one, behind an outcome-atom group
+    # holding later failures of the same row
+    assert failing[0] == first + 1 and records[failing[0]].formula.reads == 0
+    assert any(records[k].formula.reads == 1 and k > failing[0] for k in failing)
+
+
+def test_instantiate_keeps_its_domains_not_its_bindings():
+    """`instantiate` of comp-At at (3,{a,b}), 56,320 instances, keeps its
+    binder domains: under 0.5 MiB stays live, and the collector's next
+    generation-0 pass has about a thousand new objects to scan, where a
+    list of the bindings left over 57,000."""
+    import tracemalloc
+
+    pool = default_pool(3, K2)
+    instantiate("comp-At", 3, K2, pool)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run = instantiate("comp-At", 3, K2, pool)
+        live = tracemalloc.get_traced_memory()[0]
+        pending = gc.get_count()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert len(run) == 56320
+    assert live < 512 * 1024 and pending < 5000

@@ -40,7 +40,7 @@ from scflogic.encodings import (
     strproof,
 )
 from scflogic.core import _bounded_size
-from scflogic.decision import _CHUNK_BITS
+from scflogic._stacked import _CHUNK_BITS
 from scflogic.logic import TRUE, And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, Rep
 from scflogic.parser import parse
 
@@ -95,6 +95,57 @@ def test_enumerate_models_is_the_class_in_order():
         assert len(grid) == len(built)
         assert [(model.table, model.truth) for model in grid] == built
         assert [(grid[i].table, grid[i].truth) for i in range(0, len(grid), 7)] == built[::7]
+
+
+def test_enumerate_models_lays_out_no_row():
+    """The class's rows are computed from their index: a grid of 4^24
+    rows at (1,{a,b,c,d}) comes back at once, reads its last model and
+    narrows to its first row within 256 KiB; its rows index, slice and
+    iterate as the product does."""
+    import tracemalloc
+
+    outcomes = ("a", "b", "c", "d")
+    tracemalloc.start()
+    try:
+        grid = enumerate_models(1, outcomes, 10**20)
+        last = grid[len(grid) - 1]
+        first_row = grid.narrowed(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert len(grid) == 4**24 * 24 and len(grid.rows) == 4**24
+    assert last == ScfModel(ScfTable(1, outcomes, ("d",) * 24), all_profiles(1, outcomes)[-1])
+    assert grid[-1] == last and list(first_row.rows) == [("a",) * 24]
+    rows = enumerate_models(2, K2).rows
+    product = list(itertools.product(K2, repeat=4))
+    assert len(rows) == 16 and list(rows) == product and rows[-3] == product[-3]
+    assert list(rows[:1]) == product[:1] and list(rows[3:11:2]) == product[3:11:2]
+    assert list(rows[5:9]) == product[5:9] and len(rows[5:9]) == 4
+
+
+def test_grid_models_are_the_checked_models(monkeypatch):
+    """A grid builds its models without re-checking that each truth is a
+    state, and they equal the models the checking constructor builds,
+    read by index or by iteration, on the class and on a sample."""
+    checks = []
+    post_init = ScfModel.__post_init__
+    monkeypatch.setattr(ScfModel, "__post_init__", lambda model: checks.append(model) or post_init(model))
+    for grid in (enumerate_models(3, K2), _stacked.TableGrid(2, K3, _sample_rows(2, K3))):
+        listed = list(grid)
+        assert checks == []
+        checked = [
+            ScfModel(ScfTable(grid.n, grid.outcomes, values), truth)
+            for values in grid.rows
+            for truth in grid.truths
+        ]
+        assert listed == checked and [grid[i] for i in range(0, len(grid), 5)] == checked[::5]
+        assert all(type(model) is ScfModel and model.n == grid.n for model in listed)
+        del checks[:]
+
+
+def _sample_rows(n, outcomes):
+    return sorted({model.table.values for model in sample_models(n, outcomes, 200, seed=3)})
 
 
 def test_satisfiable_examples(h_table):
@@ -530,17 +581,19 @@ def test_best_response_checks_stack_one_truth_per_ranking(monkeypatch):
 
 def test_enumeration_builds_no_model_per_visited_model(monkeypatch):
     """Enumeration stacks outcome functions as tables, and only the model
-    of a witness or counterexample is ever built."""
+    of a witness or counterexample is ever built, whether through the
+    checking constructor or as a grid's model, which skips the check."""
     late, first = _first_hit_formula(1, K3, _chunk_starts(1, K3, 1)[0][-1])
     dictatorship = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
     built = []
-    post_init = ScfModel.__post_init__
+    post_init, grid_model = ScfModel.__post_init__, _stacked._model
 
     def counted(model):
         built.append(model)
         post_init(model)
 
     monkeypatch.setattr(ScfModel, "__post_init__", counted)
+    monkeypatch.setattr(_stacked, "_model", lambda *args: built.append(grid_model(*args)) or built[-1])
     assert valid(1, K3, Implies(Out("c"), Pref(1, Out("c")))).status == "valid"
     assert built == []
     assert satisfiable(1, K3, late).witness[0] == first

@@ -159,12 +159,15 @@ ROWS = [
     Row("hostile text disjuncts", (hostile_text, "disjuncts"), [1, 0], 195, 15),  # 250,001 disjuncts: 2.5 s
     Row("hostile text quote", (hostile_text, "quote"), [2, 1], 25, 2),  # a lexical error, found at once
     Row("hostile text ideographic", (hostile_text, "ideographic"), [2, 1], 25, 2),
-    Row("axioms (3,{a,b})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b --json"), [[0, True]], 30, 60),
-    Row("axioms (4,{a,b})", (cli_calls, "ok", "axioms --agents 4 --outcomes a,b --json"), [[0, True]], 41, 60),
+    # the axiom sweeps: 0.2-0.4 s and 17.6-18.4 MiB each at (3,{a,b}), (4,{a,b})
+    # and sampled (2,{a,b,c}), antisym' 1.2-1.8 s and 23.5 MiB, (3,{a,b,c})
+    # 1.9-2.3 s and 24.8 MiB, six runs each on two shared cores
+    Row("axioms (3,{a,b})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b --json"), [[0, True]], 23, 3),
+    Row("axioms (4,{a,b})", (cli_calls, "ok", "axioms --agents 4 --outcomes a,b --json"), [[0, True]], 23, 3),
     Row("sampled axioms (2,{a,b,c})", (cli_calls, "ok", "axioms --agents 2 --outcomes a,b,c --json"), [[0, True]],
-        23, 60),
-    Row("antisym' (3,{a,b,c})", (antisym,), "PASS", 35, 30, vmem_kib=3000000),
-    Row("axioms (3,{a,b,c})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b,c --json"), [[0, True]], 49, 60),
+        23, 3),
+    Row("antisym' (3,{a,b,c})", (antisym,), "PASS", 31, 6, vmem_kib=3000000),
+    Row("axioms (3,{a,b,c})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b,c --json"), [[0, True]], 32, 10),
     Row("strproof (3,{a,b,c})", (cli_calls, "agrees", "property --scf dictator3abc1.json strproof --json"),
         [[0, True]], 60, 60),
     Row("strproof (2,{a,b,c,d})", (cli_calls, "agrees", "property --scf dictator2abcd1.json strproof --json"),
