@@ -2,6 +2,8 @@
 logic of social choice functions, cross-validated by brute-force
 game-theoretic oracles on finite instances."""
 
+from importlib import import_module as _import_module
+
 from .core import (
     GameForm,
     InvalidDomain,
@@ -88,16 +90,6 @@ from .decision import (
     satisfiable,
     valid,
 )
-from .axioms import (
-    SCHEMAS,
-    AxiomInstance,
-    Instances,
-    default_pool,
-    instantiate,
-    instantiate_all,
-    pref_necessitation_holds,
-    soundness_check,
-)
 from .files import (
     FileFormatError,
     load_model,
@@ -112,3 +104,27 @@ from .files import (
 from .parser import Context, ParseError, SourceSpan, format_formula, parse
 
 __version__ = "0.1.0"
+
+# `axioms` and its names are bound when one of them is first read (PEP 562),
+# so that importing the package, or a command that never sweeps, does not
+# load it; `from scflogic import *` binds them as it did when they were
+# imported here
+_AXIOMS = (
+    "SCHEMAS",
+    "AxiomInstance",
+    "Instances",
+    "default_pool",
+    "instantiate",
+    "instantiate_all",
+    "pref_necessitation_holds",
+    "soundness_check",
+)
+__all__ = [name for name in globals() if not name.startswith("_")] + ["axioms", *_AXIOMS]
+
+
+def __getattr__(name: str):
+    if name == "axioms" or name in _AXIOMS:
+        axioms = _import_module(".axioms", __name__)
+        globals().update((each, getattr(axioms, each)) for each in _AXIOMS)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

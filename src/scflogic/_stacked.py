@@ -94,6 +94,20 @@ times faster than multiplying by a comb, which wins only on views of a
 few bytes, where both take microseconds.  A tiled view is never kept on
 an evaluator.
 
+The axiom sweep asks one model list again and again, a
+`soundness_check` per schema, so its evaluator is kept between calls
+(`stack`), a memo function in Michie's sense ("Memo functions and
+machine learning", Nature 1968) keyed on the identity of what was
+stacked.  The state space of (n, K) has one slot, the last evaluator
+`stack` built over it; a `TableGrid` hits it only as the same object, as
+a grid is not changed once made, and a list or tuple when it holds the
+same model objects in the same order as the tuple the evaluator was
+built on.  Until other models over that (n, K) replace it, the slot
+keeps that tuple and its models alive, with the evaluator's outcome and
+rank masks and its narrowed views and theirs; tiled views and direct
+scopes live for one run.  The property check and the enumeration stack a
+new table or chunk each time and build their own evaluators.
+
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the first truths of each agent set's rankings among
 all S profiles, and the rank blocks of those and of all S) is built once
@@ -108,13 +122,14 @@ import collections.abc
 import weakref
 from functools import lru_cache
 from itertools import chain, cycle, product, repeat
-from typing import Iterator, Sequence
+from operator import is_
+from typing import Iterable, Iterator, Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _model, _positions, _state_index
 from .core import all_profiles
 from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top, _pref_bit
 
-__all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model"]
+__all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model", "stack"]
 
 
 class _StateSpace:
@@ -147,6 +162,7 @@ class _StateSpace:
         self._narrowings: dict[int, tuple[tuple[int, ...], tuple[Profile, ...]]] = {}
         # rank blocks by the id of a truth tuple this space holds for its life
         self._blocks: dict[int, list[list[dict[str, int]]]] = {}
+        self.stacked: StackedEvaluator | None = None  # the last evaluator `stack` built here
 
     def narrowing(
         self, truths: Sequence[Profile], shape: int
@@ -212,15 +228,16 @@ def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
 class TableGrid(collections.abc.Sequence):
     """The models of outcome-function rows over (n, K), each with one
     sequence of true profiles (all S in order by default), table outer,
-    truth inner: the one code that pairs a row with a truth.  A model is
-    built only when its index is read, or when iteration reaches it, the
-    models of a row then sharing one table, and without re-checking that
-    its truth is a state (`core._model`): a grid's truths are states of
-    its (n, K).  `StackedEvaluator` stacks a grid per row without reading
-    any.  A grid `narrowed` from another
-    holds in `kept` the indices of its truths among the other's and in
-    `keeps` its shape, the read-set it decides as the other does; they are
-    None and -1 on any other grid."""
+    truth inner: the one code that pairs a row with a truth.  A grid is
+    not changed once made, so `stack` reuses the evaluator it kept for the
+    same grid object.  A model is built only when its index is read, or
+    when iteration reaches it, the models of a row then sharing one table,
+    and without re-checking that its truth is a state (`core._model`): a
+    grid's truths are states of its (n, K).  `StackedEvaluator` stacks a
+    grid per row without reading any.  A grid `narrowed` from another holds
+    in `kept` the indices of its truths among the other's and in `keeps`
+    its shape, the read-set it decides as the other does; they are None
+    and -1 on any other grid."""
 
     kept: tuple[int, ...] | None = None
     keeps = -1
@@ -413,12 +430,13 @@ _programs: weakref.WeakKeyDictionary[Formula, _Program] = weakref.WeakKeyDiction
 class StackedEvaluator:
     """Truth masks for a batch of models sharing one (n, K): a `TableGrid`,
     or a model list read into one (`_as_grid`), whose `models` stay the
-    caller's own objects.  Each call runs one formula's program on a list
-    of masks of its own, dropped on return; the program, which holds no
-    mask or node, is kept in `_programs`.  The outcome and rank masks are
-    built when an evaluation first reads them; `first_failure` evaluates
-    on a view of the narrowed grid, one per narrowing, built on the first
-    call that asks for it and kept."""
+    caller's own objects (a tuple of them, when `stack` built it).  Each
+    call runs one formula's program on a list of masks of its own, dropped
+    on return; the program, which holds no mask or node, is kept in
+    `_programs`.  The outcome and rank masks are built when an evaluation
+    first reads them; `first_failure` evaluates on a view of the narrowed
+    grid, one per narrowing, built on the first call that asks for it and
+    kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -608,6 +626,42 @@ class StackedEvaluator:
             row, t = divmod(block_idx, len(view.grid.truths))
             block_idx = row * len(self.grid.truths) + view.grid.kept[t]
         return self.models[block_idx], self.space.profiles[state_idx]
+
+
+def stack(models: Iterable[ScfModel]) -> StackedEvaluator:
+    """The evaluator over `models`, kept in the one slot of their (n, K)'s
+    state space (`_StateSpace.stacked`) until other models over that (n, K)
+    are stacked: a `TableGrid` hits the slot only as the same object, and a
+    list or tuple when it holds the same model objects in the same order as
+    the tuple the kept evaluator was built on (`models`); any other
+    iterable is listed first.  A miss drops the kept evaluator, then builds
+    one on the grid, or on a tuple of the listed models, so that the
+    counterexamples it reports are the caller's own objects and a list
+    changed in place later misses."""
+    if not isinstance(models, (TableGrid, list, tuple)):
+        models = list(models)
+    if not models:
+        raise ValueError("need at least one model")
+    if isinstance(models, TableGrid):
+        space = _space(models.n, models.outcomes)
+        kept = space.stacked
+        if kept is not None and kept.models is models:
+            return kept
+    else:
+        space = _space(models[0].n, models[0].outcomes)
+        kept = space.stacked
+        if (
+            kept is not None
+            and type(kept.models) is tuple
+            and len(kept.models) == len(models)
+            and all(map(is_, kept.models, models))
+        ):
+            return kept
+        models = tuple(models)
+    space.stacked = None  # freed before the new one is built
+    # the module's name, which a tracer may replace
+    space.stacked = kept = StackedEvaluator(models)
+    return kept
 
 
 class _Tiled(StackedEvaluator):

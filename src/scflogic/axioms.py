@@ -67,8 +67,10 @@ at the first block that reads more than its view was asked for, to the
 view for what that block reads, so a run over agents 1..n visits each
 agent's view in turn.  It holds one evaluator over its models and one view per
 shape it visits (rows kept or not, agents kept), each kept by
-`StackedEvaluator._view` for later runs.  Building instances and checking
-them pause the cyclic garbage collector (`logic._collector_paused`):
+`StackedEvaluator._view` for later runs; the evaluator is kept for later
+calls too (`_stacked.stack`), so a sweep of one model list schema by
+schema stacks the list once.  Building instances and checking them
+pause the cyclic garbage collector (`logic._collector_paused`):
 interned nodes and direct values are acyclic, so its passes over the
 growing live set could free nothing the build made.
 
@@ -671,13 +673,16 @@ def soundness_check(
     state) pair; no row after its row is evaluated, and the
     state-determined instances from its row on are counted from their
     formulas' read-sets.  A `TableGrid` is stacked as it is, building no
-    model but the counterexamples.  The collector is paused throughout,
-    and so while an `instantiate_all` stream builds the instances.
+    model but the counterexamples.  The models are stacked by
+    `_stacked.stack`, so a call over the same grid, or the same model
+    objects in the same order, as the last call over their (n, K) reuses
+    that call's evaluator, with its masks and views; its models are the
+    caller's objects, so the counterexamples are too.  The collector is
+    paused throughout, and so while an `instantiate_all` stream builds the
+    instances.
     """
     with _collector_paused():
-        if not isinstance(models, _stacked.TableGrid):
-            models = list(models)
-        ev = _stacked.StackedEvaluator(models)
+        ev = _stacked.stack(models)
         return SoundnessReport([_check_run(ev, run) for run in _runs(instances)])
 
 
@@ -914,9 +919,11 @@ def check_sweep_size(n: int, outcomes: Sequence[str], models: Sequence[ScfModel]
     preference.  It is one instance's width: a block of d instances is d
     times as wide and d times fewer, so the product is the same however
     the instances are blocked.  The product counts bindings that a side
-    condition excludes too."""
+    condition excludes too.  The widths are read off the grid of
+    `_stacked.stack(models)`, whose evaluator a `soundness_check` over the
+    same models then reuses, so the models are stacked once."""
     scope = _Scope(n, outcomes, default_pool(n, outcomes))
-    grid = models if isinstance(models, _stacked.TableGrid) else _stacked._as_grid(models)
+    grid = _stacked.stack(models).grid
     for schema, (binders, build) in _TABLE.items():
         first = next(_bindings(scope, binders), None)
         if first is None:  # an empty domain: no instance
@@ -942,13 +949,14 @@ def pref_necessitation_holds(
     models, each on the view its read-set narrows to (`first_failure`):
     the grand-coalition box [N] reads every state of a model, so a formula
     fails in a model exactly when phi is valid there and its pref-box for
-    i is not.  A `TableGrid` is stacked as it is, as `soundness_check`
-    stacks one."""
-    if not isinstance(models, _stacked.TableGrid):
+    i is not.  The models are stacked by `_stacked.stack`, as
+    `soundness_check` stacks them, so the two share one evaluator over the
+    same models, and a `TableGrid` is stacked as it is."""
+    if not isinstance(models, (_stacked.TableGrid, list, tuple)):
         models = list(models)
     if not models:
         return True
-    ev = _stacked.StackedEvaluator(models)
+    ev = _stacked.stack(models)
     agents = range(1, ev.space.n + 1)
     return all(
         ev.first_failure(Implies(Box(agents, phi), Box(agents, PrefBox(i, phi)))) is None

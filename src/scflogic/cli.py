@@ -15,7 +15,6 @@ import sys
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from . import axioms as axioms_mod
 from . import decision, encodings, files, game
 from ._stacked import Evaluator
 from .core import InvalidDomain, Profile, ScfModel, scf_as_game_form
@@ -310,6 +309,8 @@ def _failure_json(counterexample: Optional[tuple]) -> Optional[dict]:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
+    from . import axioms  # here, so that the other commands do not load it
+
     outcomes = _parse_outcomes(args.outcomes)
     try:
         models = decision.enumerate_models(args.agents, outcomes, args.budget)
@@ -317,8 +318,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     except decision.BudgetExceeded as exc:
         models = decision.sample_models(args.agents, outcomes, 1000, args.seed, args.budget)
         source = f"{len(models)} sampled models (seed {args.seed}; class has {exc.models})"
-    axioms_mod.check_sweep_size(args.agents, outcomes, models)
-    report = axioms_mod.soundness_check(axioms_mod.instantiate_all(args.agents, outcomes), models)
+    axioms.check_sweep_size(args.agents, outcomes, models)
+    report = axioms.soundness_check(axioms.instantiate_all(args.agents, outcomes), models)
     _emit(
         args,
         lambda: {

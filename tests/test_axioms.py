@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import itertools
+import operator
 import pickle
 import time
 import weakref
@@ -15,6 +16,7 @@ from scflogic import (
     InvalidDomain,
     KripkeScf,
     Profile,
+    ScfModel,
     all_profiles,
     enumerate_models,
     eval_kripke,
@@ -1135,3 +1137,131 @@ def test_instantiate_keeps_its_domains_not_its_bindings():
             gc.enable()
     assert len(run) == 56320
     assert live < 512 * 1024 and pending < 5000
+
+
+def test_stacking_the_same_models_again_returns_the_kept_evaluator():
+    """`_stacked.stack` keeps the evaluator it built: the same list, a copy
+    of it, a tuple of it and an iterator over it hold the same model
+    objects in the same order, so each returns it, and it stacks the
+    caller's objects."""
+    models = sample_models(2, K3, 40, seed=3)
+    ev = _stacked.stack(models)
+    for again in (models, list(models), tuple(models), iter(models)):
+        assert _stacked.stack(again) is ev
+    assert len(ev.models) == len(models) and all(map(operator.is_, ev.models, models))
+
+
+def test_a_list_changed_in_place_is_stacked_again():
+    """Replacing one model of a stacked list in place, with an equal but
+    distinct model or with another model, gives a new evaluator, and the
+    counterexample reported over the list is the caller's new object, where
+    a fresh evaluator over the list finds its first failure."""
+    grid = enumerate_models(2, K2)
+    models = [grid[row * 4] for row in range(4)]  # one truth per row
+    planted = [AxiomInstance("planted", {}, Out("a"))]
+    (result,) = soundness_check(planted, models).results
+    assert result.counterexample[1] is models[1]  # (a,a,a,b), at the last state
+    for replacement, failing in ((ScfModel(models[1].table, models[1].truth), 1), (grid[0], 2)):
+        kept = _stacked.stack(models)
+        models[1] = replacement
+        assert _stacked.stack(models) is not kept
+        (result,) = soundness_check(planted, models).results
+        expected = _stacked.StackedEvaluator(models).first_failure(Out("a"))
+        assert result.counterexample[1:] == expected
+        assert result.counterexample[1] is models[failing] and expected[0] is models[failing]
+
+
+def test_stacking_other_models_frees_the_kept_evaluator():
+    """A second model list over the same (n, K) replaces the kept
+    evaluator, which reference counting frees: a weak reference to it dies
+    with the collector off, whether the lists are stacked directly or
+    through `soundness_check`."""
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(_stacked.stack(sample_models(2, K3, 20, seed=1)))
+        assert ref() is not None
+        _stacked.stack(sample_models(2, K3, 20, seed=2))
+        assert ref() is None
+        run = instantiate("K(pref)", 2, K3, SMALL_POOL)
+        assert soundness_check(run, sample_models(2, K3, 20, seed=1)).ok
+        ref = weakref.ref(_stacked.stack(sample_models(2, K3, 20, seed=1)))
+        assert soundness_check(run, sample_models(2, K3, 20, seed=2)).ok
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_grid_hits_the_kept_evaluator_only_as_the_same_object():
+    """A `TableGrid` hits only as the same object: an equal grid, or the
+    list of its models, gets an evaluator of its own, over itself."""
+    grid = enumerate_models(2, K2)
+    ev = _stacked.stack(grid)
+    assert _stacked.stack(grid) is ev and ev.models is grid
+    same = TableGrid(grid.n, grid.outcomes, grid.rows)
+    other = _stacked.stack(same)
+    assert other is not ev and other.models is same
+    assert _stacked.stack(list(grid)) is not other
+    assert _stacked.stack(grid) is not ev
+
+
+def test_stacking_no_models_is_refused():
+    """An empty list, tuple or iterator is refused as an empty stack is."""
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="^need at least one model$"):
+            _stacked.stack(empty)
+    with pytest.raises(ValueError, match="^need at least one model$"):
+        soundness_check(instantiate("refl", 2, K2, ()), [])
+
+
+@pytest.mark.parametrize("scale", list(EQUIVALENCE_SCALES))
+def test_a_sweep_of_one_list_reports_what_fresh_evaluators_do(monkeypatch, scale):
+    """Checking every schema, unsound builders and planted records one
+    `soundness_check` at a time over one model list stacks the list once,
+    and gives each call the results a fresh evaluator gives it, each
+    counterexample the caller's own model."""
+    from scflogic import axioms
+
+    n, outcomes, stack = EQUIVALENCE_SCALES[scale]
+    models = stack()
+    pool = default_pool(n, outcomes)
+    space = _stacked._space(n, outcomes)
+    planted = [AxiomInstance("planted", {}, parse("pref(1) a -> a", (n, outcomes)))]
+    bogus = [AxiomInstance("func1", {}, Out("b")), AxiomInstance("func1", {}, Rep(1, "a", "b"))]
+    runs = [lambda schema=schema: instantiate(schema, n, outcomes, pool) for schema in SCHEMAS]
+    runs += [lambda: planted, lambda: bogus]
+    for schema, entry in BROKEN.items():
+        runs.append(lambda schema=schema, entry=entry: monkeypatch.setitem(axioms._TABLE, schema, entry)
+                    or instantiate(schema, n, outcomes, pool))
+    kept, evaluators = [], []
+    for run in runs:
+        kept.append(soundness_check(run(), models).results)
+        evaluators.append(space.stacked)
+    monkeypatch.undo()
+    assert all(ev is evaluators[0] for ev in evaluators)
+    assert all(map(operator.is_, evaluators[0].models, models))
+    for run, results in zip(runs, kept):
+        space.stacked = None
+        fresh = soundness_check(run(), models).results
+        assert results == fresh
+        for ours, theirs in zip(results, fresh):
+            if ours.counterexample is not None:
+                assert ours.counterexample[1] is theirs.counterexample[1]
+                assert any(ours.counterexample[1] is model for model in models)
+        monkeypatch.undo()
+    assert [r.ok for results in kept[len(SCHEMAS):] for r in results].count(False) >= 4
+
+
+def test_the_sampled_axioms_command_stacks_its_models_once(monkeypatch, capsys):
+    """The `axioms` command over sampled (2,{a,b,c}) reads its model list
+    into a grid once, for the size check and the sweep together, and
+    prints what it printed when it read it twice."""
+    calls = []
+    as_grid = _stacked._as_grid
+    monkeypatch.setattr(_stacked, "_as_grid", lambda models: calls.append(1) or as_grid(models))
+    assert cli.main(["axioms", "--agents", "2", "--outcomes", "a,b,c", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cfacf23e7fe3ad9a2c2e4fc0d9b1dcc2d5914384253dc8a7e8ef10334406ee18"
+    )

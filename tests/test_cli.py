@@ -13,7 +13,7 @@ from scflogic import (
     scf_as_game_form,
     valid_in_model,
 )
-from scflogic import cli
+from scflogic import axioms, cli
 from scflogic._stacked import StackedEvaluator
 from scflogic.axioms import AxiomInstance
 from scflogic.cli import main
@@ -456,7 +456,7 @@ def test_axioms_json_reports_the_first_failure(capsys, monkeypatch):
     in its JSON entry too: the instance, the state and the truth; a
     passing schema's entry has it null."""
     bogus = AxiomInstance("func1", {}, Out("a"))
-    monkeypatch.setattr(cli.axioms_mod, "instantiate_all", lambda n, outcomes: iter([bogus]))
+    monkeypatch.setattr(axioms, "instantiate_all", lambda n, outcomes: iter([bogus]))
     argv = ["axioms", "--agents", "1", "--outcomes", "a,b"]
     model, state = next(
         (m, s) for m in enumerate_models(1, K2) for s in m.states if m.out(s) != "a"

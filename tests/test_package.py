@@ -145,3 +145,30 @@ def test_readme_python_blocks_run():
     assert results['evaluate(model, state, Diamond({1, 2}, Out("b")))'] is True
     assert results["check_scf_property(H, STRPROOF).status"] == "valid"
     assert results["is_strategy_proof(H)"] is True
+
+
+_LAZY_AXIOMS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import scflogic, scflogic.cli
+print("axioms" if "scflogic.axioms" in sys.modules else "no axioms")
+print(len(scflogic.instantiate("refl", 2, ("a", "b"), ())))
+names = {}
+exec("from scflogic import *", names)
+print(names["soundness_check"] is sys.modules["scflogic.axioms"].soundness_check)
+print(sorted(set(scflogic.__all__) - set(names)))
+"""
+
+
+def test_the_package_and_the_cli_load_axioms_when_first_read():
+    """Importing the package and the CLI leaves `axioms` unloaded; reading
+    one of its names through the package loads it, and `from scflogic
+    import *` binds its names."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_AXIOMS, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["no axioms", "4", "True", "[]"]
