@@ -25,7 +25,7 @@ which `evaluate` and `valid_in_model` each read one `truth_mask`.
 Every stack is a grid (`TableGrid`): outcome-function rows, each with
 one sequence of L true profiles that all rows share.  Property checks
 and the enumeration pass a grid of all S profiles and build a model only
-for the index `first_failure` reports; a model list is read into the
+for the index of the failure they find; a model list is read into the
 grid it spells (`_as_grid`).  A row's outcome masks are spread over its
 L blocks by one multiplication, when an evaluation first reads them.
 
@@ -62,12 +62,28 @@ sets the free schedule in the op codes (Collins's erasure of lists,
 1960): an entry frees each child whose last reader it is, so a run holds
 only the masks later entries still read.  A program names children by
 slot and atoms by their fields, so it never references its root.  A
-formula is usually asked again on other stacks: a property formula on
-table after table, the chunks of an enumeration.  So its program is
-compiled on its first call and kept in `_programs`, which holds roots
-weakly: a program lives as long as its root, and no mask outlives the
-call.  To ask one formula at many states, read its mask once instead of
-calling `evaluate` per state.
+formula is usually asked again on other stacks, such as the chunks of an
+enumeration.  So its program is compiled on its first call and kept in
+`_programs`, which holds roots weakly: a program lives as long as its
+root, and no mask outlives the call.  To ask one formula at many states,
+read its mask once instead of calling `evaluate` per state.
+
+A property check builds no formula: the property's builder runs once per
+(property, n, K) against the constructors of `_Emit`, an emitting scope
+that separates binding times, as a partial evaluator does (Jones, Gomard
+and Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993;
+Carette, Kiselyov and Shan, "Finally tagless, partially evaluated", JFP
+2009).  What reads no outcome atom and no pref modality is the same for
+every table, in every block: it is computed at once, as one block's mask.
+The rest is emitted as a residual program in `_compile`'s format, with
+those masks as constant operands, spread over a grid by its tile when a
+run reads them.  The scope folds what a constant decides (x | 0, x &
+full, ...) and enters equal entries once, so the residual program is
+smaller than the formula's: at (2,{a,b,c}) `strproof` has 2,088 entries
+against 2,115, `mon` 2,942 against 56,012, and at (3,{a,b,c}) `mon` 64,106
+where the formula has 7,025,186 nodes.  The program's read-set is that of
+the outcome atoms and pref modalities it reaches, and each table's check
+runs it on a one-row grid narrowed to it (`program_failure`).
 
 The axiom sweep builds neither instance formulas nor programs: a schema
 builder runs against the constructors of `_Direct`, which compute each
@@ -417,8 +433,9 @@ _CHUNK_BITS = 1 << 15
 # entry's kind plus the parity of the `Not`s it reads through: _NOT_A if it
 # reads child a (a modality's only one) complemented, _NOT_B if child b.  The
 # low two bits are the free schedule: free child a, or child b, once the
-# entry is computed.
-_OR, _DIAMOND, _PREF, _TOP, _OUT, _REP = 0, 64, 96, 128, 144, 160
+# entry is computed.  A residual program (`_Emit`) has one more atom, a
+# constant: _MASK with one block's mask in a, spread over every block.
+_OR, _DIAMOND, _PREF, _TOP, _OUT, _REP, _MASK = 0, 64, 96, 128, 144, 160, 176
 _NOT_A, _NOT_B = 16, 32
 _FREE_A, _FREE_B = 1, 2
 _Program = tuple[list[int], list, list, int]
@@ -553,7 +570,7 @@ class StackedEvaluator:
         if op < _OUT:
             return self.full
         if op >= _REP:
-            return self.space.rep_mask(a, *b) * self.tile
+            return a * self.tile if op == _MASK else self.space.rep_mask(a, *b) * self.tile
         if a not in self.space.outcomes:
             raise InvalidDomain(f"outcome atom {a!r} outside {self.space.outcomes}")
         return (self._out_masks or self._outcome_masks())[a]
@@ -596,6 +613,13 @@ class StackedEvaluator:
         view = self._view(formula.reads)
         bad = view.full ^ view.truth_mask(formula)
         return self._locate(view, bad) if bad else None
+
+    def program_failure(self, program: _Program) -> tuple[ScfModel, Profile] | None:
+        """(model, state) of the lowest bit of the batch that the root of
+        `program` falsifies, or None: a residual program (`_Emit`) run on
+        the grid it was emitted for, whose read-set this grid keeps."""
+        bad = self.full ^ self._run(program)
+        return self._locate(self, bad) if bad else None
 
     def _view(self, reads: int) -> StackedEvaluator:
         """The evaluator over `TableGrid.narrowed(reads)`: the first model
@@ -715,8 +739,7 @@ def _compile(root: Formula) -> _Program:
     `pref(i)` has its child's slot in a and its coalition or agent in b;
     an atom has (None, None) for top, (name, None) for an outcome and
     (agent, (left, right)) for a reported preference.  Then the table is
-    dropped, and one reverse pass, with a bytearray of the slots already
-    read, flags each entry's children it is the last reader of."""
+    dropped, and `_schedule` sets the free schedule."""
     ops, args, keys = [], [], []
     slots: dict[Formula, int] = {}  # node -> slot, no `Not`
     base, odd = root, 0
@@ -758,6 +781,14 @@ def _compile(root: Formula) -> _Program:
         args.append(a)
         keys.append(b)
     del slots
+    _schedule(ops, args, keys)
+    return ops, args, keys, odd
+
+
+def _schedule(ops: list[int], args: list, keys: list) -> None:
+    """Set the free schedule in the op codes of a program's entries: one
+    reverse pass, with a bytearray of the slots already read, flags each
+    entry's children it is the last reader of."""
     read = bytearray(len(ops))
     for slot in range(len(ops) - 1, -1, -1):
         op = ops[slot]
@@ -770,7 +801,6 @@ def _compile(root: Formula) -> _Program:
                 read[keys[slot]] = 1
                 op |= _FREE_B
             ops[slot] = op
-    return ops, args, keys, odd
 
 
 class _Value:
@@ -857,6 +887,189 @@ class _Direct:
         if formula.reads & ~self.keeps:
             raise _Narrow(formula.reads)
         return _Value(self.view.truth_mask(formula), formula.reads)
+
+
+class _Emit(StackedEvaluator):
+    """The constructors of an emitting scope over (n, K) (`Or`, `Diamond`,
+    `Pref`, the atoms and the derived forms, and `TRUE`), which split a
+    builder's values by binding time: what no outcome function changes is
+    computed now, and the rest is emitted as a residual program
+    (`program`), which `program_failure` runs on each table's grid.
+
+    A static value reads neither an outcome atom nor a pref modality:
+    `TRUE`, the reported-preference atoms and what only they feed.  It is
+    the same in every block of every grid over (n, K), so it is a `_Value`
+    holding one block's mask, computed at once by the evaluator of one
+    block that this scope is (set up without a grid, as `_Tiled` is), and
+    `TRUE` and `FALSE` are its two shared values.  Every other value is an
+    entry of the program, named by an int, 2 * slot + parity, as a
+    complemented edge names a node (see `_compile`): `Not` flips the low
+    bit, and a parent reads its child through the parity.  A static value
+    that such a value reads is a constant entry, `_MASK` with the block's
+    mask, which a run spreads over its grid by multiplying with the tile.
+    A mask and its complement share one constant, read through a parity.
+
+    The constructors fold what a constant decides: x | 0 and x & full are
+    x, x | full and x & 0 are the shared static value, x | x is x and x |
+    ~x full, and pref(i) of no state or of every state is that static
+    value.  Equal entries are entered once (`slots`, keyed by op code and
+    operands, a commutative pair in slot order), so two memo tables, or
+    two builders, that reach one value share its entry.  The domain checks
+    are a program run's."""
+
+    def __init__(self, n: int, outcomes: tuple[str, ...]):
+        space = self.space = _space(n, outcomes)
+        self.block = space.size
+        self.full = (1 << space.size) - 1
+        self.tile = 1
+        self._low = self.full >> 1
+        self._top = self.full ^ self._low
+        self._axis = space.axes
+        self._agents = frozenset(range(1, n + 1))
+        self.TRUE, self.FALSE = _Value(self.full, 0), _Value(0, 0)
+        self.ops: list[int] = []
+        self.args: list = []
+        self.keys: list = []
+        self.slots: dict[object, int] = {}  # an entry's key -> its value, 2 * slot
+
+    def _static(self, mask: int) -> _Value:
+        return self.TRUE if mask == self.full else _Value(mask, 0) if mask else self.FALSE
+
+    def _enter(self, key, op: int, a, b) -> int:
+        """The entry (op, a, b), entered under `key` unless it is there; a
+        child is held as its edge until `program` numbers the entries."""
+        entry = self.slots.get(key)
+        if entry is None:
+            entry = self.slots[key] = len(self.ops) << 1
+            self.ops.append(op)
+            self.args.append(a)
+            self.keys.append(b)
+        return entry
+
+    def _emitted(self, x) -> int:
+        """`x` as an entry: itself, or a static value's constant, whose
+        state 0 is clear, read through the parity of `x`'s state 0."""
+        if type(x) is int:
+            return x
+        odd = x.mask & 1
+        mask = self.full ^ x.mask if odd else x.mask
+        return self._enter((_MASK, mask), _MASK, mask, None) | odd
+
+    def Not(self, x):
+        return x ^ 1 if type(x) is int else self._static(self.full ^ x.mask)
+
+    def Or(self, x, y):
+        if type(x) is not int:
+            if type(y) is not int:
+                return self._static(x.mask | y.mask)
+            x, y = y, x
+        if type(y) is not int:
+            if y is self.FALSE:
+                return x
+            if y is self.TRUE:
+                return y
+        elif x >> 1 == y >> 1:
+            return x if x == y else self.TRUE
+        y = self._emitted(y)
+        if x > y:
+            x, y = y, x
+        # an int key, the bulk of the table: the pair of edges, each below 2^40
+        return self._enter(x << 40 | y, _OR + (x & 1) * _NOT_A + (y & 1) * _NOT_B, x, y)
+
+    def And(self, x, y):
+        if type(x) is not int:
+            if type(y) is not int:
+                return self._static(x.mask & y.mask)
+            x, y = y, x
+        if y is self.TRUE or y is self.FALSE:
+            return x if y is self.TRUE else y
+        return self.Or(x ^ 1, self.Not(y)) ^ 1
+
+    def Implies(self, x, y):
+        if type(x) is not int:
+            if type(y) is not int:
+                return self._static(self.full ^ x.mask | y.mask)
+            if x is self.TRUE or x is self.FALSE:
+                return y if x is self.TRUE else self.TRUE
+        return self.Or(self.Not(x), y)
+
+    def Iff(self, x, y):
+        return self.And(self.Implies(x, y), self.Implies(y, x))
+
+    def Diamond(self, coalition, x):
+        coalition = frozenset(coalition)
+        if type(x) is not int:
+            return self._static(self._diamond(coalition, x.mask))
+        if not coalition <= self._agents:
+            raise InvalidDomain(f"coalition {sorted(coalition)} not within agents 1..{self.space.n}")
+        return self._enter((_DIAMOND, x, coalition), _DIAMOND + (x & 1) * _NOT_A, x, coalition)
+
+    def Box(self, coalition, x):
+        return self.Not(self.Diamond(coalition, self.Not(x)))
+
+    def Pref(self, agent: int, x):
+        if not 1 <= agent <= self.space.n:
+            raise InvalidDomain(f"agent {agent} out of range 1..{self.space.n}")
+        if x is self.TRUE or x is self.FALSE:
+            return x
+        x = self._emitted(x)
+        return self._enter((_PREF, x, agent), _PREF + (x & 1) * _NOT_A, x, agent)
+
+    def PrefBox(self, agent: int, x):
+        return self.Not(self.Pref(agent, self.Not(x)))
+
+    def Rep(self, agent: int, left: str, right: str) -> _Value:
+        return self._static(self.space.rep_mask(agent, left, right))
+
+    def Out(self, name: str) -> int:
+        if name not in self.space.outcomes:
+            raise InvalidDomain(f"outcome atom {name!r} outside {self.space.outcomes}")
+        return self._enter((_OUT, name), _OUT, name, None)
+
+    def program(self, root) -> tuple[int, _Program]:
+        """The read-set of `root` and its residual program, which takes the
+        emitted entries from this scope: the entries `root` reaches, in
+        the post-order of a walk that takes an `Or`'s later entry first
+        (at (2,{a,b,c,d}) strproof's run then holds at most 4,056 masks at
+        once, as its formula's program holds 4,055, against 4,625 in the
+        order of entry and 5,199 taking the earlier entry first), with the
+        free schedule (`_schedule`) and the root's parity.  The read-set
+        is bit 0 if an outcome atom is reached and the bit of each agent
+        whose pref modality is.  A static root is one constant."""
+        if type(root) is not int:
+            return 0, ([_MASK], [root.mask], [None], 0)
+        ops, args, keys = self.ops, self.args, self.keys
+        self.ops = self.args = self.keys = self.slots = None
+        renumbered = [-1] * ((root >> 1) + 1)
+        new_ops, new_args, new_keys = [], [], []
+        reads = 0
+        stack = [root >> 1]  # a slot to visit, or ~slot once its children are pushed
+        while stack:
+            slot = stack.pop()
+            if slot >= 0:
+                if renumbered[slot] < 0:
+                    stack.append(~slot)
+                    if ops[slot] < _TOP:
+                        stack.append(args[slot] >> 1)
+                        if ops[slot] < _DIAMOND:
+                            stack.append(keys[slot] >> 1)
+                continue
+            slot = ~slot
+            op, a, b = ops[slot], args[slot], keys[slot]
+            if op < _TOP:
+                a = renumbered[a >> 1]
+                if op < _DIAMOND:
+                    b = renumbered[b >> 1]
+                elif op >= _PREF:
+                    reads |= _pref_bit(b)
+            elif op == _OUT:
+                reads |= 1
+            renumbered[slot] = len(new_ops)
+            new_ops.append(op)
+            new_args.append(a)
+            new_keys.append(b)
+        _schedule(new_ops, new_args, new_keys)
+        return reads, (new_ops, new_args, new_keys, root & 1)
 
 
 class Evaluator(StackedEvaluator):

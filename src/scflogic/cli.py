@@ -161,7 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_property(args: argparse.Namespace) -> int:
     table = files.load_scf(args.scf)
     prop = encodings.PropertyId.parse(args.property)
-    verdict = decision.check_scf_property(table, prop)
+    verdict = decision.check_scf_property(table, prop, args.budget)
     holds = verdict.status == "valid"
     oracle, detail = game.property_oracle(table, prop)
 
@@ -367,6 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     prop = subs.add_parser("property", help="check an SCF property via its encoding")
     prop.add_argument("--scf", required=True, help="SCF JSON file")
     prop.add_argument("property", help=" | ".join(encodings.PropertyId.spellings()))
+    prop.add_argument(
+        "--budget",
+        type=int,
+        default=decision.PROPERTY_BUDGET,
+        help="largest estimated work of the check, in bit operations",
+    )
 
     budget_help = "maximum number of models to enumerate"
     for name, help_text in (

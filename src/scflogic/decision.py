@@ -37,24 +37,31 @@ counts models.
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
 F, so `check_scf_property` quantifies over the (|K|!)^n true profiles
-only.  It builds the property formula once per (property, n, K) (the
-encodings builders are memoized) and evaluates it on all those models at
-once, as a one-row `TableGrid` narrowed to the formula's read-set: a
-best response br(i) reads agent i's true preference alone, so with two
-agents or more it is evaluated on the |K|! true profiles that differ
-from the first in agent i's ranking only.  The restriction is itself
-tested against full enumeration at the small scales where both are
-feasible.
+only.  It builds no property formula: once per (property, n, K) it runs
+the property's builder in an emitting scope (`_stacked._Emit`), which
+computes what no outcome function changes at once and emits the rest as
+a residual program, kept for later checks (`_residual`).  Each check runs
+that program on all those models at once, as a one-row `TableGrid`
+narrowed to the program's read-set: a best response br(i) reads agent
+i's true preference alone, so with two agents or more it is evaluated on
+the |K|! true profiles that differ from the first in agent i's ranking
+only.  The restriction is itself tested against full enumeration at the
+small scales where both are feasible.  A check whose estimated work, its
+builder's binder product times its view's width (`_property_work`),
+exceeds its budget (`PROPERTY_BUDGET` unless given) is refused with
+`BudgetExceeded` before anything is emitted.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from . import _stacked
+from . import _stacked, encodings
 from ._stacked import Evaluator
 from .core import (
     InvalidDomain,
@@ -64,8 +71,8 @@ from .core import (
     _bounded_size,
     num_states,
 )
-from .encodings import PropertyId, property_formula
-from .logic import Formula, Not
+from .encodings import PropertyId
+from .logic import Formula, Not, _collector_paused
 
 __all__ = [
     "BudgetExceeded",
@@ -81,16 +88,24 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 
+# no check builds a property formula; the name stays, as `bench/tracing.py`
+# wraps it here to time the builds
+property_formula = encodings.property_formula
+
 
 class BudgetExceeded(RuntimeError):
     """The model class over (n, K), its outcome functions, or the state set
     of one model of it, is larger than the budget allows.  The budget
     counts models; for a formula that reads no true preference it counts
-    outcome functions, each with one true profile.  `required_models` is
-    the class's model count, None above 10^30; `models` is that count as
-    text of bounded length, with larger counts written as powers."""
+    outcome functions, each with one true profile.  A property check's
+    budget counts bit operations (`PROPERTY_BUDGET`), and its caller says
+    what it needs (`need`).  `required_models` is the class's model count,
+    None above 10^30; `models` is that count as text of bounded length,
+    with larger counts written as powers."""
 
-    def __init__(self, n: int, outcomes: Sequence[str], budget: int, unit: str = "models"):
+    def __init__(
+        self, n: int, outcomes: Sequence[str], budget: int, unit: str = "models", need: Optional[str] = None
+    ):
         k = len(outcomes)
         models, states = _bounded_size(n, k, 10**30)
         self.required_models = models
@@ -101,7 +116,7 @@ class BudgetExceeded(RuntimeError):
         elif unit == "outcome functions":
             functions = _function_count(k, states, 10**30)
             need = f"enumeration needs {f'{k}^{text}' if functions is None else functions} {unit} over"
-        else:
+        elif unit == "models":
             need = f"enumeration needs {self.models} models over"
         super().__init__(f"{need} {text} states, budget allows {budget} {unit}")
 
@@ -275,22 +290,74 @@ def valid(
     return Verdict("invalid", counterexample=hit)
 
 
-def check_scf_property(table: ScfTable, prop: PropertyId) -> Verdict:
+# Largest estimated work of a property check, in bit operations, that
+# `check_scf_property` takes on (`_property_work`).  The gated checks reach
+# 6.1e9 with `strproof` and `mon` on the (2,{a,b,c,d}) dictatorship, which
+# take about 1.1 s and 7 s (Python 3.11.7, two shared cores); at
+# (3,{a,b,c,d}) and (2,{a,b,c,d,e}) both reach 1.3e14 and 1.5e14, and are
+# refused.
+PROPERTY_BUDGET = 10**10
+
+
+def _property_work(kind: str, n: int, k: int, states: int) -> int:
+    """The estimated work of checking a property of kind `kind` over (n,
+    K), |K| = k, with `states` = (k!)^n profiles: its builder's binder
+    product times the width of the view it is checked on, in bits, S
+    states per kept truth.  The products: the outcomes for citsov and
+    br(i), n·k for dom, n·k^2 (agent, outcome, rival) for nodict,
+    S·n·k^2 for strproof (per profile, its `better` links and their
+    expansions) and S^2·n·k^2 for mon (its implications per pair of
+    profiles, outcome, agent and rival).  The truths kept: every truth for
+    dom and strproof, the k! rankings of one agent for br(i), one for the
+    kinds that read no true preference."""
+    products = {
+        "citsov": k, "br": k, "dom": n * k, "nodict": n * k * k,
+        "strproof": states * n * k * k, "mon": states * states * n * k * k,
+    }
+    truths = {"dom": states, "strproof": states, "br": math.factorial(k)}.get(kind, 1)
+    return products[kind] * truths * states
+
+
+@lru_cache(maxsize=None)
+def _residual(prop: PropertyId, n: int, outcomes: tuple[str, ...]) -> tuple[int, _stacked._Program]:
+    """The read-set and residual program of the property over (n, K): its
+    builder run once in an emitting scope (`_stacked._Emit`).  No
+    `logic.Formula` is built, so no cycle: the collector is paused."""
+    emit = _stacked._Emit(n, outcomes)
+    with _collector_paused():
+        root = encodings._SCOPED[prop.kind](encodings._Scope(n, outcomes, emit), prop.agent)
+        return emit.program(root)
+
+
+def check_scf_property(table: ScfTable, prop: PropertyId, budget: int = PROPERTY_BUDGET) -> Verdict:
     """Whether the property's encoding follows from the characteristic
     formula of the SCF.
 
     Equivalent to validity of rho(F) -> property over the whole class, but
     quantifies only over the models whose outcome function realizes F —
     sound because rho(F) holds in a model exactly when its outcome function
-    corresponds to F, and never budget-limited since only the (|K|!)^n true
-    profiles vary.  Those models are evaluated as one stacked batch, a
-    one-row grid in true-profile order narrowed to the formula's read-set,
-    against the memoized property formula; the lowest
-    falsified bit is the first failing true profile and its lowest state,
-    the same counterexample a model-by-model scan would report."""
-    formula = property_formula(prop, table.agents, table.outcomes)
-    grid = _stacked.TableGrid(table.agents, table.outcomes, [table.values])
-    hit = _stacked.StackedEvaluator(grid.narrowed(formula.reads)).first_failure(formula)
+    corresponds to F — so only the (|K|!)^n true profiles vary.  Those
+    models are evaluated as one stacked batch, a one-row grid in
+    true-profile order narrowed to the property's read-set, by the
+    property's residual program (`_residual`), emitted on the first check
+    of the property over (n, K) and kept; no property formula is built.
+    The lowest falsified bit is the first failing true profile and its
+    lowest state, the same counterexample a model-by-model scan would
+    report.
+
+    Raises InvalidDomain if `budget` is below one, and BudgetExceeded,
+    before anything is emitted, if the check's estimated work
+    (`_property_work`) exceeds it."""
+    n, outcomes = table.agents, table.outcomes
+    if budget < 1:
+        raise InvalidDomain("the property budget must be positive")
+    work = _property_work(prop.kind, n, len(outcomes), len(table.values))
+    if work > budget:
+        need = f"checking {prop} needs {work:.1e} bit operations over"
+        raise BudgetExceeded(n, outcomes, budget, "bit operations", need)
+    reads, program = _residual(prop, n, outcomes)
+    grid = _stacked.TableGrid(n, outcomes, [table.values]).narrowed(reads)
+    hit = _stacked.StackedEvaluator(grid).program_failure(program)
     if hit is None:
         return Verdict("valid")
     return Verdict("invalid", counterexample=hit)

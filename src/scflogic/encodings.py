@@ -7,8 +7,11 @@ style of Carette, Kiselyov and Shan (2009).  A formula scope supplies
 `logic`'s, so a builder returns a plain core-grammar AST; a direct scope
 supplies a `_stacked._Direct`'s, whose constructors compute each value's
 mask at once on a view of stacked models, so the same builder returns the
-encoding's truth mask.  `axioms._Scope` extends the scope with the binder
-domains and tables of the axiom schemas, whose builders share these.
+encoding's truth mask; an emitting scope supplies a `_stacked._Emit`'s,
+which compute what reads no outcome atom at once and emit the rest, so
+the builder returns the encoding's residual program.
+`axioms._Scope` extends the scope with the binder domains and tables of
+the axiom schemas, whose builders share these.
 
 The derived notions the encodings and the axioms share are memo tables of
 the scope (`_Scope`), each built once per key: the outcome atoms, the pref
@@ -26,14 +29,18 @@ sorted order.  Interning alone would return the same nodes, but only
 after rebuilding each expansion at every use: the scope's `ballot` and
 `better` tables keep the build linear in the distinct `better` links
 (without them strproof at (3,3) takes about 70 times as long to build).
-A property check evaluates the formula through its kept program
-(`decision.check_scf_property`): a direct scope on the check's one-row
-grid gives the same mask, but takes 2.3-2.4 ms per (2,3) `strproof`
-table against 0.9-1.1 ms for the program.
+A property check builds no formula (`decision.check_scf_property`): it
+runs the property's builder once per (property, n, K) in an emitting
+scope, and each table runs the residual program that gives.  A cold
+(2,3) `strproof` check, emitting and running it, takes 4-6 ms, against
+10-12 ms to build, compile and run the formula; each later table runs
+the kept residual program, as fast as the formula's (0.7-0.8 ms).  A
+direct scope would rerun the builder per table, 2.3-2.4 ms.
 
 The property table `_PROPERTIES` maps each property kind to its builder;
 `PropertyId`, its spellings on the command line and in formulas, and
-`property_formula` all come from it.
+`property_formula` all come from it.  `_SCOPED` maps each kind to its
+builder in a given scope, which the emitting scope runs.
 """
 
 from __future__ import annotations
@@ -100,9 +107,10 @@ _TERMS = (
 def _conj(s, parts):
     """Left-associated conjunction in `s`'s constructors; the empty one is
     truth.  `s` is a scope, or anything holding the constructors, as the
-    `logic` module does."""
-    parts = list(parts)
-    return reduce(s.And, parts) if parts else s.TRUE
+    `logic` module does.  `parts` is read once, as it is made."""
+    parts = iter(parts)
+    first = next(parts, None)
+    return s.TRUE if first is None else reduce(s.And, parts, first)
 
 
 def _disj(s, parts):
@@ -289,22 +297,22 @@ def dom(n: int, outcomes: Sequence[str]) -> Formula:
 
 
 def _mon(s):
-    grand, ballot, reach, outcomes = s.grand, s.ballot, s.reach, s.outcomes
-    # <N>(ballot(p) & rep(i, x, y)), read for p on each side of a pair
-    said = {
-        (p, i, x, y): s.Diamond(grand, s.And(ballot[p], s.Rep(i, x, y)))
-        for p in s.profiles for i in s.agents for x in outcomes for y in outcomes
-    }
-    parts = []
-    for p in s.profiles:
-        for p2 in s.profiles:
-            for x in outcomes:
-                kept = [
-                    s.Implies(said[p, i, x, y], said[p2, i, x, y])
-                    for i in s.agents for y in outcomes
-                ]
-                chose_x, still_x = reach[ballot[p], x], reach[ballot[p2], x]
-                parts.append(s.Implies(s.And(chose_x, _conj(s, kept)), still_x))
+    grand, outcomes = s.grand, s.outcomes
+    ballots = [s.ballot[p] for p in s.profiles]
+    # per profile p and outcome x: <N>(ballot(p) & out(x)), and per agent i
+    # and outcome y, <N>(ballot(p) & rep(i, x, y)), read for p on each side
+    # of a pair
+    chose = [{x: s.reach[b, x] for x in outcomes} for b in ballots]
+    said = [
+        {x: [s.Diamond(grand, s.And(b, s.Rep(i, x, y))) for i in s.agents for y in outcomes] for x in outcomes}
+        for b in ballots
+    ]
+    parts = (
+        s.Implies(s.And(chose_p[x], _conj(s, map(s.Implies, said_p[x], said_p2[x]))), chose_p2[x])
+        for chose_p, said_p in zip(chose, said)
+        for chose_p2, said_p2 in zip(chose, said)
+        for x in outcomes
+    )
     return _conj(s, parts)
 
 
@@ -345,6 +353,18 @@ _PROPERTIES: dict[str, Callable[[Optional[int], int, tuple[str, ...]], Formula]]
     "mon": lambda agent, n, outcomes: mon(n, outcomes),
     "strproof": lambda agent, n, outcomes: strproof(n, outcomes),
     "br": lambda agent, n, outcomes: best_response(agent, n, outcomes),
+}
+
+# property kind -> its builder in a given scope, called with the agent as
+# above: in an emitting scope it gives the property's residual program
+# (`decision.check_scf_property`)
+_SCOPED: dict[str, Callable[[_Scope, Optional[int]], object]] = {
+    "citsov": lambda s, agent: _citsov(s),
+    "nodict": lambda s, agent: _nodict(s),
+    "dom": lambda s, agent: _dom(s),
+    "mon": lambda s, agent: _mon(s),
+    "strproof": lambda s, agent: _strproof(s),
+    "br": lambda s, agent: _best_response(s, agent),
 }
 
 

@@ -397,10 +397,12 @@ def equivalence_audit(table: ScfTable) -> AuditReport:
     from .decision import check_scf_property
     from .encodings import STRPROOF
 
+    # the encoding first: a check past its budget is refused before the oracles run
+    encoding = check_scf_property(table, STRPROOF).status == "valid"
     direct = scf_as_game_form(table)
     return AuditReport(
         truthful_dom=truthfully_implements(direct, table, SolutionConcept.DOMEQ).ok,
         dom_implement=implements(direct, table, SolutionConcept.DOMEQ).ok,
         monotonic=is_monotonic(table).ok,
-        strproof_encoding=check_scf_property(table, STRPROOF).status == "valid",
+        strproof_encoding=encoding,
     )

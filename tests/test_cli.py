@@ -649,3 +649,39 @@ def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
         assert [cli._json(item) for item in scalars] == [
             json.dumps(item, indent=2) for item in scalars
         ]
+
+
+def test_a_property_check_past_its_budget_is_one_immediate_line(capsys, tmp_path):
+    """`property` and `audit` on the (3,{a,b,c,d}) and (2,{a,b,c,d,e})
+    dictatorships are refused before anything is emitted, in one line
+    naming the estimated work; `property --budget` sets the limit, and a
+    budget below one is refused."""
+    for n, outcomes, states, work in ((3, "abcd", 13824, "1.3e+14"), (2, "abcde", 14400, "1.5e+14")):
+        path = tmp_path / f"dictator{n}{outcomes}.json"
+        save_scf(ScfTable.from_function(n, tuple(outcomes), lambda p: p.order(1).top), path)
+        for argv in (["property", "--scf", str(path), "strproof"], ["property", "--scf", str(path), "mon"],
+                     ["audit", "--scf", str(path)]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            kind = "mon" if "mon" in argv else "strproof"
+            assert captured.err == (
+                f"error: checking {kind} needs {work} bit operations over {states} states,"
+                " budget allows 10000000000 bit operations\n"
+            )
+    path = tmp_path / "dictator23.json"
+    save_scf(ScfTable.from_function(2, K3, lambda p: p.order(1).top), path)
+    assert main(["property", "--scf", str(path), "strproof", "--budget", "839807"]) == 2
+    assert capsys.readouterr().err == (
+        "error: checking strproof needs 8.4e+05 bit operations over 36 states, budget allows 839807 bit operations\n"
+    )
+    assert main(["property", "--scf", str(path), "strproof", "--budget", "839808"]) == 0
+    capsys.readouterr()
+    for budget in ("0", "-3"):
+        assert main(["property", "--scf", str(path), "citsov", "--budget", budget]) == 2
+        assert capsys.readouterr().err == "error: the property budget must be positive\n"
+    # a best response of an agent past n is refused as the builder refuses it
+    assert main(["property", "--scf", str(path), "br(3)"]) == 2
+    assert capsys.readouterr().err == "error: agent 3 out of range 1..2\n"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -658,3 +659,191 @@ def test_budget_refusals_are_immediate_and_short_at_any_size(monkeypatch):
     # the axioms pool size reads the class size through the same bound
     caps = [axioms._default_cap(n, k) for n, k in ((1, K2), (2, K2), (3, K2), (2, K3), (10, K3))]
     assert caps == [64, 64, 48, 32, 32]
+
+
+def _formula_path(table, prop):
+    """What the formula path reports: `first_failure` of the property
+    formula on the table's one-row grid, which evaluates it on the view
+    its read-set narrows to."""
+    grid = _stacked.TableGrid(table.agents, table.outcomes, [table.values])
+    return _stacked.StackedEvaluator(grid).first_failure(property_formula(prop, table.agents, table.outcomes))
+
+
+@pytest.mark.parametrize(
+    "n, outcomes, tables",
+    [
+        (1, K3, None),  # every table
+        (2, K2, (30, 81)),
+        (2, K3, (12, 82)),
+        (3, K2, (30, 83)),
+    ],
+)
+def test_the_residual_program_decides_as_the_property_formula(n, outcomes, tables):
+    """`check_scf_property`, which runs each property's residual program,
+    gives the verdict and counterexample of the property formula's
+    `first_failure`, for all six kinds: on every (1,3) table, and on the
+    dictatorships, a constant table and seeded tables at (2,2), (2,3) and
+    (3,2), both verdicts occurring for every kind at every scale."""
+    if tables is None:
+        size = len(all_profiles(n, outcomes))
+        tables = [ScfTable(n, outcomes, values) for values in itertools.product(outcomes, repeat=size)]
+    else:
+        tables = _seeded_tables(n, outcomes, *tables)
+        tables += [ScfTable.from_function(n, outcomes, lambda p, i=i: p.order(i).top) for i in range(1, n)]
+    verdicts = set()
+    for table in tables:
+        for prop in _props(n):
+            hit = _formula_path(table, prop)
+            verdict = check_scf_property(table, prop)
+            assert verdict.counterexample == hit, (prop, table.values)
+            assert verdict.status == ("valid" if hit is None else "invalid")
+            verdicts.add((prop, hit is None))
+    assert len(verdicts) == 2 * len(_props(n))
+
+
+def test_a_check_builds_no_formula_and_runs_each_builder_once(monkeypatch):
+    """No formula node is built and no program compiled by a property
+    check, and each property's builder runs once per (property, n, K),
+    however many tables are checked."""
+    from scflogic import encodings, logic
+
+    decision._residual.cache_clear()
+    runs = []
+    for kind, build in encodings._SCOPED.items():
+        monkeypatch.setitem(
+            encodings._SCOPED, kind, lambda s, agent, kind=kind, build=build: runs.append(kind) or build(s, agent)
+        )
+
+    def no_formula(*args):
+        raise AssertionError("a formula was built")
+
+    monkeypatch.setattr(logic.Formula, "__new__", no_formula)
+    monkeypatch.setattr(encodings, "_property_formula", no_formula)
+    monkeypatch.setattr(_stacked, "_compile", no_formula)
+    scales = [(2, K2), (1, K3), (2, K3)]
+    for n, outcomes in scales:
+        for table in _seeded_tables(n, outcomes, 3, seed=84):
+            for prop in _props(n):
+                check_scf_property(table, prop)
+    monkeypatch.undo()
+    expected = ["citsov", "nodict", "dom", "mon", "strproof", "br", "br"]
+    assert runs == expected + expected[:-1] + expected
+    decision._residual.cache_clear()
+
+
+def test_best_response_of_an_agent_past_n_is_refused_as_before():
+    table = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
+    for _ in range(2):  # the refusal is not kept as a program
+        with pytest.raises(core.InvalidDomain) as err:
+            check_scf_property(table, BR(3))
+        assert str(err.value) == "agent 3 out of range 1..2"
+
+
+def test_a_residual_program_is_no_larger_than_the_formula_program():
+    """Each property's residual program has no more entries than the
+    program of its formula: its outcome-free parts are folded into at most
+    one constant per mask and its complement.  strproof at (2,3) has
+    2,088 entries, 36 of them constants (one per ballot), against 2,115."""
+    for n, outcomes in ((2, K2), (1, K3), (3, K2)):
+        for prop in _props(n):
+            _, (ops, _, _, _) = decision._residual(prop, n, outcomes)
+            assert len(ops) <= len(_stacked._compile(property_formula(prop, n, outcomes))[0]), prop
+    _, (ops, args, _, _) = decision._residual(STRPROOF, 2, K3)
+    assert len(ops) == 2088
+    constants = [a for op, a in zip(ops, args) if op == _stacked._MASK]
+    assert len(constants) == 36 and all(mask & 1 == 0 for mask in constants)
+
+
+def test_an_emitting_scope_folds_constants_and_enters_equal_entries_once():
+    emit = _stacked._Emit(2, K2)
+    a, b = emit.Out("a"), emit.Out("b")
+    rep = emit.Rep(1, "a", "b")
+    assert emit.Out("a") == a and emit.Not(emit.Not(a)) == a
+    assert emit.Or(a, emit.FALSE) == a and emit.And(a, emit.TRUE) == a
+    assert emit.Or(a, emit.TRUE) is emit.TRUE and emit.And(a, emit.FALSE) is emit.FALSE
+    assert emit.Or(a, emit.Not(a)) is emit.TRUE and emit.Or(a, a) == a
+    assert emit.Or(a, b) == emit.Or(b, a)
+    assert emit.Pref(1, emit.TRUE) is emit.TRUE and emit.Pref(1, emit.FALSE) is emit.FALSE
+    # a static value is a mask of one block; no entry is made for it
+    assert emit.Diamond((1, 2), rep) is emit.TRUE and emit.And(rep, emit.Not(rep)) is emit.FALSE
+    before = len(emit.ops)
+    # a mask and its complement are one constant, read through a parity
+    assert emit.Or(a, rep) != emit.Or(a, emit.Not(rep))
+    assert len(emit.ops) == before + 1 + 2
+    reads, (ops, _, _, odd) = emit.program(emit.Pref(2, emit.And(a, rep)))
+    assert reads == 0b101 and len(ops) == 4 and odd == 0
+
+
+def test_a_property_check_past_its_budget_is_refused_before_anything_is_emitted(monkeypatch):
+    """`strproof` and `mon` on the (3,4) and (2,5) dictatorships are
+    refused from (kind, n, |K|) alone, naming the estimated work; `budget`
+    sets the limit, and one below one is refused."""
+
+    def no_emit(*args):
+        raise AssertionError("a residual program was emitted")
+
+    monkeypatch.setattr(decision, "_residual", no_emit)
+    for n, outcomes, work in ((3, ("a", "b", "c", "d"), ("1.3e+14", "1.3e+14")), (2, tuple("abcde"), ("1.5e+14", "1.5e+14"))):
+        table = ScfTable.from_function(n, outcomes, lambda p: p.order(1).top)
+        states = len(table.values)
+        for prop, figure in zip((STRPROOF, MON), work):
+            with pytest.raises(BudgetExceeded) as err:
+                check_scf_property(table, prop)
+            assert str(err.value) == (
+                f"checking {prop} needs {figure} bit operations over {states} states,"
+                f" budget allows {decision.PROPERTY_BUDGET} bit operations"
+            )
+    table = ScfTable.from_function(2, K3, lambda p: p.order(1).top)
+    work = decision._property_work("strproof", 2, 3, 36)
+    assert work == 36 * 2 * 9 * 36 * 36
+    with pytest.raises(BudgetExceeded):
+        check_scf_property(table, STRPROOF, work - 1)
+    for budget in (0, -1):
+        with pytest.raises(core.InvalidDomain, match="the property budget must be positive"):
+            check_scf_property(table, STRPROOF, budget)
+    monkeypatch.undo()
+    assert check_scf_property(table, STRPROOF, work).status == "valid"
+    # every gated check fits the default limit
+    for kind, n, k in (("strproof", 2, 4), ("mon", 2, 4), ("mon", 3, 3), ("strproof", 3, 3)):
+        states = math.factorial(k) ** n
+        assert decision._property_work(kind, n, k, states) <= decision.PROPERTY_BUDGET
+
+
+def _built(emit, formula):
+    """`formula` rebuilt through the constructors of the emitting scope `emit`."""
+    kind = type(formula)
+    if kind is Not:
+        return emit.Not(_built(emit, formula.child))
+    if kind is Or:
+        return emit.Or(_built(emit, formula.left), _built(emit, formula.right))
+    if kind is Diamond:
+        return emit.Diamond(formula.coalition, _built(emit, formula.child))
+    if kind is Pref:
+        return emit.Pref(formula.agent, _built(emit, formula.child))
+    if kind is Rep:
+        return emit.Rep(formula.agent, formula.left, formula.right)
+    return emit.Out(formula.name) if kind is Out else emit.TRUE
+
+
+@pytest.mark.parametrize("n, outcomes, seed", [(2, K2, 91), (1, K3, 92), (3, K2, 93)])
+def test_an_emitted_formula_runs_to_its_truth_mask(n, outcomes, seed):
+    """A seeded formula rebuilt in an emitting scope gives a residual
+    program whose run over three seeded tables, every truth of each, is
+    the formula's truth mask; its read-set is within the formula's, and the
+    program's failure on the grid narrowed to it is the formula's
+    `first_failure`."""
+    draw = make_formula_sampler(n, outcomes, seed)
+    rng = random.Random(seed)
+    size = len(all_profiles(n, outcomes))
+    grid = _stacked.TableGrid(n, outcomes, [tuple(rng.choice(outcomes) for _ in range(size)) for _ in range(3)])
+    ev = _stacked.StackedEvaluator(grid)
+    hits = set()
+    for formula in draw(150):
+        emit = _stacked._Emit(n, outcomes)
+        reads, program = emit.program(_built(emit, formula))
+        assert ev._run(program) == ev.truth_mask(formula), formula
+        assert reads & ~formula.reads == 0, formula
+        hit = _stacked.StackedEvaluator(grid.narrowed(reads)).program_failure(program)
+        assert hit == ev.first_failure(formula), formula
+        hits.add(hit is None)
+    assert hits == {True, False}

@@ -86,12 +86,38 @@ def audits() -> list:
     import time
 
     verdicts = []
-    for path, seconds, mib in (("dictator3abc1.json", 1, 44), ("dictator2abcd1.json", 8, 264)):
+    for path, seconds, mib in (("dictator3abc1.json", 1, 44), ("dictator2abcd1.json", 4, 200)):
         start = time.perf_counter()
         code, data = _cli(["audit", "--scf", path, "--json"])
         took = time.perf_counter() - start
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         verdicts.append([code, data["all_agree"], took < seconds, peak < mib])
+    return verdicts
+
+
+def second_table() -> list:
+    """`mon` on agent 1's (3,{a,b,c}) dictatorship, then on agent 3's in
+    the same process: exit code and "agrees" of each, and whether the
+    second call, which runs the kept residual program, took under 1 s."""
+    import time
+
+    verdicts = cli_calls("agrees", "property --scf dictator3abc1.json mon --json")
+    start = time.perf_counter()
+    verdicts += cli_calls("agrees", "property --scf dictator3abc3.json mon --json")
+    return verdicts + [time.perf_counter() - start < 1]
+
+
+def refusals(path: str) -> list:
+    """`property` strproof and mon of the SCF at `path`: exit code and
+    stderr lines of each."""
+    from scflogic import cli
+
+    verdicts = []
+    for check in ("strproof", "mon"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["property", "--scf", path, check, "--json"])
+        verdicts.append([code, err.getvalue().count("\n")])
     return verdicts
 
 
@@ -186,16 +212,26 @@ ROWS = [
     # first reusing the list's stacked evaluator: 0.27-0.42 s, 18.1-18.5 MiB
     Row("schema by schema, (3,{a,b}) and sampled (2,{a,b,c})", (schema_sweeps,), [True, True], 23, 3),
     Row("axioms (3,{a,b,c})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b,c --json"), [[0, True]], 32, 10),
+    # the property checks run residual programs, three runs each: strproof
+    # 0.2-0.3 s and 27.1 MiB at (3,{a,b,c}), 1.1-1.2 s and 170.8 MiB at
+    # (2,{a,b,c,d}); the audits 1.2-1.3 s and 171.9 MiB; mon 0.8-1.0 s and
+    # 29.5 MiB at (3,{a,b,c}), 6.3-7.1 s and 181.0 MiB at (2,{a,b,c,d})
     Row("strproof (3,{a,b,c})", (cli_calls, "agrees", "property --scf dictator3abc1.json strproof --json"),
-        [[0, True]], 60, 60),
+        [[0, True]], 40, 10),
     Row("strproof (2,{a,b,c,d})", (cli_calls, "agrees", "property --scf dictator2abcd1.json strproof --json"),
-        [[0, True]], 250, 60),
-    Row("audit (3,{a,b,c}) and (2,{a,b,c,d})", (audits,), [[0, True, True, True]] * 2, 264, 30),
-    # agent 2's check runs the program agent 1's compiled; the largest
-    # formula build of any row, 139,286 distinct nodes: about 1 s
+        [[0, True]], 200, 20),
+    Row("audit (3,{a,b,c}) and (2,{a,b,c,d})", (audits,), [[0, True, True, True]] * 2, 200, 30),
+    # agent 2's check runs the residual program agent 1's emitted: 0.1-0.2 s
     Row("mon (2,{a,b,c}), both dictatorships", (cli_calls, "agrees", "property --scf dictator2abc1.json mon --json",
                                                 "property --scf dictator2abc2.json mon --json"),
-        [[0, True]] * 2, 70, 5),
+        [[0, True]] * 2, 25, 2),
+    Row("mon (3,{a,b,c})", (cli_calls, "agrees", "property --scf dictator3abc1.json mon --json"), [[0, True]], 36, 5),
+    Row("mon (3,{a,b,c}), a second table", (second_table,), [[0, True], [0, True], True], 36, 5),
+    Row("mon (2,{a,b,c,d})", (cli_calls, "agrees", "property --scf dictator2abcd1.json mon --json"), [[0, True]],
+        200, 30),
+    # refused from (kind, n, |K|) before anything is emitted: 0.2 s, 33 MiB
+    Row("strproof and mon refused, (3,{a,b,c,d})", (refusals, "dictator3abcd1.json"), [[2, 1]] * 2, 40, 1),
+    Row("strproof and mon refused, (2,{a,b,c,d,e})", (refusals, "dictator2abcde1.json"), [[2, 1]] * 2, 40, 1),
     Row("valid (4,{a,b})", ("-m", "scflogic.cli", "valid", "--agents", "4", "--outcomes", "a,b", "<N> a -> a",
                             "--json"), [1, True], None, 30, first_counterexample),
     Row("154 property calls over 22 (2,{a,b,c}) tables", (property_calls,), 0, 25, 60),
@@ -231,7 +267,8 @@ def write_inputs(directory: str) -> None:
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
             f.write(text)
-    for n, outcomes, agent in ((3, K3, 1), (2, (*K3, "d"), 1), (2, K3, 1), (2, K3, 2)):
+    for n, outcomes, agent in ((3, K3, 1), (3, K3, 3), (2, (*K3, "d"), 1), (2, K3, 1), (2, K3, 2),
+                               (3, (*K3, "d"), 1), (2, (*K3, "d", "e"), 1)):
         table = ScfTable.from_function(n, outcomes, lambda p: p.order(agent).top)
         save_scf(table, os.path.join(directory, f"dictator{n}{''.join(outcomes)}{agent}.json"))
 
