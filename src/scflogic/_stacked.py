@@ -121,8 +121,22 @@ same model objects in the same order as the tuple the evaluator was
 built on.  Until other models over that (n, K) replace it, the slot
 keeps that tuple and its models alive, with the evaluator's outcome and
 rank masks and its narrowed views and theirs; tiled views and direct
-scopes live for one run.  The property check and the enumeration stack a
-new table or chunk each time and build their own evaluators.
+scopes live for one run.  The property check stacks a new table each
+time and builds its own evaluator.
+
+Satisfiability and validity walk the same first chunks of the class on
+every call, so the enumeration is a memo function too.  The state space
+keeps, per read-set shape, the evaluators of the enumeration's ramp,
+with the masks their runs build: the chunks of 1, 2, 4, ... outcome
+functions up to the first that reaches `_CHUNK_BITS` bits
+(`_StateSpace.chunks`).  A later walk over that shape runs them and
+builds none; only the full-width chunks past the ramp are laid out,
+built and dropped.  The ramp is bounded by its last chunk, to fewer than
+2 * `_CHUNK_BITS` bits per shape where one row fits in `_CHUNK_BITS`,
+and its grids hold their rows as `_ClassRows` slices, not laid out.  At
+(2,{a,b}), (3,{a,b}) and (1,{a,b,c}) it is the whole class.  The
+evaluator of the first model alone, on which a formula that reads
+nothing is decided, is kept there too (`decision._first_failure`).
 
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the first truths of each agent set's rankings among
@@ -137,7 +151,7 @@ from __future__ import annotations
 import collections.abc
 import weakref
 from functools import lru_cache
-from itertools import chain, cycle, product, repeat
+from itertools import chain, count, cycle, islice, product, repeat
 from operator import is_
 from typing import Iterable, Iterator, Sequence
 
@@ -152,7 +166,9 @@ class _StateSpace:
     """Per-(n, K) state data shared by every evaluator: `core`'s canonical
     profiles, the axes of the state grid, reported-atom masks, the truths a
     narrowed grid keeps and the rank blocks of a grid's true profiles, the
-    last two built once for all S in order and their narrowings."""
+    last two built once for all S in order and their narrowings; and the
+    evaluators kept over it, `stack`'s last one and the enumeration's ramps
+    (`chunks`)."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
@@ -179,6 +195,45 @@ class _StateSpace:
         # rank blocks by the id of a truth tuple this space holds for its life
         self._blocks: dict[int, list[list[dict[str, int]]]] = {}
         self.stacked: StackedEvaluator | None = None  # the last evaluator `stack` built here
+        # per read-set shape, the evaluators of the enumeration's ramp (`chunks`)
+        self.ramps: dict[int, list[StackedEvaluator]] = {}
+
+    def chunks(self, reads: int) -> Iterator[StackedEvaluator]:
+        """The evaluators of the enumeration's chunks for a root of read-set
+        `reads`, not empty, in class order (`decision._first_failure`):
+        consecutive outcome functions, one in the first chunk and twice as
+        many in each next, up to the most whose narrowed grid fits in
+        `_CHUNK_BITS` bits (at least one), each chunk's grid narrowed to
+        `reads`.  The ramp, the chunks up to and including the first of that
+        width, is kept in `ramps` under the read-set's shape
+        (`TableGrid.shape`) as walks first reach it, its grids' rows
+        `_ClassRows` slices, so a later walk over that shape builds none of
+        it; it holds fewer than 2 * `_CHUNK_BITS` bits where one row fits in
+        `_CHUNK_BITS`.  Past the ramp each chunk's rows are laid out by
+        `product`, and its evaluator is built and dropped in turn."""
+        ramp = self.ramps.setdefault(_shape(self.n, reads), [])
+        total = len(self.outcomes) ** self.size
+        start, tables = 0, 1
+        for k in count():
+            if k == len(ramp):
+                rows = _ClassRows(self.outcomes, self.size, range(start, min(start + tables, total)))
+                # the module's name, which a tracer may replace
+                ramp.append(StackedEvaluator(TableGrid(self.n, self.outcomes, rows).narrowed(reads)))
+            chunk = ramp[k]
+            yield chunk
+            start += tables
+            if start >= total:
+                return
+            most = max(1, _CHUNK_BITS // (self.size * len(chunk.grid.truths)))
+            if tables == most:
+                break
+            tables = min(2 * tables, most)
+        values = islice(product(self.outcomes, repeat=self.size), start, None)
+        while True:
+            rows = list(islice(values, tables))
+            if not rows:
+                return
+            yield StackedEvaluator(TableGrid(self.n, self.outcomes, rows).narrowed(reads))
 
     def narrowing(
         self, truths: Sequence[Profile], shape: int
@@ -241,6 +296,18 @@ def _space(n: int, outcomes: tuple[str, ...]) -> _StateSpace:
     return _StateSpace(n, outcomes)
 
 
+def _shape(n: int, reads: int) -> int:
+    """The shape of a grid over n agents narrowed for `reads`, the read-set
+    it decides as the grid does: -1, every bit, if `reads` reads every
+    agent's true preference or that of an agent outside 1..n (whose bit
+    `logic._pref_bit` puts past bit n); otherwise bit 0 if `reads` is not
+    empty, and the pref bits it sets."""
+    agents = (2 << min(n, 63)) - 2
+    if reads & ~(agents | 1) or reads & agents == agents:
+        return -1
+    return reads & agents | (reads != 0)
+
+
 class TableGrid(collections.abc.Sequence):
     """The models of outcome-function rows over (n, K), each with one
     sequence of true profiles (all S in order by default), table outer,
@@ -282,15 +349,8 @@ class TableGrid(collections.abc.Sequence):
                 yield _model(table, truth)
 
     def shape(self, reads: int) -> int:
-        """The shape of the grid narrowed for `reads`, the read-set it
-        decides as this one does: -1, every bit, if `reads` reads every
-        agent's true preference or that of an agent outside 1..n (whose
-        bit `logic._pref_bit` puts past bit n); otherwise bit 0 if `reads`
-        is not empty, and the pref bits it sets."""
-        agents = (2 << min(self.n, 63)) - 2
-        if reads & ~(agents | 1) or reads & agents == agents:
-            return -1
-        return reads & agents | (reads != 0)
+        """The shape of the grid narrowed for `reads` (`_shape`)."""
+        return _shape(self.n, reads)
 
     def narrowed(self, reads: int) -> TableGrid:
         """The grid that decides a root of read-set `reads` (`Formula.reads`)
@@ -321,7 +381,8 @@ class _ClassRows(collections.abc.Sequence):
     the most significant digit (`itertools.product`'s order): the rows of
     the class's grid (`decision.enumerate_models`).  A row is computed from
     its index when read, so no row is laid out up front; a slice is the
-    rows of the slice of indices."""
+    rows of the slice of indices, and iterating a slice of consecutive
+    indices reads its rows off `product`."""
 
     def __init__(self, outcomes: tuple[str, ...], states: int, span: range | None = None):
         self.outcomes, self.states = outcomes, states
@@ -340,8 +401,14 @@ class _ClassRows(collections.abc.Sequence):
         return tuple(reversed(digits))
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
+        rows = product(self.outcomes, repeat=self.states)
         if self.span == range(len(self.outcomes) ** self.states):
-            return product(self.outcomes, repeat=self.states)
+            return rows
+        if self.span.step == 1:
+            # `product` skips a row before the slice in about 40 ns, where
+            # `__getitem__` takes about 2 us per row of 16 states (Python
+            # 3.11.7, two shared cores)
+            return islice(rows, self.span.start, self.span.stop)
         return map(self.__getitem__, range(len(self)))
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from . import decision, encodings, files, game
 from ._stacked import Evaluator
-from .core import InvalidDomain, Profile, ScfModel, scf_as_game_form
+from .core import InvalidDomain, Profile, ScfModel, all_profiles, scf_as_game_form
 from .parser import ParseError, format_formula, parse
 
 __all__ = ["main"]
@@ -38,9 +38,16 @@ def _profile_json(profile: Profile) -> _ProfileJson:
 class _StatesJson(list):
     """`check`'s per-state rows, each {"state": a `_ProfileJson`, "holds": a
     bool}: `json.dumps` writes it as the list of objects it is, and `_json`
-    joins it in one step."""
+    joins it in one step from `texts`, the row texts of its (n, K)
+    (`_state_rows`), which `check` sets, its rows being the states of (n,
+    K) in order.  Rows made otherwise have none, and `_json` writes them as
+    any list."""
 
-    __slots__ = ()
+    __slots__ = ("texts",)
+
+    def __init__(self, rows=(), texts: Optional[tuple[str, ...]] = None):
+        super().__init__(rows)
+        self.texts = texts
 
 
 def _model_lines(model: ScfModel) -> list[str]:
@@ -78,6 +85,24 @@ def _profile_text(profile: _ProfileJson, indent: str) -> str:
     return "[" + inner + ("," + inner).join(rankings) + indent + "]"
 
 
+# the line break and indentation that close a payload's values
+_VALUE = "\n  "
+
+
+@lru_cache(maxsize=None)
+def _state_rows(n: int, outcomes: tuple[str, ...]) -> tuple[tuple[_ProfileJson, ...], tuple[str, ...]]:
+    """Per state of (n, K), in order: its `_ProfileJson`, and the text of its
+    row in a payload's `_StatesJson` value up to the "holds" value, as
+    `_json` writes it, built once per (n, K)."""
+    profiles = tuple(map(_profile_json, all_profiles(n, outcomes)))
+    field = _VALUE + "    "
+    texts = tuple(
+        "{" + field + '"state": ' + _profile_text(profile, field) + "," + field + '"holds": '
+        for profile in profiles
+    )
+    return profiles, texts
+
+
 def _json(value: object, indent: str = "\n") -> str:
     """`json.dumps(value, indent=2)`, byte for byte, for the payloads'
     types: lists, tuples, dicts with string keys, strings and scalars.
@@ -87,21 +112,18 @@ def _json(value: object, indent: str = "\n") -> str:
     the C string encoder and other scalars to the C compact encoder.  A
     `_ProfileJson` (`check` has one per state) is joined in one step, its
     outcome names straight through the C string encoder: a profile and its
-    rankings are never empty.  So is a `_StatesJson`, its keys written
-    once: a model has at least one state."""
+    rankings are never empty.  So is `check`'s `_StatesJson` as a
+    payload's value: each row is its state's text, kept per (n, K)
+    (`_state_rows`), and its "holds" value and closing brace, as a model
+    has at least one state."""
     if isinstance(value, str):
         return _string(value)
     if type(value) is _ProfileJson:
         return _profile_text(value, indent)
-    if type(value) is _StatesJson:
+    if type(value) is _StatesJson and value.texts is not None and indent == _VALUE:
         inner = indent + "  "
-        field = inner + "  "
-        state, holds = "{" + field + '"state": ', "," + field + '"holds": '
-        rows = [
-            state + _profile_text(row["state"], field) + holds
-            + ("true" if row["holds"] else "false") + inner + "}"
-            for row in value
-        ]
+        yes, no = "true" + inner + "}", "false" + inner + "}"
+        rows = [text + (yes if row["holds"] else no) for text, row in zip(value.texts, value)]
         return "[" + inner + ("," + inner).join(rows) + indent + "]"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -139,20 +161,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     formula = parse(text, (model.n, model.outcomes))
     ev = Evaluator(model)
     mask = ev.truth_mask(formula)
-    rows = [(idx, state, bool(mask >> idx & 1)) for idx, state in enumerate(model.states)]
+    # state v's truth is bit v of the mask, digit v of its binary text read from the end
+    holds = [bit == "1" for bit in reversed(f"{mask:0{len(model.states)}b}")]
     valid = mask == ev.full
+
+    def payload() -> dict:
+        profiles, texts = _state_rows(model.n, model.outcomes)
+        rows = [{"state": state, "holds": h} for state, h in zip(profiles, holds)]
+        return {"command": "check", "formula": text, "states": _StatesJson(rows, texts), "valid": valid}
+
     _emit(
         args,
-        lambda: {
-            "command": "check",
-            "formula": text,
-            "states": _StatesJson(
-                {"state": _profile_json(state), "holds": holds} for _, state, holds in rows
-            ),
-            "valid": valid,
-        },
+        payload,
         lambda: [f"{'state':<6} {'profile':<24} holds"]
-        + [f"{idx:<6} {str(state):<24} {str(holds).lower()}" for idx, state, holds in rows]
+        + [
+            f"{idx:<6} {str(state):<24} {str(h).lower()}"
+            for idx, (state, h) in enumerate(zip(model.states, holds))
+        ]
         + [f"valid in model: {'yes' if valid else 'no'}"],
     )
     return 0 if valid else 1

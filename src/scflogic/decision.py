@@ -9,7 +9,10 @@ enumeration is evaluated in chunks of consecutive outcome functions, each
 with every true profile, as one stacked `TableGrid` (see `_stacked`), so
 no model is built but the witness or counterexample; the lowest hit bit
 of the first chunk with a hit is the first model in enumeration order and
-its lowest state, so witnesses and counterexamples stay canonical.
+its lowest state, so witnesses and counterexamples stay canonical.  Every
+call walks the same first chunks, so their evaluators, the ramp of
+doubling chunks up to the first of full width, are kept per (n, K) and
+read-set shape and run again by later calls (`_stacked._StateSpace.chunks`).
 `enumerate_models` returns the whole class as one such grid, each row
 computed from its index, which sweeps that check every model, such as
 the `axioms` command, stack as it is.
@@ -54,7 +57,6 @@ exceeds its budget (`PROPERTY_BUDGET` unless given) is refused with
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -222,36 +224,36 @@ def _first_failure(
 
     A state-determined formula is evaluated on `representative_model`
     alone, the first model in enumeration order, if the budget covers its
-    states.  Any other formula, if the budget covers the class, walks the
-    outcome functions in `enumerate_models` order in chunks, each stacked
-    as one `TableGrid`: the first chunk holds one outcome function, and
-    each next chunk twice as many, up to `_stacked._CHUNK_BITS` bits, so an
-    early hit stays cheap and a full sweep takes few wide batches.  Each chunk
-    is narrowed to the formula's read-set (`TableGrid.narrowed`): a formula
-    that reads no true preference is stacked with the first truth of each
-    row, and its budget counts outcome functions; one that reads some
-    agents' true preferences but not all, with the first truth of each of
-    their ranking tuples, and its budget counts models.  The chunk width
-    counts the truths the narrowed grid keeps, and the narrowed grid's
-    first failing model is the chunk's."""
+    states; that model's evaluator is kept in its state space, under the
+    empty read-set's shape.  Any other formula, if the budget covers the
+    class, walks the outcome functions in `enumerate_models` order in
+    chunks, each stacked as one `TableGrid` (`_StateSpace.chunks`): the
+    first chunk holds one outcome function, and each next chunk twice as
+    many, up to `_stacked._CHUNK_BITS` bits, so an early hit stays cheap
+    and a full sweep takes few wide batches.  Each chunk is narrowed to the
+    formula's read-set (`TableGrid.narrowed`): a formula that reads no true
+    preference is stacked with the first truth of each row, and its budget
+    counts outcome functions; one that reads some agents' true preferences
+    but not all, with the first truth of each of their ranking tuples, and
+    its budget counts models.  The chunk width counts the truths the
+    narrowed grid keeps, and the narrowed grid's first failing model is the
+    chunk's.  The chunks up to the first of full width, the ramp, are kept
+    per read-set shape and walked first, so a call whose hit lies within
+    them builds no evaluator once an earlier call has walked that far; the
+    chunks past the ramp are built and dropped."""
     reads = formula.reads
     unit = "one model" if reads == 0 else "outcome functions" if reads == 1 else "models"
     _check_budget(n, outcomes, budget, unit)
+    space = _stacked._space(n, tuple(outcomes))
     if reads == 0:
-        return Evaluator(representative_model(n, outcomes)).first_failure(formula)
-    names = tuple(outcomes)
-    states = num_states(n, names)
-    rows = itertools.product(names, repeat=states)
-    tables = 1
-    while True:
-        chunk = list(itertools.islice(rows, tables))
-        if not chunk:
-            return None
-        grid = _stacked.TableGrid(n, names, chunk).narrowed(reads)
-        hit = _stacked.StackedEvaluator(grid).first_failure(formula)
+        if 0 not in space.ramps:
+            space.ramps[0] = [Evaluator(representative_model(n, outcomes))]
+        return space.ramps[0][0].first_failure(formula)
+    for chunk in space.chunks(reads):
+        hit = chunk.first_failure(formula)
         if hit is not None:
             return hit
-        tables = min(2 * tables, max(1, _stacked._CHUNK_BITS // (states * len(grid.truths))))
+    return None
 
 
 def satisfiable(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -649,6 +650,48 @@ def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
         assert [cli._json(item) for item in scalars] == [
             json.dumps(item, indent=2) for item in scalars
         ]
+
+
+def test_check_rows_kept_per_domain_carry_each_models_own_truths(capsys, monkeypatch, tmp_path):
+    """`check --json` at (3,{a,b,c}) and (2,{a,b,c,d}) prints
+    `json.dumps(payload, indent=2)` with its rows joined from the texts
+    kept per (n, K) (`_state_rows`): two seeded models of one (n, K),
+    whose truth masks differ, checked in turn in one process, and then
+    again, each print their own "holds" values, those `valid_in_model`
+    finds, and the same bytes each time."""
+    payloads = []
+    emit = cli._emit
+
+    def spy(args, payload, lines):
+        payloads.append(payload())
+        emit(args, payload, lines)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    text = "<{1}> a -> pref(2) b"
+    for n, outcomes in ((3, K3), (2, ("a", "b", "c", "d"))):
+        states = all_profiles(n, outcomes)
+        rng = random.Random(n)
+        models, paths = [], []
+        for m in range(2):
+            values = tuple(rng.choice(outcomes) for _ in states)
+            models.append(ScfModel(ScfTable(n, outcomes, values), states[rng.randrange(len(states))]))
+            paths.append(tmp_path / f"model{n}{m}.json")
+            save_model(models[-1], paths[-1])
+        printed, holds = {}, {}
+        for m in (0, 1, 0, 1):
+            main(["check", "--model", str(paths[m]), text, "--json"])
+            out = capsys.readouterr().out
+            assert out == json.dumps(payloads[-1], indent=2) + "\n"
+            assert payloads[-1]["states"].texts is cli._state_rows(n, outcomes)[1]
+            assert printed.setdefault(m, out) == out
+            bad = set(valid_in_model(models[m], parse(text, (n, outcomes)))[1])
+            holds[m] = [row["holds"] for row in json.loads(out)["states"]]
+            assert holds[m] == [state not in bad for state in states]
+        assert holds[0] != holds[1] and True in holds[0] and False in holds[0]
+        # the kept texts are written at a payload value's depth only
+        rows = payloads[-1]["states"]
+        for value in (rows, [rows], {"deeper": {"states": rows}}):
+            assert cli._json(value) == json.dumps(value, indent=2)
 
 
 def test_a_property_check_past_its_budget_is_one_immediate_line(capsys, tmp_path):

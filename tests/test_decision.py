@@ -549,16 +549,142 @@ def test_one_agent_formulas_return_the_canonical_first_hit(monkeypatch, n):
     fixed = [parse(text, (n, K2)) for text in ONE_AGENT_FORMULAS]
     formulas = fixed + sampled + [Implies(Out("b"), Pref(n, Out("b")))]
     seen = _stacked_truths(monkeypatch)
+    ramps = _stacked._space(n, K2).ramps
     statuses = set()
     for formula in formulas:
         del seen[:]
+        # each walk builds its chunks afresh, so that `seen` records them
+        ramps.clear()
         sat = satisfiable(n, K2, formula)
         assert sat.witness == _relational_scan(n, K2, formula, True), formula
+        ramps.clear()
         val = valid(n, K2, formula)
         assert val.counterexample == _relational_scan(n, K2, formula, False), formula
         assert seen and set(seen) == {2}, formula
         statuses.add((sat.status, val.status))
     assert {("satisfiable", "invalid"), ("satisfiable", "valid")} <= statuses
+
+
+def _walked_afresh(query, n, outcomes, formula, budget=decision.DEFAULT_BUDGET):
+    """`query` on a state space whose kept ramps are cleared for the call,
+    so that every chunk it walks is built anew; the keep is put back."""
+    space = _stacked._space(n, outcomes)
+    kept, space.ramps = space.ramps, {}
+    try:
+        return query(n, outcomes, formula, budget)
+    finally:
+        space.ramps = kept
+
+
+def _by_shape(n, outcomes, seed, per_shape):
+    """Seeded formulas over (n, K), `per_shape` of each read-set shape that
+    occurs among them: none, outcome atoms only, one agent's pref, and
+    every agent's; each also as a disjunction with its negation, which is
+    valid and so walks every chunk."""
+    draw = make_formula_sampler(n, outcomes, seed=seed)
+    shapes = {}
+    for formula in draw(400, max_depth=5):
+        shape = _stacked._shape(n, formula.reads)
+        if shape in (-1, 0, 1) or (shape >> 1).bit_count() == 1:
+            if len(shapes.setdefault(shape, [])) < per_shape:
+                shapes[shape].append(formula)
+    return shapes, [f for fs in shapes.values() for f in fs + [Or(fs[0], Not(fs[0]))]]
+
+
+def test_the_kept_ramps_give_the_walks_canonical_answers():
+    """Satisfiability and validity calls at (2,2), (3,2) and (1,3),
+    interleaved in a seeded order over formulas of every read-set shape,
+    each walking the ramps that earlier calls kept and extending them:
+    every witness and counterexample is the model-by-model scan's, and the
+    one a walk with the keep cleared returns."""
+    calls = []
+    for n, outcomes, seed in ((2, K2, 91), (3, K2, 92), (1, K3, 93)):
+        shapes, formulas = _by_shape(n, outcomes, seed, 3)
+        assert {0, 1, -1} <= set(shapes) and len(shapes) >= 3 + (n > 1), shapes
+        calls += [(query, n, outcomes, f) for f in formulas for query in (satisfiable, valid)]
+    random.Random(94).shuffle(calls)
+    for space in {_stacked._space(n, outcomes) for _, n, outcomes, _ in calls}:
+        space.ramps.clear()
+    statuses = set()
+    for query, n, outcomes, formula in calls:
+        verdict = query(n, outcomes, formula)
+        found = verdict.witness if query is satisfiable else verdict.counterexample
+        assert found == _relational_scan(n, outcomes, formula, query is satisfiable), formula
+        assert verdict == _walked_afresh(query, n, outcomes, formula), formula
+        statuses.add(verdict.status)
+    assert statuses == {"satisfiable", "unsatisfiable", "valid", "invalid"}
+    # each shape's ramp is the whole class at these scales, kept by the
+    # walk of the shape's valid formula
+    for n, outcomes, seed in ((2, K2, 91), (3, K2, 92), (1, K3, 93)):
+        ramps = _stacked._space(n, outcomes).ramps
+        assert set(ramps) == set(_by_shape(n, outcomes, seed, 3)[0])
+        for shape, ramp in ramps.items():
+            rows = sum(len(chunk.grid.rows) for chunk in ramp)
+            assert rows == (1 if shape == 0 else len(outcomes) ** len(all_profiles(n, outcomes)))
+
+
+def test_a_walk_over_a_kept_ramp_builds_no_evaluator(monkeypatch):
+    """Once a walk has kept a shape's ramp, later satisfiability and
+    validity calls of formulas of that shape, their chunks within it,
+    build no `StackedEvaluator`: neither a chunk's nor, for a formula that
+    reads nothing, the first model's."""
+    built = []
+    init = _stacked.StackedEvaluator.__init__
+
+    def counted(self, models):
+        built.append(models)
+        init(self, models)
+
+    monkeypatch.setattr(_stacked.StackedEvaluator, "__init__", counted)
+    _stacked._space(2, K2).ramps.clear()
+    one_agent = parse("pref(1) a | ~pref(1) a", (2, K2))
+    every_agent = parse("pref(1) pref(2) b -> pref(1) pref(2) b", (2, K2))
+    reads_nothing = parse("rep(1,a,b) | rep(1,b,a)", (2, K2))
+    outcome_only = parse("<{1}> a | ~a", (2, K2))
+    first = [valid(2, K2, f).status for f in (one_agent, every_agent, reads_nothing, outcome_only)]
+    assert first == ["valid"] * 4 and len(built) >= 4
+    built.clear()
+    # other formulas of the same shapes, with hits early, late or none
+    again = [
+        valid(2, K2, parse("pref(1) b -> b", (2, K2))),
+        satisfiable(2, K2, parse("~(pref(1) a | ~pref(1) a)", (2, K2))),
+        valid(2, K2, parse("pref(2) a -> pref(1) a", (2, K2))),
+        satisfiable(2, K2, parse("rep(2,b,a) & ~rep(1,a,b)", (2, K2))),
+        valid(2, K2, parse("<{2}> b -> b", (2, K2))),
+        valid(2, K2, outcome_only),
+    ]
+    statuses = ["invalid", "unsatisfiable", "invalid", "satisfiable", "invalid", "valid"]
+    assert [verdict.status for verdict in again] == statuses
+    assert built == []
+
+
+def test_a_walk_past_the_ramp_keeps_only_the_ramp():
+    """A whole-class walk at (4,{a,b}), 65,536 outcome functions, goes past
+    the ramp; afterwards each kept shape holds under 2 * `_CHUNK_BITS`
+    bits, its chunks doubling from one row up to the first chunk of full
+    width, and no kept grid holds its rows laid out.  A first hit past the
+    ramp is still the first model of its outcome function."""
+    ramps = _stacked._space(4, K2).ramps
+    ramps.clear()
+    assert valid(4, K2, Or(Out("a"), Out("b"))).status == "valid"
+    # the ramp of a pref-free formula holds outcome functions 0..4094; hits
+    # on the first row of the first chunk past it, inside the next, and on
+    # the last row of the class
+    profiles = all_profiles(4, K2)
+    rows = list(itertools.product(K2, repeat=16))
+    for t in (4095, 4095 + 2048 + 5, 2**16 - 1):
+        table = ScfTable(4, K2, rows[t])
+        assert satisfiable(4, K2, rho(table, "diamond")).witness[0] == ScfModel(table, profiles[0])
+    pref_either = Or(Pref(1, Out("a")), Pref(1, Out("b")))
+    assert valid(4, K2, pref_either, budget=2 * 10**6).status == "valid"
+    assert set(ramps) == {1, 3}
+    for shape, ramp in ramps.items():
+        truths = len(ramp[0].grid.truths)
+        most = _CHUNK_BITS // (16 * truths)
+        assert [len(chunk.grid.rows) for chunk in ramp] == [1 << k for k in range(most.bit_length())]
+        assert sum(chunk.full.bit_length() for chunk in ramp) < 2 * _CHUNK_BITS
+        assert sum(len(chunk.grid.rows) for chunk in ramp) < 2**16
+        assert all(type(chunk.grid.rows) is _stacked._ClassRows for chunk in ramp)
 
 
 def test_best_response_checks_stack_one_truth_per_ranking(monkeypatch):

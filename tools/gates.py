@@ -234,6 +234,15 @@ ROWS = [
     Row("strproof and mon refused, (2,{a,b,c,d,e})", (refusals, "dictator2abcde1.json"), [[2, 1]] * 2, 40, 1),
     Row("valid (4,{a,b})", ("-m", "scflogic.cli", "valid", "--agents", "4", "--outcomes", "a,b", "<N> a -> a",
                             "--json"), [1, True], None, 30, first_counterexample),
+    # whole-class walks past the enumeration's kept ramp, 65,536 outcome
+    # functions each, three runs: 0.26-0.32 s and 18.7-19.0 MiB (a | b),
+    # 0.26-0.36 s and 18.0-18.1 MiB (pref).  Keeping every chunk, not the
+    # ramp alone, peaked at 29.8 and 33.6 MiB with the rows laid out, and at
+    # 18.2 and 21.9 MiB with `_ClassRows` slices
+    *(Row(f"whole-class valid (4,{{a,b}}), {text}", ("-m", "scflogic.cli", "valid", "--agents", "4", "--outcomes",
+                                                     "a,b", text, "--budget", budget, "--json"),
+          [0, "valid"], mib, 3, lambda code, out, err: [code, json.loads(out)["status"]])
+      for text, budget, mib in (("a | b", "1000000", 22), ("pref(1) a | pref(1) b", "2000000", 20))),
     Row("154 property calls over 22 (2,{a,b,c}) tables", (property_calls,), 0, 25, 60),
     _bench("property-check", 0),
     _bench("formula-decide", 0),
