@@ -109,6 +109,20 @@ class Profile:
             if set(order.ranking) != base:
                 raise InvalidDomain("all orders in a profile must range over the same outcomes")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.orders,))  # the dataclass's own hash
+
+    def __hash__(self) -> int:
+        """The dataclass's hash of the fields, computed on the first call
+        and kept: tables keyed by profiles hash them again and again."""
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuilt from `orders`, so a kept hash never crosses processes,
+        # whose string hashes differ
+        return (Profile, (self.orders,))
+
     @property
     def n(self) -> int:
         return len(self.orders)

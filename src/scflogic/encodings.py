@@ -126,8 +126,12 @@ class _Scope:
     direct scope): `out` per outcome, `pref` per (agent, formula),
     `ballot` per profile, `reach` per (ballot, outcome), `fall`, the box
     [N](lo -> pref(i) ballot), per (agent, lo, ballot), and `better` per
-    (agent, lo, hi).  No table's build refers back to the scope, so the
-    tables and what only they hold go with the scope, collector or not."""
+    (agent, lo, hi).  The `ballot` table builds with the terms' `Ballot`
+    where they have one, as a direct scope's terms do (the one state that
+    reports the profile, `_stacked._Direct.Ballot`), so `better` reads
+    the same values; elsewhere it conjoins the reported atoms.  No table's
+    build refers back to the scope, so the tables and what only they hold
+    go with the scope, collector or not."""
 
     def __init__(self, n: int, outcomes: Sequence[str], direct=None):
         terms = direct or logic
@@ -139,7 +143,7 @@ class _Scope:
         Or, And, Implies, Diamond, Box = self.Or, self.And, self.Implies, self.Diamond, self.Box
         self.out = out = _Memo(self.Out)
         self.pref = pref = _Memo(self.Pref)
-        self.ballot = ballot = _Memo(partial(_ballot_profile, terms))
+        self.ballot = ballot = _Memo(getattr(terms, "Ballot", None) or partial(_ballot_profile, terms))
         self.reach = _Memo(lambda b, x: Diamond(grand, And(b, out[x])))
         self.fall = fall = _Memo(lambda i, lo, b: Box(grand, Implies(lo, pref[i, b])))
 

@@ -26,6 +26,35 @@ from scflogic.parser import Context, parse
 from conftest import K2, K3, profile
 
 
+def _same_text(got: str, want: str, *context) -> None:
+    """Fail unless `got == want`, byte for byte, naming the first offset
+    where they differ and a short window of each there: a whole-text diff
+    of a 100 KB `check --json` payload takes pytest minutes."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    window = slice(max(0, at - 40), at + 40)
+    pytest.fail(
+        f"texts of {len(got)} and {len(want)} characters differ at offset {at}:"
+        f" {got[window]!r} != {want[window]!r} {context}",
+        pytrace=False,
+    )
+
+
+def test_a_text_mismatch_names_its_first_offset():
+    """`_same_text` passes equal texts and fails on a 100 KB pair at once,
+    naming the first differing offset, or the shorter length where one
+    text is the other's prefix, with a window of each."""
+    text = "x" * 100_000
+    _same_text(text, "x" * 100_000)
+    started = time.perf_counter()
+    with pytest.raises(pytest.fail.Exception, match=r"differ at offset 60000: 'x{40}yx{39}' != 'x{80}'"):
+        _same_text(text[:60000] + "y" + text[60001:], text)
+    with pytest.raises(pytest.fail.Exception, match=r"100000 and 99999 characters differ at offset 99999:"):
+        _same_text(text, text[1:], "argv")
+    assert time.perf_counter() - started < 5
+
+
 @pytest.fixture()
 def h_files(tmp_path, h_table):
     scf = tmp_path / "h.json"
@@ -159,9 +188,10 @@ def test_sat_witness_and_valid_counterexample_output(capsys):
     )
     assert main(sat + ["--json"]) == 0
     witness = {"model": model, "state": [["b", "a"], ["b", "a"]]}
-    assert capsys.readouterr().out == json.dumps(
-        {"command": "sat", "status": "satisfiable", "witness": witness}, indent=2
-    ) + "\n"
+    _same_text(
+        capsys.readouterr().out,
+        json.dumps({"command": "sat", "status": "satisfiable", "witness": witness}, indent=2) + "\n",
+    )
 
     valid = ["valid", "--agents", "2", "--outcomes", "a,b", "<{1}>b -> pref(2) b"]
     assert main(valid) == 1
@@ -171,9 +201,11 @@ def test_sat_witness_and_valid_counterexample_output(capsys):
     )
     assert main(valid + ["--json"]) == 1
     counterexample = {"model": model, "state": [["a", "b"], ["b", "a"]]}
-    assert capsys.readouterr().out == json.dumps(
-        {"command": "valid", "status": "invalid", "counterexample": counterexample}, indent=2
-    ) + "\n"
+    _same_text(
+        capsys.readouterr().out,
+        json.dumps({"command": "valid", "status": "invalid", "counterexample": counterexample}, indent=2)
+        + "\n",
+    )
 
 
 def test_sat_with_scf_macro(capsys, h_files):
@@ -576,7 +608,7 @@ def test_json_output_is_the_standard_encoders_byte_for_byte(
     ]
     for argv in runs:
         main([*map(str, argv), "--json"])
-        assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2) + "\n", argv
+        _same_text(capsys.readouterr().out, json.dumps(payloads[-1], indent=2) + "\n", argv)
     assert len(payloads) == len(runs)
 
     odd = ["é", "日本", "\x00\x07\x1f\x7f", " ", '"\\/', "\ud800", ""]
@@ -598,7 +630,7 @@ def test_json_output_is_the_standard_encoders_byte_for_byte(
         (odd, (1, False)),
     ]
     for value in values:
-        assert cli._json(value) == json.dumps(value, indent=2), value
+        _same_text(cli._json(value), json.dumps(value, indent=2), value)
 
 
 def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
@@ -631,7 +663,7 @@ def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
         for _ in range(2):
             main([*argv, "--json"])
             printed.append(capsys.readouterr().out)
-            assert printed[-1] == json.dumps(payloads[-1], indent=2) + "\n", argv
+            _same_text(printed[-1], json.dumps(payloads[-1], indent=2) + "\n", argv)
         assert printed[0] == printed[1]
     assert "witness" in payloads[-1]
     assert all(type(p["states"]) is cli._StatesJson for p in payloads[:2])
@@ -642,14 +674,11 @@ def test_json_profiles_render_as_the_standard_encoder_at_every_depth(
     value = {"state": rendered, "deeper": [{"states": [rendered, rendered]}], "at": [rendered]}
     value["rows"] = [rows, cli._StatesJson(rows[1:])]
     for _ in range(2):
-        assert cli._json(value) == json.dumps(value, indent=2)
-        assert cli._json(rendered) == json.dumps(rendered, indent=2)
-        assert cli._json(rows) == json.dumps(rows, indent=2)
+        for each in (value, rendered, rows):
+            _same_text(cli._json(each), json.dumps(each, indent=2))
     for scalars in ([(True,), (1,), (1.0,)], [(1.0,), (1,), (True,)]):
-        assert cli._json(scalars) == json.dumps(scalars, indent=2)
-        assert [cli._json(item) for item in scalars] == [
-            json.dumps(item, indent=2) for item in scalars
-        ]
+        for each in (scalars, *scalars):
+            _same_text(cli._json(each), json.dumps(each, indent=2), each)
 
 
 def test_check_rows_kept_per_domain_carry_each_models_own_truths(capsys, monkeypatch, tmp_path):
@@ -681,7 +710,7 @@ def test_check_rows_kept_per_domain_carry_each_models_own_truths(capsys, monkeyp
         for m in (0, 1, 0, 1):
             main(["check", "--model", str(paths[m]), text, "--json"])
             out = capsys.readouterr().out
-            assert out == json.dumps(payloads[-1], indent=2) + "\n"
+            _same_text(out, json.dumps(payloads[-1], indent=2) + "\n")
             assert payloads[-1]["states"].texts is cli._state_rows(n, outcomes)[1]
             assert printed.setdefault(m, out) == out
             bad = set(valid_in_model(models[m], parse(text, (n, outcomes)))[1])
@@ -691,7 +720,7 @@ def test_check_rows_kept_per_domain_carry_each_models_own_truths(capsys, monkeyp
         # the kept texts are written at a payload value's depth only
         rows = payloads[-1]["states"]
         for value in (rows, [rows], {"deeper": {"states": rows}}):
-            assert cli._json(value) == json.dumps(value, indent=2)
+            _same_text(cli._json(value), json.dumps(value, indent=2))
 
 
 def test_a_property_check_past_its_budget_is_one_immediate_line(capsys, tmp_path):

@@ -1,7 +1,13 @@
+import copy
 import itertools
 import math
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,6 +261,42 @@ def test_profile_validation():
         Profile((AB, LinearOrder(("a", "c"))))
     with pytest.raises(InvalidDomain):
         profile(("a", "b"), ("a", "b")).order(3)
+
+
+_LOADED_PROFILE = """
+import pickle, sys
+from scflogic import all_profiles
+loaded, table = pickle.loads(sys.stdin.buffer.read())
+fresh = all_profiles(2, ("a", "b", "c"))[7]
+print(loaded is not fresh, loaded == fresh, hash(loaded) == hash(fresh), table[fresh], {fresh: "hit"}[loaded])
+"""
+
+
+def test_a_profile_keeps_its_hash_and_never_ships_it():
+    """A profile hashes as the dataclass does, by its fields, on the first
+    call, and keeps that hash.  Equal profiles built apart hash and compare
+    equal.  A copy, and a profile pickled and loaded in a process whose
+    string hashes differ, is rebuilt from its orders, so it hashes like a
+    fresh profile there and finds its entry in a dict keyed by profiles."""
+    p = all_profiles(2, K3)[7]
+    apart = Profile(tuple(LinearOrder(tuple(order.ranking)) for order in p.orders))
+    assert apart is not p and apart == p and hash(apart) == hash(p) == hash((p.orders,))
+    assert vars(p)["_hash"] == hash(p)
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert other is not p and "_hash" not in vars(other)
+        assert other == p and hash(other) == hash(p) and {p: "hit"}[other] == "hit"
+    src = str(Path(core.__file__).resolve().parents[1])
+    shipped = pickle.dumps((p, {p: "entry"}))
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADED_PROFILE],
+            input=shipped,
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().split() == ["True", "True", "True", "entry", "hit"]
 
 
 def test_table_feasible_outcomes(h_table, p_table):

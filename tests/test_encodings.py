@@ -58,7 +58,7 @@ from scflogic.logic import (
     Rep,
 )
 from scflogic import encodings
-from scflogic._stacked import StackedEvaluator, TableGrid, _Direct
+from scflogic._stacked import StackedEvaluator, TableGrid, _Direct, _Tiled
 from scflogic.parser import format_formula
 
 from conftest import K2, K3, profile
@@ -556,6 +556,40 @@ def test_property_builders_evaluate_in_a_direct_scope():
                     assert verdict.counterexample == ev._locate(view, bad), (prop, table.values)
                 verdicts.add((prop.kind, bool(bad)))
     assert len(verdicts) == 2 * len(PropertyId.KINDS)
+
+
+@pytest.mark.parametrize("n, outcomes", [(1, K3), (2, K2), (3, K2), (2, K3)])
+def test_a_direct_ballot_is_its_reported_atoms_conjoined(n, outcomes):
+    """A direct scope's ballot table holds, for every profile, the tile
+    shifted to the profile's state with read-set 0 (`_Direct.Ballot`): the
+    value that conjoining its reported atoms in the direct constructors
+    builds, and the ballot formula's mask.  On a view the evaluator keeps
+    and on that view tiled three times.  A profile over fewer agents, no
+    state of the view, is that conjunction too.  Each evaluator keeps the
+    reported-atom masks it spreads."""
+    rng = random.Random(n * 10 + len(outcomes))
+    rows = [tuple(rng.choice(outcomes) for _ in all_profiles(n, outcomes)) for _ in range(4)]
+    ev = StackedEvaluator(TableGrid(n, outcomes, rows))
+    view = ev._view(1)  # one truth per row
+    assert view is not ev and ev._views[ev.grid.shape(1)] is view
+    for target in (view, _Tiled(view, 3)):
+        direct = _Direct(target, 1)
+        scope = encodings._Scope(n, outcomes, direct)
+        for index, p in enumerate(all_profiles(n, outcomes)):
+            value = scope.ballot[p]
+            assert (value.mask, value.reads) == (target.tile << index, 0)
+            conjoined = encodings._ballot_profile(direct, p)
+            assert (conjoined.mask, conjoined.reads) == (value.mask, 0)
+            assert target.truth_mask(ballot_profile(p)) == value.mask
+        if n > 1:
+            fewer = Profile(all_profiles(n, outcomes)[-1].orders[1:])
+            value = direct.Ballot(fewer)
+            assert (value.mask, value.reads) == (encodings._ballot_profile(direct, fewer).mask, 0)
+            assert value.mask == target.truth_mask(ballot_profile(fewer))
+        # the evaluator keeps each reported-atom mask it spreads
+        rep = direct.Rep(1, outcomes[-1], outcomes[0]).mask
+        assert rep is target._rep(1, outcomes[-1], outcomes[0])
+        assert rep == target.space.rep_mask(1, outcomes[-1], outcomes[0]) * target.tile
 
 
 def test_a_formula_scope_leaves_no_garbage_cycles():

@@ -419,14 +419,17 @@ def test_stacked_evaluator_refuses_empty_or_mixed_stacks():
             StackedEvaluator(models + [odd])
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)])
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (3, 3)])
 def test_modality_kernels_match_a_per_bit_reference(n, k):
     """`_block_any`, `_collapse_axis`, `_diamond` for every coalition (∅
     and N included) and `_pref` for every agent agree bit by bit with
     references read off `all_profiles` and each block's model, on a
-    one-row grid and a three-row grid.  The masks are random, plus the
-    carry edges in every block: a block's top bit alone, its base bit
-    alone, every bit, none, and the four side by side."""
+    one-row grid, a three-row grid and that grid tiled 2 and 3 times
+    (`_Tiled`, whose block m is the grid's model m mod its length); at
+    (3,{a,b,c}), whose 216-bit blocks the axiom sweep stacks too, on a
+    one-row grid of eight true profiles alone.  The masks are random,
+    plus the carry edges in every block: a block's top bit alone, its
+    base bit alone, every bit, none, and the four side by side."""
     outcomes = ("a", "b", "c", "d")[:k]
     rng = random.Random(100 * n + k)
     profiles = all_profiles(n, outcomes)
@@ -436,37 +439,47 @@ def test_modality_kernels_match_a_per_bit_reference(n, k):
     def states(test):
         return sum(1 << v for v in range(size) if test(v))
 
-    def varying(coalition, p):
-        """The states that differ from profile p in the orders of `coalition` only."""
+    def varying(coalition):
+        """Per profile p: the states that differ from p in the orders of `coalition` only."""
         fixed = [j - 1 for j in agents if j not in coalition]
-        return states(lambda w: all(profiles[w].orders[j] == p.orders[j] for j in fixed))
+        keys = [tuple([p.orders[j] for j in fixed]) for p in profiles]
+        alike = {}
+        for v, key in enumerate(keys):
+            alike[key] = alike.get(key, 0) | 1 << v
+        return [alike[key] for key in keys]
 
     coalitions = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(agents, r)]
-    lines = {c: [varying(c, p) for p in profiles] for c in coalitions}
+    lines = {c: varying(c) for c in coalitions}
     # per agent: the states giving it profiles[0]'s order, its digit 0
     planes = {
         i: states(lambda v: profiles[v].orders[i - 1] == profiles[0].orders[i - 1]) for i in agents
     }
     rows = [tuple(rng.choice(outcomes) for _ in profiles) for _ in range(3)]
-    for grid in (
-        TableGrid(n, outcomes, rows[:1]),
-        TableGrid(n, outcomes, rows, rng.sample(profiles, min(3, size))),
-    ):
-        ev = StackedEvaluator(grid)
-        blocks = len(grid)
+    # all S truths on the one row, but eight seeded ones at (3,{a,b,c})
+    truths = None if size <= 36 else rng.sample(profiles, 8)
+    evaluators = [StackedEvaluator(TableGrid(n, outcomes, rows[:1], truths))]
+    if size <= 36:
+        three = StackedEvaluator(TableGrid(n, outcomes, rows, rng.sample(profiles, min(3, size))))
+        evaluators += [three, _stacked._Tiled(three, 2), _stacked._Tiled(three, 3)]
+    for ev in evaluators:
+        grid = getattr(ev, "view", ev).grid
+        blocks = ev.full.bit_length() // size
+        assert blocks == len(grid) * getattr(ev, "times", 1)
 
         def per_block(bits_of, x=0):
             """The mask whose block m is `bits_of(m, block m of x)`."""
             return sum(bits_of(m, x >> m * size & ones) << m * size for m in range(blocks))
 
         # per agent, block m and state v: the states whose outcome the
-        # agent truly ranks at least as high as v's in model m
+        # agent truly ranks at least as high as v's in block m's model
         above = {i: [] for i in agents}
         for m in range(blocks):
-            out = [grid[m].out(p) for p in profiles]
+            model = grid[m % len(grid)]
+            out = [model.out(p) for p in profiles]
             for i in agents:
-                order = grid[m].truth.orders[i - 1]
-                above[i].append([states(lambda w: order.at_least_as_good(out[w], o)) for o in out])
+                order = model.truth.orders[i - 1]
+                ranked = {o: states(lambda w: order.at_least_as_good(out[w], o)) for o in outcomes}
+                above[i].append([ranked[o] for o in out])
 
         edges = [0, 1, 1 << size - 1, ones]
         masks = [per_block(lambda m, _: edge) for edge in edges]
@@ -477,7 +490,7 @@ def test_modality_kernels_match_a_per_bit_reference(n, k):
             for _ in range(3)
         ]
         for x in masks:
-            assert ev._block_any(x) == per_block(lambda m, b: int(b != 0), x)
+            assert ev._block_any(x) == per_block(lambda m, b: int(b != 0) << size - 1, x)
             for i in agents:
                 line = lines[frozenset({i})]
                 assert ev._collapse_axis(x, i) == per_block(

@@ -201,8 +201,8 @@ ROWS = [
     Row("hostile text quote", (hostile_text, "quote"), [2, 1], 25, 2),  # a lexical error, found at once
     Row("hostile text ideographic", (hostile_text, "ideographic"), [2, 1], 25, 2),
     # the axiom sweeps: 0.2-0.4 s and 17.6-18.6 MiB each at (3,{a,b}), (4,{a,b})
-    # and sampled (2,{a,b,c}), antisym' 1.2-1.8 s and 23.6 MiB, (3,{a,b,c})
-    # 1.8-2.4 s and 24.8 MiB, six runs each on two shared cores
+    # and sampled (2,{a,b,c}), antisym' 1.2-1.8 s and 23.6 MiB, six runs each
+    # on two shared cores; (3,{a,b,c}) 1.7-2.4 s and 24.7-24.9 MiB, four runs
     Row("axioms (3,{a,b})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b --json"), [[0, True]], 23, 3),
     Row("axioms (4,{a,b})", (cli_calls, "ok", "axioms --agents 4 --outcomes a,b --json"), [[0, True]], 23, 3),
     Row("sampled axioms (2,{a,b,c})", (cli_calls, "ok", "axioms --agents 2 --outcomes a,b,c --json"), [[0, True]],
@@ -211,7 +211,7 @@ ROWS = [
     # one `soundness_check` per schema over one model list, each after the
     # first reusing the list's stacked evaluator: 0.27-0.42 s, 18.1-18.5 MiB
     Row("schema by schema, (3,{a,b}) and sampled (2,{a,b,c})", (schema_sweeps,), [True, True], 23, 3),
-    Row("axioms (3,{a,b,c})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b,c --json"), [[0, True]], 32, 10),
+    Row("axioms (3,{a,b,c})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b,c --json"), [[0, True]], 32, 6),
     # the property checks run residual programs, three runs each: strproof
     # 0.2-0.3 s and 27.1 MiB at (3,{a,b,c}), 1.1-1.2 s and 170.8 MiB at
     # (2,{a,b,c,d}); the audits 1.2-1.3 s and 171.9 MiB; mon 0.8-1.0 s and
