@@ -53,43 +53,50 @@ its block (row, t) back to the grid's model row*L + kept[t] (`_locate`).
 narrows to, kept on the evaluator from the first call that asks for it;
 the property check and the enumeration stack narrowed grids directly.
 
-A formula is evaluated by running its program (`StackedEvaluator._run`):
-one entry per distinct node of its DAG in post-order, so a shared node is
-computed once.  `_compile` makes the program in one walk of the distinct
-nodes, as three parallel lists (op code; child slot or atom field;
-coalition, agent or atom field).  A `Not` gets no entry: it is an edge
-attribute, as in the complemented edges of Brace, Rudell and Bryant's
-BDD package (1990).  A parent reads its child through any chain of
-`Not`s, and the chain's parity goes into the parent's op code, so ~a | ~b
-is one entry, full ^ (a & b); the parity of the chain above the root
-goes with the program, and the run complements the last entry's mask by
-it.  Once the walk is done, its table is dropped, and one reverse pass
-sets the free schedule in the op codes (Collins's erasure of lists,
-1960): an entry frees each child whose last reader it is, so a run holds
-only the masks later entries still read.  A program names children by
-slot and atoms by their fields, so it never references its root.  A
-formula is usually asked again on other stacks, such as the chunks of an
-enumeration.  So its program is compiled on its first call and kept in
-`_programs`, which holds roots weakly: a program lives as long as its
-root, and no mask outlives the call.  To ask one formula at many states,
-read its mask once instead of calling `evaluate` per state.
+A formula is evaluated by running its program (`StackedEvaluator._run`),
+which one emitter writes: `_Emit`, an emitting scope that separates
+binding times, as an online partial evaluator does (Jones, Gomard and
+Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993;
+Carette, Kiselyov and Shan, "Finally tagless, partially evaluated", JFP
+2009).  A program is three parallel lists (op code; child slot, outcome
+name or constant mask; child slot, coalition or agent), one entry per
+distinct value in post-order, so a shared node is computed once.  What reads no outcome
+atom and no pref modality is the same for every table, in every block:
+the scope computes it at once, as one block's mask, and an entry that
+reads it has it as a constant operand, spread over a grid by its tile
+when a run reads it.  The scope folds what a constant decides (x | 0, x
+& full, ...) and enters equal entries once.  A `Not` gets no entry: it is
+an edge attribute, as in the complemented edges of Brace, Rudell and
+Bryant's BDD package (1990).  A parent reads its child through any chain
+of `Not`s, and the chain's parity goes into the parent's op code, so ~a |
+~b is one entry, full ^ (a & b); the root's parity goes with the program,
+and the run complements the last entry's mask by it.  Once the values
+are emitted, one walk from the root numbers the entries it reaches, and
+one reverse pass sets the free schedule in the op codes (Collins's
+erasure of lists, 1960): an entry frees each child whose last reader it
+is, so a run holds only the masks later entries still read
+(`_Emit.program`).  A program names children by slot and atoms by their
+fields, so it never references a formula node.
+
+A formula is lifted into an emitting scope over (n, K) (`_Emit.lift`):
+each distinct node's value is computed from its children's by the
+scope's constructors.  A formula is usually asked again on other stacks,
+such as the chunks of an enumeration, so its program is lifted on its
+first call over (n, K) and kept in that state space's `programs`, which
+holds formulas weakly: a program lives as long as its formula, and no
+mask outlives the call.  To ask one formula at many states, read its
+mask once instead of calling `evaluate` per state.
 
 A property check builds no formula: the property's builder runs once per
-(property, n, K) against the constructors of `_Emit`, an emitting scope
-that separates binding times, as a partial evaluator does (Jones, Gomard
-and Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993;
-Carette, Kiselyov and Shan, "Finally tagless, partially evaluated", JFP
-2009).  What reads no outcome atom and no pref modality is the same for
-every table, in every block: it is computed at once, as one block's mask.
-The rest is emitted as a residual program in `_compile`'s format, with
-those masks as constant operands, spread over a grid by its tile when a
-run reads them.  The scope folds what a constant decides (x | 0, x &
-full, ...) and enters equal entries once, so the residual program is
-smaller than the formula's: at (2,{a,b,c}) `strproof` has 2,088 entries
-against 2,115, `mon` 2,942 against 56,012, and at (3,{a,b,c}) `mon` 64,106
-where the formula has 7,025,186 nodes.  The program's read-set is that of
-the outcome atoms and pref modalities it reaches, and each table's check
-runs it on a one-row grid narrowed to it (`program_failure`).
+(property, n, K) against the same constructors, which give the program
+lifting the property's formula gives, as many entries with the same
+read-set.  Folding and sharing make it smaller than the formula: at
+(2,{a,b,c}) `strproof` has 2,088 entries where its formula has 2,115
+distinct nodes that are not a `Not`, `mon` 2,942 against 56,012, and at
+(3,{a,b,c}) `mon` 64,106 where the formula has 7,025,186 nodes.  The
+program's read-set is that of the outcome atoms and pref modalities it
+reaches, and each table's check runs it on a one-row grid narrowed to it
+(`program_failure`).
 
 The axiom sweep builds neither instance formulas nor programs: a schema
 builder runs against the constructors of `_Direct`, which compute each
@@ -168,7 +175,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import InvalidDomain, Profile, ScfModel, ScfTable, _model, _positions, _state_index
 from .core import all_profiles
-from .encodings import _ballot_profile
 from .logic import Diamond, Formula, Not, Or, Out, Pref, Rep, Top, _pref_bit
 
 __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model", "stack"]
@@ -178,9 +184,10 @@ class _StateSpace:
     """Per-(n, K) state data shared by every evaluator: `core`'s canonical
     profiles, the axes of the state grid, reported-atom masks, the truths a
     narrowed grid keeps and the rank blocks of a grid's true profiles, the
-    last two built once for all S in order and their narrowings; and the
+    last two built once for all S in order and their narrowings; the
     evaluators kept over it, `stack`'s last one and the enumeration's ramps
-    (`chunks`)."""
+    (`chunks`); and the program of each live formula evaluated over it
+    (`programs`, `StackedEvaluator.truth_mask`)."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         self.n = n
@@ -209,6 +216,9 @@ class _StateSpace:
         self.stacked: StackedEvaluator | None = None  # the last evaluator `stack` built here
         # per read-set shape, the evaluators of the enumeration's ramp (`chunks`)
         self.ramps: dict[int, list[StackedEvaluator]] = {}
+        # formula -> its program over this space (`truth_mask`); held weakly,
+        # so a program dies with its formula
+        self.programs: weakref.WeakKeyDictionary[Formula, _Program] = weakref.WeakKeyDictionary()
 
     def chunks(self, reads: int) -> Iterator[StackedEvaluator]:
         """The evaluators of the enumeration's chunks for a root of read-set
@@ -506,21 +516,18 @@ _CHUNK_BITS = 1 << 15
 
 
 # a program: three parallel lists of plain data, one entry (op, a, b) per
-# distinct node that is not a `Not`, in post-order (see `_compile`), and the
-# parity of the `Not` chain above the root; op is a code, not the node's
-# class, so a program references no node.  The high bits of op are the
-# entry's kind plus the parity of the `Not`s it reads through: _NOT_A if it
-# reads child a (a modality's only one) complemented, _NOT_B if child b.  The
-# low two bits are the free schedule: free child a, or child b, once the
-# entry is computed.  A residual program (`_Emit`) has one more atom, a
-# constant: _MASK with one block's mask in a, spread over every block.
-_OR, _DIAMOND, _PREF, _TOP, _OUT, _REP, _MASK = 0, 64, 96, 128, 144, 160, 176
+# value of an emitting scope that the root reaches, in post-order (see
+# `_Emit.program`), and the root's parity; op is a code, not a node's class,
+# so a program references no node.  The high bits of op are the entry's kind
+# plus the parity of the edges it reads: _NOT_A if it reads child a (a
+# modality's only one) complemented, _NOT_B if child b.  The low two bits
+# are the free schedule: free child a, or child b, once the entry is
+# computed.  An atom is an outcome atom, _OUT with its name in a, or a
+# constant, _MASK with one block's mask in a, spread over every block.
+_OR, _DIAMOND, _PREF, _OUT, _MASK = 0, 64, 96, 128, 144
 _NOT_A, _NOT_B = 16, 32
 _FREE_A, _FREE_B = 1, 2
 _Program = tuple[list[int], list, list, int]
-
-# root -> its program; held weakly, so an entry dies with its root
-_programs: weakref.WeakKeyDictionary[Formula, _Program] = weakref.WeakKeyDictionary()
 
 
 class StackedEvaluator:
@@ -528,11 +535,11 @@ class StackedEvaluator:
     or a model list read into one (`_as_grid`), whose `models` stay the
     caller's own objects (a tuple of them, when `stack` built it).  Each
     call runs one formula's program on a list of masks of its own, dropped
-    on return; the program, which holds no mask or node, is kept in
-    `_programs`.  The outcome and rank masks are built when an evaluation
-    first reads them; `first_failure` evaluates on a view of the narrowed
-    grid, one per narrowing, built on the first call that asks for it and
-    kept."""
+    on return; the program, which holds no mask or node, is kept in the
+    state space's `programs`.  The outcome and rank masks are built when
+    an evaluation first reads them; `first_failure` evaluates on a view of
+    the narrowed grid, one per narrowing, built on the first call that
+    asks for it and kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -614,11 +621,15 @@ class StackedEvaluator:
 
     def truth_mask(self, formula: Formula) -> int:
         """Truth mask of `formula` across the batch, from one run of its
-        program, compiled on the first call for `formula` and kept in
-        `_programs`."""
-        program = _programs.get(formula)
+        program over this (n, K): `formula` lifted into an emitting scope
+        (`_Emit.lift`) on the first call for it over (n, K), and kept in the
+        state space's `programs`, which holds `formula` weakly, for every
+        evaluator over (n, K)."""
+        programs = self.space.programs
+        program = programs.get(formula)
         if program is None:
-            program = _programs[formula] = _compile(formula)
+            emit = _Emit(self.space.n, self.space.outcomes)
+            program = programs[formula] = emit.program(emit.lift(formula))[1]
         return self._run(program)
 
     def _run(self, program: _Program) -> int:
@@ -635,23 +646,22 @@ class StackedEvaluator:
                 push(full ^ masks[a] | masks[b] if op >= _NOT_A else masks[a] | masks[b])
             elif op < _DIAMOND:  # ~a | ~b is the complement of a & b
                 push(full ^ masks[a] & masks[b] if op & _NOT_A else masks[a] | full ^ masks[b])
-            elif op < _TOP:
+            elif op < _OUT:
                 x = full ^ masks[a] if op & _NOT_A else masks[a]
                 push(self._diamond(b, x) if op < _PREF else self._pref(b, x))
             else:
-                push(self._atom(op, a, b))
+                push(self._atom(op, a))
             if op & _FREE_A:
                 masks[a] = None
             if op & _FREE_B:
                 masks[b] = None
         return full ^ masks[-1] if odd else masks[-1]
 
-    def _atom(self, op: int, a, b) -> int:
-        """Mask of the atom whose program entry is (op, a, b)."""
-        if op < _OUT:
-            return self.full
-        if op >= _REP:
-            return a * self.tile if op == _MASK else self._rep(a, *b)
+    def _atom(self, op: int, a) -> int:
+        """Mask of the atom whose program entry is (op, a, None): a
+        constant's block mask spread over every block, or an outcome's."""
+        if op == _MASK:
+            return a * self.tile
         if a not in self.space.outcomes:
             raise InvalidDomain(f"outcome atom {a!r} outside {self.space.outcomes}")
         return (self._out_masks or self._outcome_masks())[a]
@@ -816,87 +826,6 @@ class _Tiled(StackedEvaluator):
         return self._ranked
 
 
-def _compile(root: Formula) -> _Program:
-    """The program of `root`: one entry per distinct node that is not a
-    `Not`, in post-order, with the free schedule, and the parity of the
-    root's `Not` chain.
-
-    A `Not` is an edge attribute: a parent reads its child through any
-    chain of `Not`s and adds `_NOT_A` (`_NOT_B` for an `Or`'s right child)
-    to its op code if the chain is odd, and the root's chain is the
-    program's parity.  The walk runs on an explicit stack, so depth is
-    limited by memory only.  The stack holds one path from the root, each
-    entry a child of the one below it: a node with an unwalked child
-    pushes that child, and a node whose children are walked is entered,
-    once, into the identity table `slots`, so a node reached twice is one
-    entry.  An `Or`'s a and b are its children's slots; a `<C>` or
-    `pref(i)` has its child's slot in a and its coalition or agent in b;
-    an atom has (None, None) for top, (name, None) for an outcome and
-    (agent, (left, right)) for a reported preference.  Then the table is
-    dropped, and `_schedule` sets the free schedule."""
-    ops, args, keys = [], [], []
-    slots: dict[Formula, int] = {}  # node -> slot, no `Not`
-    base, odd = root, 0
-    while type(base) is Not:
-        base, odd = base.child, odd ^ 1
-    stack = [base]
-    push = stack.append
-    while stack:
-        node = stack[-1]
-        kind = type(node)
-        if kind is Or:
-            left, right, op = node.left, node.right, _OR
-            while type(left) is Not:
-                left, op = left.child, op ^ _NOT_A
-            while type(right) is Not:
-                right, op = right.child, op ^ _NOT_B
-            a, b = slots.get(left), slots.get(right)
-            if a is None or b is None:
-                push(left if a is None else right)
-                continue
-        elif kind is Diamond or kind is Pref:
-            child, op = node.child, _DIAMOND if kind is Diamond else _PREF
-            while type(child) is Not:
-                child, op = child.child, op ^ _NOT_A
-            a, b = slots.get(child), node.coalition if kind is Diamond else node.agent
-            if a is None:
-                push(child)
-                continue
-        elif kind is Top:
-            op, a, b = _TOP, None, None
-        elif kind is Out:
-            op, a, b = _OUT, node.name, None
-        elif kind is Rep:
-            op, a, b = _REP, node.agent, (node.left, node.right)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        slots[stack.pop()] = len(ops)
-        ops.append(op)
-        args.append(a)
-        keys.append(b)
-    del slots
-    _schedule(ops, args, keys)
-    return ops, args, keys, odd
-
-
-def _schedule(ops: list[int], args: list, keys: list) -> None:
-    """Set the free schedule in the op codes of a program's entries: one
-    reverse pass, with a bytearray of the slots already read, flags each
-    entry's children it is the last reader of."""
-    read = bytearray(len(ops))
-    for slot in range(len(ops) - 1, -1, -1):
-        op = ops[slot]
-        if op < _TOP:
-            a = args[slot]
-            if not read[a]:
-                read[a] = 1
-                op |= _FREE_A
-            if op < _DIAMOND and not read[keys[slot]]:
-                read[keys[slot]] = 1
-                op |= _FREE_B
-            ops[slot] = op
-
-
 class _Value:
     """A direct value: a formula's mask on its scope's view and the
     formula's read-set (`Formula.reads`).  Hashed by identity, so a memo
@@ -975,18 +904,16 @@ class _Direct:
     def Ballot(self, profile: Profile) -> _Value:
         """The ballot of `profile` (`encodings.ballot_profile`), the
         conjunction of its reported atoms, which holds at the one state
-        that reports it: the tile shifted to that state.  A profile that is
-        no state here, over other agents or outcomes, is that conjunction."""
+        that reports it: the tile shifted to that state; InvalidDomain if
+        it is no state here (`axioms.soundness_check` refuses instances
+        over another (n, K) before any is built)."""
         space = self.view.space
-        try:
-            return _Value(self.view.tile << _state_index(space.n, space.outcomes, profile), 0)
-        except InvalidDomain:
-            return _ballot_profile(self, profile)
+        return _Value(self.view.tile << _state_index(space.n, space.outcomes, profile), 0)
 
     def Out(self, name: str) -> _Value:
         if not self.keeps:
             raise _Narrow(1)
-        return _Value(self.view._atom(_OUT, name, None), 1)
+        return _Value(self.view._atom(_OUT, name), 1)
 
     def lift(self, formula: Formula) -> _Value:
         if formula.reads & ~self.keeps:
@@ -996,10 +923,12 @@ class _Direct:
 
 class _Emit(StackedEvaluator):
     """The constructors of an emitting scope over (n, K) (`Or`, `Diamond`,
-    `Pref`, the atoms and the derived forms, and `TRUE`), which split a
-    builder's values by binding time: what no outcome function changes is
-    computed now, and the rest is emitted as a residual program
-    (`program`), which `program_failure` runs on each table's grid.
+    `Pref`, the atoms and the derived forms, and `TRUE`), which split the
+    values of a builder, or of a formula's nodes (`lift`), by binding time:
+    what no outcome function changes is computed now, and the rest is
+    emitted as a residual program (`program`), the one program format
+    every run reads: `truth_mask` runs a formula's on any grid over (n,
+    K), and `program_failure` a property's on each table's grid.
 
     A static value reads neither an outcome atom nor a pref modality:
     `TRUE`, the reported-preference atoms and what only they feed.  It is
@@ -1008,8 +937,8 @@ class _Emit(StackedEvaluator):
     block that this scope is (set up without a grid, as `_Tiled` is), and
     `TRUE` and `FALSE` are its two shared values.  Every other value is an
     entry of the program, named by an int, 2 * slot + parity, as a
-    complemented edge names a node (see `_compile`): `Not` flips the low
-    bit, and a parent reads its child through the parity.  A static value
+    complemented edge names a node: `Not` flips the low bit, and a parent
+    reads its child through the parity.  A static value
     that such a value reads is a constant entry, `_MASK` with the block's
     mask, which a run spreads over its grid by multiplying with the tile.
     A mask and its complement share one constant, read through a parity.
@@ -1020,7 +949,9 @@ class _Emit(StackedEvaluator):
     value.  Equal entries are entered once (`slots`, keyed by op code and
     operands, a commutative pair in slot order), so two memo tables, or
     two builders, that reach one value share its entry.  The domain checks
-    are a program run's."""
+    are made as values are emitted, worded as the relational semantics
+    words them (`logic.eval_kripke`), so a program's run over (n, K)
+    refuses nothing."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
         space = self.space = _space(n, outcomes)
@@ -1131,6 +1062,71 @@ class _Emit(StackedEvaluator):
             raise InvalidDomain(f"outcome atom {name!r} outside {self.space.outcomes}")
         return self._enter((_OUT, name), _OUT, name, None)
 
+    def lift(self, root: Formula):
+        """The value of the formula `root` in this scope: each distinct
+        node's value from its children's values by the constructors above,
+        in the post-order of a walk that takes an `Or`'s left child first.
+        A `Not` is valued by its parent, which reads its child through any
+        chain of `Not`s, complemented if the chain is odd; the chain above
+        the root complements the root's value.  The walk runs on an
+        explicit stack, so depth is limited by memory only: the stack holds
+        one path from the root, a node with a child not yet valued pushes
+        that child, and a node whose children are valued is valued, once,
+        in the identity table `values`, so a node reached twice is one
+        value.  The domain checks are the constructors', so the fault
+        reported is the first in that post-order, as `logic.eval_kripke`
+        reports it."""
+        values: dict[Formula, object] = {}
+        get = values.get
+        negate = self.Not
+        base, odd = root, 0
+        while type(base) is Not:
+            base, odd = base.child, odd ^ 1
+        stack = [base]
+        push = stack.append
+        while stack:
+            node = stack[-1]
+            kind = type(node)
+            if kind is Or:
+                left, right, a, b = node.left, node.right, 0, 0
+                while type(left) is Not:
+                    left, a = left.child, a ^ 1
+                while type(right) is Not:
+                    right, b = right.child, b ^ 1
+                x = get(left)
+                if x is None:
+                    push(left)
+                    continue
+                y = get(right)
+                if y is None:
+                    push(right)
+                    continue
+                value = self.Or(negate(x) if a else x, negate(y) if b else y)
+            elif kind is Diamond or kind is Pref:
+                child, a = node.child, 0
+                while type(child) is Not:
+                    child, a = child.child, a ^ 1
+                x = get(child)
+                if x is None:
+                    push(child)
+                    continue
+                if a:
+                    x = negate(x)
+                if kind is Diamond:
+                    value = self.Diamond(node.coalition, x)
+                else:
+                    value = self.Pref(node.agent, x)
+            elif kind is Out:
+                value = self.Out(node.name)
+            elif kind is Rep:
+                value = self.Rep(node.agent, node.left, node.right)
+            elif kind is Top:
+                value = self.TRUE
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+            values[stack.pop()] = value
+        return negate(values[base]) if odd else values[base]
+
     def program(self, root) -> tuple[int, _Program]:
         """The read-set of `root` and its residual program, which takes the
         emitted entries from this scope: the entries `root` reaches, in
@@ -1138,30 +1134,31 @@ class _Emit(StackedEvaluator):
         (at (2,{a,b,c,d}) strproof's run then holds at most 4,056 masks at
         once, as its formula's program holds 4,055, against 4,625 in the
         order of entry and 5,199 taking the earlier entry first), with the
-        free schedule (`_schedule`) and the root's parity.  The read-set
+        free schedule (see `_OR`) and the root's parity.  The read-set
         is bit 0 if an outcome atom is reached and the bit of each agent
         whose pref modality is.  A static root is one constant."""
-        if type(root) is not int:
-            return 0, ([_MASK], [root.mask], [None], 0)
+        root = self._emitted(root)
         ops, args, keys = self.ops, self.args, self.keys
         self.ops = self.args = self.keys = self.slots = None
         renumbered = [-1] * ((root >> 1) + 1)
         new_ops, new_args, new_keys = [], [], []
         reads = 0
         stack = [root >> 1]  # a slot to visit, or ~slot once its children are pushed
+        push, pop = stack.append, stack.pop
         while stack:
-            slot = stack.pop()
+            slot = pop()
             if slot >= 0:
                 if renumbered[slot] < 0:
-                    stack.append(~slot)
-                    if ops[slot] < _TOP:
-                        stack.append(args[slot] >> 1)
-                        if ops[slot] < _DIAMOND:
-                            stack.append(keys[slot] >> 1)
+                    push(~slot)
+                    op = ops[slot]
+                    if op < _OUT:
+                        push(args[slot] >> 1)
+                        if op < _DIAMOND:
+                            push(keys[slot] >> 1)
                 continue
             slot = ~slot
             op, a, b = ops[slot], args[slot], keys[slot]
-            if op < _TOP:
+            if op < _OUT:
                 a = renumbered[a >> 1]
                 if op < _DIAMOND:
                     b = renumbered[b >> 1]
@@ -1173,7 +1170,21 @@ class _Emit(StackedEvaluator):
             new_ops.append(op)
             new_args.append(a)
             new_keys.append(b)
-        _schedule(new_ops, new_args, new_keys)
+        # the free schedule: one reverse pass, with a bytearray of the slots
+        # already read, flags each entry's children it is the last reader of
+        # (Collins's erasure of lists, 1960)
+        read = bytearray(len(new_ops))
+        for slot in range(len(new_ops) - 1, -1, -1):
+            op = new_ops[slot]
+            if op < _OUT:
+                a = new_args[slot]
+                if not read[a]:
+                    read[a] = 1
+                    op |= _FREE_A
+                if op < _DIAMOND and not read[new_keys[slot]]:
+                    read[new_keys[slot]] = 1
+                    op |= _FREE_B
+                new_ops[slot] = op
         return reads, (new_ops, new_args, new_keys, root & 1)
 
 

@@ -679,7 +679,9 @@ def soundness_check(
     that call's evaluator, with its masks and views; its models are the
     caller's objects, so the counterexamples are too.  The collector is
     paused throughout, and so while an `instantiate_all` stream builds the
-    instances.
+    instances.  A run whose instances are over another agent count or
+    outcome set than the models raises InvalidDomain before any of its
+    instances is checked.
     """
     with _collector_paused():
         ev = _stacked.stack(models)
@@ -757,6 +759,9 @@ def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstanc
             scope = _Scope(ev.space.n, ev.space.outcomes, ())
             rows = [((), values)]
         bound = values.__iter__
+    if scope.n != ev.space.n or set(scope.outcomes) != set(ev.space.outcomes):
+        raise InvalidDomain(f"{run[0].schema} instances over n={scope.n}, K={','.join(scope.outcomes)} cannot be"
+                            f" checked on models over n={ev.space.n}, K={','.join(ev.space.outcomes)}")
     rows = iter(rows)
     row = next(rows, None)
     reads = independent = offset = done = counted = 0

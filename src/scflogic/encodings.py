@@ -33,14 +33,16 @@ A property check builds no formula (`decision.check_scf_property`): it
 runs the property's builder once per (property, n, K) in an emitting
 scope, and each table runs the residual program that gives.  A cold
 (2,3) `strproof` check, emitting and running it, takes 4-6 ms, against
-10-12 ms to build, compile and run the formula; each later table runs
-the kept residual program, as fast as the formula's (0.7-0.8 ms).  A
-direct scope would rerun the builder per table, 2.3-2.4 ms.
+13-17 ms to build the formula, lift it to the same program and run that;
+each later table runs the kept residual program, as fast as the
+formula's (0.7-0.8 ms).  A direct scope would rerun the builder per
+table, 2.3-2.4 ms.
 
-The property table `_PROPERTIES` maps each property kind to its builder;
-`PropertyId`, its spellings on the command line and in formulas, and
-`property_formula` all come from it.  `_SCOPED` maps each kind to its
-builder in a given scope, which the emitting scope runs.
+The property table `_SCOPED` maps each property kind to its builder in a
+given scope; `PropertyId`, its spellings on the command line and in
+formulas, `property_formula`, which runs the builder in the formula scope
+of its (n, K), and the property check, which runs it in an emitting
+scope, all come from it.
 """
 
 from __future__ import annotations
@@ -347,21 +349,10 @@ def strproof(n: int, outcomes: Sequence[str]) -> Formula:
     return _strproof(_formulas(n, tuple(outcomes)))
 
 
-# property kind -> its builder over (agent, n, K); the agent is None but for
-# the kinds named with one, as br(1) is.  Each row looks its builder up when
-# called, so the builder functions above stay the one place to replace.
-_PROPERTIES: dict[str, Callable[[Optional[int], int, tuple[str, ...]], Formula]] = {
-    "citsov": lambda agent, n, outcomes: citsov(n, outcomes),
-    "nodict": lambda agent, n, outcomes: nodict(n, outcomes),
-    "dom": lambda agent, n, outcomes: dom(n, outcomes),
-    "mon": lambda agent, n, outcomes: mon(n, outcomes),
-    "strproof": lambda agent, n, outcomes: strproof(n, outcomes),
-    "br": lambda agent, n, outcomes: best_response(agent, n, outcomes),
-}
-
-# property kind -> its builder in a given scope, called with the agent as
-# above: in an emitting scope it gives the property's residual program
-# (`decision.check_scf_property`)
+# property kind -> its builder in a given scope, called with the agent, which
+# is None but for the kinds named with one, as br(1) is: in the formula scope
+# of (n, K) it gives the property's formula (`property_formula`), in an
+# emitting scope its residual program (`decision.check_scf_property`)
 _SCOPED: dict[str, Callable[[_Scope, Optional[int]], object]] = {
     "citsov": lambda s, agent: _citsov(s),
     "nodict": lambda s, agent: _nodict(s),
@@ -380,11 +371,11 @@ class PropertyId:
     agent: Optional[int] = None
 
     # the property kinds, and those named with an agent
-    KINDS: ClassVar[tuple[str, ...]] = tuple(_PROPERTIES)
+    KINDS: ClassVar[tuple[str, ...]] = tuple(_SCOPED)
     AGENT_KINDS: ClassVar[frozenset[str]] = frozenset({"br"})
 
     def __post_init__(self) -> None:
-        if self.kind not in _PROPERTIES:
+        if self.kind not in _SCOPED:
             raise ValueError(f"unknown property {self.kind!r}; expected one of {self.KINDS}")
         if (self.kind in self.AGENT_KINDS) != (self.agent is not None):
             raise ValueError("agent must be given for br and only for br")
@@ -403,7 +394,7 @@ class PropertyId:
         bare kind, or a kind named with an agent and a decimal agent number
         without leading zeros, as in br(2)."""
         match = re.fullmatch(r"([a-z]+)(?:\(([1-9][0-9]*)\))?", text)
-        if match and match[1] in _PROPERTIES:
+        if match and match[1] in _SCOPED:
             kind, agent = match[1], match[2]
             if (kind in cls.AGENT_KINDS) == (agent is not None):
                 return cls(kind, None if agent is None else int(agent))
@@ -432,4 +423,4 @@ def property_formula(prop: PropertyId, n: int, outcomes: Sequence[str]) -> Formu
 def _property_formula(prop: PropertyId, n: int, outcomes: tuple[str, ...]) -> Formula:
     # interned nodes are acyclic: a collector pass during the build frees nothing
     with _collector_paused():
-        return _PROPERTIES[prop.kind](prop.agent, n, outcomes)
+        return _SCOPED[prop.kind](_formulas(n, outcomes), prop.agent)

@@ -1265,3 +1265,22 @@ def test_the_sampled_axioms_command_stacks_its_models_once(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "cfacf23e7fe3ad9a2c2e4fc0d9b1dcc2d5914384253dc8a7e8ef10334406ee18"
     )
+
+
+def test_a_soundness_check_refuses_instances_over_another_domain():
+    """Instances over another agent count or outcome set than the models
+    are refused with InvalidDomain, naming both, before any is checked:
+    as an `Instances`, as its records, and for the second of two runs.
+    antisym' over (2,{a,b}) on (3,{a,b}) models once read as FAIL for a
+    sound schema.  The same outcome set in another order is accepted."""
+    instances = instantiate("antisym'", 2, K2, default_pool(2, K2))
+    cases = [
+        (instances, list(enumerate_models(3, K2))[:64], "n=2, K=a,b .* n=3, K=a,b"),
+        (list(instances), sample_models(2, K3, 3, seed=1), "n=2, K=a,b .* n=2, K=a,b,c"),
+        ([instantiate("refl", 3, K2, ()), instances], enumerate_models(3, K2), "n=2, K=a,b .* n=3, K=a,b"),
+    ]
+    for run, models, message in cases:
+        with pytest.raises(InvalidDomain, match=f"antisym' instances over {message}$"):
+            soundness_check(run, models)
+    swapped = instantiate("antisym'", 2, ("b", "a"), default_pool(2, ("b", "a")))
+    assert soundness_check(swapped, enumerate_models(2, K2)).ok

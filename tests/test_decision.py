@@ -828,7 +828,7 @@ def test_the_residual_program_decides_as_the_property_formula(n, outcomes, table
 
 
 def test_a_check_builds_no_formula_and_runs_each_builder_once(monkeypatch):
-    """No formula node is built and no program compiled by a property
+    """No formula node is built and none lifted to a program by a property
     check, and each property's builder runs once per (property, n, K),
     however many tables are checked."""
     from scflogic import encodings, logic
@@ -845,7 +845,7 @@ def test_a_check_builds_no_formula_and_runs_each_builder_once(monkeypatch):
 
     monkeypatch.setattr(logic.Formula, "__new__", no_formula)
     monkeypatch.setattr(encodings, "_property_formula", no_formula)
-    monkeypatch.setattr(_stacked, "_compile", no_formula)
+    monkeypatch.setattr(_stacked._Emit, "lift", no_formula)
     scales = [(2, K2), (1, K3), (2, K3)]
     for n, outcomes in scales:
         for table in _seeded_tables(n, outcomes, 3, seed=84):
@@ -867,17 +867,38 @@ def test_best_response_of_an_agent_past_n_is_refused_as_before():
 
 def test_a_residual_program_is_no_larger_than_the_formula_program():
     """Each property's residual program has no more entries than the
-    program of its formula: its outcome-free parts are folded into at most
-    one constant per mask and its complement.  strproof at (2,3) has
-    2,088 entries, 36 of them constants (one per ballot), against 2,115."""
+    program its formula is lifted to by `truth_mask`, kept in its (n, K)'s
+    table: its outcome-free parts are folded into at most one constant per
+    mask and its complement.  strproof at (2,3) has 2,088 entries, 36 of
+    them constants (one per ballot)."""
     for n, outcomes in ((2, K2), (1, K3), (3, K2)):
+        model = sample_models(n, outcomes, 1, seed=n)[0]
         for prop in _props(n):
+            formula = property_formula(prop, n, outcomes)
+            _stacked.Evaluator(model).truth_mask(formula)
             _, (ops, _, _, _) = decision._residual(prop, n, outcomes)
-            assert len(ops) <= len(_stacked._compile(property_formula(prop, n, outcomes))[0]), prop
+            assert len(ops) <= len(_stacked._space(n, outcomes).programs[formula][0]), prop
     _, (ops, args, _, _) = decision._residual(STRPROOF, 2, K3)
     assert len(ops) == 2088
     constants = [a for op, a in zip(ops, args) if op == _stacked._MASK]
     assert len(constants) == 36 and all(mask & 1 == 0 for mask in constants)
+
+
+@pytest.mark.parametrize("n, outcomes", [(2, K2), (1, K3), (3, K2), (2, K3)])
+def test_a_lifted_property_formula_is_its_residual_program(n, outcomes):
+    """Lifting a property's formula into an emitting scope folds and shares
+    as running the property's builder there does: the program has as many
+    entries as the residual program, with the same read-set.  At (2,3)
+    `mon` has 2,942 entries and `strproof` 2,088."""
+    sizes = {}
+    for prop in _props(n):
+        emit = _stacked._Emit(n, outcomes)
+        reads, (ops, _, _, _) = emit.program(emit.lift(property_formula(prop, n, outcomes)))
+        residual_reads, (residual, _, _, _) = decision._residual(prop, n, outcomes)
+        assert (len(ops), reads) == (len(residual), residual_reads), prop
+        sizes[prop] = len(ops)
+    if (n, outcomes) == (2, K3):
+        assert (sizes[MON], sizes[STRPROOF]) == (2942, 2088)
 
 
 def test_an_emitting_scope_folds_constants_and_enters_equal_entries_once():
@@ -935,39 +956,31 @@ def test_a_property_check_past_its_budget_is_refused_before_anything_is_emitted(
         assert decision._property_work(kind, n, k, states) <= decision.PROPERTY_BUDGET
 
 
-def _built(emit, formula):
-    """`formula` rebuilt through the constructors of the emitting scope `emit`."""
-    kind = type(formula)
-    if kind is Not:
-        return emit.Not(_built(emit, formula.child))
-    if kind is Or:
-        return emit.Or(_built(emit, formula.left), _built(emit, formula.right))
-    if kind is Diamond:
-        return emit.Diamond(formula.coalition, _built(emit, formula.child))
-    if kind is Pref:
-        return emit.Pref(formula.agent, _built(emit, formula.child))
-    if kind is Rep:
-        return emit.Rep(formula.agent, formula.left, formula.right)
-    return emit.Out(formula.name) if kind is Out else emit.TRUE
-
-
 @pytest.mark.parametrize("n, outcomes, seed", [(2, K2, 91), (1, K3, 92), (3, K2, 93)])
 def test_an_emitted_formula_runs_to_its_truth_mask(n, outcomes, seed):
-    """A seeded formula rebuilt in an emitting scope gives a residual
-    program whose run over three seeded tables, every truth of each, is
-    the formula's truth mask; its read-set is within the formula's, and the
-    program's failure on the grid narrowed to it is the formula's
-    `first_failure`."""
+    """A seeded formula lifted into an emitting scope gives a residual
+    program whose run over three seeded tables, every truth of each, is,
+    block by block, the formula's extension in the relational semantics;
+    `truth_mask` keeps that program in the (n, K)'s table; its read-set is
+    within the formula's, and the program's failure on the grid narrowed
+    to it is the formula's `first_failure`."""
     draw = make_formula_sampler(n, outcomes, seed)
     rng = random.Random(seed)
     size = len(all_profiles(n, outcomes))
     grid = _stacked.TableGrid(n, outcomes, [tuple(rng.choice(outcomes) for _ in range(size)) for _ in range(3)])
     ev = _stacked.StackedEvaluator(grid)
+    views = [kripke_view(model) for model in grid]
     hits = set()
     for formula in draw(150):
         emit = _stacked._Emit(n, outcomes)
-        reads, program = emit.program(_built(emit, formula))
-        assert ev._run(program) == ev.truth_mask(formula), formula
+        reads, program = emit.program(emit.lift(formula))
+        mask = ev._run(program)
+        for m, km in enumerate(views):
+            block = mask >> m * ev.block & ev.block_ones
+            assert all(eval_kripke(km, v, formula) == bool(block >> v & 1) for v in range(ev.block)), formula
+        ev.space.programs.pop(formula, None)
+        assert ev.truth_mask(formula) == mask
+        assert ev.space.programs[formula] == program
         assert reads & ~formula.reads == 0, formula
         hit = _stacked.StackedEvaluator(grid.narrowed(reads)).program_failure(program)
         assert hit == ev.first_failure(formula), formula

@@ -57,7 +57,7 @@ from scflogic.logic import (
     Pref,
     Rep,
 )
-from scflogic import encodings
+from scflogic import axioms, encodings
 from scflogic._stacked import StackedEvaluator, TableGrid, _Direct, _Tiled
 from scflogic.parser import format_formula
 
@@ -565,8 +565,9 @@ def test_a_direct_ballot_is_its_reported_atoms_conjoined(n, outcomes):
     value that conjoining its reported atoms in the direct constructors
     builds, and the ballot formula's mask.  On a view the evaluator keeps
     and on that view tiled three times.  A profile over fewer agents, no
-    state of the view, is that conjunction too.  Each evaluator keeps the
-    reported-atom masks it spreads."""
+    state of the view, is refused, and so is a soundness check of
+    instances over fewer agents on these models, before any instance is
+    checked.  Each evaluator keeps the reported-atom masks it spreads."""
     rng = random.Random(n * 10 + len(outcomes))
     rows = [tuple(rng.choice(outcomes) for _ in all_profiles(n, outcomes)) for _ in range(4)]
     ev = StackedEvaluator(TableGrid(n, outcomes, rows))
@@ -583,9 +584,11 @@ def test_a_direct_ballot_is_its_reported_atoms_conjoined(n, outcomes):
             assert target.truth_mask(ballot_profile(p)) == value.mask
         if n > 1:
             fewer = Profile(all_profiles(n, outcomes)[-1].orders[1:])
-            value = direct.Ballot(fewer)
-            assert (value.mask, value.reads) == (encodings._ballot_profile(direct, fewer).mask, 0)
-            assert value.mask == target.truth_mask(ballot_profile(fewer))
+            with pytest.raises(InvalidDomain, match="is not a state over"):
+                direct.Ballot(fewer)
+            instances = axioms.instantiate("antisym'", n - 1, outcomes, axioms.default_pool(n - 1, outcomes))
+            with pytest.raises(InvalidDomain, match=f"over n={n - 1}, .* over n={n}, "):
+                axioms.soundness_check(instances, ev.grid)
         # the evaluator keeps each reported-atom mask it spreads
         rep = direct.Rep(1, outcomes[-1], outcomes[0]).mask
         assert rep is target._rep(1, outcomes[-1], outcomes[0])

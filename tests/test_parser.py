@@ -338,15 +338,15 @@ def test_keyword_properties_are_built_once(monkeypatch):
     from scflogic import encodings
 
     calls = []
-    real = encodings.strproof
+    real = encodings._SCOPED["strproof"]
 
-    def counting(n, outcomes):
-        calls.append((n, outcomes))
-        return real(n, outcomes)
+    def counting(s, agent):
+        calls.append((s.n, s.outcomes))
+        return real(s, agent)
 
-    monkeypatch.setattr(encodings, "strproof", counting)
+    monkeypatch.setitem(encodings._SCOPED, "strproof", counting)
     encodings._property_formula.cache_clear()
     first = parse("strproof", CTX2)
     assert parse("strproof", CTX2) is first
-    assert len(calls) <= 1
+    assert len(calls) == 1
     encodings._property_formula.cache_clear()
