@@ -83,6 +83,7 @@ from .game import (
 from .decision import (
     BudgetExceeded,
     Verdict,
+    check_scf_properties,
     check_scf_property,
     enumerate_models,
     representative_model,

@@ -30,10 +30,11 @@ the enumerated model class, and `Evaluator` is a stack of one model, on
 which `evaluate` and `valid_in_model` each read one `truth_mask`.
 Every stack is a grid (`TableGrid`): outcome-function rows, each with
 one sequence of L true profiles that all rows share.  Property checks
-and the enumeration pass a grid of all S profiles and build a model only
-for the index of the failure they find; a model list is read into the
-grid it spells (`_as_grid`).  A row's outcome masks are spread over its
-L blocks by one multiplication, when an evaluation first reads them.
+and the enumeration pass grids of the profiles a read-set keeps and build
+a model only for the index of the failure they find; a model list is read
+into the grid it spells (`_as_grid`).  A row's outcome masks are spread
+over its L blocks by one multiplication, when an evaluation first reads
+them.
 
 Only pref(i) reads a model's true profile, and only agent i's ranking in
 it; only outcome atoms and pref(i) read its outcome function.  Each
@@ -51,7 +52,8 @@ the narrowed grid keeps the indices of its truths (`kept`), which map
 its block (row, t) back to the grid's model row*L + kept[t] (`_locate`).
 `first_failure` evaluates its formula on a view of the grid its read-set
 narrows to, kept on the evaluator from the first call that asks for it;
-the property check and the enumeration stack narrowed grids directly.
+the enumeration stacks narrowed grids directly, and the property check
+chunks of the truths a narrowed grid keeps (`sieve`).
 
 A formula is evaluated by running its program (`StackedEvaluator._run`),
 which one emitter writes: `_Emit`, an emitting scope that separates
@@ -95,8 +97,21 @@ read-set.  Folding and sharing make it smaller than the formula: at
 distinct nodes that are not a `Not`, `mon` 2,942 against 56,012, and at
 (3,{a,b,c}) `mon` 64,106 where the formula has 7,025,186 nodes.  The
 program's read-set is that of the outcome atoms and pref modalities it
-reaches, and each table's check runs it on a one-row grid narrowed to it
-(`program_failure`).
+reaches, and the check runs it truth-major on the truths a grid narrowed
+to that read-set keeps (`sieve`), over one table or many of one (n, K):
+the first chunk is each table's first kept truth, and each later one the
+next kept truths, as many as fit in `_CHUNK_BITS` bits over the tables
+still alive, the tables split across grids of at most that width.  A
+table leaves the sieve at its first failing chunk, whose lowest failing
+bit is its counterexample, so a manipulable table, which almost always
+fails at its first truth, runs the program on one model: a (2,{a,b,c})
+table in chunks of 1 and 35 truths at most, a (2,{a,b,c,d}) table in
+chunks of 1, 56, 56, ..., which bounds a run's masks by `_CHUNK_BITS`
+bits where one grid of its 576 truths took 331,776.  The sieve does not
+ramp its chunks up by doubling: at (2,{a,b,c}) a run's cost is mostly
+per-entry dispatch, about 0.5 ms on one truth and 0.63 ms on 36 (Python
+3.11.7, two shared cores), so six doubling chunks would cost a passing
+table about five times one run, where these two cost about twice.
 
 The axiom sweep builds neither instance formulas nor programs: a schema
 builder runs against the constructors of `_Direct`, which compute each
@@ -139,8 +154,8 @@ same model objects in the same order as the tuple the evaluator was
 built on.  Until other models over that (n, K) replace it, the slot
 keeps that tuple and its models alive, with the evaluator's outcome and
 rank masks and its narrowed views and theirs; tiled views and direct
-scopes live for one run.  The property check stacks a new table each
-time and builds its own evaluator.
+scopes live for one run.  The property check builds its own evaluator
+per chunk grid (`sieve`).
 
 Satisfiability and validity walk the same first chunks of the class on
 every call, so the enumeration is a memo function too.  The state space
@@ -636,19 +651,33 @@ class StackedEvaluator:
         """Run `program` on a list of masks of its own, entry k's mask at
         slot k, and return its root's mask: the last entry's, complemented
         if the root's `Not` chain is odd.  An entry reads its children's
-        slots and frees those it is the last reader of."""
-        full = self.full
+        slots and frees those it is the last reader of.  A `<N>` entry is
+        `_diamond` inlined, without its domain check, which the emitter made
+        (`_Emit.Diamond`)."""
+        full, low, top, base = self.full, self._low, self._top, self.block - 1
+        grand = self.space.n
         masks: list = []
         push = masks.append
         ops, args, keys, odd = program
         for op, a, b in zip(ops, args, keys):
-            if op < _NOT_B:
-                push(full ^ masks[a] | masks[b] if op >= _NOT_A else masks[a] | masks[b])
-            elif op < _DIAMOND:  # ~a | ~b is the complement of a & b
-                push(full ^ masks[a] & masks[b] if op & _NOT_A else masks[a] | full ^ masks[b])
+            if op < _DIAMOND:
+                if op < _NOT_A:
+                    push(masks[a] | masks[b])
+                elif op < _NOT_B:
+                    push(full ^ masks[a] | masks[b])
+                elif op & _NOT_A:  # ~a | ~b is the complement of a & b
+                    push(full ^ masks[a] & masks[b])
+                else:
+                    push(masks[a] | full ^ masks[b])
             elif op < _OUT:
                 x = full ^ masks[a] if op & _NOT_A else masks[a]
-                push(self._diamond(b, x) if op < _PREF else self._pref(b, x))
+                if op >= _PREF:
+                    push(self._pref(b, x))
+                elif len(b) == grand:
+                    x = ((x & low) + low | x) & top  # as in `_diamond`
+                    push(x - (x >> base) | x)
+                else:
+                    push(self._diamond(b, x))
             else:
                 push(self._atom(op, a))
             if op & _FREE_A:
@@ -717,13 +746,6 @@ class StackedEvaluator:
         bad = view.full ^ view.truth_mask(formula)
         return self._locate(view, bad) if bad else None
 
-    def program_failure(self, program: _Program) -> tuple[ScfModel, Profile] | None:
-        """(model, state) of the lowest bit of the batch that the root of
-        `program` falsifies, or None: a residual program (`_Emit`) run on
-        the grid it was emitted for, whose read-set this grid keeps."""
-        bad = self.full ^ self._run(program)
-        return self._locate(self, bad) if bad else None
-
     def _view(self, reads: int) -> StackedEvaluator:
         """The evaluator over `TableGrid.narrowed(reads)`: the first model
         alone for an empty read-set, and otherwise every row with the first
@@ -789,6 +811,54 @@ def stack(models: Iterable[ScfModel]) -> StackedEvaluator:
     # the module's name, which a tracer may replace
     space.stacked = kept = StackedEvaluator(models)
     return kept
+
+
+def sieve(tables: Sequence[ScfTable], reads: int, program: _Program) -> list[tuple[ScfModel, Profile] | None]:
+    """Per table, (model, state) of the first true profile at which the
+    root of `program`, a residual program (`_Emit`) of read-set `reads`,
+    fails for the table, at its lowest failing state, or None: the tables,
+    of one (n, K), sieved truth-major.  The truths are those a one-row grid
+    narrowed to `reads` keeps (`TableGrid.narrowed`), in order.  The first
+    chunk is each table's first kept truth; each later chunk the next kept
+    truths, as many as fit in `_CHUNK_BITS` bits over the tables still
+    alive, and at least one.  A chunk's tables are split across grids of at
+    most `_CHUNK_BITS` bits, and a table leaves the sieve at the first chunk
+    where it fails: the lowest failing bit of its part of that chunk's grid
+    is its first failing block, kept truth k of the chunk, and the state
+    within it."""
+    n, outcomes = tables[0].agents, tables[0].outcomes
+    space = _space(n, outcomes)
+    shape = _shape(n, reads)
+    truths = space.profiles if shape == -1 else space.narrowing(space.profiles, shape)[1]
+    found: list[tuple[ScfModel, Profile] | None] = [None] * len(tables)
+    alive = list(range(len(tables)))
+    start = 0
+    while alive and start < len(truths):
+        width = max(1, _CHUNK_BITS // (space.size * len(alive))) if start else 1
+        chunk = truths[start : start + width]
+        bits = space.size * len(chunk)  # one table's part of a grid
+        most = max(1, _CHUNK_BITS // bits)
+        survivors = []
+        for at in range(0, len(alive), most):
+            part = alive[at : at + most]
+            # the module's name, which a tracer may replace
+            ev = StackedEvaluator(TableGrid(n, outcomes, [tables[i].values for i in part], chunk))
+            bad = ev.full ^ ev._run(program)
+            # bit k of `bad` at index k; each failing table's part is skipped
+            # past once its lowest failing bit is read
+            text = f"{bad:0{len(part) * bits}b}"[::-1] if bad else ""
+            done, pos = 0, text.find("1")
+            while pos >= 0:
+                row = pos // bits
+                survivors += part[done:row]
+                block, state = divmod(pos - row * bits, space.size)
+                found[part[row]] = _model(tables[part[row]], chunk[block]), space.profiles[state]
+                done = row + 1
+                pos = text.find("1", done * bits)
+            survivors += part[done:]
+        alive = survivors
+        start += len(chunk)
+    return found
 
 
 class _Tiled(StackedEvaluator):
@@ -928,7 +998,7 @@ class _Emit(StackedEvaluator):
     what no outcome function changes is computed now, and the rest is
     emitted as a residual program (`program`), the one program format
     every run reads: `truth_mask` runs a formula's on any grid over (n,
-    K), and `program_failure` a property's on each table's grid.
+    K), and `sieve` a property's on chunks of tables' kept truths.
 
     A static value reads neither an outcome atom nor a pref modality:
     `TRUE`, the reported-preference atoms and what only they feed.  It is

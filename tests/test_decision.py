@@ -12,6 +12,7 @@ from scflogic import (
     ScfTable,
     Verdict,
     all_profiles,
+    check_scf_properties,
     check_scf_property,
     enumerate_models,
     eval_kripke,
@@ -689,21 +690,124 @@ def test_a_walk_past_the_ramp_keeps_only_the_ramp():
 
 def test_best_response_checks_stack_one_truth_per_ranking(monkeypatch):
     """check_scf_property(br(i)) at (2,3) stacks the first truth of each of
-    agent i's 6 rankings, and strproof every one of the 36 truths; the
-    counterexamples are the model-by-model scan's, on the (2,3) pools of
-    these tests and on every dictatorship."""
+    agent i's 6 rankings, and strproof every one of the 36 truths, in
+    chunks: the first truth alone, then the rest at once, so a table that
+    fails at its first truth stacks one.  The counterexamples are the
+    model-by-model scan's, on the (2,3) pools of these tests and on every
+    dictatorship.  At (3,3) a passing strproof check stacks its 216 truths
+    in chunks of 1, 151 and 64."""
     tables = _seeded_tables(2, K3, 6, seed=8) + _seeded_tables(2, K3, 6, seed=27)
     tables += [ScfTable.from_function(2, K3, lambda p, i=i: p.order(i).top) for i in (1, 2)]
+    first = all_profiles(2, K3)[0]
     seen = _stacked_truths(monkeypatch)
-    verdicts = set()
+    verdicts, chunks = set(), set()
     for table in tables:
         for prop in (BR(1), BR(2), STRPROOF):
             del seen[:]
             expected = _per_model_scan(table, prop)
             assert _checked(table, prop) == expected, (table.values, prop)
-            assert seen == [36 if prop == STRPROOF else 6]
+            if expected is not None and expected[0] == first:
+                assert seen == [1], (table.values, prop)
+            else:
+                assert seen == [1, 35 if prop == STRPROOF else 5], (table.values, prop)
             verdicts.add((prop, expected is None))
+            chunks.add((prop, len(seen)))
     assert len(verdicts) == 6
+    # both chunk sequences occur for every property
+    assert len(chunks) == 6
+    # 216 truths at (3,{a,b,c}): one, then as many as fit in `_CHUNK_BITS`
+    del seen[:]
+    assert check_scf_property(ScfTable.from_function(3, K3, lambda p: p.order(1).top), STRPROOF).status == "valid"
+    assert seen == [1, 151, 64]
+
+
+def _scanned(verdict, table):
+    """(truth, state) of a verdict's counterexample, as `_per_model_scan`
+    gives it, or None; the counterexample's table is the checked one."""
+    if verdict.status == "valid":
+        return None
+    model, state = verdict.counterexample
+    assert model.table is table
+    return model.truth, state
+
+
+def test_many_tables_check_as_each_table_alone(monkeypatch):
+    """`check_scf_properties` gives each table's own `check_scf_property`
+    verdict, for all six kinds, its counterexample the model-by-model
+    scan's: on every (1,3) table, on seeded (2,2), (2,3) and (3,2) tables
+    and on both (2,3) dictatorships, both verdicts occurring for every kind
+    at every scale.  So it does with `_CHUNK_BITS` cut to 97 bits, which
+    splits each chunk's tables across many grids and checks a (2,3) table
+    that passes one truth per chunk after the first."""
+    cases = [(1, K3, [ScfTable(1, K3, values) for values in itertools.product(K3, repeat=6)])]
+    for n, outcomes, count, seed in ((2, K2, 20, 85), (2, K3, 8, 86), (3, K2, 20, 87)):
+        cases.append((n, outcomes, _seeded_tables(n, outcomes, count, seed)))
+    cases[2][2].append(ScfTable.from_function(2, K3, lambda p: p.order(1).top))
+    for n, outcomes, tables in cases:
+        verdicts = set()
+        for prop in _props(n):
+            alone = [check_scf_property(table, prop) for table in tables]
+            for table, verdict in zip(tables, alone):
+                assert _scanned(verdict, table) == _per_model_scan(table, prop), (table.values, prop)
+                verdicts.add((prop, verdict.status))
+            assert check_scf_properties(tables, prop) == alone, prop
+            with monkeypatch.context() as patch:
+                patch.setattr(_stacked, "_CHUNK_BITS", 97)
+                assert check_scf_properties(tables, prop) == alone, prop
+        assert len(verdicts) == 2 * len(_props(n)), (n, outcomes)
+
+
+def test_a_batch_check_refuses_as_the_single_check(monkeypatch):
+    """An empty list has no verdicts; tables over two (n, K), a budget below
+    one, and a check whose estimated work exceeds its budget are refused
+    before anything is emitted."""
+
+    def no_emit(*args):
+        raise AssertionError("a residual program was emitted")
+
+    monkeypatch.setattr(decision, "_residual", no_emit)
+    assert check_scf_properties([], STRPROOF) == []
+    tables = _seeded_tables(2, K3, 2, seed=88)
+    for other in (ScfTable(2, K2, "abab"), ScfTable(1, K3, "abcabc"), ScfTable(2, ("b", "a", "c"), tables[0].values)):
+        with pytest.raises(core.InvalidDomain, match="all checked tables must share"):
+            check_scf_properties(tables + [other], CITSOV)
+    with pytest.raises(core.InvalidDomain, match="the property budget must be positive"):
+        check_scf_properties(tables, CITSOV, 0)
+    work = decision._property_work("strproof", 2, 3, 36)
+    with pytest.raises(BudgetExceeded) as err:
+        check_scf_properties(tables, STRPROOF, work - 1)
+    assert str(err.value).startswith(f"checking strproof needs {work:.1e} bit operations over 36 states")
+    big = ScfTable.from_function(3, ("a", "b", "c", "d"), lambda p: p.order(1).top)
+    with pytest.raises(BudgetExceeded):
+        check_scf_properties([big, big], MON)
+
+
+def test_the_kept_programs_are_those_of_one_domain():
+    """Residual programs are kept for one (n, K) at a time: `mon` at
+    (3,{a,b,c}) keeps its 64,106-entry program, megabytes, until a check
+    over (2,{a,b,c}) starts, which drops it; that check leaves under half a
+    MiB more than there was before `mon`."""
+    import gc
+    import tracemalloc
+
+    tables = [ScfTable.from_function(n, K3, lambda p: p.order(1).top) for n in (3, 2)]
+    for table in tables:  # each state space, and a small program of each domain
+        check_scf_property(table, CITSOV)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_scf_property(tables[0], MON)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+        check_scf_property(tables[1], CITSOV)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept > 2**21, kept
+    assert left < 2**19, left
+    assert list(decision._programs) == [(2, K3)]
 
 
 def test_enumeration_builds_no_model_per_visited_model(monkeypatch):
@@ -833,7 +937,7 @@ def test_a_check_builds_no_formula_and_runs_each_builder_once(monkeypatch):
     however many tables are checked."""
     from scflogic import encodings, logic
 
-    decision._residual.cache_clear()
+    decision._programs.clear()
     runs = []
     for kind, build in encodings._SCOPED.items():
         monkeypatch.setitem(
@@ -854,7 +958,7 @@ def test_a_check_builds_no_formula_and_runs_each_builder_once(monkeypatch):
     monkeypatch.undo()
     expected = ["citsov", "nodict", "dom", "mon", "strproof", "br", "br"]
     assert runs == expected + expected[:-1] + expected
-    decision._residual.cache_clear()
+    decision._programs.clear()
 
 
 def test_best_response_of_an_agent_past_n_is_refused_as_before():
@@ -962,8 +1066,8 @@ def test_an_emitted_formula_runs_to_its_truth_mask(n, outcomes, seed):
     program whose run over three seeded tables, every truth of each, is,
     block by block, the formula's extension in the relational semantics;
     `truth_mask` keeps that program in the (n, K)'s table; its read-set is
-    within the formula's, and the program's failure on the grid narrowed
-    to it is the formula's `first_failure`."""
+    within the formula's, and the first table's failure the program's
+    sieve reports is the formula's `first_failure`."""
     draw = make_formula_sampler(n, outcomes, seed)
     rng = random.Random(seed)
     size = len(all_profiles(n, outcomes))
@@ -982,7 +1086,8 @@ def test_an_emitted_formula_runs_to_its_truth_mask(n, outcomes, seed):
         assert ev.truth_mask(formula) == mask
         assert ev.space.programs[formula] == program
         assert reads & ~formula.reads == 0, formula
-        hit = _stacked.StackedEvaluator(grid.narrowed(reads)).program_failure(program)
+        tables = [ScfTable(n, outcomes, row) for row in grid.rows]
+        hit = next(filter(None, _stacked.sieve(tables, reads, program)), None)
         assert hit == ev.first_failure(formula), formula
         hits.add(hit is None)
     assert hits == {True, False}

@@ -144,6 +144,7 @@ def test_readme_python_blocks_run():
                 exec(source, namespace)
     assert results['evaluate(model, state, Diamond({1, 2}, Out("b")))'] is True
     assert results["check_scf_property(H, STRPROOF).status"] == "valid"
+    assert results["[v.status for v in check_scf_properties([H, L], STRPROOF)]"] == ["valid", "invalid"]
     assert results["is_strategy_proof(H)"] is True
 
 

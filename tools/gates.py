@@ -86,7 +86,7 @@ def audits() -> list:
     import time
 
     verdicts = []
-    for path, seconds, mib in (("dictator3abc1.json", 1, 44), ("dictator2abcd1.json", 4, 200)):
+    for path, seconds, mib in (("dictator3abc1.json", 1, 44), ("dictator2abcd1.json", 4, 48)):
         start = time.perf_counter()
         code, data = _cli(["audit", "--scf", path, "--json"])
         took = time.perf_counter() - start
@@ -105,6 +105,25 @@ def second_table() -> list:
     start = time.perf_counter()
     verdicts += cli_calls("agrees", "property --scf dictator3abc3.json mon --json")
     return verdicts + [time.perf_counter() - start < 1]
+
+
+def tops_only() -> list:
+    """`check_scf_properties` of strproof over the 3^9 tops-only
+    (2,{a,b,c}) tables at once: how many pass, the outcomes of those that
+    are constant, and the dictators of those that are dictatorships."""
+    import itertools
+
+    from scflogic import STRPROOF, ScfTable, check_scf_properties, is_dictatorial
+
+    tables = [
+        ScfTable.from_function(2, K3, lambda p: tops[3 * K3.index(p.order(1).top) + K3.index(p.order(2).top)])
+        for tops in itertools.product(K3, repeat=9)
+    ]
+    verdicts = check_scf_properties(tables, STRPROOF)
+    passing = [table for table, verdict in zip(tables, verdicts) if verdict.status == "valid"]
+    constants = sorted(table.values[0] for table in passing if len(set(table.values)) == 1)
+    dictators = sorted(agent for found, agent in map(is_dictatorial, passing) if found)
+    return [len(passing), constants, dictators]
 
 
 def refusals(path: str) -> list:
@@ -213,14 +232,21 @@ ROWS = [
     Row("schema by schema, (3,{a,b}) and sampled (2,{a,b,c})", (schema_sweeps,), [True, True], 23, 3),
     Row("axioms (3,{a,b,c})", (cli_calls, "ok", "axioms --agents 3 --outcomes a,b,c --json"), [[0, True]], 32, 6),
     # the property checks run residual programs, three runs each: strproof
-    # 0.2-0.3 s and 27.1 MiB at (3,{a,b,c}), 1.1-1.2 s and 170.8 MiB at
-    # (2,{a,b,c,d}); the audits 1.2-1.3 s and 171.9 MiB; mon 0.8-1.0 s and
-    # 29.5 MiB at (3,{a,b,c}), 6.3-7.1 s and 181.0 MiB at (2,{a,b,c,d})
+    # 0.2-0.3 s and 27.1 MiB at (3,{a,b,c}); mon 0.8-1.0 s and 29.5 MiB at
+    # (3,{a,b,c}), 6.3-7.1 s and 181.0 MiB at (2,{a,b,c,d}).  strproof at
+    # (2,{a,b,c,d}) runs its truths in chunks of 1 and 56 (`_stacked.sieve`):
+    # the row took 1.5-1.9 s and 38.3-38.4 MiB, where one run of all 576
+    # truths took 1.4-1.7 s and 170.8-171.0 MiB; the audits 1.6-2.4 s and
+    # 38.5-38.6 MiB, against 1.4-1.9 s and 172.5-172.6 MiB; the seeded
+    # failing table fails at its first chunk, 0.3-0.5 s and 28.6-28.8 MiB
     Row("strproof (3,{a,b,c})", (cli_calls, "agrees", "property --scf dictator3abc1.json strproof --json"),
         [[0, True]], 40, 10),
     Row("strproof (2,{a,b,c,d})", (cli_calls, "agrees", "property --scf dictator2abcd1.json strproof --json"),
-        [[0, True]], 200, 20),
-    Row("audit (3,{a,b,c}) and (2,{a,b,c,d})", (audits,), [[0, True, True, True]] * 2, 200, 30),
+        [[0, True]], 48, 20),
+    Row("strproof (2,{a,b,c,d}), a seeded failing table", (cli_calls, "agrees",
+                                                          "property --scf seeded2abcd.json strproof --json"),
+        [[1, True]], 36, 1),
+    Row("audit (3,{a,b,c}) and (2,{a,b,c,d})", (audits,), [[0, True, True, True]] * 2, 48, 30),
     # agent 2's check runs the residual program agent 1's emitted: 0.1-0.2 s
     Row("mon (2,{a,b,c}), both dictatorships", (cli_calls, "agrees", "property --scf dictator2abc1.json mon --json",
                                                 "property --scf dictator2abc2.json mon --json"),
@@ -249,6 +275,10 @@ ROWS = [
           [0, "valid"], mib, 3, lambda code, out, err: [code, json.loads(out)["status"]])
       for text, budget, mib in (("a | b", "1000000", 22), ("pref(1) a | pref(1) b", "2000000", 20))),
     Row("154 property calls over 22 (2,{a,b,c}) tables", (property_calls,), 0, 25, 60),
+    # 26 runs: the 19,683 tables in 22 grids of one truth each, then the 572
+    # alive in one of one truth, 258 in one of 3, 35 of 26 and the 5 that
+    # pass of 5: 1.0-1.6 s and 34.7-34.8 MiB, three runs
+    Row("strproof of the 19,683 tops-only (2,{a,b,c}) tables at once", (tops_only,), [5, list(K3), [1, 2]], 44, 5),
     _bench("property-check", 0),
     _bench("formula-decide", 0),
     _bench("axiom-sweep", 0, 150),
@@ -260,9 +290,12 @@ ROWS = [
 
 def write_inputs(directory: str) -> None:
     """Writes to `directory` the hostile input files and texts, agent i's
-    dictatorship over (n, K) as dictator<n><K><i>.json, and agent 1's over
+    dictatorship over (n, K) as dictator<n><K><i>.json, agent 1's over
     (2,{a,b,c}) with the first profile as the true one, a model, as
-    dictator2abc1model.json."""
+    dictator2abc1model.json, and a seeded (2,{a,b,c,d}) table, which is not
+    strategy-proof, as seeded2abcd.json."""
+    import random
+
     from scflogic import ScfModel, ScfTable, all_profiles, save_model, save_scf
 
     names = [f"o{i}" for i in range(200000)]
@@ -290,6 +323,9 @@ def write_inputs(directory: str) -> None:
         if (n, outcomes, agent) == (2, K3, 1):  # with the first profile as the true one
             model = ScfModel(table, all_profiles(n, outcomes)[0])
             save_model(model, os.path.join(directory, f"dictator{n}{''.join(outcomes)}{agent}model.json"))
+    rng, outcomes = random.Random(49), (*K3, "d")
+    table = ScfTable(2, outcomes, [rng.choice(outcomes) for _ in all_profiles(2, outcomes)])
+    save_scf(table, os.path.join(directory, "seeded2abcd.json"))
 
 
 def spawn(seconds: float, vmem_kib: Optional[int], argv: list[str]) -> list:
