@@ -73,10 +73,11 @@ Bryant's BDD package (1990).  A parent reads its child through any chain
 of `Not`s, and the chain's parity goes into the parent's op code, so ~a |
 ~b is one entry, full ^ (a & b); the root's parity goes with the program,
 and the run complements the last entry's mask by it.  Once the values
-are emitted, one walk from the root numbers the entries it reaches, and
-one reverse pass sets the free schedule in the op codes (Collins's
-erasure of lists, 1960): an entry frees each child whose last reader it
-is, so a run holds only the masks later entries still read
+are emitted, one reverse pass from the root down marks the entries it
+reaches and sets the free schedule in the op codes (Collins's erasure of
+lists, 1960): an entry frees each child whose last reader it is, so a
+run holds only the masks later entries still read.  One forward pass
+then numbers the reached entries in the order they were entered
 (`_Emit.program`).  A program names children by slot and atoms by their
 fields, so it never references a formula node.
 
@@ -184,7 +185,7 @@ from __future__ import annotations
 import collections.abc
 import weakref
 from functools import lru_cache
-from itertools import chain, count, cycle, islice, product, repeat
+from itertools import chain, compress, count, cycle, islice, product, repeat
 from operator import is_
 from typing import Iterable, Iterator, Sequence
 
@@ -242,10 +243,9 @@ class _StateSpace:
         many in each next, up to the most whose narrowed grid fits in
         `_CHUNK_BITS` bits (at least one), each chunk's grid narrowed to
         `reads`.  The ramp, the chunks up to and including the first of that
-        width, is kept in `ramps` under the read-set's shape
-        (`TableGrid.shape`) as walks first reach it, its grids' rows
-        `_ClassRows` slices, so a later walk over that shape builds none of
-        it; it holds fewer than 2 * `_CHUNK_BITS` bits where one row fits in
+        width, is kept in `ramps` under the read-set's shape (`_shape`) as
+        walks first reach it, its grids' rows `_ClassRows` slices, so a
+        later walk over that shape builds none of it; it holds fewer than 2 * `_CHUNK_BITS` bits where one row fits in
         `_CHUNK_BITS`.  Past the ramp each chunk's rows are laid out by
         `product`, and its evaluator is built and dropped in turn."""
         ramp = self.ramps.setdefault(_shape(self.n, reads), [])
@@ -385,10 +385,6 @@ class TableGrid(collections.abc.Sequence):
             for truth in self.truths:
                 yield _model(table, truth)
 
-    def shape(self, reads: int) -> int:
-        """The shape of the grid narrowed for `reads` (`_shape`)."""
-        return _shape(self.n, reads)
-
     def narrowed(self, reads: int) -> TableGrid:
         """The grid that decides a root of read-set `reads` (`Formula.reads`)
         as this one does: every row if `reads` is not empty and the first
@@ -400,7 +396,7 @@ class TableGrid(collections.abc.Sequence):
         agents' rankings give such a root the same mask, and each kept truth
         is the first of its class, so the narrowed grid's first failing
         block is this grid's first failing model."""
-        shape = self.shape(reads)
+        shape = _shape(self.n, reads)
         if shape == -1 or shape == self.keeps:
             return self
         kept, truths = _space(self.n, self.outcomes).narrowing(self.truths, shape)
@@ -551,10 +547,11 @@ class StackedEvaluator:
     caller's own objects (a tuple of them, when `stack` built it).  Each
     call runs one formula's program on a list of masks of its own, dropped
     on return; the program, which holds no mask or node, is kept in the
-    state space's `programs`.  The outcome and rank masks are built when
-    an evaluation first reads them; `first_failure` evaluates on a view of
-    the narrowed grid, one per narrowing, built on the first call that
-    asks for it and kept."""
+    state space's `programs`.  Its block layout is set by `_layout` from a
+    tile of one bit per model, as every evaluator's is, and its outcome and
+    rank masks are built when an evaluation first reads them;
+    `first_failure` evaluates on a view of the narrowed grid, one per
+    narrowing, built on the first call that asks for it and kept."""
 
     def __init__(self, models: Sequence[ScfModel]):
         if not models:
@@ -562,23 +559,31 @@ class StackedEvaluator:
         grid = models if isinstance(models, TableGrid) else _as_grid(models)
         self.models = models
         self.grid = grid
-        self.space = _space(grid.n, grid.outcomes)
-        self.block = self.space.size
-        self.full = (1 << self.block * len(grid)) - 1
-        self.block_ones = (1 << self.block) - 1
-        self.tile = self.full // self.block_ones  # one bit per block, at the block base
-        self._low = (self.block_ones >> 1) * self.tile  # each block's low S-1 bits
+        space = _space(grid.n, grid.outcomes)
+        self._layout(space, _tiled(1, space.size, len(grid)))
+        self._by_row: dict[str, int] | None = None  # built when first read (`_row_masks`)
+        self._views: dict[int, StackedEvaluator] = {}  # narrowed views, by what they keep
+
+    def _layout(self, space: _StateSpace, tile: int) -> None:
+        """Set the block layout of an evaluator over `space` whose blocks
+        have their base bits at the bits of `tile`.  The outcome, rank and
+        reported-atom masks are built when first read (`_outcome_masks`,
+        `_rank_masks`, `_rep`); their caches are set here, empty, as every
+        attribute is set before it is read, so that attribute reads stay
+        fast."""
+        self.space = space
+        self.block = space.size
+        self.block_ones = (1 << space.size) - 1
+        self.tile = tile
+        self.full = tile * self.block_ones
+        self._low = (self.block_ones >> 1) * tile  # each block's low S-1 bits
         self._top = self.full ^ self._low  # each block's top bit
         # per agent axis: fold shifts, tiled digit-0 plane, spread comb
-        self._axis = [(shifts, plane * self.tile, comb) for shifts, plane, comb in self.space.axes]
-        self._agents = frozenset(range(1, grid.n + 1))
-        # built when first read (`_row_masks`, `_outcome_masks`, `_rank_masks`);
-        # set here, as every attribute is, so that attribute reads stay fast
-        self._by_row: dict[str, int] | None = None
+        self._axis = [(shifts, plane * tile, comb) for shifts, plane, comb in space.axes]
+        self._agents = frozenset(range(1, space.n + 1))
         self._out_masks: dict[str, int] | None = None
         self._ranked: list[list[int]] | None = None
-        self._reps: dict[tuple[int, str, str], int] = {}  # reported-atom masks (`_rep`)
-        self._views: dict[int, StackedEvaluator] = {}  # narrowed views, by what they keep
+        self._reps: dict[tuple[int, str, str], int] = {}
 
     def _row_masks(self) -> dict[str, int]:
         """Per outcome, each row's states choosing it, rows at stride L*S."""
@@ -751,10 +756,10 @@ class StackedEvaluator:
         alone for an empty read-set, and otherwise every row with the first
         truth of each ranking of the agents whose true preference `reads`
         reads; this one if that is the whole grid.  A narrowed view is built
-        on the first call that asks for its shape (`TableGrid.shape`: rows
-        kept or not, and the agents kept), and kept, with the masks it
-        builds, for later calls."""
-        shape = self.grid.shape(reads)
+        on the first call that asks for its shape (`_shape`: rows kept or
+        not, and the agents kept), and kept, with the masks it builds, for
+        later calls."""
+        shape = _shape(self.space.n, reads)
         if shape == -1:
             return self
         view = self._views.get(shape)
@@ -866,24 +871,16 @@ class _Tiled(StackedEvaluator):
     rows repeated `times` times, so that copy e of a mask, its bits e*W to
     (e+1)*W - 1 for the view's width W, is a mask on `view`.  A block of
     axiom instances is checked on it at once, copy e holding instance e's
-    mask (`axioms._check_run`).  Its `full`, `tile`, axis planes and block
-    masks are the view's own, and its outcome and rank masks the view's
-    when first read, each broadcast by `_tiled`.  It narrows to no view
-    and builds no model: it only evaluates, through the constructors of a
-    `_Direct` or a program."""
+    mask (`axioms._check_run`).  Its layout is set by `_layout` from the
+    view's tile broadcast by `_tiled`, and its outcome and rank masks are
+    the view's when first read, broadcast the same way.  It narrows to no
+    view and builds no model: it only evaluates, through the constructors
+    of a `_Direct` or a program."""
 
     def __init__(self, view: StackedEvaluator, times: int):
         width = view.full.bit_length()
         self.view, self.width, self.times = view, width, times
-        self.space, self.block, self._agents = view.space, view.block, view._agents
-        self.full = (1 << width * times) - 1
-        self.tile = _tiled(view.tile, width, times)
-        self._low = _tiled(view._low, width, times)
-        self._top = self.full ^ self._low
-        self._axis = [(shifts, _tiled(plane, width, times), comb) for shifts, plane, comb in view._axis]
-        self._out_masks: dict[str, int] | None = None
-        self._ranked: list[list[int]] | None = None
-        self._reps: dict[tuple[int, str, str], int] = {}
+        self._layout(view.space, _tiled(view.tile, width, times))
 
     def _outcome_masks(self) -> dict[str, int]:
         masks = self.view._out_masks or self.view._outcome_masks()
@@ -917,7 +914,7 @@ class _Direct:
     atoms and the derived forms), each computing its value's mask at once
     on `view`, with the same domain checks as a program run, and `TRUE`,
     the full mask; `lift` evaluates a formula on it.  `keeps` is the
-    read-set shape the caller asked for (`TableGrid.shape`), which `view`
+    read-set shape the caller asked for (`_shape`), which `view`
     decides, -1 for every bit: an outcome atom where it has no bit 0, a
     `Pref` whose agent bit it lacks and a lifted formula reading more than
     it each raise `_Narrow` with the read-set they need, even where `view`
@@ -1004,14 +1001,15 @@ class _Emit(StackedEvaluator):
     `TRUE`, the reported-preference atoms and what only they feed.  It is
     the same in every block of every grid over (n, K), so it is a `_Value`
     holding one block's mask, computed at once by the evaluator of one
-    block that this scope is (set up without a grid, as `_Tiled` is), and
-    `TRUE` and `FALSE` are its two shared values.  Every other value is an
-    entry of the program, named by an int, 2 * slot + parity, as a
-    complemented edge names a node: `Not` flips the low bit, and a parent
-    reads its child through the parity.  A static value
-    that such a value reads is a constant entry, `_MASK` with the block's
-    mask, which a run spreads over its grid by multiplying with the tile.
-    A mask and its complement share one constant, read through a parity.
+    block that this scope is (laid out by `_layout` with a tile of one
+    bit, without a grid), and `TRUE` and `FALSE` are its two shared
+    values.  Every other value is an entry of the program, named by an
+    int, 2 * slot + parity, as a complemented edge names a node: `Not`
+    flips the low bit, and a parent reads its child through the parity.
+    A static value that such a value reads is a constant entry, `_MASK`
+    with the block's mask, which a run spreads over its grid by
+    multiplying with the tile.  A mask and its complement share one
+    constant, read through a parity.
 
     The constructors fold what a constant decides: x | 0 and x & full are
     x, x | full and x & 0 are the shared static value, x | x is x and x |
@@ -1024,14 +1022,7 @@ class _Emit(StackedEvaluator):
     refuses nothing."""
 
     def __init__(self, n: int, outcomes: tuple[str, ...]):
-        space = self.space = _space(n, outcomes)
-        self.block = space.size
-        self.full = (1 << space.size) - 1
-        self.tile = 1
-        self._low = self.full >> 1
-        self._top = self.full ^ self._low
-        self._axis = space.axes
-        self._agents = frozenset(range(1, n + 1))
+        self._layout(_space(n, outcomes), 1)
         self.TRUE, self.FALSE = _Value(self.full, 0), _Value(0, 0)
         self.ops: list[int] = []
         self.args: list = []
@@ -1199,34 +1190,41 @@ class _Emit(StackedEvaluator):
 
     def program(self, root) -> tuple[int, _Program]:
         """The read-set of `root` and its residual program, which takes the
-        emitted entries from this scope: the entries `root` reaches, in
-        the post-order of a walk that takes an `Or`'s later entry first
-        (at (2,{a,b,c,d}) strproof's run then holds at most 4,056 masks at
-        once, as its formula's program holds 4,055, against 4,625 in the
-        order of entry and 5,199 taking the earlier entry first), with the
-        free schedule (see `_OR`) and the root's parity.  The read-set
-        is bit 0 if an outcome atom is reached and the bit of each agent
-        whose pref modality is.  A static root is one constant."""
+        emitted entries from this scope: the entries `root` reaches, in the
+        order they were entered, a post-order, with the free schedule (see
+        `_OR`) and the root's parity.  One reverse pass from the root marks
+        the reached entries, each child at its last reader, which frees it;
+        one forward pass numbers them and collects the read-set, bit 0 if
+        an outcome atom is reached and the bit of each agent whose pref
+        modality is.  A static root is one constant.  Between two entries
+        a run then holds at most 110 masks for `mon` at (2,{a,b,c}), 650 at
+        (3,{a,b,c}), 225 for `strproof` at (2,{a,b,c}) and 4,624 at
+        (2,{a,b,c,d}), where a walk from the root that took an `Or`'s later
+        entry first held 1,347, 31,299, 195 and 4,055.  A property check's
+        masks are at most `_CHUNK_BITS` bits wide (`sieve`)."""
         root = self._emitted(root)
         ops, args, keys = self.ops, self.args, self.keys
         self.ops = self.args = self.keys = self.slots = None
-        renumbered = [-1] * ((root >> 1) + 1)
+        top = root >> 1
+        # from the root down: a child is reached at its last reader, which
+        # frees it (Collins's erasure of lists, 1960)
+        reached = bytearray(top + 1)
+        reached[top] = 1
+        for slot in range(top, -1, -1):
+            op = ops[slot]
+            if op < _OUT and reached[slot]:
+                a = args[slot] >> 1
+                if not reached[a]:
+                    reached[a] = 1
+                    op |= _FREE_A
+                if op < _DIAMOND and not reached[keys[slot] >> 1]:
+                    reached[keys[slot] >> 1] = 1
+                    op |= _FREE_B
+                ops[slot] = op
+        renumbered = [0] * (top + 1)
         new_ops, new_args, new_keys = [], [], []
         reads = 0
-        stack = [root >> 1]  # a slot to visit, or ~slot once its children are pushed
-        push, pop = stack.append, stack.pop
-        while stack:
-            slot = pop()
-            if slot >= 0:
-                if renumbered[slot] < 0:
-                    push(~slot)
-                    op = ops[slot]
-                    if op < _OUT:
-                        push(args[slot] >> 1)
-                        if op < _DIAMOND:
-                            push(keys[slot] >> 1)
-                continue
-            slot = ~slot
+        for slot in compress(range(top + 1), reached):
             op, a, b = ops[slot], args[slot], keys[slot]
             if op < _OUT:
                 a = renumbered[a >> 1]
@@ -1240,21 +1238,6 @@ class _Emit(StackedEvaluator):
             new_ops.append(op)
             new_args.append(a)
             new_keys.append(b)
-        # the free schedule: one reverse pass, with a bytearray of the slots
-        # already read, flags each entry's children it is the last reader of
-        # (Collins's erasure of lists, 1960)
-        read = bytearray(len(new_ops))
-        for slot in range(len(new_ops) - 1, -1, -1):
-            op = new_ops[slot]
-            if op < _OUT:
-                a = new_args[slot]
-                if not read[a]:
-                    read[a] = 1
-                    op |= _FREE_A
-                if op < _DIAMOND and not read[new_keys[slot]]:
-                    read[new_keys[slot]] = 1
-                    op |= _FREE_B
-                new_ops[slot] = op
         return reads, (new_ops, new_args, new_keys, root & 1)
 
 

@@ -736,7 +736,7 @@ def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstanc
     formulas' read-sets.  The counterexample's record is read from `run`,
     so it is the caller's own.
 
-    A direct scope keeps the shape of `reads` (`TableGrid.shape`), not its
+    A direct scope keeps the shape of `reads` (`_stacked._shape`), not its
     view's, so it raises `_stacked._Narrow` at what reads more than `reads`
     even where the view is wider, as where agent 1's view is the stack
     itself.  `reads` starts empty; at a block that raises it, the run
@@ -770,7 +770,7 @@ def _check_run(ev: _stacked.StackedEvaluator, run: Instances | list[AxiomInstanc
     best = None  # (position, view, bad bits) of the row's lowest failure so far
     while row is not None:
         view = ev._view(reads)
-        visit = _Visit(scope, view, ev.grid.shape(reads))
+        visit = _Visit(scope, view, _stacked._shape(ev.space.n, reads))
         width, lifted = visit.width, visit.base.lifted.__getitem__
         try:
             while row is not None:

@@ -560,7 +560,7 @@ def _stacks(n, outcomes):
 
 
 def _views_by_width(ev):
-    """`ev`'s views for every read-set shape (`TableGrid.shape`: rows kept
+    """`ev`'s views for every read-set shape (`_shape`: rows kept
     or not, and the agents kept), each once, narrowest first; `ev` itself,
     the widest, last."""
     n = ev.grid.n

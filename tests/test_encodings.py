@@ -57,7 +57,7 @@ from scflogic.logic import (
     Pref,
     Rep,
 )
-from scflogic import axioms, encodings
+from scflogic import _stacked, axioms, encodings
 from scflogic._stacked import StackedEvaluator, TableGrid, _Direct, _Tiled
 from scflogic.parser import format_formula
 
@@ -572,7 +572,7 @@ def test_a_direct_ballot_is_its_reported_atoms_conjoined(n, outcomes):
     rows = [tuple(rng.choice(outcomes) for _ in all_profiles(n, outcomes)) for _ in range(4)]
     ev = StackedEvaluator(TableGrid(n, outcomes, rows))
     view = ev._view(1)  # one truth per row
-    assert view is not ev and ev._views[ev.grid.shape(1)] is view
+    assert view is not ev and ev._views[_stacked._shape(n, 1)] is view
     for target in (view, _Tiled(view, 3)):
         direct = _Direct(target, 1)
         scope = encodings._Scope(n, outcomes, direct)

@@ -430,7 +430,8 @@ def test_modality_kernels_match_a_per_bit_reference(n, k):
     (3,{a,b,c}), whose 216-bit blocks the axiom sweep stacks too, on a
     one-row grid of eight true profiles alone.  The masks are random,
     plus the carry edges in every block: a block's top bit alone, its
-    base bit alone, every bit, none, and the four side by side."""
+    base bit alone, every bit, none, and the four side by side.  An
+    emitting scope is laid out as a one-row, one-truth grid is."""
     outcomes = ("a", "b", "c", "d")[:k]
     rng = random.Random(100 * n + k)
     profiles = all_profiles(n, outcomes)
@@ -456,6 +457,9 @@ def test_modality_kernels_match_a_per_bit_reference(n, k):
         i: states(lambda v: profiles[v].orders[i - 1] == profiles[0].orders[i - 1]) for i in agents
     }
     rows = [tuple(rng.choice(outcomes) for _ in profiles) for _ in range(3)]
+    one, emit = StackedEvaluator(TableGrid(n, outcomes, rows[:1], profiles[:1])), _stacked._Emit(n, outcomes)
+    for name in ("full", "tile", "_low", "_top", "_axis"):
+        assert getattr(emit, name) == getattr(one, name), name
     # all S truths on the one row, but eight seeded ones at (3,{a,b,c})
     truths = None if size <= 36 else rng.sample(profiles, 8)
     evaluators = [StackedEvaluator(TableGrid(n, outcomes, rows[:1], truths))]

@@ -234,11 +234,13 @@ ROWS = [
     # the property checks run residual programs, three runs each: strproof
     # 0.2-0.3 s and 27.1 MiB at (3,{a,b,c}); mon 0.8-1.0 s and 29.5 MiB at
     # (3,{a,b,c}), 6.3-7.1 s and 181.0 MiB at (2,{a,b,c,d}).  strproof at
-    # (2,{a,b,c,d}) runs its truths in chunks of 1 and 56 (`_stacked.sieve`):
-    # the row took 1.5-1.9 s and 38.3-38.4 MiB, where one run of all 576
-    # truths took 1.4-1.7 s and 170.8-171.0 MiB; the audits 1.6-2.4 s and
-    # 38.5-38.6 MiB, against 1.4-1.9 s and 172.5-172.6 MiB; the seeded
-    # failing table fails at its first chunk, 0.3-0.5 s and 28.6-28.8 MiB
+    # (2,{a,b,c,d}) runs its truths in chunks of 1 and 56 (`_stacked.sieve`),
+    # its program in entry order, at most 4,624 masks live between entries:
+    # the row took 1.3-2.5 s and 41.1-41.2 MiB (1.5-1.9 s and 38.3-38.4 MiB
+    # with 4,055 masks, in the order of a walk from the root), where one run
+    # of all 576 truths took 1.4-1.7 s and 170.8-171.0 MiB; the audits
+    # 1.4-2.7 s and 40.8-41.2 MiB, against 1.4-1.9 s and 172.5-172.6 MiB; the
+    # seeded failing table fails at its first chunk, 0.3-0.5 s and 27.7-29.0 MiB
     Row("strproof (3,{a,b,c})", (cli_calls, "agrees", "property --scf dictator3abc1.json strproof --json"),
         [[0, True]], 40, 10),
     Row("strproof (2,{a,b,c,d})", (cli_calls, "agrees", "property --scf dictator2abcd1.json strproof --json"),
