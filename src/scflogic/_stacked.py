@@ -168,9 +168,10 @@ builds none; only the full-width chunks past the ramp are laid out,
 built and dropped.  The ramp is bounded by its last chunk, to fewer than
 2 * `_CHUNK_BITS` bits per shape where one row fits in `_CHUNK_BITS`,
 and its grids hold their rows as `_ClassRows` slices, not laid out.  At
-(2,{a,b}), (3,{a,b}) and (1,{a,b,c}) it is the whole class.  The
-evaluator of the first model alone, on which a formula that reads
-nothing is decided, is kept there too (`decision._first_failure`).
+(2,{a,b}), (3,{a,b}) and (1,{a,b,c}) it is the whole class.  A root
+that reads nothing is decided on the first chunk alone, narrowed to the
+class's first model, and the walk stops there, so the ramp of the empty
+read-set's shape is that one model's evaluator, at any scale.
 
 The per-(n, K) state data every stack shares (profiles, grid axes,
 reported-atom masks, the first truths of each agent set's rankings among
@@ -199,8 +200,9 @@ __all__ = ["StackedEvaluator", "Evaluator", "evaluate", "valid_in_model", "stack
 class _StateSpace:
     """Per-(n, K) state data shared by every evaluator: `core`'s canonical
     profiles, the axes of the state grid, reported-atom masks, the truths a
-    narrowed grid keeps and the rank blocks of a grid's true profiles, the
-    last two built once for all S in order and their narrowings; the
+    narrowed grid keeps (`narrowings`, which `TableGrid.narrowed` fills)
+    and the rank blocks of a grid's true profiles, the last two built once
+    for all S in order and their narrowings; the
     evaluators kept over it, `stack`'s last one and the enumeration's ramps
     (`chunks`); and the program of each live formula evaluated over it
     (`programs`, `StackedEvaluator.truth_mask`)."""
@@ -226,7 +228,9 @@ class _StateSpace:
             comb = sum(1 << (d * stride) for d in range(radix))
             self.axes.append((tuple(span * stride for span in spans), plane, comb))
         self._rep_masks: dict[tuple[int, str, str], int] = {}
-        self._narrowings: dict[int, tuple[tuple[int, ...], tuple[Profile, ...]]] = {}
+        # per agent set, the first truths of its rankings among `profiles`, by
+        # index and as profiles (`TableGrid.narrowed`)
+        self.narrowings: dict[int, tuple[tuple[int, ...], tuple[Profile, ...]]] = {}
         # rank blocks by the id of a truth tuple this space holds for its life
         self._blocks: dict[int, list[list[dict[str, int]]]] = {}
         self.stacked: StackedEvaluator | None = None  # the last evaluator `stack` built here
@@ -238,61 +242,45 @@ class _StateSpace:
 
     def chunks(self, reads: int) -> Iterator[StackedEvaluator]:
         """The evaluators of the enumeration's chunks for a root of read-set
-        `reads`, not empty, in class order (`decision._first_failure`):
-        consecutive outcome functions, one in the first chunk and twice as
-        many in each next, up to the most whose narrowed grid fits in
-        `_CHUNK_BITS` bits (at least one), each chunk's grid narrowed to
-        `reads`.  The ramp, the chunks up to and including the first of that
-        width, is kept in `ramps` under the read-set's shape (`_shape`) as
-        walks first reach it, its grids' rows `_ClassRows` slices, so a
-        later walk over that shape builds none of it; it holds fewer than 2 * `_CHUNK_BITS` bits where one row fits in
-        `_CHUNK_BITS`.  Past the ramp each chunk's rows are laid out by
-        `product`, and its evaluator is built and dropped in turn."""
+        `reads`, in class order (`decision._first_failure`): consecutive
+        outcome functions, one in the first chunk and twice as many in each
+        next, up to the most whose narrowed grid fits in `_CHUNK_BITS` bits
+        (at least one), each chunk's grid narrowed to `reads`.  A root that
+        reads nothing has its truth at a state the same in every model, so
+        it is decided on the first chunk alone, the first outcome function's
+        grid narrowed to the empty read-set, the class's first model: the
+        walk stops there, and the class, which may be too large to count
+        (4^13,824 outcome functions at (3,{a,b,c,d})), is not counted.  The
+        ramp, the chunks up to and including the first of full width, is
+        kept in `ramps` under the read-set's shape (`_shape`) as walks first
+        reach it, its grids' rows `_ClassRows` slices, so a later walk over
+        that shape builds none of it; it holds fewer than 2 * `_CHUNK_BITS`
+        bits where one row fits in `_CHUNK_BITS`.  Past the ramp each chunk's
+        rows are laid out by `product`, and its evaluator is built and
+        dropped in turn."""
         ramp = self.ramps.setdefault(_shape(self.n, reads), [])
-        total = len(self.outcomes) ** self.size
         start, tables = 0, 1
         for k in count():
             if k == len(ramp):
-                rows = _ClassRows(self.outcomes, self.size, range(start, min(start + tables, total)))
+                rows = (_ClassRows(self.outcomes, self.size, range(start, start + tables)) if reads
+                        else [self.outcomes[:1] * self.size])
                 # the module's name, which a tracer may replace
                 ramp.append(StackedEvaluator(TableGrid(self.n, self.outcomes, rows).narrowed(reads)))
             chunk = ramp[k]
             yield chunk
             start += tables
-            if start >= total:
+            if not reads or start >= (total := len(self.outcomes) ** self.size):
                 return
             most = max(1, _CHUNK_BITS // (self.size * len(chunk.grid.truths)))
             if tables == most:
                 break
-            tables = min(2 * tables, most)
+            tables = min(2 * tables, most, total - start)
         values = islice(product(self.outcomes, repeat=self.size), start, None)
         while True:
             rows = list(islice(values, tables))
             if not rows:
                 return
             yield StackedEvaluator(TableGrid(self.n, self.outcomes, rows).narrowed(reads))
-
-    def narrowing(
-        self, truths: Sequence[Profile], shape: int
-    ) -> tuple[tuple[int, ...], tuple[Profile, ...]]:
-        """The indices of the first of `truths` with each restriction to the
-        agents whose pref bits `shape` sets (`Formula.reads`), in order, and
-        those truths: (0,) and the first truth if it sets none.  For all S
-        profiles in order these are the states whose digits on the other
-        agents are 0, found once per agent set, and their rank blocks are
-        kept (`rank_blocks`)."""
-        canonical = truths is self.profiles
-        narrowing = self._narrowings.get(shape >> 1) if canonical else None
-        if narrowing is None:
-            agents = [i for i in range(self.n) if shape >> i + 1 & 1]
-            first: dict[tuple, int] = {}
-            for t, truth in enumerate(truths):
-                first.setdefault(tuple([truth.orders[i].ranking for i in agents]), t)
-            kept = tuple(first.values())
-            narrowing = kept, tuple([truths[t] for t in kept])
-            if canonical:
-                self._narrowings[shape >> 1] = narrowing
-        return narrowing
 
     def rep_mask(self, agent: int, left: str, right: str) -> int:
         key = (agent, left, right)
@@ -315,7 +303,7 @@ class _StateSpace:
         """Per agent and rank r, per outcome: one bit per true profile t of
         `truths`, at bit t*S, set where t ranks the outcome at r for the
         agent.  The blocks of this space's `profiles`, and of each agent
-        set's first truths among them (`narrowing`), are built once."""
+        set's first truths among them (`narrowings`), are built once."""
         blocks = self._blocks.get(id(truths))
         if blocks is None:
             blocks = [[dict.fromkeys(self.outcomes, 0) for _ in self.outcomes] for _ in range(self.n)]
@@ -323,7 +311,7 @@ class _StateSpace:
                 for ranks, order in zip(blocks, truth.orders):
                     for at_rank, name in zip(ranks, order.ranking):
                         at_rank[name] |= 1 << t * self.size
-            if truths is self.profiles or any(truths is kept for _, kept in self._narrowings.values()):
+            if truths is self.profiles or any(truths is kept for _, kept in self.narrowings.values()):
                 self._blocks[id(truths)] = blocks
         return blocks
 
@@ -387,19 +375,33 @@ class TableGrid(collections.abc.Sequence):
 
     def narrowed(self, reads: int) -> TableGrid:
         """The grid that decides a root of read-set `reads` (`Formula.reads`)
-        as this one does: every row if `reads` is not empty and the first
-        row alone if it is, and in each row the first truth of each
-        distinct restriction of the truths to the agents whose pref bits
-        `reads` sets (`_StateSpace.narrowing`), so one truth if it sets none.
-        This grid itself if that keeps every model, as it does on a grid
-        narrowed to the same shape.  The models of a row that agree on those
-        agents' rankings give such a root the same mask, and each kept truth
-        is the first of its class, so the narrowed grid's first failing
-        block is this grid's first failing model."""
+        as this one does, by the one narrowing rule: every row if `reads` is
+        not empty and the first row alone if it is, and in each row the first
+        truth of each distinct restriction of the truths to the agents whose
+        pref bits `reads` sets, in order, so one truth if it sets none.  This
+        grid itself if that keeps every model, as it does on a grid narrowed
+        to the same shape.  The models of a row that agree on those agents'
+        rankings give such a root the same mask, and each kept truth is the
+        first of its class, so the narrowed grid's first failing block is
+        this grid's first failing model.  For all S profiles in order the
+        kept truths are the states whose digits on the other agents are 0,
+        found once per agent set and kept in the state space's `narrowings`,
+        whose rank blocks it keeps too (`_StateSpace.rank_blocks`)."""
         shape = _shape(self.n, reads)
         if shape == -1 or shape == self.keeps:
             return self
-        kept, truths = _space(self.n, self.outcomes).narrowing(self.truths, shape)
+        space = _space(self.n, self.outcomes)
+        canonical = self.truths is space.profiles
+        narrowing = space.narrowings.get(shape >> 1) if canonical else None
+        if narrowing is None:
+            agents = [i for i in range(self.n) if shape >> i + 1 & 1]
+            first: dict[tuple, int] = {}
+            for t, truth in enumerate(self.truths):
+                first.setdefault(tuple([truth.orders[i].ranking for i in agents]), t)
+            narrowing = tuple(first.values()), tuple([self.truths[t] for t in first.values()])
+            if canonical:
+                space.narrowings[shape >> 1] = narrowing
+        kept, truths = narrowing
         rows = self.rows if shape else self.rows[:1]
         if len(rows) * len(kept) == len(self):
             return self
@@ -822,8 +824,9 @@ def sieve(tables: Sequence[ScfTable], reads: int, program: _Program) -> list[tup
     """Per table, (model, state) of the first true profile at which the
     root of `program`, a residual program (`_Emit`) of read-set `reads`,
     fails for the table, at its lowest failing state, or None: the tables,
-    of one (n, K), sieved truth-major.  The truths are those a one-row grid
-    narrowed to `reads` keeps (`TableGrid.narrowed`), in order.  The first
+    of one (n, K), sieved truth-major.  The truths are those the first
+    table's one-row grid narrowed to `reads` keeps (`TableGrid.narrowed`),
+    in order, the same for every table of (n, K).  The first
     chunk is each table's first kept truth; each later chunk the next kept
     truths, as many as fit in `_CHUNK_BITS` bits over the tables still
     alive, and at least one.  A chunk's tables are split across grids of at
@@ -833,8 +836,7 @@ def sieve(tables: Sequence[ScfTable], reads: int, program: _Program) -> list[tup
     within it."""
     n, outcomes = tables[0].agents, tables[0].outcomes
     space = _space(n, outcomes)
-    shape = _shape(n, reads)
-    truths = space.profiles if shape == -1 else space.narrowing(space.profiles, shape)[1]
+    truths = TableGrid(n, outcomes, [tables[0].values]).narrowed(reads).truths
     found: list[tuple[ScfModel, Profile] | None] = [None] * len(tables)
     alive = list(range(len(tables)))
     start = 0

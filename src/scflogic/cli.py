@@ -72,10 +72,6 @@ def _formula_arg(args: argparse.Namespace) -> str:
 
 
 _string = json.encoder.encode_basestring_ascii
-# the C encoder `json.dumps` runs when it does not indent; it returns chunks
-_compact = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, _string, None, ": ", ", ", False, False, True
-)
 
 
 def _profile_text(profile: _ProfileJson, indent: str) -> str:
@@ -109,9 +105,11 @@ def _json(value: object, indent: str = "\n") -> str:
     `indent` is the line break and indentation that close `value`.
     `json.dumps` takes its pure-Python path whenever it indents; here
     containers are joined level by level with `str.join`, strings go to
-    the C string encoder and other scalars to the C compact encoder.  A
+    the string encoder and other scalars to `json.dumps`, which writes
+    them as it does inside a payload, with its C encoder where the `_json`
+    accelerator is present and its pure-Python one where not.  A
     `_ProfileJson` (`check` has one per state) is joined in one step, its
-    outcome names straight through the C string encoder: a profile and its
+    outcome names straight through the string encoder: a profile and its
     rankings are never empty.  So is `check`'s `_StatesJson` as a
     payload's value: each row is its state's text, kept per (n, K)
     (`_state_rows`), and its "holds" value and closing brace, as a model
@@ -139,7 +137,7 @@ def _json(value: object, indent: str = "\n") -> str:
             [_string(key) + ": " + _json(item, inner) for key, item in value.items()]
         )
         return "{" + inner + items + indent + "}"
-    return "".join(_compact(value, 0))
+    return json.dumps(value)
 
 
 def _emit(

@@ -24,18 +24,20 @@ The enumeration reads only what the formula reads (its read-set,
 `Formula.reads`), by the one rule `TableGrid.narrowed` keeps.  A formula
 without outcome atoms or pref modalities is state-determined: its truth
 at a state is the same in every model.  Such a formula is decided on the
-first model in enumeration order alone, if the budget covers its
-(|K|!)^n states; its lowest hit state there is the witness or
-counterexample the enumeration would return.  A formula with outcome
-atoms but no pref modality has the same truth in every model of an
-outcome function, whatever the true profile: each chunk is narrowed to
-one model per outcome function, the first in enumeration order, and the
-budget counts those outcome functions instead of models.  A formula whose
-pref modalities name some agents but not all has the same truth in the
-models of an outcome function whose true profiles agree on those agents'
-rankings: each chunk keeps the first true profile of each such ranking
-tuple, |K|! per outcome function for one agent, and the budget still
-counts models.
+enumeration's first chunk narrowed to the empty read-set, the first
+model in enumeration order alone, if the budget covers its (|K|!)^n
+states, and the walk stops there; its lowest hit state is the witness or
+counterexample the whole enumeration would return, and that model's
+evaluator is kept on the ramp like any other chunk's.  A formula with
+outcome atoms but no pref modality has the same truth in every model of
+an outcome function, whatever the true profile: each chunk is narrowed
+to one model per outcome function, the first in enumeration order, and
+the budget counts those outcome functions instead of models.  A formula
+whose pref modalities name some agents but not all has the same truth in
+the models of an outcome function whose true profiles agree on those
+agents' rankings: each chunk keeps the first true profile of each such
+ranking tuple, |K|! per outcome function for one agent, and the budget
+still counts models.
 
 Per-SCF property checking avoids the full class: the characteristic
 formula of F holds exactly in the models whose outcome function realizes
@@ -71,7 +73,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _stacked, encodings
-from ._stacked import Evaluator
 from .core import (
     InvalidDomain,
     Profile,
@@ -101,6 +102,9 @@ DEFAULT_BUDGET = 10**6
 # no check builds a property formula; the name stays, as `bench/tracing.py`
 # wraps it here to time the builds
 property_formula = encodings.property_formula
+# no decision builds a per-model evaluator; the name stays, as
+# `bench/tracing.py` wraps it here to count them
+Evaluator = _stacked.Evaluator
 
 
 class BudgetExceeded(RuntimeError):
@@ -230,20 +234,19 @@ def _first_failure(
     """First model in enumeration order falsifying `formula`, with its
     lowest falsified state, or None.
 
-    A state-determined formula is evaluated on `representative_model`
-    alone, the first model in enumeration order, if the budget covers its
-    states; that model's evaluator is kept in its state space, under the
-    empty read-set's shape.  Any other formula, if the budget covers the
-    class, walks the outcome functions in `enumerate_models` order in
-    chunks, each stacked as one `TableGrid` (`_StateSpace.chunks`): the
-    first chunk holds one outcome function, and each next chunk twice as
-    many, up to `_stacked._CHUNK_BITS` bits, so an early hit stays cheap
-    and a full sweep takes few wide batches.  Each chunk is narrowed to the
-    formula's read-set (`TableGrid.narrowed`): a formula that reads no true
-    preference is stacked with the first truth of each row, and its budget
-    counts outcome functions; one that reads some agents' true preferences
-    but not all, with the first truth of each of their ranking tuples, and
-    its budget counts models.  The chunk width counts the truths the
+    The budget must cover the class, its outcome functions if the formula
+    reads no true preference, or one model's states if it reads nothing
+    (`BudgetExceeded` otherwise).  The outcome functions are then walked in
+    `enumerate_models` order in chunks, each stacked as one `TableGrid`
+    (`_StateSpace.chunks`): the first chunk holds one outcome function, and
+    each next chunk twice as many, up to `_stacked._CHUNK_BITS` bits, so an
+    early hit stays cheap and a full sweep takes few wide batches.  Each
+    chunk is narrowed to the formula's read-set (`TableGrid.narrowed`): a
+    state-determined formula, which reads nothing, is decided on the first
+    chunk's first model alone, `representative_model`; one that reads no
+    true preference is stacked with the first truth of each row; one that
+    reads some agents' true preferences but not all, with the first truth of
+    each of their ranking tuples.  The chunk width counts the truths the
     narrowed grid keeps, and the narrowed grid's first failing model is the
     chunk's.  The chunks up to the first of full width, the ramp, are kept
     per read-set shape and walked first, so a call whose hit lies within
@@ -252,12 +255,7 @@ def _first_failure(
     reads = formula.reads
     unit = "one model" if reads == 0 else "outcome functions" if reads == 1 else "models"
     _check_budget(n, outcomes, budget, unit)
-    space = _stacked._space(n, tuple(outcomes))
-    if reads == 0:
-        if 0 not in space.ramps:
-            space.ramps[0] = [Evaluator(representative_model(n, outcomes))]
-        return space.ramps[0][0].first_failure(formula)
-    for chunk in space.chunks(reads):
+    for chunk in _stacked._space(n, tuple(outcomes)).chunks(reads):
         hit = chunk.first_failure(formula)
         if hit is not None:
             return hit

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -631,6 +635,58 @@ def test_json_output_is_the_standard_encoders_byte_for_byte(
     ]
     for value in values:
         _same_text(cli._json(value), json.dumps(value, indent=2), value)
+
+
+# `cli.main` on each argv of the JSON list argv[1], in a process where
+# `json.encoder.c_make_encoder` is None, as the standard library leaves it
+# when the `_json` accelerator is missing: per run, the printed text and
+# `json.dumps(payload, indent=2)` of the payload it printed
+_WITHOUT_C_ENCODER = """
+import contextlib, io, json, json.encoder, sys
+json.encoder.c_make_encoder = None
+from scflogic import cli
+payloads, emit = [], cli._emit
+def spy(args, payload, lines):
+    payloads.append(payload())
+    emit(args, payload, lines)
+cli._emit = spy
+texts = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main([*argv, "--json"])
+    texts.append([out.getvalue(), json.dumps(payloads[-1], indent=2) + "\\n"])
+print(json.dumps(texts))
+"""
+
+
+def test_json_output_needs_no_c_encoder(h_files):
+    """`scflogic.cli` imports, and `check --json` and `sat --json` print
+    `json.dumps(payload, indent=2)` byte for byte, where the standard
+    library has no C encoder (`json.encoder.c_make_encoder` is None
+    without the `_json` accelerator): with bool and int values, a witness,
+    and an unsatisfiable verdict."""
+    _, model = h_files
+    runs = [
+        ["check", "--model", str(model), "dom"],
+        ["sat", "--agents", "2", "--outcomes", "a,b", "b & <{1}> a"],
+        ["sat", "--agents", "1", "--outcomes", "a,b", "false"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_C_ENCODER, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    texts = json.loads(done.stdout)
+    assert len(texts) == len(runs)
+    for argv, (printed, want) in zip(runs, texts):
+        _same_text(printed, want, argv)
+    assert '"holds": true' in texts[0][0] and '"valid": false' in texts[0][0]
+    assert '"witness": {' in texts[1][0] and '"agents": 2' in texts[1][0]
+    assert texts[2][0] == '{\n  "command": "sat",\n  "status": "unsatisfiable"\n}\n'
 
 
 def test_json_profiles_render_as_the_standard_encoder_at_every_depth(

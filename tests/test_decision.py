@@ -43,7 +43,7 @@ from scflogic.encodings import (
 )
 from scflogic.core import _bounded_size
 from scflogic._stacked import _CHUNK_BITS
-from scflogic.logic import TRUE, And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, Rep
+from scflogic.logic import TRUE, And, Box, Diamond, Iff, Implies, Not, Or, Out, Pref, PrefBox, Rep
 from scflogic.parser import parse
 
 from conftest import K2, K3, make_formula_sampler, profile
@@ -659,6 +659,61 @@ def test_a_walk_over_a_kept_ramp_builds_no_evaluator(monkeypatch):
     assert built == []
 
 
+# state-determined formulas over outcomes a and b and agents 1 and n, each
+# with its truth at a state, read off the state's profile
+STATE_DETERMINED = (
+    ("rep(1,a,b) | rep(1,b,a)", lambda p, n: True),
+    ("rep(1,a,b) -> rep({n},a,b)", lambda p, n: not _rep(p, 1, "a", "b") or _rep(p, n, "a", "b")),
+    ("rep(1,b,a) & rep({n},b,a)", lambda p, n: _rep(p, 1, "b", "a") and _rep(p, n, "b", "a")),
+    ("<{{1}}> (rep(1,b,a) & rep({n},b,a))", lambda p, n: n == 1 or _rep(p, n, "b", "a")),
+    ("[{{1}}] rep(1,a,b) | false", lambda p, n: False),
+)
+
+
+def _rep(p, agent, x, y):
+    """rep(agent, x, y) at the state whose profile is `p`."""
+    return p.order(agent).at_least_as_good(x, y)
+
+
+@pytest.mark.parametrize("n, outcomes", [(2, K2), (1, K3), (3, K2), (3, ("a", "b", "c", "d"))])
+def test_a_state_determined_query_is_decided_on_the_first_chunk(monkeypatch, n, outcomes):
+    """Satisfiability and validity of a formula that reads nothing walk the
+    enumeration's chunks like any other and stop at the first, the class's
+    first model, at any scale: the first call over (n, K) builds one
+    `StackedEvaluator` and later calls, repeats and other formulas of that
+    shape, none; no per-model `Evaluator` is built; each witness and
+    counterexample is `representative_model(n, K)` at the lowest state
+    where the formula holds or fails.  (3,{a,b,c,d}) has 4^13,824 outcome
+    functions, and its one model fits the default budget."""
+    model = representative_model(n, outcomes)
+    formulas = [(parse(text.format(n=n), (n, outcomes)), holds) for text, holds in STATE_DETERMINED]
+    built = []
+    init = _stacked.StackedEvaluator.__init__
+
+    def counted(self, models):
+        built.append(models)
+        init(self, models)
+
+    def refused(self, model):
+        raise AssertionError("a per-model Evaluator was built")
+
+    monkeypatch.setattr(_stacked.StackedEvaluator, "__init__", counted)
+    monkeypatch.setattr(_stacked.Evaluator, "__init__", refused)
+    monkeypatch.setattr(_stacked._space(n, outcomes), "ramps", {})
+    statuses = set()
+    for attempt in range(2):
+        for formula, holds in formulas:
+            assert formula.reads == 0, formula
+            truths = [holds(state, n) for state in model.states]
+            sat, val = satisfiable(n, outcomes, formula), valid(n, outcomes, formula)
+            assert sat.witness == (None if True not in truths else (model, model.states[truths.index(True)]))
+            assert val.counterexample == (None if False not in truths else (model, model.states[truths.index(False)]))
+            assert len(built) == 1, (attempt, formula)
+            statuses |= {sat.status, val.status}
+    assert statuses == {"satisfiable", "unsatisfiable", "valid", "invalid"}
+    assert len(built[0]) == 1 and built[0][0] == model
+
+
 def test_a_walk_past_the_ramp_keeps_only_the_ramp():
     """A whole-class walk at (4,{a,b}), 65,536 outcome functions, goes past
     the ramp; afterwards each kept shape holds under 2 * `_CHUNK_BITS`
@@ -1062,6 +1117,31 @@ def test_an_emitting_scope_folds_constants_and_enters_equal_entries_once():
     assert len(emit.ops) == before + 1 + 2
     reads, (ops, _, _, odd) = emit.program(emit.Pref(2, emit.And(a, rep)))
     assert reads == 0b101 and len(ops) == 4 and odd == 0
+    # `Iff` and `PrefBox` emit the programs of their definitions, which run,
+    # over every (2,{a,b}) model, to the masks of the relational semantics
+    grid = _stacked.TableGrid(2, K2, list(itertools.product(K2, repeat=4)))
+    ev = _stacked.StackedEvaluator(grid)
+    x_f, y_f = Out("a"), Pref(2, Or(Out("b"), Rep(1, "a", "b")))
+
+    def emitted(build):
+        emit = _stacked._Emit(2, K2)
+        return emit.program(build(emit, emit.Out("a"), emit.Pref(2, emit.Or(emit.Out("b"), emit.Rep(1, "a", "b")))))
+
+    cases = [
+        (lambda e, x, y: e.Iff(x, y), lambda e, x, y: e.And(e.Implies(x, y), e.Implies(y, x)), Iff(x_f, y_f)),
+        (lambda e, x, y: e.Iff(e.Not(x), e.TRUE), lambda e, x, y: e.Not(x), Iff(Not(x_f), TRUE)),
+        (lambda e, x, y: e.PrefBox(1, e.Or(x, y)), lambda e, x, y: e.Not(e.Pref(1, e.Not(e.Or(x, y)))),
+         PrefBox(1, Or(x_f, y_f))),
+        (lambda e, x, y: e.PrefBox(2, e.Iff(y, x)), lambda e, x, y: e.Not(e.Pref(2, e.Not(e.Iff(y, x)))),
+         PrefBox(2, Iff(y_f, x_f))),
+    ]
+    for made, defined, formula in cases:
+        program = emitted(made)
+        assert program == emitted(defined), formula
+        mask = ev._run(program[1])
+        for m, model in enumerate(grid):
+            view, block = kripke_view(model), mask >> m * ev.block & ev.block_ones
+            assert all(eval_kripke(view, v, formula) == bool(block >> v & 1) for v in range(ev.block)), formula
 
 
 def test_a_property_check_past_its_budget_is_refused_before_anything_is_emitted(monkeypatch):

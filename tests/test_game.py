@@ -87,9 +87,10 @@ def test_domeq_subset_of_ne(h_table, j_table, majority_table, inverting_table):
 
 def test_implementation_matrix(h_table, j_table, p_table, g_j_minus, g_p_matrix):
     g_h = scf_as_game_form(h_table)
-    assert truthfully_implements(g_h, h_table, SolutionConcept.NE).ok
+    success = truthfully_implements(g_h, h_table, SolutionConcept.NE)
+    assert success.ok and bool(success)
     failure = implements(g_h, h_table, SolutionConcept.NE)
-    assert not failure.ok
+    assert not failure.ok and not bool(failure)
     assert failure.failure == "wrong_outcome"
     assert failure.profile == profile(("b", "a"), ("b", "a"))
     assert failure.action_profile == (AB, AB)
@@ -144,10 +145,10 @@ def test_strategy_proofness(majority_table, j_table, inverting_table):
 
 
 def test_monotonicity(majority_table, p_table, inverting_table):
-    assert is_monotonic(majority_table).ok
+    assert is_monotonic(majority_table).ok and bool(is_monotonic(majority_table))
     assert is_monotonic(p_table).ok
     report = is_monotonic(inverting_table)
-    assert not report.ok
+    assert not report.ok and not bool(report)
     assert report.outcome == inverting_table(report.profile)
     assert inverting_table(report.profile_after) != report.outcome
 
